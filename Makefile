@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race lint reprolint fmt bench bench-json clean
+.PHONY: all build test race lint reprolint fmt bench bench-module bench-json clean
 
 all: lint test build
 
@@ -33,7 +33,15 @@ fmt:
 
 bench:
 	$(GO) test ./internal/core/ -run xxx -bench BenchmarkProcess -benchtime 1000x -benchmem
-	$(GO) test ./internal/ensemble/ -run xxx -bench BenchmarkEnsemble -benchtime 10x -benchmem
+	$(GO) test ./internal/ensemble/ -run xxx -bench 'BenchmarkEnsemble$$' -benchtime 10x -benchmem
+	$(GO) test ./internal/ensemble/ -run xxx -bench 'BenchmarkEnsembleStages|BenchmarkEnsembleRead' -benchmem
+
+# bench-module compiles and smokes the nested benchmark module (bench/
+# has its own go.mod, so `go build ./...` and `go test ./...` at the
+# root never see it): vet, its unit tests, and one quick workload run
+# through the ensemble's public write path.
+bench-module:
+	cd bench && $(GO) vet . && $(GO) test -short . && $(GO) run . -quick -workload sync-replay
 
 # bench-json snapshots the serving-path benchmarks (ns/op, allocs/op,
 # syscalls/reply, kernel stamp coverage) into BENCH_<date>.json via

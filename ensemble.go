@@ -73,7 +73,10 @@ type EnsembleOptions struct {
 
 // EnsembleStatus reports the state after one exchange through the
 // ensemble: the per-server view of the exchange plus the combined
-// clock's state.
+// clock's state. It is a plain value: the scalars are copied, and the
+// per-server detail — selected set, asymmetry hints, the agreement
+// count — is read on demand through Readout, so an exchange whose
+// status nobody inspects costs nothing to report.
 type EnsembleStatus struct {
 	// Status is the per-server synchronization state for the exchange,
 	// exactly as a single Clock would report it.
@@ -92,21 +95,9 @@ type EnsembleStatus struct {
 	Weight float64
 	// Rate is the combined rate estimate (seconds per counter cycle).
 	Rate float64
-	// Agreement counts the servers whose error intervals contain the
-	// combined absolute time at this exchange's receive stamp —
-	// Servers means full agreement, below a majority is a red flag.
-	Agreement int
-	// Selected marks the truechimer set after this exchange: the ready
-	// servers whose correctness intervals intersect the majority.
 	// Falsetickers counts ready servers currently voted out by the
 	// interval-intersection stage (zero selected-set membership).
-	Selected     []bool
 	Falsetickers int
-	// AsymmetryHint is each server's signed absolute-clock disagreement
-	// against the selected-set midpoint, in seconds — an estimate of
-	// per-path asymmetry error that no single server/path can observe
-	// about itself (paper §2.3). Zero for servers still in warmup.
-	AsymmetryHint []float64
 	// State is the degradation-ladder state after this exchange
 	// (writer-side: read-time staleness capping does not apply here,
 	// since the exchange itself is fresh).
@@ -114,6 +105,20 @@ type EnsembleStatus struct {
 	// VotingCount is the number of servers backing the combined vote:
 	// ready, selected, fresh, and holding an offset estimate.
 	VotingCount int
+
+	// Readout is the combined readout this exchange published — the
+	// same immutable snapshot concurrent readers see. Per server k,
+	// Readout.Servers[k].Selected marks the truechimer set (ready
+	// servers whose correctness intervals intersect the majority) and
+	// Readout.Servers[k].AsymmetryHint is the server's signed
+	// absolute-clock disagreement against the selected-set midpoint, in
+	// seconds — an estimate of per-path asymmetry error that no single
+	// server/path can observe about itself (paper §2.3), zero for
+	// servers still in warmup. Readout.Agreement(tf) counts the servers
+	// whose error intervals contain the combined absolute time at
+	// counter value tf — Servers means full agreement, below a majority
+	// is a red flag.
+	Readout *ensemble.Readout
 }
 
 // Ensemble is the multi-server counterpart of Clock: one calibration
@@ -184,35 +189,26 @@ func (e *Ensemble) ProcessNTPExchangeFrom(server int, ta, tf uint64, tb, te floa
 	return e.processWithIdentity(server, ta, tf, tb, te, core.Identity{RefID: refID, Stratum: stratum})
 }
 
+//repro:hotpath
 func (e *Ensemble) processWithIdentity(server int, ta, tf uint64, tb, te float64, id core.Identity) (EnsembleStatus, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	res, err := e.ens.Process(server, core.Input{Ta: ta, Tf: tf, Tb: tb, Te: te})
+	res, changed, err := e.ens.ProcessFrom(server, core.Input{Ta: ta, Tf: tf, Tb: tb, Te: te}, id)
 	if err != nil {
 		return EnsembleStatus{}, err
 	}
-	// The index was validated by Process above.
-	changed, _ := e.ens.ObserveIdentity(server, id)
-	// The combined state comes from the readout Process/ObserveIdentity
-	// just published — the same snapshot concurrent readers see.
+	// The one readout this exchange published (the index was validated
+	// by ProcessFrom above).
 	r := e.ens.Readout()
-	sel := make([]bool, len(r.Servers))
-	hint := make([]float64, len(r.Servers))
-	for k := range r.Servers {
-		sel[k] = r.Servers[k].Selected
-		hint[k] = r.Servers[k].AsymmetryHint
-	}
 	return EnsembleStatus{
-		Status:        statusFromResult(res, changed),
-		Server:        server,
-		Weight:        r.Servers[server].Weight,
-		Rate:          r.Rate,
-		Agreement:     r.Agreement(tf),
-		Selected:      sel,
-		Falsetickers:  r.Falsetickers,
-		AsymmetryHint: hint,
-		State:         r.BaseState,
-		VotingCount:   r.VotingCount,
+		Status:       statusFromResult(res, changed),
+		Server:       server,
+		Weight:       r.Servers[server].Weight,
+		Rate:         r.Rate,
+		Falsetickers: r.Falsetickers,
+		State:        r.BaseState,
+		VotingCount:  r.VotingCount,
+		Readout:      r,
 	}, nil
 }
 

@@ -3,6 +3,10 @@ package tscclock
 import (
 	"math"
 	"testing"
+	"unsafe"
+
+	"repro/internal/core"
+	"repro/internal/ensemble"
 )
 
 // feedEnsemble sends one clean synthetic exchange with server k at true
@@ -62,8 +66,9 @@ func TestEnsembleOutvotesFaultyServer(t *testing.T) {
 	if got := e.AbsoluteTime(T) - truth; math.Abs(got) > 100e-6 {
 		t.Errorf("combined clock error %v despite a %v faulty server", got, fault)
 	}
-	if last.Agreement != 2 {
-		t.Errorf("Agreement = %d, want 2", last.Agreement)
+	// Agreement at the last exchange's own receive stamp (see feedEnsemble).
+	if got := last.Readout.Agreement(uint64((now + 400e-6) / 2e-9)); got != 2 {
+		t.Errorf("Agreement = %d, want 2", got)
 	}
 	// The selection stage names the faulty server outright: voted out,
 	// zero selected-set membership, and an asymmetry hint that localizes
@@ -71,11 +76,15 @@ func TestEnsembleOutvotesFaultyServer(t *testing.T) {
 	if last.Falsetickers != 1 {
 		t.Errorf("Falsetickers = %d, want 1", last.Falsetickers)
 	}
-	if len(last.Selected) != 3 || !last.Selected[0] || !last.Selected[1] || last.Selected[2] {
-		t.Errorf("Selected = %v, want [true true false]", last.Selected)
+	srv := last.Readout.Servers
+	if len(srv) != 3 || !srv[0].Selected || !srv[1].Selected || srv[2].Selected {
+		t.Errorf("Selected = %v %v %v, want true true false", srv[0].Selected, srv[1].Selected, srv[2].Selected)
 	}
-	if len(last.AsymmetryHint) != 3 || math.Abs(last.AsymmetryHint[2]-fault) > fault/2 {
-		t.Errorf("AsymmetryHint = %v, want ≈ %v on server 2", last.AsymmetryHint, fault)
+	if math.Abs(srv[2].AsymmetryHint-fault) > fault/2 {
+		t.Errorf("AsymmetryHint[2] = %v, want ≈ %v", srv[2].AsymmetryHint, fault)
+	}
+	if last.Readout != e.Readout() {
+		t.Error("status does not carry the readout the exchange published")
 	}
 	if n := e.Servers(); n != 3 {
 		t.Errorf("Servers = %d", n)
@@ -170,5 +179,128 @@ func TestEnsembleServerChange(t *testing.T) {
 	}
 	if st := feedFrom(0, 100*16, 300); !st.ServerChanged {
 		t.Error("server change not surfaced")
+	}
+}
+
+// TestOnePublicationPerExchange: every exchange — without identity,
+// with a first-seen, an unchanged or a changed one — publishes exactly
+// one combined readout, and that readout is already the exchange's
+// final word: a changed identity's penalty and new stratum are in it,
+// never in a second publication a lock-free reader could fall between.
+//
+// Publication slots are carved consecutively from a slab
+// (internal/ensemble/readout.go), so the address distance between the
+// readouts before and after an exchange counts its publications: one
+// slot, or an unrelated address when the exchange began a new slab.
+func TestOnePublicationPerExchange(t *testing.T) {
+	e, err := NewEnsemble(EnsembleOptions{
+		Servers: 3,
+		Clock:   Options{NominalPeriod: 2e-9, PollPeriod: 16},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const p, rtt = 2e-9, 400e-6
+	slot := unsafe.Sizeof(ensemble.Readout{})
+	newSlabs := 0
+	exchange := func(what string, k int, now float64, id *core.Identity) EnsembleStatus {
+		t.Helper()
+		before := e.Readout()
+		ta, tf, tb, te := uint64(now/p), uint64((now+rtt)/p), now+rtt/2, now+rtt/2+20e-6
+		var st EnsembleStatus
+		if id == nil {
+			st, err = e.ProcessNTPExchange(k, ta, tf, tb, te)
+		} else {
+			st, err = e.ProcessNTPExchangeFrom(k, ta, tf, tb, te, id.RefID, id.Stratum)
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		after := e.Readout()
+		if st.Readout != after {
+			t.Fatalf("%s: status carries a readout other than the published one", what)
+		}
+		switch d := uintptr(unsafe.Pointer(after)) - uintptr(unsafe.Pointer(before)); d {
+		case 0:
+			t.Fatalf("%s: nothing published", what)
+		case slot:
+		case 2 * slot:
+			t.Fatalf("%s: published twice", what)
+		default:
+			newSlabs++
+		}
+		return st
+	}
+
+	now := 0.0
+	for i := 0; i < 100; i++ {
+		for k := 0; k < 3; k++ {
+			now = float64(i)*16 + float64(k)*16/3 + 1
+			exchange("no identity", k, now, nil)
+		}
+	}
+	if newSlabs > 2 { // 300 publications over 256-slot slabs
+		t.Fatalf("%d exchanges did not publish into the next slot", newSlabs)
+	}
+
+	first := exchange("first-seen identity", 0, now+8, &core.Identity{RefID: 100, Stratum: 1})
+	if first.ServerChanged || !first.Readout.Servers[0].Clock.IdentKnown {
+		t.Errorf("first-seen identity: changed=%v known=%v", first.ServerChanged, first.Readout.Servers[0].Clock.IdentKnown)
+	}
+	if h := first.Readout.Health; h.Stratum != 2 {
+		t.Errorf("health stratum behind a stratum-1 upstream = %d, want 2", h.Stratum)
+	}
+	same := exchange("unchanged identity", 0, now+24, &core.Identity{RefID: 100, Stratum: 1})
+	if same.ServerChanged {
+		t.Error("unchanged identity reported as a change")
+	}
+	moved := exchange("changed identity", 0, now+40, &core.Identity{RefID: 200, Stratum: 3})
+	if !moved.ServerChanged {
+		t.Fatal("changed identity not reported")
+	}
+	r := moved.Readout
+	if got, was := r.Servers[0].Penalty, same.Readout.Servers[0].Penalty; !(got > was) {
+		t.Errorf("changed-identity readout penalty %v, want above %v", got, was)
+	}
+	if r.Servers[0].Clock.Ident.Stratum != 3 || r.Health.Stratum != 4 {
+		t.Errorf("changed-identity readout: upstream stratum %d, advertised %d, want 3 and 4",
+			r.Servers[0].Clock.Ident.Stratum, r.Health.Stratum)
+	}
+	if !(r.Servers[0].Weight < same.Readout.Servers[0].Weight) {
+		t.Errorf("changed-identity readout weight %v, want below %v", r.Servers[0].Weight, same.Readout.Servers[0].Weight)
+	}
+}
+
+// TestEnsembleWritePathAllocs gates the public write path: in steady
+// state an exchange allocates nothing but its share of the publication
+// slabs — three slab refills (engine readout, combined readout, server
+// entries) per 256 exchanges, about 0.012 allocations each. The budget
+// is 0.05; AllocsPerRun reports whole numbers, so each run is 100
+// exchanges.
+func TestEnsembleWritePathAllocs(t *testing.T) {
+	e, err := NewEnsemble(EnsembleOptions{
+		Servers: 5,
+		Clock:   Options{NominalPeriod: 2e-9, PollPeriod: 16},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	i := 0
+	next := func() {
+		now := float64(i/5)*16 + float64(i%5)*16/5 + 1
+		feedEnsemble(t, e, i%5, now, 0)
+		i++
+	}
+	for i < 500 { // past warmup: selection, ladder and health all live
+		next()
+	}
+	const per = 100
+	perRun := testing.AllocsPerRun(100, func() {
+		for j := 0; j < per; j++ {
+			next()
+		}
+	})
+	if perRun >= 0.05*per {
+		t.Errorf("%v allocations per %d exchanges, want < %v", perRun, per, 0.05*per)
 	}
 }

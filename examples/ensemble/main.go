@@ -63,7 +63,7 @@ func main() {
 			ws := ens.Weights()
 			fmt.Printf("%-8s %-12s [%.2f %.2f %.2f]       %d/3        %d\n",
 				timebase.FormatDuration(e.TrueTf), timebase.FormatDuration(lastErr),
-				ws[0], ws[1], ws[2], st.Agreement, st.Falsetickers)
+				ws[0], ws[1], ws[2], st.Readout.Agreement(e.Tf), st.Falsetickers)
 			next *= 2
 		}
 	}

@@ -46,9 +46,11 @@ package ensemble
 const asymPenaltyGateFrac = 0.5
 
 // updateAsymCorrection advances every server's damped correction after
-// one selection sweep. Called from Process (after updateSelection,
+// one selection sweep. Called from combine (after updateSelection,
 // before publish) only while Config.AsymCorrection is set, so the
-// disabled path does not even touch the fields.
+// disabled path does not even touch the fields: corr stays identically
+// zero and the corrected and uncorrected combiners are bit-identical
+// (x − 0 is the identity for every float, including ±0 and NaN).
 func (e *Ensemble) updateAsymCorrection() {
 	for k := range e.members {
 		m := &e.members[k]
@@ -76,13 +78,4 @@ func (e *Ensemble) updateAsymCorrection() {
 			m.corr = 0
 		}
 	}
-}
-
-// appliedCorrection returns the correction the combine paths subtract
-// from server k's absolute clock: always zero while the feature is
-// disabled, so the corrected and uncorrected combiners are bit-identical
-// in that case (x − 0 is the identity for every float, including ±0 and
-// NaN).
-func (e *Ensemble) appliedCorrection(k int) float64 {
-	return e.members[k].corr
 }

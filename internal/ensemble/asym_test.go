@@ -28,7 +28,7 @@ func asymEnsemble(t *testing.T, n int, mod func(*Config)) *Ensemble {
 
 // corrOf returns the per-server applied corrections.
 func corrOf(e *Ensemble) []float64 {
-	states := e.ServerStates()
+	states := e.Readout().ServerStates()
 	out := make([]float64, len(states))
 	for k, st := range states {
 		out[k] = st.AsymCorrection
@@ -77,7 +77,7 @@ func TestAsymCorrectionSignMatchesAsymmetry(t *testing.T) {
 	if corr[2] < bias/4 {
 		t.Errorf("late server correction %v did not converge (bias %v)", corr[2], bias)
 	}
-	for k, st := range e.ServerStates() {
+	for k, st := range e.Readout().ServerStates() {
 		if !st.Selected {
 			t.Errorf("server %d evicted: the bias was meant to stay within the selection bound", k)
 		}
@@ -86,7 +86,7 @@ func TestAsymCorrectionSignMatchesAsymmetry(t *testing.T) {
 	// The lock-free readout combine must agree bitwise with the
 	// writer-side combine while corrections are applied.
 	T := uint64((last + 1) / synthP)
-	if w, r := e.AbsoluteTime(T), e.Readout().AbsoluteTime(T); w != r {
+	if w, r := e.Readout().AbsoluteTime(T), e.Readout().AbsoluteTime(T); w != r {
 		t.Errorf("writer %v vs readout %v combined time with corrections applied", w, r)
 	}
 }
@@ -103,7 +103,7 @@ func TestAsymCorrectionBoundedByClamp(t *testing.T) {
 		}
 		return 0
 	})
-	states := e.ServerStates()
+	states := e.Readout().ServerStates()
 	for k, st := range states {
 		noise := st.ErrScale - st.Penalty
 		clamp := clampFrac * e.cfg.AgreementFactor * noise
@@ -157,15 +157,12 @@ func TestAsymCorrectionDisabledBitIdentical(t *testing.T) {
 	}
 	for i := 0; i < 8; i++ {
 		T := uint64((last+float64(i))/synthP) + uint64(i)
-		b, d, en := base.AbsoluteTime(T), disabled.AbsoluteTime(T), enabled.AbsoluteTime(T)
+		b, d, en := base.Readout().AbsoluteTime(T), disabled.Readout().AbsoluteTime(T), enabled.Readout().AbsoluteTime(T)
 		if b != d {
 			t.Fatalf("T=%d: disabled combiner %v differs from baseline %v", T, d, b)
 		}
-		if rb, rd := base.Readout().AbsoluteTime(T), disabled.Readout().AbsoluteTime(T); rb != rd {
-			t.Fatalf("T=%d: disabled readout %v differs from baseline readout %v", T, rd, rb)
-		}
-		if sb, sd := base.TakeSnapshot(T).AbsoluteTime, disabled.TakeSnapshot(T).AbsoluteTime; sb != sd {
-			t.Fatalf("T=%d: disabled snapshot %v differs from baseline snapshot %v", T, sd, sb)
+		if ab, ad := base.Readout().Agreement(T), disabled.Readout().Agreement(T); ab != ad {
+			t.Fatalf("T=%d: disabled agreement %d differs from baseline agreement %d", T, ad, ab)
 		}
 		if i == 0 && b == en {
 			t.Errorf("enabled combiner bit-identical to baseline on a biased feed: harness has no teeth")
@@ -184,7 +181,7 @@ func TestAsymCorrectionZeroWhileUnselected(t *testing.T) {
 		}
 		return 0
 	})
-	states := e.ServerStates()
+	states := e.Readout().ServerStates()
 	if !states[2].Falseticker {
 		t.Fatalf("biased server not flagged: %+v", states[2])
 	}
@@ -214,18 +211,11 @@ func TestAsymCorrectionZeroInPenalty(t *testing.T) {
 	}
 
 	// A reference-ID change on server 2 adds the identity penalty.
-	if _, err := e.ObserveIdentity(2, core.Identity{RefID: 1, Stratum: 1}); err != nil {
-		t.Fatal(err)
-	}
-	changed, err := e.ObserveIdentity(2, core.Identity{RefID: 2, Stratum: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !changed {
+	feedFrom(t, e, 2, last+8, 60e-6, core.Identity{RefID: 1, Stratum: 1})
+	if _, changed := feedFrom(t, e, 2, last+16, 60e-6, core.Identity{RefID: 2, Stratum: 1}); !changed {
 		t.Fatal("identity change not detected")
 	}
-	feed(t, e, 2, last+16, 60e-6)
-	st := e.ServerStates()[2]
+	st := e.Readout().ServerStates()[2]
 	if st.Penalty == 0 {
 		t.Fatal("identity change added no penalty")
 	}

@@ -39,14 +39,14 @@ func TestProcessBatchSingletonEquivalence(t *testing.T) {
 	}
 	T := ins[len(ins)-1].Tf
 	for _, dt := range []uint64{0, 1000, 1 << 20} {
-		if a, b := seq.AbsoluteTime(T+dt), bat.AbsoluteTime(T+dt); a != b {
+		if a, b := seq.Readout().AbsoluteTime(T+dt), bat.Readout().AbsoluteTime(T+dt); a != b {
 			t.Errorf("AbsoluteTime(T+%d): sequential %.12g != singleton-batched %.12g", dt, a, b)
 		}
 	}
-	if a, b := seq.RateHat(), bat.RateHat(); a != b {
+	if a, b := seq.Readout().RateHat(), bat.Readout().RateHat(); a != b {
 		t.Errorf("RateHat: %.12g != %.12g", a, b)
 	}
-	if a, b := seq.Agreement(T), bat.Agreement(T); a != b {
+	if a, b := seq.Readout().Agreement(T), bat.Readout().Agreement(T); a != b {
 		t.Errorf("Agreement: %d != %d", a, b)
 	}
 }
@@ -87,7 +87,7 @@ func TestProcessBatchEngineEquivalence(t *testing.T) {
 	// but with identical healthy engines the combined time must agree
 	// to well under the engines' own error scale.
 	T := ins[len(ins)-1].Tf + 1000
-	a, b := seq.AbsoluteTime(T), bat.AbsoluteTime(T)
+	a, b := seq.Readout().AbsoluteTime(T), bat.Readout().AbsoluteTime(T)
 	if diff := a - b; diff > 1e-6 || diff < -1e-6 {
 		t.Errorf("combined AbsoluteTime diverged: %.12g vs %.12g", a, b)
 	}
@@ -127,7 +127,7 @@ func TestProcessBatchError(t *testing.T) {
 			t.Errorf("engine %d after failed batch: %+v, want prefix-only %+v", k, a, b)
 		}
 	}
-	if a, b := e.Exchanges(), ref.Exchanges(); a != b {
+	if a, b := e.Readout().Exchanges, ref.Readout().Exchanges; a != b {
 		t.Errorf("exchange count %d, want %d (nothing past the error applied)", a, b)
 	}
 }

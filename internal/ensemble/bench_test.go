@@ -12,10 +12,9 @@ import (
 // core.SynthTrace workload as BenchmarkProcess and `cmd/experiments
 // -perf`) dealt round-robin to N servers. The per-packet cost must stay
 // at the single-engine budget (~420 ns, ~2.4M packets/s/core; PERF.md)
-// plus O(1) trust scoring and one O(N log N) selection sweep over the
-// per-server intervals — N is the server count (single digits), so the
-// sweep adds tens of nanoseconds. The median combination still runs at
-// read time, not per packet.
+// plus O(1) trust scoring and one O(N) combine — BenchmarkEnsembleStages
+// splits that combine into its stages. The median combination of the
+// absolute clocks still runs at read time, not per packet.
 func BenchmarkEnsemble(b *testing.B) {
 	const n = 1 << 20
 	ins := core.SynthTrace(n)
@@ -40,7 +39,7 @@ func BenchmarkEnsemble(b *testing.B) {
 				}
 				// One combined read per pass keeps the combiner honest
 				// without dominating the per-packet measurement.
-				sink += e.AbsoluteTime(ins[n-1].Tf + 1000)
+				sink += e.Readout().AbsoluteTime(ins[n-1].Tf + 1000)
 			}
 			_ = sink
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/packet")
@@ -74,7 +73,7 @@ func BenchmarkEnsemble(b *testing.B) {
 						b.Fatal(err)
 					}
 				}
-				sink += e.AbsoluteTime(ins[n-1].Tf + 1000)
+				sink += e.Readout().AbsoluteTime(ins[n-1].Tf + 1000)
 			}
 			_ = sink
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/packet")
@@ -82,41 +81,82 @@ func BenchmarkEnsemble(b *testing.B) {
 	}
 }
 
-// BenchmarkEnsembleSelect isolates the per-packet selection sweep: the
-// endpoint sort plus the Marzullo scan and classification over N ready
-// servers, on a calibrated ensemble. This is the only O(N log N) term
-// the selection stage adds to Process; it must stay in the tens of
-// nanoseconds at realistic N and allocate nothing.
-func BenchmarkEnsembleSelect(b *testing.B) {
+// BenchmarkEnsembleStages decomposes the per-exchange combine — what
+// the benchmark ledger reports as ensemble.self_ns — into its stages on
+// a calibrated ensemble: observe (fold one engine result into the trust
+// state), select (interval pass, closed-form region, classification,
+// asymmetry hints), ladder (votes, serving health, rung) and publish
+// (weights, per-server entries, rate median, pointer store). The
+// select/fractured line re-seats a lying minority before every pass, so
+// the incumbent set never mutually intersects and the sorted endpoint
+// sweep — the fallback the steady state skips — runs each time. Every
+// stage must report 0 allocs/op except publish, which amortizes its
+// slabs (2 allocations per pubSlabSize publications).
+func BenchmarkEnsembleStages(b *testing.B) {
 	for _, servers := range []int{3, 5, 8} {
-		b.Run(fmt.Sprintf("servers=%d", servers), func(b *testing.B) {
-			e := calibrated(b, servers)
-			ins := core.SynthTrace(64)
-			T := ins[len(ins)-1].Tf + 1000
+		e := calibrated(b, servers, 0)
+		T := e.lastTf + 1000
+		b.Run(fmt.Sprintf("observe/servers=%d", servers), func(b *testing.B) {
+			// A live path: the point error is non-zero and the RTT floor
+			// moves by a microsecond now and then.
+			res := core.Result{PointError: 40e-6}
+			b.ReportAllocs()
+			for i, k := 0, 0; i < b.N; i++ {
+				res.RTTHat = 400e-6 + 1e-6*float64(i>>4&1)
+				e.members[k].observe(&e.cfg, &e.cfg.Engines[k], &res)
+				if k++; k == servers {
+					k = 0
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("select/servers=%d", servers), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				e.updateSelection(T + uint64(i))
+			}
+		})
+		b.Run(fmt.Sprintf("select/fractured/servers=%d", servers), func(b *testing.B) {
+			liars := (servers - 1) / 2
+			f := calibrated(b, servers, liars)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				e.updateSelection(T + uint64(i))
+				for k := range f.members {
+					f.members[k].selected = true
+				}
+				f.updateSelection(T + uint64(i))
+			}
+		})
+		b.Run(fmt.Sprintf("ladder/servers=%d", servers), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				e.updateLadder()
+			}
+		})
+		b.Run(fmt.Sprintf("publish/servers=%d", servers), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				e.publish()
 			}
 		})
 	}
 }
 
-// BenchmarkEnsembleRead measures the read path — combined absolute
-// time, combined rate, and a full snapshot over N engines (weighted
-// median over the selected set, O(N log N) in the server count, which
-// is small by construction). Every variant must report 0 allocs/op:
-// the read path runs entirely on scratch buffers (TestReadPathZeroAlloc
-// pins the same contract as a hard test).
+// BenchmarkEnsembleRead measures the read path over a held readout —
+// combined absolute time (weighted median over the selected set, one
+// clock evaluation per voting server), the precomputed rate, and the
+// agreement count. Every variant must report 0 allocs/op: reads run
+// entirely on stack scratch (TestReadPathZeroAlloc pins the same
+// contract as a hard test).
 func BenchmarkEnsembleRead(b *testing.B) {
 	for _, servers := range []int{3, 8} {
-		e := calibrated(b, servers)
+		r := calibrated(b, servers, 0).Readout()
 		T := uint64(1 << 40)
 		b.Run(fmt.Sprintf("AbsoluteTime/servers=%d", servers), func(b *testing.B) {
 			var sink float64
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				sink += e.AbsoluteTime(T + uint64(i))
+				sink += r.AbsoluteTime(T + uint64(i))
 			}
 			_ = sink
 		})
@@ -124,38 +164,51 @@ func BenchmarkEnsembleRead(b *testing.B) {
 			var sink float64
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				sink += e.RateHat()
+				sink += r.RateHat()
 			}
 			_ = sink
 		})
-		b.Run(fmt.Sprintf("TakeSnapshot/servers=%d", servers), func(b *testing.B) {
+		b.Run(fmt.Sprintf("Agreement/servers=%d", servers), func(b *testing.B) {
 			var sink int
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				sink += e.TakeSnapshot(T + uint64(i)).Agreement
+				sink += r.Agreement(T + uint64(i))
 			}
 			_ = sink
 		})
 	}
 }
 
-// calibrated returns an ensemble of n identical engines fed past warmup
-// with the synthetic workload, dealt round-robin.
-func calibrated(b *testing.B, n int) *Ensemble {
+// calibrated returns an ensemble of n identical engines in steady
+// state: 200 staggered poll rounds of clean exchanges with a few
+// microseconds of queueing jitter, every server past warmup and seated;
+// the last `liars` servers answer 5 ms off, a colluding minority the
+// selection has convicted.
+func calibrated(b *testing.B, n, liars int) *Ensemble {
 	b.Helper()
 	cfgs := make([]core.Config, n)
 	for i := range cfgs {
-		cfgs[i] = core.DefaultConfig(2e-9, 16)
+		cfgs[i] = core.DefaultConfig(synthP, 16)
 	}
 	e, err := New(Config{Engines: cfgs})
 	if err != nil {
 		b.Fatal(err)
 	}
-	ins := core.SynthTrace(4096)
-	for j, in := range ins {
-		if _, err := e.Process(j%n, in); err != nil {
-			b.Fatal(err)
+	for i := 0; i < 200; i++ {
+		for k := 0; k < n; k++ {
+			off := 0.0
+			if k >= n-liars {
+				off = 5e-3
+			}
+			in := synthInput(float64(i)*16+float64(k)*16/float64(n)+1, off)
+			in.Tf += uint64((i*7+k*3)%5) * 1000 // 0–8 µs late
+			if _, err := e.Process(k, in); err != nil {
+				b.Fatal(err)
+			}
 		}
+	}
+	if r := e.Readout(); r.ReadyCount != n || r.Falsetickers != liars || r.BaseState != StateSynced {
+		b.Fatalf("harness: %d/%d ready, %d falsetickers (want %d), state %v", r.ReadyCount, n, r.Falsetickers, liars, r.BaseState)
 	}
 	return e
 }

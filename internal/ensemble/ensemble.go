@@ -50,11 +50,20 @@
 // late against the ensemble — while healthy by every single-path signal
 // — is exactly what an uncalibrated path asymmetry looks like.
 //
-// The per-packet cost is one engine Process, O(1) scoring, and one
-// O(N log N) selection sweep over the N per-server intervals (N is the
-// server count — single digits — so the sweep is tens of nanoseconds);
-// the combination itself is evaluated at read time over the per-server
-// estimates with zero allocations (see BenchmarkEnsemble).
+// The per-exchange cost is one engine Process plus one combine: an O(N)
+// pass over the N servers (N is the server count — single digits) that
+// evaluates each ready server's clock once, takes the majority region in
+// closed form while the voters' intervals all mutually intersect (the
+// steady state; the sorted endpoint sweep runs only when the set is
+// fractured), reclassifies, refreshes the ladder and serving health, and
+// publishes exactly one immutable Readout. Nothing is sorted through a
+// comparison closure and nothing is computed that no reader asked for:
+// the combined absolute time and the agreement count are evaluated at
+// read time from the published readout, with zero allocations. The
+// measured budget (PERF.md "PR 13"): at five servers the combine costs
+// ≈ 370 ns against the engine step's ≈ 460 — most of it publication,
+// ~700 B of fresh memory per exchange — and BenchmarkEnsembleStages
+// splits it into observe / select / ladder / publish lines.
 //
 //repro:deterministic
 package ensemble
@@ -257,15 +266,15 @@ type member struct {
 }
 
 // observe folds one engine result into the trust state.
-func (m *member) observe(cfg *Config, ec *core.Config, res core.Result) {
+func (m *member) observe(cfg *Config, ec *core.Config, res *core.Result) {
 	m.count++
 	if m.count == 1 {
 		m.ewmaErr = res.PointError
 		m.lastRHat = res.RTTHat
 	}
-	m.ewmaErr += cfg.ErrAlpha * (res.PointError - m.ewmaErr)
+	m.ewmaErr = flushTiny(m.ewmaErr + cfg.ErrAlpha*(res.PointError-m.ewmaErr))
 	d := math.Abs(res.RTTHat - m.lastRHat)
-	m.rttWobble += cfg.ErrAlpha * (d - m.rttWobble)
+	m.rttWobble = flushTiny(m.rttWobble + cfg.ErrAlpha*(d-m.rttWobble))
 	m.lastRHat = res.RTTHat
 
 	// Event penalties, in seconds on the same scale as the thresholds
@@ -273,7 +282,7 @@ func (m *member) observe(cfg *Config, ec *core.Config, res core.Result) {
 	// the server's timestamps contradicted its own recent history by
 	// more than E_s — so it carries the E_s scale; a detected level
 	// shift means the path (and so the asymmetry baked into θ̂) changed.
-	m.penalty *= cfg.PenaltyDecay
+	m.penalty = flushTiny(m.penalty * cfg.PenaltyDecay)
 	if res.PoorQuality {
 		m.penalty += ec.E()
 	}
@@ -290,6 +299,25 @@ func (m *member) observe(cfg *Config, ec *core.Config, res core.Result) {
 		m.streak = 0
 	}
 	m.ready = !res.Warmup
+}
+
+// tinySeconds is where the trust trackers stop decaying and read zero.
+// Left alone, a geometric decay between events — r̂ moves rarely, sanity
+// events more rarely still — walks through 300 decades into the
+// denormal range and parks on its smallest value for good, and every
+// later multiplication of it takes a microcode assist (≈ 40 ns each on
+// the benchmark box, about one per exchange on its 14-day trace). The
+// threshold is far below the resolution of any sum these terms enter
+// (errScale ≥ δ, microseconds), so no weight, interval or decision
+// moves by a bit; only the ServerReadout diagnostics read 0 instead of
+// 1e-323.
+const tinySeconds = 1e-30
+
+func flushTiny(x float64) float64 {
+	if x < tinySeconds {
+		return 0
+	}
+	return x
 }
 
 // errScale is the server's current error scale in seconds: the basis of
@@ -316,38 +344,34 @@ type endpoint struct {
 
 // Ensemble runs one synchronization engine per upstream server over a
 // shared host counter and combines their clocks. It is not safe for
-// concurrent use; the public tscclock.Ensemble wrapper adds locking.
-// Read results that are slices (Snapshot fields) are backed by internal
-// scratch buffers reused across calls — copy them to retain them past
-// the next call.
+// concurrent use on the write side; the public tscclock.Ensemble wrapper
+// adds the writer lock. Every read goes through the published Readout,
+// which is safe from any goroutine.
 type Ensemble struct {
 	cfg     Config
 	engines []*core.Sync
 	members []member
 
-	// Scratch buffers for the zero-allocation read and sweep paths (the
-	// type is single-threaded by contract, so one set suffices).
-	vals   []float64  // per-server absolute times
-	rates  []float64  // per-server rates
-	ws     []float64  // per-server weights
-	items  []wv       // weighted-median sort scratch
-	eps    []endpoint // selection sweep endpoints
-	lo     []float64  // per-server interval lower bounds
-	hi     []float64  // per-server interval upper bounds
-	widths []float64  // interval-width sort scratch (sweep voter filter)
-	sel    []bool     // Snapshot.Selected backing
-	hint   []float64  // Snapshot.AsymmetryHint backing
+	// clk[k] is engine k's current published readout, refreshed whenever
+	// that engine runs. The combine evaluates clocks, freshness and
+	// identity through it: only the exchange's own server can have
+	// changed since the last combine.
+	clk []*core.Readout
+
+	// Correctness-interval bounds of the ready servers at the current
+	// selection sweep.
+	lo []float64
+	hi []float64
 
 	// Degradation ladder state (see ladder.go): the writer-side rung,
 	// the recovery hysteresis streak, whether the combine was ever
 	// trusted (gates HOLDOVER vs UNSYNCED), the rate frozen at the last
-	// trusted combine, the serving health summary, and the voting set.
+	// trusted combine, the serving health summary, and the voter count.
 	base        State
 	upStreak    int
 	everTrusted bool
 	frozenRate  float64
 	health      Health
-	voting      []bool
 	votingCount int
 
 	// Lock-free publication (see readout.go): lastTf anchors the
@@ -367,17 +391,9 @@ func New(cfg Config) (*Ensemble, error) {
 		cfg:     cfg,
 		engines: make([]*core.Sync, n),
 		members: make([]member, n),
-		vals:    make([]float64, n),
-		rates:   make([]float64, n),
-		ws:      make([]float64, n),
-		items:   make([]wv, 0, n),
-		eps:     make([]endpoint, 0, 2*n),
+		clk:     make([]*core.Readout, n),
 		lo:      make([]float64, n),
 		hi:      make([]float64, n),
-		widths:  make([]float64, 0, n),
-		sel:     make([]bool, n),
-		hint:    make([]float64, n),
-		voting:  make([]bool, n),
 	}
 	for i, ec := range cfg.Engines {
 		s, err := core.NewSync(ec)
@@ -385,6 +401,7 @@ func New(cfg Config) (*Ensemble, error) {
 			return nil, fmt.Errorf("ensemble: engine %d: %w", i, err)
 		}
 		e.engines[i] = s
+		e.clk[i] = s.Readout()
 		e.members[i].delta = ec.Delta
 	}
 	e.publish()
@@ -397,122 +414,127 @@ func (e *Ensemble) Size() int { return len(e.engines) }
 // Engine returns server k's engine, for per-server inspection.
 func (e *Ensemble) Engine(k int) *core.Sync { return e.engines[k] }
 
-// Process feeds one completed exchange with server k to that server's
-// engine, updates the server's trust state, and runs one selection
-// sweep at the exchange's receive stamp. Exchanges must arrive in
-// order per server; cross-server ordering is unconstrained.
+// Process feeds one completed exchange with server k — without identity
+// data, as simulated feeds and replayed stamp traces have none; see
+// ProcessFrom.
 //
 //repro:hotpath
 func (e *Ensemble) Process(server int, in core.Input) (core.Result, error) {
-	if server < 0 || server >= len(e.engines) {
-		//repro:alloc-ok rejected-input error path: allocates only for out-of-range server indices
-		return core.Result{}, fmt.Errorf("ensemble: server %d out of range [0,%d)", server, len(e.engines))
+	res, _, err := e.ProcessFrom(server, in, core.Identity{})
+	return res, err
+}
+
+// ProcessFrom feeds one completed exchange with server k, together with
+// the identity (reference ID and stratum) the reply carried — the zero
+// Identity when there is none — to that server's engine, updates the
+// server's trust state, and runs the combine once at the exchange's
+// receive stamp, publishing exactly one Readout. changed reports a
+// detected identity change: that engine's RTT filter is re-based and
+// the server takes a trust penalty, so the combined clock leans on the
+// other servers until the new path proves itself. Exchanges must arrive
+// in order per server; cross-server ordering is unconstrained.
+//
+//repro:hotpath
+func (e *Ensemble) ProcessFrom(server int, in core.Input, id core.Identity) (res core.Result, changed bool, err error) {
+	if changed, err = e.apply(server, in, id, &res); err != nil {
+		return res, false, err
 	}
-	res, err := e.engines[server].Process(in)
-	if err != nil {
-		return res, err
-	}
-	e.members[server].observe(&e.cfg, &e.cfg.Engines[server], res)
-	e.updateSelection(in.Tf)
-	if e.cfg.AsymCorrection {
-		e.updateAsymCorrection()
-	}
-	e.lastTf = in.Tf
-	e.updateLadder()
-	e.publish()
-	return res, nil
+	e.combine(in.Tf)
+	return res, changed, nil
 }
 
 // BatchExchange is one completed exchange addressed to its server, the
-// unit of ProcessBatch.
+// unit of ProcessBatch. Ident is the identity the reply carried (zero:
+// none).
 type BatchExchange struct {
 	Server int
 	In     core.Input
+	Ident  core.Identity
 }
 
 // ProcessBatch feeds a batch of completed exchanges — e.g. one poll
 // round's worth, arriving together from a batched receive loop — and
-// runs the combine stages ONCE for the whole batch instead of once per
-// exchange. Engine updates are identical to calling Process per
-// exchange (same engines, same order, so per-server in-order delivery
-// is preserved); only the selection sweep, asymmetry promotion, ladder
-// and publication are amortized, evaluated at the latest receive stamp
-// in the batch. Cache locality is the other half: the engines' state
-// is walked back-to-back while hot, then the member/selection arrays
-// once, instead of interleaving the two per exchange.
+// runs the combine ONCE for the whole batch instead of once per
+// exchange. Engine and trust updates are identical to calling
+// ProcessFrom per exchange (same engines, same order, so per-server
+// in-order delivery is preserved); only the combine — selection,
+// asymmetry promotion, ladder and publication — is amortized, evaluated
+// at the latest receive stamp in the batch. Cache locality is the other
+// half: the engines' state is walked back-to-back while hot, then the
+// member/selection arrays once, instead of interleaving the two per
+// exchange.
 //
 // On an engine error the remaining exchanges are not applied (the
 // caller cannot know which inputs a partial batch consumed otherwise),
-// but the combine stages still run over what was applied, so the
-// published readout never lags the engine state.
+// but the combine still runs over what was applied, so the published
+// readout never lags the engine state.
+//
+//repro:hotpath
 func (e *Ensemble) ProcessBatch(batch []BatchExchange) error {
 	maxTf, applied := uint64(0), 0
 	var procErr error
+	var res core.Result // the per-exchange results are the engines' business here
 	for i := range batch {
 		b := &batch[i]
-		if b.Server < 0 || b.Server >= len(e.engines) {
-			procErr = fmt.Errorf("ensemble: server %d out of range [0,%d)", b.Server, len(e.engines))
-			break
-		}
-		res, err := e.engines[b.Server].Process(b.In)
-		if err != nil {
+		if _, err := e.apply(b.Server, b.In, b.Ident, &res); err != nil {
 			procErr = err
 			break
 		}
-		e.members[b.Server].observe(&e.cfg, &e.cfg.Engines[b.Server], res)
 		if b.In.Tf > maxTf {
 			maxTf = b.In.Tf
 		}
 		applied++
 	}
 	if applied > 0 {
-		e.updateSelection(maxTf)
-		if e.cfg.AsymCorrection {
-			e.updateAsymCorrection()
-		}
-		e.lastTf = maxTf
-		e.updateLadder()
-		e.publish()
+		e.combine(maxTf)
 	}
 	return procErr
 }
 
-// ObserveIdentity feeds server k's identity data from the most recent
-// exchange (after Process, mirroring core.Sync.ObserveIdentity). A
-// detected change re-bases that engine's RTT filter and adds a trust
-// penalty: the combined clock leans on the other servers until the new
-// path proves itself.
-func (e *Ensemble) ObserveIdentity(server int, id core.Identity) (bool, error) {
+// apply feeds one exchange to its server's engine — stamps first, then
+// the identity, mirroring core.Sync's Process/ObserveIdentity order —
+// and folds the engine's result, left in *res, into that server's trust
+// state. It publishes nothing: the combine that follows is the caller's.
+func (e *Ensemble) apply(server int, in core.Input, id core.Identity, res *core.Result) (changed bool, err error) {
 	if server < 0 || server >= len(e.engines) {
+		//repro:alloc-ok rejected-input error path: allocates only for out-of-range server indices
 		return false, fmt.Errorf("ensemble: server %d out of range [0,%d)", server, len(e.engines))
 	}
-	before := e.engines[server].Readout()
-	changed := e.engines[server].ObserveIdentity(id)
+	eng := e.engines[server]
+	if *res, err = eng.Process(in); err != nil {
+		return false, err
+	}
+	changed = eng.ObserveIdentity(id)
+	e.clk[server] = eng.Readout()
+	m := &e.members[server]
+	m.observe(&e.cfg, &e.cfg.Engines[server], res)
 	if changed {
-		e.members[server].penalty += e.cfg.Engines[server].OffsetSanity
-	}
-	// A new identity can change the advertised stratum chain, so the
-	// serving health must track it (the voting set itself only moves on
-	// Process).
-	if e.votingCount > 0 {
-		e.refreshHealth()
-	}
-	// The server's identity is part of the published readout (relay
-	// serving derives its advertised stratum from it), so republish
-	// when the engine published a new snapshot — a first observation
-	// or a change — but not on the common unchanged-identity exchange,
-	// which would double the publication cost for nothing.
-	if changed || e.engines[server].Readout() != before {
-		e.publish()
+		m.penalty += e.cfg.Engines[server].OffsetSanity
 	}
 	return changed, nil
 }
 
-// updateSelection runs one Marzullo/NTP-select sweep at counter value T:
+// combine runs the combine stages once at counter value T, the receive
+// stamp of the newest applied exchange: selection, asymmetry promotion,
+// ladder and serving health, and the one publication. Process and
+// ProcessBatch share it, so a batch of one is a Process.
+func (e *Ensemble) combine(T uint64) {
+	if !e.cfg.DisableSelection {
+		e.updateSelection(T)
+	}
+	if e.cfg.AsymCorrection {
+		e.updateAsymCorrection()
+	}
+	e.lastTf = T
+	e.updateLadder()
+	e.publish()
+}
+
+// updateSelection runs one Marzullo/NTP-select pass at counter value T:
 // every ready server asserts the correctness interval
 // [Ca_k(T) − bound_k, Ca_k(T) + bound_k] with bound_k =
-// AgreementFactor·noiseScale_k, a sweep finds the majority region, and
-// each server is classified by whether its interval reaches it.
+// AgreementFactor·noiseScale_k, the majority region is found, and each
+// server is classified by whether its interval reaches it.
 // Falsetickers re-enter only after ReadmitAfter consecutive
 // intersecting sweeps.
 //
@@ -528,14 +550,19 @@ func (e *Ensemble) ObserveIdentity(server int, id core.Identity) (bool, error) {
 // overlap, evicting the remaining honest servers. A ballooned interval
 // widens a claim; it should not move the vote.
 func (e *Ensemble) updateSelection(T uint64) {
-	if e.cfg.DisableSelection {
-		return
-	}
+	// Correctness intervals of every ready server: one clock evaluation
+	// each, the only ones the write path makes.
 	nReady := 0
 	for k := range e.members {
-		if e.members[k].ready {
-			nReady++
+		m := &e.members[k]
+		if !m.ready {
+			continue
 		}
+		nReady++
+		c := e.clk[k].AbsoluteTime(T)
+		bound := e.cfg.AgreementFactor * m.noiseScale()
+		e.lo[k] = c - bound
+		e.hi[k] = c + bound
 	}
 	if nReady == 0 {
 		return
@@ -552,22 +579,11 @@ func (e *Ensemble) updateSelection(T uint64) {
 		return
 	}
 
-	// Correctness intervals of every ready server.
-	for k := range e.members {
-		m := &e.members[k]
-		if !m.ready {
-			continue
-		}
-		c := e.engines[k].AbsoluteTime(T)
-		bound := e.cfg.AgreementFactor * m.noiseScale()
-		e.lo[k] = c - bound
-		e.hi[k] = c + bound
-	}
-
-	// Pass 1: the incumbent region. Pass 2, on fracture: the full sweep.
-	bestLo, bestHi, ok := e.sweepRegion(nReady, true)
+	// Pass 1: the incumbent region. Pass 2, on fracture: every ready
+	// server votes afresh.
+	bestLo, bestHi, ok := e.region(nReady, true)
 	if !ok {
-		bestLo, bestHi, ok = e.sweepRegion(nReady, false)
+		bestLo, bestHi, ok = e.region(nReady, false)
 	}
 	if !ok {
 		// No strict majority intersects: there is no evidence to
@@ -597,7 +613,7 @@ func (e *Ensemble) updateSelection(T uint64) {
 
 	// The survivors' cluster: the intersection of the still-selected
 	// intervals — the tightest range every truechimer agrees contains
-	// the truth (the sweep region stands in after a mass eviction).
+	// the truth (the region stands in after a mass eviction).
 	iLo, iHi := e.selectedIntersection(bestLo, bestHi)
 
 	// Re-admission is midpoint-based and slow: a flagged server builds
@@ -607,6 +623,7 @@ func (e *Ensemble) updateSelection(T uint64) {
 	// server whose own noise scale balloons during a congestion episode
 	// can widen its claim until it touches any majority, but it cannot
 	// move its clock into the cluster without actually agreeing.
+	readmitted := false
 	for k := range e.members {
 		m := &e.members[k]
 		if !m.ready || m.selected {
@@ -616,19 +633,23 @@ func (e *Ensemble) updateSelection(T uint64) {
 			m.streak++
 			if m.streak >= e.cfg.ReadmitAfter {
 				m.selected = true
+				readmitted = true
 			}
 		} else {
 			m.streak = 0
 		}
 	}
+	if readmitted {
+		// The cluster narrows to count the returning servers.
+		iLo, iHi = e.selectedIntersection(bestLo, bestHi)
+	}
 
-	// Selected-set midpoint: the center of the survivors' cluster
-	// (recomputed so re-admissions count), the ensemble's best single
-	// point of truth. Each ready server's signed disagreement against
-	// it is the asymmetry hint: a persistent bias here, on a server
-	// healthy by every single-path signal, is what an uncalibrated path
-	// asymmetry error looks like from the outside (paper §2.3).
-	iLo, iHi = e.selectedIntersection(bestLo, bestHi)
+	// Selected-set midpoint: the center of the survivors' cluster, the
+	// ensemble's best single point of truth. Each ready server's signed
+	// disagreement against it is the asymmetry hint: a persistent bias
+	// here, on a server healthy by every single-path signal, is what an
+	// uncalibrated path asymmetry error looks like from the outside
+	// (paper §2.3).
 	mid := (iLo + iHi) / 2
 	for k := range e.members {
 		if m := &e.members[k]; m.ready {
@@ -638,16 +659,16 @@ func (e *Ensemble) updateSelection(T uint64) {
 }
 
 // selectedIntersection returns the intersection of the ready selected
-// servers' intervals, falling back to the given sweep region when no
-// selected interval remains or the intersection is empty.
+// servers' intervals, falling back to the given region when no selected
+// interval remains or the intersection is empty.
 func (e *Ensemble) selectedIntersection(regionLo, regionHi float64) (float64, float64) {
 	iLo, iHi := math.Inf(-1), math.Inf(1)
 	any := false
 	for k := range e.members {
 		if m := &e.members[k]; m.ready && m.selected {
 			any = true
-			iLo = math.Max(iLo, e.lo[k])
-			iHi = math.Min(iHi, e.hi[k])
+			iLo = max(iLo, e.lo[k])
+			iHi = min(iHi, e.hi[k])
 		}
 	}
 	if !any || iLo > iHi {
@@ -657,71 +678,92 @@ func (e *Ensemble) selectedIntersection(regionLo, regionHi float64) (float64, fl
 }
 
 // uninformativeWidthFactor disqualifies ballooned intervals from voting
-// in the fresh (fallback) sweep: an interval wider than this multiple
+// in the fresh (fallback) pass: an interval wider than this multiple
 // of the median ready interval width spans every camp at the decision
 // scale, so counting it only inflates overlap everywhere — including
 // around a tight lying minority. Such a server is still classified
 // against the region; it just cannot help pick it.
 const uninformativeWidthFactor = 4
 
-// sweepRegion runs the Marzullo endpoint sweep over the ready servers'
+// voter reports whether server k's interval votes in a region pass:
+// ready, selected when only the incumbent set votes, and no wider than
+// widthCap.
+func (e *Ensemble) voter(k int, selectedOnly bool, widthCap float64) bool {
+	m := &e.members[k]
+	return m.ready && (m.selected || !selectedOnly) && !(e.hi[k]-e.lo[k] > widthCap)
+}
+
+// region returns the maximal-overlap region of the ready servers'
 // intervals (e.lo/e.hi) — restricted to the currently selected set when
-// selectedOnly — and returns the maximal-overlap region. ok requires
-// that maximal overlap to be a strict majority of ALL nReady ready
-// servers, so the selected set defines the region only while it can
-// still muster that majority by itself. The fresh sweep (selectedOnly
-// false) additionally excludes uninformative ballooned intervals from
-// voting.
-func (e *Ensemble) sweepRegion(nReady int, selectedOnly bool) (lo, hi float64, ok bool) {
+// selectedOnly — as Marzullo's endpoint sweep defines it: the leftmost
+// stretch covered by the largest number of intervals, touching
+// intervals counting as intersecting. ok requires that maximal overlap
+// to be a strict majority of ALL nReady ready servers, so the selected
+// set defines the region only while it can still muster that majority
+// by itself. The fresh pass (selectedOnly false) additionally excludes
+// uninformative ballooned intervals from voting.
+//
+// While the voters all mutually intersect — the steady state — the
+// sweep's answer has a closed form: every voter covers [max lo, min hi]
+// and no point outside it, so that is the region and the voter count is
+// the overlap. The sorted sweep runs only over a fractured set.
+func (e *Ensemble) region(nReady int, selectedOnly bool) (lo, hi float64, ok bool) {
 	widthCap := math.Inf(1)
 	if !selectedOnly {
-		e.widths = e.widths[:0]
+		var wbuf [readScratch]float64
+		widths := wbuf[:0]
 		for k := range e.members {
 			if e.members[k].ready {
-				//repro:alloc-ok append into receiver-held scratch resliced from [:0]; capacity reaches the member count after the first sweep and never grows again
-				e.widths = append(e.widths, e.hi[k]-e.lo[k])
+				//repro:alloc-ok append into the readScratch stack buffer; spills to the heap only past readScratch servers
+				widths = append(widths, e.hi[k]-e.lo[k])
 			}
 		}
-		slices.Sort(e.widths)
-		widthCap = uninformativeWidthFactor * e.widths[len(e.widths)/2]
+		slices.Sort(widths)
+		widthCap = uninformativeWidthFactor * widths[len(widths)/2]
 	}
 
-	// Interval endpoints, starts before ends at equal positions so
-	// touching intervals count as intersecting.
-	e.eps = e.eps[:0]
+	voters := 0
+	lo, hi = math.Inf(-1), math.Inf(1)
 	for k := range e.members {
-		m := &e.members[k]
-		if !m.ready || (selectedOnly && !m.selected) {
-			continue
+		if e.voter(k, selectedOnly, widthCap) {
+			voters++
+			lo = max(lo, e.lo[k])
+			hi = min(hi, e.hi[k])
 		}
-		if e.hi[k]-e.lo[k] > widthCap {
-			continue
-		}
-		//repro:alloc-ok append into receiver-held scratch resliced from [:0]; capacity reaches 2x the member count after the first sweep and never grows again
-		e.eps = append(e.eps, endpoint{x: e.lo[k], d: 1}, endpoint{x: e.hi[k], d: -1})
 	}
-	//repro:alloc-ok slices.SortFunc does not retain the comparison closure, so it stays on the stack (generic, no interface boxing)
-	slices.SortFunc(e.eps, func(a, b endpoint) int {
-		switch {
-		case a.x < b.x:
-			return -1
-		case a.x > b.x:
-			return 1
-		default:
-			return int(b.d) - int(a.d)
-		}
-	})
+	if lo <= hi {
+		return lo, hi, voters > nReady/2
+	}
 
+	// Fractured: sweep the interval endpoints in order, starts before
+	// ends at equal positions so touching intervals count as
+	// intersecting. Insertion sort: the set is single digits, and a
+	// comparison closure costs more than the sort.
+	var ebuf [2 * readScratch]endpoint
+	eps := ebuf[:0]
+	for k := range e.members {
+		if e.voter(k, selectedOnly, widthCap) {
+			//repro:alloc-ok append into the 2·readScratch stack buffer; spills to the heap only past readScratch servers
+			eps = append(eps, endpoint{x: e.lo[k], d: 1}, endpoint{x: e.hi[k], d: -1})
+		}
+	}
+	for i := 1; i < len(eps); i++ {
+		p, j := eps[i], i
+		for ; j > 0 && (p.x < eps[j-1].x || (p.x == eps[j-1].x && p.d > eps[j-1].d)); j-- {
+			eps[j] = eps[j-1]
+		}
+		eps[j] = p
+	}
 	// A new maximum can only appear at a start, and a start is never the
 	// last endpoint, so eps[i+1] is always valid there.
 	cnt, best := 0, 0
-	for i := range e.eps {
-		if e.eps[i].d > 0 {
+	for i := range eps {
+		if eps[i].d > 0 {
 			cnt++
 			if cnt > best {
 				best = cnt
-				lo = e.eps[i].x
-				hi = e.eps[i+1].x
+				lo = eps[i].x
+				hi = eps[i+1].x
 			}
 		} else {
 			cnt--
@@ -730,74 +772,8 @@ func (e *Ensemble) sweepRegion(nReady int, selectedOnly bool) (lo, hi float64, o
 	return lo, hi, best > nReady/2
 }
 
-// rawWeights fills the scratch weight buffer with the current combining
-// weights (unnormalized) and returns it. Servers still in warmup weigh
-// zero, and so do flagged falsetickers while selection is enabled; if
-// every ready server is excluded (a transient, e.g. all in readmission
-// probation) the ready servers vote as if selection were off, and if no
-// server has graduated yet, every server with at least one exchange
-// weighs equally, so the combined clock is defined from the first
-// packet (matching the single-clock behaviour of reading during
-// warmup).
-func (e *Ensemble) rawWeights() []float64 {
-	ws := e.ws
-	anyReady, anySelected := false, false
-	for k := range e.members {
-		ws[k] = 0
-		m := &e.members[k]
-		if !m.ready {
-			continue
-		}
-		anyReady = true
-		if e.cfg.DisableSelection || m.selected {
-			es := m.errScale()
-			ws[k] = 1 / (es * es)
-			anySelected = true
-		}
-	}
-	switch {
-	case anyReady && !anySelected:
-		for k := range e.members {
-			if m := &e.members[k]; m.ready {
-				es := m.errScale()
-				ws[k] = 1 / (es * es)
-			}
-		}
-	case !anyReady:
-		for k := range e.members {
-			if e.members[k].count > 0 {
-				ws[k] = 1
-			}
-		}
-	}
-	return ws
-}
-
-// Weights returns the current per-server combining weights, normalized
-// to sum to 1 (all zeros before any exchange). The returned slice is
-// freshly allocated.
-func (e *Ensemble) Weights() []float64 {
-	ws := make([]float64, len(e.members))
-	copy(ws, e.rawWeights())
-	normalize(ws)
-	return ws
-}
-
-// normalize scales ws to sum to 1 in place (no-op when the sum is 0).
-func normalize(ws []float64) {
-	total := 0.0
-	for _, w := range ws {
-		total += w
-	}
-	if total > 0 {
-		for k := range ws {
-			ws[k] /= total
-		}
-	}
-}
-
 // ServerState is the diagnostic view of one server's trust and
-// selection state.
+// selection state, as Readout.ServerStates reports it.
 type ServerState struct {
 	Exchanges     int     // exchanges processed
 	Ready         bool    // past warmup
@@ -826,199 +802,29 @@ type ServerState struct {
 	AsymCorrection float64
 }
 
-// ServerStates returns the diagnostic view of every server.
-func (e *Ensemble) ServerStates() []ServerState {
-	ws := e.Weights()
-	out := make([]ServerState, len(e.members))
-	for k := range e.members {
-		m := &e.members[k]
-		out[k] = ServerState{
-			Exchanges:       m.count,
-			Ready:           m.ready,
-			Weight:          ws[k],
-			ErrScale:        m.errScale(),
-			PointErrLevel:   m.ewmaErr,
-			RTTWobble:       m.rttWobble,
-			Penalty:         m.penalty,
-			Selected:        m.ready && m.selected,
-			Falseticker:     m.ready && !m.selected && !e.cfg.DisableSelection,
-			IntersectStreak: m.streak,
-			AsymmetryHint:   m.asym,
-			AsymCorrection:  m.corr,
-		}
-	}
-	return out
-}
-
-// AbsoluteTime reads the combined absolute clock at a counter value:
-// the weighted median of the selected servers' absolute clocks. With
-// three or more comparable servers, a faulty minority — even one whose
-// members agree with each other — is excluded by the selection stage
-// and outvoted by the median.
-func (e *Ensemble) AbsoluteTime(T uint64) float64 {
-	for k, s := range e.engines {
-		e.vals[k] = s.AbsoluteTime(T) - e.appliedCorrection(k)
-	}
-	return weightedMedianBuf(e.vals, e.rawWeights(), e.items)
-}
-
-// RateHat returns the combined rate estimate (seconds per counter
-// cycle): the weighted median of the selected servers' p̂ — frozen at
-// the last trusted combine while the ladder sits below DEGRADED
-// (coasting on a live median of unfit servers would defeat holdover).
-func (e *Ensemble) RateHat() float64 {
-	if e.frozenActive() {
-		return e.frozenRate
-	}
-	for k, s := range e.engines {
-		e.rates[k], _ = s.Clock()
-	}
-	return weightedMedianBuf(e.rates, e.rawWeights(), e.items)
-}
-
-// DifferenceSpan measures the interval between two counter readings
-// with the combined difference clock (combined rate only).
-func (e *Ensemble) DifferenceSpan(T1, T2 uint64) float64 {
-	p := e.RateHat()
-	if T2 >= T1 {
-		return float64(T2-T1) * p
-	}
-	return -float64(T1-T2) * p
-}
-
-// Agreement counts the servers whose error interval — the per-server
-// absolute time ± AgreementFactor·errScale, Marzullo-style — contains
-// the combined absolute time at counter value T. len(servers) means
-// full agreement; below a majority means the ensemble is running on a
-// minority of self-consistent servers and should be treated with
-// suspicion.
-func (e *Ensemble) Agreement(T uint64) int {
-	return e.TakeSnapshot(T).Agreement
-}
-
-// Snapshot is the combined state at one counter value, computed with a
-// single weight evaluation (the per-exchange status path uses it so
-// the combiner runs once per exchange, not once per reported field).
-// The slice fields are backed by scratch buffers owned by the ensemble
-// and are overwritten by the next call — copy them to retain them.
-type Snapshot struct {
-	Weights      []float64 // normalized per-server combining weights
-	Rate         float64   // combined rate estimate (s/cycle)
-	AbsoluteTime float64   // combined absolute clock at T (s)
-	Agreement    int       // servers whose interval contains AbsoluteTime
-
-	// Selected marks the truechimer set: ready servers whose
-	// correctness intervals intersect the majority. Falsetickers counts
-	// ready servers currently voted out. AsymmetryHint is each server's
-	// signed absolute-clock disagreement against the selected-set
-	// midpoint (s), a per-path asymmetry-error estimate; zero for
-	// servers still in warmup.
-	Selected      []bool
-	Falsetickers  int
-	AsymmetryHint []float64
-}
-
-// TakeSnapshot evaluates the combiner once at counter value T. The
-// normalized weights serve the medians directly — weightedMedian is
-// invariant under uniform weight scaling.
-func (e *Ensemble) TakeSnapshot(T uint64) Snapshot {
-	ws := e.rawWeights()
-	normalize(ws)
-	for k, s := range e.engines {
-		e.vals[k] = s.AbsoluteTime(T) - e.appliedCorrection(k)
-		e.rates[k], _ = s.Clock()
-	}
-	snap := Snapshot{
-		Weights:       ws,
-		Rate:          weightedMedianBuf(e.rates, ws, e.items),
-		AbsoluteTime:  weightedMedianBuf(e.vals, ws, e.items),
-		Selected:      e.sel,
-		AsymmetryHint: e.hint,
-	}
-	if e.frozenActive() {
-		snap.Rate = e.frozenRate
-	}
-	for k := range e.members {
-		m := &e.members[k]
-		e.sel[k] = m.ready && m.selected
-		e.hint[k] = m.asym
-		if m.ready && !m.selected && !e.cfg.DisableSelection {
-			snap.Falsetickers++
-		}
-		if m.count == 0 {
-			continue
-		}
-		bound := e.cfg.AgreementFactor * m.errScale()
-		if math.Abs(e.vals[k]-snap.AbsoluteTime) <= bound {
-			snap.Agreement++
-		}
-	}
-	return snap
-}
-
-// Exchanges returns the total number of exchanges processed across all
-// servers.
-func (e *Ensemble) Exchanges() int {
-	n := 0
-	for k := range e.members {
-		n += e.members[k].count
-	}
-	return n
-}
-
-// wv is one (value, weight) pair of the weighted-median scratch.
+// wv is one (value, weight) pair of the weighted median.
 type wv struct{ v, w float64 }
 
-// weightedMedian returns the weighted median of vals: the value at
-// which the cumulative weight reaches half the total. When the boundary
-// is hit exactly — as with two equally weighted servers — the two
-// straddling values are averaged, so the combined clock lands between
-// them instead of on whichever reads earlier. Zero-weight entries are
-// ignored; with no positive weight the first value is returned (the
-// caller's fallback guarantees this only happens before any exchange).
-// The breakdown point is 1/2: entries holding less than half the total
-// weight cannot move the result beyond the others' values.
-func weightedMedian(vals, ws []float64) float64 {
-	return weightedMedianBuf(vals, ws, nil)
-}
-
-// weightedMedianBuf is weightedMedian with a caller-provided scratch
-// buffer (content ignored, capacity reused) for allocation-free reads.
-func weightedMedianBuf(vals, ws []float64, buf []wv) float64 {
-	items := buf[:0]
-	total := 0.0
-	for k := range vals {
-		if ws[k] > 0 {
-			items = append(items, wv{vals[k], ws[k]})
-			total += ws[k]
-		}
-	}
-	if len(items) == 0 {
-		if len(vals) == 0 {
-			return 0
-		}
-		return vals[0]
-	}
-	return medianOfItems(items, total)
-}
-
-// medianOfItems is the shared median walk over positive-weight items:
-// the single algorithm behind both the writer-side scratch-buffer reads
-// and the lock-free readout reads, so the two paths agree bitwise on
-// identical inputs. items must be non-empty with positive weights
-// summing to total; it is sorted in place.
+// medianOfItems returns the weighted median of positive-weight items:
+// the value at which the cumulative weight reaches half the total. When
+// the boundary is hit exactly — as with two equally weighted servers —
+// the two straddling values are averaged, so the combined clock lands
+// between them instead of on whichever reads earlier. The breakdown
+// point is 1/2: entries holding less than half the total weight cannot
+// move the result beyond the others' values.
+//
+// It is the single median behind the published rate and every readout
+// read. items must be non-empty with positive weights summing to total;
+// it is sorted in place, by a stable insertion sort — the input is one
+// item per server, and a comparison closure costs more than the sort.
 func medianOfItems(items []wv, total float64) float64 {
-	//repro:alloc-ok slices.SortFunc does not retain the comparison closure, so it stays on the stack (generic, no interface boxing)
-	slices.SortFunc(items, func(a, b wv) int {
-		switch {
-		case a.v < b.v:
-			return -1
-		case a.v > b.v:
-			return 1
-		default:
-			return 0
+	for i := 1; i < len(items); i++ {
+		it, j := items[i], i
+		for ; j > 0 && it.v < items[j-1].v; j-- {
+			items[j] = items[j-1]
 		}
-	})
+		items[j] = it
+	}
 	half := total / 2
 	acc := 0.0
 	for i := range items {

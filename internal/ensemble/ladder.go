@@ -84,8 +84,8 @@ const (
 // slower than that.
 const holdoverDriftFloor = 1e-6
 
-// Health is the serving-facing summary of the voting set, refreshed on
-// every exchange that leaves at least one voter and frozen otherwise —
+// Health is the serving-facing summary of the voting set, refreshed by
+// every combine that leaves at least one voter and frozen otherwise —
 // in HOLDOVER the advertised stratum, root delay and drift bound are
 // deliberately those of the last trusted combine.
 type Health struct {
@@ -117,7 +117,7 @@ type Health struct {
 // (the engine coasts) but loses its vote — voting with week-old
 // evidence is how a dead majority masks a live fault.
 func (e *Ensemble) engineFresh(k int) bool {
-	r := e.engines[k].Readout()
+	r := e.clk[k]
 	if r.LastTf >= e.lastTf {
 		return true
 	}
@@ -131,72 +131,25 @@ func (e *Ensemble) frozenActive() bool {
 	return e.everTrusted && e.base < StateDegraded
 }
 
-// updateLadder reclassifies the combined clock after one exchange.
-// Called with e.lastTf already advanced, before publish.
+// updateLadder reclassifies the combined clock after one exchange: who
+// votes, what the voters say about the serving health, and which rung
+// that puts the clock on. Called with e.lastTf already advanced, before
+// publish.
 func (e *Ensemble) updateLadder() {
+	// One pass decides each server's vote and folds the voters into the
+	// serving summary. The summary is only installed while at least one
+	// server votes; the last value survives into HOLDOVER untouched.
 	voting := 0
-	for k := range e.members {
-		m := &e.members[k]
-		v := m.ready &&
-			(m.selected || e.cfg.DisableSelection) &&
-			e.engines[k].Readout().HaveTheta &&
-			e.engineFresh(k)
-		e.voting[k] = v
-		if v {
-			voting++
-		}
-	}
-	e.votingCount = voting
-
-	var candidate State
-	switch {
-	case voting >= e.cfg.MinVotingSynced:
-		candidate = StateSynced
-	case voting >= 1:
-		candidate = StateDegraded
-	case e.everTrusted:
-		candidate = StateHoldover
-	default:
-		candidate = StateUnsynced
-	}
-	if candidate >= StateDegraded {
-		e.refreshHealth()
-	}
-
-	switch {
-	case !e.everTrusted && candidate >= StateDegraded:
-		// First trust is immediate: hysteresis guards recoveries, not
-		// the initial calibration (which warmup already gates).
-		e.everTrusted = true
-		e.base = candidate
-		e.upStreak = 0
-	case candidate < e.base:
-		e.base = candidate
-		e.upStreak = 0
-	case candidate > e.base:
-		e.upStreak++
-		if e.upStreak >= e.cfg.RecoverAfter {
-			e.base = candidate
-			e.upStreak = 0
-		}
-	default:
-		e.upStreak = 0
-	}
-}
-
-// refreshHealth recomputes the serving summary from the current voting
-// set. Only called while at least one server votes; the last value
-// survives into HOLDOVER untouched.
-func (e *Ensemble) refreshHealth() {
 	h := Health{RootDelay: math.Inf(1), AllDeadChain: true}
 	minStratum := uint8(unsyncedStratum)
 	maxPQ := 0.0
 	for k := range e.members {
-		if !e.voting[k] {
+		m := &e.members[k]
+		r := e.clk[k]
+		if !(m.ready && (m.selected || e.cfg.DisableSelection) && r.HaveTheta && e.engineFresh(k)) {
 			continue
 		}
-		r := e.engines[k].Readout()
-		m := &e.members[k]
+		voting++
 		if r.IdentKnown {
 			h.AnyIdent = true
 			if r.Ident.Stratum < deadChainStratum {
@@ -219,29 +172,52 @@ func (e *Ensemble) refreshHealth() {
 			maxPQ = r.PQuality
 		}
 	}
-	if math.IsInf(h.RootDelay, 1) {
-		h.RootDelay = 0
+	e.votingCount = voting
+	if voting > 0 {
+		if math.IsInf(h.RootDelay, 1) {
+			h.RootDelay = 0
+		}
+		switch {
+		case h.AllDeadChain:
+			h.Stratum = unsyncedStratum
+		case h.AnyIdent && minStratum < unsyncedStratum:
+			h.Stratum = minStratum + 1
+		default:
+			h.Stratum = 2 // identity unknown: assume stratum-1 upstreams
+		}
+		h.DriftBound = math.Max(maxPQ, holdoverDriftFloor)
+		e.health = h
 	}
+
+	var candidate State
 	switch {
-	case h.AllDeadChain:
-		h.Stratum = unsyncedStratum
-	case h.AnyIdent && minStratum < unsyncedStratum:
-		h.Stratum = minStratum + 1
+	case voting >= e.cfg.MinVotingSynced:
+		candidate = StateSynced
+	case voting >= 1:
+		candidate = StateDegraded
+	case e.everTrusted:
+		candidate = StateHoldover
 	default:
-		h.Stratum = 2 // identity unknown: assume stratum-1 upstreams
+		candidate = StateUnsynced
 	}
-	h.DriftBound = math.Max(maxPQ, holdoverDriftFloor)
-	e.health = h
+
+	switch {
+	case !e.everTrusted && candidate >= StateDegraded:
+		// First trust is immediate: hysteresis guards recoveries, not
+		// the initial calibration (which warmup already gates).
+		e.everTrusted = true
+		e.base = candidate
+		e.upStreak = 0
+	case candidate < e.base:
+		e.base = candidate
+		e.upStreak = 0
+	case candidate > e.base:
+		e.upStreak++
+		if e.upStreak >= e.cfg.RecoverAfter {
+			e.base = candidate
+			e.upStreak = 0
+		}
+	default:
+		e.upStreak = 0
+	}
 }
-
-// BaseState returns the writer-side ladder state — exclusive of
-// read-time staleness; readers should prefer Readout().State(T).
-func (e *Ensemble) BaseState() State { return e.base }
-
-// Health returns the current serving-facing health summary (frozen at
-// the last trusted combine while no server votes).
-func (e *Ensemble) Health() Health { return e.health }
-
-// VotingCount returns the number of servers backing the current vote:
-// ready, selected, fresh, and holding an offset estimate.
-func (e *Ensemble) VotingCount() int { return e.votingCount }

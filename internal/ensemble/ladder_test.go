@@ -27,17 +27,17 @@ func feedAll(t *testing.T, e *Ensemble, from, rounds int) float64 {
 // recovery hysteresis only guards later upgrades.
 func TestLadderFirstTrust(t *testing.T) {
 	e := mustEnsemble(t, 3)
-	if e.BaseState() != StateUnsynced {
-		t.Fatalf("initial state %v, want UNSYNCED", e.BaseState())
+	if e.Readout().BaseState != StateUnsynced {
+		t.Fatalf("initial state %v, want UNSYNCED", e.Readout().BaseState)
 	}
 	if r := e.Readout(); r.BaseState != StateUnsynced || r.State(0) != StateUnsynced {
 		t.Fatalf("initial readout state %v/%v, want UNSYNCED", r.BaseState, r.State(0))
 	}
 	last := feedAll(t, e, 0, 40) // past the 32-sample warmup
-	if e.BaseState() != StateSynced {
-		t.Fatalf("state after calibration %v, want SYNCED", e.BaseState())
+	if e.Readout().BaseState != StateSynced {
+		t.Fatalf("state after calibration %v, want SYNCED", e.Readout().BaseState)
 	}
-	if got := e.VotingCount(); got != 3 {
+	if got := e.Readout().VotingCount; got != 3 {
 		t.Errorf("VotingCount = %d, want 3", got)
 	}
 	r := e.Readout()
@@ -47,7 +47,7 @@ func TestLadderFirstTrust(t *testing.T) {
 	if st := r.State(uint64((last + 1) / synthP)); st != StateSynced {
 		t.Errorf("fresh read-time state %v, want SYNCED", st)
 	}
-	h := e.Health()
+	h := e.Readout().Health
 	if h.Stratum != 2 || h.AllDeadChain {
 		t.Errorf("health %+v, want stratum 2 (identity-less feeds), live chain", h)
 	}
@@ -64,17 +64,17 @@ func TestLadderFirstTrust(t *testing.T) {
 func TestLadderDegradedOnStaleMajority(t *testing.T) {
 	e := mustEnsemble(t, 3)
 	feedAll(t, e, 0, 40)
-	if e.BaseState() != StateSynced {
+	if e.Readout().BaseState != StateSynced {
 		t.Fatal("setup: ensemble did not reach SYNCED")
 	}
 	// Only server 0 keeps answering.
 	for i := 40; i < 60; i++ {
 		feed(t, e, 0, float64(i)*16+1, 0)
 	}
-	if e.BaseState() != StateDegraded {
-		t.Fatalf("state with a lone fresh server %v, want DEGRADED", e.BaseState())
+	if e.Readout().BaseState != StateDegraded {
+		t.Fatalf("state with a lone fresh server %v, want DEGRADED", e.Readout().BaseState)
 	}
-	if got := e.VotingCount(); got != 1 {
+	if got := e.Readout().VotingCount; got != 1 {
 		t.Errorf("VotingCount = %d, want 1", got)
 	}
 	// Rate is NOT frozen in DEGRADED: one live server still informs it.
@@ -92,7 +92,7 @@ func TestLadderDegradedOnStaleMajority(t *testing.T) {
 func TestLadderHoldoverFreezesRate(t *testing.T) {
 	e := mustEnsemble(t, 3)
 	feedAll(t, e, 0, 40)
-	trusted := e.RateHat()
+	trusted := e.Readout().RateHat()
 	if math.Abs(trusted/synthP-1) > 1e-6 {
 		t.Fatalf("setup: trusted rate %v far from %v", trusted, synthP)
 	}
@@ -102,42 +102,34 @@ func TestLadderHoldoverFreezesRate(t *testing.T) {
 	for i := 40; i < 80; i++ {
 		feed(t, e, 0, float64(i)*16+1, 5e-3)
 	}
-	if st := e.ServerStates()[0]; st.Selected {
+	if st := e.Readout().ServerStates()[0]; st.Selected {
 		t.Fatal("faulty lone server was never evicted — harness lost its teeth")
 	}
-	if e.BaseState() != StateHoldover {
-		t.Fatalf("state %v, want HOLDOVER (voting=%d)", e.BaseState(), e.VotingCount())
+	if e.Readout().BaseState != StateHoldover {
+		t.Fatalf("state %v, want HOLDOVER (voting=%d)", e.Readout().BaseState, e.Readout().VotingCount)
 	}
-	if got := e.VotingCount(); got != 0 {
+	if got := e.Readout().VotingCount; got != 0 {
 		t.Errorf("VotingCount = %d, want 0", got)
 	}
 
-	// The frozen rate: writer read, snapshot and published readout all
-	// serve the same bitwise value, and further faulty exchanges cannot
-	// move it.
-	frozen := e.RateHat()
-	r := e.Readout()
-	if r.RateHat() != frozen {
-		t.Errorf("readout rate %v != writer rate %v", r.RateHat(), frozen)
-	}
-	if snap := e.TakeSnapshot(r.LastTf); snap.Rate != frozen {
-		t.Errorf("snapshot rate %v != writer rate %v", snap.Rate, frozen)
-	}
+	// The frozen rate: further faulty exchanges cannot move the
+	// published value, bitwise.
+	frozen := e.Readout().RateHat()
 	if math.Abs(frozen/synthP-1) > 1e-5 {
 		t.Errorf("frozen rate %v drifted from the trusted value %v", frozen, synthP)
 	}
 	feed(t, e, 0, 80*16+1, 5e-3)
-	if got := e.RateHat(); got != frozen {
+	if got := e.Readout().RateHat(); got != frozen {
 		t.Errorf("rate moved in HOLDOVER: %v → %v", frozen, got)
 	}
 
 	// Health is frozen at the last trusted combine: stratum and drift
 	// bound stay those of the healthy vote.
-	h := e.Health()
+	h := e.Readout().Health
 	if h.Stratum != 2 || h.ErrScale <= 0 || h.DriftBound < holdoverDriftFloor {
 		t.Errorf("holdover health %+v, want the frozen trusted summary", h)
 	}
-	if r.BaseState != StateHoldover {
+	if r := e.Readout(); r.BaseState != StateHoldover {
 		t.Errorf("readout BaseState %v, want HOLDOVER", r.BaseState)
 	}
 }
@@ -184,7 +176,7 @@ func TestLadderRecoveryHysteresis(t *testing.T) {
 	for i := 40; i < 60; i++ {
 		feed(t, e, 0, float64(i)*16+1, 0)
 	}
-	if e.BaseState() != StateDegraded {
+	if e.Readout().BaseState != StateDegraded {
 		t.Fatal("setup: majority staleness did not reach DEGRADED")
 	}
 
@@ -193,16 +185,16 @@ func TestLadderRecoveryHysteresis(t *testing.T) {
 	// one.
 	now := 60 * 16.0
 	feed(t, e, 1, now+1, 0)
-	if e.BaseState() != StateDegraded {
-		t.Fatalf("state after 1 recovery exchange %v, want still DEGRADED", e.BaseState())
+	if e.Readout().BaseState != StateDegraded {
+		t.Fatalf("state after 1 recovery exchange %v, want still DEGRADED", e.Readout().BaseState)
 	}
 	feed(t, e, 2, now+6, 0)
-	if e.BaseState() != StateDegraded {
-		t.Fatalf("state after 2 recovery exchanges %v, want still DEGRADED", e.BaseState())
+	if e.Readout().BaseState != StateDegraded {
+		t.Fatalf("state after 2 recovery exchanges %v, want still DEGRADED", e.Readout().BaseState)
 	}
 	feed(t, e, 0, now+11, 0)
-	if e.BaseState() != StateSynced {
-		t.Fatalf("state after 3 recovery exchanges %v, want SYNCED", e.BaseState())
+	if e.Readout().BaseState != StateSynced {
+		t.Fatalf("state after 3 recovery exchanges %v, want SYNCED", e.Readout().BaseState)
 	}
 }
 
@@ -211,28 +203,21 @@ func TestLadderRecoveryHysteresis(t *testing.T) {
 // unsynchronized when every voting chain is dead (stratum ≥ 15).
 func TestLadderHealthTracksIdentity(t *testing.T) {
 	e := mustEnsemble(t, 2)
-	run(t, e, 40, func(_, _ int) float64 { return 0 })
+	last := run(t, e, 40, func(_, _ int) float64 { return 0 })
 	for k := 0; k < 2; k++ {
-		if _, err := e.ObserveIdentity(k, core.Identity{RefID: uint32(10 + k), Stratum: 2}); err != nil {
-			t.Fatal(err)
-		}
+		feedFrom(t, e, k, last+8+float64(k), 0, core.Identity{RefID: uint32(10 + k), Stratum: 2})
 	}
-	if h := e.Health(); h.Stratum != 3 || !h.AnyIdent || h.AllDeadChain {
+	if h := e.Readout().Health; h.Stratum != 3 || !h.AnyIdent || h.AllDeadChain {
 		t.Errorf("health behind stratum-2 upstreams %+v, want stratum 3", h)
-	}
-	if h := e.Readout().Health; h.Stratum != 3 {
-		t.Errorf("readout health stratum %d, want 3", h.Stratum)
 	}
 
 	// Both chains die: identity changes re-base the engines and the
 	// health must advertise unsynchronized even though the ladder still
 	// has a full quorum of mutually consistent servers.
 	for k := 0; k < 2; k++ {
-		if _, err := e.ObserveIdentity(k, core.Identity{RefID: uint32(10 + k), Stratum: 16}); err != nil {
-			t.Fatal(err)
-		}
+		feedFrom(t, e, k, last+24+float64(k), 0, core.Identity{RefID: uint32(10 + k), Stratum: 16})
 	}
-	if h := e.Health(); !h.AllDeadChain || h.Stratum != unsyncedStratum {
+	if h := e.Readout().Health; !h.AllDeadChain || h.Stratum != unsyncedStratum {
 		t.Errorf("health behind dead chains %+v, want AllDeadChain/stratum 16", h)
 	}
 }

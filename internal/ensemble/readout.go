@@ -33,10 +33,12 @@ type ServerReadout struct {
 
 	// Weight is the normalized combining weight (zero for warmup
 	// servers and flagged falsetickers, with the documented mass-
-	// eviction and pre-graduation fallbacks already applied). raw is
-	// the unnormalized weight the combining medians use — kept
-	// separately so readout reads are bitwise identical to the
-	// writer-side scratch reads, which consume raw weights.
+	// eviction and pre-graduation fallbacks already applied); the
+	// agreement count's median runs on it. raw is the unnormalized
+	// weight, 1/ErrScale², which the combined time and rate medians
+	// accumulate: a weighted median is invariant under uniform scaling
+	// only up to rounding at the half-weight boundary, and the
+	// published bits are pinned to these two forms.
 	Weight float64
 	raw    float64
 
@@ -60,9 +62,9 @@ type ServerReadout struct {
 }
 
 // Readout is an immutable snapshot of the combined clock: the
-// selection result, the per-server states, and the combined rate. It
-// is published after every Process (one selection sweep per exchange)
-// and after every identity-change penalty; a Readout obtained once
+// selection result, the per-server states, and the combined rate.
+// Exactly one is published per Process/ProcessFrom (and one per
+// ProcessBatch), identity changes included; a Readout obtained once
 // keeps answering consistently while the ensemble processes further
 // exchanges. All methods are pure functions of the snapshot.
 //
@@ -138,8 +140,12 @@ func (r *Readout) State(T uint64) State {
 const readScratch = 16
 
 // AbsoluteTime reads the combined absolute clock at a counter value:
-// the weighted median of the positive-weight servers' absolute clocks,
-// exactly as the writer-side Ensemble.AbsoluteTime computes it.
+// the weighted median of the positive-weight servers' absolute clocks.
+// With three or more comparable servers, a faulty minority — even one
+// whose members agree with each other — is excluded by the selection
+// stage and outvoted by the median. Zero-weight entries are ignored;
+// with no positive weight at all (before any exchange) the first
+// server's clock is returned.
 //
 //repro:readpath
 //repro:hotpath
@@ -182,8 +188,10 @@ func (r *Readout) DifferenceSpan(T1, T2 uint64) float64 {
 
 // Agreement counts the servers whose error interval (absolute clock ±
 // AgreementBound) contains the combined absolute time at counter value
-// T, mirroring Snapshot.Agreement: the normalized weights drive the
-// median here, as TakeSnapshot's does.
+// T. len(Servers) means full agreement; below a majority means the
+// ensemble is running on a minority of self-consistent servers and
+// should be treated with suspicion. The normalized weights drive the
+// median here.
 //
 //repro:readpath
 //repro:hotpath
@@ -264,8 +272,7 @@ func (r *Readout) Synced() bool {
 }
 
 // ServerStates derives the per-server diagnostic view from the
-// snapshot, field-for-field what the writer-side Ensemble.ServerStates
-// reports. The returned slice is freshly allocated.
+// snapshot. The returned slice is freshly allocated.
 //
 //repro:readpath
 func (r *Readout) ServerStates() []ServerState {
@@ -290,17 +297,22 @@ func (r *Readout) ServerStates() []ServerState {
 	return out
 }
 
-// publish makes the current combine visible to lock-free readers.
-// Called after every Process (post-selection) and after identity
-// penalties; also once at construction so Readout is never nil.
+// publish makes the current combine visible to lock-free readers: it
+// derives the combining weights from the trust and selection state,
+// fills one immutable slot and stores it. Called once per combine, and
+// once at construction so Readout is never nil.
+//
+// Weights: a ready server weighs 1/errScale² while selected (or while
+// selection is disabled); servers still in warmup weigh zero, and so do
+// flagged falsetickers. If every ready server is excluded (a transient,
+// e.g. all in readmission probation) the ready servers vote as if
+// selection were off, and if no server has graduated yet, every server
+// with at least one exchange weighs equally, so the combined clock is
+// defined from the first packet (matching the single-clock behaviour of
+// reading during warmup).
 //
 //repro:builder
 func (e *Ensemble) publish() {
-	raw := e.rawWeights()
-	total := 0.0
-	for k := range raw {
-		total += raw[k]
-	}
 	ro := e.pub.nextSlot(len(e.members))
 	ro.LastTf = e.lastTf
 	ro.BaseState = e.base
@@ -308,14 +320,11 @@ func (e *Ensemble) publish() {
 	ro.VotingCount = e.votingCount
 	ro.HoldoverAfter = e.cfg.HoldoverAfter
 	ro.UnsyncedAfter = e.cfg.UnsyncedAfter
+	anySelected := false
 	for k := range e.members {
 		m := &e.members[k]
 		sr := &ro.Servers[k]
-		sr.Clock = e.engines[k].Readout()
-		sr.raw = raw[k]
-		if total > 0 {
-			sr.Weight = raw[k] / total
-		}
+		sr.Clock = e.clk[k]
 		sr.Ready = m.ready
 		sr.Selected = m.ready && m.selected
 		sr.Falseticker = m.ready && !m.selected && !e.cfg.DisableSelection
@@ -331,6 +340,10 @@ func (e *Ensemble) publish() {
 		ro.Exchanges += m.count
 		if sr.Ready {
 			ro.ReadyCount++
+			if sr.Selected || e.cfg.DisableSelection {
+				sr.raw = 1 / (sr.ErrScale * sr.ErrScale)
+				anySelected = true
+			}
 		}
 		if sr.Selected {
 			ro.SelectedCount++
@@ -339,28 +352,42 @@ func (e *Ensemble) publish() {
 			ro.Falsetickers++
 		}
 	}
-	// Combined rate: the weighted median of the per-server p̂ under the
-	// raw weights — the same items, in the same order, through the same
-	// median walk as the writer-side RateHat.
-	var buf [readScratch]wv
-	items, wTotal := buf[:0], 0.0
+	if !anySelected {
+		for k := range ro.Servers {
+			sr := &ro.Servers[k]
+			switch {
+			case sr.Ready:
+				sr.raw = 1 / (sr.ErrScale * sr.ErrScale)
+			case ro.ReadyCount == 0 && sr.Exchanges > 0:
+				sr.raw = 1
+			}
+		}
+	}
+	total := 0.0
 	for k := range ro.Servers {
-		if w := ro.Servers[k].raw; w > 0 {
+		total += ro.Servers[k].raw
+	}
+	// Normalized weights, and the combined rate: the weighted median of
+	// the per-server p̂ under the raw weights.
+	var buf [readScratch]wv
+	items := buf[:0]
+	for k := range ro.Servers {
+		sr := &ro.Servers[k]
+		if sr.raw > 0 {
+			sr.Weight = sr.raw / total
 			//repro:alloc-ok append into the readScratch stack buffer; spills to the heap only past readScratch servers
-			items = append(items, wv{ro.Servers[k].Clock.P, w})
-			wTotal += w
+			items = append(items, wv{sr.Clock.P, sr.raw})
 		}
 	}
 	switch {
 	case len(items) > 0:
-		ro.Rate = medianOfItems(items, wTotal)
+		ro.Rate = medianOfItems(items, total)
 	case len(ro.Servers) > 0:
 		ro.Rate = ro.Servers[0].Clock.P
 	}
-	// Holdover rate freeze, applied identically here and in the
-	// writer-side RateHat so readout and writer reads stay bitwise
-	// equal: below DEGRADED the last trusted rate is served; at or
-	// above it the live median becomes the new trusted rate.
+	// Holdover rate freeze: below DEGRADED the last trusted rate is
+	// served; at or above it the live median becomes the new trusted
+	// rate.
 	if e.frozenActive() {
 		ro.Rate = e.frozenRate
 	} else {

@@ -2,69 +2,144 @@ package ensemble
 
 import (
 	"math"
+	"sort"
 	"testing"
 
 	"repro/internal/core"
 )
 
-// checkReadoutMatchesWriter asserts, at one instant, that the published
-// readout answers every read identically to the writer-side scratch
-// methods (the pre-refactor locked path of the public wrappers).
-func checkReadoutMatchesWriter(t *testing.T, e *Ensemble, T uint64) {
+// refMedian is the independent weighted-median reference: positive-
+// weight entries stably sorted by value with the standard library, then
+// the half-weight walk. The production median shares no code with it.
+func refMedian(vals, ws []float64) float64 {
+	type item struct{ v, w float64 }
+	var items []item
+	total := 0.0
+	for k := range vals {
+		if ws[k] > 0 {
+			items = append(items, item{vals[k], ws[k]})
+			total += ws[k]
+		}
+	}
+	if len(items) == 0 {
+		if len(vals) == 0 {
+			return 0
+		}
+		return vals[0]
+	}
+	sort.SliceStable(items, func(a, b int) bool { return items[a].v < items[b].v })
+	acc := 0.0
+	for i := range items {
+		acc += items[i].w
+		if acc == total/2 {
+			return (items[i].v + items[i+1].v) / 2
+		}
+		if acc > total/2 {
+			return items[i].v
+		}
+	}
+	return items[len(items)-1].v
+}
+
+// checkReadout asserts, at one instant, that the published readout is
+// what the ensemble's documentation says it is, recomputed here from
+// its own per-server entries: the combined time and rate are the
+// weighted medians of the per-server clocks, the weights are normalized
+// raw weights, the counts recount, the agreement count holds, and the
+// ladder fields are the writer's.
+func checkReadout(t *testing.T, e *Ensemble, T uint64) {
 	t.Helper()
 	r := e.Readout()
 	if r == nil {
 		t.Fatal("no readout published")
 	}
-	if len(r.Servers) != e.Size() {
-		t.Fatalf("readout has %d servers, want %d", len(r.Servers), e.Size())
+	n := e.Size()
+	if len(r.Servers) != n {
+		t.Fatalf("readout has %d servers, want %d", len(r.Servers), n)
 	}
-	if got, want := r.AbsoluteTime(T), e.AbsoluteTime(T); got != want {
-		t.Fatalf("AbsoluteTime(%d): readout %v, writer %v", T, got, want)
-	}
-	if got, want := r.RateHat(), e.RateHat(); got != want {
-		t.Fatalf("RateHat: readout %v, writer %v", got, want)
-	}
-	if got, want := r.DifferenceSpan(T, T+5000), e.DifferenceSpan(T, T+5000); got != want {
-		t.Fatalf("DifferenceSpan: readout %v, writer %v", got, want)
-	}
-	if got, want := r.Exchanges, e.Exchanges(); got != want {
-		t.Fatalf("Exchanges: readout %d, writer %d", got, want)
-	}
-	snap := e.TakeSnapshot(T)
-	if got, want := r.Agreement(T), snap.Agreement; got != want {
-		t.Fatalf("Agreement(%d): readout %d, snapshot %d", T, got, want)
-	}
-	if got, want := r.Falsetickers, snap.Falsetickers; got != want {
-		t.Fatalf("Falsetickers: readout %d, snapshot %d", got, want)
-	}
-	ws := e.Weights()
-	states := e.ServerStates()
+	vals, rates, raw, norm := make([]float64, n), make([]float64, n), make([]float64, n), make([]float64, n)
+	rawTotal, exchanges, ready, selected, false_ := 0.0, 0, 0, 0, 0
 	for k := range r.Servers {
 		sr := &r.Servers[k]
-		if sr.Weight != ws[k] {
-			t.Fatalf("server %d: readout weight %v, writer %v", k, sr.Weight, ws[k])
+		if sr.Clock != e.Engine(k).Readout() {
+			t.Fatalf("server %d: readout does not carry the engine's current snapshot", k)
 		}
-		if sr.Selected != snap.Selected[k] {
-			t.Fatalf("server %d: readout selected %v, snapshot %v", k, sr.Selected, snap.Selected[k])
+		vals[k] = sr.Clock.AbsoluteTime(T) - sr.AsymCorrection
+		rates[k] = sr.Clock.P
+		raw[k], norm[k] = sr.raw, sr.Weight
+		rawTotal += sr.raw
+		exchanges += sr.Exchanges
+		if sr.Ready {
+			ready++
 		}
-		if sr.AsymmetryHint != snap.AsymmetryHint[k] {
-			t.Fatalf("server %d: readout hint %v, snapshot %v", k, sr.AsymmetryHint, snap.AsymmetryHint[k])
+		if sr.Selected {
+			selected++
 		}
-		st := states[k]
-		if sr.Ready != st.Ready || sr.Falseticker != st.Falseticker ||
-			sr.IntersectStreak != st.IntersectStreak || sr.Exchanges != st.Exchanges ||
-			sr.ErrScale != st.ErrScale || sr.PointErrLevel != st.PointErrLevel ||
-			sr.RTTWobble != st.RTTWobble || sr.Penalty != st.Penalty {
-			t.Fatalf("server %d: readout diagnostics %+v do not match ServerState %+v", k, sr, st)
+		if sr.Falseticker {
+			false_++
+		}
+		if sr.Selected && !sr.Ready || sr.Falseticker && (sr.Selected || !sr.Ready) {
+			t.Fatalf("server %d: inconsistent flags %+v", k, sr)
+		}
+		if sr.AgreementBound != e.cfg.AgreementFactor*sr.ErrScale {
+			t.Fatalf("server %d: AgreementBound %v, want %v", k, sr.AgreementBound, e.cfg.AgreementFactor*sr.ErrScale)
+		}
+	}
+	for k := range r.Servers {
+		want := 0.0
+		if rawTotal > 0 {
+			want = raw[k] / rawTotal
+		}
+		if norm[k] != want {
+			t.Fatalf("server %d: weight %v, want raw/total %v", k, norm[k], want)
+		}
+	}
+	if got, want := r.AbsoluteTime(T), refMedian(vals, raw); got != want {
+		t.Fatalf("AbsoluteTime(%d): readout %v, reference %v", T, got, want)
+	}
+	wantRate := refMedian(rates, raw)
+	if e.frozenActive() {
+		wantRate = e.frozenRate
+	}
+	if got := r.RateHat(); got != wantRate {
+		t.Fatalf("RateHat: readout %v, reference %v", got, wantRate)
+	}
+	if got, want := r.DifferenceSpan(T, T+5000), 5000*wantRate; got != want {
+		t.Fatalf("DifferenceSpan: readout %v, reference %v", got, want)
+	}
+	combined, agree := refMedian(vals, norm), 0
+	for k := range r.Servers {
+		if r.Servers[k].Exchanges > 0 && math.Abs(vals[k]-combined) <= r.Servers[k].AgreementBound {
+			agree++
+		}
+	}
+	if got := r.Agreement(T); got != agree {
+		t.Fatalf("Agreement(%d): readout %d, reference %d", T, got, agree)
+	}
+	if r.Exchanges != exchanges || r.ReadyCount != ready || r.SelectedCount != selected || r.Falsetickers != false_ {
+		t.Fatalf("counts %d/%d/%d/%d, recount %d/%d/%d/%d", r.Exchanges, r.ReadyCount, r.SelectedCount, r.Falsetickers,
+			exchanges, ready, selected, false_)
+	}
+	if r.BaseState != e.base || r.Health != e.health || r.VotingCount != e.votingCount || r.LastTf != e.lastTf {
+		t.Fatalf("ladder fields %v/%+v/%d do not match the writer's %v/%+v/%d", r.BaseState, r.Health, r.VotingCount,
+			e.base, e.health, e.votingCount)
+	}
+	for k, st := range r.ServerStates() {
+		sr := &r.Servers[k]
+		if st.Weight != sr.Weight || st.Selected != sr.Selected || st.AsymmetryHint != sr.AsymmetryHint ||
+			st.Ready != sr.Ready || st.Falseticker != sr.Falseticker ||
+			st.IntersectStreak != sr.IntersectStreak || st.Exchanges != sr.Exchanges ||
+			st.ErrScale != sr.ErrScale || st.PointErrLevel != sr.PointErrLevel ||
+			st.RTTWobble != sr.RTTWobble || st.Penalty != sr.Penalty {
+			t.Fatalf("server %d: ServerState %+v does not match readout entry %+v", k, st, sr)
 		}
 	}
 }
 
 // TestEnsembleReadoutEquivalence feeds the harness scenarios — all
 // good, one faulty from the start, a mid-run fault — and checks after
-// every exchange that the published readout is equivalent to the
-// writer-side read path.
+// every exchange that the published readout equals an independent
+// recomputation from its own per-server entries.
 func TestEnsembleReadoutEquivalence(t *testing.T) {
 	scenarios := map[string]func(server, round int) float64{
 		"all-good": func(int, int) float64 { return 0 },
@@ -84,36 +159,32 @@ func TestEnsembleReadoutEquivalence(t *testing.T) {
 	for name, fault := range scenarios {
 		t.Run(name, func(t *testing.T) {
 			e := mustEnsemble(t, 3)
-			checkReadoutMatchesWriter(t, e, 1000) // pre-first-exchange
+			checkReadout(t, e, 1000) // pre-first-exchange
 			now := 0.0
 			for i := 0; i < 80; i++ {
 				for k := 0; k < e.Size(); k++ {
 					now = float64(i)*16 + float64(k)*16/float64(e.Size()) + 1
 					feed(t, e, k, now, fault(k, i))
-					checkReadoutMatchesWriter(t, e, uint64((now+0.5)/synthP))
+					checkReadout(t, e, uint64((now+0.5)/synthP))
 				}
 			}
 		})
 	}
 }
 
-// TestEnsembleReadoutIdentity: identity observations republish, so the
-// readout carries the server identity (the relay derives its advertised
-// stratum from it) and the change penalty shows in the weights.
+// TestEnsembleReadoutIdentity: the identity travels with the exchange,
+// so the one readout that exchange publishes carries it (the relay
+// derives its advertised stratum from it) and a change's penalty shows
+// in the same readout.
 func TestEnsembleReadoutIdentity(t *testing.T) {
 	e := mustEnsemble(t, 2)
-	feed(t, e, 0, 1, 0)
-	if _, err := e.ObserveIdentity(0, core.Identity{RefID: 0x0a000001, Stratum: 1}); err != nil {
-		t.Fatal(err)
-	}
+	feedFrom(t, e, 0, 1, 0, core.Identity{RefID: 0x0a000001, Stratum: 1})
 	r := e.Readout()
 	if !r.Servers[0].Clock.IdentKnown || r.Servers[0].Clock.Ident.Stratum != 1 {
 		t.Fatalf("identity not published: %+v", r.Servers[0].Clock.Ident)
 	}
-	feed(t, e, 0, 17, 0)
-	changed, err := e.ObserveIdentity(0, core.Identity{RefID: 0x0a000002, Stratum: 2})
-	if err != nil || !changed {
-		t.Fatalf("change not detected (err %v)", err)
+	if _, changed := feedFrom(t, e, 0, 17, 0, core.Identity{RefID: 0x0a000002, Stratum: 2}); !changed {
+		t.Fatal("change not detected")
 	}
 	r = e.Readout()
 	if r.Servers[0].Clock.Ident.Stratum != 2 {
@@ -122,7 +193,7 @@ func TestEnsembleReadoutIdentity(t *testing.T) {
 	if r.Servers[0].Penalty == 0 {
 		t.Error("identity-change penalty not published")
 	}
-	checkReadoutMatchesWriter(t, e, uint64(18/synthP))
+	checkReadout(t, e, uint64(18/synthP))
 }
 
 // TestEnsembleReadoutImmutable: a held readout is not changed by

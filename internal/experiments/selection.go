@@ -76,16 +76,16 @@ func runSelect(opts Options) (*Report, error) {
 			if _, err := ens.Process(e.Server, core.Input{Ta: e.Ta, Tf: e.Tf, Tb: e.Tb, Te: e.Te}); err != nil {
 				return nil, fmt.Errorf("server %d seq %d: %w", e.Server, e.Seq, err)
 			}
-			snap := ens.TakeSnapshot(e.Tf)
-			out.errs[i] = snap.AbsoluteTime - e.Tg
-			out.fticks[i] = snap.Falsetickers
+			ro := ens.Readout()
+			out.errs[i] = ro.AbsoluteTime(e.Tf) - e.Tg
+			out.fticks[i] = ro.Falsetickers
 			both := true
 			for k := 0; k < nSrv; k++ {
 				if !colluder(k) {
 					continue
 				}
-				out.collW[i] += snap.Weights[k]
-				if snap.Selected[k] {
+				out.collW[i] += ro.Servers[k].Weight
+				if ro.Servers[k].Selected {
 					both = false
 				}
 			}
@@ -143,10 +143,10 @@ func runSelect(opts Options) (*Report, error) {
 	medMed := medianAbs(tail(med))
 
 	// Final steady-state view of the selection run.
-	last := sel.ens.TakeSnapshot(sel.ex[len(sel.ex)-1].Tf)
+	last := sel.ens.Readout()
 	worstHonestHint, minCollHint := 0.0, math.Inf(1)
 	for k := 0; k < nSrv; k++ {
-		h := math.Abs(last.AsymmetryHint[k])
+		h := math.Abs(last.Servers[k].AsymmetryHint)
 		if colluder(k) {
 			if h < minCollHint {
 				minCollHint = h

@@ -1,22 +1,56 @@
 package tscclock
 
-// Golden equivalence of the lock-free public read path against the
-// writer-side combiner on full sim scenarios: the public wrappers read
-// through published readouts now, and every answer must match what the
-// pre-refactor mutex path — a locked call into the internal writer-side
-// methods — would have returned at the same instant.
+// Golden check of the lock-free public read path on full sim scenarios.
+// The ensemble has one combine and one read path — every public read is
+// a pure function of the readout the last exchange published — so there
+// is no second implementation to hold it against; instead every answer
+// is recomputed here, independently, from the readout's own public
+// per-server entries.
 
 import (
+	"math"
+	"sort"
 	"testing"
 
+	"repro/internal/ensemble"
 	"repro/internal/sim"
 	"repro/internal/timebase"
 )
 
+// refWeightedMedian is the test's own weighted median: positive-weight
+// entries stably sorted by value with the standard library, then the
+// half-weight walk (exact boundary: average of the straddling values).
+func refWeightedMedian(vals, ws []float64) float64 {
+	type item struct{ v, w float64 }
+	var items []item
+	total := 0.0
+	for k := range vals {
+		if ws[k] > 0 {
+			items = append(items, item{vals[k], ws[k]})
+			total += ws[k]
+		}
+	}
+	if len(items) == 0 {
+		return vals[0]
+	}
+	sort.SliceStable(items, func(a, b int) bool { return items[a].v < items[b].v })
+	acc := 0.0
+	for i := range items {
+		acc += items[i].w
+		if acc == total/2 {
+			return (items[i].v + items[i+1].v) / 2
+		}
+		if acc > total/2 {
+			return items[i].v
+		}
+	}
+	return items[len(items)-1].v
+}
+
 // TestEnsembleReadoutEquivalenceSim runs a multi-server sim scenario —
 // and the colluding-minority selection scenario — through the public
-// Ensemble and compares every lock-free read against the internal
-// writer-path methods after each exchange.
+// Ensemble and, after each exchange, compares every lock-free read
+// against the independent recomputation.
 func TestEnsembleReadoutEquivalenceSim(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full sim traces")
@@ -34,49 +68,77 @@ func TestEnsembleReadoutEquivalenceSim(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			n := len(sc.Servers)
 			e, err := NewEnsemble(EnsembleOptions{
-				Servers: len(sc.Servers),
+				Servers: n,
 				Clock:   Options{NominalPeriod: 1.0 / 548655270, PollPeriod: 16},
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
+			vals, rates, ws := make([]float64, n), make([]float64, n), make([]float64, n)
+			trusted, prevRate := false, 0.0
 			for i, ex := range tr.Completed() {
-				if _, err := e.ProcessNTPExchange(ex.Server, ex.Ta, ex.Tf, ex.Tb, ex.Te); err != nil {
+				st, err := e.ProcessNTPExchange(ex.Server, ex.Ta, ex.Tf, ex.Tb, ex.Te)
+				if err != nil {
 					t.Fatal(err)
 				}
-				// Public lock-free reads vs the internal writer path
-				// (what the mutex wrappers called before the refactor).
+				r := e.Readout()
+				if st.Readout != r {
+					t.Fatalf("exchange %d: status carries a readout other than the one published", i)
+				}
+				for k := range r.Servers {
+					rates[k], ws[k] = r.Servers[k].Clock.P, r.Servers[k].Weight
+				}
 				for _, T := range []uint64{ex.Tf, ex.Tf + 500000} {
-					if got, want := e.AbsoluteTime(T), e.ens.AbsoluteTime(T); got != want {
-						t.Fatalf("exchange %d: AbsoluteTime(%d): public %v, writer path %v", i, T, got, want)
+					for k := range r.Servers {
+						vals[k] = r.Servers[k].Clock.AbsoluteTime(T) - r.Servers[k].AsymCorrection
+					}
+					if got, want := e.AbsoluteTime(T), refWeightedMedian(vals, ws); got != want {
+						t.Fatalf("exchange %d: AbsoluteTime(%d): public %v, reference %v", i, T, got, want)
 					}
 				}
-				if got, want := e.Period(), e.ens.RateHat(); got != want {
-					t.Fatalf("exchange %d: Period: public %v, writer path %v", i, got, want)
+				// Below DEGRADED a once-trusted clock serves the rate
+				// frozen at the last trusted combine, not a live median.
+				wantRate := refWeightedMedian(rates, ws)
+				if trusted && r.BaseState < ensemble.StateDegraded {
+					wantRate = prevRate
 				}
-				if got, want := e.Between(ex.Ta, ex.Tf), e.ens.DifferenceSpan(ex.Ta, ex.Tf); got != want {
-					t.Fatalf("exchange %d: Between: public %v, writer path %v", i, got, want)
+				trusted = trusted || r.BaseState >= ensemble.StateDegraded
+				prevRate = wantRate
+				if got := e.Period(); got != wantRate {
+					t.Fatalf("exchange %d: Period: public %v, reference %v", i, got, wantRate)
 				}
-				if got, want := e.Exchanges(), e.ens.Exchanges(); got != want {
-					t.Fatalf("exchange %d: Exchanges: public %d, writer path %d", i, got, want)
+				if got, want := e.Between(ex.Ta, ex.Tf), float64(ex.Tf-ex.Ta)*wantRate; got != want {
+					t.Fatalf("exchange %d: Between: public %v, reference %v", i, got, want)
+				}
+				if got := e.Exchanges(); got != i+1 {
+					t.Fatalf("exchange %d: Exchanges: public %d", i, got)
 				}
 				if i%50 == 0 { // the heavier diagnostic reads, sampled
-					ws, wWant := e.Weights(), e.ens.Weights()
-					for k := range ws {
-						if ws[k] != wWant[k] {
-							t.Fatalf("exchange %d: Weights[%d]: public %v, writer path %v", i, k, ws[k], wWant[k])
+					sum := 0.0
+					for k, w := range e.Weights() {
+						if w != r.Servers[k].Weight {
+							t.Fatalf("exchange %d: Weights[%d]: public %v, readout %v", i, k, w, r.Servers[k].Weight)
+						}
+						sum += w
+					}
+					if math.Abs(sum-1) > 1e-12 {
+						t.Fatalf("exchange %d: weights sum to %v", i, sum)
+					}
+					agree := 0
+					for k, s := range e.ServerStates() {
+						sr := &r.Servers[k]
+						if s.Selected != sr.Selected || s.Falseticker != sr.Falseticker || s.Weight != sr.Weight ||
+							s.AsymmetryHint != sr.AsymmetryHint || s.Exchanges != sr.Exchanges || s.ErrScale != sr.ErrScale {
+							t.Fatalf("exchange %d: ServerStates[%d]: public %+v, readout %+v", i, k, s, sr)
+						}
+						if sr.Exchanges > 0 && math.Abs(vals[k]-e.AbsoluteTime(ex.Tf+500000)) <= sr.AgreementBound {
+							agree++
 						}
 					}
-					st, stWant := e.ServerStates(), e.ens.ServerStates()
-					for k := range st {
-						if st[k] != stWant[k] {
-							t.Fatalf("exchange %d: ServerStates[%d]: public %+v, writer path %+v", i, k, st[k], stWant[k])
-						}
-					}
-					snap := e.ens.TakeSnapshot(ex.Tf)
-					if got := e.Readout().Agreement(ex.Tf); got != snap.Agreement {
-						t.Fatalf("exchange %d: Agreement: readout %d, snapshot %d", i, got, snap.Agreement)
+					if got := r.Agreement(ex.Tf + 500000); got != agree {
+						t.Fatalf("exchange %d: Agreement: readout %d, reference %d", i, got, agree)
 					}
 				}
 			}
