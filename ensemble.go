@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/cacheline"
 	"repro/internal/core"
 	"repro/internal/ensemble"
 )
@@ -133,10 +134,15 @@ type EnsembleStatus struct {
 // combined readout through an atomic pointer, and every read method is
 // a pure function of the latest one — no mutex on any read, safe under
 // unbounded reader concurrency (the downstream NTP serving shards read
-// this way). The mutex serializes the exchange feed only.
+// this way). The mutex serializes the exchange feed only, and is kept a
+// line away from ens, the word every read starts from (see Clock).
 type Ensemble struct {
-	mu  sync.Mutex // serializes the exchange feed, not reads
+	_ cacheline.Pad
+	//repro:polled
 	ens *ensemble.Ensemble
+	_   cacheline.Pad
+
+	mu sync.Mutex // serializes the exchange feed, not reads
 }
 
 // NewEnsemble constructs an Ensemble.

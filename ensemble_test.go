@@ -3,10 +3,8 @@ package tscclock
 import (
 	"math"
 	"testing"
-	"unsafe"
 
 	"repro/internal/core"
-	"repro/internal/ensemble"
 )
 
 // feedEnsemble sends one clean synthetic exchange with server k at true
@@ -188,10 +186,8 @@ func TestEnsembleServerChange(t *testing.T) {
 // final word: a changed identity's penalty and new stratum are in it,
 // never in a second publication a lock-free reader could fall between.
 //
-// Publication slots are carved consecutively from a slab
-// (internal/ensemble/readout.go), so the address distance between the
-// readouts before and after an exchange counts its publications: one
-// slot, or an unrelated address when the exchange began a new slab.
+// Publications are counted, not inferred from addresses: the ensemble
+// numbers them on the writer side, and the test feeds it single-handed.
 func TestOnePublicationPerExchange(t *testing.T) {
 	e, err := NewEnsemble(EnsembleOptions{
 		Servers: 3,
@@ -201,11 +197,9 @@ func TestOnePublicationPerExchange(t *testing.T) {
 		t.Fatal(err)
 	}
 	const p, rtt = 2e-9, 400e-6
-	slot := unsafe.Sizeof(ensemble.Readout{})
-	newSlabs := 0
 	exchange := func(what string, k int, now float64, id *core.Identity) EnsembleStatus {
 		t.Helper()
-		before := e.Readout()
+		before, pubs := e.Readout(), e.ens.Publications()
 		ta, tf, tb, te := uint64(now/p), uint64((now+rtt)/p), now+rtt/2, now+rtt/2+20e-6
 		var st EnsembleStatus
 		if id == nil {
@@ -220,27 +214,18 @@ func TestOnePublicationPerExchange(t *testing.T) {
 		if st.Readout != after {
 			t.Fatalf("%s: status carries a readout other than the published one", what)
 		}
-		switch d := uintptr(unsafe.Pointer(after)) - uintptr(unsafe.Pointer(before)); d {
-		case 0:
-			t.Fatalf("%s: nothing published", what)
-		case slot:
-		case 2 * slot:
-			t.Fatalf("%s: published twice", what)
-		default:
-			newSlabs++
+		if n := e.ens.Publications() - pubs; n != 1 || after == before {
+			t.Fatalf("%s: %d publications (readout %p → %p), want exactly one", what, n, before, after)
 		}
 		return st
 	}
 
 	now := 0.0
-	for i := 0; i < 100; i++ {
+	for i := 0; i < 100; i++ { // 300 publications: across a slab refill
 		for k := 0; k < 3; k++ {
 			now = float64(i)*16 + float64(k)*16/3 + 1
 			exchange("no identity", k, now, nil)
 		}
-	}
-	if newSlabs > 2 { // 300 publications over 256-slot slabs
-		t.Fatalf("%d exchanges did not publish into the next slot", newSlabs)
 	}
 
 	first := exchange("first-seen identity", 0, now+8, &core.Identity{RefID: 100, Stratum: 1})

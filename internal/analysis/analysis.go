@@ -67,7 +67,7 @@ func (d Diagnostic) String() string {
 
 // All returns the full reprolint analyzer suite.
 func All() []*Analyzer {
-	return []*Analyzer{Wallclock, HotPathAlloc, LockFreeRead, AtomicPub}
+	return []*Analyzer{Wallclock, HotPathAlloc, LockFreeRead, AtomicPub, FalseShare}
 }
 
 // Run executes the analyzers over every loaded package, applies

@@ -159,6 +159,7 @@ func TestWallclockFixture(t *testing.T)    { runFixture(t, "wallclock", Wallcloc
 func TestHotPathAllocFixture(t *testing.T) { runFixture(t, "hotpathalloc", HotPathAlloc) }
 func TestLockFreeReadFixture(t *testing.T) { runFixture(t, "lockfreeread", LockFreeRead) }
 func TestAtomicPubFixture(t *testing.T)    { runFixture(t, "atomicpub", AtomicPub) }
+func TestFalseShareFixture(t *testing.T)   { runFixture(t, "falseshare", FalseShare) }
 
 // TestWallclockIgnoresUnannotatedPackages: the same forbidden calls in
 // a package without //repro:deterministic produce nothing.

@@ -7,8 +7,8 @@ import (
 	"strings"
 )
 
-// Directive names. Func/type directives must be the whole comment line
-// (after the optional reason for waivers); the "//repro:" prefix with
+// Directive names. Func/type/field directives must be the whole comment
+// line (after the optional reason for waivers); the "//repro:" prefix with
 // no space mirrors the //go: directive convention, which also keeps
 // directives out of rendered godoc.
 const (
@@ -18,6 +18,7 @@ const (
 	DirReadpath      = "readpath"
 	DirImmutable     = "immutable"
 	DirBuilder       = "builder"
+	DirPolled        = "polled"
 )
 
 // waiverKey locates one waiver: a file line plus the waiver directive

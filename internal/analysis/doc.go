@@ -1,4 +1,4 @@
-// Package analysis implements reprolint: four static analyzers that
+// Package analysis implements reprolint: five static analyzers that
 // mechanically enforce the invariants the clock's robustness argument
 // rests on. Seven PRs in, properties like "the engine never reads the
 // wall clock", "the packet path does not allocate", and "a published
@@ -55,6 +55,20 @@
 // — the constructor/builder set that fills a snapshot before it is
 // published.
 //
+// Field directive (in the doc comment of a struct field, or at the end
+// of its line):
+//
+//	//repro:polled
+//
+// marks a word other cores load continuously while one core writes
+// around it: a published-readout pointer, or the pointer a wrapper's
+// lock-free read methods start from. The falseshare analyzer lays the
+// struct out with go/types sizes for amd64, arm64 and 386 and requires
+// a cache line (internal/cacheline.Size bytes) of blank `_` padding on
+// both sides of the word inside the struct: a named field inside that
+// window is flagged, and so is a window the struct's own start or end
+// cuts short.
+//
 // Waivers. Every analyzer honors a line waiver that must carry a
 // reason:
 //
@@ -62,6 +76,7 @@
 //	//repro:alloc-ok <reason>       (hotpathalloc)
 //	//repro:readpath-ok <reason>    (lockfreeread)
 //	//repro:mutate-ok <reason>      (atomicpub)
+//	//repro:falseshare-ok <reason>  (falseshare)
 //
 // placed at the end of the offending line or on the line directly
 // above it. A waiver with no reason is itself reported: the point of a

@@ -13,7 +13,12 @@ package core
 // and never observe a half-updated clock (a torn p̂/K̂ pair would step
 // the absolute clock; the snapshot swap is all-or-nothing).
 
-import "sync/atomic"
+import (
+	"sync/atomic"
+	"unsafe"
+
+	"repro/internal/cacheline"
+)
 
 // Readout is an immutable snapshot of everything a clock read needs:
 // the affine counter→time parameters (p̂, K̂, the θ̂ anchor), the local
@@ -152,17 +157,40 @@ func (s *Sync) Readout() *Readout { return s.pub.Load() }
 // allocation-free — but carving slots out of a block cuts the write
 // path from one heap allocation per packet to one per pubSlabSize
 // packets. The trade: a reader pinning one old readout keeps its whole
-// slab (≈ pubSlabSize·sizeof(Readout) ≈ 34 KiB) reachable.
+// slab (≈ pubSlabSize·sizeof(Readout) ≈ 28 KiB) reachable.
+//
+// Slots are not carved front to back. A Readout is 112 bytes, not a
+// line multiple, so the next slot in memory starts on the line the live
+// readout ends on: filling it would take that line away from every
+// reader in the middle of a read, once per publication, for nothing.
+// Store carves in cacheline.Slot order instead (odd indices, then even
+// ones): consecutive publications lie two slots apart, a whole slot of
+// untouched memory between them, and no slot is rounded up or skipped
+// to buy it.
 const pubSlabSize = 256
+
+// A slot narrower than a line could not keep two-apart slots off each
+// other's lines.
+const _ = uint(unsafe.Sizeof(Readout{}) - cacheline.Size)
 
 // pubState is the atomic publication slot plus the writer-owned slab
 // the slots are carved from, split into its own type solely so sync.go
 // stays focused on the algorithms. Store is called only by the writer
 // (under the engine's external serialization); Load is wait-free from
 // any goroutine.
+//
+// p is the one word a publication hands from the writer's core to the
+// readers': it has a line to itself, so that the slab bookkeeping below
+// and the engine state pubState is embedded after — both rewritten on
+// every packet — never invalidate the line readers poll.
 type pubState struct {
-	p    atomic.Pointer[Readout]
-	slab []Readout
+	_ cacheline.Pad
+	//repro:polled
+	p atomic.Pointer[Readout]
+	_ cacheline.Pad
+
+	slab []Readout // the current slab
+	seq  uint64    // publications so far; seq mod pubSlabSize of them from slab
 }
 
 // Load returns the latest published snapshot.
@@ -174,12 +202,13 @@ func (ps *pubState) Load() *Readout { return ps.p.Load() }
 //
 //repro:builder
 func (ps *pubState) Store(r Readout) {
-	if len(ps.slab) == 0 {
+	carved := int(ps.seq % pubSlabSize)
+	if carved == 0 {
 		//repro:alloc-ok amortized slab refill: one allocation per pubSlabSize publishes, the documented publication cost (PERF.md)
 		ps.slab = make([]Readout, pubSlabSize)
 	}
-	slot := &ps.slab[0]
-	ps.slab = ps.slab[1:]
+	slot := &ps.slab[cacheline.Slot(carved, pubSlabSize)]
+	ps.seq++
 	*slot = r
 	ps.p.Store(slot)
 }

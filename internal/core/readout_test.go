@@ -2,7 +2,9 @@ package core
 
 import (
 	"testing"
+	"unsafe"
 
+	"repro/internal/cacheline"
 	"repro/internal/netem"
 	"repro/internal/sim"
 	"repro/internal/timebase"
@@ -182,5 +184,53 @@ func TestReadoutAge(t *testing.T) {
 	}
 	if age := r.Age(r.LastTf); age != 0 {
 		t.Fatalf("Age at the anchor = %v", age)
+	}
+}
+
+// TestPublicationsKeepOffTheLiveLine is the address half of the
+// hand-off contract (the layout half is reprolint's falseshare): over
+// more than three slabs of publications, no readout lies within a cache
+// line of the one published before it — so filling a slot never writes
+// a line a reader of the live readout is on — and no slot is handed out
+// twice. Carving the slab front to back fails it on the first packet.
+func TestPublicationsKeepOffTheLiveLine(t *testing.T) {
+	s, err := NewSync(DefaultConfig(2e-9, 16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const size = unsafe.Sizeof(Readout{})
+	prev := s.Readout()
+	seen := map[*Readout]bool{prev: true} // also pins every slab: a freed one could legitimately come back
+	check := func(what string, i int, must bool) {
+		t.Helper()
+		r := s.Readout()
+		if r == prev && !must {
+			return
+		}
+		if seen[r] {
+			t.Fatalf("packet %d (%s): slot %p handed out twice", i, what, r)
+		}
+		seen[r] = true
+		lo, hi := uintptr(unsafe.Pointer(prev)), uintptr(unsafe.Pointer(r))
+		if lo > hi {
+			lo, hi = hi, lo
+		}
+		if hi < lo+size+cacheline.Size {
+			t.Fatalf("packet %d (%s): readout at %#x within %d bytes of its predecessor at %#x",
+				i, what, uintptr(unsafe.Pointer(r)), cacheline.Size, uintptr(unsafe.Pointer(prev)))
+		}
+		prev = r
+	}
+	for i, in := range SynthTrace(3*pubSlabSize + 40) {
+		if _, err := s.Process(in); err != nil {
+			t.Fatal(err)
+		}
+		check("process", i, true)
+		// A first-seen or changed identity publishes a second time.
+		s.ObserveIdentity(Identity{RefID: uint32(1 + i/200), Stratum: 1})
+		check("identity", i, false)
+	}
+	if len(seen) < 3*pubSlabSize {
+		t.Fatalf("only %d publications", len(seen))
 	}
 }

@@ -12,7 +12,9 @@ package ensemble
 
 import (
 	"sync/atomic"
+	"unsafe"
 
+	"repro/internal/cacheline"
 	"repro/internal/core"
 )
 
@@ -409,16 +411,43 @@ func (e *Ensemble) Readout() *Readout { return e.pub.Load() }
 // allocations (the Readout and its Servers slice) in exchange for a
 // reader pinning at most one slab's worth of history (~pubSlabSize
 // combines) while it holds an old snapshot.
+//
+// Both slabs are carved in cacheline.Slot order (odd slots, then even
+// ones), for core's reason: a 136-byte header and an N×104-byte server
+// row are no line multiples, so the slot next in memory shares a line
+// with the live one, and filling it front to back would pull that line
+// from under every reader once per combine. Two slots apart, the combine
+// being written and the one being read have a whole slot between them.
 const pubSlabSize = 256
+
+// Slots narrower than a line could not keep two-apart slots off each
+// other's lines.
+const (
+	_ = uint(unsafe.Sizeof(Readout{}) - cacheline.Size)
+	_ = uint(unsafe.Sizeof(ServerReadout{}) - cacheline.Size)
+)
 
 // ensemblePub is the atomic publication slot plus the writer-owned
 // slabs publication slots are carved from. nextSlot is called only by
 // the combine path (under the ensemble's writer mutex); Load is
 // wait-free from any goroutine.
+//
+// p is the one word a combine hands from the writer's core to the
+// readers', and has a line to itself: the slab bookkeeping below and
+// the ladder state ensemblePub is embedded after are rewritten on every
+// exchange and must not invalidate the line readers poll.
 type ensemblePub struct {
-	p       atomic.Pointer[Readout]
+	_ cacheline.Pad
+	//repro:polled
+	p atomic.Pointer[Readout]
+	_ cacheline.Pad
+
+	// The current slabs, refilled together: slot k of roSlab goes with
+	// row k of srvSlab. seq counts the combines published so far, seq
+	// mod pubSlabSize of them from the current slabs.
 	roSlab  []Readout
 	srvSlab []ServerReadout
+	seq     uint64
 }
 
 // Load returns the latest published snapshot.
@@ -426,26 +455,31 @@ type ensemblePub struct {
 //repro:readpath
 func (ep *ensemblePub) Load() *Readout { return ep.p.Load() }
 
+// Publications returns how many combined readouts have been published,
+// the one at construction included. Writer-side: call it under the same
+// serialization as Process. It is what "one publication per exchange"
+// is counted with, where addresses cannot tell.
+func (e *Ensemble) Publications() uint64 { return e.pub.seq }
+
 // nextSlot returns a zeroed, never-reused Readout with a Servers slice
-// of length nSrv, carved from the slabs. The caller fills it and then
-// publishes it with store.
+// of length nSrv (the same on every call), carved from the slabs. The
+// caller fills it and then publishes it with store.
 //
 //repro:builder
 func (ep *ensemblePub) nextSlot(nSrv int) *Readout {
-	if len(ep.roSlab) == 0 {
+	carved := int(ep.seq % pubSlabSize)
+	if carved == 0 {
 		//repro:alloc-ok amortized slab refill: one allocation per pubSlabSize combines (PERF.md)
 		ep.roSlab = make([]Readout, pubSlabSize)
-	}
-	ro := &ep.roSlab[0]
-	ep.roSlab = ep.roSlab[1:]
-	if len(ep.srvSlab) < nSrv {
 		//repro:alloc-ok amortized slab refill: one allocation per pubSlabSize combines (PERF.md)
 		ep.srvSlab = make([]ServerReadout, pubSlabSize*nSrv)
 	}
+	k := cacheline.Slot(carved, pubSlabSize)
+	ep.seq++
+	ro := &ep.roSlab[k]
 	// Full-capacity reslice so appends by a confused caller could never
-	// bleed into the next combine's slots.
-	ro.Servers = ep.srvSlab[:nSrv:nSrv]
-	ep.srvSlab = ep.srvSlab[nSrv:]
+	// bleed into another combine's row.
+	ro.Servers = ep.srvSlab[k*nSrv : (k+1)*nSrv : (k+1)*nSrv]
 	return ro
 }
 

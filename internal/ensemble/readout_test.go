@@ -4,7 +4,9 @@ import (
 	"math"
 	"sort"
 	"testing"
+	"unsafe"
 
+	"repro/internal/cacheline"
 	"repro/internal/core"
 )
 
@@ -265,4 +267,49 @@ func TestEnsembleReadoutZeroAllocRead(t *testing.T) {
 		}
 	}
 	_, _ = sinkF, sinkI
+}
+
+// TestPublicationsKeepOffTheLiveLines is the address half of the
+// hand-off contract (the layout half is reprolint's falseshare): over
+// more than three slabs of combines, none of the three things a combine
+// writes for readers — the header, its Servers row, the fed engine's
+// readout — lies within a cache line of the one published before it,
+// and no slot of any slab is handed out twice. Carving a slab front to
+// back fails it on the first exchange.
+func TestPublicationsKeepOffTheLiveLines(t *testing.T) {
+	const servers = 3
+	e := newTestEnsemble(t, servers)
+	seen := map[uintptr]bool{} // start addresses; the readouts held below pin every slab
+	var held []*Readout
+	check := func(what string, i int, prev, next unsafe.Pointer, size uintptr) {
+		t.Helper()
+		lo, hi := uintptr(prev), uintptr(next)
+		if seen[hi] {
+			t.Fatalf("exchange %d: %s slot %#x handed out twice", i, what, hi)
+		}
+		seen[hi] = true
+		if lo > hi {
+			lo, hi = hi, lo
+		}
+		if hi < lo+size+cacheline.Size {
+			t.Fatalf("exchange %d: %s at %#x within %d bytes of its predecessor at %#x",
+				i, what, uintptr(next), cacheline.Size, uintptr(prev))
+		}
+	}
+	prev := e.Readout()
+	for i := 0; i < 3*pubSlabSize+40; i++ {
+		k := i % servers
+		// A changed identity every so often: the engine then publishes
+		// twice inside one exchange, the ensemble still once.
+		id := core.Identity{RefID: uint32(1 + i/200), Stratum: 1}
+		feedFrom(t, e, k, float64(i/servers)*16+float64(k)*16/servers+1, 0, id)
+		r := e.Readout()
+		held = append(held, r)
+		check("header", i, unsafe.Pointer(prev), unsafe.Pointer(r), unsafe.Sizeof(Readout{}))
+		check("server row", i, unsafe.Pointer(&prev.Servers[0]), unsafe.Pointer(&r.Servers[0]),
+			servers*unsafe.Sizeof(ServerReadout{}))
+		check("engine readout", i, unsafe.Pointer(prev.Servers[k].Clock), unsafe.Pointer(r.Servers[k].Clock),
+			unsafe.Sizeof(core.Readout{}))
+		prev = r
+	}
 }

@@ -1,6 +1,8 @@
 package ntp
 
 import (
+	"crypto/rand"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -203,6 +205,15 @@ func (c *Client) EnableKernelStamps(period float64) bool {
 // errShortWrite is returned when the transport accepts a partial packet.
 var errShortWrite = errors.New("ntp: short write")
 
+// originCookie draws the 64 unpredictable bits a request carries in its
+// Transmit field. crypto/rand.Read never fails (it aborts the program
+// if the kernel's entropy source does).
+func originCookie() Time64 {
+	var b [8]byte
+	rand.Read(b[:])
+	return Time64(binary.BigEndian.Uint64(b[:]))
+}
+
 // Exchange sends one client-mode request and waits for the matching
 // server reply, returning the raw four-tuple. The counter is read as
 // close to the send and receive as user space allows; any residual
@@ -215,10 +226,12 @@ func (c *Client) Exchange() (RawExchange, error) {
 		Version: c.version,
 		Mode:    ModeClient,
 		Poll:    6,
-		// Transmit is set to a sentinel so the reply can be matched; we
-		// deliberately do not leak the host clock reading, the raw
-		// counter is what matters.
-		Transmit: Time64FromTime(time.Now()),
+		// Transmit is a random cookie the reply must echo in Origin, not
+		// a timestamp: nothing downstream reads it as time (the raw
+		// counter is what matters), a wall-clock reading would leak the
+		// host clock, and — being guessable to within the RTT — would let
+		// an off-path sender forge a matching reply.
+		Transmit: originCookie(),
 	}
 	buf := req.Marshal()
 

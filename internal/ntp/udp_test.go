@@ -1,6 +1,7 @@
 package ntp
 
 import (
+	"math"
 	"net"
 	"testing"
 	"time"
@@ -165,5 +166,72 @@ func TestMonotonicCounter(t *testing.T) {
 	}
 	if d := float64(b-a) * period; d < 1e-3 || d > 1 {
 		t.Errorf("2 ms sleep measured as %v s", d)
+	}
+}
+
+// TestClientOriginCookie: the Transmit field of a request is an
+// unpredictable cookie, not a clock reading — fresh on every request
+// and nowhere near the wall clock, so an off-path sender cannot guess
+// it from the time of day — and a reply that echoes an earlier
+// request's cookie is passed over for the one that echoes this one's.
+func TestClientOriginCookie(t *testing.T) {
+	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pc.Close()
+	const exchanges = 8
+	const staleTb, goodTb = 1111, 2222
+	cookies := make(chan Time64, exchanges)
+	go func() { // a server that answers every request twice: stale cookie first
+		var buf [512]byte
+		var last Time64
+		for {
+			n, addr, err := pc.ReadFrom(buf[:])
+			if err != nil {
+				return
+			}
+			var req Packet
+			if err := req.Unmarshal(buf[:n]); err != nil {
+				return
+			}
+			cookies <- req.Transmit
+			for _, r := range []Packet{
+				{Origin: last, Receive: Time64FromSeconds(staleTb)},
+				{Origin: req.Transmit, Receive: Time64FromSeconds(goodTb)},
+			} {
+				r.Version, r.Mode, r.Stratum = 4, ModeServer, 1
+				out := r.Marshal()
+				pc.WriteTo(out[:], addr)
+			}
+			last = req.Transmit
+		}
+	}()
+
+	counter, _ := MonotonicCounter()
+	c := NewClient(dial(t, pc.LocalAddr()), counter, 2*time.Second)
+	seen := map[Time64]bool{}
+	nearNow := 0
+	for i := 0; i < exchanges; i++ {
+		raw, err := c.Exchange()
+		if err != nil {
+			t.Fatalf("exchange %d: %v", i, err)
+		}
+		if raw.Tb != goodTb {
+			t.Fatalf("exchange %d: took the reply with Tb %v (the stale cookie's), want %v", i, raw.Tb, float64(goodTb))
+		}
+		ck := <-cookies
+		if seen[ck] {
+			t.Fatalf("exchange %d: cookie %#x repeats", i, uint64(ck))
+		}
+		seen[ck] = true
+		if d := ck.Seconds() - Time64FromTime(time.Now()).Seconds(); math.Abs(d) < 3600 {
+			nearNow++
+		}
+	}
+	// A random cookie reads as a time within the hour with probability
+	// 2e-6; a clock reading does every time.
+	if nearNow > 1 {
+		t.Errorf("%d of %d cookies read as the current time: the origin is predictable", nearNow, exchanges)
 	}
 }

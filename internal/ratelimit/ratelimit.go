@@ -22,6 +22,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/cacheline"
 )
 
 // Config tunes a Limiter.
@@ -75,9 +77,15 @@ type bucket struct {
 	last   int64 // monotonic nanoseconds of the last refill
 }
 
+// tableShard is one lock and the buckets it guards. The sixteen hot
+// bytes are followed by a line of padding: unpadded, four shards shared
+// each cache line, and serving shards taking *different* locks still
+// passed one line back and forth — BenchmarkAllowParallel at -cpu 2 ran
+// five times slower per call than at -cpu 1 (PERF.md "PR 14").
 type tableShard struct {
 	mu sync.Mutex
 	m  map[uint64]bucket
+	_  cacheline.Pad
 }
 
 // Limiter is a sharded per-prefix token-bucket limiter. Safe for
@@ -184,6 +192,12 @@ func (l *Limiter) AllowAddr(addr net.Addr) bool {
 	return l.Allow(key)
 }
 
+// shard returns the table shard a key lives in. Fibonacci mixing spreads
+// sequential prefixes across the shards.
+func (l *Limiter) shard(key uint64) *tableShard {
+	return &l.shards[(key*0x9e3779b97f4a7c15)>>59&(tableShards-1)]
+}
+
 // Allow spends one token from the key's bucket, reporting whether the
 // request is within budget. New prefixes start at Burst capacity; when
 // the table is full and idle-sweeping frees nothing, new prefixes are
@@ -191,8 +205,7 @@ func (l *Limiter) AllowAddr(addr net.Addr) bool {
 //
 //repro:hotpath
 func (l *Limiter) Allow(key uint64) bool {
-	// Fibonacci mixing spreads sequential prefixes across table shards.
-	sh := &l.shards[(key*0x9e3779b97f4a7c15)>>59&(tableShards-1)]
+	sh := l.shard(key)
 	now := l.now()
 	sh.mu.Lock()
 	b, ok := sh.m[key]

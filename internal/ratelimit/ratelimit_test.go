@@ -2,6 +2,7 @@ package ratelimit
 
 import (
 	"net"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -265,4 +266,29 @@ func TestPrefixKeyRawZeroAlloc(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("raw-key Allow path allocates %.1f per packet, want 0", allocs)
 	}
+}
+
+// BenchmarkAllowParallel is Allow as the serving shards call it: every
+// goroutine on a prefix of its own, and the prefixes in table shards of
+// their own — shard g for goroutine g — so no lock and no bucket is ever
+// shared. Whatever ns/op fails to drop from `-cpu 1` to `-cpu 2` is the
+// table shards' memory being shared where their locks are not (PERF.md
+// "PR 14"). The clock is a constant and the bucket bottomless, so the
+// loop is the lock and the map and nothing else.
+func BenchmarkAllowParallel(b *testing.B) {
+	l := New(Config{Rate: 1, Burst: 1e18, Now: func() int64 { return 0 }})
+	var goroutines atomic.Int32
+	b.RunParallel(func(pb *testing.PB) {
+		own := &l.shards[int(goroutines.Add(1)-1)%tableShards]
+		key := uint64(1)
+		for l.shard(key) != own {
+			key++
+		}
+		for pb.Next() {
+			if !l.Allow(key) {
+				b.Error("denied")
+				return
+			}
+		}
+	})
 }

@@ -1,6 +1,7 @@
 // Command reprolint runs the repro analyzer suite (see
 // internal/analysis) over the module: wallclock, hotpathalloc,
-// lockfreeread, and atomicpub, driven by //repro: directive comments.
+// lockfreeread, atomicpub, and falseshare, driven by //repro: directive
+// comments.
 //
 // Usage:
 //

@@ -27,6 +27,7 @@ package tscclock
 import (
 	"sync"
 
+	"repro/internal/cacheline"
 	"repro/internal/core"
 	"repro/internal/timebase"
 )
@@ -170,10 +171,17 @@ type Status struct {
 // after every exchange, and every read method is a pure function of
 // the latest snapshot — no mutex is acquired on any read, under
 // unbounded reader concurrency. The mutex below serializes writers
-// (ProcessNTPExchange and friends) only.
+// (ProcessNTPExchange and friends) only — and lives a line away from
+// sync, the word every read starts from: Lock and Unlock write mu once
+// per exchange each, and would otherwise take the readers' line with
+// them.
 type Clock struct {
-	mu   sync.Mutex // serializes the synchronization feed, not reads
+	_ cacheline.Pad
+	//repro:polled
 	sync *core.Sync
+	_    cacheline.Pad
+
+	mu sync.Mutex // serializes the synchronization feed, not reads
 }
 
 // New constructs a Clock.
