@@ -40,12 +40,14 @@ bench:
 
 # bench-module compiles and smokes the nested benchmark module (bench/
 # has its own go.mod, so `go build ./...` and `go test ./...` at the
-# root never see it): vet, its unit tests, and one quick workload run
-# through the ensemble's public write path.
+# root never see it): vet, its unit tests, and two quick workload runs —
+# sync-replay through the ensemble's public write path, relay-sat
+# through the serving loop under the ledger's own generator.
 bench-module:
-	cd bench && $(GO) vet . && $(GO) test -short . && $(GO) run . -quick -workload sync-replay
+	cd bench && $(GO) vet . && $(GO) test -short . && $(GO) run . -quick -workload sync-replay && $(GO) run . -quick -workload relay-sat
 
-# bench-json snapshots the serving-path benchmarks (ns/op, allocs/op,
+# bench-json snapshots the serving-path benchmarks (the shards × io ×
+# txstamp grid of BenchmarkServeLoopback: ns/op, allocs/op,
 # syscalls/reply, kernel stamp coverage) into BENCH_<date>.json via
 # tools/benchjson, so perf claims are diffable data.
 bench-json:

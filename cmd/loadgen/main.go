@@ -54,7 +54,6 @@ func main() {
 		rate     = flag.Float64("rate", 0, "total target request rate across all flows in req/s (0 = saturation)")
 		duration = flag.Duration("duration", 5*time.Second, "measurement length")
 		timeout  = flag.Duration("timeout", time.Second, "per-read reply timeout (a timed-out slot is resent)")
-		batch    = flag.Int("batch", 0, "selftest server's syscall batch size (0 = default 32, 1 = per-packet loop)")
 		txstamp  = flag.Bool("txstamp", false, "selftest server arms kernel TX error-queue stamps and forward-dates Transmit")
 	)
 	flag.Parse()
@@ -70,7 +69,7 @@ func main() {
 		}
 		var stop func()
 		var err error
-		srv, addr, stop, err = startSelftestServer(*batch, *txstamp)
+		srv, addr, stop, err = startSelftestServer(*txstamp)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -172,8 +171,8 @@ func us(sec float64) string { return fmt.Sprintf("%.1fµs", sec*1e6) }
 // startSelftestServer boots a single-shard stratum-1 server on an
 // ephemeral loopback socket, returning the server (for its counters),
 // its address, and a stop function that drains the serve goroutine.
-func startSelftestServer(batch int, txstamp bool) (*ntp.Server, string, func(), error) {
-	srv, err := ntp.NewServer(ntp.ServerConfig{Clock: ntp.SystemServerClock(), Batch: batch, TxStamp: txstamp})
+func startSelftestServer(txstamp bool) (*ntp.Server, string, func(), error) {
+	srv, err := ntp.NewServer(ntp.ServerConfig{Clock: ntp.SystemServerClock(), TxStamp: txstamp})
 	if err != nil {
 		return nil, "", nil, err
 	}

@@ -64,8 +64,7 @@ func main() {
 		stats    = flag.Duration("stats", time.Minute, "period of the serving-counter log lines (0 disables)")
 		httpAddr = flag.String("http", "", "TCP address for the /metrics, /healthz and /readyz observability endpoints (empty disables)")
 		limit    = flag.Float64("limit", 0, "per-client-prefix (/24, /48) request budget in req/s, burst 2x (0 disables)")
-		batch    = flag.Int("batch", 0, "serving syscall batch size on Linux (0 = default 32, 1 = per-packet loop)")
-		txstamp  = flag.Bool("txstamp", false, "arm kernel TX error-queue timestamps and forward-date Transmit by the measured send dwell (Linux batched path)")
+		txstamp  = flag.Bool("txstamp", false, "arm kernel TX error-queue timestamps and forward-date Transmit by the measured send dwell (Linux recvmmsg/sendmmsg I/O)")
 	)
 	flag.Parse()
 
@@ -106,7 +105,7 @@ func main() {
 			_ = ml.Run(ctx, nil)
 		}()
 		sample = ml.ServerSample(ntp.RefIDFromString(*refid))
-		srv, err = ntp.NewServer(ntp.ServerConfig{Sample: sample, Limit: lim, Batch: *batch, TxStamp: *txstamp})
+		srv, err = ntp.NewServer(ntp.ServerConfig{Sample: sample, Limit: lim, TxStamp: *txstamp})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -118,7 +117,6 @@ func main() {
 			Clock:   ntp.SystemServerClock(),
 			RefID:   ntp.RefIDFromString(*refid),
 			Limit:   lim,
-			Batch:   *batch,
 			TxStamp: *txstamp,
 		})
 		if err != nil {

@@ -18,6 +18,16 @@
 // (OnScrape) let slow-moving state (ladder rung, per-server weights
 // from the latest readout snapshot) be folded into gauges only when
 // someone is actually looking.
+//
+// A cell is also the only representation a count has. The layers that
+// count (internal/ntp, internal/ratelimit, the upstream slots) declare
+// Counter, Histogram and EWMA cells as plain struct fields, write them
+// on their hot paths, read them back for their own Stats views and log
+// lines, and hand the same cells to a Registry (RegisterCounter,
+// RegisterHistogram, CounterVec.Register) to be rendered — nothing is
+// copied or folded on the way to a scrape, so concurrent scrapes see
+// monotone counters for free. CounterFunc covers the monotone sources
+// that are not cells (a count carried inside a published readout).
 package metrics
 
 import (
@@ -77,8 +87,42 @@ func (g *Gauge) Add(d float64) {
 // Value returns the current value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
+// EWMA is an exponentially weighted moving average of float64 samples
+// (seconds, everywhere it is used here). The zero value is ready to
+// use and unseeded: it reads 0, and the first Observe adopts its sample
+// outright. Seeding is a state of its own, not "the average is 0" — an
+// average that decays to exactly 0, or is seeded with 0, keeps
+// averaging instead of jumping to the next raw sample.
+type EWMA struct {
+	// bits holds the average's float64 bits with the lowest mantissa
+	// bit forced to 1 as the seeded flag (one part in 2^52 of the value,
+	// far below any sample's noise); all-zero means unseeded.
+	bits atomic.Uint64
+}
+
+// Observe folds one sample in with gain alpha (0 < alpha <= 1, a
+// constant of the call site): avg += alpha·(v − avg).
+//
+//repro:hotpath
+func (e *EWMA) Observe(v, alpha float64) {
+	for {
+		old := e.bits.Load()
+		next := v
+		if old != 0 {
+			cur := math.Float64frombits(old &^ 1)
+			next = cur + alpha*(v-cur)
+		}
+		if e.bits.CompareAndSwap(old, math.Float64bits(next)|1) {
+			return
+		}
+	}
+}
+
+// Value returns the current average; 0 before the first sample.
+func (e *EWMA) Value() float64 { return math.Float64frombits(e.bits.Load() &^ 1) }
+
 // Histogram is a fixed-bucket cumulative histogram. Buckets are set at
-// registration and never change, so an observation is one bounded
+// construction and never change, so an observation is one bounded
 // bounds scan plus an atomic add — no map, no lock, no allocation.
 // Rendering follows the Prometheus convention: cumulative
 // `_bucket{le="…"}` series with an implicit +Inf bucket, plus `_sum`
@@ -98,65 +142,56 @@ func (h *Histogram) Observe(v float64) {
 		i++
 	}
 	h.buckets[i].Add(1)
-	h.AddSum(v)
-}
-
-// AddBucket adds n observations directly to bucket i (0-based; the
-// last index is the +Inf bucket) without touching the sum — the fold
-// hook for sources that maintain their own bucket counts (ntp.Stats).
-func (h *Histogram) AddBucket(i int, n uint64) { h.buckets[i].Add(n) }
-
-// AddSum adds d to the observation sum, for use with AddBucket.
-//
-//repro:hotpath
-func (h *Histogram) AddSum(d float64) {
 	for {
 		old := h.sum.Load()
-		if h.sum.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+d)) {
+		if h.sum.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+v)) {
 			return
 		}
 	}
 }
 
-// NumBuckets returns the bucket count including the +Inf bucket.
-func (h *Histogram) NumBuckets() int { return len(h.buckets) }
-
-// Count returns the total number of observations.
-func (h *Histogram) Count() uint64 {
-	var n uint64
+// Cumulative fills dst with the cumulative observation counts, bucket
+// by bucket as the exposition renders them: dst[i] counts samples ≤
+// bound i, and the last entry (the +Inf bucket) is the total. dst must
+// hold one entry per bound plus one.
+func (h *Histogram) Cumulative(dst []uint64) {
+	var cum uint64
 	for i := range h.buckets {
-		n += h.buckets[i].Load()
+		cum += h.buckets[i].Load()
+		dst[i] = cum
 	}
-	return n
 }
 
 // Sum returns the observation sum.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
 
-// Histogram registers a histogram with the given ascending bucket
-// upper bounds (a trailing +Inf bucket is added automatically).
-func (r *Registry) Histogram(name, help string, bounds ...float64) *Histogram {
+// NewHistogram returns a histogram cell with the given ascending
+// bucket upper bounds (a trailing +Inf bucket is added automatically).
+func NewHistogram(bounds ...float64) *Histogram {
 	for i := 1; i < len(bounds); i++ {
 		if bounds[i] <= bounds[i-1] {
-			panic(fmt.Sprintf("metrics: %s bucket bounds not ascending", name))
+			panic(fmt.Sprintf("metrics: histogram bucket bounds %v not ascending", bounds))
 		}
 	}
-	f := r.newFamily(name, help, "histogram", nil)
-	h := &Histogram{
+	return &Histogram{
 		bounds:  append([]float64(nil), bounds...),
 		buckets: make([]atomic.Uint64, len(bounds)+1),
 	}
-	f.hist = h
-	return h
+}
+
+// RegisterHistogram renders the caller's histogram cell as a family.
+func (r *Registry) RegisterHistogram(name, help string, h *Histogram) {
+	r.newFamily(name, help, "histogram", nil).hist = h
 }
 
 // cell is one rendered sample: a pre-escaped label suffix plus its
-// value source (exactly one of counter, gauge, or fn).
+// value source (exactly one of counter, gauge, fn, or count).
 type cell struct {
 	labels  string // `{k="v",...}` or ""
 	counter *Counter
 	gauge   *Gauge
 	fn      func() float64
+	count   func() uint64
 }
 
 // family is one metric family: a # HELP/# TYPE header plus its cells in
@@ -238,10 +273,23 @@ func (r *Registry) newFamily(name, help, typ string, labelNames []string) *famil
 
 // Counter registers an unlabeled counter.
 func (r *Registry) Counter(name, help string) *Counter {
-	f := r.newFamily(name, help, "counter", nil)
 	c := &Counter{}
-	f.cells = append(f.cells, &cell{counter: c})
+	r.RegisterCounter(name, help, c)
 	return c
+}
+
+// RegisterCounter renders the caller's counter cell as an unlabeled
+// family: the owner keeps counting into it, the scrape reads it.
+func (r *Registry) RegisterCounter(name, help string, c *Counter) {
+	f := r.newFamily(name, help, "counter", nil)
+	f.cells = append(f.cells, &cell{counter: c})
+}
+
+// CounterFunc registers a counter sampled by fn at every scrape, for a
+// monotone count that is not a cell. fn must never decrease.
+func (r *Registry) CounterFunc(name, help string, fn func() uint64) {
+	f := r.newFamily(name, help, "counter", nil)
+	f.cells = append(f.cells, &cell{count: fn})
 }
 
 // Gauge registers an unlabeled gauge.
@@ -279,6 +327,12 @@ func (cv *CounterVec) With(labelValues ...string) *Counter {
 		c.counter = &Counter{}
 	}
 	return c.counter
+}
+
+// Register renders the caller's counter cell under one label-value
+// combination (see Registry.RegisterCounter).
+func (cv *CounterVec) Register(c *Counter, labelValues ...string) {
+	cv.f.withCell(cv.labelNames, labelValues).counter = c
 }
 
 // GaugeVec is a labeled gauge family.
@@ -431,6 +485,8 @@ func (r *Registry) WriteText(w io.Writer) error {
 				b = appendFloat(b, c.gauge.Value())
 			case c.fn != nil:
 				b = appendFloat(b, c.fn())
+			case c.count != nil:
+				b = strconv.AppendUint(b, c.count(), 10)
 			}
 			b = append(b, '\n')
 		}

@@ -78,6 +78,40 @@ func TestExpositionFormat(t *testing.T) {
 				"shard_total{shard=\"1\"} 1\nshard_total{shard=\"10\"} 1\nshard_total{shard=\"2\"} 1\n",
 		},
 		{
+			"caller-owned-cells",
+			func(r *Registry) {
+				var total, a, b Counter
+				total.Add(7)
+				a.Inc()
+				r.RegisterCounter("owned_total", "Owned.", &total)
+				cv := r.CounterVec("owned_vec_total", "", "k")
+				cv.Register(&b, "b")
+				cv.Register(&a, "a")
+				total.Inc() // the owner keeps counting; the scrape sees it
+			},
+			"# HELP owned_total Owned.\n# TYPE owned_total counter\nowned_total 8\n" +
+				"# TYPE owned_vec_total counter\nowned_vec_total{k=\"a\"} 1\nowned_vec_total{k=\"b\"} 0\n",
+		},
+		{
+			"counter-func",
+			func(r *Registry) { r.CounterFunc("sampled_total", "S.", func() uint64 { return 1 << 40 }) },
+			"# HELP sampled_total S.\n# TYPE sampled_total counter\nsampled_total 1099511627776\n",
+		},
+		{
+			"histogram",
+			func(r *Registry) {
+				h := NewHistogram(0.001, 0.01)
+				r.RegisterHistogram("dwell_seconds", "D.", h)
+				h.Observe(0.0005)
+				h.Observe(0.005)
+				h.Observe(0.005)
+				h.Observe(5)
+			},
+			"# HELP dwell_seconds D.\n# TYPE dwell_seconds histogram\n" +
+				"dwell_seconds_bucket{le=\"0.001\"} 1\ndwell_seconds_bucket{le=\"0.01\"} 3\ndwell_seconds_bucket{le=\"+Inf\"} 4\n" +
+				"dwell_seconds_sum 5.0105\ndwell_seconds_count 4\n",
+		},
+		{
 			"non-finite-gauges",
 			func(r *Registry) {
 				gv := r.GaugeVec("edge", "", "k")
@@ -182,6 +216,53 @@ func TestRegistrationPanics(t *testing.T) {
 	mustPanic("label arity", func() { cv.With("only-one") })
 }
 
+// TestEWMA drives the one moving average in the module to a target from
+// both sides and through the cases its three predecessors got wrong: a
+// sample of exactly 0 is a sample, not "unseeded" (they jumped to the
+// next raw sample after one), and a step smaller than 1/alpha units
+// still moves the average (the integer-nanosecond one stalled up to
+// 15 ns short of its target).
+func TestEWMA(t *testing.T) {
+	const alpha = 1.0 / 16
+	cases := []struct {
+		name    string
+		samples []float64
+		want    float64
+		tol     float64
+	}{
+		{"unseeded reads zero", nil, 0, 0},
+		{"first sample adopted", []float64{250e-6}, 250e-6, 1e-18},
+		{"equal samples stay put", []float64{250e-6, 250e-6, 250e-6}, 250e-6, 1e-18},
+		{"one step up", []float64{0, 16}, 1, 1e-15},
+		{"one step down", []float64{16, 0}, 15, 1e-14},
+		{"zero seed is a seed", []float64{0, 0, 16}, 1, 1e-15},
+		{"through zero", []float64{1, -1, 0}, (1 - 2*alpha) * (1 - alpha), 1e-15},
+		{"sub-nanosecond steps still move", repeat(100e-9, 1, repeat(110e-9, 400)...), 110e-9, 1e-18},
+		{"converges from below", repeat(1, 1, repeat(2, 600)...), 2, 1e-12},
+		{"converges from above", repeat(3, 1, repeat(2, 600)...), 2, 1e-12},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			var e EWMA
+			for _, v := range c.samples {
+				e.Observe(v, alpha)
+			}
+			if got := e.Value(); math.Abs(got-c.want) > c.tol {
+				t.Errorf("after %d samples: %v, want %v ± %v", len(c.samples), got, c.want, c.tol)
+			}
+		})
+	}
+}
+
+// repeat returns n copies of v followed by tail.
+func repeat(v float64, n int, tail ...float64) []float64 {
+	out := make([]float64, n, n+len(tail))
+	for i := range out {
+		out[i] = v
+	}
+	return append(out, tail...)
+}
+
 // TestMetricsHotPathZeroAlloc: the operations the per-packet serve loop
 // performs — counter increments and gauge stores on pre-resolved cells
 // — allocate nothing. Vec.With is excluded by design: it is a
@@ -191,12 +272,16 @@ func TestMetricsHotPathZeroAlloc(t *testing.T) {
 	c := r.Counter("hot_total", "")
 	g := r.Gauge("hot_gauge", "")
 	vc := r.CounterVec("hot_vec_total", "", "shard").With("0")
+	var e EWMA
+	h := NewHistogram(1, 2)
 	if n := testing.AllocsPerRun(1000, func() {
 		c.Inc()
 		c.Add(3)
 		vc.Inc()
 		g.Set(1.5)
 		g.Add(0.5)
+		e.Observe(1.5, 0.125)
+		h.Observe(1.5)
 	}); n != 0 {
 		t.Errorf("hot-path metric ops allocate %v times per run, want 0", n)
 	}

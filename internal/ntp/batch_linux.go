@@ -1,28 +1,27 @@
 //go:build linux && (amd64 || arm64)
 
-// Batched serving hot loop: recvmmsg/sendmmsg syscall batching plus
-// SO_TIMESTAMPING kernel RX stamps.
+// The kernel-batched packet I/O under the serving loop (loop.go):
+// recvmmsg/sendmmsg syscall batching plus SO_TIMESTAMPING kernel
+// stamps.
 //
-// The per-packet loop pays two syscalls per reply and stamps Receive
-// from a user-space clock read, so every reply carries the scheduler's
-// wakeup latency as apparent network delay. This loop drains up to
-// Batch datagrams per recvmmsg into preallocated slabs, runs the same
-// per-packet pipeline (limit → validate → stamp → marshal) over the
-// batch in place, and answers with one sendmmsg — ~2/Batch syscalls
-// per reply — while parsing each datagram's SCM_TIMESTAMPING control
-// message so the reply's Receive stamp can be backdated to the
-// kernel's arrival time. Every buffer the kernel writes into (packet
-// slab, sockaddr slab, control slab, iovec and mmsghdr arrays) is
-// allocated once per shard at setup; the steady state allocates
-// nothing (//repro:hotpath on process, gated by reprolint and
-// TestBatchProcessZeroAlloc).
+// The portable I/O pays two syscalls per reply and has no kernel stamp
+// to offer, so every reply carries the scheduler's wakeup latency as
+// apparent network delay. This one drains up to batchDepth datagrams
+// per recvmmsg into preallocated slabs the loop then works on in place,
+// and answers with one sendmmsg — ~2/32 syscalls per reply — while
+// parsing each datagram's SCM_TIMESTAMPING control message so the loop
+// can backdate the reply's Receive stamp to the kernel's arrival time.
+// Every buffer the kernel writes into (packet slab, sockaddr slab,
+// control slab, iovec and mmsghdr arrays) is allocated once per shard
+// at setup; the steady state allocates nothing (//repro:hotpath on recv
+// and send, gated by reprolint and TestBatchProcessZeroAlloc).
 //
-// The loop integrates with the Go netpoller through syscall.RawConn:
+// It integrates with the Go netpoller through syscall.RawConn:
 // recvmmsg runs with MSG_DONTWAIT inside RawConn.Read, returning false
 // on EAGAIN so the goroutine parks until the socket is readable
 // instead of spinning. A closed socket surfaces as net.ErrClosed from
-// RawConn.Read/Write, which is the same shutdown signal the per-packet
-// loop and the shard supervisor already speak.
+// RawConn.Read/Write, which is the same shutdown signal the portable
+// I/O and the shard supervisor already speak.
 //
 // The syscall package is used directly (this repository deliberately
 // avoids x/sys/unix); SO_TIMESTAMPING and the sendmmsg syscall number
@@ -44,17 +43,6 @@ import (
 )
 
 const (
-	// batchDefault and batchMax bound ServerConfig.Batch: 32 packets
-	// per syscall already cuts the syscall budget 16×; past 64 the
-	// slab footprint grows faster than the amortization shrinks.
-	batchDefault = 32
-	batchMax     = 64
-
-	// rxBufSize matches the per-packet loop's read buffer: large
-	// enough for any NTP packet with extensions, truncation beyond it
-	// is harmless (only the first 48 bytes are parsed).
-	rxBufSize = 512
-
 	// oobSize holds one scm_timestamping control message (16-byte
 	// cmsghdr + three timespecs = 64 bytes) with room for one more
 	// cmsg (e.g. SO_RXQ_OVFL) before truncation.
@@ -63,7 +51,7 @@ const (
 	// errBatch and errBufSize size the TX error-queue drain slabs: one
 	// recvmmsg drains up to errBatch looped-back replies, each at most
 	// IPv6+UDP headers plus the 48-byte payload (96 bytes) — errBufSize
-	// leaves headroom for options. The drain runs after every flush, so
+	// leaves headroom for options. The drain runs after every send, so
 	// the queue depth tracks the send batch.
 	errBatch   = 16
 	errBufSize = 128
@@ -96,73 +84,39 @@ var (
 	_ [64 - unsafe.Sizeof(mmsghdr{})]byte
 )
 
-// serveBatch runs the batched loop when the transport and
-// configuration allow it: a *net.UDPConn (raw fd access) and an
-// effective batch size above 1. handled=false means the caller should
-// fall back to the per-packet loop.
-func (s *Server) serveBatch(pc net.PacketConn) (handled bool, err error) {
-	batch := s.batch
-	if batch == 0 {
-		batch = batchDefault
-	}
-	if batch > batchMax {
-		batch = batchMax
-	}
-	if batch <= 1 {
-		return false, nil
-	}
-	uc, ok := pc.(*net.UDPConn)
-	if !ok {
-		return false, nil
-	}
-	rc, err := uc.SyscallConn()
-	if err != nil {
-		// No raw fd access (wrapped or already-closed conn): the
-		// per-packet loop will surface whatever is wrong.
-		return false, nil
-	}
-	bl := newBatchLoop(s, rc, batch)
-	return true, bl.run()
-}
-
-// batchLoop is one shard's batched serving state: the slabs the kernel
+// mmsgIO is one shard's kernel-batched packetIO: the slabs the kernel
 // reads and writes, the mmsghdr arrays wired into them once at setup,
 // and the RawConn callbacks (created once — a closure per batch would
 // be a steady-state allocation).
-type batchLoop struct {
+type mmsgIO struct {
 	srv        *Server
 	rc         syscall.RawConn
-	batch      int
-	stamping   bool // SO_TIMESTAMPING RX armed on the socket
 	txStamping bool // SOF_TIMESTAMPING_TX_SOFTWARE armed (ServerConfig.TxStamp)
 
-	pktIn  []byte                   // batch × rxBufSize receive slab
-	pktOut []byte                   // batch × PacketSize reply slab
-	names  []syscall.RawSockaddrAny // kernel-written packet sources
-	oob    []byte                   // batch × oobSize control slab
-	riovs  []syscall.Iovec
-	rmsgs  []mmsghdr
-	siovs  []syscall.Iovec
-	smsgs  []mmsghdr
+	pktIn []byte                   // batchDepth × rxBufSize receive slab
+	names []syscall.RawSockaddrAny // kernel-written packet sources
+	oob   []byte                   // batchDepth × oobSize control slab
+	riovs []syscall.Iovec
+	rmsgs []mmsghdr
+	siovs []syscall.Iovec // fixed, into the batch's reply slots
+	smsgs []mmsghdr
+	lastN int // receive slots the previous recvmmsg filled
 
 	// TX error-queue drain slabs (allocated only when txStamping) and
-	// the cookie→send-time correlation ring. procWall is the wall time
-	// the current batch was processed at, recorded so flush can stamp
-	// every sent reply's ring entry without re-reading the clock.
-	errPkt   []byte // errBatch × errBufSize looped-packet slab
-	errOob   []byte // errBatch × oobSize control slab
-	erriovs  []syscall.Iovec
-	errmsgs  []mmsghdr
-	txRing   []txRingEntry
-	procWall int64
+	// the cookie→send-time correlation ring.
+	errPkt  []byte // errBatch × errBufSize looped-packet slab
+	errOob  []byte // errBatch × oobSize control slab
+	erriovs []syscall.Iovec
+	errmsgs []mmsghdr
+	txRing  []txRingEntry
 
 	// Syscall results, carried out of the RawConn callbacks.
 	recvN   int
 	recvErr syscall.Errno
 	sentN   int
 	sendErr syscall.Errno
-	sendOff int // first unsent smsgs entry of the current flush
-	sendCnt int // smsgs entries in the current flush
+	sendOff int // first unsent smsgs entry of the current send
+	sendCnt int // smsgs entries in the current send
 
 	readFn  func(fd uintptr) bool
 	writeFn func(fd uintptr) bool
@@ -174,7 +128,7 @@ type batchLoop struct {
 // be turned into a userspace→kernel dwell.
 type txRingEntry struct {
 	cookie uint64
-	sent   int64 // procWall nanos at handlePacket time
+	sent   int64 // the batch's wall read (batch.wall), Unix nanoseconds
 }
 
 // txRingIdx hashes a Transmit cookie to its home slot in the
@@ -194,13 +148,13 @@ func txRingIdx(cookie uint64) int {
 // zero Transmit for a served reply.
 //
 //repro:hotpath
-func (bl *batchLoop) txRingInsert(cookie uint64, sent int64) {
+func (m *mmsgIO) txRingInsert(cookie uint64, sent int64) {
 	base := txRingIdx(cookie)
 	victim := base
 	oldest := int64(1<<63 - 1)
 	for p := 0; p < txRingProbe; p++ {
 		i := (base + p) & (txRingSize - 1)
-		ent := &bl.txRing[i]
+		ent := &m.txRing[i]
 		if ent.cookie == 0 || ent.cookie == cookie {
 			ent.cookie, ent.sent = cookie, sent
 			return
@@ -209,7 +163,7 @@ func (bl *batchLoop) txRingInsert(cookie uint64, sent int64) {
 			oldest, victim = ent.sent, i
 		}
 	}
-	bl.txRing[victim] = txRingEntry{cookie: cookie, sent: sent}
+	m.txRing[victim] = txRingEntry{cookie: cookie, sent: sent}
 }
 
 // txRingTake looks a looped-back cookie up in the probe window and
@@ -217,10 +171,10 @@ func (bl *batchLoop) txRingInsert(cookie uint64, sent int64) {
 // stamps still in flight.
 //
 //repro:hotpath
-func (bl *batchLoop) txRingTake(cookie uint64) (int64, bool) {
+func (m *mmsgIO) txRingTake(cookie uint64) (int64, bool) {
 	base := txRingIdx(cookie)
 	for p := 0; p < txRingProbe; p++ {
-		ent := &bl.txRing[(base+p)&(txRingSize-1)]
+		ent := &m.txRing[(base+p)&(txRingSize-1)]
 		if ent.cookie == cookie {
 			ent.cookie = 0
 			return ent.sent, true
@@ -229,267 +183,236 @@ func (bl *batchLoop) txRingTake(cookie uint64) (int64, bool) {
 	return 0, false
 }
 
-// newBatchLoop allocates and wires the slabs. Receive-side mmsghdrs
-// point at fixed per-slot buffers; send-side mmsghdrs have fixed
-// iovecs into the reply slab (reply k always lands in out slot k) and
-// only their Name/Namelen vary per batch, set during process.
-func newBatchLoop(s *Server, rc syscall.RawConn, batch int) *batchLoop {
-	bl := &batchLoop{
-		srv:    s,
-		rc:     rc,
-		batch:  batch,
-		pktIn:  make([]byte, batch*rxBufSize),
-		pktOut: make([]byte, batch*PacketSize),
-		names:  make([]syscall.RawSockaddrAny, batch),
-		oob:    make([]byte, batch*oobSize),
-		riovs:  make([]syscall.Iovec, batch),
-		rmsgs:  make([]mmsghdr, batch),
-		siovs:  make([]syscall.Iovec, batch),
-		smsgs:  make([]mmsghdr, batch),
+// newMmsgIO builds the kernel-batched I/O for pc, or returns nil when
+// pc gives no raw fd access (not a *net.UDPConn, wrapped, or already
+// closed — the portable I/O will surface whatever is wrong). Receive-
+// side mmsghdrs point at fixed per-slot buffers; send-side mmsghdrs
+// have fixed iovecs into the batch's reply slots (reply k always lands
+// in out[k]) and only their Name/Namelen vary per batch, set in send.
+func newMmsgIO(s *Server, pc net.PacketConn) (packetIO, *batch) {
+	uc, ok := pc.(*net.UDPConn)
+	if !ok {
+		return nil, nil
 	}
-	for i := 0; i < batch; i++ {
-		bl.riovs[i].Base = &bl.pktIn[i*rxBufSize]
-		bl.riovs[i].Len = rxBufSize
-		bl.rmsgs[i].hdr.Name = (*byte)(unsafe.Pointer(&bl.names[i]))
-		bl.rmsgs[i].hdr.Iov = &bl.riovs[i]
-		bl.rmsgs[i].hdr.Iovlen = 1
-		bl.rmsgs[i].hdr.Control = &bl.oob[i*oobSize]
+	rc, err := uc.SyscallConn()
+	if err != nil {
+		return nil, nil
+	}
+	const depth = batchDepth
+	b := newBatch(depth)
+	m := &mmsgIO{
+		srv:   s,
+		rc:    rc,
+		pktIn: make([]byte, depth*rxBufSize),
+		names: make([]syscall.RawSockaddrAny, depth),
+		oob:   make([]byte, depth*oobSize),
+		riovs: make([]syscall.Iovec, depth),
+		rmsgs: make([]mmsghdr, depth),
+		siovs: make([]syscall.Iovec, depth),
+		smsgs: make([]mmsghdr, depth),
+		lastN: depth,
+	}
+	for i := 0; i < depth; i++ {
+		m.riovs[i].Base = &m.pktIn[i*rxBufSize]
+		m.riovs[i].Len = rxBufSize
+		m.rmsgs[i].hdr.Name = (*byte)(unsafe.Pointer(&m.names[i]))
+		m.rmsgs[i].hdr.Iov = &m.riovs[i]
+		m.rmsgs[i].hdr.Iovlen = 1
+		m.rmsgs[i].hdr.Control = &m.oob[i*oobSize]
 
-		bl.siovs[i].Base = &bl.pktOut[i*PacketSize]
-		bl.siovs[i].Len = PacketSize
-		bl.smsgs[i].hdr.Iov = &bl.siovs[i]
-		bl.smsgs[i].hdr.Iovlen = 1
+		m.siovs[i].Base = &b.out[i][0]
+		m.siovs[i].Len = PacketSize
+		m.smsgs[i].hdr.Iov = &m.siovs[i]
+		m.smsgs[i].hdr.Iovlen = 1
 	}
-	bl.resetHeaders(batch)
 
 	// Arm RX stamps always; add TX stamps when configured. A kernel
 	// that rejects the combined flags (no TX loopback support) falls
-	// back to RX-only rather than losing both.
+	// back to RX-only rather than losing both; one that rejects RX
+	// stamping too serves without, every datagram counted missing.
 	rxFlags := sofTimestampingRxSoftware | sofTimestampingSoftware
 	if s.txStamp && armTimestamping(rc, rxFlags|sofTimestampingTxSoftware) {
-		bl.stamping, bl.txStamping = true, true
+		m.txStamping = true
 	} else {
-		bl.stamping = armTimestamping(rc, rxFlags)
+		armTimestamping(rc, rxFlags)
 	}
-	if bl.txStamping {
-		bl.errPkt = make([]byte, errBatch*errBufSize)
-		bl.errOob = make([]byte, errBatch*oobSize)
-		bl.erriovs = make([]syscall.Iovec, errBatch)
-		bl.errmsgs = make([]mmsghdr, errBatch)
-		bl.txRing = make([]txRingEntry, txRingSize)
+	if m.txStamping {
+		m.errPkt = make([]byte, errBatch*errBufSize)
+		m.errOob = make([]byte, errBatch*oobSize)
+		m.erriovs = make([]syscall.Iovec, errBatch)
+		m.errmsgs = make([]mmsghdr, errBatch)
+		m.txRing = make([]txRingEntry, txRingSize)
 		for i := 0; i < errBatch; i++ {
-			bl.erriovs[i].Base = &bl.errPkt[i*errBufSize]
-			bl.erriovs[i].Len = errBufSize
-			bl.errmsgs[i].hdr.Iov = &bl.erriovs[i]
-			bl.errmsgs[i].hdr.Iovlen = 1
-			bl.errmsgs[i].hdr.Control = &bl.errOob[i*oobSize]
+			m.erriovs[i].Base = &m.errPkt[i*errBufSize]
+			m.erriovs[i].Len = errBufSize
+			m.errmsgs[i].hdr.Iov = &m.erriovs[i]
+			m.errmsgs[i].hdr.Iovlen = 1
+			m.errmsgs[i].hdr.Control = &m.errOob[i*oobSize]
 		}
-		bl.drainFn = func(fd uintptr) { bl.drainErrqueue(fd) }
+		m.drainFn = func(fd uintptr) { m.drainErrqueue(fd) }
 	}
 
-	bl.readFn = func(fd uintptr) bool {
+	m.readFn = func(fd uintptr) bool {
 		n, _, e := syscall.Syscall6(syscall.SYS_RECVMMSG, fd,
-			uintptr(unsafe.Pointer(&bl.rmsgs[0])), uintptr(bl.batch),
+			uintptr(unsafe.Pointer(&m.rmsgs[0])), uintptr(len(m.rmsgs)),
 			syscall.MSG_DONTWAIT, 0, 0)
 		if e == syscall.EAGAIN {
 			// A pending error-queue entry raises POLLERR, which wakes
 			// this read without making the receive queue readable;
 			// draining here both harvests the TX stamps and clears the
 			// condition so the park is not a spin.
-			if bl.txStamping {
-				bl.drainErrqueue(fd)
+			if m.txStamping {
+				m.drainErrqueue(fd)
 			}
 			return false // park on the netpoller until readable
 		}
-		bl.srv.stats.recvCalls.Add(1)
+		m.srv.stats.recvCalls.Inc()
 		if e != 0 {
-			bl.recvN, bl.recvErr = 0, e
+			m.recvN, m.recvErr = 0, e
 		} else {
-			bl.recvN, bl.recvErr = int(n), 0
+			m.recvN, m.recvErr = int(n), 0
 		}
 		return true
 	}
-	bl.writeFn = func(fd uintptr) bool {
+	m.writeFn = func(fd uintptr) bool {
 		n, _, e := syscall.Syscall6(sysSendmmsg, fd,
-			uintptr(unsafe.Pointer(&bl.smsgs[bl.sendOff])), uintptr(bl.sendCnt-bl.sendOff),
+			uintptr(unsafe.Pointer(&m.smsgs[m.sendOff])), uintptr(m.sendCnt-m.sendOff),
 			syscall.MSG_DONTWAIT, 0, 0)
 		if e == syscall.EAGAIN {
 			return false // park until writable (rare for UDP)
 		}
-		bl.srv.stats.sendCalls.Add(1)
+		m.srv.stats.sendCalls.Inc()
 		if e != 0 {
-			bl.sentN, bl.sendErr = 0, e
+			m.sentN, m.sendErr = 0, e
 		} else {
-			bl.sentN, bl.sendErr = int(n), 0
+			m.sentN, m.sendErr = int(n), 0
 		}
 		return true
 	}
-	return bl
+	return m, b
 }
 
-// run is the shard loop: drain a batch, process it in place, flush the
-// replies, reset the kernel-written header fields, repeat. Error
-// semantics match the per-packet loop: timeouts continue, a closed
-// socket (or genuine socket failure) returns and lets the shard
+// recv drains one batch off the socket. Timeouts and EINTR retry, a
+// closed socket (or genuine socket failure) returns and lets the shard
 // supervisor decide.
-func (bl *batchLoop) run() error {
+//
+//repro:hotpath
+func (m *mmsgIO) recv(b *batch) (int, error) {
 	for {
-		if err := bl.rc.Read(bl.readFn); err != nil {
+		// The kernel shrank Namelen/Controllen of the slots it filled
+		// last time to the actual lengths and set Flags; left alone it
+		// would truncate this batch's sockaddrs and control messages.
+		for i := 0; i < m.lastN; i++ {
+			m.rmsgs[i].hdr.Namelen = syscall.SizeofSockaddrAny
+			m.rmsgs[i].hdr.Controllen = oobSize
+			m.rmsgs[i].hdr.Flags = 0
+		}
+		m.lastN = 0
+		if err := m.rc.Read(m.readFn); err != nil {
 			var nerr net.Error
+			//repro:alloc-ok read-error path: errors.As boxes its target only when the read fails, never per served packet
 			if errors.As(err, &nerr) && nerr.Timeout() {
 				continue
 			}
-			return err
+			return 0, err
 		}
-		if bl.recvErr != 0 {
-			if bl.recvErr == syscall.EINTR {
+		if m.recvErr != 0 {
+			if m.recvErr == syscall.EINTR {
 				continue
 			}
-			return os.NewSyscallError("recvmmsg", bl.recvErr)
+			//repro:alloc-ok socket-failure path: the error value is built once, as the loop ends
+			return 0, os.NewSyscallError("recvmmsg", m.recvErr)
 		}
-		n := bl.recvN
-		if n <= 0 {
-			continue
+		if m.recvN > 0 {
+			m.lastN = m.recvN
+			m.fill(b, m.recvN)
+			return m.recvN, nil
 		}
-		nOut := bl.process(n)
-		if nOut > 0 {
-			if err := bl.flush(nOut); err != nil {
-				return err
-			}
-			if bl.txStamping {
-				// Harvest the TX stamps the kernel queued while (and
-				// right after) the flush; anything not yet looped back
-				// is picked up by the next drain or the POLLERR wake.
-				_ = bl.rc.Control(bl.drainFn)
-			}
-		}
-		bl.resetHeaders(n)
 	}
 }
 
-// process runs the per-packet pipeline over one received batch and
-// compacts the replies into the send slots, returning how many replies
-// to flush. Reply k's payload is already in out slot k (fixed iovec);
-// only its destination sockaddr is wired here, pointing at the
-// receive-side name slot the kernel filled.
+// fill describes the n datagrams the kernel just wrote to the loop:
+// each one's bytes, its rate-limiter key straight from the raw sockaddr
+// (no net.Addr boxing, no net.IP allocation), and its kernel RX stamp.
 //
 //repro:hotpath
-func (bl *batchLoop) process(n int) int {
-	s := bl.srv
-	s.stats.requests.Add(uint64(n))
-	// One wall read ages every kernel stamp in the batch: the spread
-	// within a batch is microseconds, far below stampMaxAge. The same
-	// read anchors the TX correlation ring (procWall) and one
-	// txAdvance lookup forward-dates every reply in the batch.
-	now := time.Now()
-	bl.procWall = now.UnixNano()
-	var txAdv time.Duration
-	if bl.txStamping {
-		txAdv = s.txAdvance()
-	}
-	kStamped, kMissing, kClamped := uint64(0), uint64(0), uint64(0)
-	nOut := 0
+func (m *mmsgIO) fill(b *batch, n int) {
 	for i := 0; i < n; i++ {
-		if s.limit != nil {
-			// The batched rate-limit path keys straight off the raw
-			// sockaddr bytes the kernel wrote — no net.Addr boxing, no
-			// net.IP allocation (see Limiter.AllowAddr for the
-			// per-packet loop's boxed equivalent).
-			if key, ok := bl.prefixKey(i); ok && !s.limit.Allow(key) {
-				s.stats.rateLimited.Add(1)
-				continue
-			}
+		b.in[i] = m.pktIn[i*rxBufSize : i*rxBufSize+int(m.rmsgs[i].nrecv)]
+		b.key[i], b.keyed[i] = m.prefixKey(i)
+		b.rx[i] = time.Time{}
+		if sec, nsec, ok := parseRxTimestamp(m.oob[i*oobSize : i*oobSize+int(m.rmsgs[i].hdr.Controllen)]); ok {
+			b.rx[i] = time.Unix(sec, nsec)
 		}
-		var rxAge time.Duration
-		if sec, nsec, ok := parseRxTimestamp(bl.oob[i*oobSize : i*oobSize+int(bl.rmsgs[i].hdr.Controllen)]); ok {
-			rxAge = now.Sub(time.Unix(sec, nsec))
-			if rxAge >= 0 && rxAge <= stampMaxAge {
-				kStamped++
-			} else if rxAge >= -stampSlack && rxAge < 0 {
-				// Sub-millisecond negative age is wall-clock jitter
-				// between the kernel stamp and our read, not a lie.
-				rxAge = 0
-				kStamped++
-				kClamped++
-			} else {
-				rxAge = 0 // a clock step; the sample time is safer
-				kMissing++
-				kClamped++
-			}
-		} else {
-			kMissing++
-		}
-		in := bl.pktIn[i*rxBufSize : i*rxBufSize+int(bl.rmsgs[i].nrecv)]
-		out := (*[PacketSize]byte)(bl.pktOut[nOut*PacketSize:])
-		if !s.handlePacket(in, out, rxAge, txAdv) {
-			continue
-		}
-		bl.smsgs[nOut].hdr.Name = (*byte)(unsafe.Pointer(&bl.names[i]))
-		bl.smsgs[nOut].hdr.Namelen = bl.rmsgs[i].hdr.Namelen
-		nOut++
 	}
-	s.stats.kernelRx.Add(kStamped)
-	s.stats.kernelRxMissing.Add(kMissing)
-	if kClamped > 0 {
-		s.stats.stampClamped.Add(kClamped)
-	}
-	return nOut
 }
 
-// flush sends the first n compacted replies with as few sendmmsg
-// calls as the kernel allows. Partial sends resume at the first
+// send transmits the first n compacted replies with as few sendmmsg
+// calls as the kernel allows, each aimed at the receive-side name slot
+// the kernel filled for its request. Partial sends resume at the first
 // unsent message; a per-message failure (spoofed unroutable source,
-// transient ENOBUFS) is counted and skipped, exactly like the
-// per-packet loop's WriteTo error path. Only a closed socket aborts.
-func (bl *batchLoop) flush(n int) error {
-	bl.sendOff, bl.sendCnt = 0, n
-	for bl.sendOff < bl.sendCnt {
-		if err := bl.rc.Write(bl.writeFn); err != nil {
-			return err
+// transient ENOBUFS) is skipped. Only a closed socket aborts.
+//
+//repro:hotpath
+func (m *mmsgIO) send(b *batch, n int) (int, error) {
+	for k := 0; k < n; k++ {
+		i := b.src[k]
+		m.smsgs[k].hdr.Name = (*byte)(unsafe.Pointer(&m.names[i]))
+		m.smsgs[k].hdr.Namelen = m.rmsgs[i].hdr.Namelen
+	}
+	sent := 0
+	m.sendOff, m.sendCnt = 0, n
+	for m.sendOff < m.sendCnt {
+		if err := m.rc.Write(m.writeFn); err != nil {
+			return sent, err
 		}
-		if bl.sendErr != 0 {
-			if bl.sendErr == syscall.EINTR {
-				continue
+		if m.sendErr != 0 {
+			if m.sendErr != syscall.EINTR {
+				// sendmmsg failed on the head message without sending
+				// anything: move past that one message.
+				m.sendOff++
 			}
-			// sendmmsg failed on the head message without sending
-			// anything: charge that one message and move past it.
-			bl.srv.stats.writeErrors.Add(1)
-			bl.sendOff++
 			continue
 		}
-		bl.srv.stats.replied.Add(uint64(bl.sentN))
-		if bl.txStamping {
+		if m.txStamping {
 			// Record every sent reply's Transmit cookie against the
-			// batch's process time so the looped-back error-queue copy
+			// batch's wall read so the looped-back error-queue copy
 			// can be correlated into a userspace→kernel dwell.
-			for k := bl.sendOff; k < bl.sendOff+bl.sentN; k++ {
-				ck := binary.BigEndian.Uint64(bl.pktOut[k*PacketSize+40:])
-				bl.txRingInsert(ck, bl.procWall)
+			wall := b.wall.UnixNano()
+			for k := m.sendOff; k < m.sendOff+m.sentN; k++ {
+				m.txRingInsert(binary.BigEndian.Uint64(b.out[k][40:]), wall)
 			}
 		}
-		bl.sendOff += bl.sentN
+		sent += m.sentN
+		m.sendOff += m.sentN
 	}
-	return nil
+	if m.txStamping {
+		// Harvest the TX stamps the kernel queued while (and right
+		// after) the send; anything not yet looped back is picked up by
+		// the next drain or the POLLERR wake.
+		_ = m.rc.Control(m.drainFn)
+	}
+	return sent, nil
 }
 
 // drainErrqueue empties the socket error queue of looped-back TX
 // copies: each recvmmsg with MSG_ERRQUEUE drains up to errBatch
 // entries into the preallocated slabs, processTxStamps correlates them
-// to sent replies, and the loop stops when a drain comes back short
+// to sent replies, and the drain stops when a drain comes back short
 // (queue empty). Runs inside a RawConn callback (fd is valid for the
 // duration); never blocks.
 //
 //repro:hotpath
-func (bl *batchLoop) drainErrqueue(fd uintptr) {
+func (m *mmsgIO) drainErrqueue(fd uintptr) {
 	for {
-		bl.resetErrHeaders()
+		m.resetErrHeaders()
 		n, _, e := syscall.Syscall6(syscall.SYS_RECVMMSG, fd,
-			uintptr(unsafe.Pointer(&bl.errmsgs[0])), uintptr(errBatch),
+			uintptr(unsafe.Pointer(&m.errmsgs[0])), uintptr(errBatch),
 			syscall.MSG_ERRQUEUE|syscall.MSG_DONTWAIT, 0, 0)
 		if e != 0 || n == 0 {
 			return
 		}
-		bl.processTxStamps(int(n))
+		m.processTxStamps(int(n))
 		if int(n) < errBatch {
 			return
 		}
@@ -505,39 +428,37 @@ func (bl *batchLoop) drainErrqueue(fd uintptr) {
 // hand-built slabs.
 //
 //repro:hotpath
-func (bl *batchLoop) processTxStamps(n int) {
-	s := bl.srv
+func (m *mmsgIO) processTxStamps(n int) {
+	s := m.srv
 	var stamped, missing, clamped uint64
 	for i := 0; i < n; i++ {
-		oob := bl.errOob[i*oobSize : i*oobSize+int(bl.errmsgs[i].hdr.Controllen)]
+		oob := m.errOob[i*oobSize : i*oobSize+int(m.errmsgs[i].hdr.Controllen)]
 		sec, nsec, ok := parseTxTimestamp(oob)
 		if !ok {
 			missing++
 			continue
 		}
-		ck, ok := txPayloadCookie(bl.errPkt[i*errBufSize : i*errBufSize+int(bl.errmsgs[i].nrecv)])
+		ck, ok := txPayloadCookie(m.errPkt[i*errBufSize : i*errBufSize+int(m.errmsgs[i].nrecv)])
 		if !ok {
 			missing++
 			continue
 		}
-		sent, ok := bl.txRingTake(ck)
+		sent, ok := m.txRingTake(ck)
 		if !ok {
 			// Evicted by a colliding cookie (or a stamp for a reply
 			// sent before this loop started): uncorrelatable.
 			missing++
 			continue
 		}
-		dwell := sec*1e9 + nsec - sent
-		if dwell < -int64(stampSlack) || dwell > int64(stampMaxAge) {
-			// A clock step between process time and the kernel stamp;
-			// the dwell would poison the EWMA.
+		dwell, usable, clamp := trustStamp(time.Unix(sec, nsec).Sub(time.Unix(0, sent)))
+		if clamp {
 			clamped++
+		}
+		if !usable {
+			// A clock step between the batch's wall read and the kernel
+			// stamp; the dwell would poison the EWMA.
 			missing++
 			continue
-		}
-		if dwell < 0 {
-			clamped++
-			dwell = 0
 		}
 		s.recordTxDwell(dwell)
 		stamped++
@@ -557,36 +478,22 @@ func (bl *batchLoop) processTxStamps(n int) {
 // error-queue receive slots before the next drain.
 //
 //repro:hotpath
-func (bl *batchLoop) resetErrHeaders() {
+func (m *mmsgIO) resetErrHeaders() {
 	for i := 0; i < errBatch; i++ {
-		bl.errmsgs[i].hdr.Controllen = oobSize
-		bl.errmsgs[i].hdr.Flags = 0
-		bl.errmsgs[i].nrecv = 0
-	}
-}
-
-// resetHeaders restores the kernel-written in/out header fields of the
-// first n receive slots before the next recvmmsg: the kernel shrinks
-// Namelen/Controllen to the actual lengths and sets Flags, and would
-// otherwise truncate the next batch's sockaddrs and control messages.
-//
-//repro:hotpath
-func (bl *batchLoop) resetHeaders(n int) {
-	for i := 0; i < n; i++ {
-		bl.rmsgs[i].hdr.Namelen = syscall.SizeofSockaddrAny
-		bl.rmsgs[i].hdr.Controllen = oobSize
-		bl.rmsgs[i].hdr.Flags = 0
+		m.errmsgs[i].hdr.Controllen = oobSize
+		m.errmsgs[i].hdr.Flags = 0
+		m.errmsgs[i].nrecv = 0
 	}
 }
 
 // prefixKey derives the rate-limiter key for packet i straight from
 // the raw sockaddr the kernel wrote, mirroring ratelimit.PrefixKey's
 // classification (v4 and v4-mapped addresses share the v4 key space).
-// ok=false (unknown family) fails open, like AllowAddr.
+// ok=false (unknown family) fails open, like ratelimit.AddrKey.
 //
 //repro:hotpath
-func (bl *batchLoop) prefixKey(i int) (uint64, bool) {
-	sa := &bl.names[i]
+func (m *mmsgIO) prefixKey(i int) (uint64, bool) {
+	sa := &m.names[i]
 	switch sa.Addr.Family {
 	case syscall.AF_INET:
 		sa4 := (*syscall.RawSockaddrInet4)(unsafe.Pointer(sa))

@@ -8,7 +8,6 @@ import (
 	"syscall"
 	"testing"
 	"time"
-	"unsafe"
 
 	"repro/internal/ratelimit"
 )
@@ -92,111 +91,15 @@ func FuzzParseRxTimestamp(f *testing.F) {
 	})
 }
 
-// newTestBatchLoop hand-assembles a batchLoop with filled slabs, as if
-// recvmmsg had just returned n valid client requests from distinct v4
-// sources, each carrying a fresh kernel RX stamp.
-func newTestBatchLoop(t *testing.T, s *Server, n int) *batchLoop {
-	t.Helper()
-	bl := &batchLoop{
-		srv:    s,
-		batch:  n,
-		pktIn:  make([]byte, n*rxBufSize),
-		pktOut: make([]byte, n*PacketSize),
-		names:  make([]syscall.RawSockaddrAny, n),
-		oob:    make([]byte, n*oobSize),
-		riovs:  make([]syscall.Iovec, n),
-		rmsgs:  make([]mmsghdr, n),
-		siovs:  make([]syscall.Iovec, n),
-		smsgs:  make([]mmsghdr, n),
-	}
-	now := time.Now()
-	cmsg := tsCmsg(now.Unix(), int64(now.Nanosecond()))
-	for i := 0; i < n; i++ {
-		copy(bl.pktIn[i*rxBufSize:], clientPacket(4))
-		bl.rmsgs[i].nrecv = PacketSize
-		sa := (*syscall.RawSockaddrInet4)(unsafe.Pointer(&bl.names[i]))
-		sa.Family = syscall.AF_INET
-		sa.Addr = [4]byte{192, 0, 2, byte(i)}
-		copy(bl.oob[i*oobSize:], cmsg)
-		bl.rmsgs[i].hdr.Controllen = uint64(len(cmsg))
-	}
-	return bl
-}
-
-// TestBatchProcessZeroAlloc is the steady-state allocation gate for the
-// batched hot path: process() over a full batch — rate limiting by raw
-// sockaddr, kernel-stamp parsing, validation, stamping, marshalling —
-// must not allocate. This is the runtime check backing the reprolint
-// //repro:hotpath static gate, and the satellite assertion that the
-// batched rate-limit path has shed the per-packet net.Addr boxing.
-func TestBatchProcessZeroAlloc(t *testing.T) {
-	lim := ratelimit.New(ratelimit.Config{Rate: 1e12, Burst: 1e12})
-	srv, err := NewServer(ServerConfig{Clock: SystemServerClock(), Limit: lim})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bl := newTestBatchLoop(t, srv, 16)
-	allocs := testing.AllocsPerRun(200, func() {
-		if got := bl.process(bl.batch); got != bl.batch {
-			t.Fatalf("process replied to %d of %d", got, bl.batch)
-		}
-		bl.resetHeaders(bl.batch)
-	})
-	if allocs != 0 {
-		t.Errorf("batch process allocates %.1f times per batch, want 0", allocs)
-	}
-}
-
-// TestBatchProcessReplies checks the pipeline output of a hand-built
-// batch: replies are compacted into the out slab in order, carry
-// server mode, and each send header is aimed back at its source.
-func TestBatchProcessReplies(t *testing.T) {
-	srv, err := NewServer(ServerConfig{Clock: SystemServerClock()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bl := newTestBatchLoop(t, srv, 8)
-	// Slot 3: too short. Slot 5: wrong mode. Both must be dropped and
-	// the replies around them compacted.
-	bl.rmsgs[3].nrecv = 12
-	bl.pktIn[5*rxBufSize] = bl.pktIn[5*rxBufSize]&^0x7 | byte(ModeServer)
-
-	nOut := bl.process(8)
-	if nOut != 6 {
-		t.Fatalf("process kept %d replies, want 6", nOut)
-	}
-	wantSrc := []byte{0, 1, 2, 4, 6, 7} // last octet of each replied-to source
-	for k := 0; k < nOut; k++ {
-		var resp Packet
-		if err := resp.Unmarshal(bl.pktOut[k*PacketSize : (k+1)*PacketSize]); err != nil {
-			t.Fatalf("reply %d: %v", k, err)
-		}
-		if resp.Mode != ModeServer {
-			t.Errorf("reply %d: mode = %v", k, resp.Mode)
-		}
-		sa := (*syscall.RawSockaddrInet4)(unsafe.Pointer(bl.smsgs[k].hdr.Name))
-		if sa.Addr[3] != wantSrc[k] {
-			t.Errorf("reply %d aimed at .%d, want .%d", k, sa.Addr[3], wantSrc[k])
-		}
-	}
-	st := srv.Stats()
-	if st.Short != 1 || st.NonClient != 1 {
-		t.Errorf("drop counters = %+v, want Short=1 NonClient=1", st)
-	}
-	if st.KernelRx != 8 {
-		t.Errorf("KernelRx = %d, want 8 (stamps are counted per received datagram, before validation drops)", st.KernelRx)
-	}
-}
-
 // TestBatchSyscallReduction is the measured acceptance check for the
-// batching itself: with a batch's worth of requests queued in the
+// batching itself: with two batches' worth of requests queued in the
 // socket before the loop starts, serving them all must cost at least
-// 8× fewer syscalls than the per-packet loop's two per reply. This is
+// 8× fewer syscalls than the portable I/O's two per reply. This is
 // deterministic even on a single-core runner, where a closed-loop
 // client would never build queue depth.
 func TestBatchSyscallReduction(t *testing.T) {
 	const queued = 64
-	srv, err := NewServer(ServerConfig{Clock: SystemServerClock(), Batch: batchMax})
+	srv, err := NewServer(ServerConfig{Clock: SystemServerClock()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +149,7 @@ func TestBatchSyscallReduction(t *testing.T) {
 	sys := st.RecvCalls + st.SendCalls
 	// Per-packet cost would be 2*queued syscalls; require ≥8× less.
 	if sys*8 > 2*st.Replied {
-		t.Errorf("served %d replies in %d syscalls (%d recv + %d send): less than an 8x reduction over the per-packet loop's %d",
+		t.Errorf("served %d replies in %d syscalls (%d recv + %d send): less than an 8x reduction over the portable I/O's %d",
 			st.Replied, sys, st.RecvCalls, st.SendCalls, 2*st.Replied)
 	}
 	if st.KernelRx+st.KernelRxMissing != st.Replied {
@@ -319,11 +222,102 @@ func TestBatchServeIPv6(t *testing.T) {
 	}
 }
 
-// TestBatchForcedOff: Batch=1 must route even a *net.UDPConn through
-// the portable per-packet loop (one recv and one send syscall per
-// reply — the syscall counters tell the loops apart).
-func TestBatchForcedOff(t *testing.T) {
-	srv, err := NewServer(ServerConfig{Clock: SystemServerClock(), Batch: 1})
+// plainConn hides a socket's concrete type, which is how a transport
+// that is not a *net.UDPConn looks to Serve: it gets the portable I/O.
+type plainConn struct{ net.PacketConn }
+
+// TestPacketIODifferential runs one datagram script over loopback
+// through each packetIO under the same loop. Everything the loop counts
+// must come out identical; only what the I/O itself contributes may
+// differ — its syscall counts, and whether a datagram carried a kernel
+// stamp (the portable I/O has none to offer, so all of its packets
+// count as missing one).
+func TestPacketIODifferential(t *testing.T) {
+	nonClient := Packet{Version: 4, Mode: ModeServer}
+	nc := nonClient.Marshal()
+	script := []struct {
+		req   []byte
+		reply bool
+	}{
+		{clientPacket(4), true},
+		{make([]byte, 20), false}, // short
+		{clientPacket(0), false},  // version 0: malformed
+		{nc[:], false},            // not a client request
+		{clientPacket(3), true},
+		{clientPacket(7), true},                     // served at version 4
+		{append(clientPacket(4), 1, 2, 3, 4), true}, // trailing extension bytes
+	}
+	run := func(wrap func(net.PacketConn) net.PacketConn) Stats {
+		t.Helper()
+		lim := ratelimit.New(ratelimit.Config{Rate: 1e9, Burst: 1e9})
+		srv, err := NewServer(ServerConfig{Clock: SystemServerClock(), Limit: lim})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pc, err := net.ListenPacket("udp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan struct{})
+		go func() { defer close(done); _ = srv.Serve(wrap(pc)) }()
+		defer func() { pc.Close(); <-done }()
+		for _, step := range script {
+			rawQuery(t, pc.LocalAddr(), step.req, step.reply)
+		}
+		for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(time.Millisecond) {
+			st := srv.Stats()
+			if st.Requests == uint64(len(script)) && st.Replied == 4 {
+				return st
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("counters never settled: %+v", st)
+			}
+		}
+	}
+	portable := run(func(pc net.PacketConn) net.PacketConn { return plainConn{pc} })
+	mmsg := run(func(pc net.PacketConn) net.PacketConn { return pc })
+
+	n := uint64(len(script))
+	if portable.RecvCalls != n || portable.SendCalls != portable.Replied {
+		t.Errorf("portable I/O: %d recv + %d send calls for %d requests, %d replies; want one each",
+			portable.RecvCalls, portable.SendCalls, n, portable.Replied)
+	}
+	if portable.KernelRx != 0 || portable.KernelRxMissing != n {
+		t.Errorf("portable I/O: KernelRx=%d KernelRxMissing=%d, want 0 and %d (no kernel stamp to offer)",
+			portable.KernelRx, portable.KernelRxMissing, n)
+	}
+	if mmsg.KernelRx+mmsg.KernelRxMissing != n {
+		t.Errorf("mmsg I/O: KernelRx=%d + KernelRxMissing=%d != %d requests", mmsg.KernelRx, mmsg.KernelRxMissing, n)
+	}
+	for _, st := range []*Stats{&portable, &mmsg} {
+		st.RecvCalls, st.SendCalls, st.KernelRx, st.KernelRxMissing = 0, 0, 0, 0
+	}
+	if portable != mmsg {
+		t.Errorf("the two packet I/Os disagree on what the loop counted:\nportable %+v\nmmsg     %+v", portable, mmsg)
+	}
+}
+
+// onceIO lets the loop run exactly one batch over the wrapped I/O, then
+// ends it.
+type onceIO struct {
+	packetIO
+	done bool
+}
+
+func (o *onceIO) recv(b *batch) (int, error) {
+	if o.done {
+		return 0, errScriptDone
+	}
+	o.done = true
+	return o.packetIO.recv(b)
+}
+
+// TestMmsgServeZeroAlloc is the runtime half of the //repro:hotpath gate
+// on the kernel-batched I/O: a full turn of the loop over a real socket
+// — recvmmsg, the per-packet pipeline, sendmmsg, the TX error-queue
+// drain — allocates nothing once the slabs exist.
+func TestMmsgServeZeroAlloc(t *testing.T) {
+	srv, err := NewServer(ServerConfig{Clock: SystemServerClock(), TxStamp: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,16 +325,42 @@ func TestBatchForcedOff(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	done := make(chan struct{})
-	go func() { defer close(done); _ = srv.Serve(pc) }()
-	defer func() { pc.Close(); <-done }()
-
-	rawQuery(t, pc.LocalAddr(), clientPacket(4), true)
-	st := srv.Stats()
-	if st.Replied != 1 || st.RecvCalls != 1 || st.SendCalls != 1 {
-		t.Errorf("Batch=1 stats = %+v, want the per-packet loop's 1 recv + 1 send for 1 reply", st)
+	defer pc.Close()
+	cli, err := net.Dial("udp", pc.LocalAddr().String())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if st.KernelRx+st.KernelRxMissing != 0 {
-		t.Errorf("per-packet loop counted kernel stamps: %+v", st)
+	defer cli.Close()
+	io, b := newMmsgIO(srv, pc)
+	if io == nil {
+		t.Fatal("no mmsg I/O for a UDP socket")
+	}
+	const depth = 8
+	req := clientPacket(4)
+	buf := make([]byte, 512)
+	cli.SetReadDeadline(time.Now().Add(10 * time.Second))
+	once := &onceIO{packetIO: io}
+	var read uint64
+	allocs := testing.AllocsPerRun(50, func() {
+		for i := 0; i < depth; i++ {
+			if _, err := cli.Write(req); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// The datagrams may arrive as one batch or several.
+		for want := read + depth; read < want; {
+			once.done = false
+			if err := srv.serve(once, b); err != errScriptDone {
+				t.Fatal(err)
+			}
+			for ; read < srv.Stats().Replied; read++ {
+				if _, err := cli.Read(buf); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("one turn of the loop over the mmsg I/O allocates %.1f times, want 0", allocs)
 	}
 }

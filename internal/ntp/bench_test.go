@@ -19,26 +19,32 @@ import (
 // replies; ns/op is the per-reply budget at that shard count, and the
 // shards=4 / shards=1 throughput ratio is the sharding win recorded in
 // PERF.md.
-// The batch dimension selects the serving loop: batch=1 forces the
-// portable per-packet loop (two syscalls per reply), batch=32 runs the
-// Linux recvmmsg/sendmmsg loop. The reported sys/reply metric is the
-// measured (RecvCalls+SendCalls)/Replied from the server's own
-// counters — on a single-core runner the closed-loop clients rarely
-// build real queue depth, so replies/s understates the batching win
-// while sys/reply still shows how much of the load arrived batched.
+// The io dimension selects the packet I/O under the one serving loop:
+// io=portable hides the sockets' type so Serve gives them the portable
+// one-ReadFrom-one-WriteTo I/O (two syscalls per reply), io=mmsg leaves
+// them as the UDP sockets they are, which on Linux means recvmmsg and
+// sendmmsg. The reported sys/reply metric is the measured
+// (RecvCalls+SendCalls)/Replied from the server's own counters — on a
+// single-core runner the closed-loop clients rarely build real queue
+// depth, so replies/s understates the batching win while sys/reply
+// still shows how much of the load arrived batched.
 func BenchmarkServeLoopback(b *testing.B) {
 	for _, dim := range []struct {
-		shards, batch int
-		txstamp       bool
+		shards   int
+		portable bool
+		txstamp  bool
 	}{
-		{1, 1, false}, {1, 32, false}, {2, 32, false}, {4, 32, false}, {1, 32, true},
+		{1, true, false}, {1, false, false}, {2, false, false}, {4, false, false}, {1, false, true},
 	} {
-		name := fmt.Sprintf("shards=%d/batch=%d", dim.shards, dim.batch)
+		name := fmt.Sprintf("shards=%d/io=mmsg", dim.shards)
+		if dim.portable {
+			name = fmt.Sprintf("shards=%d/io=portable", dim.shards)
+		}
 		if dim.txstamp {
 			name += "/txstamp"
 		}
 		b.Run(name, func(b *testing.B) {
-			benchServeLoopback(b, ServerConfig{Clock: SystemServerClock(), Batch: dim.batch, TxStamp: dim.txstamp}, dim.shards)
+			benchServeLoopback(b, ServerConfig{Clock: SystemServerClock(), TxStamp: dim.txstamp}, dim.shards, dim.portable)
 		})
 	}
 }
@@ -55,12 +61,12 @@ func BenchmarkServeLoopbackLimited(b *testing.B) {
 	for _, shards := range []int{1, 4} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
 			limit := ratelimit.New(ratelimit.Config{Rate: 1e9, Burst: 1e9})
-			benchServeLoopback(b, ServerConfig{Clock: SystemServerClock(), Limit: limit, Batch: 1}, shards)
+			benchServeLoopback(b, ServerConfig{Clock: SystemServerClock(), Limit: limit}, shards, false)
 		})
 	}
 }
 
-func benchServeLoopback(b *testing.B, cfg ServerConfig, shards int) {
+func benchServeLoopback(b *testing.B, cfg ServerConfig, shards int, portable bool) {
 	srv, err := NewServer(cfg)
 	if err != nil {
 		b.Fatal(err)
@@ -68,6 +74,9 @@ func benchServeLoopback(b *testing.B, cfg ServerConfig, shards int) {
 	sh, err := srv.ListenShards("udp", "127.0.0.1:0", shards)
 	if err != nil {
 		b.Fatal(err)
+	}
+	if portable {
+		sh.serveFn = func(pc net.PacketConn) error { return srv.Serve(struct{ net.PacketConn }{pc}) }
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	served := make(chan error, 1)

@@ -10,6 +10,16 @@
 // the implementation interoperates with standard NTP daemons, and so the
 // reference identifier is available to the future route-change detection
 // the paper mentions in Section 2.3.
+//
+// Serving has one loop (loop.go): receive a batch, one wall read, per
+// packet limit → kernel-stamp trust clamp → handlePacket → compact, send
+// the batch, count. It runs over a two-method packet-I/O seam whose
+// implementation Serve picks from the build target and the transport's
+// type — recvmmsg/sendmmsg with kernel timestamps on Linux UDP sockets
+// (batch_linux.go), a batch of one over ReadFrom/WriteTo anywhere else.
+// Every serving count is a metrics cell (counters, in udp.go): the loop
+// writes it, Stats and the log line read it, RegisterMetrics renders
+// it; nothing keeps a second copy.
 package ntp
 
 import (

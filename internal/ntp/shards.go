@@ -31,6 +31,8 @@ import (
 	"net"
 	"sync"
 	"time"
+
+	"repro/internal/metrics"
 )
 
 // ShardStats is the supervision view of one shard's serving loop.
@@ -59,7 +61,11 @@ type Shards struct {
 	mu     sync.Mutex
 	pcs    []net.PacketConn
 	closed bool
-	stats  []ShardStats
+	stats  []ShardStats // per-shard breakdown of restarts, with the errors
+
+	// restarts counts serving-loop failures across all shards: the cell
+	// the ntp_shard_restarts_total metric renders.
+	restarts metrics.Counter
 
 	// Supervision tuning; zero values take the defaults at Serve time.
 	backoffMin time.Duration // first restart delay (default 10 ms)
@@ -140,6 +146,15 @@ func (sh *Shards) Stats() []ShardStats {
 	return out
 }
 
+// RegisterMetrics renders the supervisor's restart cell and the shard
+// count in reg.
+func (sh *Shards) RegisterMetrics(reg *metrics.Registry) {
+	reg.RegisterCounter("ntp_shard_restarts_total", "Serving-loop failures recovered by the shard supervisor.", &sh.restarts)
+	reg.GaugeFunc("ntp_shards", "Serving shards on the listen address.", func() float64 {
+		return float64(sh.Size())
+	})
+}
+
 func (sh *Shards) defaults() {
 	if sh.backoffMin <= 0 {
 		sh.backoffMin = 10 * time.Millisecond
@@ -192,6 +207,7 @@ func (sh *Shards) recordFailure(i int, err error) {
 	}
 	sh.stats[i].Restarts++
 	sh.stats[i].LastError = err
+	sh.restarts.Inc()
 }
 
 // rebindShard binds a replacement socket for a condemned reuseport

@@ -1,7 +1,7 @@
 //go:build linux && (amd64 || arm64)
 
-// Kernel timestamping primitives shared by the batched serving loop
-// and the client exchange path: SO_TIMESTAMPING arming, the defensive
+// Kernel timestamping primitives shared by the serving loop's
+// recvmmsg/sendmmsg packet I/O and the client exchange path: SO_TIMESTAMPING arming, the defensive
 // SCM_TIMESTAMPING control-message walker (one walker for the RX cmsg
 // and the TX error-queue cmsg — the kernel uses the same message type
 // for both), error-queue payload↔reply correlation by the embedded
@@ -284,58 +284,38 @@ func (c *Client) applyKernelStamps(raw *RawExchange, cookie Time64, taWall time.
 	}
 
 	if !rx.kernel.IsZero() && !rx.wall.IsZero() {
-		age := rx.wall.Sub(rx.kernel)
-		usable := true
-		switch {
-		case age >= 0 && age <= stampMaxAge:
-		case age < 0 && age >= -stampSlack:
-			c.sc.clamped.Add(1)
-			age = 0
-		default:
-			c.sc.clamped.Add(1)
-			usable = false
+		age, usable, clamped := trustStamp(rx.wall.Sub(rx.kernel))
+		if clamped {
+			c.sc.clamped.Inc()
 		}
-		if usable {
-			units := uint64(age.Seconds() / ks.period)
-			if units <= raw.Tf {
-				raw.Tf -= units
-				raw.KernelTf = true
-				raw.TfDelta = age.Seconds()
-				c.sc.rxStamped.Add(1)
-				ewmaUpdate(&c.sc.tfDelta, raw.TfDelta)
-			} else {
-				usable = false
-			}
-		}
-		if !usable {
-			c.sc.rxMissing.Add(1)
+		if units := uint64(age.Seconds() / ks.period); usable && units <= raw.Tf {
+			raw.Tf -= units
+			raw.KernelTf = true
+			raw.TfDelta = age.Seconds()
+			c.sc.rxStamped.Inc()
+			c.sc.tfDelta.Observe(raw.TfDelta, StampDeltaAlpha)
+		} else {
+			c.sc.rxMissing.Inc()
 		}
 	} else {
-		c.sc.rxMissing.Add(1)
+		c.sc.rxMissing.Inc()
 	}
 
 	ks.wantCookie = uint64(cookie)
 	ks.got = false
 	if err := ks.rc.Control(ks.drain); err == nil && ks.got {
-		dwell := time.Unix(ks.gotSec, ks.gotNsec).Sub(taWall)
-		usable := true
-		switch {
-		case dwell >= 0 && dwell <= stampMaxAge:
-		case dwell < 0 && dwell >= -stampSlack:
-			c.sc.clamped.Add(1)
-			dwell = 0
-		default:
-			c.sc.clamped.Add(1)
-			usable = false
+		dwell, usable, clamped := trustStamp(time.Unix(ks.gotSec, ks.gotNsec).Sub(taWall))
+		if clamped {
+			c.sc.clamped.Inc()
 		}
 		if usable {
 			raw.Ta += uint64(dwell.Seconds() / ks.period)
 			raw.KernelTa = true
 			raw.TaDelta = dwell.Seconds()
-			c.sc.txStamped.Add(1)
-			ewmaUpdate(&c.sc.taDelta, raw.TaDelta)
+			c.sc.txStamped.Inc()
+			c.sc.taDelta.Observe(raw.TaDelta, StampDeltaAlpha)
 			return
 		}
 	}
-	c.sc.txMissing.Add(1)
+	c.sc.txMissing.Inc()
 }

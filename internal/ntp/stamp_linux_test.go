@@ -117,11 +117,11 @@ func TestTxPayloadCookie(t *testing.T) {
 	}
 }
 
-// newTestTxLoop hand-assembles the error-queue half of a batchLoop, as
+// newTestTxLoop hand-assembles the error-queue half of an mmsgIO, as
 // if TX stamping had been armed on a live socket.
-func newTestTxLoop(t *testing.T, s *Server) *batchLoop {
+func newTestTxLoop(t *testing.T, s *Server) *mmsgIO {
 	t.Helper()
-	return &batchLoop{
+	return &mmsgIO{
 		srv:        s,
 		txStamping: true,
 		errPkt:     make([]byte, errBatch*errBufSize),
@@ -136,7 +136,7 @@ func newTestTxLoop(t *testing.T, s *Server) *batchLoop {
 // fake IP/UDP header prefix, the reply payload carrying the cookie,
 // and an SCM_TIMESTAMPING cmsg (preceded by the sock_extended_err a
 // real read carries) stamping the given instant.
-func queueTxStamp(bl *batchLoop, slot, prefix int, cookie uint64, stamp time.Time) {
+func queueTxStamp(bl *mmsgIO, slot, prefix int, cookie uint64, stamp time.Time) {
 	reply := replyBytes(cookie)
 	off := slot * errBufSize
 	for i := 0; i < prefix; i++ {
@@ -150,8 +150,8 @@ func queueTxStamp(bl *batchLoop, slot, prefix int, cookie uint64, stamp time.Tim
 }
 
 // recordSent plants a sent-reply record in the correlation ring, as
-// flush does after a successful sendmmsg.
-func recordSent(bl *batchLoop, cookie uint64, sent int64) {
+// send does after a successful sendmmsg.
+func recordSent(bl *mmsgIO, cookie uint64, sent int64) {
 	bl.txRingInsert(cookie, sent)
 }
 
@@ -166,12 +166,11 @@ func TestTxStampCorrelation(t *testing.T) {
 	}
 	bl := newTestTxLoop(t, srv)
 	proc := time.Now()
-	bl.procWall = proc.UnixNano()
 
 	const dwell = 250 * time.Microsecond
-	recordSent(bl, 0x1111, bl.procWall)
-	recordSent(bl, 0x2222, bl.procWall)
-	recordSent(bl, 0x3333, bl.procWall)
+	recordSent(bl, 0x1111, proc.UnixNano())
+	recordSent(bl, 0x2222, proc.UnixNano())
+	recordSent(bl, 0x3333, proc.UnixNano())
 	queueTxStamp(bl, 0, 28, 0x1111, proc.Add(dwell))         // IPv4-shaped, correlates
 	queueTxStamp(bl, 1, 48, 0x2222, proc.Add(dwell))         // IPv6-shaped, correlates
 	queueTxStamp(bl, 2, 28, 0x9999, proc.Add(dwell))         // never sent: uncorrelatable
@@ -214,7 +213,7 @@ func TestTxAdvanceClamp(t *testing.T) {
 	if adv := srv.txAdvance(); adv != 0 {
 		t.Errorf("txAdvance before any stamp = %v, want 0", adv)
 	}
-	srv.recordTxDwell(int64(5 * time.Millisecond)) // pathological dwell
+	srv.recordTxDwell(5 * time.Millisecond) // pathological dwell
 	if ewma := srv.Stats().TxDwellEWMA; ewma != 5*time.Millisecond {
 		t.Errorf("TxDwellEWMA = %v, want 5ms seed", ewma)
 	}
@@ -234,10 +233,9 @@ func TestTxDrainZeroAlloc(t *testing.T) {
 	}
 	bl := newTestTxLoop(t, srv)
 	proc := time.Now()
-	bl.procWall = proc.UnixNano()
 	for i := 0; i < errBatch; i++ {
 		ck := uint64(0x4000 + i)
-		recordSent(bl, ck, bl.procWall)
+		recordSent(bl, ck, proc.UnixNano())
 		queueTxStamp(bl, i, 28, ck, proc.Add(100*time.Microsecond))
 	}
 	allocs := testing.AllocsPerRun(200, func() {
@@ -255,7 +253,7 @@ func TestTxDrainZeroAlloc(t *testing.T) {
 // Transmit without ever violating Tb ≤ Te ordering for clients.
 func TestBatchTxStampCoverage(t *testing.T) {
 	const queued = 64
-	srv, err := NewServer(ServerConfig{Clock: SystemServerClock(), TxStamp: true, Batch: batchMax})
+	srv, err := NewServer(ServerConfig{Clock: SystemServerClock(), TxStamp: true})
 	if err != nil {
 		t.Fatal(err)
 	}

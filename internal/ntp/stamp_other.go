@@ -39,3 +39,8 @@ func EnableRxTimestamping(uc *net.UDPConn) bool { return false }
 // RxTimestampFromOOB never finds a stamp on platforms without
 // SO_TIMESTAMPING.
 func RxTimestampFromOOB(oob []byte) (time.Time, bool) { return time.Time{}, false }
+
+// newMmsgIO has nothing to offer without recvmmsg/sendmmsg (or on an
+// architecture whose syscall numbers and cmsg layout this package does
+// not carry): the portable packet I/O serves everything.
+func newMmsgIO(s *Server, pc net.PacketConn) (packetIO, *batch) { return nil, nil }

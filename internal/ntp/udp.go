@@ -7,9 +7,9 @@ import (
 	"fmt"
 	"math"
 	"net"
-	"sync/atomic"
 	"time"
 
+	"repro/internal/metrics"
 	"repro/internal/ratelimit"
 )
 
@@ -89,7 +89,7 @@ type Client struct {
 	timeout time.Duration
 	version uint8
 	ks      *kernelStamps // kernel SO_TIMESTAMPING state; nil = userspace stamps
-	sc      clientStampCounters
+	sc      clientStampCells
 }
 
 // NewClient returns a client that exchanges NTP packets on conn (already
@@ -129,18 +129,23 @@ const (
 	txAdvanceMax = time.Millisecond
 )
 
-// clientStampCounters is the atomic backing of ClientStampStats. The
-// exchange path is single-goroutine per client, but stats are read by
-// metric scrapes, so every field is atomic.
-type clientStampCounters struct {
-	txStamped atomic.Uint64
-	txMissing atomic.Uint64
-	rxStamped atomic.Uint64
-	rxMissing atomic.Uint64
-	clamped   atomic.Uint64
-	taDelta   atomic.Uint64 // float64 bits of the Ta-delta EWMA (seconds)
-	tfDelta   atomic.Uint64 // float64 bits of the Tf-delta EWMA (seconds)
+// clientStampCells are the cells behind ClientStampStats. The exchange
+// path is single-goroutine per client, but stats are read by metric
+// scrapes, so every field is an atomic cell.
+type clientStampCells struct {
+	txStamped metrics.Counter
+	txMissing metrics.Counter
+	rxStamped metrics.Counter
+	rxMissing metrics.Counter
+	clamped   metrics.Counter
+	taDelta   metrics.EWMA // Ta delta, seconds
+	tfDelta   metrics.EWMA // Tf delta, seconds
 }
+
+// StampDeltaAlpha is the gain of the kernel-vs-userspace stamp-delta
+// averages, here and per upstream slot: one exchange per poll is a slow
+// stream, so the average follows it quickly.
+const StampDeltaAlpha = 1.0 / 8
 
 // ClientStampStats is a snapshot of a client's kernel-stamp coverage:
 // how many exchanges got their Ta from the error-queue TX stamp and
@@ -161,29 +166,13 @@ type ClientStampStats struct {
 // zeros when kernel stamping was never armed.
 func (c *Client) StampStats() ClientStampStats {
 	return ClientStampStats{
-		TxStamped: c.sc.txStamped.Load(),
-		TxMissing: c.sc.txMissing.Load(),
-		RxStamped: c.sc.rxStamped.Load(),
-		RxMissing: c.sc.rxMissing.Load(),
-		Clamped:   c.sc.clamped.Load(),
-		TaDelta:   math.Float64frombits(c.sc.taDelta.Load()),
-		TfDelta:   math.Float64frombits(c.sc.tfDelta.Load()),
-	}
-}
-
-// ewmaUpdate folds one sample into a float64-bits EWMA cell with
-// alpha 1/8, seeding from the first sample.
-func ewmaUpdate(bits *atomic.Uint64, v float64) {
-	for {
-		old := bits.Load()
-		next := v
-		if old != 0 {
-			cur := math.Float64frombits(old)
-			next = cur + (v-cur)/8
-		}
-		if bits.CompareAndSwap(old, math.Float64bits(next)) {
-			return
-		}
+		TxStamped: c.sc.txStamped.Value(),
+		TxMissing: c.sc.txMissing.Value(),
+		RxStamped: c.sc.rxStamped.Value(),
+		RxMissing: c.sc.rxMissing.Value(),
+		Clamped:   c.sc.clamped.Value(),
+		TaDelta:   c.sc.taDelta.Value(),
+		TfDelta:   c.sc.tfDelta.Value(),
 	}
 }
 
@@ -270,6 +259,15 @@ func (c *Client) Exchange() (RawExchange, error) {
 		if resp.Stratum == 0 { // kiss-of-death
 			return raw, fmt.Errorf("ntp: kiss-of-death from server (refid %q)", resp.RefIDString())
 		}
+		if resp.Transmit.IsZero() || int64(resp.Transmit-resp.Receive) < 0 {
+			// No transmit stamp, or one that precedes the receive stamp
+			// (compared modulo the era, as the wire format wraps): a
+			// negative server residence is not a measurement, and no data
+			// beats bad data. Keep waiting, as for a stale origin. Leap=3
+			// replies are deliberately let through: the ladder's
+			// dead-chain rung depends on seeing those identities.
+			continue
+		}
 		raw.Tf = tf
 		raw.Tb = resp.Receive.Seconds()
 		raw.Te = resp.Transmit.Seconds()
@@ -326,18 +324,6 @@ type ServerConfig struct {
 	// own bucket instead of a shard's cycles. Nil serves unlimited.
 	Limit *ratelimit.Limiter
 
-	// Batch is the serving loop's syscall batching factor on platforms
-	// with recvmmsg/sendmmsg (Linux amd64/arm64): each receive syscall
-	// drains up to Batch datagrams off the socket and each send syscall
-	// answers a whole batch, so the per-reply syscall cost is ~2/Batch
-	// instead of 2. Batched sockets also arm SO_TIMESTAMPING, so the
-	// Receive stamp of every reply reflects the kernel's NIC-adjacent
-	// arrival time rather than the scheduler wakeup that dequeued it.
-	// 0 takes the default (32); 1 forces the per-packet loop; values
-	// above 64 are clamped. Platforms without recvmmsg — and transports
-	// that are not *net.UDPConn — always serve per-packet.
-	Batch int
-
 	// TxStamp arms SOF_TIMESTAMPING_TX_SOFTWARE on batched sockets: the
 	// kernel loops a software transmit stamp for every reply back on the
 	// socket error queue, the serving loop drains it (batched, non-
@@ -349,7 +335,7 @@ type ServerConfig struct {
 	// adjacent arrival. Off by default: unlike the RX backdate — a
 	// per-packet measurement — the TX advance is a prediction, and
 	// operators should opt in after looking at the dwell distribution.
-	// Ignored by the per-packet fallback loop.
+	// Ignored where the portable packet I/O serves (see Serve).
 	TxStamp bool
 }
 
@@ -365,21 +351,21 @@ type Stats struct {
 	WriteErrors uint64 // reply writes that failed
 
 	// RecvCalls and SendCalls count the receive and send syscalls the
-	// serving loops issued. The per-packet loop pays one of each per
-	// reply; the batched loop amortizes each across up to Batch
+	// serving loop's packet I/O issued. The portable I/O pays one of
+	// each per reply; recvmmsg/sendmmsg amortize each across up to 32
 	// packets, so (RecvCalls+SendCalls)/Replied is the measured
 	// syscalls-per-reply figure the batching exists to shrink.
 	RecvCalls uint64
 	SendCalls uint64
 
-	// KernelRx counts batched datagrams that arrived with a usable
-	// kernel SO_TIMESTAMPING RX timestamp (their replies, if any, have
-	// Receive backdated to kernel arrival); KernelRxMissing counts
-	// batched datagrams without one (option unsupported, cmsg omitted
-	// by the kernel, or a stamp too stale/garbled to trust).
-	// Rate-limited packets are dropped before stamp parsing, and the
-	// per-packet fallback loop never attempts kernel stamping, so
-	// neither counts under these.
+	// KernelRx counts datagrams that arrived with a usable kernel
+	// SO_TIMESTAMPING RX timestamp (their replies, if any, have Receive
+	// backdated to kernel arrival); KernelRxMissing counts datagrams
+	// without one (option unsupported, cmsg omitted by the kernel, a
+	// stamp too stale/garbled to trust — or the portable packet I/O,
+	// which supplies no kernel stamp, so every packet it serves counts
+	// here like any other stampless datagram). Rate-limited packets are
+	// dropped before their stamp is looked at and count under neither.
 	KernelRx        uint64
 	KernelRxMissing uint64
 
@@ -388,7 +374,7 @@ type Stats struct {
 	// EWMA); KernelTxMissing counts error-queue packets that could not
 	// be used (no cmsg stamp, uncorrelatable cookie, or a dwell outside
 	// the trust clamp). Both stay zero unless ServerConfig.TxStamp armed
-	// TX stamping on a batched socket.
+	// TX stamping on a recvmmsg/sendmmsg-served socket.
 	KernelTx        uint64
 	KernelTxMissing uint64
 
@@ -420,68 +406,52 @@ var TxDwellBounds = [7]float64{1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1}
 // packets are counted separately: they may be perfectly well-formed).
 func (s Stats) Dropped() uint64 { return s.Short + s.Malformed + s.NonClient }
 
-// counters is the atomic backing of Stats; one instance is shared by
-// every shard goroutine of a Server.
+// counters are the cells behind Stats — the one place a serving count
+// lives: the loop and its packet I/O write them, Stats, the log line
+// and the metric scrape (RegisterMetrics) read them. One instance is
+// shared by every shard goroutine of a Server.
 type counters struct {
-	requests        atomic.Uint64
-	replied         atomic.Uint64
-	short           atomic.Uint64
-	malformed       atomic.Uint64
-	nonClient       atomic.Uint64
-	rateLimited     atomic.Uint64
-	writeErrors     atomic.Uint64
-	recvCalls       atomic.Uint64
-	sendCalls       atomic.Uint64
-	kernelRx        atomic.Uint64
-	kernelRxMissing atomic.Uint64
-	kernelTx        atomic.Uint64
-	kernelTxMissing atomic.Uint64
-	stampClamped    atomic.Uint64
+	requests        metrics.Counter
+	replied         metrics.Counter
+	short           metrics.Counter
+	malformed       metrics.Counter
+	nonClient       metrics.Counter
+	rateLimited     metrics.Counter
+	writeErrors     metrics.Counter
+	recvCalls       metrics.Counter
+	sendCalls       metrics.Counter
+	kernelRx        metrics.Counter
+	kernelRxMissing metrics.Counter
+	kernelTx        metrics.Counter
+	kernelTxMissing metrics.Counter
+	stampClamped    metrics.Counter
 
-	// txDwellEWMA holds the dwell EWMA in nanoseconds; txDwellSum the
-	// float64 bits of the cumulative dwell in seconds; txDwellBuckets
-	// the non-cumulative histogram counts (bucket i covers dwell ≤
-	// TxDwellBounds[i]; the last is the overflow bucket).
-	txDwellEWMA    atomic.Int64
-	txDwellSum     atomic.Uint64
-	txDwellBuckets [len(TxDwellBounds) + 1]atomic.Uint64
+	txDwellEWMA metrics.EWMA       // seconds
+	txDwell     *metrics.Histogram // seconds, TxDwellBounds buckets
 }
 
-// recordTxDwell folds one measured userspace→kernel TX dwell (in
-// nanoseconds, already clamp-checked by the caller) into the EWMA and
-// the histogram.
-func (s *Server) recordTxDwell(nanos int64) {
-	for {
-		old := s.stats.txDwellEWMA.Load()
-		next := nanos
-		if old != 0 {
-			next = old + (nanos-old)/16
-		}
-		if s.stats.txDwellEWMA.CompareAndSwap(old, next) {
-			break
-		}
-	}
-	sec := float64(nanos) / 1e9
-	for {
-		old := s.stats.txDwellSum.Load()
-		next := math.Float64bits(math.Float64frombits(old) + sec)
-		if s.stats.txDwellSum.CompareAndSwap(old, next) {
-			break
-		}
-	}
-	i := 0
-	for i < len(TxDwellBounds) && sec > TxDwellBounds[i] {
-		i++
-	}
-	s.stats.txDwellBuckets[i].Add(1)
+// txDwellAlpha is the gain of the TX dwell average: thousands of
+// samples a second, so a slow gain that rides through a burst.
+const txDwellAlpha = 1.0 / 16
+
+// recordTxDwell folds one measured userspace→kernel TX dwell (already
+// clamp-checked by the caller) into the EWMA and the histogram.
+//
+//repro:hotpath
+func (s *Server) recordTxDwell(dwell time.Duration) {
+	sec := dwell.Seconds()
+	s.stats.txDwellEWMA.Observe(sec, txDwellAlpha)
+	s.stats.txDwell.Observe(sec)
 }
 
 // txAdvance returns the Transmit forward-dating the serving loop should
 // apply: the dwell EWMA clamped to [0, txAdvanceMax]. Zero until the
 // first TX stamp correlates (and always zero when TxStamp is off — the
 // EWMA never moves).
+//
+//repro:hotpath
 func (s *Server) txAdvance() time.Duration {
-	d := time.Duration(s.stats.txDwellEWMA.Load())
+	d := secondsToDuration(s.stats.txDwellEWMA.Value())
 	if d <= 0 {
 		return 0
 	}
@@ -489,6 +459,13 @@ func (s *Server) txAdvance() time.Duration {
 		return txAdvanceMax
 	}
 	return d
+}
+
+// secondsToDuration rounds float seconds to the nearest nanosecond.
+//
+//repro:hotpath
+func secondsToDuration(sec float64) time.Duration {
+	return time.Duration(math.Round(sec * 1e9))
 }
 
 // Server is a minimal NTP responder. It answers client-mode requests
@@ -501,8 +478,8 @@ func (s *Server) txAdvance() time.Duration {
 type Server struct {
 	sample  SampleClock
 	limit   *ratelimit.Limiter
-	batch   int
 	txStamp bool
+	now     func() time.Time // the loop's wall clock; time.Now outside tests
 	stats   counters
 }
 
@@ -535,115 +512,77 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 			return s
 		}
 	}
-	return &Server{sample: sample, limit: cfg.Limit, batch: cfg.Batch, txStamp: cfg.TxStamp}, nil
+	s := &Server{sample: sample, limit: cfg.Limit, txStamp: cfg.TxStamp, now: time.Now}
+	s.stats.txDwell = metrics.NewHistogram(TxDwellBounds[:]...)
+	return s, nil
 }
 
 // Stats returns a snapshot of the request counters.
 func (s *Server) Stats() Stats {
+	c := &s.stats
 	st := Stats{
-		Requests:        s.stats.requests.Load(),
-		Replied:         s.stats.replied.Load(),
-		Short:           s.stats.short.Load(),
-		Malformed:       s.stats.malformed.Load(),
-		NonClient:       s.stats.nonClient.Load(),
-		RateLimited:     s.stats.rateLimited.Load(),
-		WriteErrors:     s.stats.writeErrors.Load(),
-		RecvCalls:       s.stats.recvCalls.Load(),
-		SendCalls:       s.stats.sendCalls.Load(),
-		KernelRx:        s.stats.kernelRx.Load(),
-		KernelRxMissing: s.stats.kernelRxMissing.Load(),
-		KernelTx:        s.stats.kernelTx.Load(),
-		KernelTxMissing: s.stats.kernelTxMissing.Load(),
-		StampClamped:    s.stats.stampClamped.Load(),
-		TxDwellEWMA:     time.Duration(s.stats.txDwellEWMA.Load()),
-		TxDwellSum:      math.Float64frombits(s.stats.txDwellSum.Load()),
+		Requests:        c.requests.Value(),
+		Replied:         c.replied.Value(),
+		Short:           c.short.Value(),
+		Malformed:       c.malformed.Value(),
+		NonClient:       c.nonClient.Value(),
+		RateLimited:     c.rateLimited.Value(),
+		WriteErrors:     c.writeErrors.Value(),
+		RecvCalls:       c.recvCalls.Value(),
+		SendCalls:       c.sendCalls.Value(),
+		KernelRx:        c.kernelRx.Value(),
+		KernelRxMissing: c.kernelRxMissing.Value(),
+		KernelTx:        c.kernelTx.Value(),
+		KernelTxMissing: c.kernelTxMissing.Value(),
+		StampClamped:    c.stampClamped.Value(),
+		TxDwellEWMA:     secondsToDuration(c.txDwellEWMA.Value()),
+		TxDwellSum:      c.txDwell.Sum(),
 	}
-	var cum uint64
-	for i := range st.TxDwell {
-		cum += s.stats.txDwellBuckets[i].Load()
-		st.TxDwell[i] = cum
-	}
+	c.txDwell.Cumulative(st.TxDwell[:])
 	return st
 }
 
-// Serve answers requests on pc until the connection is closed or a
-// non-timeout read error occurs; reply WRITE failures are per-packet
-// (a spoofed unroutable source must not cost the shard) — counted in
-// Stats and skipped. Requests on one socket are processed
-// sequentially, which keeps that socket's receive/transmit stamps
-// ordered; run several Serve loops (ListenShards) to scale across
-// cores.
-//
-// On Linux amd64/arm64 with a *net.UDPConn transport and Batch > 1,
-// Serve runs the batched hot loop: recvmmsg drains up to Batch
-// datagrams per syscall, the per-packet pipeline runs over the batch
-// in place, and one sendmmsg answers it, with kernel SO_TIMESTAMPING
-// RX stamps backdating each reply's Receive field to NIC-adjacent
-// arrival. Everywhere else (other platforms, non-UDP transports,
-// Batch = 1) the per-packet fallback loop serves with identical
-// validation, counting and reply semantics.
-func (s *Server) Serve(pc net.PacketConn) error {
-	if handled, err := s.serveBatch(pc); handled {
-		return err
-	}
-	return s.servePacket(pc)
-}
-
-// servePacket is the portable per-packet serving loop: one ReadFrom
-// and one WriteTo syscall per reply.
-//
-//repro:hotpath
-func (s *Server) servePacket(pc net.PacketConn) error {
-	var buf [512]byte
-	var out [PacketSize]byte
-	for {
-		n, addr, err := pc.ReadFrom(buf[:])
-		if err != nil {
-			var nerr net.Error
-			//repro:alloc-ok read-error path: errors.As boxes its target only when ReadFrom fails, never per served packet
-			if errors.As(err, &nerr) && nerr.Timeout() {
-				continue
-			}
-			return err
+// RegisterMetrics renders the serving cells in reg — the same cells
+// Stats reads, so a scrape copies nothing and concurrent scrapes see
+// monotone counters.
+func (s *Server) RegisterMetrics(reg *metrics.Registry) {
+	c := &s.stats
+	reg.RegisterCounter("ntp_requests_total", "Datagrams received on the serving sockets.", &c.requests)
+	reg.RegisterCounter("ntp_replies_total", "Server-mode replies sent.", &c.replied)
+	dropped := reg.CounterVec("ntp_dropped_total", "Datagrams dropped before a reply, by reason.", "reason")
+	dropped.Register(&c.short, "short")
+	dropped.Register(&c.malformed, "malformed")
+	dropped.Register(&c.nonClient, "nonclient")
+	reg.RegisterCounter("ntp_rate_limited_total", "Requests dropped by the per-prefix token bucket.", &c.rateLimited)
+	reg.RegisterCounter("ntp_write_errors_total", "Reply writes that failed.", &c.writeErrors)
+	reg.RegisterCounter("ntp_recv_syscalls_total", "Receive syscalls issued by the serving loops (recvmmsg drains a whole batch per call).", &c.recvCalls)
+	reg.RegisterCounter("ntp_send_syscalls_total", "Send syscalls issued by the serving loops (sendmmsg answers a whole batch per call).", &c.sendCalls)
+	reg.RegisterCounter("ntp_kernel_rx_stamps_total", "Batched datagrams carrying a usable kernel SO_TIMESTAMPING RX timestamp.", &c.kernelRx)
+	reg.RegisterCounter("ntp_kernel_rx_missing_total", "Batched datagrams served without a usable kernel RX timestamp.", &c.kernelRxMissing)
+	reg.RegisterCounter("ntp_kernel_tx_stamps_total", "Replies whose kernel TX stamp came back on the error queue and correlated to a recorded send.", &c.kernelTx)
+	reg.RegisterCounter("ntp_kernel_tx_missing_total", "Error-queue entries without a usable, correlatable TX stamp.", &c.kernelTxMissing)
+	reg.RegisterCounter("ntp_stamp_clamped_total", "Kernel timestamps (RX and TX) rejected or clipped by the shared trust clamp — a rising value means the host clock is stepping.", &c.stampClamped)
+	reg.RegisterHistogram("ntp_tx_dwell_seconds", "Measured userspace-to-kernel TX dwell per stamped reply.", c.txDwell)
+	reg.GaugeFunc("ntp_tx_dwell_ewma_seconds", "Current TX dwell EWMA: the forward-dating the serving loop applies to Transmit when -txstamp is on (before the clamp).", c.txDwellEWMA.Value)
+	// The average receive batch depth per syscall is the lever batched
+	// I/O exists to pull; near 1.0 it means the socket never builds
+	// queue depth and each reply pays its own pair of syscalls.
+	reg.GaugeFunc("ntp_rx_batch_avg", "Mean datagrams drained per receive syscall since start.", func() float64 {
+		calls := c.recvCalls.Value()
+		if calls == 0 {
+			return 0
 		}
-		s.stats.recvCalls.Add(1)
-		s.stats.requests.Add(1)
-		// The rate limiter runs before any parsing: an over-budget
-		// prefix must not buy header validation, let alone a clock
-		// sample. A nil limiter costs one predictable branch.
-		if s.limit != nil && !s.limit.AllowAddr(addr) {
-			s.stats.rateLimited.Add(1)
-			continue
-		}
-		if !s.handlePacket(buf[:n], &out, 0, 0) {
-			continue
-		}
-		s.stats.sendCalls.Add(1)
-		if _, err := pc.WriteTo(out[:], addr); err != nil {
-			// Reply write failures are per-packet, not per-server: a
-			// request from a spoofed broadcast source (EACCES) or a
-			// transient ENOBUFS must cost one counted drop, not the
-			// shard — and with fail-fast shards, not the whole relay.
-			// Only a closed socket ends the loop.
-			s.stats.writeErrors.Add(1)
-			if errors.Is(err, net.ErrClosed) {
-				return err
-			}
-			continue
-		}
-		s.stats.replied.Add(1)
-	}
+		return float64(c.requests.Value()) / float64(calls)
+	})
 }
 
 // handlePacket is the per-packet serving pipeline over caller-owned
 // buffers: validate the datagram in `in` (mutated in place for the
 // v5+ version clamp), stamp one clock sample, and marshal the reply
 // into out. It returns true when out holds a reply to send; drops are
-// counted internally (short, malformed, non-client). The caller owns
-// the surrounding concerns — counting the request, rate limiting,
-// sending the reply and counting its outcome — because those differ
-// between the per-packet and batched loops while this pipeline must
-// not.
+// counted internally (short, malformed, non-client). The serving loop
+// owns the surrounding concerns — counting the request, rate limiting,
+// sending the reply and counting its outcome.
 //
 // Input validation is explicit rather than delegated to Unmarshal:
 // packets shorter than the 48-byte v4 header and version-0 packets are
@@ -665,12 +604,12 @@ func (s *Server) servePacket(pc net.PacketConn) error {
 //repro:hotpath
 func (s *Server) handlePacket(in []byte, out *[PacketSize]byte, rxAge, txAdvance time.Duration) bool {
 	if len(in) < PacketSize {
-		s.stats.short.Add(1)
+		s.stats.short.Inc()
 		return false
 	}
 	ver := (in[0] >> 3) & 0x7
 	if ver == 0 {
-		s.stats.malformed.Add(1)
+		s.stats.malformed.Inc()
 		return false
 	}
 	if ver > 4 {
@@ -681,11 +620,11 @@ func (s *Server) handlePacket(in []byte, out *[PacketSize]byte, rxAge, txAdvance
 	}
 	var req Packet
 	if err := req.Unmarshal(in); err != nil {
-		s.stats.malformed.Add(1)
+		s.stats.malformed.Inc()
 		return false
 	}
 	if req.Mode != ModeClient {
-		s.stats.nonClient.Add(1)
+		s.stats.nonClient.Inc()
 		return false
 	}
 	// One sample stamps the whole reply. Sampling only for packets

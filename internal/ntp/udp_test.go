@@ -3,6 +3,7 @@ package ntp
 import (
 	"math"
 	"net"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -200,7 +201,7 @@ func TestClientOriginCookie(t *testing.T) {
 				{Origin: last, Receive: Time64FromSeconds(staleTb)},
 				{Origin: req.Transmit, Receive: Time64FromSeconds(goodTb)},
 			} {
-				r.Version, r.Mode, r.Stratum = 4, ModeServer, 1
+				r.Version, r.Mode, r.Stratum, r.Transmit = 4, ModeServer, 1, r.Receive
 				out := r.Marshal()
 				pc.WriteTo(out[:], addr)
 			}
@@ -233,5 +234,60 @@ func TestClientOriginCookie(t *testing.T) {
 	// 2e-6; a clock reading does every time.
 	if nearNow > 1 {
 		t.Errorf("%d of %d cookies read as the current time: the origin is predictable", nearNow, exchanges)
+	}
+}
+
+// TestClientPassesOverImplausibleStamps: a reply that echoes the right
+// cookie but carries no Transmit stamp, or one that precedes its own
+// Receive stamp, would hand the engine a negative server residence.
+// Exchange passes over it and takes the good reply that follows — and,
+// when none follows, times out like any lost packet.
+func TestClientPassesOverImplausibleStamps(t *testing.T) {
+	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pc.Close()
+	const goodTb = 2222
+	var sendGood atomic.Bool
+	sendGood.Store(true)
+	go func() {
+		var buf [512]byte
+		for {
+			n, addr, err := pc.ReadFrom(buf[:])
+			if err != nil {
+				return
+			}
+			var req Packet
+			if err := req.Unmarshal(buf[:n]); err != nil {
+				return
+			}
+			replies := []Packet{
+				{Receive: Time64FromSeconds(1111)},                                    // Transmit unset
+				{Receive: Time64FromSeconds(1111), Transmit: Time64FromSeconds(1110)}, // Te < Tb
+			}
+			if sendGood.Load() {
+				replies = append(replies, Packet{Receive: Time64FromSeconds(goodTb), Transmit: Time64FromSeconds(goodTb + 1e-4)})
+			}
+			for _, r := range replies {
+				r.Version, r.Mode, r.Stratum, r.Origin = 4, ModeServer, 1, req.Transmit
+				out := r.Marshal()
+				pc.WriteTo(out[:], addr)
+			}
+		}
+	}()
+
+	counter, _ := MonotonicCounter()
+	c := NewClient(dial(t, pc.LocalAddr()), counter, 200*time.Millisecond)
+	raw, err := c.Exchange()
+	if err != nil {
+		t.Fatalf("exchange behind two implausible replies: %v", err)
+	}
+	if raw.Tb != goodTb || raw.Te < raw.Tb {
+		t.Errorf("took Tb=%v Te=%v, want the good reply (Tb %v, Te after it)", raw.Tb, raw.Te, float64(goodTb))
+	}
+	sendGood.Store(false)
+	if raw, err := c.Exchange(); err == nil {
+		t.Errorf("exchange with only implausible replies returned Tb=%v Te=%v, want a timeout", raw.Tb, raw.Te)
 	}
 }

@@ -20,10 +20,10 @@ package ratelimit
 import (
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/cacheline"
+	"repro/internal/metrics"
 )
 
 // Config tunes a Limiter.
@@ -100,8 +100,8 @@ type Limiter struct {
 	// the runtime monotonic clock.
 	now func() int64
 
-	denied    atomic.Uint64
-	untracked atomic.Uint64
+	denied    metrics.Counter
+	untracked metrics.Counter
 }
 
 // New constructs a limiter; zero config fields take defaults.
@@ -176,20 +176,17 @@ func PrefixKey16(a *[16]byte) uint64 {
 		uint64(a[3])<<16 | uint64(a[4])<<8 | uint64(a[5])
 }
 
-// AllowAddr applies Allow to a packet source as the serve loop sees it
-// (fail open on non-UDP or unparseable sources).
+// AddrKey is PrefixKey for a packet source as a net.PacketConn reports
+// it. ok is false for non-UDP or unparseable sources, which the caller
+// should admit without asking Allow (fail open).
 //
 //repro:hotpath
-func (l *Limiter) AllowAddr(addr net.Addr) bool {
+func AddrKey(addr net.Addr) (key uint64, ok bool) {
 	ua, ok := addr.(*net.UDPAddr)
 	if !ok {
-		return true
+		return 0, false
 	}
-	key, ok := PrefixKey(ua.IP)
-	if !ok {
-		return true
-	}
-	return l.Allow(key)
+	return PrefixKey(ua.IP)
 }
 
 // shard returns the table shard a key lives in. Fibonacci mixing spreads
@@ -215,7 +212,7 @@ func (l *Limiter) Allow(key uint64) bool {
 		}
 		if len(sh.m) >= l.maxShard {
 			sh.mu.Unlock()
-			l.untracked.Add(1)
+			l.untracked.Inc()
 			return true
 		}
 		sh.m[key] = bucket{tokens: l.cfg.Burst - 1, last: now}
@@ -234,7 +231,7 @@ func (l *Limiter) Allow(key uint64) bool {
 	sh.m[key] = b
 	sh.mu.Unlock()
 	if !allowed {
-		l.denied.Add(1)
+		l.denied.Inc()
 	}
 	return allowed
 }
@@ -264,9 +261,19 @@ func (l *Limiter) Len() int {
 }
 
 // Denied returns the total requests rejected over budget.
-func (l *Limiter) Denied() uint64 { return l.denied.Load() }
+func (l *Limiter) Denied() uint64 { return l.denied.Value() }
 
 // Untracked returns the requests admitted without tracking because the
 // bucket table was full of live entries — the signature of a prefix-
 // churn attack outliving the table bound.
-func (l *Limiter) Untracked() uint64 { return l.untracked.Load() }
+func (l *Limiter) Untracked() uint64 { return l.untracked.Value() }
+
+// RegisterMetrics renders the limiter's table occupancy and its
+// fail-open counter cell (denials are counted, and rendered, by the
+// server that dropped the packet).
+func (l *Limiter) RegisterMetrics(reg *metrics.Registry) {
+	reg.GaugeFunc("ratelimit_tracked_prefixes", "Client prefixes with a live token bucket.", func() float64 {
+		return float64(l.Len())
+	})
+	reg.RegisterCounter("ratelimit_untracked_total", "Requests admitted without tracking because the bucket table was full (fail open).", &l.untracked)
+}

@@ -168,16 +168,19 @@ func TestPrefixKey(t *testing.T) {
 	}
 }
 
+// TestAllowAddrFailsOpen: non-UDP and IP-less sources are not evidence
+// of abuse — AddrKey gives them no key, so the serving loop admits them
+// without spending anyone's bucket (ntp's TestServeUnkeyedFailsOpen is
+// the loop's half of this).
 func TestAllowAddrFailsOpen(t *testing.T) {
-	l, _ := testLimiter(Config{Rate: 1, Burst: 1})
-	// Non-UDP and IP-less sources are not evidence of abuse.
-	if !l.AllowAddr(&net.TCPAddr{IP: net.ParseIP("192.0.2.1")}) {
-		t.Error("non-UDP addr denied")
+	if _, ok := AddrKey(&net.TCPAddr{IP: net.ParseIP("192.0.2.1")}); ok {
+		t.Error("non-UDP addr keyed")
 	}
-	for i := 0; i < 10; i++ {
-		if !l.AllowAddr(&net.UDPAddr{}) {
-			t.Error("IP-less UDP addr denied")
-		}
+	if _, ok := AddrKey(&net.UDPAddr{}); ok {
+		t.Error("IP-less UDP addr keyed")
+	}
+	if key, ok := AddrKey(&net.UDPAddr{IP: net.ParseIP("192.0.2.1")}); !ok || key != PrefixKey4([4]byte{192, 0, 2, 1}) {
+		t.Errorf("UDP source keyed (%#x, %v), want its /24", key, ok)
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/ensemble"
+	"repro/internal/metrics"
 	"repro/internal/ntp"
 )
 
@@ -27,10 +28,13 @@ type MultiLiveOptions struct {
 	MaxPoll time.Duration
 	// Timeout bounds each exchange. Default: 4 s.
 	Timeout time.Duration
-	// Clock carries the per-server calibration options, as LiveOptions
-	// does for Live; NominalPeriod and PollPeriod take the same
-	// defaults.
-	Clock Options
+	// Ensemble configures the combined clock: the per-server calibration
+	// options (Ensemble.Clock, whose NominalPeriod and PollPeriod take
+	// the same defaults as LiveOptions.Clock) and the trust, selection,
+	// asymmetry-correction and degradation-ladder tuning, all defaulted
+	// as EnsembleOptions documents. Ensemble.Servers is filled in from
+	// Servers.
+	Ensemble EnsembleOptions
 
 	// NoKernelStamps disables kernel SO_TIMESTAMPING on the upstream
 	// sockets (see LiveOptions.NoKernelStamps). Off by default: every
@@ -51,28 +55,6 @@ type MultiLiveOptions struct {
 	// already-open sockets. For deployments that prefer a hard error
 	// over a quietly smaller ensemble.
 	StrictDial bool
-
-	// Ensemble trust and selection tuning; zero values take the
-	// defaults (see EnsembleOptions).
-	PenaltyDecay     float64
-	ErrAlpha         float64
-	AgreementFactor  float64
-	ReadmitAfter     int
-	DisableSelection bool
-
-	// Path-asymmetry correction (see EnsembleOptions.AsymCorrection);
-	// off by default.
-	AsymCorrection bool
-	AsymAlpha      float64
-	AsymClampFrac  float64
-
-	// Degradation-ladder tuning; zero values take the defaults (see
-	// EnsembleOptions).
-	MinVotingSynced int
-	RecoverAfter    int
-	StaleAfterPolls int
-	HoldoverAfter   time.Duration
-	UnsyncedAfter   time.Duration
 }
 
 // upstream is one server's connection slot. The slot owns the (re)dial
@@ -83,49 +65,38 @@ type MultiLiveOptions struct {
 type upstream struct {
 	addr string
 
-	mu           sync.Mutex
-	conn         net.Conn
-	client       *ntp.Client
-	consecFails  int
-	dials        uint64
-	dialFailures uint64
+	mu          sync.Mutex
+	conn        net.Conn
+	client      *ntp.Client
+	consecFails int
 
-	// Kernel-stamp view of this slot, updated outside the mutex from
-	// the polling goroutine via the client's own atomic counters and
-	// folded into UpstreamStates under mu. kernelTa/kernelTf/stampMiss
-	// aggregate across redials (the client's counters reset with each
-	// fresh socket).
-	kernelTa  uint64
-	kernelTf  uint64
-	stampMiss uint64
-	taDelta   float64 // EWMA of the kernel-vs-userspace Ta delta (s)
-	tfDelta   float64 // EWMA of the kernel-vs-userspace Tf delta (s)
+	// The slot's counts are metric cells: written where the event
+	// happens, read by UpstreamStates and rendered by NewRelayMetrics.
+	// The kernel-stamp ones aggregate across redials (the client's own
+	// reset with each fresh socket).
+	dials        metrics.Counter
+	dialFailures metrics.Counter
+	kernelTa     metrics.Counter
+	kernelTf     metrics.Counter
+	stampMiss    metrics.Counter
+	taDelta      metrics.EWMA // kernel-vs-userspace Ta delta (s)
+	tfDelta      metrics.EWMA // kernel-vs-userspace Tf delta (s)
 }
 
 // noteStamps folds one successful exchange's kernel-stamp outcome into
-// the slot's aggregate view (alpha-1/8 EWMAs, seeded on first sample).
+// the slot's aggregate view.
 func (up *upstream) noteStamps(raw ntp.RawExchange) {
-	up.mu.Lock()
-	defer up.mu.Unlock()
 	if raw.KernelTa {
-		up.kernelTa++
-		if up.taDelta == 0 {
-			up.taDelta = raw.TaDelta
-		} else {
-			up.taDelta += (raw.TaDelta - up.taDelta) / 8
-		}
+		up.kernelTa.Inc()
+		up.taDelta.Observe(raw.TaDelta, ntp.StampDeltaAlpha)
 	} else {
-		up.stampMiss++
+		up.stampMiss.Inc()
 	}
 	if raw.KernelTf {
-		up.kernelTf++
-		if up.tfDelta == 0 {
-			up.tfDelta = raw.TfDelta
-		} else {
-			up.tfDelta += (raw.TfDelta - up.tfDelta) / 8
-		}
+		up.kernelTf.Inc()
+		up.tfDelta.Observe(raw.TfDelta, ntp.StampDeltaAlpha)
 	} else {
-		up.stampMiss++
+		up.stampMiss.Inc()
 	}
 }
 
@@ -194,37 +165,22 @@ func dialMultiLive(opts MultiLiveOptions, dial func(string) (net.Conn, error)) (
 		}
 	}
 	counter, period := ntp.MonotonicCounter()
-	clockOpts := opts.Clock
-	if clockOpts.NominalPeriod == 0 {
-		clockOpts.NominalPeriod = period
+	ensOpts := opts.Ensemble
+	ensOpts.Servers = len(opts.Servers)
+	if ensOpts.Clock.NominalPeriod == 0 {
+		ensOpts.Clock.NominalPeriod = period
 	}
-	if clockOpts.PollPeriod == 0 {
-		clockOpts.PollPeriod = poll.Seconds()
+	if ensOpts.Clock.PollPeriod == 0 {
+		ensOpts.Clock.PollPeriod = poll.Seconds()
 	}
-	ens, err := NewEnsemble(EnsembleOptions{
-		Servers:          len(opts.Servers),
-		Clock:            clockOpts,
-		PenaltyDecay:     opts.PenaltyDecay,
-		ErrAlpha:         opts.ErrAlpha,
-		AgreementFactor:  opts.AgreementFactor,
-		ReadmitAfter:     opts.ReadmitAfter,
-		DisableSelection: opts.DisableSelection,
-		AsymCorrection:   opts.AsymCorrection,
-		AsymAlpha:        opts.AsymAlpha,
-		AsymClampFrac:    opts.AsymClampFrac,
-		MinVotingSynced:  opts.MinVotingSynced,
-		RecoverAfter:     opts.RecoverAfter,
-		StaleAfterPolls:  opts.StaleAfterPolls,
-		HoldoverAfter:    opts.HoldoverAfter,
-		UnsyncedAfter:    opts.UnsyncedAfter,
-	})
+	ens, err := NewEnsemble(ensOpts)
 	if err != nil {
 		return nil, err
 	}
 	m := &MultiLive{
 		ens:     ens,
 		counter: counter,
-		period:  clockOpts.NominalPeriod,
+		period:  ensOpts.Clock.NominalPeriod,
 		poll:    poll,
 		timeout: opts.Timeout,
 		dial:    dial,
@@ -242,10 +198,10 @@ func dialMultiLive(opts MultiLiveOptions, dial func(string) (net.Conn, error)) (
 			if m.kstamps {
 				up.client.EnableKernelStamps(m.period)
 			}
-			up.dials++
+			up.dials.Inc()
 			connected++
 		default:
-			up.dialFailures++
+			up.dialFailures.Inc()
 			if firstErr == nil {
 				firstErr = fmt.Errorf("tscclock: dial %s: %w", addr, err)
 			}
@@ -284,7 +240,7 @@ func (m *MultiLive) ensureClient(up *upstream) (*ntp.Client, error) {
 	}
 	conn, err := m.dial(up.addr)
 	if err != nil {
-		up.dialFailures++
+		up.dialFailures.Inc()
 		return nil, fmt.Errorf("tscclock: dial %s: %w", up.addr, err)
 	}
 	if m.closed.Load() {
@@ -296,7 +252,7 @@ func (m *MultiLive) ensureClient(up *upstream) (*ntp.Client, error) {
 	if m.kstamps {
 		up.client.EnableKernelStamps(m.period)
 	}
-	up.dials++
+	up.dials.Inc()
 	up.consecFails = 0
 	return up.client, nil
 }
@@ -381,14 +337,14 @@ func (m *MultiLive) UpstreamStates() []UpstreamState {
 		out[k] = UpstreamState{
 			Addr:                up.addr,
 			Connected:           up.client != nil,
-			Dials:               up.dials,
-			DialFailures:        up.dialFailures,
+			Dials:               up.dials.Value(),
+			DialFailures:        up.dialFailures.Value(),
 			ConsecutiveFailures: up.consecFails,
-			KernelTa:            up.kernelTa,
-			KernelTf:            up.kernelTf,
-			StampMisses:         up.stampMiss,
-			TaDelta:             up.taDelta,
-			TfDelta:             up.tfDelta,
+			KernelTa:            up.kernelTa.Value(),
+			KernelTf:            up.kernelTf.Value(),
+			StampMisses:         up.stampMiss.Value(),
+			TaDelta:             up.taDelta.Value(),
+			TfDelta:             up.tfDelta.Value(),
 		}
 		up.mu.Unlock()
 	}

@@ -5,14 +5,15 @@ package tscclock
 // shard supervisor restarts, the abuse limiter, and in relay mode the
 // ensemble's ladder state, health summary, per-server trust diagnostics
 // and upstream connection slots — and NewObservabilityMux serves it
-// alongside the /healthz and /readyz probes. Everything is sampled at
-// scrape time from the same lock-free surfaces the stats log lines use
-// (Server.Stats, Shards.Stats, the published readout), so a scrape
-// never touches the packet hot path.
+// alongside the /healthz and /readyz probes. Every count is a metric
+// cell its layer already writes (the same cells Server.Stats and the
+// stats log lines read), and everything else is sampled at scrape time
+// from the published readout, so a scrape never touches the packet hot
+// path.
 
 import (
 	"net/http"
-	"sync"
+	"strconv"
 
 	"repro/internal/metrics"
 	"repro/internal/ntp"
@@ -36,123 +37,20 @@ type RelayMetricsConfig struct {
 	Limit *ratelimit.Limiter
 }
 
-// NewRelayMetrics builds the relay's metric registry. Cumulative
-// sources (Server.Stats, dial counts) are folded into counter families
-// on scrape, so scrapes observe monotonic counters; instantaneous
-// state (ladder rung, weights, corrections) lands in gauges. The
+// NewRelayMetrics builds the relay's metric registry. Counter families
+// render the cells their layers count into; instantaneous state (ladder
+// rung, weights, corrections) lands in gauges set at scrape time. The
 // registry is ready for NewObservabilityMux or metrics.Registry.Handler.
 func NewRelayMetrics(cfg RelayMetricsConfig) *metrics.Registry {
 	reg := metrics.NewRegistry()
-	// fold turns a cumulative external uint64 into a counter update:
-	// add the delta since the previous scrape. Guarded by foldMu so
-	// concurrent scrapes never double-count a delta.
-	var foldMu sync.Mutex
-	fold := func(c *metrics.Counter) func(uint64) {
-		var last uint64
-		return func(cur uint64) {
-			if cur > last {
-				c.Add(cur - last)
-				last = cur
-			}
-		}
+	if cfg.Server != nil {
+		cfg.Server.RegisterMetrics(reg)
 	}
-
-	if srv := cfg.Server; srv != nil {
-		requests := fold(reg.Counter("ntp_requests_total", "Datagrams received on the serving sockets."))
-		replies := fold(reg.Counter("ntp_replies_total", "Server-mode replies sent."))
-		dropped := reg.CounterVec("ntp_dropped_total", "Datagrams dropped before a reply, by reason.", "reason")
-		short := fold(dropped.With("short"))
-		malformed := fold(dropped.With("malformed"))
-		nonClient := fold(dropped.With("nonclient"))
-		rateLimited := fold(reg.Counter("ntp_rate_limited_total", "Requests dropped by the per-prefix token bucket."))
-		writeErrors := fold(reg.Counter("ntp_write_errors_total", "Reply writes that failed."))
-		recvCalls := fold(reg.Counter("ntp_recv_syscalls_total", "Receive syscalls issued by the serving loops (recvmmsg drains a whole batch per call)."))
-		sendCalls := fold(reg.Counter("ntp_send_syscalls_total", "Send syscalls issued by the serving loops (sendmmsg answers a whole batch per call)."))
-		kernelRx := fold(reg.Counter("ntp_kernel_rx_stamps_total", "Batched datagrams carrying a usable kernel SO_TIMESTAMPING RX timestamp."))
-		kernelRxMissing := fold(reg.Counter("ntp_kernel_rx_missing_total", "Batched datagrams served without a usable kernel RX timestamp."))
-		kernelTx := fold(reg.Counter("ntp_kernel_tx_stamps_total", "Replies whose kernel TX stamp came back on the error queue and correlated to a recorded send."))
-		kernelTxMissing := fold(reg.Counter("ntp_kernel_tx_missing_total", "Error-queue entries without a usable, correlatable TX stamp."))
-		stampClamped := fold(reg.Counter("ntp_stamp_clamped_total", "Kernel timestamps (RX and TX) rejected or clipped by the shared trust clamp — a rising value means the host clock is stepping."))
-		txDwell := reg.Histogram("ntp_tx_dwell_seconds", "Measured userspace-to-kernel TX dwell per stamped reply.", ntp.TxDwellBounds[:]...)
-		reg.GaugeFunc("ntp_tx_dwell_ewma_seconds", "Current TX dwell EWMA: the forward-dating the serving loop applies to Transmit when -txstamp is on (before the clamp).", func() float64 {
-			return srv.Stats().TxDwellEWMA.Seconds()
-		})
-		// The TX dwell histogram folds per scrape: ntp.Stats carries
-		// cumulative-per-bucket counts, so the per-bucket increments are
-		// double deltas (across buckets, then across scrapes).
-		var lastTxBuckets [len(ntp.TxDwellBounds) + 1]uint64
-		var lastTxSum float64
-		// The average receive batch depth per syscall is the lever the
-		// batched loop exists to pull; near 1.0 it means the socket
-		// never builds queue depth and the loop degenerates to
-		// per-packet cost.
-		reg.GaugeFunc("ntp_rx_batch_avg", "Mean datagrams drained per receive syscall since start.", func() float64 {
-			st := srv.Stats()
-			if st.RecvCalls == 0 {
-				return 0
-			}
-			return float64(st.Requests) / float64(st.RecvCalls)
-		})
-		reg.OnScrape(func() {
-			st := srv.Stats()
-			foldMu.Lock()
-			defer foldMu.Unlock()
-			requests(st.Requests)
-			replies(st.Replied)
-			short(st.Short)
-			malformed(st.Malformed)
-			nonClient(st.NonClient)
-			rateLimited(st.RateLimited)
-			writeErrors(st.WriteErrors)
-			recvCalls(st.RecvCalls)
-			sendCalls(st.SendCalls)
-			kernelRx(st.KernelRx)
-			kernelRxMissing(st.KernelRxMissing)
-			kernelTx(st.KernelTx)
-			kernelTxMissing(st.KernelTxMissing)
-			stampClamped(st.StampClamped)
-			var prev uint64
-			for i := range st.TxDwell {
-				per := st.TxDwell[i] - prev
-				prev = st.TxDwell[i]
-				if per > lastTxBuckets[i] {
-					txDwell.AddBucket(i, per-lastTxBuckets[i])
-					lastTxBuckets[i] = per
-				}
-			}
-			if st.TxDwellSum > lastTxSum {
-				txDwell.AddSum(st.TxDwellSum - lastTxSum)
-				lastTxSum = st.TxDwellSum
-			}
-		})
+	if cfg.Shards != nil {
+		cfg.Shards.RegisterMetrics(reg)
 	}
-
-	if sh := cfg.Shards; sh != nil {
-		restarts := fold(reg.Counter("ntp_shard_restarts_total", "Serving-loop failures recovered by the shard supervisor."))
-		reg.GaugeFunc("ntp_shards", "Serving shards on the listen address.", func() float64 {
-			return float64(sh.Size())
-		})
-		reg.OnScrape(func() {
-			var n uint64
-			for _, s := range sh.Stats() {
-				n += s.Restarts
-			}
-			foldMu.Lock()
-			defer foldMu.Unlock()
-			restarts(n)
-		})
-	}
-
-	if l := cfg.Limit; l != nil {
-		reg.GaugeFunc("ratelimit_tracked_prefixes", "Client prefixes with a live token bucket.", func() float64 {
-			return float64(l.Len())
-		})
-		untracked := fold(reg.Counter("ratelimit_untracked_total", "Requests admitted without tracking because the bucket table was full (fail open)."))
-		reg.OnScrape(func() {
-			foldMu.Lock()
-			defer foldMu.Unlock()
-			untracked(l.Untracked())
-		})
+	if cfg.Limit != nil {
+		cfg.Limit.RegisterMetrics(reg)
 	}
 
 	if ml := cfg.Multi; ml != nil {
@@ -160,12 +58,11 @@ func NewRelayMetrics(cfg RelayMetricsConfig) *metrics.Registry {
 			return float64(ml.ens.State(ml.counter()))
 		})
 		reg.GaugeFunc("tscclock_ready", "1 while the ladder is at DEGRADED or better (the /readyz predicate).", func() float64 {
-			if ml.Ready() {
-				return 1
-			}
-			return 0
+			return boolGauge(ml.Ready())
 		})
-		exchanges := fold(reg.Counter("tscclock_exchanges_total", "Upstream NTP exchanges fed to the ensemble."))
+		reg.CounterFunc("tscclock_exchanges_total", "Upstream NTP exchanges fed to the ensemble.", func() uint64 {
+			return uint64(ml.ens.Readout().Exchanges)
+		})
 		voting := reg.Gauge("tscclock_voting_servers", "Servers backing the combined vote.")
 		falsetickers := reg.Gauge("tscclock_falsetickers", "Ready servers voted out by interval intersection.")
 		stratum := reg.Gauge("tscclock_health_stratum", "Advertised upstream stratum of the voting set.")
@@ -187,32 +84,30 @@ func NewRelayMetrics(cfg RelayMetricsConfig) *metrics.Registry {
 		tfDelta := reg.GaugeVec("tscclock_upstream_tf_delta_seconds", "EWMA of the kernel-vs-userspace receive-stamp delta: the client-side RX stamping noise shed by kernel timestamps.", serverLabel...)
 
 		// Resolve the per-server cells once: server count is fixed for
-		// the life of a MultiLive.
-		n := len(ml.ups)
+		// the life of a MultiLive. The slot's counters are rendered in
+		// place; its gauges are set from the slot at scrape time.
 		type serverCells struct {
 			weight, asymHint, asymCorr, selected, penalty, connected *metrics.Gauge
 			taDelta, tfDelta                                         *metrics.Gauge
-			dials, dialFailures                                      func(uint64)
-			kernelTa, kernelTf, stampMisses                          func(uint64)
 		}
-		cells := make([]serverCells, n)
-		for k := 0; k < n; k++ {
-			lv := itoa(k)
+		cells := make([]serverCells, len(ml.ups))
+		for k, up := range ml.ups {
+			lv := strconv.Itoa(k)
 			cells[k] = serverCells{
-				weight:       weight.With(lv),
-				asymHint:     asymHint.With(lv),
-				asymCorr:     asymCorr.With(lv),
-				selected:     selected.With(lv),
-				penalty:      penalty.With(lv),
-				connected:    connected.With(lv),
-				taDelta:      taDelta.With(lv),
-				tfDelta:      tfDelta.With(lv),
-				dials:        fold(dials.With(lv)),
-				dialFailures: fold(dialFailures.With(lv)),
-				kernelTa:     fold(kernelTa.With(lv)),
-				kernelTf:     fold(kernelTf.With(lv)),
-				stampMisses:  fold(stampMisses.With(lv)),
+				weight:    weight.With(lv),
+				asymHint:  asymHint.With(lv),
+				asymCorr:  asymCorr.With(lv),
+				selected:  selected.With(lv),
+				penalty:   penalty.With(lv),
+				connected: connected.With(lv),
+				taDelta:   taDelta.With(lv),
+				tfDelta:   tfDelta.With(lv),
 			}
+			dials.Register(&up.dials, lv)
+			dialFailures.Register(&up.dialFailures, lv)
+			kernelTa.Register(&up.kernelTa, lv)
+			kernelTf.Register(&up.kernelTf, lv)
+			stampMisses.Register(&up.stampMiss, lv)
 		}
 		reg.OnScrape(func() {
 			r := ml.ens.Readout()
@@ -222,8 +117,6 @@ func NewRelayMetrics(cfg RelayMetricsConfig) *metrics.Registry {
 			errScale.Set(r.Health.ErrScale)
 			states := r.ServerStates()
 			ups := ml.UpstreamStates()
-			foldMu.Lock()
-			exchanges(uint64(r.Exchanges))
 			for k := range cells {
 				if k < len(states) {
 					st := states[k]
@@ -231,47 +124,22 @@ func NewRelayMetrics(cfg RelayMetricsConfig) *metrics.Registry {
 					cells[k].asymHint.Set(st.AsymmetryHint)
 					cells[k].asymCorr.Set(st.AsymCorrection)
 					cells[k].penalty.Set(st.Penalty)
-					if st.Selected {
-						cells[k].selected.Set(1)
-					} else {
-						cells[k].selected.Set(0)
-					}
+					cells[k].selected.Set(boolGauge(st.Selected))
 				}
-				if k < len(ups) {
-					if ups[k].Connected {
-						cells[k].connected.Set(1)
-					} else {
-						cells[k].connected.Set(0)
-					}
-					cells[k].dials(ups[k].Dials)
-					cells[k].dialFailures(ups[k].DialFailures)
-					cells[k].kernelTa(ups[k].KernelTa)
-					cells[k].kernelTf(ups[k].KernelTf)
-					cells[k].stampMisses(ups[k].StampMisses)
-					cells[k].taDelta.Set(ups[k].TaDelta)
-					cells[k].tfDelta.Set(ups[k].TfDelta)
-				}
+				cells[k].connected.Set(boolGauge(ups[k].Connected))
+				cells[k].taDelta.Set(ups[k].TaDelta)
+				cells[k].tfDelta.Set(ups[k].TfDelta)
 			}
-			foldMu.Unlock()
 		})
 	}
 	return reg
 }
 
-// itoa is a minimal non-negative integer formatter for label values
-// (avoids strconv in a file otherwise free of it — and the zero case).
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
+func boolGauge(b bool) float64 {
+	if b {
+		return 1
 	}
-	var b [20]byte
-	i := len(b)
-	for v > 0 {
-		i--
-		b[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(b[i:])
+	return 0
 }
 
 // NewObservabilityMux assembles the relay's sidecar HTTP surface:

@@ -204,8 +204,10 @@ func TestRelayHealthEndpoints(t *testing.T) {
 		Timeout: 2 * time.Second,
 		// Short staleness caps so the ladder visibly decays within the
 		// test: no combine for 300 ms reads as HOLDOVER.
-		HoldoverAfter: 300 * time.Millisecond,
-		UnsyncedAfter: 10 * time.Second,
+		Ensemble: EnsembleOptions{
+			HoldoverAfter: 300 * time.Millisecond,
+			UnsyncedAfter: 10 * time.Second,
+		},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -9,8 +9,8 @@ const sample = `goos: linux
 goarch: amd64
 pkg: repro/internal/ntp
 cpu: Intel(R) Xeon(R) Processor @ 2.10GHz
-BenchmarkServeLoopback/shards=1/batch=1-8         	   47148	      4464 ns/op	       0 B/op	       0 allocs/op	    224037 replies/s	         2.000 sys/reply
-BenchmarkServeLoopback/shards=1/batch=32/txstamp-8	   73800	      3374 ns/op	    296365 replies/s	         0.06306 sys/reply	         0.9999 txcov
+BenchmarkServeLoopback/shards=1/io=portable-8     	   47148	      4464 ns/op	       0 B/op	       0 allocs/op	    224037 replies/s	         2.000 sys/reply
+BenchmarkServeLoopback/shards=1/io=mmsg/txstamp-8 	   73800	      3374 ns/op	    296365 replies/s	         0.06306 sys/reply	         0.9999 txcov
 some test chatter that is not a benchmark
 PASS
 ok  	repro/internal/ntp	1.671s
@@ -28,7 +28,7 @@ func TestParseBench(t *testing.T) {
 		t.Fatalf("parsed %d benchmarks, want 2", len(rep.Benchmarks))
 	}
 	b0 := rep.Benchmarks[0]
-	if b0.Name != "BenchmarkServeLoopback/shards=1/batch=1" {
+	if b0.Name != "BenchmarkServeLoopback/shards=1/io=portable" {
 		t.Errorf("name = %q (GOMAXPROCS suffix should be stripped)", b0.Name)
 	}
 	if b0.Pkg != "repro/internal/ntp" || b0.Iterations != 47148 {
