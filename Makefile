@@ -32,7 +32,7 @@ fmt:
 	gofmt -w .
 
 bench:
-	$(GO) test ./internal/core/ -run xxx -bench BenchmarkProcess -benchtime 1000x -benchmem
+	$(GO) test ./internal/core/ -run xxx -bench 'BenchmarkProcess|BenchmarkProcessStages' -benchtime 1000x -benchmem
 	$(GO) test ./internal/ensemble/ -run xxx -bench 'BenchmarkEnsemble$$' -benchtime 10x -benchmem
 	$(GO) test ./internal/ensemble/ -run xxx -bench 'BenchmarkEnsembleStages|BenchmarkEnsembleRead' -benchmem
 	$(GO) test . -run xxx -bench 'BenchmarkReadParallel|BenchmarkWriteBesideReader' -benchmem
@@ -40,11 +40,12 @@ bench:
 
 # bench-module compiles and smokes the nested benchmark module (bench/
 # has its own go.mod, so `go build ./...` and `go test ./...` at the
-# root never see it): vet, its unit tests, and two quick workload runs —
-# sync-replay through the ensemble's public write path, relay-sat
-# through the serving loop under the ledger's own generator.
+# root never see it): vet, its unit tests, and three quick workload runs
+# — sync-replay through the ensemble's public write path, relay-sat
+# through the serving loop under the ledger's own generator, clock-reads
+# through the published read path beside a writer.
 bench-module:
-	cd bench && $(GO) vet . && $(GO) test -short . && $(GO) run . -quick -workload sync-replay && $(GO) run . -quick -workload relay-sat
+	cd bench && $(GO) vet . && $(GO) test -short . && $(GO) run . -quick -workload sync-replay && $(GO) run . -quick -workload relay-sat && $(GO) run . -quick -workload clock-reads
 
 # bench-json snapshots the serving-path benchmarks (the shards × io ×
 # txstamp grid of BenchmarkServeLoopback: ns/op, allocs/op,

@@ -258,9 +258,9 @@ func TestOnePublicationPerExchange(t *testing.T) {
 
 // TestEnsembleWritePathAllocs gates the public write path: in steady
 // state an exchange allocates nothing but its share of the publication
-// slabs — three slab refills (engine readout, combined readout, server
-// entries) per 256 exchanges, about 0.012 allocations each. The budget
-// is 0.05; AllocsPerRun reports whole numbers, so each run is 100
+// slabs — four slab refills (engine readout, combined readout, server
+// entries, voter list) per 256 exchanges, about 0.016 allocations each.
+// The budget is 0.05; AllocsPerRun reports whole numbers, so each run is 100
 // exchanges.
 func TestEnsembleWritePathAllocs(t *testing.T) {
 	e, err := NewEnsemble(EnsembleOptions{

@@ -71,6 +71,103 @@ func BenchmarkProcess(b *testing.B) {
 	}
 }
 
+// BenchmarkProcessStages decomposes BenchmarkProcess/window=default —
+// what the benchmark ledger reports as core.process_ns — into the
+// engine's stages, each run by the method Process itself calls, on an
+// engine three top-window slides into the trace (every ring full, every
+// tracker in its steady state): filter (RTT under p̂, the r̂ deque, the
+// point error), rate (the paired estimator's accept test and estimate),
+// shift (upward level-shift detection: in steady state, the threshold
+// test that skips the suffix query), offset (the weighted scan of the τ′
+// window and the sanity check), window (naive θ̂, the push into both
+// rings, and the top-window slide, whose half-window drop and pair
+// re-validation amortize over nTop/2 packets) and publish (the readout
+// filled in its slab slot). What the sum leaves of BenchmarkProcess is
+// the call itself: input validation and the Result filled and returned
+// by value. Inputs keep moving: every stage is fed the packets that
+// follow the warm-up, 64 of them in rotation where a stage must stay
+// near the engine's present. Every stage must report 0 allocs/op except
+// publish, which amortizes its slab.
+func BenchmarkProcessStages(b *testing.B) {
+	if benchTrace == nil {
+		benchTrace = SynthTrace(benchTraceLen)
+	}
+	const warm = 60_000
+	// steady returns the warmed engine and the next packets as the filter
+	// stage hands them on: complete records, not yet in the history.
+	steady := func(b *testing.B) (*Sync, []record) {
+		b.Helper()
+		s, err := NewSync(DefaultConfig(2e-9, 16))
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, in := range benchTrace[:warm] {
+			if _, err := s.Process(in); err != nil {
+				b.Fatal(err)
+			}
+		}
+		next := make([]record, 64)
+		for i := range next {
+			in := benchTrace[warm+i]
+			rec := record{seq: warm + i, ta: in.Ta, tf: in.Tf, tb: in.Tb, te: in.Te}
+			rec.rtt = spanSeconds(in.Ta, in.Tf, s.p)
+			rec.pointErr = max(0, rec.rtt-s.rHat)
+			rec.theta = s.naiveTheta(rec)
+			next[i] = rec
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		return s, next
+	}
+	b.Run("filter", func(b *testing.B) {
+		s, _ := steady(b)
+		for i := 0; i < b.N; i++ {
+			if i%(s.nTop/2) == 0 {
+				s.rMin.EvictBefore(warm + i - s.nTop/2) // the slide's part of the deque's life
+			}
+			in := &benchTrace[(warm+i)%len(benchTrace)]
+			rec := record{seq: warm + i, ta: in.Ta, tf: in.Tf, tb: in.Tb, te: in.Te}
+			s.filterRTT(&rec)
+		}
+	})
+	b.Run("rate", func(b *testing.B) {
+		s, next := steady(b)
+		var res Result
+		for i := 0; i < b.N; i++ {
+			s.updateRate(&next[i&63], &res)
+		}
+	})
+	b.Run("shift", func(b *testing.B) {
+		s, _ := steady(b)
+		var res Result
+		for i := 0; i < b.N; i++ {
+			s.detectUpwardShift(&res)
+		}
+	})
+	b.Run("offset", func(b *testing.B) {
+		s, next := steady(b)
+		var res Result
+		for i := 0; i < b.N; i++ {
+			s.updateOffset(&next[i&63], &res)
+		}
+	})
+	b.Run("window", func(b *testing.B) {
+		s, next := steady(b)
+		for i := 0; i < b.N; i++ {
+			rec := next[i&63]
+			rec.seq = warm + i
+			s.pushRecord(&rec)
+			s.slideTopWindow()
+		}
+	})
+	b.Run("publish", func(b *testing.B) {
+		s, _ := steady(b)
+		for i := 0; i < b.N; i++ {
+			s.publish()
+		}
+	})
+}
+
 // BenchmarkProcessLocalRate is the default window configuration with
 // the quasi-local rate refinement enabled: the offset scan takes the
 // linear-prediction path (offsetScanGl) and the near/far sub-window

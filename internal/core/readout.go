@@ -28,6 +28,11 @@ import (
 // functions, so a Readout obtained once keeps answering consistently
 // even while the engine processes further packets.
 //
+// Field order is layout, not grouping: what AbsoluteTime touches (P, K,
+// the θ̂ anchor, p̂_l and the flags) comes first and contiguous, and the
+// five flags and the 8-byte Identity share two words instead of taking
+// an aligned word each — 88 bytes per publication, not 112.
+//
 //repro:immutable
 type Readout struct {
 	// P and K define the uncorrected clock C(T) = P·T + K (seconds on
@@ -36,34 +41,37 @@ type Readout struct {
 	K float64
 
 	// Theta is the offset estimate θ̂ made at counter value ThetaTf;
-	// HaveTheta reports whether any estimate exists yet (it does from
-	// the first processed packet onward).
-	Theta     float64
-	ThetaTf   uint64
-	HaveTheta bool
+	// HaveTheta (below) reports whether any estimate exists yet.
+	Theta   float64
+	ThetaTf uint64
 
 	// PLocal is the quasi-local rate estimate p̂_l and PLocalValid its
 	// freshness flag; UseLocalRate mirrors the engine configuration.
 	// Offset reads apply linear prediction only when all three align,
 	// exactly as the engine does.
-	PLocal       float64
+	PLocal float64
+
+	// The flags, one word. HaveTheta: an offset estimate exists (it does
+	// from the first processed packet onward). Warmup: the engine was
+	// still in warmup. IdentKnown: Ident was ever observed.
+	HaveTheta    bool
 	PLocalValid  bool
 	UseLocalRate bool
+	Warmup       bool
+	IdentKnown   bool
+
+	// Ident is the last observed server identity (zero when none was
+	// ever observed; see IdentKnown).
+	Ident Identity
 
 	// Quality and status.
 	PQuality float64 // estimated relative error bound of P
 	RTTHat   float64 // current minimum-RTT estimate r̂ (s)
 	Count    int     // packets processed when this readout was published
-	Warmup   bool    // the engine was still in warmup
 
 	// LastTf is the host counter value of the most recent processed
 	// exchange: the staleness anchor. Age converts it to seconds.
 	LastTf uint64
-
-	// Ident is the last observed server identity (zero when none was
-	// ever observed; see IdentKnown).
-	Ident      Identity
-	IdentKnown bool
 }
 
 // ClockAt evaluates the uncorrected clock C(T) = P·T + K.
@@ -111,35 +119,31 @@ func (r *Readout) DifferenceSpan(T1, T2 uint64) float64 {
 //repro:readpath
 func (r *Readout) Age(T uint64) float64 { return spanSeconds(r.LastTf, T, r.P) }
 
-// readout builds the current read snapshot from the engine state.
-func (s *Sync) readout() Readout {
-	var lastTf uint64
-	if s.hist.Len() > 0 {
-		lastTf = s.hist.Back().tf
-	}
-	return Readout{
-		P:            s.p,
-		K:            s.c,
-		Theta:        s.theta,
-		ThetaTf:      s.thetaTf,
-		HaveTheta:    s.haveTh,
-		PLocal:       s.pl,
-		PLocalValid:  s.plValid,
-		UseLocalRate: s.cfg.UseLocalRate,
-		PQuality:     s.pQual,
-		RTTHat:       s.rHat,
-		Count:        s.count,
-		Warmup:       s.count <= s.nWarm,
-		LastTf:       lastTf,
-		Ident:        s.ident,
-		IdentKnown:   s.identKnown,
-	}
-}
-
-// publish makes the current engine state visible to lock-free readers.
-// Called after every mutation (Process, ObserveIdentity re-base).
+// publish makes the current engine state visible to lock-free readers:
+// it fills a fresh slot in place and stores the pointer. Called after
+// every mutation (Process, ObserveIdentity re-base).
+//
+//repro:builder
 func (s *Sync) publish() {
-	s.pub.Store(s.readout())
+	r := s.pub.nextSlot()
+	r.P = s.p
+	r.K = s.c
+	r.Theta = s.theta
+	r.ThetaTf = s.thetaTf
+	r.PLocal = s.pl
+	r.HaveTheta = s.haveTh
+	r.PLocalValid = s.plValid
+	r.UseLocalRate = s.cfg.UseLocalRate
+	r.Warmup = s.count <= s.nWarm
+	r.IdentKnown = s.identKnown
+	r.Ident = s.ident
+	r.PQuality = s.pQual
+	r.RTTHat = s.rHat
+	r.Count = s.count
+	if s.hist.Len() > 0 {
+		r.LastTf = s.hist.Back().tf
+	}
+	s.pub.p.Store(r)
 }
 
 // Readout returns the most recently published read snapshot. It is
@@ -157,13 +161,13 @@ func (s *Sync) Readout() *Readout { return s.pub.Load() }
 // allocation-free — but carving slots out of a block cuts the write
 // path from one heap allocation per packet to one per pubSlabSize
 // packets. The trade: a reader pinning one old readout keeps its whole
-// slab (≈ pubSlabSize·sizeof(Readout) ≈ 28 KiB) reachable.
+// slab (≈ pubSlabSize·sizeof(Readout) ≈ 22 KiB) reachable.
 //
-// Slots are not carved front to back. A Readout is 112 bytes, not a
+// Slots are not carved front to back. A Readout is 88 bytes, not a
 // line multiple, so the next slot in memory starts on the line the live
 // readout ends on: filling it would take that line away from every
 // reader in the middle of a read, once per publication, for nothing.
-// Store carves in cacheline.Slot order instead (odd indices, then even
+// nextSlot carves in cacheline.Slot order instead (odd indices, then even
 // ones): consecutive publications lie two slots apart, a whole slot of
 // untouched memory between them, and no slot is rounded up or skipped
 // to buy it.
@@ -175,9 +179,9 @@ const _ = uint(unsafe.Sizeof(Readout{}) - cacheline.Size)
 
 // pubState is the atomic publication slot plus the writer-owned slab
 // the slots are carved from, split into its own type solely so sync.go
-// stays focused on the algorithms. Store is called only by the writer
-// (under the engine's external serialization); Load is wait-free from
-// any goroutine.
+// stays focused on the algorithms. nextSlot and the store into p are
+// the writer's (under the engine's external serialization); Load is
+// wait-free from any goroutine.
 //
 // p is the one word a publication hands from the writer's core to the
 // readers': it has a line to itself, so that the slab bookkeeping below
@@ -198,17 +202,16 @@ type pubState struct {
 //repro:readpath
 func (ps *pubState) Load() *Readout { return ps.p.Load() }
 
-// Store copies r into a fresh never-reused slot and publishes it.
+// nextSlot returns a zeroed, never-reused slot carved from the slab; the
+// caller fills it in place and stores it in p.
 //
 //repro:builder
-func (ps *pubState) Store(r Readout) {
+func (ps *pubState) nextSlot() *Readout {
 	carved := int(ps.seq % pubSlabSize)
 	if carved == 0 {
 		//repro:alloc-ok amortized slab refill: one allocation per pubSlabSize publishes, the documented publication cost (PERF.md)
 		ps.slab = make([]Readout, pubSlabSize)
 	}
-	slot := &ps.slab[cacheline.Slot(carved, pubSlabSize)]
 	ps.seq++
-	*slot = r
-	ps.p.Store(slot)
+	return &ps.slab[cacheline.Slot(carved, pubSlabSize)]
 }

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"reflect"
+	"sort"
+	"strings"
 	"testing"
 	"unsafe"
 
@@ -232,5 +235,60 @@ func TestPublicationsKeepOffTheLiveLine(t *testing.T) {
 	}
 	if len(seen) < 3*pubSlabSize {
 		t.Fatalf("only %d publications", len(seen))
+	}
+}
+
+// TestRingElementsHoldNoPointers pins what lets window.Ring.DropFront
+// advance its head without clearing the dropped slots: every ring the
+// engine keeps — the history, the scan ring and the three deques inside
+// the min trackers — holds plain numbers, so a stale slot pins nothing
+// for the collector. A pointer, slice, string, map or interface added to
+// one of these element types must come with a clearing slide.
+func TestRingElementsHoldNoPointers(t *testing.T) {
+	var pointerFree func(reflect.Type) bool
+	pointerFree = func(ty reflect.Type) bool {
+		switch ty.Kind() {
+		case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+			reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr,
+			reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
+			return true
+		case reflect.Array:
+			return pointerFree(ty.Elem())
+		case reflect.Struct:
+			for i := 0; i < ty.NumField(); i++ {
+				if !pointerFree(ty.Field(i).Type) {
+					return false
+				}
+			}
+			return true
+		}
+		return false
+	}
+	var elems []string
+	var walk func(path string, ty reflect.Type)
+	walk = func(path string, ty reflect.Type) {
+		if ty.Kind() != reflect.Struct {
+			return
+		}
+		if ty.PkgPath() == "repro/internal/window" && strings.HasPrefix(ty.Name(), "Ring[") {
+			at, ok := reflect.PointerTo(ty).MethodByName("At")
+			if !ok {
+				t.Fatalf("%s: %v has no At method to take the element type from", path, ty)
+			}
+			elem := at.Type.Out(0).Elem()
+			elems = append(elems, elem.Name())
+			if !pointerFree(elem) {
+				t.Errorf("%s: ring element %v holds pointers; DropFront would keep their referents alive", path, elem)
+			}
+			return
+		}
+		for i := 0; i < ty.NumField(); i++ {
+			walk(path+"."+ty.Field(i).Name, ty.Field(i).Type)
+		}
+	}
+	walk("Sync", reflect.TypeOf(Sync{}))
+	sort.Strings(elems)
+	if want := []string{"minEntry", "minEntry", "minEntry", "record", "scanRec"}; !reflect.DeepEqual(elems, want) {
+		t.Errorf("rings found by value inside Sync hold %v, want %v — a ring moved where this test does not look", elems, want)
 	}
 }

@@ -263,16 +263,7 @@ func (s *Sync) Process(in Input) (Result, error) {
 	res := Result{Seq: seq, Warmup: seq < s.nWarm}
 
 	rec := record{seq: seq, ta: in.Ta, tf: in.Tf, tb: in.Tb, te: in.Te}
-	rec.rtt = spanSeconds(in.Ta, in.Tf, s.p)
-
-	// Minimum RTT: downward movements are unambiguous (congestion cannot
-	// lower the minimum) and take effect immediately. The tracker sees
-	// every sample; its window trails by eviction only.
-	if rec.rtt < s.rHat {
-		s.rHat = rec.rtt
-	}
-	s.rMin.Push(seq, rec.rtt)
-	rec.pointErr = rec.rtt - s.rHat
+	s.filterRTT(&rec)
 
 	if seq == 0 {
 		// Align the clock origin with the server: C(Ta,1) = Tb,1. The
@@ -287,17 +278,8 @@ func (s *Sync) Process(in Input) (Result, error) {
 
 	// The naive offset estimate uses the clock in force after the rate
 	// update so that filtering and estimation stay decoupled.
-	rec.theta = s.naiveTheta(rec)
+	s.pushRecord(&rec)
 	res.ThetaNaive = rec.theta
-
-	*s.hist.PushSlot() = rec
-	sc := s.scan.PushSlot()
-	sc.ftf = float64(in.Tf)
-	sc.pointErr = rec.pointErr
-	sc.theta = rec.theta
-	if s.cfg.UseLocalRate {
-		s.pushLocalMinima(&rec)
-	}
 
 	// Upward level-shift detection (Section 6.2) may revise recent point
 	// errors, so run it before the offset filter consumes them.
@@ -323,6 +305,35 @@ func (s *Sync) Process(in Input) (Result, error) {
 	res.ThetaHat = s.theta
 	s.publish()
 	return res, nil
+}
+
+// filterRTT is the RTT filter's per-packet step: the record's RTT under
+// the p̂ in force, the minimum tracking, and the point error against the
+// resulting r̂. Downward movements of the minimum are unambiguous
+// (congestion cannot lower it) and take effect immediately; the tracker
+// sees every sample, and its window trails by eviction only.
+func (s *Sync) filterRTT(rec *record) {
+	rec.rtt = spanSeconds(rec.ta, rec.tf, s.p)
+	if rec.rtt < s.rHat {
+		s.rHat = rec.rtt
+	}
+	s.rMin.Push(rec.seq, rec.rtt)
+	rec.pointErr = rec.rtt - s.rHat
+}
+
+// pushRecord completes the record with its naive offset estimate and
+// appends it to the history, the scan ring and, when the local rate is
+// in use, the near/far argmin trackers.
+func (s *Sync) pushRecord(rec *record) {
+	rec.theta = s.naiveTheta(*rec)
+	*s.hist.PushSlot() = *rec
+	sc := s.scan.PushSlot()
+	sc.ftf = float64(rec.tf)
+	sc.pointErr = rec.pointErr
+	sc.theta = rec.theta
+	if s.cfg.UseLocalRate {
+		s.pushLocalMinima(rec)
+	}
 }
 
 // naiveTheta computes equation (19) for a record with the current clock:

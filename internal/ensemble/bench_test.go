@@ -91,7 +91,7 @@ func BenchmarkEnsemble(b *testing.B) {
 // the incumbent set never mutually intersects and the sorted endpoint
 // sweep — the fallback the steady state skips — runs each time. Every
 // stage must report 0 allocs/op except publish, which amortizes its
-// slabs (2 allocations per pubSlabSize publications).
+// slabs (3 allocations per pubSlabSize publications).
 func BenchmarkEnsembleStages(b *testing.B) {
 	for _, servers := range []int{3, 5, 8} {
 		e := calibrated(b, servers, 0)
@@ -149,10 +149,16 @@ func BenchmarkEnsembleStages(b *testing.B) {
 // entirely on stack scratch (TestReadPathZeroAlloc pins the same
 // contract as a hard test).
 func BenchmarkEnsembleRead(b *testing.B) {
-	for _, servers := range []int{3, 8} {
-		r := calibrated(b, servers, 0).Readout()
+	// {5, 2} is the ledger's shape (bench/ clock-reads, ensemble.read_ns):
+	// five servers, a colluding pair voted out, three voters.
+	for _, shape := range []struct{ servers, convicted int }{{3, 0}, {5, 2}, {8, 0}} {
+		r := calibrated(b, shape.servers, shape.convicted).Readout()
+		name := fmt.Sprintf("servers=%d", shape.servers)
+		if shape.convicted > 0 {
+			name += fmt.Sprintf("/convicted=%d", shape.convicted)
+		}
 		T := uint64(1 << 40)
-		b.Run(fmt.Sprintf("AbsoluteTime/servers=%d", servers), func(b *testing.B) {
+		b.Run("AbsoluteTime/"+name, func(b *testing.B) {
 			var sink float64
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -160,7 +166,7 @@ func BenchmarkEnsembleRead(b *testing.B) {
 			}
 			_ = sink
 		})
-		b.Run(fmt.Sprintf("RateHat/servers=%d", servers), func(b *testing.B) {
+		b.Run("RateHat/"+name, func(b *testing.B) {
 			var sink float64
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -168,7 +174,7 @@ func BenchmarkEnsembleRead(b *testing.B) {
 			}
 			_ = sink
 		})
-		b.Run(fmt.Sprintf("Agreement/servers=%d", servers), func(b *testing.B) {
+		b.Run("Agreement/"+name, func(b *testing.B) {
 			var sink int
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

@@ -59,11 +59,27 @@
 // publishes exactly one immutable Readout. Nothing is sorted through a
 // comparison closure and nothing is computed that no reader asked for:
 // the combined absolute time and the agreement count are evaluated at
-// read time from the published readout, with zero allocations. The
-// measured budget (PERF.md "PR 13"): at five servers the combine costs
-// ≈ 370 ns against the engine step's ≈ 460 — most of it publication,
-// ~700 B of fresh memory per exchange — and BenchmarkEnsembleStages
-// splits it into observe / select / ladder / publish lines.
+// read time from the published readout, with zero allocations.
+//
+// What a read touches is laid out for it. Each Readout carries, beside
+// the per-server rows, a voter list: one {clock, correction, raw weight}
+// entry per positive-weight server, contiguous, in a slab slot of its
+// own. Readout.AbsoluteTime — the call behind every Now() and every
+// downstream reply — loads the published pointer, the header, that one
+// slot and the voters' engine readouts, evaluates each voter's clock
+// and takes the median; it never walks the rows, tests a weight or
+// steps over a convicted server (the rows serve Agreement, the
+// diagnostics and the no-voter fallback). Synced is decided once per
+// publication the same way.
+//
+// The measured budget (PERF.md "PR 13", "PR 16"): at five servers the
+// combine costs ≈ 370 ns against the engine step's ≈ 460, publication
+// the largest stage of it — 728 B of fresh memory per combine (a 168 B
+// header, five 88 B rows, five 24 B voter entries) of the 1 022 B an
+// exchange allocates in all — and BenchmarkEnsembleStages splits it into
+// observe / select / ladder / publish lines; fresh memory, not code, is
+// most of what a publication costs. A combined read with three voters is
+// ≈ 15 ns, beside a writer publishing 20 000 times a second too.
 //
 //repro:deterministic
 package ensemble
@@ -363,6 +379,11 @@ type Ensemble struct {
 	lo []float64
 	hi []float64
 
+	// publish's scratch: the unnormalized weights of the combine being
+	// published, and the rate median's items.
+	raw   []float64
+	items []wv
+
 	// Degradation ladder state (see ladder.go): the writer-side rung,
 	// the recovery hysteresis streak, whether the combine was ever
 	// trusted (gates HOLDOVER vs UNSYNCED), the rate frozen at the last
@@ -394,6 +415,8 @@ func New(cfg Config) (*Ensemble, error) {
 		clk:     make([]*core.Readout, n),
 		lo:      make([]float64, n),
 		hi:      make([]float64, n),
+		raw:     make([]float64, n),
+		items:   make([]wv, 0, n),
 	}
 	for i, ec := range cfg.Engines {
 		s, err := core.NewSync(ec)

@@ -10,12 +10,16 @@ import (
 
 // weightedMedian evaluates the combiner over bare values and weights the
 // way every production read does: through a published-shape Readout
-// whose servers hold constant clocks, so the zero-weight filter, the
-// no-weight fallback and the median walk under test are the real ones.
+// whose servers hold constant clocks and whose voter list is, as publish
+// builds it, the positive-weight servers in order — so the no-voter
+// fallback and the median walk under test are the real ones.
 func weightedMedian(vals, ws []float64) float64 {
 	r := &Readout{Servers: make([]ServerReadout, len(vals))}
 	for k := range vals {
-		r.Servers[k] = ServerReadout{Clock: &core.Readout{K: vals[k]}, raw: ws[k]}
+		r.Servers[k].Clock = &core.Readout{K: vals[k]}
+		if ws[k] > 0 {
+			r.voters = append(r.voters, voter{clock: r.Servers[k].Clock, raw: ws[k]})
+		}
 	}
 	return r.AbsoluteTime(0)
 }

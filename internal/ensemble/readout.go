@@ -36,13 +36,12 @@ type ServerReadout struct {
 	// Weight is the normalized combining weight (zero for warmup
 	// servers and flagged falsetickers, with the documented mass-
 	// eviction and pre-graduation fallbacks already applied); the
-	// agreement count's median runs on it. raw is the unnormalized
-	// weight, 1/ErrScale², which the combined time and rate medians
-	// accumulate: a weighted median is invariant under uniform scaling
-	// only up to rounding at the half-weight boundary, and the
-	// published bits are pinned to these two forms.
+	// agreement count's median runs on it. The combined time and rate
+	// medians accumulate the unnormalized weight, 1/ErrScale², which
+	// travels in the voter list: a weighted median is invariant under
+	// uniform scaling only up to rounding at the half-weight boundary,
+	// and the published bits are pinned to these two forms.
 	Weight float64
-	raw    float64
 
 	// Trust and selection diagnostics, as ServerState reports them.
 	Ready           bool
@@ -56,11 +55,18 @@ type ServerReadout struct {
 	RTTWobble       float64
 	Penalty         float64
 	Exchanges       int
+}
 
-	// AgreementBound is the half-width of this server's error interval
-	// (AgreementFactor × ErrScale): the Agreement count and any
-	// downstream dispersion advertisement derive from it.
-	AgreementBound float64
+// voter is what one positive-weight server contributes to a combined
+// read, and all a read needs of it: the engine's published clock, the
+// asymmetry correction subtracted from it (identically zero while the
+// feature is off), and the unnormalized combining weight.
+//
+//repro:immutable
+type voter struct {
+	clock *core.Readout
+	corr  float64
+	raw   float64
 }
 
 // Readout is an immutable snapshot of the combined clock: the
@@ -102,6 +108,7 @@ type Readout struct {
 	// number of servers behind it. In BaseState < StateDegraded the
 	// published Rate is the frozen holdover rate, not a live median.
 	BaseState   State
+	synced      bool // Synced's answer, decided once at publish time (shares BaseState's word)
 	Health      Health
 	VotingCount int
 
@@ -110,6 +117,14 @@ type Readout struct {
 	// stays a pure function of the snapshot.
 	HoldoverAfter float64
 	UnsyncedAfter float64
+
+	// voters is the read path's whole input: one entry per positive-
+	// weight server, in server order, in a slot of its own, so that
+	// AbsoluteTime walks one contiguous list instead of testing every
+	// row of Servers. agreementFactor is the configured interval scale
+	// AgreementBound derives from.
+	voters          []voter
+	agreementFactor float64
 }
 
 // State returns the degradation-ladder state at counter value T: the
@@ -145,23 +160,20 @@ const readScratch = 16
 // the weighted median of the positive-weight servers' absolute clocks.
 // With three or more comparable servers, a faulty minority — even one
 // whose members agree with each other — is excluded by the selection
-// stage and outvoted by the median. Zero-weight entries are ignored;
-// with no positive weight at all (before any exchange) the first
-// server's clock is returned.
+// stage and outvoted by the median. It evaluates the published voter
+// list and nothing else; with no voter at all (before any exchange)
+// the first server's clock is returned.
 //
 //repro:readpath
 //repro:hotpath
 func (r *Readout) AbsoluteTime(T uint64) float64 {
 	var buf [readScratch]wv
 	items, total := buf[:0], 0.0
-	for k := range r.Servers {
-		if w := r.Servers[k].raw; w > 0 {
-			// AsymCorrection is identically zero while the feature is
-			// off, so this stays bit-identical to the uncorrected read.
-			//repro:alloc-ok append into the readScratch stack buffer; spills to the heap only past readScratch servers (documented above)
-			items = append(items, wv{r.Servers[k].Clock.AbsoluteTime(T) - r.Servers[k].AsymCorrection, w})
-			total += w
-		}
+	for i := range r.voters {
+		v := &r.voters[i]
+		//repro:alloc-ok append into the readScratch stack buffer; spills to the heap only past readScratch servers (documented above)
+		items = append(items, wv{v.clock.AbsoluteTime(T) - v.corr, v.raw})
+		total += v.raw
 	}
 	if len(items) == 0 {
 		if len(r.Servers) == 0 {
@@ -186,6 +198,15 @@ func (r *Readout) DifferenceSpan(T1, T2 uint64) float64 {
 		return float64(T2-T1) * r.Rate
 	}
 	return -float64(T1-T2) * r.Rate
+}
+
+// AgreementBound is the half-width of server k's error interval
+// (AgreementFactor × ErrScale): the Agreement count and any downstream
+// dispersion advertisement derive from it.
+//
+//repro:readpath
+func (r *Readout) AgreementBound(k int) float64 {
+	return r.agreementFactor * r.Servers[k].ErrScale
 }
 
 // Agreement counts the servers whose error interval (absolute clock ±
@@ -228,7 +249,7 @@ func (r *Readout) Agreement(T uint64) int {
 		if d < 0 {
 			d = -d
 		}
-		if d <= r.Servers[k].AgreementBound {
+		if d <= r.AgreementBound(k) {
 			n++
 		}
 	}
@@ -263,15 +284,7 @@ func (r *Readout) Age(T uint64) float64 {
 // this holds.
 //
 //repro:readpath
-func (r *Readout) Synced() bool {
-	for k := range r.Servers {
-		s := &r.Servers[k]
-		if s.Ready && s.Weight > 0 && s.Clock.HaveTheta {
-			return true
-		}
-	}
-	return false
-}
+func (r *Readout) Synced() bool { return r.synced }
 
 // ServerStates derives the per-server diagnostic view from the
 // snapshot. The returned slice is freshly allocated.
@@ -301,8 +314,9 @@ func (r *Readout) ServerStates() []ServerState {
 
 // publish makes the current combine visible to lock-free readers: it
 // derives the combining weights from the trust and selection state,
-// fills one immutable slot and stores it. Called once per combine, and
-// once at construction so Readout is never nil.
+// fills one immutable slot — header, server row, voter list — in one
+// pass and stores it. Called once per combine, and once at construction
+// so Readout is never nil.
 //
 // Weights: a ready server weighs 1/errScale² while selected (or while
 // selection is disabled); servers still in warmup weigh zero, and so do
@@ -322,6 +336,8 @@ func (e *Ensemble) publish() {
 	ro.VotingCount = e.votingCount
 	ro.HoldoverAfter = e.cfg.HoldoverAfter
 	ro.UnsyncedAfter = e.cfg.UnsyncedAfter
+	ro.agreementFactor = e.cfg.AgreementFactor
+	raw := e.raw // unnormalized weights, writer-owned scratch
 	anySelected := false
 	for k := range e.members {
 		m := &e.members[k]
@@ -338,12 +354,12 @@ func (e *Ensemble) publish() {
 		sr.RTTWobble = m.rttWobble
 		sr.Penalty = m.penalty
 		sr.Exchanges = m.count
-		sr.AgreementBound = e.cfg.AgreementFactor * sr.ErrScale
 		ro.Exchanges += m.count
+		raw[k] = 0
 		if sr.Ready {
 			ro.ReadyCount++
 			if sr.Selected || e.cfg.DisableSelection {
-				sr.raw = 1 / (sr.ErrScale * sr.ErrScale)
+				raw[k] = 1 / (sr.ErrScale * sr.ErrScale)
 				anySelected = true
 			}
 		}
@@ -359,28 +375,33 @@ func (e *Ensemble) publish() {
 			sr := &ro.Servers[k]
 			switch {
 			case sr.Ready:
-				sr.raw = 1 / (sr.ErrScale * sr.ErrScale)
+				raw[k] = 1 / (sr.ErrScale * sr.ErrScale)
 			case ro.ReadyCount == 0 && sr.Exchanges > 0:
-				sr.raw = 1
+				raw[k] = 1
 			}
 		}
 	}
 	total := 0.0
-	for k := range ro.Servers {
-		total += ro.Servers[k].raw
+	for _, w := range raw {
+		total += w
 	}
-	// Normalized weights, and the combined rate: the weighted median of
-	// the per-server p̂ under the raw weights.
-	var buf [readScratch]wv
-	items := buf[:0]
-	for k := range ro.Servers {
-		sr := &ro.Servers[k]
-		if sr.raw > 0 {
-			sr.Weight = sr.raw / total
-			//repro:alloc-ok append into the readScratch stack buffer; spills to the heap only past readScratch servers
-			items = append(items, wv{sr.Clock.P, sr.raw})
+	// Normalized weights, the voter list, and the combined rate: the
+	// weighted median of the voters' p̂ under the raw weights.
+	items, voters := e.items[:0], ro.voters
+	for k, w := range raw {
+		if w > 0 {
+			sr := &ro.Servers[k]
+			sr.Weight = w / total
+			//repro:alloc-ok append within the capacity New gave the writer's scratch: one item per server
+			items = append(items, wv{sr.Clock.P, w})
+			//repro:alloc-ok append within the capacity nextSlot carved: one voter per server
+			voters = append(voters, voter{sr.Clock, sr.AsymCorrection, w})
+			if sr.Ready && sr.Weight > 0 && sr.Clock.HaveTheta {
+				ro.synced = true
+			}
 		}
 	}
+	ro.voters = voters
 	switch {
 	case len(items) > 0:
 		ro.Rate = medianOfItems(items, total)
@@ -407,24 +428,29 @@ func (e *Ensemble) Readout() *Readout { return e.pub.Load() }
 
 // pubSlabSize is how many publication slots one slab allocation hands
 // out; see the identically named constant in internal/core. Carving
-// slots from writer-owned blocks removes the two per-combine heap
-// allocations (the Readout and its Servers slice) in exchange for a
-// reader pinning at most one slab's worth of history (~pubSlabSize
-// combines) while it holds an old snapshot.
+// slots from writer-owned blocks removes the three per-combine heap
+// allocations (the Readout, its Servers slice and its voter list) in
+// exchange for a reader pinning at most one slab's worth of history
+// (~pubSlabSize combines) while it holds an old snapshot.
 //
-// Both slabs are carved in cacheline.Slot order (odd slots, then even
-// ones), for core's reason: a 136-byte header and an N×104-byte server
-// row are no line multiples, so the slot next in memory shares a line
-// with the live one, and filling it front to back would pull that line
-// from under every reader once per combine. Two slots apart, the combine
-// being written and the one being read have a whole slot between them.
+// All three slabs are carved in cacheline.Slot order (odd slots, then
+// even ones), for core's reason: a header, an N×88-byte server row and
+// an N×24-byte voter list are no line multiples, so the slot next in
+// memory shares a line with the live one, and filling it front to back
+// would pull that line from under every reader once per combine. Two
+// slots apart, the combine being written and the one being read have a
+// whole slot between them.
 const pubSlabSize = 256
 
 // Slots narrower than a line could not keep two-apart slots off each
-// other's lines.
+// other's lines. A header and a server row are wide enough by type; a
+// voter list of one or two servers is not, so its slots are spaced
+// minVoterSlot entries apart at the least.
 const (
 	_ = uint(unsafe.Sizeof(Readout{}) - cacheline.Size)
 	_ = uint(unsafe.Sizeof(ServerReadout{}) - cacheline.Size)
+
+	minVoterSlot = (cacheline.Size + unsafe.Sizeof(voter{}) - 1) / unsafe.Sizeof(voter{})
 )
 
 // ensemblePub is the atomic publication slot plus the writer-owned
@@ -443,11 +469,13 @@ type ensemblePub struct {
 	_ cacheline.Pad
 
 	// The current slabs, refilled together: slot k of roSlab goes with
-	// row k of srvSlab. seq counts the combines published so far, seq
-	// mod pubSlabSize of them from the current slabs.
-	roSlab  []Readout
-	srvSlab []ServerReadout
-	seq     uint64
+	// row k of srvSlab and voter slot k of voterSlab. seq counts the
+	// combines published so far, seq mod pubSlabSize of them from the
+	// current slabs.
+	roSlab    []Readout
+	srvSlab   []ServerReadout
+	voterSlab []voter
+	seq       uint64
 }
 
 // Load returns the latest published snapshot.
@@ -462,24 +490,29 @@ func (ep *ensemblePub) Load() *Readout { return ep.p.Load() }
 func (e *Ensemble) Publications() uint64 { return e.pub.seq }
 
 // nextSlot returns a zeroed, never-reused Readout with a Servers slice
-// of length nSrv (the same on every call), carved from the slabs. The
-// caller fills it and then publishes it with store.
+// of length nSrv (the same on every call) and an empty voter list with
+// room for nSrv entries, carved from the slabs. The caller fills it and
+// then publishes it with store.
 //
 //repro:builder
 func (ep *ensemblePub) nextSlot(nSrv int) *Readout {
+	stride := max(nSrv, int(minVoterSlot))
 	carved := int(ep.seq % pubSlabSize)
 	if carved == 0 {
 		//repro:alloc-ok amortized slab refill: one allocation per pubSlabSize combines (PERF.md)
 		ep.roSlab = make([]Readout, pubSlabSize)
 		//repro:alloc-ok amortized slab refill: one allocation per pubSlabSize combines (PERF.md)
 		ep.srvSlab = make([]ServerReadout, pubSlabSize*nSrv)
+		//repro:alloc-ok amortized slab refill: one allocation per pubSlabSize combines (PERF.md)
+		ep.voterSlab = make([]voter, pubSlabSize*stride)
 	}
 	k := cacheline.Slot(carved, pubSlabSize)
 	ep.seq++
 	ro := &ep.roSlab[k]
-	// Full-capacity reslice so appends by a confused caller could never
-	// bleed into another combine's row.
+	// Full-capacity reslices so appends by a confused caller could never
+	// bleed into another combine's row or list.
 	ro.Servers = ep.srvSlab[k*nSrv : (k+1)*nSrv : (k+1)*nSrv]
+	ro.voters = ep.voterSlab[k*stride : k*stride : k*stride+nSrv]
 	return ro
 }
 

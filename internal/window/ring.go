@@ -131,9 +131,15 @@ func (r *Ring[T]) PopBack() T {
 	return v
 }
 
-// DropFront discards the k oldest elements in O(k) slot clears but with
-// no copying or reallocation: the window slide of the engine. k larger
-// than Len empties the ring; negative k panics.
+// DropFront discards the k oldest elements by advancing the head: O(1),
+// no copying, no reallocation — the window slide of the engine. The
+// dropped slots are NOT cleared (the engine drops half a top window,
+// megabytes of plain numbers, at a time): an element type holding
+// pointers would keep its referents reachable until later pushes
+// overwrite the slots, so such a ring should PopFront instead. The
+// engine's rings hold pointer-free elements, which a test in
+// internal/core pins. k larger than Len empties the ring; negative k
+// panics.
 //
 //repro:hotpath
 func (r *Ring[T]) DropFront(k int) {
@@ -142,10 +148,6 @@ func (r *Ring[T]) DropFront(k int) {
 	}
 	if k >= r.n {
 		k = r.n
-	}
-	var zero T
-	for i := 0; i < k; i++ {
-		r.buf[(r.head+i)&(len(r.buf)-1)] = zero
 	}
 	r.head = (r.head + k) & (len(r.buf) - 1)
 	r.n -= k

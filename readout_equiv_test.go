@@ -133,7 +133,7 @@ func TestEnsembleReadoutEquivalenceSim(t *testing.T) {
 							s.AsymmetryHint != sr.AsymmetryHint || s.Exchanges != sr.Exchanges || s.ErrScale != sr.ErrScale {
 							t.Fatalf("exchange %d: ServerStates[%d]: public %+v, readout %+v", i, k, s, sr)
 						}
-						if sr.Exchanges > 0 && math.Abs(vals[k]-e.AbsoluteTime(ex.Tf+500000)) <= sr.AgreementBound {
+						if sr.Exchanges > 0 && math.Abs(vals[k]-e.AbsoluteTime(ex.Tf+500000)) <= r.AgreementBound(k) {
 							agree++
 						}
 					}
