@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race lint reprolint fmt bench bench-module bench-json clean
+.PHONY: all build test race lint reprolint fmt bench bench-module loc clean
 
 all: lint test build
 
@@ -47,12 +47,14 @@ bench:
 bench-module:
 	cd bench && $(GO) vet . && $(GO) test -short . && $(GO) run . -quick -workload sync-replay && $(GO) run . -quick -workload relay-sat && $(GO) run . -quick -workload clock-reads
 
-# bench-json snapshots the serving-path benchmarks (the shards × io ×
-# txstamp grid of BenchmarkServeLoopback: ns/op, allocs/op,
-# syscalls/reply, kernel stamp coverage) into BENCH_<date>.json via
-# tools/benchjson, so perf claims are diffable data.
-bench-json:
-	$(GO) test ./internal/ntp/ -run xxx -bench BenchmarkServeLoopback -benchmem | $(GO) run ./tools/benchjson
+# loc prints the three line counts a simplicity PR reports (CHANGES.md
+# quotes them before and after): non-test Go in the root module, its
+# test Go, and the nested bench/ module — tracked files only, testdata
+# excluded.
+loc:
+	@printf 'non-test Go (root module): %s\n' $$(git ls-files '*.go' | grep -v _test.go | grep -v '^bench/' | grep -v testdata | xargs cat | wc -l)
+	@printf 'test Go (root module):     %s\n' $$(git ls-files '*_test.go' | grep -v '^bench/' | grep -v testdata | xargs cat | wc -l)
+	@printf 'bench/ module Go:          %s\n' $$(git ls-files 'bench/*.go' | xargs cat | wc -l)
 
 clean:
 	$(GO) clean ./...

@@ -420,7 +420,7 @@ func BenchmarkReadParallel(b *testing.B) {
 			},
 			read: func(i uint64) float64 {
 				mu.Lock()
-				t := s.AbsoluteTime(T0 + i)
+				t := s.Readout().AbsoluteTime(T0 + i)
 				mu.Unlock()
 				return t
 			},

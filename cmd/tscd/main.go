@@ -1,8 +1,8 @@
 // Command tscd is the TSC-NTP synchronizer daemon. It runs the robust
 // calibration pipeline in one of two modes:
 //
-//	-mode live  (default): poll a real NTP server over UDP, stamping
-//	            with the host's raw monotonic counter;
+//	-mode live  (default): poll one or more real NTP servers over UDP,
+//	            stamping with the host's raw monotonic counter;
 //	-mode sim:  replay a simulated scenario (environment x server) and
 //	            report accuracy against the simulation's ground truth —
 //	            useful to explore the algorithms without a network.
@@ -27,6 +27,7 @@ import (
 	"math"
 	"os"
 	"os/signal"
+	"strings"
 	"time"
 
 	tscclock "repro"
@@ -39,7 +40,7 @@ import (
 func main() {
 	var (
 		mode   = flag.String("mode", "live", "live or sim")
-		server = flag.String("server", "127.0.0.1:1123", "NTP server (live mode)")
+		server = flag.String("server", "127.0.0.1:1123", "comma-separated NTP servers (live mode)")
 		poll   = flag.Duration("poll", 64*time.Second, "polling interval")
 		local  = flag.Bool("localrate", false, "enable the local-rate refinement")
 
@@ -110,10 +111,12 @@ func runReplay(path string, local bool) {
 }
 
 func runLive(server string, poll time.Duration, local bool) {
-	live, err := tscclock.DialLive(tscclock.LiveOptions{
-		Server: server,
-		Poll:   poll,
-		Clock:  tscclock.Options{UseLocalRate: local},
+	live, err := tscclock.DialMultiLive(tscclock.MultiLiveOptions{
+		// Comma-separated, blanks ignored, as ntpserver reads -upstream.
+		Servers:  strings.FieldsFunc(server, func(r rune) bool { return r == ',' || r == ' ' }),
+		Poll:     poll,
+		MaxPoll:  poll, // a fixed cadence: no adaptive backoff
+		Ensemble: tscclock.EnsembleOptions{Clock: tscclock.Options{UseLocalRate: local}},
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -124,7 +127,7 @@ func runLive(server string, poll time.Duration, local bool) {
 	defer stop()
 
 	fmt.Printf("synchronizing against %s every %v (ctrl-c to stop)\n", server, poll)
-	err = live.Run(ctx, func(st tscclock.Status, err error) {
+	live.Run(ctx, func(_ int, st tscclock.EnsembleStatus, err error) {
 		if err != nil {
 			fmt.Printf("%s exchange failed: %v\n", time.Now().Format(time.TimeOnly), err)
 			return
@@ -136,9 +139,6 @@ func runLive(server string, poll time.Duration, local bool) {
 			timebase.FormatDuration(st.MinRTT),
 			live.Now().Format(time.RFC3339Nano))
 	})
-	if err != nil && ctx.Err() == nil {
-		log.Fatal(err)
-	}
 }
 
 func runSim(env, srv string, days, poll float64, seed uint64, local bool) {

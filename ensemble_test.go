@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/sim"
+	"repro/internal/timebase"
 )
 
 // feedEnsemble sends one clean synthetic exchange with server k at true
@@ -287,5 +289,74 @@ func TestEnsembleWritePathAllocs(t *testing.T) {
 	})
 	if perRun >= 0.05*per {
 		t.Errorf("%v allocations per %d exchanges, want < %v", perRun, per, 0.05*per)
+	}
+}
+
+// TestOneServerEnsembleIsAClock: a one-server Ensemble is a Clock. The
+// live client has one path — a single upstream is the one-voter case of
+// MultiLive — and that is only sound if the ensemble adds nothing to a
+// lone engine: the one-voter median is that voter's clock, its asymmetry
+// correction is identically zero, and with one engine the freshness
+// test cannot fail. So the same trace, with a server identity change in
+// the middle, through a Clock and through NewEnsemble{Servers: 1} must
+// give the same Status after every exchange and the same AbsoluteTime
+// (at three horizons), Period and Between — compared with ==, because a
+// difference of one bit is a second behaviour, not noise.
+func TestOneServerEnsembleIsAClock(t *testing.T) {
+	sc := sim.NewScenario(sim.MachineRoom, sim.ServerInt(), 16, 2*timebase.Day, 7)
+	tr, err := sim.Generate(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exchanges := tr.Completed()
+	const identityChangeAt = 5000
+	if len(exchanges) < 2*identityChangeAt {
+		t.Fatalf("trace has %d exchanges, want the identity change well inside it", len(exchanges))
+	}
+	for _, local := range []bool{false, true} {
+		opts := Options{NominalPeriod: 1 / sc.Oscillator.NominalHz, PollPeriod: 16, UseLocalRate: local}
+		c, err := New(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, err := NewEnsemble(EnsembleOptions{Servers: 1, Clock: opts})
+		if err != nil {
+			t.Fatal(err)
+		}
+		changes := 0
+		for i, ex := range exchanges {
+			refID := uint32(0xc0a80101)
+			if i >= identityChangeAt {
+				refID = 0xc0a80202
+			}
+			cs, err := c.ProcessNTPExchangeFrom(ex.Ta, ex.Tf, ex.Tb, ex.Te, refID, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			es, err := e.ProcessNTPExchangeFrom(0, ex.Ta, ex.Tf, ex.Tb, ex.Te, refID, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if es.Status != cs {
+				t.Fatalf("local=%v exchange %d: ensemble status %+v, clock %+v", local, i, es.Status, cs)
+			}
+			if cs.ServerChanged {
+				changes++
+			}
+			for _, T := range []uint64{ex.Tf, ex.Tf + 1000, ex.Tf + 1<<33} {
+				if got, want := e.AbsoluteTime(T), c.AbsoluteTime(T); got != want {
+					t.Fatalf("local=%v exchange %d: AbsoluteTime(%d): ensemble %v, clock %v", local, i, T, got, want)
+				}
+			}
+			if got, want := e.Period(), c.Period(); got != want {
+				t.Fatalf("local=%v exchange %d: Period: ensemble %v, clock %v", local, i, got, want)
+			}
+			if got, want := e.Between(ex.Ta, ex.Tf), c.Between(ex.Ta, ex.Tf); got != want {
+				t.Fatalf("local=%v exchange %d: Between: ensemble %v, clock %v", local, i, got, want)
+			}
+		}
+		if changes != 1 {
+			t.Errorf("local=%v: %d server changes surfaced, want the one at exchange %d", local, changes, identityChangeAt)
+		}
 	}
 }

@@ -45,8 +45,8 @@ func main() {
 		fmt.Println("started bundled stratum-1 server on", addr)
 	}
 
-	live, err := tscclock.DialLive(tscclock.LiveOptions{
-		Server:  addr,
+	live, err := tscclock.DialMultiLive(tscclock.MultiLiveOptions{
+		Servers: []string{addr},
 		Poll:    *poll,
 		Timeout: 2 * time.Second,
 	})
@@ -57,7 +57,7 @@ func main() {
 
 	fmt.Printf("%-4s %-12s %-14s %-12s %s\n", "i", "RTT", "offset est", "min RTT", "clock vs OS")
 	for i := 0; i < *count; i++ {
-		st, err := live.Step()
+		st, err := live.Step(0)
 		if err != nil {
 			fmt.Printf("%-4d exchange failed: %v (clock coasts on calibration)\n", i, err)
 		} else {
@@ -71,5 +71,5 @@ func main() {
 	}
 
 	fmt.Printf("\nabsolute time now: %s\n", live.Now().Format(time.RFC3339Nano))
-	fmt.Println("exchanges processed:", live.Clock().Exchanges())
+	fmt.Println("exchanges processed:", live.Ensemble().Exchanges())
 }

@@ -17,26 +17,27 @@ func TestAccessors(t *testing.T) {
 	if got := s.Config(); got.PollPeriod != 16 || got.Delta != cfg.Delta {
 		t.Errorf("Config() = %+v", got)
 	}
-	if s.Count() != 0 {
-		t.Errorf("Count before feed = %d", s.Count())
+	r := s.Readout()
+	if r.Count != 0 {
+		t.Errorf("Count before feed = %d", r.Count)
 	}
-	if _, ok := s.Theta(); ok {
+	if r.HaveTheta {
 		t.Error("Theta available before any packet")
 	}
-	if got := s.ThetaAt(12345); got != 0 {
+	if got := r.ThetaAt(12345); got != 0 {
 		t.Errorf("ThetaAt before any packet = %v, want 0", got)
 	}
-	if !math.IsInf(s.RTTHat(), 1) {
-		t.Errorf("RTTHat before feed = %v, want +Inf", s.RTTHat())
+	if !math.IsInf(r.RTTHat, 1) {
+		t.Errorf("RTTHat before feed = %v, want +Inf", r.RTTHat)
 	}
 
 	if _, err := s.Process(Input{Ta: 1000, Tf: 201000, Tb: 5, Te: 5.0001}); err != nil {
 		t.Fatal(err)
 	}
-	if s.Count() != 1 {
-		t.Errorf("Count = %d", s.Count())
+	if r = s.Readout(); r.Count != 1 {
+		t.Errorf("Count = %d", r.Count)
 	}
-	if _, ok := s.Theta(); !ok {
+	if !r.HaveTheta {
 		t.Error("Theta unavailable after first packet")
 	}
 }
@@ -81,17 +82,14 @@ func TestThetaAtLinearPrediction(t *testing.T) {
 		t.Fatal("local rate never became valid")
 	}
 
-	base := s.ThetaAt(lastTf)
-	later := s.ThetaAt(lastTf + uint64(100/p)) // 100 s later
-	pHat, _ := s.Clock()
-	_ = pHat
+	r := s.Readout()
+	base := r.ThetaAt(lastTf)
+	later := r.ThetaAt(lastTf + uint64(100/p)) // 100 s later
 	// The prediction slope must match −γ_l = −(p_l/p̂ − 1).
-	theta0, _ := s.Theta()
-	_ = theta0
 	slope := (later - base) / 100
 	// γ_l is tiny here (clean feed): slope must be bounded by ~1 PPM and
 	// exactly linear (midpoint check).
-	mid := s.ThetaAt(lastTf + uint64(50/p))
+	mid := r.ThetaAt(lastTf + uint64(50/p))
 	if d := math.Abs(mid - (base+later)/2); d > 1e-12 {
 		t.Errorf("prediction not linear: midpoint off by %v", d)
 	}

@@ -13,11 +13,57 @@ import (
 	"repro/internal/timebase"
 )
 
-// TestReadoutEquivalence pins the tentpole contract of the published
-// read path: every read the engine answers directly (the pre-refactor
-// mutex path of the public wrappers) must be answered bit-identically
-// by the latest published Readout, after every packet, including
-// local-rate prediction, identity re-bases, and warmup.
+// checkReadoutIsResult asserts that the readout a Process call
+// published is the account that call returned — Result is what
+// TestGoldenEquivalence holds to the reference engine, so the read side
+// needs no second copy to be held against — and that the absolute clock
+// is the closed form Ca(T) = T·P + K − θ̂(T) at every horizon given.
+func checkReadoutIsResult(t *testing.T, i int, r *Readout, res Result, in Input, cfg Config, horizons ...uint64) {
+	t.Helper()
+	if r.P != res.PHat || r.P != res.ClockP || r.K != res.ClockC {
+		t.Fatalf("packet %d: readout clock (%v,%v), result p̂ %v clock (%v,%v)", i, r.P, r.K, res.PHat, res.ClockP, res.ClockC)
+	}
+	// θ̂ is anchored at this packet's arrival unless the sanity check
+	// duplicated the previous estimate, which keeps its older anchor.
+	anchoredHere := r.ThetaTf == in.Tf
+	if !r.HaveTheta || r.Theta != res.ThetaHat || anchoredHere == res.OffsetSanityTriggered || r.ThetaTf > in.Tf {
+		t.Fatalf("packet %d: readout θ̂ (%v,%v at %d), result %v at %d (sanity %v)",
+			i, r.Theta, r.HaveTheta, r.ThetaTf, res.ThetaHat, in.Tf, res.OffsetSanityTriggered)
+	}
+	if r.RTTHat != res.RTTHat || r.PQuality != res.PQuality {
+		t.Fatalf("packet %d: readout (r̂ %v, quality %v), result (%v, %v)", i, r.RTTHat, r.PQuality, res.RTTHat, res.PQuality)
+	}
+	if r.PLocal != res.PLocal || r.PLocalValid != res.PLocalValid || r.UseLocalRate != cfg.UseLocalRate {
+		t.Fatalf("packet %d: readout p̂_l (%v,%v,%v), result (%v,%v), config %v",
+			i, r.PLocal, r.PLocalValid, r.UseLocalRate, res.PLocal, res.PLocalValid, cfg.UseLocalRate)
+	}
+	if r.Count != res.Seq+1 {
+		t.Fatalf("packet %d: readout count %d, result seq %d", i, r.Count, res.Seq)
+	}
+	// publish's rule: in warmup while no more than WarmupSamples packets
+	// have been processed — the same packets Result flags.
+	if r.Warmup != (r.Count <= cfg.WarmupSamples) || r.Warmup != res.Warmup {
+		t.Fatalf("packet %d: readout warmup %v at count %d (warmup %d), result %v", i, r.Warmup, r.Count, cfg.WarmupSamples, res.Warmup)
+	}
+	if r.LastTf != in.Tf {
+		t.Fatalf("packet %d: staleness anchor %d, want %d", i, r.LastTf, in.Tf)
+	}
+	for _, T := range horizons {
+		if got, want := r.AbsoluteTime(T), float64(T)*r.P+r.K-r.ThetaAt(T); got != want {
+			t.Fatalf("packet %d: AbsoluteTime(%d) = %v, closed form %v", i, T, got, want)
+		}
+	}
+	if got, want := r.DifferenceSpan(in.Ta, in.Tf), float64(in.Tf-in.Ta)*r.P; got != want {
+		t.Fatalf("packet %d: DifferenceSpan = %v, want %v", i, got, want)
+	}
+}
+
+// TestReadoutEquivalence pins the contract of the published read path:
+// the engine has one read surface, the Readout, and the one a Process
+// call publishes is exactly the Result that call returned — after every
+// packet, with and without local-rate prediction, through warmup — and
+// an identity observation republishes with the identity and, on a
+// change, the re-based r̂.
 func TestReadoutEquivalence(t *testing.T) {
 	for _, local := range []bool{false, true} {
 		cfg := DefaultConfig(2e-9, 16)
@@ -35,15 +81,18 @@ func TestReadoutEquivalence(t *testing.T) {
 		if r.Count != 0 || r.HaveTheta || r.P != cfg.PHatInit {
 			t.Fatalf("initial readout = %+v", r)
 		}
-		if got, want := r.AbsoluteTime(12345), s.AbsoluteTime(12345); got != want {
-			t.Fatalf("initial AbsoluteTime: readout %v, engine %v", got, want)
+		if got, want := r.AbsoluteTime(12345), 12345*r.P+r.K; got != want {
+			t.Fatalf("initial AbsoluteTime = %v, want the uncorrected clock %v", got, want)
 		}
 
 		ins := SynthTrace(3000)
 		for i, in := range ins {
-			if _, err := s.Process(in); err != nil {
+			res, err := s.Process(in)
+			if err != nil {
 				t.Fatal(err)
 			}
+			r := s.Readout()
+			checkReadoutIsResult(t, i, r, res, in, cfg, in.Tf, in.Tf+1, in.Tf+uint64(100/r.P))
 			if i%5 == 0 {
 				// Exercise the identity path too: a change at i==1500
 				// re-bases the RTT filter and must republish.
@@ -51,35 +100,17 @@ func TestReadoutEquivalence(t *testing.T) {
 				if i >= 1500 {
 					id.RefID = 0xc0a80202
 				}
-				s.ObserveIdentity(id)
-			}
-			r := s.Readout()
-			if r.Count != s.Count() {
-				t.Fatalf("packet %d: readout count %d, engine %d", i, r.Count, s.Count())
-			}
-			if r.RTTHat != s.RTTHat() {
-				t.Fatalf("packet %d: readout r̂ %v, engine %v", i, r.RTTHat, s.RTTHat())
-			}
-			if th, ok := s.Theta(); r.Theta != th || r.HaveTheta != ok {
-				t.Fatalf("packet %d: readout θ̂ (%v,%v), engine (%v,%v)", i, r.Theta, r.HaveTheta, th, ok)
-			}
-			p, c := s.Clock()
-			if r.P != p || r.K != c {
-				t.Fatalf("packet %d: readout clock (%v,%v), engine (%v,%v)", i, r.P, r.K, p, c)
-			}
-			for _, T := range []uint64{in.Tf, in.Tf + 1, in.Tf + uint64(100/r.P)} {
-				if got, want := r.AbsoluteTime(T), s.AbsoluteTime(T); got != want {
-					t.Fatalf("packet %d: AbsoluteTime(%d): readout %v, engine %v", i, T, got, want)
+				changed := s.ObserveIdentity(id)
+				r = s.Readout()
+				if !r.IdentKnown || r.Ident != id {
+					t.Fatalf("packet %d: published identity %+v/%v, want %+v", i, r.Ident, r.IdentKnown, id)
 				}
-				if got, want := r.ThetaAt(T), s.ThetaAt(T); got != want {
-					t.Fatalf("packet %d: ThetaAt(%d): readout %v, engine %v", i, T, got, want)
+				if changed && r.RTTHat != res.RTT {
+					t.Fatalf("packet %d: r̂ %v after the identity change, want this packet's RTT %v", i, r.RTTHat, res.RTT)
 				}
-			}
-			if got, want := r.DifferenceSpan(in.Ta, in.Tf), s.DifferenceSpan(in.Ta, in.Tf); got != want {
-				t.Fatalf("packet %d: DifferenceSpan: readout %v, engine %v", i, got, want)
-			}
-			if r.LastTf != in.Tf {
-				t.Fatalf("packet %d: staleness anchor %d, want %d", i, r.LastTf, in.Tf)
+				if r.P != res.ClockP || r.K != res.ClockC || r.Theta != res.ThetaHat || r.Count != res.Seq+1 {
+					t.Fatalf("packet %d: identity observation moved the clock: %+v", i, r)
+				}
 			}
 		}
 	}
@@ -88,8 +119,7 @@ func TestReadoutEquivalence(t *testing.T) {
 // TestReadoutEquivalenceSimScenarios runs the golden sim scenarios'
 // shapes — steady state, an upward level shift, and the local-rate
 // refinement — and checks after every packet that the published
-// readout reads are identical to the engine's direct reads (the
-// pre-refactor mutex path evaluated exactly these).
+// readout is the Result of the Process call that published it.
 func TestReadoutEquivalenceSimScenarios(t *testing.T) {
 	scenarios := map[string]func() sim.Scenario{
 		"steady": func() sim.Scenario {
@@ -115,22 +145,13 @@ func TestReadoutEquivalenceSimScenarios(t *testing.T) {
 					t.Fatal(err)
 				}
 				for i, e := range tr.Completed() {
-					if _, err := s.Process(Input{Ta: e.Ta, Tf: e.Tf, Tb: e.Tb, Te: e.Te}); err != nil {
+					in := Input{Ta: e.Ta, Tf: e.Tf, Tb: e.Tb, Te: e.Te}
+					res, err := s.Process(in)
+					if err != nil {
 						t.Fatal(err)
 					}
 					r := s.Readout()
-					for _, T := range []uint64{e.Tf, e.Tf + uint64(8/r.P)} {
-						if got, want := r.AbsoluteTime(T), s.AbsoluteTime(T); got != want {
-							t.Fatalf("packet %d: AbsoluteTime(%d): readout %v, engine %v", i, T, got, want)
-						}
-					}
-					if got, want := r.DifferenceSpan(e.Ta, e.Tf), s.DifferenceSpan(e.Ta, e.Tf); got != want {
-						t.Fatalf("packet %d: DifferenceSpan: readout %v, engine %v", i, got, want)
-					}
-					if r.RTTHat != s.RTTHat() || r.Count != s.Count() {
-						t.Fatalf("packet %d: readout (r̂ %v, n %d) vs engine (%v, %d)",
-							i, r.RTTHat, r.Count, s.RTTHat(), s.Count())
-					}
+					checkReadoutIsResult(t, i, r, res, in, cfg, e.Tf, e.Tf+uint64(8/r.P))
 				}
 			})
 		}

@@ -74,6 +74,3 @@ func (s *Sync) ObserveIdentity(id Identity) bool {
 	s.publish()
 	return true
 }
-
-// CurrentIdentity returns the last observed server identity.
-func (s *Sync) CurrentIdentity() (Identity, bool) { return s.ident, s.identKnown }

@@ -41,9 +41,8 @@ func TestObserveIdentityNoChange(t *testing.T) {
 	if s.ObserveIdentity(id) {
 		t.Error("unchanged identity reported as change")
 	}
-	got, ok := s.CurrentIdentity()
-	if !ok || got != id {
-		t.Errorf("CurrentIdentity = %+v/%v", got, ok)
+	if r := s.Readout(); !r.IdentKnown || r.Ident != id {
+		t.Errorf("published identity = %+v/%v", r.Ident, r.IdentKnown)
 	}
 }
 
@@ -55,7 +54,7 @@ func TestObserveIdentityInvalidIgnored(t *testing.T) {
 	if s.ObserveIdentity(Identity{}) {
 		t.Error("zero identity reported as change")
 	}
-	if _, ok := s.CurrentIdentity(); ok {
+	if s.Readout().IdentKnown {
 		t.Error("zero identity stored")
 	}
 }
@@ -71,7 +70,7 @@ func TestObserveIdentityRebasesMinimum(t *testing.T) {
 	// Old server: 400 µs minimum.
 	feedSteady(t, s, src, 200, 400e-6, &counter, &serverT)
 	s.ObserveIdentity(Identity{RefID: 1, Stratum: 1})
-	oldRHat := s.RTTHat()
+	oldRHat := s.Readout().RTTHat
 	if oldRHat > 450e-6 {
 		t.Fatalf("old r̂ = %v", oldRHat)
 	}
@@ -82,17 +81,17 @@ func TestObserveIdentityRebasesMinimum(t *testing.T) {
 	if !s.ObserveIdentity(Identity{RefID: 2, Stratum: 1}) {
 		t.Fatal("server change not detected")
 	}
-	if got := s.RTTHat(); got < 850e-6 {
+	if got := s.Readout().RTTHat; got < 850e-6 {
 		t.Errorf("r̂ = %v after server change, want re-based to ~900µs", got)
 	}
 
 	// Estimation continues normally against the new server.
 	feedSteady(t, s, src, 100, 900e-6, &counter, &serverT)
-	if got := s.RTTHat(); got < 850e-6 || got > 950e-6 {
+	if got := s.Readout().RTTHat; got < 850e-6 || got > 950e-6 {
 		t.Errorf("r̂ = %v tracking new server", got)
 	}
 	// The rate estimate must have survived the change.
-	p, _ := s.Clock()
+	p := s.Readout().P
 	if rel := p/2e-9 - 1; rel > 1e-5 || rel < -1e-5 {
 		t.Errorf("rate estimate %v disturbed by server change", p)
 	}

@@ -419,7 +419,7 @@ func TestDifferenceClockAccuracy(t *testing.T) {
 	// Use oracle counter readings 100 s apart at the end of the trace.
 	t1, t2 := 5.9*timebase.Hour, 5.9*timebase.Hour+100
 	c1, c2 := tr.Osc.ReadTSC(t1), tr.Osc.ReadTSC(t2)
-	got := s.DifferenceSpan(c1, c2)
+	got := s.Readout().DifferenceSpan(c1, c2)
 	// 3 µs over 100 s is 0.03 PPM, the hardware-bound regime.
 	if d := math.Abs(got - (t2 - t1)); d > 3*timebase.Microsecond {
 		t.Errorf("difference clock error %v over 100 s", d)
@@ -439,7 +439,7 @@ func TestAbsoluteClockTracksTruth(t *testing.T) {
 	}
 	tt := 23.5 * timebase.Hour
 	counter := tr.Osc.ReadTSC(tt)
-	got := s.AbsoluteTime(counter)
+	got := s.Readout().AbsoluteTime(counter)
 	if d := math.Abs(got - tt); d > 150*timebase.Microsecond {
 		t.Errorf("absolute clock error %v at end of day", d)
 	}

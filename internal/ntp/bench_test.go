@@ -16,9 +16,9 @@ import (
 // Linux), hammered by concurrent clients that keep a bounded window of
 // requests in flight (batched ping-pong: the window stays far below
 // the socket buffers, so loopback UDP does not drop). b.N counts
-// replies; ns/op is the per-reply budget at that shard count, and the
-// shards=4 / shards=1 throughput ratio is the sharding win recorded in
-// PERF.md.
+// replies; ns/op is the per-reply budget at that shard count. It is
+// CI's serving smoke, not a ledger: bench/ (relay-open, relay-sat) owns
+// every serving number.
 // The io dimension selects the packet I/O under the one serving loop:
 // io=portable hides the sockets' type so Serve gives them the portable
 // one-ReadFrom-one-WriteTo I/O (two syscalls per reply), io=mmsg leaves
@@ -53,10 +53,9 @@ func BenchmarkServeLoopback(b *testing.B) {
 // per-prefix rate limiter attached — the only per-packet cost the
 // observability layer adds (metric counters are bare atomics and the
 // exposition work all happens at scrape time). The delta against the
-// bare benchmark at the same shard count is the instrumentation tax
-// recorded in PERF.md; the budget is generous enough (Rate 1e9) that
-// no benchmark packet is ever denied, so both benchmarks count the
-// same work per reply.
+// bare benchmark at the same shard count is the instrumentation tax;
+// the budget is generous enough (Rate 1e9) that no benchmark packet is
+// ever denied, so both benchmarks count the same work per reply.
 func BenchmarkServeLoopbackLimited(b *testing.B) {
 	for _, shards := range []int{1, 4} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {

@@ -191,6 +191,19 @@ func (c *Client) EnableKernelStamps(period float64) bool {
 	return c.armKernelStamps(period)
 }
 
+// KissError is a kiss-of-death: a stratum-0 reply whose reference ID is
+// an ASCII code asking the client to change its behaviour (RFC 5905
+// §7.4) — "RATE" to poll less often, "DENY" or "RSTR" to stop. It is an
+// answer, not a failure of the path: the server is reachable and said
+// so. Exchange returns it as the error; read it with errors.As.
+type KissError struct {
+	Code string
+}
+
+func (e *KissError) Error() string {
+	return fmt.Sprintf("ntp: kiss-of-death from server (refid %q)", e.Code)
+}
+
 // errShortWrite is returned when the transport accepts a partial packet.
 var errShortWrite = errors.New("ntp: short write")
 
@@ -256,8 +269,8 @@ func (c *Client) Exchange() (RawExchange, error) {
 		if resp.Mode != ModeServer || resp.Origin != req.Transmit {
 			continue // stray or stale reply
 		}
-		if resp.Stratum == 0 { // kiss-of-death
-			return raw, fmt.Errorf("ntp: kiss-of-death from server (refid %q)", resp.RefIDString())
+		if resp.Stratum == 0 {
+			return raw, &KissError{Code: resp.RefIDString()}
 		}
 		if resp.Transmit.IsZero() || int64(resp.Transmit-resp.Receive) < 0 {
 			// No transmit stamp, or one that precedes the receive stamp

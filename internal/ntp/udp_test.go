@@ -1,6 +1,7 @@
 package ntp
 
 import (
+	"errors"
 	"math"
 	"net"
 	"sync/atomic"
@@ -149,8 +150,10 @@ func TestServerKissOfDeathSurfaced(t *testing.T) {
 
 	counter, _ := MonotonicCounter()
 	c := NewClient(dial(t, pc.LocalAddr()), counter, 2*time.Second)
-	if _, err := c.Exchange(); err == nil {
-		t.Error("kiss-of-death not surfaced as error")
+	_, err = c.Exchange()
+	var kiss *KissError
+	if !errors.As(err, &kiss) || kiss.Code != "RATE" {
+		t.Errorf("kiss-of-death surfaced as %v, want a *KissError with code RATE", err)
 	}
 }
 

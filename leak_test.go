@@ -44,12 +44,12 @@ func startSilentServer(t *testing.T) net.Addr {
 	return pc.LocalAddr()
 }
 
-// TestLiveRunCloseLeaksNothing: cancelling Run and closing a Live
-// leaves no polling goroutine behind.
+// TestLiveRunCloseLeaksNothing: cancelling Run and closing a
+// one-server client leaves no polling goroutine behind.
 func TestLiveRunCloseLeaksNothing(t *testing.T) {
 	base := runtime.NumGoroutine()
 	addr := startServer(t)
-	l, err := DialLive(LiveOptions{Server: addr.String(), Poll: 20 * time.Millisecond, Timeout: time.Second})
+	l, err := DialMultiLive(MultiLiveOptions{Servers: []string{addr.String()}, Poll: 20 * time.Millisecond, Timeout: time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,15 +25,9 @@ func startServer(t *testing.T) net.Addr {
 	return pc.LocalAddr()
 }
 
-func TestDialLiveValidation(t *testing.T) {
-	if _, err := DialLive(LiveOptions{}); err == nil {
-		t.Error("missing server accepted")
-	}
-}
-
 func TestLiveStep(t *testing.T) {
 	addr := startServer(t)
-	l, err := DialLive(LiveOptions{Server: addr.String(), Poll: 50 * time.Millisecond,
+	l, err := DialMultiLive(MultiLiveOptions{Servers: []string{addr.String()}, Poll: 50 * time.Millisecond,
 		Timeout: 2 * time.Second})
 	if err != nil {
 		t.Fatal(err)
@@ -41,7 +35,7 @@ func TestLiveStep(t *testing.T) {
 	defer l.Close()
 
 	for i := 0; i < 5; i++ {
-		st, err := l.Step()
+		st, err := l.Step(0)
 		if err != nil {
 			t.Fatalf("step %d: %v", i, err)
 		}
@@ -49,7 +43,7 @@ func TestLiveStep(t *testing.T) {
 			t.Errorf("loopback RTT %v implausible", st.RTT)
 		}
 	}
-	if got := l.Clock().Exchanges(); got != 5 {
+	if got := l.Ensemble().Exchanges(); got != 5 {
 		t.Errorf("exchanges = %d", got)
 	}
 	// Against the OS-clock server on loopback the absolute clock must
@@ -64,8 +58,9 @@ func TestLiveStep(t *testing.T) {
 
 func TestLiveRunCancel(t *testing.T) {
 	addr := startServer(t)
-	l, err := DialLive(LiveOptions{Server: addr.String(), Poll: 20 * time.Millisecond,
-		Timeout: time.Second})
+	// MaxPoll == Poll is a fixed cadence: no adaptive backoff.
+	l, err := DialMultiLive(MultiLiveOptions{Servers: []string{addr.String()},
+		Poll: 20 * time.Millisecond, MaxPoll: 20 * time.Millisecond, Timeout: time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +69,7 @@ func TestLiveRunCancel(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 150*time.Millisecond)
 	defer cancel()
 	steps := 0
-	err = l.Run(ctx, func(st Status, err error) {
+	err = l.Run(ctx, func(_ int, st EnsembleStatus, err error) {
 		if err == nil {
 			steps++
 		}
@@ -94,16 +89,16 @@ func TestLiveStepAgainstDeadServer(t *testing.T) {
 	}
 	addr := pc.LocalAddr().String()
 	pc.Close()
-	l, err := DialLive(LiveOptions{Server: addr, Timeout: 100 * time.Millisecond})
+	l, err := DialMultiLive(MultiLiveOptions{Servers: []string{addr}, Timeout: 100 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	if _, err := l.Step(); err == nil {
+	if _, err := l.Step(0); err == nil {
 		t.Error("step against dead server succeeded")
 	}
 	// Nothing must have been fed to the clock.
-	if got := l.Clock().Exchanges(); got != 0 {
+	if got := l.Ensemble().Exchanges(); got != 0 {
 		t.Errorf("exchanges = %d after failed step", got)
 	}
 }

@@ -13,34 +13,38 @@ import (
 	"repro/internal/ntp"
 )
 
-// MultiLiveOptions configures a live multi-server synchronizer.
+// MultiLiveOptions configures a live synchronizer.
 type MultiLiveOptions struct {
 	// Servers are the upstream NTP server addresses ("host:123"). At
-	// least one is required; three or more is what makes the ensemble's
+	// least one is required — a single server is the one-voter case of
+	// the same client; three or more is what makes the ensemble's
 	// majority vote meaningful.
 	Servers []string
 	// Poll is the per-server polling interval floor. Default: 64 s. The
 	// aggregate request rate is Servers/Poll, so raise Poll when polling
-	// many public servers.
+	// many public servers, and be conservative: public stratum-1 servers
+	// must not be overloaded.
 	Poll time.Duration
 	// MaxPoll bounds the per-server adaptive backoff. Default: 16×Poll
-	// (capped at 1024 s).
+	// (capped at 1024 s). MaxPoll equal to Poll is a fixed cadence.
 	MaxPoll time.Duration
 	// Timeout bounds each exchange. Default: 4 s.
 	Timeout time.Duration
 	// Ensemble configures the combined clock: the per-server calibration
-	// options (Ensemble.Clock, whose NominalPeriod and PollPeriod take
-	// the same defaults as LiveOptions.Clock) and the trust, selection,
-	// asymmetry-correction and degradation-ladder tuning, all defaulted
-	// as EnsembleOptions documents. Ensemble.Servers is filled in from
-	// Servers.
+	// options (Ensemble.Clock, whose NominalPeriod defaults to 1 ns, the
+	// monotonic counter's resolution, and whose PollPeriod is derived
+	// from Poll) and the trust, selection, asymmetry-correction and
+	// degradation-ladder tuning, all defaulted as EnsembleOptions
+	// documents. Ensemble.Servers is filled in from Servers.
 	Ensemble EnsembleOptions
 
 	// NoKernelStamps disables kernel SO_TIMESTAMPING on the upstream
-	// sockets (see LiveOptions.NoKernelStamps). Off by default: every
-	// dialed UDP upstream gets kernel TX/RX stamps with per-exchange
-	// userspace fallback, and the per-server deltas surface in
-	// UpstreamStates and the relay metrics.
+	// sockets. By default (Linux, UDP) every exchange stamps Ta from the
+	// kernel's error-queue transmit stamp and Tf from the RX cmsg
+	// arrival stamp, falling back per-stamp to userspace readings —
+	// strictly less host noise; the per-server coverage and deltas
+	// surface in UpstreamStates and the relay metrics. Set this to keep
+	// pure-userspace stamping.
 	NoKernelStamps bool
 
 	// MinServers is the dial-time quorum: DialMultiLive succeeds when at
@@ -106,15 +110,18 @@ func (up *upstream) noteStamps(raw ntp.RawExchange) {
 // way back from a server migration.
 const redialAfterFailures = 8
 
-// MultiLive is the multi-server counterpart of Live: the full pipeline
-// against several NTP servers over UDP, one engine per server sharing a
-// single host counter, combined by the ensemble's weighted-median
-// agreement. Per-server polling schedules are staggered so exchanges
-// interleave instead of bursting, and each server backs off
-// independently with its own adaptive Poller. Unreachable servers —
-// at dial time or later — do not fail the client: their slots keep
-// re-dialing under the poller's capped exponential backoff while the
-// ensemble's degradation ladder reports how much of the vote remains.
+// MultiLive is the live client, the one path from a real network to a
+// calibrated clock: the full TSC-NTP pipeline against one or more NTP
+// servers over UDP — raw monotonic counter stamps on the host side,
+// standard NTP packets on the wire, one engine per server sharing the
+// host counter, combined by the ensemble's weighted-median agreement
+// (with one server the median is that server's clock, bit for bit).
+// Per-server polling schedules are staggered so exchanges interleave
+// instead of bursting, and each server backs off independently with its
+// own adaptive Poller. Unreachable servers — at dial time or later — do
+// not fail the client: their slots keep re-dialing under the poller's
+// capped exponential backoff while the ensemble's degradation ladder
+// reports how much of the vote remains.
 type MultiLive struct {
 	ens     *Ensemble
 	ups     []*upstream
@@ -190,28 +197,19 @@ func dialMultiLive(opts MultiLiveOptions, dial func(string) (net.Conn, error)) (
 	var firstErr error
 	for _, addr := range opts.Servers {
 		up := &upstream{addr: addr}
-		conn, err := dial(addr)
-		switch {
-		case err == nil:
-			up.conn = conn
-			up.client = ntp.NewClient(conn, counter, opts.Timeout)
-			if m.kstamps {
-				up.client.EnableKernelStamps(m.period)
-			}
-			up.dials.Inc()
-			connected++
-		default:
-			up.dialFailures.Inc()
-			if firstErr == nil {
-				firstErr = fmt.Errorf("tscclock: dial %s: %w", addr, err)
-			}
-		}
 		m.ups = append(m.ups, up)
 		m.pollers = append(m.pollers, NewPoller(poll, maxPoll))
-		if err != nil && opts.StrictDial {
-			m.Close()
-			return nil, firstErr
+		if _, err := m.ensureClient(up); err != nil {
+			if firstErr == nil {
+				firstErr = err
+			}
+			if opts.StrictDial {
+				m.Close()
+				return nil, firstErr
+			}
+			continue
 		}
+		connected++
 	}
 	if connected < minServers {
 		m.Close()
@@ -227,8 +225,10 @@ func (m *MultiLive) Ensemble() *Ensemble { return m.ens }
 // Counter reads the shared raw host counter.
 func (m *MultiLive) Counter() uint64 { return m.counter() }
 
-// ensureClient returns server k's client, dialing (and thereby
-// re-resolving) on demand when the slot is disconnected.
+// ensureClient returns the slot's client, dialing (and thereby
+// re-resolving) on demand when the slot is disconnected: the one place
+// a socket is opened, wrapped in a client and armed for kernel stamps,
+// at dial time and at every reconnection alike.
 func (m *MultiLive) ensureClient(up *upstream) (*ntp.Client, error) {
 	up.mu.Lock()
 	defer up.mu.Unlock()
@@ -259,11 +259,14 @@ func (m *MultiLive) ensureClient(up *upstream) (*ntp.Client, error) {
 
 // observeExchange tracks consecutive failures per slot and tears the
 // socket down after redialAfterFailures of them, so the next Step dials
-// fresh.
+// fresh. A kiss-of-death is an answer: the socket, the route and the
+// resolved address all work, so it clears the count like a success —
+// re-dialing a server that has just asked to be left alone would only
+// add traffic.
 func (m *MultiLive) observeExchange(up *upstream, err error) {
 	up.mu.Lock()
 	defer up.mu.Unlock()
-	if err == nil {
+	if err == nil || isKiss(err) {
 		up.consecFails = 0
 		return
 	}
@@ -310,9 +313,10 @@ type UpstreamState struct {
 	// DialFailures failed attempts.
 	Dials        uint64
 	DialFailures uint64
-	// ConsecutiveFailures counts exchange failures since the last
-	// success on the current socket; at redialAfterFailures the socket
-	// is torn down for a fresh dial.
+	// ConsecutiveFailures counts exchange failures since the server
+	// last answered on the current socket (a kiss-of-death is an
+	// answer); at redialAfterFailures the socket is torn down for a
+	// fresh dial.
 	ConsecutiveFailures int
 
 	// KernelTa and KernelTf count exchanges whose client send/receive

@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/ntp"
 )
 
 func TestDialMultiLiveValidation(t *testing.T) {
@@ -272,6 +274,55 @@ func TestMultiLiveStepRedialsDisconnected(t *testing.T) {
 	ups = m.UpstreamStates()
 	if !ups[0].Connected || ups[0].Dials != 2 {
 		t.Fatalf("slot after second redial = %+v, want connected after 2 dials", ups[0])
+	}
+}
+
+// TestMultiLiveKissOfDeath: a kiss-of-death is an answer, not a dead
+// socket. A server that replies stratum 0 / "RATE" to every request is
+// demonstrably reachable, so twenty kisses — well past the redial
+// budget — leave the one socket in place, send the poller straight to
+// its maximum, and feed nothing to the ensemble.
+func TestMultiLiveKissOfDeath(t *testing.T) {
+	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := ntp.NewServer(ntp.ServerConfig{Sample: func() ntp.ClockSample {
+		return ntp.ClockSample{Time: ntp.Time64FromTime(time.Now()), Stratum: 0, RefID: ntp.RefIDFromString("RATE")}
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(pc)
+	defer pc.Close()
+
+	const maxPoll = time.Hour
+	m, err := DialMultiLive(MultiLiveOptions{
+		Servers: []string{pc.LocalAddr().String()},
+		Poll:    10 * time.Millisecond,
+		MaxPoll: maxPoll,
+		Timeout: 2 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	for i := 0; i < 20; i++ {
+		st, err := m.Step(0)
+		var kiss *ntp.KissError
+		if !errors.As(err, &kiss) || kiss.Code != "RATE" {
+			t.Fatalf("step %d: %v, want a RATE kiss", i, err)
+		}
+		// What Run does with the outcome.
+		if got := m.pollers[0].Observe(st.Status, err); got != maxPoll {
+			t.Fatalf("step %d: poller recommends %v after a kiss, want %v", i, got, maxPoll)
+		}
+	}
+	if up := m.UpstreamStates()[0]; up.Dials != 1 || !up.Connected || up.ConsecutiveFailures != 0 {
+		t.Errorf("slot after 20 kisses = %+v, want the first socket, no failures counted", up)
+	}
+	if got := m.Ensemble().Exchanges(); got != 0 {
+		t.Errorf("%d exchanges reached the ensemble", got)
 	}
 }
 

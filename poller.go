@@ -6,6 +6,8 @@ import (
 	"net"
 	"os"
 	"time"
+
+	"repro/internal/ntp"
 )
 
 // Poller implements the controlled-emission extension the paper sketches
@@ -29,9 +31,11 @@ import (
 // connection, unreachable network — is not packet loss: polling faster
 // cannot help, so it skips the fast retries and backs off immediately,
 // which keeps a decommissioned or misconfigured server from being
-// hammered at the fast rate even briefly. Any successful exchange
-// resets the failure count. The zero value is not usable; use
-// NewPoller.
+// hammered at the fast rate even briefly. A kiss-of-death
+// (ntp.KissError) is neither: the server answered, and what it said is
+// "poll me less" — the interval goes straight to Max, no ramp. Any
+// successful exchange resets the failure count. The zero value is not
+// usable; use NewPoller.
 type Poller struct {
 	min, max time.Duration
 	current  time.Duration
@@ -55,6 +59,13 @@ func isTimeout(err error) bool {
 	}
 	var ne net.Error
 	return errors.As(err, &ne) && ne.Timeout()
+}
+
+// isKiss reports a kiss-of-death: the server answered, with a request
+// to change behaviour rather than with time (see ntp.KissError).
+func isKiss(err error) bool {
+	var kiss *ntp.KissError
+	return errors.As(err, &kiss)
 }
 
 // NewPoller constructs a poller bounded by [min, max]. Defaults when
@@ -84,6 +95,11 @@ func (p *Poller) Observe(st Status, exchangeErr error) time.Duration {
 		p.failures = 0
 	}
 	switch {
+	case isKiss(exchangeErr):
+		// The server answered, and asked to be polled less: Max at once,
+		// and no fast retries if the next thing it does is drop requests.
+		p.failures = failFastRetries + 1
+		p.current = p.max
 	case exchangeErr != nil:
 		// Timeouts retry at the fast rate while the failure looks like
 		// transient loss, then back off exponentially — a dead server

@@ -258,7 +258,9 @@ func TestPollerMinClamp(t *testing.T) {
 
 func TestRunAdaptiveAgainstServer(t *testing.T) {
 	addr := startServer(t)
-	l, err := DialLive(LiveOptions{Server: addr.String(), Timeout: time.Second})
+	// Poll and MaxPoll are the adaptive poller's bounds.
+	l, err := DialMultiLive(MultiLiveOptions{Servers: []string{addr.String()},
+		Poll: 10 * time.Millisecond, MaxPoll: 80 * time.Millisecond, Timeout: time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,15 +268,14 @@ func TestRunAdaptiveAgainstServer(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
 	defer cancel()
-	p := NewPoller(10*time.Millisecond, 80*time.Millisecond)
 	steps := 0
-	err = l.RunAdaptive(ctx, p, func(st Status, err error) {
+	err = l.Run(ctx, func(_ int, st EnsembleStatus, err error) {
 		if err == nil {
 			steps++
 		}
 	})
 	if err != context.DeadlineExceeded {
-		t.Errorf("RunAdaptive returned %v", err)
+		t.Errorf("Run returned %v", err)
 	}
 	if steps < 3 {
 		t.Errorf("only %d steps", steps)

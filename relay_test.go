@@ -66,50 +66,85 @@ func startServerAtStratum(t *testing.T, stratum uint8) net.Addr {
 	return pc.LocalAddr()
 }
 
-// TestRelayPropagatesUnsyncedUpstream: upstreams that answer with
-// plausible stamps but advertise stratum 16 (their own chain is dead)
-// must not be re-served as a confident stratum 2 — the relay has to
-// propagate the unsynchronized condition, for both the single-clock
-// and the ensemble adapters.
-func TestRelayPropagatesUnsyncedUpstream(t *testing.T) {
-	deadA := startServerAtStratum(t, ntp.StratumUnsynced)
-	deadB := startServerAtStratum(t, ntp.StratumUnsynced)
-
-	l, err := DialLive(LiveOptions{Server: deadA.String(), Poll: 20 * time.Millisecond, Timeout: 2 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	for i := 0; i < 40; i++ { // well past the 32-sample warmup
-		if _, err := l.Step(); err != nil {
-			t.Fatalf("step %d: %v", i, err)
-		}
-	}
-	if s := l.ServerSample(ntp.RefIDFromString("TSCC"))(); s.Leap != ntp.LeapNotSynced || s.Stratum != ntp.StratumUnsynced {
-		t.Errorf("Live behind a stratum-16 upstream advertises leap=%d stratum=%d, want unsynced", s.Leap, s.Stratum)
-	}
-
-	m, err := DialMultiLive(MultiLiveOptions{
-		Servers: []string{deadA.String(), deadB.String()},
-		Poll:    20 * time.Millisecond,
-		Timeout: 2 * time.Second,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-	for i := 0; i < 40; i++ {
-		for k := 0; k < 2; k++ {
+// stepAll feeds rounds exchanges from every upstream of m.
+func stepAll(t *testing.T, m *MultiLive, rounds int) {
+	t.Helper()
+	for i := 0; i < rounds; i++ {
+		for k := range m.ups {
 			if _, err := m.Step(k); err != nil {
 				t.Fatalf("server %d step %d: %v", k, i, err)
 			}
 		}
 	}
-	if !m.Ensemble().Readout().Synced() {
-		t.Fatal("ensemble did not calibrate (test harness lost its teeth)")
+}
+
+// TestRelayPropagatesUnsyncedUpstream: upstreams that answer with
+// plausible stamps but advertise stratum 16 (their own chain is dead)
+// must not be re-served as a confident stratum 2 — the relay has to
+// propagate the unsynchronized condition, with one upstream as with
+// several. And a healthy upstream that then goes dark must decay: the
+// one-server relay sample grows its dispersion through HOLDOVER and
+// ends at LeapNotSynced/16 once UnsyncedAfter has passed.
+func TestRelayPropagatesUnsyncedUpstream(t *testing.T) {
+	refID := ntp.RefIDFromString("TSCC")
+	for _, n := range []int{1, 2} {
+		var servers []string
+		for k := 0; k < n; k++ {
+			servers = append(servers, startServerAtStratum(t, ntp.StratumUnsynced).String())
+		}
+		m, err := DialMultiLive(MultiLiveOptions{Servers: servers, Poll: 20 * time.Millisecond, Timeout: 2 * time.Second})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer m.Close()
+		stepAll(t, m, 40) // well past the 32-sample warmup
+		if !m.Ensemble().Readout().Synced() {
+			t.Fatalf("%d upstreams: ensemble did not calibrate (test harness lost its teeth)", n)
+		}
+		if s := m.ServerSample(refID)(); s.Leap != ntp.LeapNotSynced || s.Stratum != ntp.StratumUnsynced {
+			t.Errorf("relay behind %d stratum-16 upstreams advertises leap=%d stratum=%d, want unsynced", n, s.Leap, s.Stratum)
+		}
 	}
-	if s := m.ServerSample(ntp.RefIDFromString("TSCC"))(); s.Leap != ntp.LeapNotSynced || s.Stratum != ntp.StratumUnsynced {
-		t.Errorf("relay behind stratum-16 upstreams advertises leap=%d stratum=%d, want unsynced", s.Leap, s.Stratum)
+
+	m, err := DialMultiLive(MultiLiveOptions{
+		Servers: []string{startServer(t).String()},
+		Poll:    20 * time.Millisecond,
+		Timeout: 2 * time.Second,
+		Ensemble: EnsembleOptions{
+			HoldoverAfter: 250 * time.Millisecond,
+			UnsyncedAfter: 1500 * time.Millisecond,
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	stepAll(t, m, 40)
+	sample := m.ServerSample(refID)
+	synced := sample()
+	if synced.Leap != ntp.LeapNone || synced.Stratum != 2 {
+		t.Fatalf("relay behind one healthy stratum-1 upstream advertises leap=%d stratum=%d, want 0/2", synced.Leap, synced.Stratum)
+	}
+	// The upstream goes dark: no more steps. Watch the sample decay.
+	grew := false
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(20 * time.Millisecond) {
+		heldOver := !m.Ready() // read before the sample: HOLDOVER or below
+		s := sample()
+		if s.Stratum == ntp.StratumUnsynced {
+			if s.Leap != ntp.LeapNotSynced {
+				t.Errorf("stale relay advertises stratum 16 with leap=%d", s.Leap)
+			}
+			break
+		}
+		if heldOver && s.RootDisp > synced.RootDisp {
+			grew = true
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("relay still advertises stratum %d long after UnsyncedAfter", s.Stratum)
+		}
+	}
+	if !grew {
+		t.Error("dispersion never grew while the relay held over")
 	}
 }
 
@@ -391,14 +426,15 @@ func TestRelayEndToEnd(t *testing.T) {
 
 	// Also sync a full client clock against our own relay: the relay
 	// round-trips the whole pipeline (counter stamps → calibration →
-	// serving), so a downstream Live must calibrate against it too.
-	dl, err := DialLive(LiveOptions{Server: sh.Addr().String(), Poll: 25 * time.Millisecond, Timeout: 2 * time.Second})
+	// serving), so a downstream one-server client must calibrate
+	// against it too.
+	dl, err := DialMultiLive(MultiLiveOptions{Servers: []string{sh.Addr().String()}, Poll: 25 * time.Millisecond, Timeout: 2 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer dl.Close()
 	for i := 0; i < 5; i++ {
-		if _, err := dl.Step(); err != nil {
+		if _, err := dl.Step(0); err != nil {
 			t.Fatalf("downstream step %d: %v", i, err)
 		}
 	}

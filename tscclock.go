@@ -20,8 +20,9 @@
 //   - the absolute clock additionally corrects the offset estimate θ̂ —
 //     accurate to tens of microseconds against a good server.
 //
-// Feed completed NTP exchanges to Clock.ProcessNTPExchange, or use Live
-// to run the whole pipeline over UDP against a real NTP server.
+// Feed completed NTP exchanges to Clock.ProcessNTPExchange, or use
+// MultiLive to run the whole pipeline over UDP against one or more real
+// NTP servers.
 package tscclock
 
 import (
