@@ -32,7 +32,7 @@ fmt:
 	gofmt -w .
 
 bench:
-	$(GO) test ./internal/core/ -run xxx -bench 'BenchmarkProcess|BenchmarkProcessStages' -benchtime 1000x -benchmem
+	$(GO) test ./internal/core/ -run xxx -bench 'BenchmarkProcess|BenchmarkProcessStages|BenchmarkOffsetScan' -benchtime 1000x -benchmem
 	$(GO) test ./internal/ensemble/ -run xxx -bench 'BenchmarkEnsemble$$' -benchtime 10x -benchmem
 	$(GO) test ./internal/ensemble/ -run xxx -bench 'BenchmarkEnsembleStages|BenchmarkEnsembleRead' -benchmem
 	$(GO) test . -run xxx -bench 'BenchmarkReadParallel|BenchmarkWriteBesideReader' -benchmem
@@ -48,13 +48,15 @@ bench-module:
 	cd bench && $(GO) vet . && $(GO) test -short . && $(GO) run . -quick -workload sync-replay && $(GO) run . -quick -workload relay-sat && $(GO) run . -quick -workload clock-reads
 
 # loc prints the three line counts a simplicity PR reports (CHANGES.md
-# quotes them before and after): non-test Go in the root module, its
-# test Go, and the nested bench/ module — tracked files only, testdata
-# excluded.
+# quotes them before and after): non-test code in the root module — Go
+# and the assembly beside it, whose share is shown — its test Go, and
+# the nested bench/ module — tracked files only, testdata excluded.
 loc:
-	@printf 'non-test Go (root module): %s\n' $$(git ls-files '*.go' | grep -v _test.go | grep -v '^bench/' | grep -v testdata | xargs cat | wc -l)
-	@printf 'test Go (root module):     %s\n' $$(git ls-files '*_test.go' | grep -v '^bench/' | grep -v testdata | xargs cat | wc -l)
-	@printf 'bench/ module Go:          %s\n' $$(git ls-files 'bench/*.go' | xargs cat | wc -l)
+	@printf 'non-test Go+asm (root module): %s (of which *.s: %s)\n' \
+		$$(git ls-files '*.go' '*.s' | grep -v _test.go | grep -v '^bench/' | grep -v testdata | xargs cat | wc -l) \
+		$$(git ls-files '*.s' | grep -v '^bench/' | xargs cat | wc -l)
+	@printf 'test Go (root module):         %s\n' $$(git ls-files '*_test.go' | grep -v '^bench/' | grep -v testdata | xargs cat | wc -l)
+	@printf 'bench/ module Go:              %s\n' $$(git ls-files 'bench/*.go' | xargs cat | wc -l)
 
 clean:
 	$(GO) clean ./...

@@ -1,6 +1,9 @@
 package core
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // benchTraceLen is the synthetic trace length for the throughput
 // suite: long enough that the engine's top window slides dozens of
@@ -168,9 +171,70 @@ func BenchmarkProcessStages(b *testing.B) {
 	})
 }
 
+// BenchmarkOffsetScan is the scan's own budget line: the n newest
+// records of a warmed engine's window (63 is τ′ at the default
+// configuration, 16 the τ*/4 sensitivity setting, 250 a τ′ four times
+// the paper's) scanned as of each of the next 64 arrivals in rotation,
+// so the ages keep moving. kernel is offsetScan as updateOffset
+// calls it — the AVX2 kernel and the loop as its tail — and is skipped
+// where there is no kernel; loop is offsetScanLoop alone, what
+// every other platform runs. Both are asserted to allocate nothing.
+func BenchmarkOffsetScan(b *testing.B) {
+	if benchTrace == nil {
+		benchTrace = SynthTrace(benchTraceLen)
+	}
+	const warm = 60_000
+	s, err := NewSync(DefaultConfig(2e-9, 16))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, in := range benchTrace[:warm] {
+		if _, err := s.Process(in); err != nil {
+			b.Fatal(err)
+		}
+	}
+	e := s.cfg.E()
+	par := scanParams{p: s.p, eps: s.cfg.AgingRate, invE: 1 / e, cutoff: weightCutoffBase * e}
+	var sink float64
+	for _, n := range []int{16, 63, 250} {
+		win := make([]scanRec, n)
+		for i := range win {
+			win[i] = *s.scan.At(s.scan.Len() - n + i)
+		}
+		run := func(path string, scan func(*scanParams) float64) {
+			b.Run(fmt.Sprintf("n=%d/%s", n, path), func(b *testing.B) {
+				if path == "kernel" && !haveAVX2 {
+					b.Skip("no AVX2: offsetScan is offsetScanLoop here")
+				}
+				par := par
+				par.fnow = float64(benchTrace[warm].Tf)
+				if a := testing.AllocsPerRun(100, func() { sink += scan(&par) }); a != 0 {
+					b.Fatalf("%v allocs per scan, want 0", a)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					par.fnow = float64(benchTrace[warm+i&63].Tf)
+					sink += scan(&par)
+				}
+			})
+		}
+		run("kernel", func(par *scanParams) float64 {
+			_, _, t := offsetScan(win, par)
+			return t
+		})
+		run("loop", func(par *scanParams) float64 {
+			acc := emptyLanes()
+			offsetScanLoop(win, 0, par, &acc)
+			return acc.sumWTheta[0]
+		})
+	}
+	_ = sink
+}
+
 // BenchmarkProcessLocalRate is the default window configuration with
-// the quasi-local rate refinement enabled: the offset scan takes the
-// linear-prediction path (offsetScanGl) and the near/far sub-window
+// the quasi-local rate refinement enabled: the offset scan runs with a
+// non-zero γ_l (linear prediction) and the near/far sub-window
 // selection runs every packet.
 func BenchmarkProcessLocalRate(b *testing.B) {
 	if benchTrace == nil {

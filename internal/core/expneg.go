@@ -32,9 +32,16 @@ import "math"
 // practice because the per-weight errors largely cancel in the
 // weighted mean).
 //
-// offsetScan and offsetScanGl inline this function's body by hand: the
-// call is most of the loop cost and the function exceeds the
-// compiler's inlining budget. Keep them in lockstep.
+// The offset filter does not call this function: the call is most of
+// the loop's cost and the body exceeds the compiler's inlining budget.
+// The body is written out twice more — in offsetScanLoop (offset.go)
+// and, four records wide, in offsetScanAVX2 (offset_amd64.s) — and the
+// three are held together by == rather than by this comment:
+// TestScanWeightIsExpNeg pins the loop's weight to expNeg bit for bit
+// over this file's test grid, TestOffsetScanKernelMatchesLoop and
+// FuzzOffsetScan pin the kernel to the loop. The float64() conversions
+// forbid fused multiply-adds, so the bits are the same on every
+// platform (see offsetScanLoop).
 func expNeg(x float64) float64 {
 	if x > 680 {
 		// exp(-680) ≈ 5e-296: zero for every caller's purpose, and
@@ -45,15 +52,15 @@ func expNeg(x float64) float64 {
 		// Negative or NaN: out of the hot path's domain, delegate.
 		return math.Exp(-x)
 	}
-	t := x*invLn2x256 + expShift
-	k := int(int32(math.Float64bits(t)))
+	t := float64(x*invLn2x256) + expShift
+	k := int(math.Float64bits(t) & (1<<32 - 1))
 	kf := t - expShift
 	// Cody–Waite two-term reduction: ln2Hi256's mantissa has enough
 	// trailing zeros that kf*ln2Hi256 is exact for k < 2^19.
-	r := (x - kf*ln2Hi256) - kf*ln2Lo256
+	r := (x - float64(kf*ln2Hi256)) - float64(kf*ln2Lo256)
 	// exp(-r) = 1 − r + r²/2 − r³/6 in Estrin form, |r| ≤ ln2/512.
 	r2 := r * r
-	q := (1 - r) + r2*(0.5-r*(1.0/6))
+	q := (1 - r) + float64(r2*(0.5-float64(r*(1.0/6))))
 	return expNegTab[k&255] * expScaleTab[(k>>8)&1023] * q
 }
 

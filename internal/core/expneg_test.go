@@ -28,19 +28,47 @@ func TestExpNegAccuracy(t *testing.T) {
 			t.Fatalf("expNeg(%g) = %g, want %g (rel err %g)", x, got, want, rel)
 		}
 	}
-	// Dense sweep over the hot range [0, 85] (cutoff factor 9 squared
-	// is 81) and sparser over the extended range.
+	forExpNegGrid(checkRel)
+}
+
+// forExpNegGrid calls f over the arguments the exponential is tested
+// on: a dense sweep of the hot range [0, 85] (cutoff factor 9 squared
+// is 81), a sparser one over the extended range, and random points.
+func forExpNegGrid(f func(x float64)) {
 	for x := 0.0; x <= 85; x += 0.0009765625 {
-		checkRel(x)
+		f(x)
 	}
 	for x := 85.0; x <= 670; x += 0.125 {
-		checkRel(x)
+		f(x)
 	}
-	// Random fuzz including subnormal-adjacent magnitudes of x.
 	src := rng.New(17)
 	for i := 0; i < 200000; i++ {
-		checkRel(src.Float64() * 85)
+		f(src.Float64() * 85)
 	}
+}
+
+// TestScanWeightIsExpNeg is the link between expNeg and its inline
+// copies: over the same grid, a window of one record with E^T/E = x
+// sums to expNeg(x²) bit for bit (offsetScanLoop's copy), and a window
+// of four such records — one block of the AVX2 kernel where there is
+// one, one record per lane — to exactly four times that.
+func TestScanWeightIsExpNeg(t *testing.T) {
+	par := scanParams{fnow: 1e9, p: 1e-9, invE: 1, cutoff: 26}
+	win := make([]scanRec, 4)
+	forExpNegGrid(func(arg float64) {
+		x := math.Sqrt(arg)
+		for i := range win {
+			win[i] = scanRec{ftf: par.fnow, pointErr: x, theta: 1}
+		}
+		want := expNeg(x * x)
+		for _, n := range []int{1, 4} {
+			minET, sumW, sumWTheta := offsetScan(win[:n], &par)
+			if minET != x || sumW != float64(n)*want || sumWTheta != sumW {
+				t.Fatalf("x²=%g, %d records: scan = (%g, %b, %b), want (%g, %b, same)",
+					arg, n, minET, sumW, sumWTheta, x, float64(n)*want)
+			}
+		}
+	})
 }
 
 func TestExpNegEdgeCases(t *testing.T) {

@@ -35,8 +35,8 @@ const weightCutoffBase = 9
 // cutoff: point errors are non-negative, so E^T_i ≥ ε·age_i, and ages
 // increase monotonically toward the old end of the window — records
 // beyond the age horizon (cutoff/ε seconds) are located by binary
-// search and never touched. Each surviving record costs one fused
-// table-driven exponential (expNeg) instead of a math.Exp call.
+// search and never touched. The surviving records go through
+// offsetScan, four to an instruction where the CPU has AVX2.
 func (s *Sync) updateOffset(rec *record, res *Result) {
 	e := s.cfg.E()
 	if s.count <= s.nWarm {
@@ -49,7 +49,7 @@ func (s *Sync) updateOffset(rec *record, res *Result) {
 	}
 	// Validate bounds EStarStarFactor below 26, so cutoff < 26·E and
 	// the scan's exponential argument stays inside its reduction range
-	// ((E^T/E)² < 676); the scans also carry their own argument guard
+	// ((E^T/E)² < 676); the scan also carries its own argument clamp
 	// for defense in depth.
 
 	n := s.hist.Len()
@@ -57,11 +57,23 @@ func (s *Sync) updateOffset(rec *record, res *Result) {
 	if start < 0 {
 		start = 0
 	}
+	// Local-rate residual for linear prediction (equation 21): the
+	// estimate of the rate error of C(t) relative to true time. Zero
+	// when the refinement is off or not yet valid: θ − 0·age is θ
+	// exactly, so there is one scan for both configurations.
+	gl := 0.0
+	useGl := s.cfg.UseLocalRate && s.plValid && s.pl > 0 && s.p > 0
+	if useGl {
+		gl = s.pl/s.p - 1
+	}
+
 	now := rec.tf
-	fnow := float64(now)
-	p := s.p
-	eps := s.cfg.AgingRate
-	epsP := eps * p
+	// Field by field: a composite literal is built in a temporary and
+	// copied 16 bytes at a time, each copy a load that straddles two
+	// 8-byte stores still in flight — a store-forwarding stall apiece.
+	var par scanParams
+	par.fnow, par.p, par.eps = float64(now), s.p, s.cfg.AgingRate
+	par.invE, par.cutoff, par.gl = 1/e, cutoff, gl
 
 	// Age horizon: skip the contiguous old prefix whose aging term
 	// alone exceeds the cutoff (E^T ≥ ε·age there, so none of it can
@@ -69,48 +81,25 @@ func (s *Sync) updateOffset(rec *record, res *Result) {
 	// fallback decision is in play). Ages decrease with position, so
 	// the boundary is found by binary search; for the paper's window
 	// settings the horizon is far wider than τ′ and this never fires.
-	if epsP*(fnow-s.scan.At(start).ftf) > cutoff {
+	// The aging term is the scan's own expression, rounding for
+	// rounding, so the horizon never drops a record the scan would keep.
+	if par.aging(s.scan.At(start)) > cutoff {
 		lim := n - 1 - start
 		//repro:alloc-ok cold branch (the horizon never binds at paper window settings) and sort.Search does not retain f, so the closure stays on the stack; BenchmarkProcess asserts 0 allocs/op
 		start += sort.Search(lim, func(i int) bool {
-			return epsP*(fnow-s.scan.At(start+i).ftf) <= cutoff
+			return par.aging(s.scan.At(start+i)) <= cutoff
 		})
 	}
 
-	// Local-rate residual for linear prediction (equation 21): the
-	// estimate of the rate error of C(t) relative to true time.
-	gl := 0.0
-	useGl := s.cfg.UseLocalRate && s.plValid && s.pl > 0 && s.p > 0
-	if useGl {
-		gl = s.pl/s.p - 1
-	}
-
-	// Stage (i)+(ii): total errors and weights, oldest to newest (the
-	// same summation order as the direct implementation).
-	invE := 1 / e
-	minET := math.Inf(1)
-	sumW, sumWTheta := 0.0, 0.0
+	// Stage (i)+(ii): total errors and weights over the window's one or
+	// two ring segments, oldest first.
 	winA, winB := s.scan.Slices(start, n)
-	if useGl {
-		minET, sumW, sumWTheta = offsetScanGl(winA, fnow, p, eps, invE, cutoff, gl)
-		if len(winB) > 0 {
-			m, w2, t2 := offsetScanGl(winB, fnow, p, eps, invE, cutoff, gl)
-			if m < minET {
-				minET = m
-			}
-			sumW += w2
-			sumWTheta += t2
-		}
-	} else {
-		minET, sumW, sumWTheta = offsetScan(winA, fnow, epsP, invE, cutoff)
-		if len(winB) > 0 {
-			m, w2, t2 := offsetScan(winB, fnow, epsP, invE, cutoff)
-			if m < minET {
-				minET = m
-			}
-			sumW += w2
-			sumWTheta += t2
-		}
+	minET, sumW, sumWTheta := offsetScan(winA, &par)
+	if len(winB) > 0 {
+		m, w2, t2 := offsetScan(winB, &par)
+		minET = min(minET, m)
+		sumW += w2
+		sumWTheta += t2
 	}
 
 	var cand float64
@@ -181,131 +170,104 @@ func (s *Sync) updateOffset(rec *record, res *Result) {
 	s.haveTh = true
 }
 
-// offsetScan is stages (i)+(ii) over one contiguous window segment:
-// total errors E^T = E_i + ε·age, the running minimum, and the
-// weighted sums with w = exp(−(E^T/E)²). Records beyond the weight
-// cutoff contribute to the minimum but not to the sums (their weights
-// are below exp(−81); see weightCutoffBase).
-//
-// This is the engine's hottest loop, so the Gaussian weight is the
-// expNeg scheme from expneg.go spelled out inline — the function
-// exceeds the compiler's inlining budget and a call per record is most
-// of the loop's cost — with the domain guard reduced to one clamp:
-// (E^T/E)² is non-negative by construction and below 676 whenever the
-// cutoff test passes and point errors are non-negative (Validate
-// bounds EStarStarFactor under 26); the clamp to 676 makes an
-// invariant breach yield weight ≈ 0 instead of a wrapped table index.
-// The loop is two-way
-// unrolled with independent accumulator pairs so consecutive records'
-// exponential chains overlap (the evaluation is latency-bound
-// otherwise), and it is kept free of receiver field accesses so every
-// loop-invariant stays in a register.
-//
-// ε·age is computed as (ε·p)·(float64(Tf_now) − float64(Tf_i)) with
-// the product ε·p folded once per scan; this differs from the
-// reference's ε·((Tf_now − Tf_i)·p) by a couple of roundings, ~1e-19 s
-// on E^T — invisible at the 1e-12 equivalence budget.
-func offsetScan(win []scanRec, fnow, epsP, invE, cutoff float64) (minET, sumW, sumWTheta float64) {
-	minET = math.Inf(1)
-	var sw0, st0, sw1, st1 float64
-	n := len(win)
-	i := 0
-	for ; i+1 < n; i += 2 {
-		pair := win[i : i+2 : i+2] // one bounds check for the pair
-		r0, r1 := &pair[0], &pair[1]
-		et0 := r0.pointErr + epsP*(fnow-r0.ftf)
-		et1 := r1.pointErr + epsP*(fnow-r1.ftf)
-		minET = min(minET, et0)
-		minET = min(minET, et1)
-		if et0 <= cutoff {
-			x := et0 * invE
-			arg := x * x
-			if arg >= 676 {
-				arg = 676 // defense: weight 0 to scan precision either way
-			}
-			t := arg*invLn2x256 + expShift
-			k := int(int32(math.Float64bits(t)))
-			kf := t - expShift
-			rr := (arg - kf*ln2Hi256) - kf*ln2Lo256
-			r2 := rr * rr
-			q := (1 - rr) + r2*(0.5-rr*(1.0/6))
-			w := expNegTab[k&255] * expScaleTab[(k>>8)&1023] * q
-			sw0 += w
-			st0 += w * r0.theta
-		}
-		if et1 <= cutoff {
-			x := et1 * invE
-			arg := x * x
-			if arg >= 676 {
-				arg = 676 // defense: weight 0 to scan precision either way
-			}
-			t := arg*invLn2x256 + expShift
-			k := int(int32(math.Float64bits(t)))
-			kf := t - expShift
-			rr := (arg - kf*ln2Hi256) - kf*ln2Lo256
-			r2 := rr * rr
-			q := (1 - rr) + r2*(0.5-rr*(1.0/6))
-			w := expNegTab[k&255] * expScaleTab[(k>>8)&1023] * q
-			sw1 += w
-			st1 += w * r1.theta
-		}
-	}
-	for ; i < n; i++ {
-		r := &win[i]
-		et := r.pointErr + epsP*(fnow-r.ftf)
-		minET = min(minET, et)
-		if et <= cutoff {
-			x := et * invE
-			arg := x * x
-			if arg >= 676 {
-				arg = 676
-			}
-			t := arg*invLn2x256 + expShift
-			k := int(int32(math.Float64bits(t)))
-			kf := t - expShift
-			rr := (arg - kf*ln2Hi256) - kf*ln2Lo256
-			r2 := rr * rr
-			q := (1 - rr) + r2*(0.5-rr*(1.0/6))
-			w := expNegTab[k&255] * expScaleTab[(k>>8)&1023] * q
-			sw0 += w
-			st0 += w * r.theta
-		}
-	}
-	return minET, sw0 + sw1, st0 + st1
+// scanParams are one scan's loop invariants: the counter value now as
+// a float64, the clock period, the aging rate ε, 1/E, the weight
+// cutoff and the local-rate residual γ_l (0 when linear prediction is
+// off). The AVX2 kernel broadcasts them from this layout.
+type scanParams struct {
+	fnow, p, eps, invE, cutoff, gl float64
 }
 
-// offsetScanGl is offsetScan with the local-rate linear prediction of
-// equation (21) applied to each record's contribution: the θ_i are
-// extrapolated by −γ_l·age before weighting. Kept as a separate
-// specialization so the common path (local rate disabled or not yet
-// valid) pays nothing for the extra multiply-adds, and written without
-// the unroll: the refinement path is already the expensive
-// configuration and profits more from simplicity. The same 676
-// argument clamp as offsetScan bounds the exponential here.
-func offsetScanGl(win []scanRec, fnow, p, eps, invE, cutoff, gl float64) (minET, sumW, sumWTheta float64) {
-	minET = math.Inf(1)
-	for idx := range win {
-		r := &win[idx]
+// aging is a record's aging term ε·age, in the scan's own operation
+// order: age = (Tf_now − Tf_i)·p first, then ε·age — the reference
+// engine's association.
+func (par *scanParams) aging(r *scanRec) float64 {
+	return par.eps * ((par.fnow - r.ftf) * par.p)
+}
+
+// scanLanes are the scan's accumulators: record i of a window segment
+// accumulates into lane i mod 4. The AVX2 kernel stores each array
+// from one register.
+type scanLanes struct {
+	minET, sumW, sumWTheta [4]float64
+}
+
+// emptyLanes are the accumulators before the first record.
+func emptyLanes() scanLanes {
+	inf := math.Inf(1)
+	return scanLanes{minET: [4]float64{inf, inf, inf, inf}}
+}
+
+// offsetScan is stages (i)+(ii) over one contiguous window segment:
+// total errors E^T = E_i + ε·age, their minimum, and the weighted sums
+// with w = exp(−(E^T/E)²) over the records at or under the weight
+// cutoff (the others' weights are below exp(−81); see weightCutoffBase).
+//
+// The scan has one shape and two implementations of it. The shape:
+// four accumulation lanes, record i in lane i mod 4, each record put
+// through exactly the operations of offsetScanLoop's body in that
+// order, the lanes reduced as (l0+l1)+(l2+l3) and by min. The
+// implementations: offsetScanLoop, plain Go, on every platform; and
+// offsetScanAVX2 (offset_amd64.s), which takes the segment's whole
+// blocks of four records — one lane each, so four records per
+// instruction — where the CPU has AVX2, leaving at most three records
+// to the loop. They agree to the last bit on finite inputs
+// (TestOffsetScanKernelMatchesLoop, FuzzOffsetScan), so accuracy
+// figures do not depend on which one ran.
+func offsetScan(win []scanRec, par *scanParams) (minET, sumW, sumWTheta float64) {
+	acc := emptyLanes()
+	offsetScanLoop(win, scanBlocks(win, par, &acc), par, &acc)
+	return min(acc.minET[0], acc.minET[1], acc.minET[2], acc.minET[3]),
+		(acc.sumW[0] + acc.sumW[1]) + (acc.sumW[2] + acc.sumW[3]),
+		(acc.sumWTheta[0] + acc.sumWTheta[1]) + (acc.sumWTheta[2] + acc.sumWTheta[3])
+}
+
+// offsetScanLoop scans win[from:] into the lanes: the whole scan where
+// there is no kernel, the kernel's tail where there is.
+//
+// The Gaussian weight is expNeg's body (expneg.go) inline — the
+// function exceeds the compiler's inlining budget and a call per
+// record is most of the loop's cost — with the domain guard reduced to
+// one clamp: (E^T/E)² is non-negative by construction and below 676
+// whenever the cutoff test passes and point errors are non-negative
+// (Validate bounds EStarStarFactor under 26); the clamp makes an
+// invariant breach yield weight ≈ 0 instead of a wrapped table index.
+// TestScanWeightIsExpNeg holds the copy to expNeg with ==.
+//
+// Every product that feeds a sum is wrapped in float64(): the
+// conversion forbids the compiler to fuse the pair into one
+// multiply-add (arm64 does, and amd64 at GOAMD64=v3), and the kernel
+// uses no FMA either, so every platform rounds each record the same
+// way. The minimum is a compare and a conditional store, which is
+// what the kernel's VMINPD computes operand for operand. The lanes
+// live in memory: a lane is touched every fourth record, and holding
+// them in registers (one pass per lane) measured no faster.
+func offsetScanLoop(win []scanRec, from int, par *scanParams, acc *scanLanes) {
+	fnow, p, eps, invE, cutoff, gl := par.fnow, par.p, par.eps, par.invE, par.cutoff, par.gl
+	for i := from; i < len(win); i++ {
+		r := &win[i]
+		lane := i & 3
 		age := (fnow - r.ftf) * p
-		et := r.pointErr + eps*age
-		minET = min(minET, et)
+		et := r.pointErr + float64(eps*age)
+		if et < acc.minET[lane] {
+			acc.minET[lane] = et
+		}
 		if et > cutoff {
 			continue
 		}
 		x := et * invE
 		arg := x * x
 		if arg >= 676 {
-			arg = 676
+			arg = 676 // defense: weight 0 to scan precision either way
 		}
-		t := arg*invLn2x256 + expShift
-		k := int(int32(math.Float64bits(t)))
+		t := float64(arg*invLn2x256) + expShift
+		k := int(math.Float64bits(t) & (1<<32 - 1))
 		kf := t - expShift
-		rr := (arg - kf*ln2Hi256) - kf*ln2Lo256
+		rr := (arg - float64(kf*ln2Hi256)) - float64(kf*ln2Lo256)
 		r2 := rr * rr
-		q := (1 - rr) + r2*(0.5-rr*(1.0/6))
+		q := (1 - rr) + float64(r2*(0.5-float64(rr*(1.0/6))))
 		w := expNegTab[k&255] * expScaleTab[(k>>8)&1023] * q
-		sumW += w
-		sumWTheta += w * (r.theta - gl*age)
+		acc.sumW[lane] += w
+		acc.sumWTheta[lane] += float64(w * (r.theta - float64(gl*age)))
 	}
-	return minET, sumW, sumWTheta
 }

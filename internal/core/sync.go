@@ -98,7 +98,9 @@ type record struct {
 // trackers instead of per-packet scans. The only remaining per-packet
 // loop is the offset filter's weighted combination, which is O(active
 // offset window) by definition of the estimator (each in-window record
-// contributes an age-dependent weight that changes every packet).
+// contributes an age-dependent weight that changes every packet) —
+// the work is inherent, its width is not: offsetScan takes four records
+// per instruction where the CPU has AVX2.
 type Sync struct {
 	cfg Config
 
@@ -199,6 +201,9 @@ func spanSeconds(from, to uint64, p float64) float64 {
 	return -float64(from-to) * p
 }
 
+// finite reports whether x is neither NaN nor ±Inf.
+func finite(x float64) bool { return x-x == 0 }
+
 func maxInt(a, b int) int {
 	if a > b {
 		return a
@@ -207,7 +212,10 @@ func maxInt(a, b int) int {
 }
 
 // Process ingests one completed exchange and returns the updated state.
-// Exchanges must be fed in arrival order.
+// Exchanges must be fed in arrival order. An exchange the engine
+// refuses — counter stamps not increasing or out of order, a server
+// stamp that is NaN or infinite — returns an error and changes nothing:
+// the engine carries on as if it had been lost.
 //
 //repro:hotpath
 func (s *Sync) Process(in Input) (Result, error) {
@@ -218,6 +226,15 @@ func (s *Sync) Process(in Input) (Result, error) {
 	if s.hist.Len() > 0 && in.Tf <= s.hist.Back().tf {
 		//repro:alloc-ok rejected-input error path: allocates only for exchanges the engine refuses to process
 		return Result{}, fmt.Errorf("core: exchange out of order (Tf=%d after %d)", in.Tf, s.hist.Back().tf)
+	}
+
+	if !finite(in.Tb) || !finite(in.Te) {
+		// No data beats bad data: a NaN or infinite server stamp would
+		// pass every later comparison (|NaN − θ̂| > limit is false) and
+		// be published as the offset for a whole τ′ window — for good,
+		// through the clock origin, if it came first.
+		//repro:alloc-ok rejected-input error path: allocates only for exchanges the engine refuses to process
+		return Result{}, fmt.Errorf("core: server stamps not finite (Tb=%g, Te=%g)", in.Tb, in.Te)
 	}
 
 	seq := s.count

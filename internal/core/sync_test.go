@@ -102,6 +102,64 @@ func TestProcessRejectsBadInput(t *testing.T) {
 	}
 }
 
+// TestProcessRefusesNonFiniteStamps: a NaN or infinite server stamp is
+// refused at the door and leaves no trace. An engine offered such an
+// exchange — as the very first, where it would have become the clock
+// origin, and throughout the trace — stays bit-identical, Result by
+// Result and readout by readout, to one that never saw it, and nothing
+// it publishes is ever non-finite.
+func TestProcessRefusesNonFiniteStamps(t *testing.T) {
+	trace := SynthTrace(400)
+	bad := []float64{math.NaN(), math.Inf(1), math.Inf(-1)}
+	clean, err := NewSync(defaultCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	dirty, err := NewSync(defaultCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, in := range trace {
+		if i%50 == 0 {
+			before := dirty.Readout()
+			for j, v := range bad {
+				poisoned := in
+				if (i/50+j)%2 == 0 {
+					poisoned.Tb = v
+				} else {
+					poisoned.Te = v
+				}
+				if res, err := dirty.Process(poisoned); err == nil || res != (Result{}) {
+					t.Fatalf("exchange %d with a server stamp of %g accepted: %+v, %v", i, v, res, err)
+				}
+			}
+			if dirty.Readout() != before {
+				t.Fatalf("exchange %d: a refused exchange published a readout", i)
+			}
+		}
+		want, err := clean.Process(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := dirty.Process(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Fatalf("exchange %d: result after refusals %+v, want %+v", i, got, want)
+		}
+		r := *dirty.Readout()
+		if r != *clean.Readout() {
+			t.Fatalf("exchange %d: readout after refusals %+v, want %+v", i, r, *clean.Readout())
+		}
+		for _, v := range []float64{r.P, r.K, r.Theta, r.PLocal, r.PQuality, r.RTTHat, r.AbsoluteTime(in.Tf + 1000)} {
+			if !finite(v) {
+				t.Fatalf("exchange %d: non-finite value in readout %+v", i, r)
+			}
+		}
+	}
+}
+
 func TestRateConvergence(t *testing.T) {
 	tr := mrIntTrace(t, timebase.Day, 42)
 	results, ex := runTrace(t, tr, defaultCfg())

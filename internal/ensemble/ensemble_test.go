@@ -89,6 +89,47 @@ func TestProcessServerRange(t *testing.T) {
 	}
 }
 
+// TestNonFiniteStampPublishesNothing: an exchange whose server stamp is
+// NaN or infinite is refused by that server's engine before the
+// ensemble folds anything in — no publication, the published readout
+// still the one before it, every server's row (the refused server's
+// own included) where it was — and the next clean exchange is taken as
+// if the bad one had been lost.
+func TestNonFiniteStampPublishesNothing(t *testing.T) {
+	e := mustEnsemble(t, 3)
+	now := run(t, e, 40, func(int, int) float64 { return 0 })
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, batch := range []bool{false, true} {
+			now += 16
+			before, pubs := e.Readout(), e.Publications()
+			rows := append([]ServerReadout(nil), before.Servers...)
+			in := synthInput(now, 0)
+			in.Te = v
+			var err error
+			if batch {
+				err = e.ProcessBatch([]BatchExchange{{Server: 1, In: in}})
+			} else {
+				_, err = e.Process(1, in)
+			}
+			if err == nil {
+				t.Fatalf("server stamp %g accepted (batch=%v)", v, batch)
+			}
+			if e.Publications() != pubs || e.Readout() != before {
+				t.Fatalf("server stamp %g (batch=%v): the refused exchange published", v, batch)
+			}
+			for k, row := range e.Readout().Servers {
+				if row != rows[k] {
+					t.Fatalf("server stamp %g (batch=%v): row %d moved: %+v, was %+v", v, batch, k, row, rows[k])
+				}
+			}
+			feed(t, e, 1, now+1, 0)
+			if at := e.Readout().AbsoluteTime(uint64((now + 2) / synthP)); math.IsNaN(at) || math.IsInf(at, 0) {
+				t.Fatalf("combined clock reads %g after a refused stamp of %g", at, v)
+			}
+		}
+	}
+}
+
 // --- synthetic multi-server harness ---
 
 const synthP = 2e-9 // counter period: 500 MHz

@@ -197,7 +197,10 @@ func New(opts Options) (*Clock, error) {
 // ProcessNTPExchange feeds one completed NTP exchange: host counter
 // stamps ta (just before send) and tf (just after receive), and the
 // server's receive/transmit stamps tb, te in seconds. Exchanges must be
-// fed in arrival order; lost exchanges are simply never fed.
+// fed in arrival order; lost exchanges are simply never fed. An exchange
+// with unusable stamps — counter stamps not increasing or out of order,
+// tb or te NaN or infinite — is refused with an error and changes
+// nothing, as if it had been lost.
 func (c *Clock) ProcessNTPExchange(ta, tf uint64, tb, te float64) (Status, error) {
 	return c.processWithIdentity(ta, tf, tb, te, core.Identity{})
 }
