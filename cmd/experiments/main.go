@@ -8,7 +8,9 @@
 //	experiments -run fig12
 //	experiments -run all -quick -out artifacts/
 //	experiments -run longrun -days 28 -out artifacts/
-//	experiments -perf
+//
+// The exit status is the gate: 0 when every check of every experiment
+// run passed, 2 when one failed, 1 on an error.
 package main
 
 import (
@@ -19,7 +21,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/render"
 )
@@ -32,7 +33,6 @@ func main() {
 		seed  = flag.Uint64("seed", 0, "override the deterministic seed (0 = default)")
 		out   = flag.String("out", "", "directory for TSV artifacts (optional)")
 		plot  = flag.Bool("plot", false, "draw figure series as terminal charts")
-		perf  = flag.Bool("perf", false, "measure engine packet throughput and exit")
 		days  = flag.Float64("days", 0, "longrun trace length in days (0 = default 21; streams at constant memory)")
 	)
 	flag.Parse()
@@ -41,10 +41,6 @@ func main() {
 		for _, id := range experiments.IDs() {
 			fmt.Printf("%-9s %s\n", id, experiments.Title(id))
 		}
-		return
-	}
-	if *perf {
-		runPerf()
 		return
 	}
 
@@ -74,47 +70,6 @@ func main() {
 	if failed > 0 {
 		fmt.Fprintf(os.Stderr, "%d experiment(s) had failing checks\n", failed)
 		os.Exit(2)
-	}
-}
-
-// runPerf is the operator-facing twin of core's BenchmarkProcess: it
-// streams one million synthetic exchanges through a fresh engine per
-// window configuration and reports wall-clock per-packet cost and
-// sustainable packets/second — the number that sizes a fleet (how many
-// polling clients one core of the sync tier can absorb).
-func runPerf() {
-	const n = 1_000_000
-	const p = 2e-9
-	ins := core.SynthTrace(n)
-
-	configs := []struct {
-		name   string
-		mutate func(*core.Config)
-	}{
-		{"default", nil},
-		{"nShift=1024", func(c *core.Config) { c.ShiftWindow = 1024 * 16 }},
-		{"nShift=16384", func(c *core.Config) { c.ShiftWindow = 16384 * 16 }},
-	}
-	for _, tc := range configs {
-		cfg := core.DefaultConfig(p, 16)
-		if tc.mutate != nil {
-			tc.mutate(&cfg)
-		}
-		s, err := core.NewSync(cfg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "perf: %v\n", err)
-			os.Exit(1)
-		}
-		start := time.Now()
-		for _, in := range ins {
-			if _, err := s.Process(in); err != nil {
-				fmt.Fprintf(os.Stderr, "perf: %v\n", err)
-				os.Exit(1)
-			}
-		}
-		el := time.Since(start)
-		fmt.Printf("%-14s %d packets in %6.2fs  %7.0f ns/packet  %10.0f packets/s\n",
-			tc.name, n, el.Seconds(), float64(el.Nanoseconds())/n, n/el.Seconds())
 	}
 }
 

@@ -1,11 +1,12 @@
 // Command tscd is the TSC-NTP synchronizer daemon. It runs the robust
-// calibration pipeline in one of two modes:
+// calibration pipeline in one of three modes:
 //
-//	-mode live  (default): poll one or more real NTP servers over UDP,
-//	            stamping with the host's raw monotonic counter;
-//	-mode sim:  replay a simulated scenario (environment x server) and
-//	            report accuracy against the simulation's ground truth —
-//	            useful to explore the algorithms without a network.
+//	-mode live   (default): poll one or more real NTP servers over UDP,
+//	             stamping with the host's raw monotonic counter;
+//	-mode sim:   generate a simulated scenario (environment x server) and
+//	             report accuracy against the simulation's ground truth —
+//	             useful to explore the algorithms without a network;
+//	-mode replay: the same report from a saved capture file.
 //
 // Usage:
 //
@@ -16,7 +17,9 @@
 // Replay mode consumes captures produced by cmd/tracegen (or any tool
 // writing the internal/capture format) and scores the estimator against
 // the recorded reference stamps, mirroring the paper's offline
-// post-processing workflow.
+// post-processing workflow. Both offline modes score in one function
+// (score) and print the same summary, so a scenario and its tracegen
+// capture report the same percentiles.
 package main
 
 import (
@@ -39,7 +42,7 @@ import (
 
 func main() {
 	var (
-		mode   = flag.String("mode", "live", "live or sim")
+		mode   = flag.String("mode", "live", "live, sim or replay")
 		server = flag.String("server", "127.0.0.1:1123", "comma-separated NTP servers (live mode)")
 		poll   = flag.Duration("poll", 64*time.Second, "polling interval")
 		local  = flag.Bool("localrate", false, "enable the local-rate refinement")
@@ -65,24 +68,19 @@ func main() {
 	}
 }
 
-// runReplay feeds a saved capture through the estimator and scores it
-// against the recorded DAG reference stamps.
-func runReplay(path string, local bool) {
-	meta, recs, err := capture.LoadAll(path)
+// score is the one body of the offline modes: it feeds every completed
+// exchange next yields through a fresh clock and, past the first hour,
+// collects the absolute clock's error against the reference stamp.
+func score(opts tscclock.Options, next func() (capture.Record, bool)) (clock *tscclock.Clock, errs []float64, fed, lost int) {
+	clock, err := tscclock.New(opts)
 	if err != nil {
 		log.Fatal(err)
 	}
-	clock, err := tscclock.New(tscclock.Options{
-		NominalPeriod: 1 / meta.NominalHz,
-		PollPeriod:    meta.PollPeriod,
-		UseLocalRate:  local,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	var errs []float64
-	fed, lost := 0, 0
-	for _, r := range recs {
+	for {
+		r, ok := next()
+		if !ok {
+			return clock, errs, fed, lost
+		}
 		if r.Lost {
 			lost++
 			continue
@@ -95,19 +93,45 @@ func runReplay(path string, local bool) {
 			errs = append(errs, clock.AbsoluteTime(r.Tf)-r.Tg)
 		}
 	}
-	fmt.Printf("replayed %q (%s): %d exchanges fed, %d lost\n", path, meta.Name, fed, lost)
+}
+
+// printErrors prints the summary both offline modes end with.
+func printErrors(errs []float64) {
 	if len(errs) == 0 {
 		fmt.Println("trace too short to score (needs > 1 h)")
 		return
 	}
 	fn := stats.FiveNumOf(errs)
-	fmt.Printf("absolute clock error vs recorded reference:\n")
-	fmt.Printf("  median %s, IQR %s\n",
-		timebase.FormatDuration(stats.Median(errs)), timebase.FormatDuration(stats.IQR(errs)))
-	fmt.Printf("  p01 %s  p25 %s  p50 %s  p75 %s  p99 %s\n",
+	fmt.Printf("absolute clock:  median err %s, IQR %s, |median| %s\n",
+		timebase.FormatDuration(fn.P50), timebase.FormatDuration(fn.P75-fn.P25),
+		timebase.FormatDuration(math.Abs(fn.P50)))
+	fmt.Printf("percentiles:     p01 %s  p25 %s  p50 %s  p75 %s  p99 %s\n",
 		timebase.FormatDuration(fn.P01), timebase.FormatDuration(fn.P25),
 		timebase.FormatDuration(fn.P50), timebase.FormatDuration(fn.P75),
 		timebase.FormatDuration(fn.P99))
+}
+
+// runReplay scores a saved capture against its recorded DAG reference
+// stamps.
+func runReplay(path string, local bool) {
+	meta, recs, err := capture.LoadAll(path)
+	if err != nil {
+		log.Fatal(err)
+	}
+	i := 0
+	_, errs, fed, lost := score(tscclock.Options{
+		NominalPeriod: 1 / meta.NominalHz,
+		PollPeriod:    meta.PollPeriod,
+		UseLocalRate:  local,
+	}, func() (capture.Record, bool) {
+		if i == len(recs) {
+			return capture.Record{}, false
+		}
+		i++
+		return recs[i-1], true
+	})
+	fmt.Printf("replayed %q (%s): %d exchanges fed, %d lost\n", path, meta.Name, fed, lost)
+	printErrors(errs)
 }
 
 func runLive(server string, poll time.Duration, local bool) {
@@ -164,40 +188,22 @@ func runSim(env, srv string, days, poll float64, seed uint64, local bool) {
 	}
 
 	scenario := sim.NewScenario(e, spec, poll, days*timebase.Day, seed)
-	tr, err := sim.Generate(scenario)
+	st, err := sim.NewStream(scenario)
 	if err != nil {
 		log.Fatal(err)
 	}
-	clock, err := tscclock.New(tscclock.Options{
+	st.SetTrim(true)
+	clock, errs, fed, lost := score(tscclock.Options{
 		NominalPeriod: 1 / scenario.Oscillator.NominalHz,
 		PollPeriod:    poll,
 		UseLocalRate:  local,
+	}, func() (capture.Record, bool) {
+		ex, ok := st.Next()
+		return capture.FromExchange(ex), ok
 	})
-	if err != nil {
-		log.Fatal(err)
-	}
 
-	var errs []float64
-	for _, ex := range tr.Completed() {
-		if _, err := clock.ProcessNTPExchange(ex.Ta, ex.Tf, ex.Tb, ex.Te); err != nil {
-			log.Fatal(err)
-		}
-		if ex.TrueTf > timebase.Hour {
-			errs = append(errs, clock.AbsoluteTime(ex.Tf)-ex.Tg)
-		}
-	}
-
-	rateErr := timebase.PPM(clock.Period()/tr.Osc.MeanPeriod() - 1)
 	fmt.Printf("scenario %s: %.1f days at poll %.0fs (%d exchanges, %d lost)\n",
-		scenario.Name, days, poll, len(tr.Exchanges), tr.LossCount())
-	fmt.Printf("rate error:      %+.4f PPM\n", rateErr)
-	fmt.Printf("absolute clock:  median err %s, IQR %s, |median| %s\n",
-		timebase.FormatDuration(stats.Median(errs)),
-		timebase.FormatDuration(stats.IQR(errs)),
-		timebase.FormatDuration(math.Abs(stats.Median(errs))))
-	fn := stats.FiveNumOf(errs)
-	fmt.Printf("percentiles:     p01 %s  p25 %s  p50 %s  p75 %s  p99 %s\n",
-		timebase.FormatDuration(fn.P01), timebase.FormatDuration(fn.P25),
-		timebase.FormatDuration(fn.P50), timebase.FormatDuration(fn.P75),
-		timebase.FormatDuration(fn.P99))
+		scenario.Name, days, poll, fed+lost, lost)
+	fmt.Printf("rate error:      %+.4f PPM\n", timebase.PPM(clock.Period()/st.Osc().MeanPeriod()-1))
+	printErrors(errs)
 }

@@ -1,10 +1,12 @@
 package tscclock
 
 // Documentation checks, run in CI's docs job: every relative link in
-// the top-level markdown files must resolve, and every package must
-// carry a package doc comment so `go doc` reads as a tour.
+// the top-level markdown files must resolve, every markdown file a Go
+// comment cites must exist, and every package must carry a package doc
+// comment so `go doc` reads as a tour.
 
 import (
+	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -81,6 +83,51 @@ func TestDocLinks(t *testing.T) {
 				t.Errorf("%s: link %q points to a missing heading", md, target)
 			}
 		}
+	}
+}
+
+// mdRef matches a markdown file cited by its upper-case name, with an
+// optional directory in front (bench/README.md).
+var mdRef = regexp.MustCompile(`(?:[\w.-]+/)*[A-Z][A-Z_]*\.md\b`)
+
+// TestGoCommentDocRefs resolves every markdown file a Go comment cites,
+// against the repository root or the citing file's own directory: a
+// comment that sends the reader to a document must name one that exists.
+func TestGoCommentDocRefs(t *testing.T) {
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); name == "testdata" || (name != "." && strings.HasPrefix(name, ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for i, line := range strings.Split(string(data), "\n") {
+			_, comment, ok := strings.Cut(line, "//")
+			if !ok {
+				continue
+			}
+			for _, ref := range mdRef.FindAllString(comment, -1) {
+				_, atRoot := os.Stat(filepath.FromSlash(ref))
+				_, beside := os.Stat(filepath.Join(filepath.Dir(path), filepath.FromSlash(ref)))
+				if atRoot != nil && beside != nil {
+					t.Errorf("%s:%d: comment cites %s, which does not exist", path, i+1, ref)
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -10,7 +10,7 @@ import (
 // times at the default configuration, so the amortized costs of
 // sliding, r̂ re-derivation and pair revalidation are all inside the
 // measurement. The trace itself comes from SynthTrace (synth.go),
-// shared with `cmd/experiments -perf`.
+// shared with the ensemble's BenchmarkEnsemble.
 const benchTraceLen = 1_000_000
 
 var benchTrace []Input // lazily built, shared across sub-benchmarks

@@ -9,8 +9,8 @@ import (
 
 // BenchmarkEnsemble measures the fan-out cost of sharding the packet
 // stream across N per-server engines: 1M synthetic exchanges (the same
-// core.SynthTrace workload as BenchmarkProcess and `cmd/experiments
-// -perf`) dealt round-robin to N servers. The per-packet cost must stay
+// core.SynthTrace workload as BenchmarkProcess) dealt round-robin to N
+// servers. The per-packet cost must stay
 // at the single-engine budget (~420 ns, ~2.4M packets/s/core; PERF.md)
 // plus O(1) trust scoring and one O(N) combine — BenchmarkEnsembleStages
 // splits that combine into its stages. The median combination of the

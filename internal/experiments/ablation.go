@@ -12,8 +12,8 @@ import (
 	"repro/internal/trace"
 )
 
-// runAblation quantifies the design choices DESIGN.md calls out by
-// re-running the engine with one mechanism changed at a time. Errors are
+// runAblation quantifies the design choices ARCHITECTURE.md calls out
+// by re-running the engine with one mechanism changed at a time. Errors are
 // scored against the best-achievable target −Δ(t)/2 (the asymmetry
 // ambiguity), so tracking a route change correctly is rewarded rather
 // than penalized.
@@ -31,6 +31,8 @@ func runAblation(opts Options) (*Report, error) {
 
 	base := defaultCfg(16)
 
+	// Positions in variants of the rows the checks compare.
+	const full, noWeighting, detOff, detOn, userLevel = 0, 2, 4, 5, 6
 	variants := []struct {
 		name     string
 		scenario sim.Scenario
@@ -79,54 +81,32 @@ func runAblation(opts Options) (*Report, error) {
 	}
 
 	tab := trace.NewTable("variant", "median_us", "p99_us")
-	results := map[string][2]float64{}
+	med, p99 := make([]float64, len(variants)), make([]float64, len(variants))
 	for i, v := range variants {
-		tr, err := sim.Generate(v.scenario)
-		if err != nil {
-			return nil, err
-		}
-		res, ex, err := engineRun(tr, v.cfg())
-		if err != nil {
+		var absErrs []float64
+		if _, err := streamRun(v.scenario, v.cfg(), func(e sim.Exchange, res core.Result) error {
+			if e.TrueTf > timebase.Hour {
+				target := -asymAt(v.scenario, e.TrueTf) / 2
+				absErrs = append(absErrs, math.Abs(offsetErrOf(res, e)-target))
+			}
+			return nil
+		}); err != nil {
 			return nil, fmt.Errorf("ablation %q: %w", v.name, err)
 		}
-		var absErrs []float64
-		for k := range res {
-			if ex[k].TrueTf <= timebase.Hour {
-				continue
-			}
-			thetaG := float64(ex[k].Tf)*res[k].ClockP + res[k].ClockC - ex[k].Tg
-			target := -asymAt(v.scenario, ex[k].TrueTf) / 2
-			absErrs = append(absErrs, math.Abs(res[k].ThetaHat-thetaG-target))
-		}
 		sorted := stats.NewSorted(absErrs) // one sort for both quantiles
-		med := sorted.Median()
-		p99 := sorted.Percentile(99)
-		results[v.name] = [2]float64{med, p99}
-		if err := tab.Append(float64(i), med/1e-6, p99/1e-6); err != nil {
+		med[i], p99[i] = sorted.Median(), sorted.Percentile(99)
+		if err := tab.Append(float64(i), med[i]/1e-6, p99[i]/1e-6); err != nil {
 			return nil, err
 		}
 		r.addLine("%-36s median %-10s p99 %s", v.name,
-			timebase.FormatDuration(med), timebase.FormatDuration(p99))
+			timebase.FormatDuration(med[i]), timebase.FormatDuration(p99[i]))
 	}
 	if err := r.save(opts, "variants", tab); err != nil {
 		return nil, err
 	}
 
-	full := results["full algorithm"]
-	noW := results["window of 1 (no weighting)"]
-	detOff := results["shift detector OFF + route change"]
-	detOn := results["shift detector ON + route change"]
-	user := results["user-level timestamps"]
-
-	r.addCheck("weighted window improves tails", "p99(full) < p99(window=1)",
-		fmt.Sprintf("%s vs %s", timebase.FormatDuration(full[1]), timebase.FormatDuration(noW[1])),
-		full[1] < noW[1])
-	r.addCheck("shift detector essential under route change", "median ≥ 10x better",
-		fmt.Sprintf("%s vs %s", timebase.FormatDuration(detOn[0]), timebase.FormatDuration(detOff[0])),
-		detOff[0] >= 10*detOn[0])
-	r.addCheck("user-level stamping works at higher variance",
-		"median within 10x of driver-level",
-		fmt.Sprintf("%s vs %s", timebase.FormatDuration(user[0]), timebase.FormatDuration(full[0])),
-		user[0] < 10*full[0])
+	r.below("weighted window improves tails: p99 full/window=1", p99[full]/p99[noWeighting], 1, Ratio)
+	r.atLeast("shift detector essential under route change: median OFF/ON", med[detOff]/med[detOn], 10, Ratio)
+	r.below("user-level stamping works at higher variance: median user/driver-level", med[userLevel]/med[full], 10, Ratio)
 	return r, nil
 }

@@ -1,10 +1,8 @@
 package experiments
 
 import (
-	"fmt"
 	"math"
 
-	"repro/internal/core"
 	"repro/internal/ensemble"
 	"repro/internal/sim"
 	"repro/internal/timebase"
@@ -38,95 +36,45 @@ func runAsym(opts Options) (*Report, error) {
 	dur := opts.scale(2 * timebase.Day)
 	tailFrom := 0.75 * dur
 
-	gen := func(extra []float64) (*sim.MultiTrace, error) {
-		sc := sim.NewAsymmetricScenario(sim.MachineRoom, extra, 16, dur, opts.seed())
-		return sim.GenerateMulti(sc)
-	}
-	biased, err := gen([]float64{asymExtra, asymExtra, 0})
-	if err != nil {
-		return nil, err
-	}
+	biased := sim.NewAsymmetricScenario(sim.MachineRoom, []float64{asymExtra, asymExtra, 0}, 16, dur, opts.seed())
 	// The symmetric control: identical draws, no differential asymmetry.
-	symm, err := gen([]float64{0, 0, 0})
-	if err != nil {
-		return nil, err
-	}
-	nSrv := 3
+	symm := sim.NewAsymmetricScenario(sim.MachineRoom, []float64{0, 0, 0}, 16, dur, opts.seed())
 
-	type runOut struct {
-		errs []float64 // combined absolute-clock error per exchange
-		ex   []sim.MultiExchange
-		ens  *ensemble.Ensemble
-	}
-	run := func(tr *sim.MultiTrace, corrected bool) (*runOut, error) {
-		cfgs := make([]core.Config, nSrv)
-		for i := range cfgs {
-			cfgs[i] = defaultCfg(16)
-		}
-		ens, err := ensemble.New(ensemble.Config{Engines: cfgs, AsymCorrection: corrected})
-		if err != nil {
-			return nil, err
-		}
-		out := &runOut{ens: ens, ex: tr.Completed()}
-		out.errs = make([]float64, len(out.ex))
-		for i, e := range out.ex {
-			if _, err := ens.Process(e.Server, core.Input{Ta: e.Ta, Tf: e.Tf, Tb: e.Tb, Te: e.Te}); err != nil {
-				return nil, fmt.Errorf("server %d seq %d: %w", e.Server, e.Seq, err)
-			}
-			out.errs[i] = ens.Readout().AbsoluteTime(e.Tf) - e.Tg
-		}
-		return out, nil
-	}
-
-	corr, err := run(biased, true)
+	var uncorrErrs []float64
+	uncorrMed, _, err := ensembleRun(biased, ensemble.Config{}, tailFrom, func(s ensembleStep) error {
+		uncorrErrs = append(uncorrErrs, s.Err)
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	uncorr, err := run(biased, false)
-	if err != nil {
-		return nil, err
-	}
-	symmCorr, err := run(symm, true)
-	if err != nil {
-		return nil, err
-	}
-	symmUncorr, err := run(symm, false)
-	if err != nil {
-		return nil, err
-	}
-
 	// Series artifact: corrected vs uncorrected on the identical biased
 	// trace, exchange-aligned.
 	tab := trace.NewTable("t_day", "corr_err_us", "uncorr_err_us")
-	for i, e := range corr.ex {
-		if err := tab.Append(e.TrueTf/timebase.Day,
-			corr.errs[i]/timebase.Microsecond, uncorr.errs[i]/timebase.Microsecond); err != nil {
-			return nil, err
-		}
+	corrMed, corr, err := ensembleRun(biased, ensemble.Config{AsymCorrection: true}, tailFrom, func(s ensembleStep) error {
+		return tab.Append(s.TrueTf/timebase.Day,
+			s.Err/timebase.Microsecond, uncorrErrs[tab.Len()]/timebase.Microsecond)
+	})
+	if err != nil {
+		return nil, err
 	}
 	if err := r.save(opts, "series", tab); err != nil {
 		return nil, err
 	}
-
-	tail := func(o *runOut) []float64 {
-		var out []float64
-		for i := range o.errs {
-			if o.ex[i].TrueTf > tailFrom {
-				out = append(out, o.errs[i])
-			}
-		}
-		return out
+	symmCorrMed, symmCorr, err := ensembleRun(symm, ensemble.Config{AsymCorrection: true}, tailFrom, nil)
+	if err != nil {
+		return nil, err
 	}
-	corrMed := medianAbs(tail(corr))
-	uncorrMed := medianAbs(tail(uncorr))
-	symmCorrMed := medianAbs(tail(symmCorr))
-	symmUncorrMed := medianAbs(tail(symmUncorr))
+	symmUncorrMed, _, err := ensembleRun(symm, ensemble.Config{}, tailFrom, nil)
+	if err != nil {
+		return nil, err
+	}
 
 	// Steady-state per-server view of the corrected run: applied
 	// corrections, their clamps, and the selection result.
-	states := corr.ens.Readout().ServerStates()
+	states := corr.ServerStates()
 	worstSymmCorr := 0.0
-	for _, st := range symmCorr.ens.Readout().ServerStates() {
+	for _, st := range symmCorr.ServerStates() {
 		if c := math.Abs(st.AsymCorrection); c > worstSymmCorr {
 			worstSymmCorr = c
 		}
@@ -136,32 +84,28 @@ func runAsym(opts Options) (*Report, error) {
 	r.addLine("tail medians |err|: corrected %s, uncorrected %s (%.2fx); symmetric control %s vs %s",
 		timebase.FormatDuration(corrMed), timebase.FormatDuration(uncorrMed), corrMed/uncorrMed,
 		timebase.FormatDuration(symmCorrMed), timebase.FormatDuration(symmUncorrMed))
+	unselected := 0
 	for k, st := range states {
 		r.addLine("server %d: correction %s (hint %s), selected %v",
 			k, timebase.FormatDuration(st.AsymCorrection), timebase.FormatDuration(st.AsymmetryHint), st.Selected)
+		if !st.Selected {
+			unselected++
+		}
 	}
 
 	// The CI gate: the corrected combined clock is strictly tighter on
 	// the asymmetric trace. The biased pair holds the median, so the
 	// correction recovers about half the differential bias; 0.8x leaves
 	// headroom for noise while rejecting a correction that does nothing.
-	r.addCheck("correction tightens the asymmetric-path clock", "corrected tail median ≤ 0.8× uncorrected",
-		fmt.Sprintf("%.2fx", corrMed/uncorrMed), corrMed <= 0.8*uncorrMed)
-	r.addCheck("correction is harmless on symmetric paths", "symmetric tail median ≤ 1.1× uncorrected",
-		fmt.Sprintf("%.2fx", symmCorrMed/symmUncorrMed), symmCorrMed <= 1.1*symmUncorrMed)
-	r.addCheck("correction signs match the injected asymmetry", "servers 0,1 positive (late), server 2 negative",
-		fmt.Sprintf("%s %s %s", timebase.FormatDuration(states[0].AsymCorrection),
-			timebase.FormatDuration(states[1].AsymCorrection), timebase.FormatDuration(states[2].AsymCorrection)),
-		states[0].AsymCorrection > 0 && states[1].AsymCorrection > 0 && states[2].AsymCorrection < 0)
-	r.addCheck("symmetric corrections stay near zero", "max |correction| < bias/4 on the control",
-		timebase.FormatDuration(worstSymmCorr), worstSymmCorr < asymExtra/8)
-	allSelected := true
-	for _, st := range states {
-		if !st.Selected {
-			allSelected = false
-		}
-	}
-	r.addCheck("no server is convicted for its asymmetry", "all three selected at steady state",
-		fmt.Sprintf("selected=%v", allSelected), allSelected)
+	r.atMost("correction tightens the asymmetric-path clock: tail median corrected/uncorrected",
+		corrMed/uncorrMed, 0.8, Ratio)
+	r.atMost("correction is harmless on symmetric paths: tail median corrected/uncorrected",
+		symmCorrMed/symmUncorrMed, 1.1, Ratio)
+	// Signs match the injected asymmetry: the biased pair reads late.
+	r.above("server 0 correction positive (late)", states[0].AsymCorrection, 0, Seconds)
+	r.above("server 1 correction positive (late)", states[1].AsymCorrection, 0, Seconds)
+	r.below("server 2 correction negative", states[2].AsymCorrection, 0, Seconds)
+	r.below("symmetric corrections stay near zero: max |correction| < bias/4", worstSymmCorr, asymExtra/8, Seconds)
+	r.equals("no server is convicted for its asymmetry: unselected at steady state", float64(unselected), 0, Count)
 	return r, nil
 }

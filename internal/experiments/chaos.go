@@ -1,12 +1,12 @@
 package experiments
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/core"
 	"repro/internal/ensemble"
 	"repro/internal/sim"
+	"repro/internal/stats"
 	"repro/internal/timebase"
 )
 
@@ -55,16 +55,13 @@ func runChaos(opts Options) (*Report, error) {
 		holdoverAfter = 64.0 // read-time staleness cap for this run
 		staleAfter    = 8    // polls without an answer before a vote is lost
 	)
-	ens, err := ensemble.New(ensemble.Config{
+	cfg := ensemble.Config{
 		Engines:         []core.Config{defaultCfg(poll), defaultCfg(poll), defaultCfg(poll)},
 		MinVotingSynced: 2,
 		RecoverAfter:    3,
 		StaleAfterPolls: staleAfter,
 		HoldoverAfter:   holdoverAfter,
 		UnsyncedAfter:   2 * dur, // never reached in this run
-	})
-	if err != nil {
-		return nil, err
 	}
 
 	series, err := r.newSeries(opts, "series", "t_day", "state", "err_us", "bound_us", "voting")
@@ -80,17 +77,17 @@ func runChaos(opts Options) (*Report, error) {
 	var (
 		gridT = gridStep
 
-		everSynced       bool
-		unsyncedAfterUp  int
-		holdoverPts      int
-		holdoverBreaks   int
-		worstBoundRatio  float64
-		degradedPts      int
-		degradedWrong    int
-		recoveredBetween bool
+		syncedPubs      int // exchanges that published SYNCED
+		unsyncedAfterUp int
+		holdoverPts     int
+		holdoverBreaks  int
+		worstBoundRatio float64
+		degradedPts     int
+		degradedWrong   int
+		syncedBetween   int // SYNCED grid points between partition and outage
 
-		preFault []float64
-		tailErrs []float64
+		preFault = stats.NewMedianAbs()
+		tailErrs = stats.NewMedianAbs()
 
 		outRecoverAt = math.Inf(1)
 	)
@@ -100,15 +97,14 @@ func runChaos(opts Options) (*Report, error) {
 	staleLag := staleAfter*poll + 2*poll
 	holdGrace := holdoverAfter + 2*poll
 
-	sample := func(t float64) error {
+	sample := func(t float64, ro *ensemble.Readout) error {
 		T := osc.ReadTSC(t)
-		ro := ens.Readout()
 		state := ro.State(T)
-		errT := ro.AbsoluteTime(T) - t
+		errT := clockErr(ro, T, t)
 		h := ro.Health
 		bound := h.ErrScale + h.DriftBound*ro.Age(T)
 
-		if everSynced && state == ensemble.StateUnsynced {
+		if syncedPubs > 0 && state == ensemble.StateUnsynced {
 			unsyncedAfterUp++
 		}
 		switch {
@@ -128,56 +124,48 @@ func runChaos(opts Options) (*Report, error) {
 				degradedWrong++
 			}
 		case t >= partTo+staleLag && t < outFrom && state == ensemble.StateSynced:
-			recoveredBetween = true
+			syncedBetween++
 		}
 		if t >= 0.15*dur && t < partFrom {
-			preFault = append(preFault, errT)
+			preFault.Add(errT)
 		}
 		if t >= deathAt+deathFor+0.05*dur {
-			tailErrs = append(tailErrs, errT)
+			tailErrs.Add(errT)
 		}
 		return series.Append(t/timebase.Day, float64(state), errT/1e-6, bound/1e-6, float64(ro.VotingCount))
 	}
 
 	minWeight1 := math.Inf(1)
-	for {
-		e, ok := st.Next()
-		if !ok {
-			break
-		}
-		for gridT < e.TrueTf {
-			if err := sample(gridT); err != nil {
-				return nil, err
+	if _, err := ensembleFeed(st, cfg, func(s ensembleStep) error {
+		// The grid points since the last exchange saw the readout that
+		// was in force then.
+		for ; gridT < s.TrueTf; gridT += gridStep {
+			if err := sample(gridT, s.Prev); err != nil {
+				return err
 			}
-			gridT += gridStep
 		}
-		if e.Lost {
-			continue
-		}
-		if _, err := ens.Process(e.Server, core.Input{Ta: e.Ta, Tf: e.Tf, Tb: e.Tb, Te: e.Te}); err != nil {
-			return nil, fmt.Errorf("chaos: server %d seq %d: %w", e.Server, e.Seq, err)
-		}
-		ro := ens.Readout()
+		ro := s.Readout
 		if ro.BaseState == ensemble.StateSynced {
-			everSynced = true
+			syncedPubs++
 		}
-		if e.TrueTf >= outTo && e.TrueTf < outRecoverAt && ro.State(e.Tf) == ensemble.StateSynced {
-			outRecoverAt = e.TrueTf
+		if s.TrueTf >= outTo && s.TrueTf < outRecoverAt && ro.State(s.Tf) == ensemble.StateSynced {
+			outRecoverAt = s.TrueTf
 		}
-		if e.TrueTf > deathAt+deathFor {
+		if s.TrueTf > deathAt+deathFor {
 			if w := ro.Weights()[1]; w < minWeight1 {
 				minWeight1 = w
 			}
 		}
+		return nil
+	}); err != nil {
+		return nil, err
 	}
 	if err := series.Close(); err != nil {
 		return nil, err
 	}
 
-	preMed := medianAbs(preFault)
-	tailMed := medianAbs(tailErrs)
+	preMed, tailMed := preFault.Value(), tailErrs.Value()
 	recoverTime := outRecoverAt - outTo
-	final := ens.Readout()
 
 	r.addLine("schedule: partition{1,2} %.2f–%.2f d, total outage %.2f–%.2f d, server 1 dead %.2f–%.2f d then +%s forever",
 		partFrom/timebase.Day, partTo/timebase.Day, outFrom/timebase.Day, outTo/timebase.Day,
@@ -187,23 +175,18 @@ func runChaos(opts Options) (*Report, error) {
 	r.addLine("medians |err|: pre-fault %s, post-falseticker tail %s; server 1 min weight after return %.3f",
 		timebase.FormatDuration(preMed), timebase.FormatDuration(tailMed), minWeight1)
 
-	r.addCheck("total outage lands in HOLDOVER", "all grid points in the outage window",
-		fmt.Sprintf("%d/%d holdover", holdoverPts-holdoverBreaks, holdoverPts),
-		holdoverPts > 0 && holdoverBreaks == 0)
-	r.addCheck("holdover error inside advertised envelope", "|err| ≤ ErrScale + DriftBound·age",
-		fmt.Sprintf("worst ratio %.3f", worstBoundRatio),
-		worstBoundRatio > 0 && worstBoundRatio <= 1)
-	r.addCheck("partition degrades without killing the clock", "all grid points DEGRADED",
-		fmt.Sprintf("%d/%d degraded", degradedPts-degradedWrong, degradedPts),
-		degradedPts > 0 && degradedWrong == 0)
-	r.addCheck("SYNCED again between partition and outage", "recovered", fmt.Sprint(recoveredBetween), recoveredBetween)
-	r.addCheck("re-syncs after the outage without restart", fmt.Sprintf("≤ %.0f s", 10*poll),
-		fmt.Sprintf("%.0f s", recoverTime), recoverTime <= 10*poll)
-	r.addCheck("returned falseticker outvoted", "weight < 0.20, tail ≤ 2× pre-fault",
-		fmt.Sprintf("weight %.3f, %.2fx", minWeight1, tailMed/preMed),
-		minWeight1 < 0.20 && tailMed <= 2*preMed)
-	r.addCheck("never UNSYNCED once synchronized", "0 grid points",
-		fmt.Sprint(unsyncedAfterUp), everSynced && unsyncedAfterUp == 0)
-	_ = final
+	r.equals("total outage lands in HOLDOVER: grid points in the outage window",
+		float64(holdoverPts-holdoverBreaks)/float64(holdoverPts), 1, Share)
+	r.atMost("holdover error inside advertised envelope: worst |err|/(ErrScale + DriftBound·age)",
+		worstBoundRatio, 1, Ratio)
+	r.above("holdover envelope is advertised (worst ratio positive)", worstBoundRatio, 0, Ratio)
+	r.equals("partition degrades without killing the clock: grid points DEGRADED",
+		float64(degradedPts-degradedWrong)/float64(degradedPts), 1, Share)
+	r.atLeast("SYNCED again between partition and outage (grid points)", float64(syncedBetween), 1, Count)
+	r.atMost("re-syncs after the outage without restart", recoverTime, 10*poll, Seconds)
+	r.below("returned falseticker outvoted: min weight after return", minWeight1, 0.20, Share)
+	r.atMost("returned falseticker outvoted: tail median/pre-fault", tailMed/preMed, 2, Ratio)
+	r.atLeast("synchronizes (exchanges publishing SYNCED)", float64(syncedPubs), 1, Count)
+	r.equals("never UNSYNCED once synchronized: grid points UNSYNCED", float64(unsyncedAfterUp), 0, Count)
 	return r, nil
 }

@@ -149,15 +149,13 @@ func runFig2(opts Options) (*Report, error) {
 		}
 		r.addLine("%-4s max |offset drift| %s over %s (worst cone ratio %.2f)",
 			env, timebase.FormatDuration(maxAbs), timebase.FormatDuration(dur), worstRatio)
-		r.addCheck(fmt.Sprintf("%s drift inside 0.1 PPM cone", env),
-			"ratio <= 1", fmt.Sprintf("%.2f", worstRatio), worstRatio <= 1)
+		r.atMost(fmt.Sprintf("%s drift inside 0.1 PPM cone", env), worstRatio, 1, Ratio)
 
 		// Over the first 1000 s the SKM holds: the residual after the
 		// best local linear fit is dominated by µs timestamping noise.
 		res := maxResidualAfterLinearFit(headTs, headTh)
 		r.addLine("%-4s SKM residual over first 1000s: %s", env, timebase.FormatDuration(res))
-		r.addCheck(fmt.Sprintf("%s SKM residual (1000s) < 30µs", env),
-			"< 30µs", timebase.FormatDuration(res), res < 30*timebase.Microsecond)
+		r.below(fmt.Sprintf("%s SKM residual (1000s)", env), res, 30*timebase.Microsecond, Seconds)
 	}
 	return r, nil
 }
@@ -212,7 +210,7 @@ func runFig3(opts Options) (*Report, error) {
 		{"MR-Ext", sim.MachineRoom, sim.ServerExt()},
 	}
 
-	curves := map[string][]allan.Point{}
+	curves := make([][]allan.Point, len(cases))
 	for i, c := range cases {
 		sc := sim.NewScenario(c.env, c.spec, 16, dur, opts.seed()+uint64(100+i))
 		// Streaming stability analysis: the anchors pass sizes the
@@ -247,7 +245,7 @@ func runFig3(opts Options) (*Report, error) {
 			return nil, err
 		}
 		pts := fold.Points()
-		curves[c.name] = pts
+		curves[i] = pts
 
 		tab := trace.NewTable("tau_s", "allan_dev")
 		for _, p := range pts {
@@ -263,34 +261,25 @@ func runFig3(opts Options) (*Report, error) {
 			timebase.PPM(maxDevAbove(pts, 100)))
 	}
 
-	for name, pts := range curves {
+	for i, c := range cases {
+		pts := curves[i]
 		// 1/τ zone: deviation at τ≈256 s about 8x below τ≈32 s.
-		d32, d256 := devNear(pts, 32), devNear(pts, 256)
-		ratio := d32 / d256
-		r.addCheck(name+" small-scale 1/τ slope", "ratio ∈ [4,16]",
-			fmt.Sprintf("%.1f", ratio), ratio > 4 && ratio < 16)
+		r.within(c.name+" small-scale 1/τ slope: dev(32s)/dev(256s)",
+			devNear(pts, 32)/devNear(pts, 256), 4, 16, Ratio)
 		// Precision achievable near τ*: of the order of 0.01 PPM.
 		dTauStar := devNear(pts, 1000)
-		r.addCheck(name+" precision near τ* ≈0.01 PPM", "≤0.04 PPM",
-			fmt.Sprintf("%.3f PPM", timebase.PPM(dTauStar)),
-			dTauStar <= timebase.FromPPM(0.04))
+		r.atMost(c.name+" precision near τ* ≈0.01 PPM", dTauStar, timebase.FromPPM(0.04), PPM)
 		// SKM fails past τ*: the curve turns up as wander enters.
-		dPast := devNear(pts, 4000)
-		r.addCheck(name+" curve rises past τ* (SKM fails)", "dev(4000s) ≥ 0.8·dev(1000s)",
-			fmt.Sprintf("%.3f vs %.3f PPM", timebase.PPM(dPast), timebase.PPM(dTauStar)),
-			dPast >= 0.8*dTauStar)
+		r.atLeast(c.name+" curve rises past τ*: dev(4000s)/dev(1000s)",
+			devNear(pts, 4000)/dTauStar, 0.8, Ratio)
 		// Global stability bound.
-		maxD := maxDevAbove(pts, 500)
-		r.addCheck(name+" bounded by 0.1 PPM (τ>500s)", "≤0.1 PPM",
-			fmt.Sprintf("%.3f PPM", timebase.PPM(maxD)), maxD <= timebase.FromPPM(0.1))
+		r.atMost(c.name+" bounded by 0.1 PPM (τ>500s)", maxDevAbove(pts, 500), timebase.FromPPM(0.1), PPM)
 	}
-	// Laboratory above machine room at large scales.
-	lab, mr := curves["Lab-Int"], curves["MR-Int"]
+	// Laboratory above machine room at large scales (within 5 %).
+	lab, mr := curves[0], curves[1]
 	tauBig := math.Min(lab[len(lab)-1].Tau, mr[len(mr)-1].Tau) / 2
-	labD, mrD := devNear(lab, tauBig), devNear(mr, tauBig)
-	r.addCheck("laboratory above machine room at large τ",
-		"Lab ≥ MR", fmt.Sprintf("%.3f vs %.3f PPM", timebase.PPM(labD), timebase.PPM(mrD)),
-		labD >= mrD*0.95)
+	r.atLeast("laboratory above machine room at large τ: Lab-Int/MR-Int",
+		devNear(lab, tauBig)/devNear(mr, tauBig), 0.95, Ratio)
 	return r, nil
 }
 
@@ -388,13 +377,9 @@ func runFig4(opts Options) (*Report, error) {
 	// observation that server departure stamps Te can exceed true
 	// departure by up to ~1 ms (Section 4.2) — so the deterministic
 	// minimum is probed with a low percentile, not the raw minimum.
-	r.addCheck("backward delay p05 near d< (~156µs)", "130–250µs",
-		timebase.FormatDuration(b05), b05 > 130e-6 && b05 < 250e-6)
-	r.addCheck("Te outliers bounded (paper: up to ~1ms)", "min ≥ −1.5ms",
-		timebase.FormatDuration(bMin), bMin >= -1.5e-3)
-	r.addCheck("server delay min in µs range", "2–50µs",
-		timebase.FormatDuration(sMin), sMin > 2e-6 && sMin < 50e-6)
-	r.addCheck("server delays ≪ network delays (medians)", "ratio > 3",
-		fmt.Sprintf("%.1f", bMed/sMed), bMed > 3*sMed)
+	r.within("backward delay p05 near d< (~156µs)", b05, 130e-6, 250e-6, Seconds)
+	r.atLeast("Te outliers bounded: backward delay min (paper: up to ~1ms early)", bMin, -1.5e-3, Seconds)
+	r.within("server delay min in µs range", sMin, 2e-6, 50e-6, Seconds)
+	r.above("server delays ≪ network delays: median backward/server", bMed/sMed, 3, Ratio)
 	return r, nil
 }

@@ -1,13 +1,12 @@
 package experiments
 
 import (
-	"fmt"
 	"math"
 
-	"repro/internal/core"
 	"repro/internal/ensemble"
 	"repro/internal/netem"
 	"repro/internal/sim"
+	"repro/internal/stats"
 	"repro/internal/timebase"
 	"repro/internal/trace"
 )
@@ -34,83 +33,44 @@ func runEnsemble(opts Options) (*Report, error) {
 		{From: faultAt, To: dur + 1, Offset: faultOff},
 	}
 	sc := sim.NewMultiScenario(sim.MachineRoom, servers, 16, dur, opts.seed())
-	tr, err := sim.GenerateMulti(sc)
-	if err != nil {
-		return nil, err
-	}
 
-	// Single-server references: the same engine configuration fed only
-	// one server's exchanges (what a Clock pointed at it would see).
-	single := func(k int) ([]float64, []sim.Exchange, error) {
-		s, err := core.NewSync(defaultCfg(16))
-		if err != nil {
-			return nil, nil, err
-		}
-		ex := tr.CompletedFor(k)
-		errs := make([]float64, len(ex))
-		for i, e := range ex {
-			res, err := s.Process(core.Input{Ta: e.Ta, Tf: e.Tf, Tb: e.Tb, Te: e.Te})
-			if err != nil {
-				return nil, nil, fmt.Errorf("server %d seq %d: %w", k, e.Seq, err)
-			}
-			errs[i] = float64(e.Tf)*res.ClockP + res.ClockC - res.ThetaHat - e.Tg
-		}
-		return errs, ex, nil
-	}
-	goodErrs, goodEx, err := single(0)
-	if err != nil {
-		return nil, err
-	}
-	faultyErrs, faultyEx, err := single(faulty)
-	if err != nil {
-		return nil, err
-	}
-
-	// The ensemble over all three, fed in emission order.
-	cfgs := []core.Config{defaultCfg(16), defaultCfg(16), defaultCfg(16)}
-	ens, err := ensemble.New(ensemble.Config{Engines: cfgs})
-	if err != nil {
-		return nil, err
-	}
-	all := tr.Completed()
-	ensErrs := make([]float64, len(all))
+	// One pass. The single-server references ride along: each engine
+	// inside the ensemble is exactly a clock pointed at its own server
+	// (what a Clock fed only that server's exchanges would be), so the
+	// good and the faulty single clocks are engines 0 and 2 scored by
+	// the engine scorer. Everything is scored over the settled tail
+	// (last quarter): well past the fault onset AND past the single
+	// faulty clock's sanity lock-out window, so "diverged" means
+	// diverged for good, not merely briefly.
+	tailFrom := 0.75 * dur
+	goodTail, faultyTail := stats.NewMedianAbs(), stats.NewMedianAbs()
 	minFaultyWeight := math.Inf(1)
+	var lastTf uint64
 	tab := trace.NewTable("t_day", "ens_err_us", "faulty_weight")
-	for i, e := range all {
-		if _, err := ens.Process(e.Server, core.Input{Ta: e.Ta, Tf: e.Tf, Tb: e.Tb, Te: e.Te}); err != nil {
-			return nil, fmt.Errorf("ensemble server %d seq %d: %w", e.Server, e.Seq, err)
-		}
-		ro := ens.Readout()
-		ensErrs[i] = ro.AbsoluteTime(e.Tf) - e.Tg
-		w := ro.Servers[faulty].Weight
-		if e.TrueTf > faultAt && w < minFaultyWeight {
+	ensMed, final, err := ensembleRun(sc, ensemble.Config{}, tailFrom, func(s ensembleStep) error {
+		w := s.Readout.Servers[faulty].Weight
+		if s.TrueTf > faultAt && w < minFaultyWeight {
 			minFaultyWeight = w
 		}
-		if err := tab.Append(e.TrueTf/timebase.Day, ensErrs[i]/1e-6, w); err != nil {
-			return nil, err
+		if s.TrueTf > tailFrom {
+			switch s.Server {
+			case 0:
+				goodTail.Add(offsetErrOf(s.Res, s.Exchange))
+			case faulty:
+				faultyTail.Add(offsetErrOf(s.Res, s.Exchange))
+			}
 		}
+		lastTf = s.Tf
+		return tab.Append(s.TrueTf/timebase.Day, s.Err/1e-6, w)
+	})
+	if err != nil {
+		return nil, err
 	}
 	if err := r.save(opts, "series", tab); err != nil {
 		return nil, err
 	}
-
-	// Score over the settled tail (last quarter): well past the fault
-	// onset AND past the single faulty clock's sanity lock-out window,
-	// so "diverged" means diverged for good, not merely briefly.
-	tailFrom := 0.75 * dur
-	tail := func(errs []float64, at func(int) float64) []float64 {
-		var out []float64
-		for i := range errs {
-			if at(i) > tailFrom {
-				out = append(out, errs[i])
-			}
-		}
-		return out
-	}
-	goodMed := medianAbs(tail(goodErrs, func(i int) float64 { return goodEx[i].TrueTf }))
-	faultyMed := medianAbs(tail(faultyErrs, func(i int) float64 { return faultyEx[i].TrueTf }))
-	ensMed := medianAbs(tail(ensErrs, func(i int) float64 { return all[i].TrueTf }))
-	agreement := ens.Readout().Agreement(all[len(all)-1].Tf)
+	goodMed, faultyMed := goodTail.Value(), faultyTail.Value()
+	agreement := final.Agreement(lastTf)
 
 	r.addLine("fault: server %d off by %s from %.2f days; tail medians |err|: good single %s, faulty single %s, ensemble %s",
 		faulty, timebase.FormatDuration(faultOff), faultAt/timebase.Day,
@@ -119,13 +79,9 @@ func runEnsemble(opts Options) (*Report, error) {
 	r.addLine("faulty server: min weight after onset %.3f (nominal 0.333); final agreement %d/3",
 		minFaultyWeight, agreement)
 
-	r.addCheck("single clock on the faulty server diverges", "≥10× good baseline",
-		fmt.Sprintf("%.0fx", faultyMed/goodMed), faultyMed >= 10*goodMed)
-	r.addCheck("ensemble outvotes the faulty server", "tail median ≤ 2× good baseline",
-		fmt.Sprintf("%.2fx", ensMed/goodMed), ensMed <= 2*goodMed)
-	r.addCheck("trust scoring dents the faulty server's weight", "min < 0.20 after onset",
-		fmt.Sprintf("%.3f", minFaultyWeight), minFaultyWeight < 0.20)
-	r.addCheck("faulty server excluded from final agreement", "2 of 3",
-		fmt.Sprint(agreement), agreement == 2)
+	r.atLeast("single clock on the faulty server diverges: tail median faulty/good", faultyMed/goodMed, 10, Ratio)
+	r.atMost("ensemble outvotes the faulty server: tail median ensemble/good", ensMed/goodMed, 2, Ratio)
+	r.below("trust scoring dents the faulty server's weight: min after onset", minFaultyWeight, 0.20, Share)
+	r.equals("faulty server excluded from final agreement (of 3)", float64(agreement), 2, Count)
 	return r, nil
 }

@@ -4,18 +4,24 @@
 // baseline), and reports the same rows or series the paper reports,
 // together with shape checks: who wins, by roughly what factor, where
 // the crossovers fall. Absolute numbers differ from the paper's testbed;
-// EXPERIMENTS.md records paper-vs-measured for each item.
+// `cmd/experiments -list` names what each item reproduces.
 //
-// Run from the command line with `go run ./cmd/experiments -run fig12`,
-// or through the benchmark harness in the repository root.
+// Every check is data (Check: a value, its bound, the relation between
+// them), every error against ground truth comes from one scorer per
+// clock kind (offsetErrOf for an engine, clockErr for an ensemble), and
+// every run goes through one harness per clock kind (streamRun,
+// ensembleRun): generate → estimator → per-exchange callback.
+//
+// Run from the command line with `go run ./cmd/experiments -run fig12`;
+// TestAllExperimentsQuick runs the whole sweep under `go test`.
 package experiments
 
 import (
 	"fmt"
-	"math"
 	"strings"
 
 	"repro/internal/core"
+	"repro/internal/ensemble"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/timebase"
@@ -61,15 +67,6 @@ func (o Options) scale(d float64) float64 {
 	return s
 }
 
-// Check is one shape assertion: a property of the paper's result that
-// the reproduction must preserve.
-type Check struct {
-	Name string
-	Want string
-	Got  string
-	Pass bool
-}
-
 // Report is the output of one experiment.
 type Report struct {
 	ID     string
@@ -92,14 +89,10 @@ func (r *Report) addLine(format string, args ...interface{}) {
 	r.Lines = append(r.Lines, fmt.Sprintf(format, args...))
 }
 
-func (r *Report) addCheck(name, want, got string, pass bool) {
-	r.Checks = append(r.Checks, Check{Name: name, Want: want, Got: got, Pass: pass})
-}
-
 // Passed reports whether every check passed.
 func (r *Report) Passed() bool {
 	for _, c := range r.Checks {
-		if !c.Pass {
+		if !c.Pass() {
 			return false
 		}
 	}
@@ -115,10 +108,10 @@ func (r *Report) Render() string {
 	}
 	for _, c := range r.Checks {
 		mark := "PASS"
-		if !c.Pass {
+		if !c.Pass() {
 			mark = "FAIL"
 		}
-		fmt.Fprintf(&b, "[%s] %-40s want %-28s got %s\n", mark, c.Name, c.Want, c.Got)
+		fmt.Fprintf(&b, "[%s] %-40s want %-28s got %s\n", mark, c.Name, c.Want(), c.Got())
 	}
 	return b.String()
 }
@@ -207,87 +200,45 @@ func Run(id string, opts Options) (*Report, error) {
 
 // --- shared helpers ---
 
-// engineRun feeds a trace's completed exchanges through a fresh engine.
-func engineRun(tr *sim.Trace, cfg core.Config) ([]core.Result, []sim.Exchange, error) {
-	s, err := core.NewSync(cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	ex := tr.Completed()
-	results := make([]core.Result, 0, len(ex))
-	for _, e := range ex {
-		res, err := s.Process(core.Input{Ta: e.Ta, Tf: e.Tf, Tb: e.Tb, Te: e.Te})
-		if err != nil {
-			return nil, nil, fmt.Errorf("experiments: process seq %d: %w", e.Seq, err)
-		}
-		results = append(results, res)
-	}
-	return results, ex, nil
-}
-
-// offsetErrors computes θ̂ − θ_g per packet: the error of the estimated
-// offset against the DAG-derived reference under the engine's own clock.
-func offsetErrors(results []core.Result, ex []sim.Exchange) []float64 {
-	errs := make([]float64, len(results))
-	for k, res := range results {
-		thetaG := float64(ex[k].Tf)*res.ClockP + res.ClockC - ex[k].Tg
-		errs[k] = res.ThetaHat - thetaG
-	}
-	return errs
-}
-
-// afterWarmup filters errors to exchanges after a settling time.
-func afterWarmup(errs []float64, ex []sim.Exchange, settle float64) []float64 {
-	var out []float64
-	for k, e := range errs {
-		if ex[k].TrueTf > settle {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
 // defaultCfg builds the paper's default engine configuration with the
 // nominal counter period (~49 PPM off true, as a real spec value is).
 func defaultCfg(poll float64) core.Config {
 	return core.DefaultConfig(1.0/548655270, poll)
 }
 
-// fiveNumLine renders a five-number summary in µs, matching the
-// percentile curves of Figures 9 and 10.
-func fiveNumLine(label string, errs []float64) string {
-	return fiveNumFmt(label, stats.FiveNumOf(errs))
+// refOffset is θ_g: the DAG-derived reference offset of one exchange
+// under the engine's own uncorrected clock C(Tf) = Tf·p + c.
+func refOffset(res core.Result, e sim.Exchange) float64 {
+	return float64(e.Tf)*res.ClockP + res.ClockC - e.Tg
 }
 
-// medianAbs returns the median of |xs| via stats — one sort, and the
-// package's *interpolating* median (the mean of the two central order
-// statistics for even n), replacing this helper's original upper-order-
-// statistic pick. The experiments' ratio checks sit orders of magnitude
-// away from the half-gap this can move a median by.
-func medianAbs(xs []float64) float64 {
-	cp := make([]float64, len(xs))
-	for i, x := range xs {
-		cp[i] = math.Abs(x)
-	}
-	return stats.NewSorted(cp).Median()
+// offsetErrOf is the engine scorer: θ̂ − θ_g for one exchange.
+func offsetErrOf(res core.Result, e sim.Exchange) float64 {
+	return res.ThetaHat - refOffset(res, e)
 }
 
-// --- streaming harness ---
+// clockErr is the ensemble scorer: the combined absolute clock read at
+// counter value T, minus the true time of that instant.
+func clockErr(ro *ensemble.Readout, T uint64, truth float64) float64 {
+	return ro.AbsoluteTime(T) - truth
+}
+
+// --- run harnesses ---
 //
-// The helpers below are the streaming counterparts of engineRun and
-// friends: experiments built on them never materialize a trace or a
-// result slice. A scenario is generated as a pull stream (bit-identical
-// to sim.Generate, with the oscillator cache trimmed behind the
-// emission front), each completed exchange is pushed through a fresh
-// engine, and the per-packet callback folds whatever the report needs
-// into online accumulators (internal/stats) and row-streamed TSV sinks.
-// Peak memory is set by the engine's windows and the accumulators —
-// independent of trace length.
+// One per clock kind, same shape: a scenario is generated as a pull
+// stream (bit-identical to sim.Generate / sim.GenerateMulti), each
+// completed exchange is pushed through a fresh estimator, and the
+// per-exchange callback folds whatever the report needs — online
+// accumulators (internal/stats), row-streamed TSV sinks, or a slice
+// when a figure wants exact order statistics of a long series. Nothing
+// else materializes a trace or a result slice, so peak memory is set by
+// the estimator's windows and the accumulators, not the trace length.
 
-// streamRun generates sc as a stream and feeds every completed exchange
-// through a fresh engine built from cfg, invoking fn per packet. It
-// returns the stream (for oracle references such as Osc().MeanPeriod())
-// after the full pass.
+// streamRun is the engine harness: it generates sc as a stream (the
+// oscillator cache trimmed behind the emission front) and feeds every
+// completed exchange through a fresh engine built from cfg, invoking fn
+// per packet. It returns the stream (for oracle references such as
+// Osc().MeanPeriod()) after the full pass.
 func streamRun(sc sim.Scenario, cfg core.Config, fn func(e sim.Exchange, res core.Result) error) (*sim.Stream, error) {
 	st, err := sim.NewStream(sc)
 	if err != nil {
@@ -316,15 +267,81 @@ func streamRun(sc sim.Scenario, cfg core.Config, fn func(e sim.Exchange, res cor
 	}
 }
 
-// offsetErrOf computes θ̂ − θ_g for one packet: the single-exchange form
-// of offsetErrors.
-func offsetErrOf(res core.Result, e sim.Exchange) float64 {
-	thetaG := float64(e.Tf)*res.ClockP + res.ClockC - e.Tg
-	return res.ThetaHat - thetaG
+// ensembleStep is what the ensemble harness hands its callback for one
+// completed exchange.
+type ensembleStep struct {
+	sim.MultiExchange
+	// Res is the exchange's own engine's result: that engine is exactly
+	// a single-server clock pointed at Server.
+	Res core.Result
+	// Prev was in force before the exchange, Readout was published by it.
+	Prev, Readout *ensemble.Readout
+	// Err is the combined clock's error at the exchange.
+	Err float64
 }
 
-// fiveNumFmt renders a five-number summary in µs; fiveNumLine is its
-// batch-slice wrapper.
+// ensembleRun is the ensemble harness: it generates sc as a stream and
+// feeds every completed exchange through a fresh ensemble — cfg with one
+// default engine per server at the scenario's polling period — invoking
+// fn (when non-nil) per exchange. It returns the median |Err| over the
+// exchanges after tailFrom, the settled tail every ensemble experiment
+// scores, and the final readout.
+func ensembleRun(sc sim.MultiScenario, cfg ensemble.Config, tailFrom float64, fn func(ensembleStep) error) (float64, *ensemble.Readout, error) {
+	st, err := sim.NewMultiStream(sc)
+	if err != nil {
+		return 0, nil, err
+	}
+	cfg.Engines = make([]core.Config, len(sc.Servers))
+	for i := range cfg.Engines {
+		cfg.Engines[i] = defaultCfg(sc.PollPeriod)
+	}
+	tail := stats.NewMedianAbs()
+	final, err := ensembleFeed(st, cfg, func(s ensembleStep) error {
+		if s.TrueTf > tailFrom {
+			tail.Add(s.Err)
+		}
+		if fn == nil {
+			return nil
+		}
+		return fn(s)
+	})
+	if err != nil {
+		return 0, nil, err
+	}
+	return tail.Value(), final, nil
+}
+
+// ensembleFeed is the harness's loop over a stream the caller opened
+// (chaos reads the stream's oscillator between exchanges) and the
+// engines cfg names.
+func ensembleFeed(st *sim.MultiStream, cfg ensemble.Config, fn func(ensembleStep) error) (*ensemble.Readout, error) {
+	ens, err := ensemble.New(cfg)
+	if err != nil {
+		return nil, err
+	}
+	prev := ens.Readout()
+	for {
+		e, ok := st.Next()
+		if !ok {
+			return prev, nil
+		}
+		if e.Lost {
+			continue
+		}
+		res, err := ens.Process(e.Server, core.Input{Ta: e.Ta, Tf: e.Tf, Tb: e.Tb, Te: e.Te})
+		if err != nil {
+			return nil, fmt.Errorf("experiments: server %d seq %d: %w", e.Server, e.Seq, err)
+		}
+		ro := ens.Readout()
+		if err := fn(ensembleStep{MultiExchange: e, Res: res, Prev: prev, Readout: ro, Err: clockErr(ro, e.Tf, e.Tg)}); err != nil {
+			return nil, err
+		}
+		prev = ro
+	}
+}
+
+// fiveNumFmt renders a five-number summary in µs, matching the
+// percentile curves of Figures 9 and 10.
 func fiveNumFmt(label string, fn stats.FiveNum) string {
 	toUs := func(v float64) float64 { return v / timebase.Microsecond }
 	return fmt.Sprintf("%-14s p01=%8.1fµs p25=%8.1fµs p50=%8.1fµs p75=%8.1fµs p99=%8.1fµs",

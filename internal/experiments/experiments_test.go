@@ -49,8 +49,8 @@ func TestAllExperimentsQuick(t *testing.T) {
 				t.Fatal("experiment has no checks")
 			}
 			for _, c := range rep.Checks {
-				if !c.Pass {
-					t.Errorf("check %q: want %s, got %s", c.Name, c.Want, c.Got)
+				if !c.Pass() {
+					t.Errorf("check %q: want %s, got %s", c.Name, c.Want(), c.Got())
 				}
 			}
 			if !strings.Contains(rep.Render(), rep.ID) {

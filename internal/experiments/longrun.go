@@ -219,45 +219,24 @@ func runLongRun(opts Options) (*Report, error) {
 	// Shape checks: multi-week stability despite temperature cycles and
 	// load regimes, and the constant-memory machinery actually engaged.
 	wantWindows := int((dur - settle) / longRunWindow)
-	r.addCheck("windowed series covers the run",
-		fmt.Sprintf("≥ %d windows", wantWindows), fmt.Sprint(len(winMedians)),
-		len(winMedians) >= wantWindows)
-	r.addCheck("every window median in the −Δ/2 band", "−120µs…+20µs",
-		fmt.Sprintf("[%s, %s]", timebase.FormatDuration(medLo), timebase.FormatDuration(medHi)),
-		medLo > -120e-6 && medHi < 20e-6)
-	r.addCheck("median stable across regimes/weeks", "spread ≤ 80µs",
-		timebase.FormatDuration(medHi-medLo), medHi-medLo <= 80e-6)
-	r.addCheck("overall p99 bounded through congestion regimes", "≤ 1ms",
-		timebase.FormatDuration(fn.P99), fn.P99 <= timebase.Millisecond)
-	r.addCheck("single-packet excursions rare", "≤ 0.02% of packets",
-		fmt.Sprintf("%d/%d", excursions, count),
-		float64(excursions) <= 0.0002*float64(count))
+	r.atLeast("windowed series covers the run (windows)", float64(len(winMedians)), float64(wantWindows), Count)
+	r.above("every window median in the −Δ/2 band: lowest", medLo, -120e-6, Seconds)
+	r.below("every window median in the −Δ/2 band: highest", medHi, 20e-6, Seconds)
+	r.atMost("median stable across regimes/weeks: spread", medHi-medLo, 80e-6, Seconds)
+	r.atMost("overall p99 bounded through congestion regimes", fn.P99, timebase.Millisecond, Seconds)
+	r.atMost("single-packet excursions rare (share of packets)", float64(excursions)/float64(count), 0.0002, Share)
 
-	devAt := func(tau float64) float64 {
-		best, bestDist := 0.0, math.Inf(1)
-		for _, p := range pts {
-			if d := math.Abs(math.Log(p.Tau / tau)); d < bestDist {
-				bestDist, best = d, p.Deviation
-			}
-		}
-		return best
-	}
-	r.addCheck("error Allan bounded at τ ≥ 1000s", "≤ 0.1 PPM",
-		fmt.Sprintf("%.4f PPM", timebase.PPM(devAt(1000))),
-		devAt(1000) <= timebase.FromPPM(0.1))
-	r.addCheck("error Allan falls toward large τ (no drift regime)",
-		"dev(τmax) ≤ dev(1000s)",
-		fmt.Sprintf("%.5f vs %.5f PPM", timebase.PPM(pts[len(pts)-1].Deviation), timebase.PPM(devAt(1000))),
-		pts[len(pts)-1].Deviation <= devAt(1000))
+	dev1000 := devNear(pts, 1000)
+	r.atMost("error Allan bounded at τ ≥ 1000s", dev1000, timebase.FromPPM(0.1), PPM)
+	r.atMost("error Allan falls toward large τ (no drift regime): dev(τmax)/dev(1000s)",
+		pts[len(pts)-1].Deviation/dev1000, 1, Ratio)
 
 	r.PeakHeap = peakHeap
 
 	trueP := st.Osc().MeanPeriod()
 	rateErr := math.Abs(lastPHat/trueP - 1)
-	r.addCheck("rate estimate within hardware stability bound", "≤ 0.1 PPM",
-		fmt.Sprintf("%.4f PPM", timebase.PPM(rateErr)), rateErr <= timebase.FromPPM(0.1))
-	r.addCheck("oscillator cache trimmed behind the emission front",
-		"≤ 512 steps", fmt.Sprint(st.Osc().RandomWalkCacheLen()),
-		st.Osc().RandomWalkCacheLen() <= 512)
+	r.atMost("rate estimate within hardware stability bound", rateErr, timebase.FromPPM(0.1), PPM)
+	r.atMost("oscillator cache trimmed behind the emission front (steps)",
+		float64(st.Osc().RandomWalkCacheLen()), 512, Count)
 	return r, nil
 }

@@ -16,8 +16,8 @@ func runLongRunDays(t *testing.T, days float64) uint64 {
 		t.Fatalf("longrun %gd: %v", days, err)
 	}
 	for _, c := range rep.Checks {
-		if !c.Pass {
-			t.Errorf("longrun %gd check %q: want %s, got %s", days, c.Name, c.Want, c.Got)
+		if !c.Pass() {
+			t.Errorf("longrun %gd check %q: want %s, got %s", days, c.Name, c.Want(), c.Got())
 		}
 	}
 	if rep.PeakHeap == 0 {

@@ -76,17 +76,13 @@ func runFig11a(opts Options) (*Report, error) {
 		timebase.FormatDuration(preGap), timebase.FormatDuration(firstAfter),
 		timebase.FormatDuration(recovered))
 
-	r.addCheck("first post-gap estimate already bounded",
-		"|err| ≤ 1ms", timebase.FormatDuration(firstAfter),
-		math.Abs(firstAfter) <= timebase.Millisecond)
-	r.addCheck("fast recovery (30 min of data)", "|err| ≤ 150µs",
-		timebase.FormatDuration(recovered), math.Abs(recovered) <= 150*timebase.Microsecond)
+	r.atMost("first post-gap estimate already bounded: |err|", math.Abs(firstAfter), timebase.Millisecond, Seconds)
+	r.atMost("fast recovery (30 min of data): |err|", math.Abs(recovered), 150*timebase.Microsecond, Seconds)
 	// The rate estimate's validity across the gap is what makes this
 	// possible: no warm-up is needed (Section 5.2).
 	trueP := st.Osc().MeanPeriod()
 	finalRate := math.Abs(lastPHat/trueP - 1)
-	r.addCheck("rate estimate survives the gap", "≤0.1 PPM",
-		fmt.Sprintf("%.4f PPM", timebase.PPM(finalRate)), finalRate <= timebase.FromPPM(0.1))
+	r.atMost("rate estimate survives the gap", finalRate, timebase.FromPPM(0.1), PPM)
 	return r, nil
 }
 
@@ -132,13 +128,9 @@ func runFig11b(opts Options) (*Report, error) {
 	r.addLine("sanity check fired on %d packets; max |err| %s; final |err| %s",
 		sanityCount, timebase.FormatDuration(maxDamage),
 		timebase.FormatDuration(math.Abs(lastErr)))
-	r.addCheck("sanity check triggered", "≥1 packet",
-		fmt.Sprint(sanityCount), sanityCount >= 1)
-	r.addCheck("damage limited to ~a millisecond", "max ≤ 4ms vs 150ms fault",
-		timebase.FormatDuration(maxDamage), maxDamage <= 4*timebase.Millisecond)
-	r.addCheck("healed by end of trace", "|err| ≤ 300µs",
-		timebase.FormatDuration(math.Abs(lastErr)),
-		math.Abs(lastErr) <= 300*timebase.Microsecond)
+	r.atLeast("sanity check triggered (packets)", float64(sanityCount), 1, Count)
+	r.atMost("damage limited to ~a millisecond: max |err| vs 150ms fault", maxDamage, 4*timebase.Millisecond, Seconds)
+	r.atMost("healed by end of trace: |err|", math.Abs(lastErr), 300*timebase.Microsecond, Seconds)
 	return r, nil
 }
 
@@ -171,7 +163,7 @@ func runFig11c(opts Options) (*Report, error) {
 	before := stats.NewStreamingQuantiles(0.5)
 	after := stats.NewStreamingQuantiles(0.5)
 	var detections []float64
-	tempDetected := false
+	earlyDetections := 0 // before the permanent shift: the temporary one, or a false alarm
 	permDetectedAt := math.Inf(1)
 	if _, err := streamRun(sc, cfg, func(e sim.Exchange, res core.Result) error {
 		errV := offsetErrOf(res, e)
@@ -181,7 +173,7 @@ func runFig11c(opts Options) (*Report, error) {
 			d = 1
 			detections = append(detections, t)
 			if t < permAt {
-				tempDetected = true
+				earlyDetections++
 			} else if t < permDetectedAt {
 				permDetectedAt = t
 			}
@@ -202,11 +194,9 @@ func runFig11c(opts Options) (*Report, error) {
 
 	r.addLine("detections at: %v (temp shift at %.2fd for %s, perm at %.2fd)",
 		detections, tempAt/timebase.Day, timebase.FormatDuration(tempDur), permAt/timebase.Day)
-	r.addCheck("temporary shift (<Ts) never detected", "no detection before perm shift",
-		fmt.Sprint(tempDetected), !tempDetected)
-	r.addCheck("permanent shift detected", "within ~1.5·Ts",
-		timebase.FormatDuration(permDetectedAt-permAt),
-		permDetectedAt-permAt > 0 && permDetectedAt-permAt <= 1.5*cfg.ShiftWindow)
+	r.equals("temporary shift (<Ts) never detected: detections before the permanent shift",
+		float64(earlyDetections), 0, Count)
+	r.within("permanent shift detected within ~1.5·Ts: delay", permDetectedAt-permAt, 0, 1.5*cfg.ShiftWindow, Seconds)
 
 	// The jump is ≈ Δshift/2 (asymmetry change), directed negative since
 	// the forward minimum grew.
@@ -214,8 +204,7 @@ func runFig11c(opts Options) (*Report, error) {
 	r.addLine("median error before %s, after %s (jump %s; Δ/2 = −450µs)",
 		timebase.FormatDuration(before.Value(0)),
 		timebase.FormatDuration(after.Value(0)), timebase.FormatDuration(jump))
-	r.addCheck("post-shift jump ≈ −Δshift/2", "−650µs…−250µs",
-		timebase.FormatDuration(jump), jump > -650e-6 && jump < -250e-6)
+	r.within("post-shift jump ≈ −Δshift/2", jump, -650e-6, -250e-6, Seconds)
 	return r, nil
 }
 
@@ -271,13 +260,9 @@ func runFig11d(opts Options) (*Report, error) {
 		timebase.FormatDuration(rHatAfter), timebase.FormatDuration(wantRTT),
 		timebase.FormatDuration(shiftOfMedian))
 
-	r.addCheck("no upward detection for a downward shift", "0",
-		fmt.Sprint(upward), upward == 0)
-	r.addCheck("r̂ absorbs the shift promptly", "within 100µs of new min",
-		timebase.FormatDuration(rHatAfter-wantRTT), math.Abs(rHatAfter-wantRTT) <= 100e-6)
-	r.addCheck("no observable change in estimation quality",
-		"median moves ≤ 120µs", timebase.FormatDuration(shiftOfMedian),
-		math.Abs(shiftOfMedian) <= 120e-6)
+	r.equals("no upward detection for a downward shift", float64(upward), 0, Count)
+	r.atMost("r̂ absorbs the shift promptly: |r̂ − new min|", math.Abs(rHatAfter-wantRTT), 100e-6, Seconds)
+	r.atMost("no observable change in estimation quality: |median move|", math.Abs(shiftOfMedian), 120e-6, Seconds)
 	return r, nil
 }
 
@@ -294,11 +279,8 @@ func runFig12(opts Options) (*Report, error) {
 		dur = timebase.Week
 	}
 
-	type outcome struct {
-		med, iqr float64
-	}
-	outcomes := map[float64]outcome{}
-	for _, poll := range []float64{64, 256} {
+	var iqrs [2]float64 // per polling period, in order
+	for i, poll := range []float64{64, 256} {
 		sc := sim.NewScenario(sim.MachineRoom, sim.ServerInt(), poll, dur, opts.seed())
 		// The paper's 3-month record includes two collection gaps.
 		if !opts.Quick {
@@ -320,7 +302,7 @@ func runFig12(opts Options) (*Report, error) {
 		med := q.Value(2)
 		iqr := q.Value(3) - q.Value(1)
 		lo, hi := q.Value(0), q.Value(4)
-		outcomes[poll] = outcome{med: med, iqr: iqr}
+		iqrs[i] = iqr
 
 		// Pass 2: fill the histogram over the now-known range.
 		hist, err := stats.NewHistogram(nil, lo, hi+1e-12, 40)
@@ -348,16 +330,11 @@ func runFig12(opts Options) (*Report, error) {
 			poll, dur/timebase.Day, timebase.FormatDuration(med), timebase.FormatDuration(iqr),
 			timebase.FormatDuration(lo), timebase.FormatDuration(hi))
 
-		r.addCheck(fmt.Sprintf("poll %.0f median at tens-of-µs (paper: −31/−33µs)", poll),
-			"−100µs…0", timebase.FormatDuration(med), med > -100e-6 && med < 0)
-		r.addCheck(fmt.Sprintf("poll %.0f IQR small (paper: 15/24µs)", poll),
-			"≤ 80µs", timebase.FormatDuration(iqr), iqr <= 80e-6)
+		r.within(fmt.Sprintf("poll %.0f median at tens-of-µs (paper: −31/−33µs)", poll), med, -100e-6, 0, Seconds)
+		r.atMost(fmt.Sprintf("poll %.0f IQR small (paper: 15/24µs)", poll), iqr, 80e-6, Seconds)
 	}
-	r.addCheck("performance does not change greatly with polling rate",
-		"IQR(256) ≤ 3×IQR(64)",
-		fmt.Sprintf("%s vs %s", timebase.FormatDuration(outcomes[256].iqr),
-			timebase.FormatDuration(outcomes[64].iqr)),
-		outcomes[256].iqr <= 3*outcomes[64].iqr)
+	r.atMost("performance does not change greatly with polling rate: IQR(256)/IQR(64)",
+		iqrs[1]/iqrs[0], 3, Ratio)
 	return r, nil
 }
 
@@ -365,8 +342,8 @@ func runFig12(opts Options) (*Report, error) {
 // engine: the implicit comparison of the whole paper. The TSC-NTP clock
 // must win by a large factor in steady state and, unlike SW-NTP, must
 // not reset on a large server fault. Both estimators consume the same
-// stream in one interleaved pass — each engine's state depends only on
-// its own inputs, so this is packet-for-packet the old two-run batch.
+// stream in one pass of the engine harness, SW-NTP riding in its
+// callback — each estimator's state depends only on its own inputs.
 func runBaseline(opts Options) (*Report, error) {
 	r := newReport("baseline", Title("baseline"))
 	dur := opts.scale(timebase.Week)
@@ -382,15 +359,6 @@ func runBaseline(opts Options) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	st, err := sim.NewStream(sc)
-	if err != nil {
-		return nil, err
-	}
-	st.SetTrim(true)
-	s, err := core.NewSync(defaultCfg(64))
-	if err != nil {
-		return nil, err
-	}
 	sink, err := r.newSeries(opts, "comparison", "tb_day", "swntp_err_us", "tsc_err_us")
 	if err != nil {
 		return nil, err
@@ -398,20 +366,9 @@ func runBaseline(opts Options) (*Report, error) {
 
 	swMedAcc, coreMedAcc := stats.NewMedianAbs(), stats.NewMedianAbs()
 	swWorst, coreWorst := 0.0, 0.0
-	for {
-		e, ok := st.Next()
-		if !ok {
-			break
-		}
-		if e.Lost {
-			continue
-		}
+	if _, err := streamRun(sc, defaultCfg(64), func(e sim.Exchange, res core.Result) error {
 		sw.ProcessExchange(e.Ta, e.Tf, e.Tb, e.Te)
 		swErr := sw.Read(e.Tf) - e.Tg
-		res, err := s.Process(core.Input{Ta: e.Ta, Tf: e.Tf, Tb: e.Tb, Te: e.Te})
-		if err != nil {
-			return nil, fmt.Errorf("experiments: process seq %d: %w", e.Seq, err)
-		}
 		coreErr := offsetErrOf(res, e)
 		if e.TrueTf > 3*timebase.Hour {
 			swMedAcc.Add(swErr)
@@ -423,9 +380,9 @@ func runBaseline(opts Options) (*Report, error) {
 				coreWorst = a
 			}
 		}
-		if err := sink.Append(e.Tb/timebase.Day, swErr/1e-6, coreErr/1e-6); err != nil {
-			return nil, err
-		}
+		return sink.Append(e.Tb/timebase.Day, swErr/1e-6, coreErr/1e-6)
+	}); err != nil {
+		return nil, err
 	}
 	if err := sink.Close(); err != nil {
 		return nil, err
@@ -441,14 +398,11 @@ func runBaseline(opts Options) (*Report, error) {
 	// The paper's criticism of SW-NTP is reliability, not median-case
 	// accuracy on a quiet path: errors "well in excess of RTTs in
 	// practice" and occasional large resets.
-	r.addCheck("TSC-NTP at least as accurate on median |err|", "ratio ≥ 1",
-		fmt.Sprintf("%.1fx", swMed/coreMed), swMed >= coreMed)
-	r.addCheck("TSC-NTP crushes SW-NTP worst case (fault contained)", "≥10x",
-		fmt.Sprintf("%.0fx", swWorst/coreWorst), swWorst >= 10*coreWorst)
-	r.addCheck("SW-NTP resets on the 150 ms fault", "steps ≥ 2",
-		fmt.Sprint(sw.Steps()), sw.Steps() >= 2)
+	r.atLeast("TSC-NTP at least as accurate: median |err| SW-NTP/TSC-NTP", swMed/coreMed, 1, Ratio)
+	r.atLeast("TSC-NTP crushes SW-NTP worst case (fault contained): worst |err| SW-NTP/TSC-NTP",
+		swWorst/coreWorst, 10, Ratio)
+	r.atLeast("SW-NTP resets on the 150 ms fault (steps)", float64(sw.Steps()), 2, Count)
 	// Core containment on the same event.
-	r.addCheck("TSC-NTP contains the same fault without reset",
-		"max |err| ≤ 4ms", timebase.FormatDuration(coreWorst), coreWorst <= 4*timebase.Millisecond)
+	r.atMost("TSC-NTP contains the same fault without reset: max |err|", coreWorst, 4*timebase.Millisecond, Seconds)
 	return r, nil
 }

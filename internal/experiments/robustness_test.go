@@ -4,10 +4,29 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/timebase"
 )
+
+// settledRun pushes a one-day scenario through the engine harness and
+// returns the offset errors after the settling time, the final rate
+// estimate and the stream (for the oracle rate).
+func settledRun(t *testing.T, sc sim.Scenario, settle float64) (errs []float64, pHat float64, st *sim.Stream) {
+	t.Helper()
+	st, err := streamRun(sc, defaultCfg(sc.PollPeriod), func(e sim.Exchange, res core.Result) error {
+		if e.TrueTf > settle {
+			errs = append(errs, offsetErrOf(res, e))
+		}
+		pHat = res.PHat
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return errs, pHat, st
+}
 
 // TestSeedRobustness verifies the headline accuracy claim is not an
 // artifact of one random realization: across independent seeds, the
@@ -22,15 +41,7 @@ func TestSeedRobustness(t *testing.T) {
 		t.Run("", func(t *testing.T) {
 			t.Parallel()
 			sc := sim.NewScenario(sim.MachineRoom, sim.ServerInt(), 16, timebase.Day, seed)
-			tr, err := sim.Generate(sc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			results, ex, err := engineRun(tr, defaultCfg(16))
-			if err != nil {
-				t.Fatal(err)
-			}
-			settled := afterWarmup(offsetErrors(results, ex), ex, timebase.Hour)
+			settled, pHat, st := settledRun(t, sc, timebase.Hour)
 			med := stats.Median(settled)
 			if med < -100e-6 || med > 10e-6 {
 				t.Errorf("seed %d: median offset error %v outside the band", seed, med)
@@ -38,8 +49,7 @@ func TestSeedRobustness(t *testing.T) {
 			if iqr := stats.IQR(settled); iqr > 80e-6 {
 				t.Errorf("seed %d: IQR %v", seed, iqr)
 			}
-			trueP := tr.Osc.MeanPeriod()
-			if e := math.Abs(results[len(results)-1].PHat/trueP - 1); e > timebase.FromPPM(0.1) {
+			if e := math.Abs(pHat/st.Osc().MeanPeriod() - 1); e > timebase.FromPPM(0.1) {
 				t.Errorf("seed %d: rate error %v PPM", seed, timebase.PPM(e))
 			}
 		})
@@ -60,15 +70,7 @@ func TestEnvironmentRobustness(t *testing.T) {
 			t.Run(env.String()+"-"+spec.Name, func(t *testing.T) {
 				t.Parallel()
 				sc := sim.NewScenario(env, spec, 64, timebase.Day, 55)
-				tr, err := sim.Generate(sc)
-				if err != nil {
-					t.Fatal(err)
-				}
-				results, ex, err := engineRun(tr, defaultCfg(64))
-				if err != nil {
-					t.Fatal(err)
-				}
-				settled := afterWarmup(offsetErrors(results, ex), ex, 2*timebase.Hour)
+				settled, _, _ := settledRun(t, sc, 2*timebase.Hour)
 				med := stats.Median(settled)
 				bound := spec.Asymmetry()/2 + 60e-6
 				if math.Abs(med) > bound {

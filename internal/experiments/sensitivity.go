@@ -72,11 +72,10 @@ func runFig9a(opts Options) (*Report, error) {
 			return nil, err
 		}
 		lo, hi := stats.MinMax(medians)
-		r.addCheck(fmt.Sprintf("median insensitive to τ' (%s)", localTag(useLocal)),
-			"spread ≤ 30µs", timebase.FormatDuration(hi-lo), hi-lo <= 30*timebase.Microsecond)
-		r.addCheck(fmt.Sprintf("medians in the −Δ/2 band (%s)", localTag(useLocal)),
-			"−90µs…+10µs", fmt.Sprintf("[%s, %s]", timebase.FormatDuration(lo), timebase.FormatDuration(hi)),
-			lo > -90e-6 && hi < 10e-6)
+		tag := localTag(useLocal)
+		r.atMost(fmt.Sprintf("median insensitive to τ' (%s): spread", tag), hi-lo, 30*timebase.Microsecond, Seconds)
+		r.above(fmt.Sprintf("medians in the −Δ/2 band (%s): lowest", tag), lo, -90e-6, Seconds)
+		r.below(fmt.Sprintf("medians in the −Δ/2 band (%s): highest", tag), hi, 10e-6, Seconds)
 	}
 	return r, nil
 }
@@ -116,15 +115,11 @@ func runFig9b(opts Options) (*Report, error) {
 		return nil, err
 	}
 	lo, hi := stats.MinMax(medians)
-	r.addCheck("median insensitive to E", "spread ≤ 30µs",
-		timebase.FormatDuration(hi-lo), hi-lo <= 30*timebase.Microsecond)
+	r.atMost("median insensitive to E: spread", hi-lo, 30*timebase.Microsecond, Seconds)
 	// Optimal results at small multiples of δ: the IQR at E=4δ is within
 	// 2x of the best across the sweep.
 	bestIQR, _ := stats.MinMax(iqrs)
-	atFour := iqrs[3]
-	r.addCheck("E=4δ near-optimal", "IQR(4δ) ≤ 2×best",
-		fmt.Sprintf("%s vs %s", timebase.FormatDuration(atFour), timebase.FormatDuration(bestIQR)),
-		atFour <= 2*bestIQR)
+	r.atMost("E=4δ near-optimal: IQR(4δ)/best IQR", iqrs[3]/bestIQR, 2, Ratio)
 	return r, nil
 }
 
@@ -152,11 +147,9 @@ func runFig9c(opts Options) (*Report, error) {
 		return nil, err
 	}
 	lo, hi := stats.MinMax(medians)
-	r.addCheck("median barely moves across 32x polling range",
-		"spread ≤ 30µs", timebase.FormatDuration(hi-lo), hi-lo <= 30*timebase.Microsecond)
-	r.addCheck("all medians in the −Δ/2 band", "−100µs…+10µs",
-		fmt.Sprintf("[%s, %s]", timebase.FormatDuration(lo), timebase.FormatDuration(hi)),
-		lo > -100e-6 && hi < 10e-6)
+	r.atMost("median barely moves across 32x polling range: spread", hi-lo, 30*timebase.Microsecond, Seconds)
+	r.above("all medians in the −Δ/2 band: lowest", lo, -100e-6, Seconds)
+	r.below("all medians in the −Δ/2 band: highest", hi, 10e-6, Seconds)
 	return r, nil
 }
 
@@ -180,14 +173,15 @@ func runFig10(opts Options) (*Report, error) {
 	}
 
 	tab := trace.NewTable("case", "p01_us", "p25_us", "p50_us", "p75_us", "p99_us")
-	summaries := map[string]stats.FiveNum{}
+	const labInt, mrInt, mrLoc, mrExt = 0, 1, 2, 3 // positions in cases
+	summaries := make([]stats.FiveNum, len(cases))
 	for i, c := range cases {
 		sc := sim.NewScenario(c.env, c.spec, 64, dur, opts.seed()+uint64(200+i))
 		fn, err := sweepFiveNum(sc, defaultCfg(64), 3*timebase.Hour)
 		if err != nil {
 			return nil, err
 		}
-		summaries[c.name] = fn
+		summaries[i] = fn
 		if err := tab.Append(float64(i), fn.P01/1e-6, fn.P25/1e-6, fn.P50/1e-6, fn.P75/1e-6, fn.P99/1e-6); err != nil {
 			return nil, err
 		}
@@ -197,27 +191,12 @@ func runFig10(opts Options) (*Report, error) {
 		return nil, err
 	}
 
-	iqr := func(f stats.FiveNum) float64 { return f.P75 - f.P25 }
-	r.addCheck("machine room tighter than laboratory (IQR)",
-		"MR-Int ≤ Lab-Int", fmt.Sprintf("%s vs %s",
-			timebase.FormatDuration(iqr(summaries["MR-Int"])),
-			timebase.FormatDuration(iqr(summaries["Lab-Int"]))),
-		iqr(summaries["MR-Int"]) <= iqr(summaries["Lab-Int"])*1.1)
-	r.addCheck("local server at least as tight as internal (IQR)",
-		"MR-Loc ≤ 1.2×MR-Int", fmt.Sprintf("%s vs %s",
-			timebase.FormatDuration(iqr(summaries["MR-Loc"])),
-			timebase.FormatDuration(iqr(summaries["MR-Int"]))),
-		iqr(summaries["MR-Loc"]) <= 1.2*iqr(summaries["MR-Int"]))
-	r.addCheck("remote server median shifted by ≈ −Δ/2 (−250µs)",
-		"−400µs…−120µs", timebase.FormatDuration(summaries["MR-Ext"].P50),
-		summaries["MR-Ext"].P50 > -400e-6 && summaries["MR-Ext"].P50 < -120e-6)
-	r.addCheck("remote server more variable (quality packets rarer)",
-		"IQR(MR-Ext) > IQR(MR-Int)", fmt.Sprintf("%s vs %s",
-			timebase.FormatDuration(iqr(summaries["MR-Ext"])),
-			timebase.FormatDuration(iqr(summaries["MR-Int"]))),
-		iqr(summaries["MR-Ext"]) > iqr(summaries["MR-Int"]))
-	r.addCheck("error ≪ remote RTT (14.2ms)", "|median| < 1ms",
-		timebase.FormatDuration(summaries["MR-Ext"].P50),
-		math.Abs(summaries["MR-Ext"].P50) < timebase.Millisecond)
+	iqr := func(i int) float64 { return summaries[i].P75 - summaries[i].P25 }
+	extMedian := summaries[mrExt].P50
+	r.atMost("machine room tighter than laboratory: IQR MR-Int/Lab-Int", iqr(mrInt)/iqr(labInt), 1.1, Ratio)
+	r.atMost("local server at least as tight as internal: IQR MR-Loc/MR-Int", iqr(mrLoc)/iqr(mrInt), 1.2, Ratio)
+	r.within("remote server median shifted by ≈ −Δ/2 (−250µs)", extMedian, -400e-6, -120e-6, Seconds)
+	r.above("remote server more variable: IQR MR-Ext/MR-Int", iqr(mrExt)/iqr(mrInt), 1, Ratio)
+	r.below("error ≪ remote RTT (14.2ms): |median|", math.Abs(extMedian), timebase.Millisecond, Seconds)
 	return r, nil
 }

@@ -45,12 +45,11 @@ func runTable1(opts Options) (*Report, error) {
 		return nil, err
 	}
 
-	// The bold entries of the paper's Table 1.
+	// The bold entries of the paper's Table 1, held to one part per
+	// million of the printed value.
 	check := func(name string, dt, ppm, want float64) {
 		got := timebase.OffsetAtRate(dt, timebase.FromPPM(ppm))
-		r.addCheck(name,
-			timebase.FormatDuration(want), timebase.FormatDuration(got),
-			math.Abs(got-want) <= 1e-6*want)
+		r.atMost(name+" (relative deviation)", math.Abs(got-want)/want, 1e-6, PPM)
 	}
 	check("1s @ 0.02 PPM = 20ns", 1, 0.02, 20e-9)
 	check("tau* @ 0.02 PPM = 20µs", 1000, 0.02, 20e-6)
@@ -71,6 +70,7 @@ func runTable2(opts Options) (*Report, error) {
 	wantAsym := []float64{50e-6, 50e-6, 500e-6}
 	wantHops := []int{2, 5, 10}
 	wantRef := []string{"GPS", "GPS", "Atomic"}
+	refMismatches := 0
 
 	tab := trace.NewTable("min_rtt_s", "hops", "asymmetry_s")
 	r.addLine("%-10s %-9s %-10s %8s %6s %10s", "Server", "Reference", "Distance", "RTT", "Hops", "Delta")
@@ -90,15 +90,17 @@ func runTable2(opts Options) (*Report, error) {
 			timebase.FormatDuration(minRTT), spec.Forward.Hops,
 			timebase.FormatDuration(asym))
 
-		r.addCheck(spec.Name+" min RTT", timebase.FormatDuration(wantRTT[i]),
-			timebase.FormatDuration(minRTT),
-			math.Abs(minRTT-wantRTT[i]) < 0.05*wantRTT[i]+30e-6)
-		r.addCheck(spec.Name+" asymmetry", timebase.FormatDuration(wantAsym[i]),
-			timebase.FormatDuration(asym), math.Abs(asym-wantAsym[i]) < 10e-6)
-		r.addCheck(spec.Name+" hops", fmt.Sprint(wantHops[i]),
-			fmt.Sprint(spec.Forward.Hops), spec.Forward.Hops == wantHops[i])
-		r.addCheck(spec.Name+" reference", wantRef[i], spec.Reference, spec.Reference == wantRef[i])
+		// The paper's value, to 5 % + 30 µs for a measured minimum and
+		// 10 µs for a configured asymmetry.
+		rttTol := 0.05*wantRTT[i] + 30e-6
+		r.within(spec.Name+" min RTT", minRTT, wantRTT[i]-rttTol, wantRTT[i]+rttTol, Seconds)
+		r.within(spec.Name+" asymmetry", asym, wantAsym[i]-10e-6, wantAsym[i]+10e-6, Seconds)
+		r.equals(spec.Name+" hops", float64(spec.Forward.Hops), float64(wantHops[i]), Count)
+		if spec.Reference != wantRef[i] {
+			refMismatches++
+		}
 	}
+	r.equals("reference ids GPS, GPS, Atomic (mismatches)", float64(refMismatches), 0, Count)
 	if err := r.save(opts, "servers", tab); err != nil {
 		return nil, err
 	}
