@@ -9,9 +9,13 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"strings"
 	"testing"
+
+	"repro/internal/ensemble"
+	"repro/internal/ntp"
 )
 
 var mdLink = regexp.MustCompile(`\[[^\]]*\]\(([^)\s]+)\)`)
@@ -128,6 +132,51 @@ func TestGoCommentDocRefs(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// knobRow matches a row of ARCHITECTURE.md's Knobs table and captures
+// the field it names (`Type.Field`).
+var knobRow = regexp.MustCompile("(?m)^\\| `([A-Za-z.]+)` \\|")
+
+// TestKnobsDocumented: every field of the option structs has a row in
+// ARCHITECTURE.md's "Knobs" table, and every row names a field that
+// exists, so a knob is neither added nor removed without the table.
+func TestKnobsDocumented(t *testing.T) {
+	data, err := os.ReadFile("ARCHITECTURE.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(data), "\n## Knobs\n")
+	if !ok {
+		t.Fatal("ARCHITECTURE.md has no \"Knobs\" section")
+	}
+	section, _, _ = strings.Cut(section, "\n## ")
+	rows := map[string]bool{}
+	for _, m := range knobRow.FindAllStringSubmatch(section, -1) {
+		rows[m[1]] = true
+	}
+	fields := map[string]bool{}
+	for name, v := range map[string]any{
+		"Options":          Options{},
+		"EnsembleOptions":  EnsembleOptions{},
+		"MultiLiveOptions": MultiLiveOptions{},
+		"ensemble.Config":  ensemble.Config{},
+		"ntp.ServerConfig": ntp.ServerConfig{},
+	} {
+		typ := reflect.TypeOf(v)
+		for i := range typ.NumField() {
+			key := name + "." + typ.Field(i).Name
+			fields[key] = true
+			if !rows[key] {
+				t.Errorf("ARCHITECTURE.md's Knobs table has no row for %s", key)
+			}
+		}
+	}
+	for key := range rows {
+		if !fields[key] {
+			t.Errorf("ARCHITECTURE.md's Knobs table has a row for %s, which is no field", key)
+		}
 	}
 }
 

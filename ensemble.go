@@ -20,50 +20,6 @@ type EnsembleOptions struct {
 	// data). NominalPeriod is required, as for Clock.
 	Clock Options
 
-	// PenaltyDecay, ErrAlpha and AgreementFactor tune the trust scoring
-	// and agreement step; zero values take the ensemble defaults.
-	PenaltyDecay    float64
-	ErrAlpha        float64
-	AgreementFactor float64
-
-	// ReadmitAfter is the falseticker re-admission hysteresis: the
-	// number of consecutive selection sweeps a flagged server must
-	// intersect the majority before it votes again. Zero takes the
-	// default (8).
-	ReadmitAfter int
-
-	// DisableSelection turns the interval-intersection selection stage
-	// off, reverting to the pure trust-weighted median over every ready
-	// server. For ablation; leave it off in production — without
-	// selection, a minority of agreeing servers holding more than half
-	// the total weight can drag the combined clock.
-	DisableSelection bool
-
-	// AsymCorrection enables the damped first-order path-asymmetry
-	// correction: each selected server's absolute clock is shifted by an
-	// EWMA of its asymmetry hint (its signed disagreement with the
-	// selected-set midpoint) before the combining median, clamped to
-	// AsymClampFrac of its correctness-interval half-width and gated off
-	// while the server is unselected or penalized. Off by default — the
-	// combined clock is bit-identical to the uncorrected combiner while
-	// disabled. AsymAlpha (default 1/64) is the EWMA gain; AsymClampFrac
-	// (default 1/2) the clamp fraction.
-	AsymCorrection bool
-	AsymAlpha      float64
-	AsymClampFrac  float64
-
-	// MinVotingSynced is the degradation-ladder quorum: the number of
-	// fresh voting servers required for the combined clock to report
-	// SYNCED (fewer is DEGRADED, none is HOLDOVER). Zero takes the
-	// default majority, Servers/2+1.
-	MinVotingSynced int
-	// RecoverAfter is the ladder's upgrade hysteresis: consecutive
-	// exchanges at a better level before the state actually rises
-	// (downgrades are immediate). Zero takes the default (3).
-	RecoverAfter int
-	// StaleAfterPolls is how many polling periods without an answer
-	// cost a server its vote. Zero takes the default (8).
-	StaleAfterPolls int
 	// HoldoverAfter and UnsyncedAfter are the read-time staleness caps:
 	// a readout older than HoldoverAfter reads as at most HOLDOVER, and
 	// older than UnsyncedAfter as UNSYNCED. Zero takes the defaults
@@ -73,11 +29,10 @@ type EnsembleOptions struct {
 }
 
 // EnsembleStatus reports the state after one exchange through the
-// ensemble: the per-server view of the exchange plus the combined
-// clock's state. It is a plain value: the scalars are copied, and the
-// per-server detail — selected set, asymmetry hints, the agreement
-// count — is read on demand through Readout, so an exchange whose
-// status nobody inspects costs nothing to report.
+// ensemble: the per-server view of the exchange plus the one readout it
+// published. Nothing of the combine is copied into it — the combined
+// state is read on demand through Readout, so an exchange whose status
+// nobody inspects costs nothing to report.
 type EnsembleStatus struct {
 	// Status is the per-server synchronization state for the exchange,
 	// exactly as a single Clock would report it.
@@ -85,40 +40,21 @@ type EnsembleStatus struct {
 
 	// Server is the index of the server that served the exchange.
 	Server int
-	// Weight is that server's normalized combining weight after the
-	// exchange. Servers still in warmup weigh 0 once any server has
-	// graduated; until then every polled server weighs equally so the
-	// combined clock is defined from the first exchange. Flagged
-	// falsetickers also weigh 0 — except during the rare transient in
-	// which *every* ready server is excluded (a mass eviction, or all
-	// still in re-admission probation), when the ready servers vote as
-	// if selection were off rather than leave the clock undefined.
-	Weight float64
-	// Rate is the combined rate estimate (seconds per counter cycle).
-	Rate float64
-	// Falsetickers counts ready servers currently voted out by the
-	// interval-intersection stage (zero selected-set membership).
-	Falsetickers int
-	// State is the degradation-ladder state after this exchange
-	// (writer-side: read-time staleness capping does not apply here,
-	// since the exchange itself is fresh).
-	State ensemble.State
-	// VotingCount is the number of servers backing the combined vote:
-	// ready, selected, fresh, and holding an offset estimate.
-	VotingCount int
 
 	// Readout is the combined readout this exchange published — the
-	// same immutable snapshot concurrent readers see. Per server k,
-	// Readout.Servers[k].Selected marks the truechimer set (ready
-	// servers whose correctness intervals intersect the majority) and
-	// Readout.Servers[k].AsymmetryHint is the server's signed
-	// absolute-clock disagreement against the selected-set midpoint, in
-	// seconds — an estimate of per-path asymmetry error that no single
-	// server/path can observe about itself (paper §2.3), zero for
-	// servers still in warmup. Readout.Agreement(tf) counts the servers
-	// whose error intervals contain the combined absolute time at
-	// counter value tf — Servers means full agreement, below a majority
-	// is a red flag.
+	// same immutable snapshot concurrent readers see. Readout.Servers[k]
+	// is server k's one record: its normalized combining Weight (0 for
+	// warmup servers once any server has graduated, and for flagged
+	// falsetickers — unless every ready server is excluded, when the
+	// ready servers vote as if selection were off rather than leave the
+	// clock undefined), Selected (the truechimer set) and AsymmetryHint
+	// (its signed absolute-clock disagreement against the selected-set
+	// midpoint: a per-path asymmetry estimate no single server can make
+	// about itself, paper §2.3). Readout.Rate, Falsetickers, BaseState
+	// (the writer-side ladder rung) and VotingCount describe the
+	// combine, and Readout.Agreement(tf) counts the servers whose error
+	// intervals contain the combined absolute time at counter value tf
+	// — Servers means full agreement, below a majority is a red flag.
 	Readout *ensemble.Readout
 }
 
@@ -155,20 +91,9 @@ func NewEnsemble(opts EnsembleOptions) (*Ensemble, error) {
 		cfgs[i] = opts.Clock.buildConfig()
 	}
 	ens, err := ensemble.New(ensemble.Config{
-		Engines:          cfgs,
-		PenaltyDecay:     opts.PenaltyDecay,
-		ErrAlpha:         opts.ErrAlpha,
-		AgreementFactor:  opts.AgreementFactor,
-		ReadmitAfter:     opts.ReadmitAfter,
-		DisableSelection: opts.DisableSelection,
-		AsymCorrection:   opts.AsymCorrection,
-		AsymAlpha:        opts.AsymAlpha,
-		AsymClampFrac:    opts.AsymClampFrac,
-		MinVotingSynced:  opts.MinVotingSynced,
-		RecoverAfter:     opts.RecoverAfter,
-		StaleAfterPolls:  opts.StaleAfterPolls,
-		HoldoverAfter:    opts.HoldoverAfter.Seconds(),
-		UnsyncedAfter:    opts.UnsyncedAfter.Seconds(),
+		Engines:       cfgs,
+		HoldoverAfter: opts.HoldoverAfter.Seconds(),
+		UnsyncedAfter: opts.UnsyncedAfter.Seconds(),
 	})
 	if err != nil {
 		return nil, err
@@ -203,18 +128,10 @@ func (e *Ensemble) processWithIdentity(server int, ta, tf uint64, tb, te float64
 	if err != nil {
 		return EnsembleStatus{}, err
 	}
-	// The one readout this exchange published (the index was validated
-	// by ProcessFrom above).
-	r := e.ens.Readout()
 	return EnsembleStatus{
-		Status:       statusFromResult(res, changed),
-		Server:       server,
-		Weight:       r.Servers[server].Weight,
-		Rate:         r.Rate,
-		Falsetickers: r.Falsetickers,
-		State:        r.BaseState,
-		VotingCount:  r.VotingCount,
-		Readout:      r,
+		Status:  statusFromResult(res, changed),
+		Server:  server,
+		Readout: e.ens.Readout(), // the one readout this exchange published
 	}, nil
 }
 
@@ -250,22 +167,6 @@ func (e *Ensemble) Between(c1, c2 uint64) float64 {
 //repro:readpath
 func (e *Ensemble) Period() float64 {
 	return e.ens.Readout().RateHat()
-}
-
-// Weights returns the current normalized per-server combining weights
-// (zero for warmup servers and flagged falsetickers; see
-// EnsembleStatus.Weight for the all-excluded transient). Lock-free.
-//
-//repro:readpath
-func (e *Ensemble) Weights() []float64 {
-	return e.ens.Readout().Weights()
-}
-
-// ServerStates returns the per-server trust diagnostics. Lock-free.
-//
-//repro:readpath
-func (e *Ensemble) ServerStates() []ensemble.ServerState {
-	return e.ens.Readout().ServerStates()
 }
 
 // State returns the degradation-ladder state of the combined clock as

@@ -60,10 +60,11 @@ func main() {
 		}
 		lastErr = ens.AbsoluteTime(e.Tf) - e.Tg
 		if e.TrueTf >= next {
-			ws := ens.Weights()
+			ro := st.Readout
 			fmt.Printf("%-8s %-12s [%.2f %.2f %.2f]       %d/3        %d\n",
 				timebase.FormatDuration(e.TrueTf), timebase.FormatDuration(lastErr),
-				ws[0], ws[1], ws[2], st.Readout.Agreement(e.Tf), st.Falsetickers)
+				ro.Servers[0].Weight, ro.Servers[1].Weight, ro.Servers[2].Weight,
+				ro.Agreement(e.Tf), ro.Falsetickers)
 			next *= 2
 		}
 	}

@@ -13,8 +13,10 @@ import (
 // without the cost of the full end-system model.
 //
 // It is the single source of the throughput-measurement workload:
-// BenchmarkProcess (bench_test.go) and `cmd/experiments -perf` both
-// consume it, so their ns/packet numbers stay comparable.
+// BenchmarkProcess and BenchmarkProcessStages (bench_test.go), the
+// ensemble benchmarks (internal/ensemble/bench_test.go) and the root
+// package's reader/writer race test all consume it, so their ns/packet
+// numbers stay comparable.
 func SynthTrace(n int) []Input {
 	src := rng.New(99)
 	const p = 2e-9

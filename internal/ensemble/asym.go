@@ -21,10 +21,10 @@ package ensemble
 //
 // Stability is the design constraint (HyNTP's evaluation shows
 // undamped cross-node corrections oscillating): the tracker is a plain
-// EWMA of the raw hint — a contraction with gain AsymAlpha, not an
+// EWMA of the raw hint — a contraction with gain asymAlpha, not an
 // integrator on the corrected residual, so it converges to the clamped
 // hint level and cannot wind up — and the applied correction is capped
-// at AsymClampFrac of the server's correctness-interval half-width, so
+// at asymClampFrac of the server's correctness-interval half-width, so
 // a correction can re-center a server within its own claim but never
 // push it across it. Selection itself always runs on raw clocks: the
 // correction cannot flip a vote, manufacture a falseticker, or feed
@@ -61,12 +61,12 @@ func (e *Ensemble) updateAsymCorrection() {
 		ns := m.noiseScale()
 		open := m.selected && m.penalty <= asymPenaltyGateFrac*ns
 		if open {
-			m.corrEwma += e.cfg.AsymAlpha * (m.asym - m.corrEwma)
+			m.corrEwma += asymAlpha * (m.asym - m.corrEwma)
 		}
 		// Clamp the tracker itself, not just the applied value: a hint
 		// transient larger than the clamp must not bank an excess the
 		// server would keep serving long after the transient ends.
-		clamp := e.cfg.AsymClampFrac * e.cfg.AgreementFactor * ns
+		clamp := asymClampFrac * agreementFactor * ns
 		if m.corrEwma > clamp {
 			m.corrEwma = clamp
 		} else if m.corrEwma < -clamp {

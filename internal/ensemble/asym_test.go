@@ -8,18 +8,14 @@ import (
 )
 
 // asymEnsemble builds an n-server ensemble with the asymmetry
-// correction enabled (and otherwise default tuning).
-func asymEnsemble(t *testing.T, n int, mod func(*Config)) *Ensemble {
+// correction switched as given.
+func asymEnsemble(t *testing.T, n int, correct bool) *Ensemble {
 	t.Helper()
 	cfgs := make([]core.Config, n)
 	for i := range cfgs {
 		cfgs[i] = core.DefaultConfig(synthP, 16)
 	}
-	cfg := Config{Engines: cfgs, AsymCorrection: true}
-	if mod != nil {
-		mod(&cfg)
-	}
-	e, err := New(cfg)
+	e, err := New(Config{Engines: cfgs, AsymCorrection: correct})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,10 +24,10 @@ func asymEnsemble(t *testing.T, n int, mod func(*Config)) *Ensemble {
 
 // corrOf returns the per-server applied corrections.
 func corrOf(e *Ensemble) []float64 {
-	states := e.Readout().ServerStates()
-	out := make([]float64, len(states))
-	for k, st := range states {
-		out[k] = st.AsymCorrection
+	rows := e.Readout().Servers
+	out := make([]float64, len(rows))
+	for k := range rows {
+		out[k] = rows[k].AsymCorrection
 	}
 	return out
 }
@@ -41,7 +37,7 @@ func corrOf(e *Ensemble) []float64 {
 // asymmetry to redistribute, so the EWMA tracks hints that hover at the
 // staggered-schedule noise floor.
 func TestAsymCorrectionZeroOnSymmetric(t *testing.T) {
-	e := asymEnsemble(t, 3, nil)
+	e := asymEnsemble(t, 3, true)
 	run(t, e, 200, func(_, _ int) float64 { return 0 })
 	for k, c := range corrOf(e) {
 		if math.Abs(c) > 1e-6 {
@@ -58,7 +54,7 @@ func TestAsymCorrectionZeroOnSymmetric(t *testing.T) {
 // consensus.
 func TestAsymCorrectionSignMatchesAsymmetry(t *testing.T) {
 	const bias = 60e-6 // well inside the selection bound: stays selected
-	e := asymEnsemble(t, 3, nil)
+	e := asymEnsemble(t, 3, true)
 	last := run(t, e, 300, func(k, _ int) float64 {
 		if k == 2 {
 			return bias
@@ -77,7 +73,7 @@ func TestAsymCorrectionSignMatchesAsymmetry(t *testing.T) {
 	if corr[2] < bias/4 {
 		t.Errorf("late server correction %v did not converge (bias %v)", corr[2], bias)
 	}
-	for k, st := range e.Readout().ServerStates() {
+	for k, st := range e.Readout().Servers {
 		if !st.Selected {
 			t.Errorf("server %d evicted: the bias was meant to stay within the selection bound", k)
 		}
@@ -91,82 +87,62 @@ func TestAsymCorrectionSignMatchesAsymmetry(t *testing.T) {
 	}
 }
 
-// TestAsymCorrectionBoundedByClamp: with a deliberately tight clamp
-// fraction the correction saturates at AsymClampFrac of the
-// correctness-interval half-width instead of following the hint.
+// TestAsymCorrectionBoundedByClamp: a bias whose hint exceeds the clamp
+// saturates the correction at asymClampFrac of the correctness-interval
+// half-width instead of following the hint.
 func TestAsymCorrectionBoundedByClamp(t *testing.T) {
-	const clampFrac = 0.05
-	e := asymEnsemble(t, 3, func(c *Config) { c.AsymClampFrac = clampFrac })
+	e := asymEnsemble(t, 3, true)
 	run(t, e, 300, func(k, _ int) float64 {
 		if k == 2 {
 			return 100e-6
 		}
 		return 0
 	})
-	states := e.Readout().ServerStates()
-	for k, st := range states {
-		noise := st.ErrScale - st.Penalty
-		clamp := clampFrac * e.cfg.AgreementFactor * noise
-		if math.Abs(st.AsymCorrection) > clamp*(1+1e-12) {
-			t.Errorf("server %d: |correction| %v exceeds clamp %v", k, st.AsymCorrection, clamp)
+	rows := e.Readout().Servers
+	for k, sr := range rows {
+		clamp := asymClampFrac * agreementFactor * (sr.ErrScale - sr.Penalty)
+		if math.Abs(sr.AsymCorrection) > clamp*(1+1e-12) {
+			t.Errorf("server %d: |correction| %v exceeds clamp %v", k, sr.AsymCorrection, clamp)
 		}
 	}
-	// The biased server's hint is far above the clamp, so the clamp must
+	// The biased server's hint is above the clamp, so the clamp must
 	// actually bind there — otherwise this test has no teeth.
-	noise2 := states[2].ErrScale - states[2].Penalty
-	clamp2 := clampFrac * e.cfg.AgreementFactor * noise2
-	if states[2].AsymCorrection < clamp2/2 {
-		t.Errorf("late server correction %v vs clamp %v: clamp never engaged", states[2].AsymCorrection, clamp2)
+	clamp2 := asymClampFrac * agreementFactor * (rows[2].ErrScale - rows[2].Penalty)
+	if !(rows[2].AsymmetryHint > clamp2) || rows[2].AsymCorrection < clamp2*(1-1e-12) {
+		t.Errorf("late server hint %v, correction %v vs clamp %v: clamp never engaged",
+			rows[2].AsymmetryHint, rows[2].AsymCorrection, clamp2)
 	}
 }
 
-// TestAsymCorrectionDisabledBitIdentical: with the ablation switch off
-// the combined clock is bit-for-bit the uncorrected combiner's, even
-// with the asym tuning knobs set — and the same exchanges with the
-// switch on produce a different clock, proving the comparison has
-// teeth.
+// TestAsymCorrectionDisabledBitIdentical: with the switch off no row
+// carries a correction and no voter subtracts one — the combined clock
+// is the uncorrected combiner's, bit for bit (x − 0 is the identity) —
+// while the same exchanges with the switch on produce a different
+// clock, proving the comparison has teeth.
 func TestAsymCorrectionDisabledBitIdentical(t *testing.T) {
-	mk := func(mod func(*Config)) *Ensemble {
-		cfgs := make([]core.Config, 3)
-		for i := range cfgs {
-			cfgs[i] = core.DefaultConfig(synthP, 16)
-		}
-		cfg := Config{Engines: cfgs}
-		if mod != nil {
-			mod(&cfg)
-		}
-		e, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return e
-	}
-	base := mk(nil)
-	disabled := mk(func(c *Config) { c.AsymAlpha = 0.25; c.AsymClampFrac = 0.3 })
-	enabled := mk(func(c *Config) { c.AsymCorrection = true })
-
+	disabled, enabled := asymEnsemble(t, 3, false), asymEnsemble(t, 3, true)
 	biasOf := func(k, _ int) float64 {
 		if k == 2 {
 			return 60e-6
 		}
 		return 0
 	}
-	var last float64
-	for _, e := range []*Ensemble{base, disabled, enabled} {
-		last = run(t, e, 200, biasOf)
+	run(t, disabled, 200, biasOf)
+	last := run(t, enabled, 200, biasOf)
+	r := disabled.Readout()
+	for k := range r.Servers {
+		if c := r.Servers[k].AsymCorrection; c != 0 {
+			t.Errorf("server %d: correction %v with the switch off", k, c)
+		}
 	}
-	for i := 0; i < 8; i++ {
-		T := uint64((last+float64(i))/synthP) + uint64(i)
-		b, d, en := base.Readout().AbsoluteTime(T), disabled.Readout().AbsoluteTime(T), enabled.Readout().AbsoluteTime(T)
-		if b != d {
-			t.Fatalf("T=%d: disabled combiner %v differs from baseline %v", T, d, b)
+	for _, v := range r.voters {
+		if v.corr != 0 {
+			t.Errorf("voter subtracts %v with the switch off", v.corr)
 		}
-		if ab, ad := base.Readout().Agreement(T), disabled.Readout().Agreement(T); ab != ad {
-			t.Fatalf("T=%d: disabled agreement %d differs from baseline agreement %d", T, ad, ab)
-		}
-		if i == 0 && b == en {
-			t.Errorf("enabled combiner bit-identical to baseline on a biased feed: harness has no teeth")
-		}
+	}
+	T := uint64((last + 1) / synthP)
+	if r.AbsoluteTime(T) == enabled.Readout().AbsoluteTime(T) {
+		t.Errorf("enabled combiner bit-identical to the disabled one on a biased feed: harness has no teeth")
 	}
 }
 
@@ -174,14 +150,14 @@ func TestAsymCorrectionDisabledBitIdentical(t *testing.T) {
 // zero — its hint measures its distance from a set it is not part of,
 // and correcting by it would launder the lie into the vote.
 func TestAsymCorrectionZeroWhileUnselected(t *testing.T) {
-	e := asymEnsemble(t, 3, nil)
+	e := asymEnsemble(t, 3, true)
 	run(t, e, 200, func(k, _ int) float64 {
 		if k == 2 {
 			return 5e-3 // far outside the selection bound
 		}
 		return 0
 	})
-	states := e.Readout().ServerStates()
+	states := e.Readout().Servers
 	if !states[2].Falseticker {
 		t.Fatalf("biased server not flagged: %+v", states[2])
 	}
@@ -198,7 +174,7 @@ func TestAsymCorrectionZeroWhileUnselected(t *testing.T) {
 // the server's recent history is not currently evidence of path
 // asymmetry — and the correction returns as the penalty decays.
 func TestAsymCorrectionZeroInPenalty(t *testing.T) {
-	e := asymEnsemble(t, 3, nil)
+	e := asymEnsemble(t, 3, true)
 	bias := func(k, _ int) float64 {
 		if k == 2 {
 			return 60e-6
@@ -215,7 +191,7 @@ func TestAsymCorrectionZeroInPenalty(t *testing.T) {
 	if _, changed := feedFrom(t, e, 2, last+16, 60e-6, core.Identity{RefID: 2, Stratum: 1}); !changed {
 		t.Fatal("identity change not detected")
 	}
-	st := e.Readout().ServerStates()[2]
+	st := e.Readout().Servers[2]
 	if st.Penalty == 0 {
 		t.Fatal("identity change added no penalty")
 	}
@@ -236,20 +212,10 @@ func TestAsymCorrectionZeroInPenalty(t *testing.T) {
 	}
 }
 
-// TestAsymConfigValidation: the asym tuning knobs reject NaN and
-// out-of-range values.
+// TestAsymConfigValidation: the asymmetry tracker's gain lies in (0,1],
+// so the tracker is a contraction, and its clamp is positive.
 func TestAsymConfigValidation(t *testing.T) {
-	for _, field := range []func(*Config){
-		func(c *Config) { c.AsymAlpha = math.NaN() },
-		func(c *Config) { c.AsymAlpha = -0.1 },
-		func(c *Config) { c.AsymAlpha = 1.5 },
-		func(c *Config) { c.AsymClampFrac = math.NaN() },
-		func(c *Config) { c.AsymClampFrac = -1 },
-	} {
-		cfg := Config{Engines: []core.Config{core.DefaultConfig(synthP, 16)}}
-		field(&cfg)
-		if _, err := New(cfg); err == nil {
-			t.Errorf("invalid asym parameter accepted: %+v", cfg)
-		}
+	if !(asymAlpha > 0 && asymAlpha <= 1) || !(asymClampFrac > 0) {
+		t.Errorf("asymAlpha %v outside (0,1] or asymClampFrac %v not positive", asymAlpha, asymClampFrac)
 	}
 }

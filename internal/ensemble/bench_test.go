@@ -103,7 +103,7 @@ func BenchmarkEnsembleStages(b *testing.B) {
 			b.ReportAllocs()
 			for i, k := 0, 0; i < b.N; i++ {
 				res.RTTHat = 400e-6 + 1e-6*float64(i>>4&1)
-				e.members[k].observe(&e.cfg, &e.cfg.Engines[k], &res)
+				e.members[k].observe(&e.cfg.Engines[k], &res)
 				if k++; k == servers {
 					k = 0
 				}

@@ -74,8 +74,8 @@
 //
 // The measured budget (PERF.md "PR 13", "PR 16"): at five servers the
 // combine costs ≈ 370 ns against the engine step's ≈ 460, publication
-// the largest stage of it — 728 B of fresh memory per combine (a 168 B
-// header, five 88 B rows, five 24 B voter entries) of the 1 022 B an
+// the largest stage of it — 720 B of fresh memory per combine (a 160 B
+// header, five 88 B rows, five 24 B voter entries) of the ≈ 1 kB an
 // exchange allocates in all — and BenchmarkEnsembleStages splits it into
 // observe / select / ladder / publish lines; fresh memory, not code, is
 // most of what a publication costs. A combined read with three voters is
@@ -92,31 +92,13 @@ import (
 	"repro/internal/core"
 )
 
-// Config configures an ensemble.
+// Config configures an ensemble. A field exists only where two callers
+// need different values (ARCHITECTURE.md, "Knobs"); every other tuning
+// value is one of the constants below.
 type Config struct {
 	// Engines carries one engine configuration per upstream server. At
 	// least one is required.
 	Engines []core.Config
-
-	// PenaltyDecay in (0,1] is the per-exchange decay factor of a
-	// server's accumulated event penalty. Default: 0.9 (an isolated
-	// sanity event fades in a few tens of exchanges).
-	PenaltyDecay float64
-
-	// ErrAlpha in (0,1] is the EWMA gain of the point-error level and
-	// RTT-floor wobble trackers. Default: 1/8.
-	ErrAlpha float64
-
-	// AgreementFactor scales the per-server error intervals used by both
-	// the selection sweep and the Marzullo-style agreement count.
-	// Default: 4.
-	AgreementFactor float64
-
-	// ReadmitAfter is the number of consecutive selection sweeps a
-	// flagged falseticker must intersect the majority before being
-	// re-admitted to the selected set (hysteresis: one lucky overlap
-	// does not restore the vote). Default: 8.
-	ReadmitAfter int
 
 	// DisableSelection turns the interval-intersection stage off: the
 	// weighted median runs over every ready server, as the pre-selection
@@ -134,30 +116,6 @@ type Config struct {
 	// uncorrected combiner while disabled.
 	AsymCorrection bool
 
-	// AsymAlpha in (0,1] is the EWMA gain of the asymmetry-correction
-	// tracker: the damping that keeps the correction a contraction (one
-	// noisy sweep moves it by at most AsymAlpha of the disturbance).
-	// Default: 1/64.
-	AsymAlpha float64
-
-	// AsymClampFrac bounds the applied correction to this fraction of
-	// the server's correctness-interval half-width
-	// (AgreementFactor·noiseScale): a correction can re-center a server
-	// within its own claim but never push it across it, so a wrong
-	// correction degrades accuracy without being able to manufacture a
-	// falseticker or flip a vote. Default: 1/2.
-	AsymClampFrac float64
-
-	// Degradation ladder (see ladder.go). MinVotingSynced is the voting
-	// quorum for StateSynced (default: a strict majority, len/2+1).
-	// RecoverAfter is the hysteresis: consecutive exchanges at a better
-	// level before an upgrade takes (default 3). StaleAfterPolls is the
-	// per-server freshness bound in polling periods — a server whose
-	// last exchange is older loses its vote (default 8).
-	MinVotingSynced int
-	RecoverAfter    int
-	StaleAfterPolls int
-
 	// HoldoverAfter and UnsyncedAfter are read-time staleness caps in
 	// seconds of combined-readout age: past HoldoverAfter the published
 	// state is capped at StateHoldover, past UnsyncedAfter at
@@ -167,34 +125,53 @@ type Config struct {
 	UnsyncedAfter float64
 }
 
+// The trust, selection and ladder tuning: one value each, so constants.
+// The float64 ones are typed so that every product they enter is a
+// run-time multiplication with its own rounding — the evaluation's
+// results are pinned bit for bit to that arithmetic.
+const (
+	// penaltyDecay is the per-exchange decay factor of a server's
+	// accumulated event penalty: an isolated sanity event fades in a few
+	// tens of exchanges.
+	penaltyDecay float64 = 0.9
+
+	// errAlpha is the EWMA gain of the point-error level and RTT-floor
+	// wobble trackers.
+	errAlpha float64 = 1.0 / 8
+
+	// agreementFactor scales the per-server error intervals used by both
+	// the selection sweep and the Marzullo-style agreement count.
+	agreementFactor float64 = 4
+
+	// readmitAfter is the number of consecutive selection sweeps a
+	// flagged falseticker must intersect the majority before being
+	// re-admitted to the selected set (hysteresis: one lucky overlap
+	// does not restore the vote).
+	readmitAfter = 8
+
+	// asymAlpha is the EWMA gain of the asymmetry-correction tracker:
+	// the damping that keeps the correction a contraction (one noisy
+	// sweep moves it by at most asymAlpha of the disturbance).
+	asymAlpha float64 = 1.0 / 64
+
+	// asymClampFrac bounds the applied correction to this fraction of
+	// the server's correctness-interval half-width
+	// (agreementFactor·noiseScale): a correction can re-center a server
+	// within its own claim but never push it across it, so a wrong
+	// correction degrades accuracy without being able to manufacture a
+	// falseticker or flip a vote.
+	asymClampFrac float64 = 0.5
+
+	// recoverAfter is the ladder's upgrade hysteresis: consecutive
+	// exchanges at a better level before an upgrade takes.
+	recoverAfter = 3
+
+	// staleAfterPolls is the per-server freshness bound in polling
+	// periods: a server whose last exchange is older loses its vote.
+	staleAfterPolls = 8
+)
+
 func (c *Config) setDefaults() {
-	if c.PenaltyDecay == 0 {
-		c.PenaltyDecay = 0.9
-	}
-	if c.ErrAlpha == 0 {
-		c.ErrAlpha = 1.0 / 8
-	}
-	if c.AgreementFactor == 0 {
-		c.AgreementFactor = 4
-	}
-	if c.ReadmitAfter == 0 {
-		c.ReadmitAfter = 8
-	}
-	if c.AsymAlpha == 0 {
-		c.AsymAlpha = 1.0 / 64
-	}
-	if c.AsymClampFrac == 0 {
-		c.AsymClampFrac = 0.5
-	}
-	if c.MinVotingSynced == 0 {
-		c.MinVotingSynced = len(c.Engines)/2 + 1
-	}
-	if c.RecoverAfter == 0 {
-		c.RecoverAfter = 3
-	}
-	if c.StaleAfterPolls == 0 {
-		c.StaleAfterPolls = 8
-	}
 	maxPoll := 0.0
 	for _, ec := range c.Engines {
 		if ec.PollPeriod > maxPoll {
@@ -216,33 +193,6 @@ func (c Config) Validate() error {
 	}
 	// Zero means "take the default"; anything else must lie in range.
 	// The inverted comparisons are NaN-safe, like core's validation.
-	if c.PenaltyDecay != 0 && !(c.PenaltyDecay > 0 && c.PenaltyDecay <= 1) {
-		return fmt.Errorf("ensemble: PenaltyDecay %v outside (0,1]", c.PenaltyDecay)
-	}
-	if c.ErrAlpha != 0 && !(c.ErrAlpha > 0 && c.ErrAlpha <= 1) {
-		return fmt.Errorf("ensemble: ErrAlpha %v outside (0,1]", c.ErrAlpha)
-	}
-	if c.AgreementFactor != 0 && !(c.AgreementFactor > 0) {
-		return fmt.Errorf("ensemble: AgreementFactor must be positive")
-	}
-	if c.ReadmitAfter < 0 {
-		return fmt.Errorf("ensemble: ReadmitAfter must be non-negative")
-	}
-	if c.AsymAlpha != 0 && !(c.AsymAlpha > 0 && c.AsymAlpha <= 1) {
-		return fmt.Errorf("ensemble: AsymAlpha %v outside (0,1]", c.AsymAlpha)
-	}
-	if c.AsymClampFrac != 0 && !(c.AsymClampFrac > 0) {
-		return fmt.Errorf("ensemble: AsymClampFrac %v must be positive", c.AsymClampFrac)
-	}
-	if c.MinVotingSynced != 0 && (c.MinVotingSynced < 1 || c.MinVotingSynced > len(c.Engines)) {
-		return fmt.Errorf("ensemble: MinVotingSynced %d outside [1,%d]", c.MinVotingSynced, len(c.Engines))
-	}
-	if c.RecoverAfter < 0 {
-		return fmt.Errorf("ensemble: RecoverAfter must be non-negative")
-	}
-	if c.StaleAfterPolls < 0 {
-		return fmt.Errorf("ensemble: StaleAfterPolls must be non-negative")
-	}
 	if c.HoldoverAfter != 0 && !(c.HoldoverAfter > 0) {
 		return fmt.Errorf("ensemble: HoldoverAfter %v must be positive", c.HoldoverAfter)
 	}
@@ -282,15 +232,15 @@ type member struct {
 }
 
 // observe folds one engine result into the trust state.
-func (m *member) observe(cfg *Config, ec *core.Config, res *core.Result) {
+func (m *member) observe(ec *core.Config, res *core.Result) {
 	m.count++
 	if m.count == 1 {
 		m.ewmaErr = res.PointError
 		m.lastRHat = res.RTTHat
 	}
-	m.ewmaErr = flushTiny(m.ewmaErr + cfg.ErrAlpha*(res.PointError-m.ewmaErr))
+	m.ewmaErr = flushTiny(m.ewmaErr + errAlpha*(res.PointError-m.ewmaErr))
 	d := math.Abs(res.RTTHat - m.lastRHat)
-	m.rttWobble = flushTiny(m.rttWobble + cfg.ErrAlpha*(d-m.rttWobble))
+	m.rttWobble = flushTiny(m.rttWobble + errAlpha*(d-m.rttWobble))
 	m.lastRHat = res.RTTHat
 
 	// Event penalties, in seconds on the same scale as the thresholds
@@ -298,7 +248,7 @@ func (m *member) observe(cfg *Config, ec *core.Config, res *core.Result) {
 	// the server's timestamps contradicted its own recent history by
 	// more than E_s — so it carries the E_s scale; a detected level
 	// shift means the path (and so the asymmetry baked into θ̂) changed.
-	m.penalty = flushTiny(m.penalty * cfg.PenaltyDecay)
+	m.penalty = flushTiny(m.penalty * penaltyDecay)
 	if res.PoorQuality {
 		m.penalty += ec.E()
 	}
@@ -530,7 +480,7 @@ func (e *Ensemble) apply(server int, in core.Input, id core.Identity, res *core.
 	changed = eng.ObserveIdentity(id)
 	e.clk[server] = eng.Readout()
 	m := &e.members[server]
-	m.observe(&e.cfg, &e.cfg.Engines[server], res)
+	m.observe(&e.cfg.Engines[server], res)
 	if changed {
 		m.penalty += e.cfg.Engines[server].OffsetSanity
 	}
@@ -556,9 +506,9 @@ func (e *Ensemble) combine(T uint64) {
 // updateSelection runs one Marzullo/NTP-select pass at counter value T:
 // every ready server asserts the correctness interval
 // [Ca_k(T) − bound_k, Ca_k(T) + bound_k] with bound_k =
-// AgreementFactor·noiseScale_k, the majority region is found, and each
+// agreementFactor·noiseScale_k, the majority region is found, and each
 // server is classified by whether its interval reaches it.
-// Falsetickers re-enter only after ReadmitAfter consecutive
+// Falsetickers re-enter only after readmitAfter consecutive
 // intersecting sweeps.
 //
 // The region is *sticky*: while the currently selected set's intervals
@@ -583,7 +533,7 @@ func (e *Ensemble) updateSelection(T uint64) {
 		}
 		nReady++
 		c := e.clk[k].AbsoluteTime(T)
-		bound := e.cfg.AgreementFactor * m.noiseScale()
+		bound := agreementFactor * m.noiseScale()
 		e.lo[k] = c - bound
 		e.hi[k] = c + bound
 	}
@@ -641,7 +591,7 @@ func (e *Ensemble) updateSelection(T uint64) {
 
 	// Re-admission is midpoint-based and slow: a flagged server builds
 	// its streak only while its clock midpoint lies inside the
-	// survivors' cluster, and returns after ReadmitAfter consecutive
+	// survivors' cluster, and returns after readmitAfter consecutive
 	// such sweeps. Mere interval overlap is not evidence here — a lying
 	// server whose own noise scale balloons during a congestion episode
 	// can widen its claim until it touches any majority, but it cannot
@@ -654,7 +604,7 @@ func (e *Ensemble) updateSelection(T uint64) {
 		}
 		if mid := (e.lo[k] + e.hi[k]) / 2; iLo <= mid && mid <= iHi {
 			m.streak++
-			if m.streak >= e.cfg.ReadmitAfter {
+			if m.streak >= readmitAfter {
 				m.selected = true
 				readmitted = true
 			}
@@ -793,36 +743,6 @@ func (e *Ensemble) region(nReady int, selectedOnly bool) (lo, hi float64, ok boo
 		}
 	}
 	return lo, hi, best > nReady/2
-}
-
-// ServerState is the diagnostic view of one server's trust and
-// selection state, as Readout.ServerStates reports it.
-type ServerState struct {
-	Exchanges     int     // exchanges processed
-	Ready         bool    // past warmup
-	Weight        float64 // normalized combining weight
-	ErrScale      float64 // error scale (s) behind the weight
-	PointErrLevel float64 // EWMA of the point error (s)
-	RTTWobble     float64 // EWMA of |Δr̂| (s)
-	Penalty       float64 // current decaying event penalty (s)
-
-	// Selected reports membership in the selected (truechimer) set;
-	// Falseticker is a ready server currently voted out by the
-	// interval-intersection stage. IntersectStreak counts consecutive
-	// sweeps intersecting the majority (a flagged server re-enters at
-	// ReadmitAfter). AsymmetryHint is the signed disagreement of this
-	// server's absolute clock against the selected-set midpoint (s) —
-	// an estimate of path-asymmetry error no single path can observe.
-	Selected        bool
-	Falseticker     bool
-	IntersectStreak int
-	AsymmetryHint   float64
-
-	// AsymCorrection is the damped, clamped asymmetry correction (s)
-	// currently subtracted from this server's absolute clock in the
-	// combining median (see asym.go); zero unless Config.AsymCorrection
-	// is on and the server is selected and unpenalized.
-	AsymCorrection float64
 }
 
 // wv is one (value, weight) pair of the weighted median.

@@ -59,23 +59,11 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(Config{Engines: []core.Config{bad}}); err == nil {
 		t.Error("invalid engine config accepted")
 	}
-	if _, err := New(Config{
-		Engines:      []core.Config{core.DefaultConfig(2e-9, 16)},
-		PenaltyDecay: 2,
-	}); err == nil {
-		t.Error("PenaltyDecay > 1 accepted")
-	}
-	for _, field := range []func(*Config){
-		func(c *Config) { c.PenaltyDecay = math.NaN() },
-		func(c *Config) { c.ErrAlpha = math.NaN() },
-		func(c *Config) { c.AgreementFactor = math.NaN() },
-		func(c *Config) { c.AgreementFactor = -1 },
-	} {
-		cfg := Config{Engines: []core.Config{core.DefaultConfig(2e-9, 16)}}
-		field(&cfg)
-		if _, err := New(cfg); err == nil {
-			t.Errorf("invalid trust parameter accepted: %+v", cfg)
-		}
+	// The trust constants: decay and gain in (0,1], a positive
+	// interval scale.
+	if !(penaltyDecay > 0 && penaltyDecay <= 1) || !(errAlpha > 0 && errAlpha <= 1) || !(agreementFactor > 0) {
+		t.Errorf("trust constants out of range: penaltyDecay %v, errAlpha %v, agreementFactor %v",
+			penaltyDecay, errAlpha, agreementFactor)
 	}
 }
 
@@ -233,11 +221,11 @@ func TestMidRunFaultPenalized(t *testing.T) {
 		}
 		return 0
 	})
-	ws := e.Readout().Weights()
-	if !(ws[2] < ws[0] && ws[2] < ws[1]) {
-		t.Errorf("faulty server weight %v not below good servers %v, %v", ws[2], ws[0], ws[1])
+	s := e.Readout().Servers
+	if !(s[2].Weight < s[0].Weight && s[2].Weight < s[1].Weight) {
+		t.Errorf("faulty server weight %v not below good servers %v, %v", s[2].Weight, s[0].Weight, s[1].Weight)
 	}
-	sum := ws[0] + ws[1] + ws[2]
+	sum := s[0].Weight + s[1].Weight + s[2].Weight
 	if math.Abs(sum-1) > 1e-12 {
 		t.Errorf("weights sum to %v", sum)
 	}
@@ -247,14 +235,13 @@ func TestMidRunFaultPenalized(t *testing.T) {
 // data share weight equally so the combined clock exists immediately.
 func TestWarmupWeights(t *testing.T) {
 	e := mustEnsemble(t, 3)
-	if ws := e.Readout().Weights(); ws[0] != 0 || ws[1] != 0 || ws[2] != 0 {
-		t.Errorf("weights before any exchange = %v, want zeros", ws)
+	if s := e.Readout().Servers; s[0].Weight != 0 || s[1].Weight != 0 || s[2].Weight != 0 {
+		t.Errorf("weights before any exchange = %v %v %v, want zeros", s[0].Weight, s[1].Weight, s[2].Weight)
 	}
 	feed(t, e, 0, 1, 0)
 	feed(t, e, 1, 6, 0)
-	ws := e.Readout().Weights()
-	if ws[0] != 0.5 || ws[1] != 0.5 || ws[2] != 0 {
-		t.Errorf("warmup weights = %v, want [0.5 0.5 0]", ws)
+	if s := e.Readout().Servers; s[0].Weight != 0.5 || s[1].Weight != 0.5 || s[2].Weight != 0 {
+		t.Errorf("warmup weights = %v %v %v, want 0.5 0.5 0", s[0].Weight, s[1].Weight, s[2].Weight)
 	}
 	if e.Readout().AbsoluteTime(uint64(7/synthP)) == 0 {
 		t.Error("combined clock unreadable during warmup")
@@ -287,11 +274,11 @@ func TestObserveIdentityPenalty(t *testing.T) {
 		t.Error("out-of-range server accepted")
 	}
 	feedFrom(t, e, 0, last+8, 0, core.Identity{RefID: 1, Stratum: 1})
-	before := e.Readout().Weights()[0]
+	before := e.Readout().Servers[0].Weight
 	if _, changed := feedFrom(t, e, 0, last+24, 0, core.Identity{RefID: 2, Stratum: 1}); !changed {
 		t.Fatal("identity change not detected")
 	}
-	if after := e.Readout().Weights()[0]; !(after < before) {
+	if after := e.Readout().Servers[0].Weight; !(after < before) {
 		t.Errorf("weight after identity change %v, want < %v", after, before)
 	}
 }
@@ -410,8 +397,11 @@ func TestColludingMinorityRejected(t *testing.T) {
 	}
 	for k := 0; k < 5; k++ {
 		sr := &ro.Servers[k]
-		if sr.Selected == bad(k) {
-			t.Errorf("Selected[%d] = %v, want %v", k, sr.Selected, !bad(k))
+		if sr.Selected == bad(k) || sr.Falseticker != bad(k) {
+			t.Errorf("server %d: selected=%v falseticker=%v, want selected=%v", k, sr.Selected, sr.Falseticker, !bad(k))
+		}
+		if bad(k) && sr.Weight != 0 {
+			t.Errorf("falseticker %d holds weight %v", k, sr.Weight)
 		}
 		// The asymmetry hint localizes the disagreement: colluders sit
 		// ~fault from the selected-set midpoint, truechimers near it.
@@ -420,15 +410,6 @@ func TestColludingMinorityRejected(t *testing.T) {
 		}
 		if !bad(k) && math.Abs(sr.AsymmetryHint) > fault/10 {
 			t.Errorf("AsymmetryHint[%d] = %v, want ≈ 0", k, sr.AsymmetryHint)
-		}
-	}
-	states := ro.ServerStates()
-	for k := range states {
-		if states[k].Selected != !bad(k) || states[k].Falseticker != bad(k) {
-			t.Errorf("ServerStates[%d] selection view %+v, want selected=%v", k, states[k], !bad(k))
-		}
-		if bad(k) && states[k].Weight != 0 {
-			t.Errorf("falseticker %d holds weight %v", k, states[k].Weight)
 		}
 	}
 }
@@ -472,6 +453,16 @@ func TestSelectionDisabledFollowsWeight(t *testing.T) {
 	if err := median.Readout().AbsoluteTime(T) - truth; math.Abs(err) < fault/2 {
 		t.Errorf("median-only error %v; expected the high-weight colluders to drag it ≈ %v", err, fault)
 	}
+	// Nobody is classified, so every ready server keeps its vote.
+	ro := median.Readout()
+	for k, sr := range ro.Servers {
+		if sr.Falseticker || sr.Weight == 0 {
+			t.Errorf("server %d with selection disabled: falseticker=%v weight=%v", k, sr.Falseticker, sr.Weight)
+		}
+	}
+	if ro.Falsetickers != 0 {
+		t.Errorf("Falsetickers = %d with selection disabled, want 0", ro.Falsetickers)
+	}
 
 	selecting := build(false)
 	run(t, selecting, 100, faultOf)
@@ -481,20 +472,11 @@ func TestSelectionDisabledFollowsWeight(t *testing.T) {
 }
 
 // TestFalsetickerReadmissionHysteresis: a server that went wrong and
-// healed re-enters the selected set only after ReadmitAfter consecutive
+// healed re-enters the selected set only after readmitAfter consecutive
 // intersecting sweeps — it must be observed on probation (intersecting
 // but still excluded) before re-admission.
 func TestFalsetickerReadmissionHysteresis(t *testing.T) {
-	const readmit = 30
-	cfgs := make([]core.Config, 3)
-	for i := range cfgs {
-		cfgs[i] = core.DefaultConfig(synthP, 16)
-	}
-	e, err := New(Config{Engines: cfgs, ReadmitAfter: readmit})
-	if err != nil {
-		t.Fatal(err)
-	}
-
+	e := mustEnsemble(t, 3)
 	now, probation, flagged := 0.0, 0, false
 	for i := 0; i < 300; i++ {
 		off := 0.0
@@ -509,7 +491,7 @@ func TestFalsetickerReadmissionHysteresis(t *testing.T) {
 			}
 			feed(t, e, k, now, o)
 		}
-		st := e.Readout().ServerStates()[2]
+		st := e.Readout().Servers[2]
 		if i >= 60 && !st.Selected {
 			flagged = true
 		}
@@ -520,15 +502,15 @@ func TestFalsetickerReadmissionHysteresis(t *testing.T) {
 	if !flagged {
 		t.Fatal("faulty server was never deselected — harness lost its teeth")
 	}
-	st := e.Readout().ServerStates()[2]
+	st := e.Readout().Servers[2]
 	if !st.Selected {
 		t.Errorf("healed server not re-admitted by round 300: %+v", st)
 	}
-	// Three sweeps happen per round, so a streak of ReadmitAfter
-	// intersections spans ≥ ReadmitAfter/3 rounds of visible probation
+	// Three sweeps happen per round, so a streak of readmitAfter
+	// intersections spans ≥ readmitAfter/3 rounds of visible probation
 	// (intersecting again, still excluded).
-	if probation < readmit/3 {
-		t.Errorf("observed only %d probation states, want ≥ %d (hysteresis bypassed)", probation, readmit/3)
+	if probation < readmitAfter/3 {
+		t.Errorf("observed only %d probation states, want ≥ %d (hysteresis bypassed)", probation, readmitAfter/3)
 	}
 }
 
@@ -571,9 +553,9 @@ func TestBalloonedColluderStaysOut(t *testing.T) {
 		}
 		return 0
 	})
-	for k, st := range e.Readout().ServerStates() {
+	for k, st := range e.Readout().Servers {
 		if st.Selected == bad(k) {
-			t.Fatalf("setup: ServerStates[%d].Selected = %v", k, st.Selected)
+			t.Fatalf("setup: Servers[%d].Selected = %v", k, st.Selected)
 		}
 	}
 
@@ -589,7 +571,7 @@ func TestBalloonedColluderStaysOut(t *testing.T) {
 				feed(t, e, k, now, 0)
 			}
 		}
-		for k, st := range e.Readout().ServerStates() {
+		for k, st := range e.Readout().Servers {
 			if bad(k) && st.Selected {
 				t.Fatalf("round %d: ballooned colluder %d re-admitted", i, k)
 			}
@@ -613,7 +595,7 @@ func TestBalloonedColluderStaysOut(t *testing.T) {
 				feed(t, e, k, now, 0)
 			}
 		}
-		if st := e.Readout().ServerStates()[0]; !st.Selected {
+		if st := e.Readout().Servers[0]; !st.Selected {
 			t.Fatalf("round %d: wide honest server evicted", i)
 		}
 	}
@@ -640,13 +622,11 @@ func TestNoQuorumKeepsClassification(t *testing.T) {
 	}
 }
 
-// TestReadmitAfterValidation: negative hysteresis is rejected.
+// TestReadmitAfterValidation: a flagged server must re-intersect more
+// than once before it votes again.
 func TestReadmitAfterValidation(t *testing.T) {
-	if _, err := New(Config{
-		Engines:      []core.Config{core.DefaultConfig(synthP, 16)},
-		ReadmitAfter: -1,
-	}); err == nil {
-		t.Error("negative ReadmitAfter accepted")
+	if readmitAfter < 2 {
+		t.Errorf("readmitAfter = %d: one lucky overlap would restore the vote", readmitAfter)
 	}
 }
 

@@ -14,7 +14,7 @@ package ensemble
 //	                                                        UNSYNCED
 //
 // with asymmetric transitions: downgrades are immediate (stale trust is
-// dangerous trust), upgrades require RecoverAfter consecutive exchanges
+// dangerous trust), upgrades require recoverAfter consecutive exchanges
 // at the better level (one lucky packet after an outage must not
 // re-advertise full health). In HOLDOVER the combined rate is frozen at
 // the last trusted value — the whole point of a calibrated p̂_l is that
@@ -47,11 +47,11 @@ const (
 	// StateHoldover: no server currently backs the vote; the combined
 	// clock coasts on the frozen rate within its drift bound.
 	StateHoldover
-	// StateDegraded: at least one voting server, but fewer than the
-	// configured quorum — running without the count-based breakdown
-	// guarantee of the selection stage.
+	// StateDegraded: at least one voting server, but not a strict
+	// majority of the configured ones — running without the count-based
+	// breakdown guarantee of the selection stage.
 	StateDegraded
-	// StateSynced: a full quorum of fresh, selected servers.
+	// StateSynced: a strict majority of fresh, selected servers.
 	StateSynced
 )
 
@@ -111,7 +111,7 @@ type Health struct {
 }
 
 // engineFresh reports whether server k's engine readout is recent
-// enough to vote: its last exchange lies within StaleAfterPolls polling
+// enough to vote: its last exchange lies within staleAfterPolls polling
 // periods of the ensemble's newest exchange, measured with the engine's
 // own rate. A server that stopped answering keeps its last calibration
 // (the engine coasts) but loses its vote — voting with week-old
@@ -122,7 +122,7 @@ func (e *Ensemble) engineFresh(k int) bool {
 		return true
 	}
 	age := float64(e.lastTf-r.LastTf) * r.P
-	return age <= float64(e.cfg.StaleAfterPolls)*e.cfg.Engines[k].PollPeriod
+	return age <= staleAfterPolls*e.cfg.Engines[k].PollPeriod
 }
 
 // frozenActive reports whether reads must serve the frozen holdover
@@ -189,9 +189,10 @@ func (e *Ensemble) updateLadder() {
 		e.health = h
 	}
 
+	// SYNCED takes a strict majority of the configured servers.
 	var candidate State
 	switch {
-	case voting >= e.cfg.MinVotingSynced:
+	case voting >= len(e.members)/2+1:
 		candidate = StateSynced
 	case voting >= 1:
 		candidate = StateDegraded
@@ -213,7 +214,7 @@ func (e *Ensemble) updateLadder() {
 		e.upStreak = 0
 	case candidate > e.base:
 		e.upStreak++
-		if e.upStreak >= e.cfg.RecoverAfter {
+		if e.upStreak >= recoverAfter {
 			e.base = candidate
 			e.upStreak = 0
 		}

@@ -58,7 +58,7 @@ func TestLadderFirstTrust(t *testing.T) {
 
 // TestLadderDegradedOnStaleMajority: when all but one server stop
 // answering, their engines coast but lose their votes on freshness
-// (StaleAfterPolls × poll = 128 s here), and the base state drops to
+// (staleAfterPolls × poll = 128 s here), and the base state drops to
 // DEGRADED immediately — running on one server has no count-based
 // breakdown guarantee, and the ladder says so.
 func TestLadderDegradedOnStaleMajority(t *testing.T) {
@@ -102,7 +102,7 @@ func TestLadderHoldoverFreezesRate(t *testing.T) {
 	for i := 40; i < 80; i++ {
 		feed(t, e, 0, float64(i)*16+1, 5e-3)
 	}
-	if st := e.Readout().ServerStates()[0]; st.Selected {
+	if st := e.Readout().Servers[0]; st.Selected {
 		t.Fatal("faulty lone server was never evicted — harness lost its teeth")
 	}
 	if e.Readout().BaseState != StateHoldover {
@@ -168,10 +168,10 @@ func TestLadderReadTimeStaleness(t *testing.T) {
 }
 
 // TestLadderRecoveryHysteresis: downgrades are immediate, upgrades need
-// RecoverAfter consecutive exchanges at the better level — the first
+// recoverAfter consecutive exchanges at the better level — the first
 // packet after an outage must not re-advertise full health.
 func TestLadderRecoveryHysteresis(t *testing.T) {
-	e := mustEnsemble(t, 3) // RecoverAfter default: 3
+	e := mustEnsemble(t, 3) // recoverAfter: 3
 	feedAll(t, e, 0, 40)
 	for i := 40; i < 60; i++ {
 		feed(t, e, 0, float64(i)*16+1, 0)
@@ -222,7 +222,7 @@ func TestLadderHealthTracksIdentity(t *testing.T) {
 	}
 }
 
-// TestLadderConfigValidation: the ladder's knobs reject nonsense and
+// TestLadderConfigValidation: the staleness caps reject nonsense and
 // zero still means "default".
 func TestLadderConfigValidation(t *testing.T) {
 	base := func() Config {
@@ -231,13 +231,9 @@ func TestLadderConfigValidation(t *testing.T) {
 		}}
 	}
 	for name, mut := range map[string]func(*Config){
-		"MinVotingSynced above server count": func(c *Config) { c.MinVotingSynced = 4 },
-		"negative MinVotingSynced":           func(c *Config) { c.MinVotingSynced = -1 },
-		"negative RecoverAfter":              func(c *Config) { c.RecoverAfter = -1 },
-		"negative StaleAfterPolls":           func(c *Config) { c.StaleAfterPolls = -2 },
-		"negative HoldoverAfter":             func(c *Config) { c.HoldoverAfter = -5 },
-		"NaN UnsyncedAfter":                  func(c *Config) { c.UnsyncedAfter = math.NaN() },
-		"UnsyncedAfter below HoldoverAfter":  func(c *Config) { c.HoldoverAfter = 100; c.UnsyncedAfter = 50 },
+		"negative HoldoverAfter":            func(c *Config) { c.HoldoverAfter = -5 },
+		"NaN UnsyncedAfter":                 func(c *Config) { c.UnsyncedAfter = math.NaN() },
+		"UnsyncedAfter below HoldoverAfter": func(c *Config) { c.HoldoverAfter = 100; c.UnsyncedAfter = 50 },
 	} {
 		cfg := base()
 		mut(&cfg)

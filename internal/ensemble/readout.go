@@ -43,7 +43,19 @@ type ServerReadout struct {
 	// and the published bits are pinned to these two forms.
 	Weight float64
 
-	// Trust and selection diagnostics, as ServerState reports them.
+	// Trust and selection diagnostics. Ready: past warmup. Selected:
+	// in the truechimer set; Falseticker: ready but voted out by the
+	// interval-intersection stage. IntersectStreak counts consecutive
+	// sweeps intersecting the majority (a flagged server re-enters at
+	// readmitAfter). AsymmetryHint is the signed disagreement of the
+	// server's absolute clock against the selected-set midpoint (s) — a
+	// path-asymmetry estimate no single path can make about itself —
+	// and AsymCorrection the damped, clamped correction subtracted from
+	// that clock in the combining median (zero unless
+	// Config.AsymCorrection is on and the server is selected and
+	// unpenalized; see asym.go). ErrScale (s) is what the weight is
+	// built from: δ + PointErrLevel (EWMA of the point error) +
+	// RTTWobble (EWMA of |Δr̂|) + Penalty (the decaying event penalty).
 	Ready           bool
 	Selected        bool
 	Falseticker     bool
@@ -121,10 +133,8 @@ type Readout struct {
 	// voters is the read path's whole input: one entry per positive-
 	// weight server, in server order, in a slot of its own, so that
 	// AbsoluteTime walks one contiguous list instead of testing every
-	// row of Servers. agreementFactor is the configured interval scale
-	// AgreementBound derives from.
-	voters          []voter
-	agreementFactor float64
+	// row of Servers.
+	voters []voter
 }
 
 // State returns the degradation-ladder state at counter value T: the
@@ -201,12 +211,12 @@ func (r *Readout) DifferenceSpan(T1, T2 uint64) float64 {
 }
 
 // AgreementBound is the half-width of server k's error interval
-// (AgreementFactor × ErrScale): the Agreement count and any downstream
+// (agreementFactor × ErrScale): the Agreement count and any downstream
 // dispersion advertisement derive from it.
 //
 //repro:readpath
 func (r *Readout) AgreementBound(k int) float64 {
-	return r.agreementFactor * r.Servers[k].ErrScale
+	return agreementFactor * r.Servers[k].ErrScale
 }
 
 // Agreement counts the servers whose error interval (absolute clock ±
@@ -256,18 +266,6 @@ func (r *Readout) Agreement(T uint64) int {
 	return n
 }
 
-// Weights returns the normalized per-server combining weights as a
-// fresh slice.
-//
-//repro:readpath
-func (r *Readout) Weights() []float64 {
-	ws := make([]float64, len(r.Servers))
-	for k := range r.Servers {
-		ws[k] = r.Servers[k].Weight
-	}
-	return ws
-}
-
 // Age returns the seconds elapsed (per the combined difference clock)
 // since the exchange this readout was published from — the staleness
 // bound of the combine. Before any exchange it measures from the
@@ -285,32 +283,6 @@ func (r *Readout) Age(T uint64) float64 {
 //
 //repro:readpath
 func (r *Readout) Synced() bool { return r.synced }
-
-// ServerStates derives the per-server diagnostic view from the
-// snapshot. The returned slice is freshly allocated.
-//
-//repro:readpath
-func (r *Readout) ServerStates() []ServerState {
-	out := make([]ServerState, len(r.Servers))
-	for k := range r.Servers {
-		sr := &r.Servers[k]
-		out[k] = ServerState{
-			Exchanges:       sr.Exchanges,
-			Ready:           sr.Ready,
-			Weight:          sr.Weight,
-			ErrScale:        sr.ErrScale,
-			PointErrLevel:   sr.PointErrLevel,
-			RTTWobble:       sr.RTTWobble,
-			Penalty:         sr.Penalty,
-			Selected:        sr.Selected,
-			Falseticker:     sr.Falseticker,
-			IntersectStreak: sr.IntersectStreak,
-			AsymmetryHint:   sr.AsymmetryHint,
-			AsymCorrection:  sr.AsymCorrection,
-		}
-	}
-	return out
-}
 
 // publish makes the current combine visible to lock-free readers: it
 // derives the combining weights from the trust and selection state,
@@ -336,7 +308,6 @@ func (e *Ensemble) publish() {
 	ro.VotingCount = e.votingCount
 	ro.HoldoverAfter = e.cfg.HoldoverAfter
 	ro.UnsyncedAfter = e.cfg.UnsyncedAfter
-	ro.agreementFactor = e.cfg.AgreementFactor
 	raw := e.raw // unnormalized weights, writer-owned scratch
 	anySelected := false
 	for k := range e.members {

@@ -72,9 +72,9 @@ func runAsym(opts Options) (*Report, error) {
 
 	// Steady-state per-server view of the corrected run: applied
 	// corrections, their clamps, and the selection result.
-	states := corr.ServerStates()
+	states := corr.Servers
 	worstSymmCorr := 0.0
-	for _, st := range symmCorr.ServerStates() {
+	for _, st := range symmCorr.Servers {
 		if c := math.Abs(st.AsymCorrection); c > worstSymmCorr {
 			worstSymmCorr = c
 		}

@@ -53,15 +53,12 @@ func runChaos(opts Options) (*Report, error) {
 
 	const (
 		holdoverAfter = 64.0 // read-time staleness cap for this run
-		staleAfter    = 8    // polls without an answer before a vote is lost
+		staleAfter    = 8    // the ensemble's polls without an answer before a vote is lost
 	)
 	cfg := ensemble.Config{
-		Engines:         []core.Config{defaultCfg(poll), defaultCfg(poll), defaultCfg(poll)},
-		MinVotingSynced: 2,
-		RecoverAfter:    3,
-		StaleAfterPolls: staleAfter,
-		HoldoverAfter:   holdoverAfter,
-		UnsyncedAfter:   2 * dur, // never reached in this run
+		Engines:       []core.Config{defaultCfg(poll), defaultCfg(poll), defaultCfg(poll)},
+		HoldoverAfter: holdoverAfter,
+		UnsyncedAfter: 2 * dur, // never reached in this run
 	}
 
 	series, err := r.newSeries(opts, "series", "t_day", "state", "err_us", "bound_us", "voting")
@@ -152,7 +149,7 @@ func runChaos(opts Options) (*Report, error) {
 			outRecoverAt = s.TrueTf
 		}
 		if s.TrueTf > deathAt+deathFor {
-			if w := ro.Weights()[1]; w < minWeight1 {
+			if w := ro.Servers[1].Weight; w < minWeight1 {
 				minWeight1 = w
 			}
 		}

@@ -247,7 +247,7 @@ func (c *Client) stampWall() time.Time {
 	if c.ks == nil {
 		return time.Time{}
 	}
-	return time.Now()
+	return c.now()
 }
 
 // readReply reads one datagram, capturing the kernel RX stamp from the
@@ -263,7 +263,7 @@ func (c *Client) readReply(b []byte) (int, rxStampInfo, error) {
 	if err != nil {
 		return n, rxStampInfo{}, err
 	}
-	info := rxStampInfo{wall: time.Now()}
+	info := rxStampInfo{wall: c.now()}
 	if sec, nsec, ok := parseRxTimestamp(ks.oob[:oobn]); ok {
 		info.kernel = time.Unix(sec, nsec)
 	}

@@ -317,6 +317,59 @@ func TestBatchTxStampCoverage(t *testing.T) {
 		st.KernelTx, st.Replied, st.TxDwellEWMA, st.StampClamped)
 }
 
+// TestClientStampsDistrustedAcrossClockStep: after the userspace wall
+// clock steps 2 s ahead of the clock the kernel stamps with, the send
+// stamp reads 2 s before the wall read that preceded it (past the 1 ms
+// slack) and the receive stamp 2 s older than the wall read after it
+// (past the 1 s maximum age). Both are distrusted and counted as
+// clamped, and Ta and Tf stay the userspace counter readings. The step
+// is injected through Client.now, so the outcome does not depend on
+// scheduling.
+func TestClientStampsDistrustedAcrossClockStep(t *testing.T) {
+	srv, err := NewServer(ServerConfig{Clock: SystemServerClock()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() { defer close(done); _ = srv.Serve(pc) }()
+	defer func() { pc.Close(); <-done }()
+	conn, err := net.Dial("udp", pc.LocalAddr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+
+	mono, period := MonotonicCounter()
+	var reads []uint64
+	c := NewClient(conn, func() uint64 { v := mono(); reads = append(reads, v); return v }, 2*time.Second)
+	if !c.EnableKernelStamps(period) {
+		t.Skip("kernel stamping not armable on this socket")
+	}
+	if raw, err := c.Exchange(); err != nil || !raw.KernelTa || !raw.KernelTf {
+		t.Skipf("kernel did not deliver both client stamps before the step (err %v, %+v)", err, raw)
+	}
+
+	c.now = func() time.Time { return time.Now().Add(2 * time.Second) }
+	reads = reads[:0]
+	raw, err := c.Exchange()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if raw.KernelTa || raw.KernelTf {
+		t.Errorf("kernel stamps trusted across a 2 s step: KernelTa=%v KernelTf=%v", raw.KernelTa, raw.KernelTf)
+	}
+	if len(reads) != 2 || raw.Ta != reads[0] || raw.Tf != reads[1] {
+		t.Errorf("Ta, Tf = %d, %d, want the userspace readings %v", raw.Ta, raw.Tf, reads)
+	}
+	if ss := c.StampStats(); ss.Clamped != 2 || ss.TxStamped != 1 || ss.RxStamped != 1 {
+		t.Errorf("stamp stats %+v, want 2 clamped and only the pre-step exchange stamped", ss)
+	}
+}
+
 // quantile returns the p-quantile of xs (sorted copy, nearest rank).
 func quantile(xs []float64, p float64) float64 {
 	if len(xs) == 0 {

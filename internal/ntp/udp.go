@@ -90,6 +90,7 @@ type Client struct {
 	version uint8
 	ks      *kernelStamps // kernel SO_TIMESTAMPING state; nil = userspace stamps
 	sc      clientStampCells
+	now     func() time.Time // the wall clock kernel stamps are held against; time.Now outside tests
 }
 
 // NewClient returns a client that exchanges NTP packets on conn (already
@@ -99,7 +100,7 @@ func NewClient(conn net.Conn, counter Counter, timeout time.Duration) *Client {
 	if timeout <= 0 {
 		timeout = 4 * time.Second
 	}
-	return &Client{conn: conn, counter: counter, timeout: timeout, version: 4}
+	return &Client{conn: conn, counter: counter, timeout: timeout, version: 4, now: time.Now}
 }
 
 // Shared kernel-stamp trust clamp, used identically by the serving RX
@@ -203,6 +204,11 @@ type KissError struct {
 func (e *KissError) Error() string {
 	return fmt.Sprintf("ntp: kiss-of-death from server (refid %q)", e.Code)
 }
+
+// Demobilizes reports a DENY or RSTR kiss: the server refused access,
+// and the client MUST stop sending to it (RFC 5905 §7.4). RATE only
+// asks for a longer poll.
+func (e *KissError) Demobilizes() bool { return e.Code == "DENY" || e.Code == "RSTR" }
 
 // errShortWrite is returned when the transport accepts a partial packet.
 var errShortWrite = errors.New("ntp: short write")

@@ -33,32 +33,9 @@ type MultiLiveOptions struct {
 	// Ensemble configures the combined clock: the per-server calibration
 	// options (Ensemble.Clock, whose NominalPeriod defaults to 1 ns, the
 	// monotonic counter's resolution, and whose PollPeriod is derived
-	// from Poll) and the trust, selection, asymmetry-correction and
-	// degradation-ladder tuning, all defaulted as EnsembleOptions
+	// from Poll) and the holdover policy, defaulted as EnsembleOptions
 	// documents. Ensemble.Servers is filled in from Servers.
 	Ensemble EnsembleOptions
-
-	// NoKernelStamps disables kernel SO_TIMESTAMPING on the upstream
-	// sockets. By default (Linux, UDP) every exchange stamps Ta from the
-	// kernel's error-queue transmit stamp and Tf from the RX cmsg
-	// arrival stamp, falling back per-stamp to userspace readings —
-	// strictly less host noise; the per-server coverage and deltas
-	// surface in UpstreamStates and the relay metrics. Set this to keep
-	// pure-userspace stamping.
-	NoKernelStamps bool
-
-	// MinServers is the dial-time quorum: DialMultiLive succeeds when at
-	// least this many servers are reachable, and the rest start in a
-	// reconnecting state — re-dialed (with fresh name resolution) on
-	// their polling schedule under the adaptive backoff. Default: 1, so
-	// a single unreachable server never prevents the client from
-	// syncing off the others.
-	MinServers int
-	// StrictDial restores the historical fail-closed dial: any
-	// unreachable server aborts the whole dial and releases
-	// already-open sockets. For deployments that prefer a hard error
-	// over a quietly smaller ensemble.
-	StrictDial bool
 }
 
 // upstream is one server's connection slot. The slot owns the (re)dial
@@ -73,6 +50,10 @@ type upstream struct {
 	conn        net.Conn
 	client      *ntp.Client
 	consecFails int
+	// refused is the DENY or RSTR kiss that demobilized the slot: it is
+	// never dialed or polled again (RFC 5905 §7.4), and every Step
+	// returns this error.
+	refused *ntp.KissError
 
 	// The slot's counts are metric cells: written where the event
 	// happens, read by UpstreamStates and rendered by NewRelayMetrics.
@@ -131,15 +112,17 @@ type MultiLive struct {
 	poll    time.Duration
 	timeout time.Duration
 	dial    func(string) (net.Conn, error)
-	kstamps bool // arm kernel stamps on dialed upstream sockets
 	closed  atomic.Bool
 }
 
 // DialMultiLive connects to every server and prepares the synchronizer.
 // Call Step for single exchanges or Run for the staggered polling
-// loops. Unreachable servers are tolerated as long as MinServers
-// (default 1) can be reached — they start reconnecting in the
-// background; set StrictDial to fail closed instead.
+// loops. Unreachable servers are tolerated as long as one can be
+// reached: they start reconnecting in the background. Every dialed
+// socket is armed for kernel SO_TIMESTAMPING where the platform has it
+// (Ta from the error-queue transmit stamp, Tf from the RX cmsg, each
+// falling back to the userspace reading; coverage per server in
+// UpstreamStates).
 func DialMultiLive(opts MultiLiveOptions) (*MultiLive, error) {
 	return dialMultiLive(opts, func(addr string) (net.Conn, error) {
 		return net.Dial("udp", addr)
@@ -152,13 +135,6 @@ func DialMultiLive(opts MultiLiveOptions) (*MultiLive, error) {
 func dialMultiLive(opts MultiLiveOptions, dial func(string) (net.Conn, error)) (*MultiLive, error) {
 	if len(opts.Servers) == 0 {
 		return nil, fmt.Errorf("tscclock: MultiLiveOptions.Servers is required")
-	}
-	minServers := opts.MinServers
-	if minServers == 0 {
-		minServers = 1
-	}
-	if minServers < 0 || minServers > len(opts.Servers) {
-		return nil, fmt.Errorf("tscclock: MinServers %d outside [1,%d]", minServers, len(opts.Servers))
 	}
 	poll := opts.Poll
 	if poll <= 0 {
@@ -191,7 +167,6 @@ func dialMultiLive(opts MultiLiveOptions, dial func(string) (net.Conn, error)) (
 		poll:    poll,
 		timeout: opts.Timeout,
 		dial:    dial,
-		kstamps: !opts.NoKernelStamps,
 	}
 	connected := 0
 	var firstErr error
@@ -203,18 +178,12 @@ func dialMultiLive(opts MultiLiveOptions, dial func(string) (net.Conn, error)) (
 			if firstErr == nil {
 				firstErr = err
 			}
-			if opts.StrictDial {
-				m.Close()
-				return nil, firstErr
-			}
 			continue
 		}
 		connected++
 	}
-	if connected < minServers {
-		m.Close()
-		return nil, fmt.Errorf("tscclock: %d of %d servers reachable, need %d: %w",
-			connected, len(opts.Servers), minServers, firstErr)
+	if connected == 0 {
+		return nil, fmt.Errorf("tscclock: none of %d servers reachable: %w", len(opts.Servers), firstErr)
 	}
 	return m, nil
 }
@@ -228,10 +197,14 @@ func (m *MultiLive) Counter() uint64 { return m.counter() }
 // ensureClient returns the slot's client, dialing (and thereby
 // re-resolving) on demand when the slot is disconnected: the one place
 // a socket is opened, wrapped in a client and armed for kernel stamps,
-// at dial time and at every reconnection alike.
+// at dial time and at every reconnection alike. A demobilized slot
+// returns the kiss that demobilized it.
 func (m *MultiLive) ensureClient(up *upstream) (*ntp.Client, error) {
 	up.mu.Lock()
 	defer up.mu.Unlock()
+	if up.refused != nil {
+		return nil, up.refused
+	}
 	if up.client != nil {
 		return up.client, nil
 	}
@@ -249,9 +222,7 @@ func (m *MultiLive) ensureClient(up *upstream) (*ntp.Client, error) {
 	}
 	up.conn = conn
 	up.client = ntp.NewClient(conn, m.counter, m.timeout)
-	if m.kstamps {
-		up.client.EnableKernelStamps(m.period)
-	}
+	up.client.EnableKernelStamps(m.period)
 	up.dials.Inc()
 	up.consecFails = 0
 	return up.client, nil
@@ -262,11 +233,20 @@ func (m *MultiLive) ensureClient(up *upstream) (*ntp.Client, error) {
 // fresh. A kiss-of-death is an answer: the socket, the route and the
 // resolved address all work, so it clears the count like a success —
 // re-dialing a server that has just asked to be left alone would only
-// add traffic.
+// add traffic. A DENY or RSTR kiss demobilizes the slot for good: its
+// socket is closed and it is never dialed or polled again.
 func (m *MultiLive) observeExchange(up *upstream, err error) {
 	up.mu.Lock()
 	defer up.mu.Unlock()
-	if err == nil || isKiss(err) {
+	kiss := kissOf(err)
+	if kiss != nil && kiss.Demobilizes() {
+		up.refused = kiss
+		if up.conn != nil {
+			up.conn.Close()
+			up.conn, up.client = nil, nil
+		}
+	}
+	if err == nil || kiss != nil {
 		up.consecFails = 0
 		return
 	}
@@ -296,9 +276,7 @@ func (m *MultiLive) Step(k int) (EnsembleStatus, error) {
 	if err != nil {
 		return EnsembleStatus{}, err
 	}
-	if m.kstamps {
-		m.ups[k].noteStamps(raw)
-	}
+	m.ups[k].noteStamps(raw)
 	return m.ens.ProcessNTPExchangeFrom(k, raw.Ta, raw.Tf, raw.Tb, raw.Te, raw.RefID, raw.Stratum)
 }
 
@@ -307,7 +285,8 @@ type UpstreamState struct {
 	// Addr is the configured server address.
 	Addr string
 	// Connected reports whether the slot currently holds a socket; a
-	// disconnected slot re-dials on its next scheduled poll.
+	// disconnected slot re-dials on its next scheduled poll, unless a
+	// DENY or RSTR kiss demobilized it.
 	Connected bool
 	// Dials counts successful dials (> 1 means reconnections) and
 	// DialFailures failed attempts.
@@ -362,7 +341,9 @@ func (m *MultiLive) UpstreamStates() []UpstreamState {
 // itself with its own adaptive Poller (fast during warmup and after
 // disturbances, backed off to MaxPoll once calibrated — including
 // re-dial attempts of unreachable servers, which are hard errors and
-// back off immediately). onStep, when installed, is called after every
+// back off immediately). A server that answers with a DENY or RSTR kiss
+// is demobilized: its goroutine sends nothing more and waits for the
+// context like the rest. onStep, when installed, is called after every
 // attempt from the polling goroutines (serialize any shared state it
 // touches).
 func (m *MultiLive) Run(ctx context.Context, onStep func(server int, st EnsembleStatus, err error)) error {
@@ -383,6 +364,10 @@ func (m *MultiLive) Run(ctx context.Context, onStep func(server int, st Ensemble
 				st, err := m.Step(k)
 				if onStep != nil {
 					onStep(k, st, err)
+				}
+				if kiss := kissOf(err); kiss != nil && kiss.Demobilizes() {
+					<-ctx.Done()
+					return
 				}
 				timer.Reset(m.pollers[k].Observe(st.Status, err))
 			}

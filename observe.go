@@ -115,17 +115,14 @@ func NewRelayMetrics(cfg RelayMetricsConfig) *metrics.Registry {
 			falsetickers.Set(float64(r.Falsetickers))
 			stratum.Set(float64(r.Health.Stratum))
 			errScale.Set(r.Health.ErrScale)
-			states := r.ServerStates()
 			ups := ml.UpstreamStates()
-			for k := range cells {
-				if k < len(states) {
-					st := states[k]
-					cells[k].weight.Set(st.Weight)
-					cells[k].asymHint.Set(st.AsymmetryHint)
-					cells[k].asymCorr.Set(st.AsymCorrection)
-					cells[k].penalty.Set(st.Penalty)
-					cells[k].selected.Set(boolGauge(st.Selected))
-				}
+			for k := range cells { // one cell per server, one record per server
+				sr := &r.Servers[k]
+				cells[k].weight.Set(sr.Weight)
+				cells[k].asymHint.Set(sr.AsymmetryHint)
+				cells[k].asymCorr.Set(sr.AsymCorrection)
+				cells[k].penalty.Set(sr.Penalty)
+				cells[k].selected.Set(boolGauge(sr.Selected))
 				cells[k].connected.Set(boolGauge(ups[k].Connected))
 				cells[k].taDelta.Set(ups[k].TaDelta)
 				cells[k].tfDelta.Set(ups[k].TfDelta)

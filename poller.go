@@ -61,11 +61,13 @@ func isTimeout(err error) bool {
 	return errors.As(err, &ne) && ne.Timeout()
 }
 
-// isKiss reports a kiss-of-death: the server answered, with a request
-// to change behaviour rather than with time (see ntp.KissError).
-func isKiss(err error) bool {
+// kissOf returns the kiss-of-death err carries, or nil: the server
+// answered, with a request to change behaviour rather than with time
+// (see ntp.KissError).
+func kissOf(err error) *ntp.KissError {
 	var kiss *ntp.KissError
-	return errors.As(err, &kiss)
+	errors.As(err, &kiss)
+	return kiss
 }
 
 // NewPoller constructs a poller bounded by [min, max]. Defaults when
@@ -95,7 +97,7 @@ func (p *Poller) Observe(st Status, exchangeErr error) time.Duration {
 		p.failures = 0
 	}
 	switch {
-	case isKiss(exchangeErr):
+	case kissOf(exchangeErr) != nil:
 		// The server answered, and asked to be polled less: Max at once,
 		// and no fast retries if the next thing it does is drop requests.
 		p.failures = failFastRetries + 1

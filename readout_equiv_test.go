@@ -116,26 +116,15 @@ func TestEnsembleReadoutEquivalenceSim(t *testing.T) {
 					t.Fatalf("exchange %d: Exchanges: public %d", i, got)
 				}
 				if i%50 == 0 { // the heavier diagnostic reads, sampled
-					sum := 0.0
-					for k, w := range e.Weights() {
-						if w != r.Servers[k].Weight {
-							t.Fatalf("exchange %d: Weights[%d]: public %v, readout %v", i, k, w, r.Servers[k].Weight)
+					sum, agree := 0.0, 0
+					for k := range r.Servers {
+						sum += ws[k]
+						if r.Servers[k].Exchanges > 0 && math.Abs(vals[k]-e.AbsoluteTime(ex.Tf+500000)) <= r.AgreementBound(k) {
+							agree++
 						}
-						sum += w
 					}
 					if math.Abs(sum-1) > 1e-12 {
 						t.Fatalf("exchange %d: weights sum to %v", i, sum)
-					}
-					agree := 0
-					for k, s := range e.ServerStates() {
-						sr := &r.Servers[k]
-						if s.Selected != sr.Selected || s.Falseticker != sr.Falseticker || s.Weight != sr.Weight ||
-							s.AsymmetryHint != sr.AsymmetryHint || s.Exchanges != sr.Exchanges || s.ErrScale != sr.ErrScale {
-							t.Fatalf("exchange %d: ServerStates[%d]: public %+v, readout %+v", i, k, s, sr)
-						}
-						if sr.Exchanges > 0 && math.Abs(vals[k]-e.AbsoluteTime(ex.Tf+500000)) <= r.AgreementBound(k) {
-							agree++
-						}
 					}
 					if got := r.Agreement(ex.Tf + 500000); got != agree {
 						t.Fatalf("exchange %d: Agreement: readout %d, reference %d", i, got, agree)

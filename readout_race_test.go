@@ -188,8 +188,6 @@ func TestEnsembleConcurrentReads(t *testing.T) {
 				_ = e.AbsoluteTime(T)
 				_ = e.Between(T, T+5000)
 				_ = e.Period()
-				_ = e.Weights()
-				_ = e.ServerStates()
 				_ = e.Exchanges()
 			}
 		}()

@@ -30,10 +30,12 @@ import (
 
 	"repro/internal/cacheline"
 	"repro/internal/core"
-	"repro/internal/timebase"
 )
 
-// Options configures a Clock. Zero values take the paper's defaults.
+// Options configures a Clock. Every other algorithm parameter takes the
+// paper's value (core.DefaultConfig); the evaluation varies them below
+// this API, and a public knob exists only where two callers differ
+// (ARCHITECTURE.md, "Knobs").
 type Options struct {
 	// NominalPeriod is the a-priori duration of one counter cycle in
 	// seconds (e.g. 1/548655270 for a 548.66 MHz TSC, or 1e-9 for a
@@ -47,36 +49,6 @@ type Options struct {
 	// UseLocalRate enables the quasi-local rate refinement (p̂_l) and
 	// linear prediction in the offset estimate.
 	UseLocalRate bool
-
-	// Delta overrides the host timestamping error unit δ (default 15 µs;
-	// raise it for user-space timestamping).
-	Delta float64
-
-	// Advanced exposes every algorithm parameter for research use; when
-	// non-nil it takes precedence over the fields above except
-	// NominalPeriod and PollPeriod.
-	Advanced *AdvancedOptions
-}
-
-// AdvancedOptions mirrors the full parameter set of the paper's
-// algorithms; see the package documentation of the fields' namesakes in
-// Section 5 of the paper.
-type AdvancedOptions struct {
-	TauStar              float64 // SKM scale τ* (s)
-	EStarFactor          float64 // rate acceptance threshold, ×δ
-	LocalRateWindow      float64 // τ̄ (s)
-	LocalRateW           int     // W
-	LocalRateQualityPPM  float64 // γ* (PPM)
-	RateSanity           float64 // local-rate sanity bound
-	OffsetWindow         float64 // τ′ (s)
-	EFactor              float64 // offset quality width, ×δ
-	AgingRatePPM         float64 // ε (PPM)
-	EStarStarFactor      float64 // poor-quality fallback, ×E
-	OffsetSanity         float64 // E_s (s)
-	TopWindow            float64 // T (s)
-	WarmupSamples        int     // T_w (packets)
-	ShiftWindow          float64 // T_s (s)
-	ShiftThresholdFactor float64 // upward-shift trigger, ×E
 }
 
 // buildConfig lowers Options onto the engine configuration.
@@ -87,56 +59,6 @@ func (o Options) buildConfig() core.Config {
 	}
 	cfg := core.DefaultConfig(o.NominalPeriod, poll)
 	cfg.UseLocalRate = o.UseLocalRate
-	if o.Delta > 0 {
-		cfg.Delta = o.Delta
-	}
-	if a := o.Advanced; a != nil {
-		if a.TauStar > 0 {
-			cfg.TauStar = a.TauStar
-		}
-		if a.EStarFactor > 0 {
-			cfg.EStarFactor = a.EStarFactor
-		}
-		if a.LocalRateWindow > 0 {
-			cfg.LocalRateWindow = a.LocalRateWindow
-		}
-		if a.LocalRateW > 0 {
-			cfg.LocalRateW = a.LocalRateW
-		}
-		if a.LocalRateQualityPPM > 0 {
-			cfg.LocalRateQuality = timebase.FromPPM(a.LocalRateQualityPPM)
-		}
-		if a.RateSanity > 0 {
-			cfg.RateSanity = a.RateSanity
-		}
-		if a.OffsetWindow > 0 {
-			cfg.OffsetWindow = a.OffsetWindow
-		}
-		if a.EFactor > 0 {
-			cfg.EFactor = a.EFactor
-		}
-		if a.AgingRatePPM > 0 {
-			cfg.AgingRate = timebase.FromPPM(a.AgingRatePPM)
-		}
-		if a.EStarStarFactor > 0 {
-			cfg.EStarStarFactor = a.EStarStarFactor
-		}
-		if a.OffsetSanity > 0 {
-			cfg.OffsetSanity = a.OffsetSanity
-		}
-		if a.TopWindow > 0 {
-			cfg.TopWindow = a.TopWindow
-		}
-		if a.WarmupSamples > 0 {
-			cfg.WarmupSamples = a.WarmupSamples
-		}
-		if a.ShiftWindow > 0 {
-			cfg.ShiftWindow = a.ShiftWindow
-		}
-		if a.ShiftThresholdFactor > 0 {
-			cfg.ShiftThresholdFactor = a.ShiftThresholdFactor
-		}
-	}
 	return cfg
 }
 

@@ -18,29 +18,6 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
-func TestAdvancedOptionsApplied(t *testing.T) {
-	opts := Options{
-		NominalPeriod: 1e-9,
-		PollPeriod:    16,
-		UseLocalRate:  true,
-		Delta:         20e-6,
-		Advanced: &AdvancedOptions{
-			TauStar:       800,
-			EStarFactor:   10,
-			OffsetWindow:  400,
-			WarmupSamples: 16,
-		},
-	}
-	cfg := opts.buildConfig()
-	if cfg.TauStar != 800 || cfg.EStarFactor != 10 || cfg.OffsetWindow != 400 ||
-		cfg.WarmupSamples != 16 || cfg.Delta != 20e-6 || !cfg.UseLocalRate {
-		t.Errorf("advanced options not applied: %+v", cfg)
-	}
-	if err := cfg.Validate(); err != nil {
-		t.Errorf("lowered config invalid: %v", err)
-	}
-}
-
 func TestEndToEndOnSimulatedTrace(t *testing.T) {
 	tr, err := sim.Generate(sim.NewScenario(sim.MachineRoom, sim.ServerInt(), 16, timebase.Day, 77))
 	if err != nil {
