@@ -40,12 +40,14 @@ bench:
 
 # bench-module compiles and smokes the nested benchmark module (bench/
 # has its own go.mod, so `go build ./...` and `go test ./...` at the
-# root never see it): vet, its unit tests, and three quick workload runs
-# — sync-replay through the ensemble's public write path, relay-sat
-# through the serving loop under the ledger's own generator, clock-reads
-# through the published read path beside a writer.
+# root never see it): vet, its unit tests, and a quick run of each of
+# the four workloads — sync-replay through the ensemble's public write
+# path, relay-open and relay-sat through the serving loop under the
+# ledger's own open- and closed-loop generators (both wait for the
+# relay's upstream warmup first), clock-reads through the published read
+# path beside a writer.
 bench-module:
-	cd bench && $(GO) vet . && $(GO) test -short . && $(GO) run . -quick -workload sync-replay && $(GO) run . -quick -workload relay-sat && $(GO) run . -quick -workload clock-reads
+	cd bench && $(GO) vet . && $(GO) test -short . && $(GO) run . -quick -workload sync-replay && $(GO) run . -quick -workload relay-open && $(GO) run . -quick -workload relay-sat && $(GO) run . -quick -workload clock-reads
 
 # loc prints the three line counts a simplicity PR reports (CHANGES.md
 # quotes them before and after): non-test code in the root module — Go

@@ -60,7 +60,7 @@ func main() {
 		refid    = flag.String("refid", "", `reference identifier to advertise (default "GPS", or "TSCC" in relay mode)`)
 		shards   = flag.Int("shards", runtime.GOMAXPROCS(0), "serving sockets/readers on the listen address")
 		upstream = flag.String("upstream", "", "comma-separated upstream NTP servers; enables stratum-2 relay mode")
-		poll     = flag.Duration("poll", 64*time.Second, "upstream polling interval floor (relay mode)")
+		poll     = flag.Duration("poll", 64*time.Second, "upstream polling interval floor; warmup polls at a quarter of it (relay mode)")
 		stats    = flag.Duration("stats", time.Minute, "period of the serving-counter log lines (0 disables)")
 		httpAddr = flag.String("http", "", "TCP address for the /metrics, /healthz and /readyz observability endpoints (empty disables)")
 		limit    = flag.Float64("limit", 0, "per-client-prefix (/24, /48) request budget in req/s, burst 2x (0 disables)")

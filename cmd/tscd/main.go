@@ -44,7 +44,7 @@ func main() {
 	var (
 		mode   = flag.String("mode", "live", "live, sim or replay")
 		server = flag.String("server", "127.0.0.1:1123", "comma-separated NTP servers (live mode)")
-		poll   = flag.Duration("poll", 64*time.Second, "polling interval")
+		poll   = flag.Duration("poll", 64*time.Second, "polling interval; live warmup polls at a quarter of it")
 		local  = flag.Bool("localrate", false, "enable the local-rate refinement")
 
 		env  = flag.String("env", "MR", "sim environment: Lab or MR")
@@ -139,7 +139,7 @@ func runLive(server string, poll time.Duration, local bool) {
 		// Comma-separated, blanks ignored, as ntpserver reads -upstream.
 		Servers:  strings.FieldsFunc(server, func(r rune) bool { return r == ',' || r == ' ' }),
 		Poll:     poll,
-		MaxPoll:  poll, // a fixed cadence: no adaptive backoff
+		MaxPoll:  poll, // a fixed cadence after warmup: no adaptive backoff
 		Ensemble: tscclock.EnsembleOptions{Clock: tscclock.Options{UseLocalRate: local}},
 	})
 	if err != nil {
@@ -150,7 +150,7 @@ func runLive(server string, poll time.Duration, local bool) {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	fmt.Printf("synchronizing against %s every %v (ctrl-c to stop)\n", server, poll)
+	fmt.Printf("synchronizing against %s every %v, every %v during warmup (ctrl-c to stop)\n", server, poll, poll/4)
 	live.Run(ctx, func(_ int, st tscclock.EnsembleStatus, err error) {
 		if err != nil {
 			fmt.Printf("%s exchange failed: %v\n", time.Now().Format(time.TimeOnly), err)

@@ -179,14 +179,6 @@ func (e *Ensemble) State(counter uint64) ensemble.State {
 	return e.ens.Readout().State(counter)
 }
 
-// Health returns the serving-facing health summary of the voting set
-// (frozen at the last trusted combine while no server votes). Lock-free.
-//
-//repro:readpath
-func (e *Ensemble) Health() ensemble.Health {
-	return e.ens.Readout().Health
-}
-
 // Exchanges returns the total number of exchanges processed. Lock-free.
 //
 //repro:readpath

@@ -46,8 +46,9 @@ func ExampleClock() {
 	// absolute error under 100 µs: true
 }
 
-// ExampleNewPoller shows the controlled-emission policy: fast during
-// warmup, exponential backoff once calibrated, reset on disturbance.
+// ExampleNewPoller shows the controlled-emission policy: a quarter of
+// the floor during warmup, exponential backoff from the floor once
+// calibrated, reset on disturbance.
 func ExampleNewPoller() {
 	p := tscclock.NewPoller(0, 0) // defaults: 16 s .. 1024 s
 	fmt.Println(p.Observe(tscclock.Status{Warmup: true}, nil))
@@ -55,7 +56,7 @@ func ExampleNewPoller() {
 	fmt.Println(p.Observe(tscclock.Status{}, nil))
 	fmt.Println(p.Observe(tscclock.Status{UpwardShiftDetected: true}, nil))
 	// Output:
-	// 16s
+	// 4s
 	// 32s
 	// 1m4s
 	// 16s

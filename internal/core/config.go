@@ -156,9 +156,6 @@ func (c Config) EStar() float64 { return c.EStarFactor * c.Delta }
 // E returns the offset quality width E in seconds.
 func (c Config) E() float64 { return c.EFactor * c.Delta }
 
-// EStarStar returns the poor-quality fallback level E** in seconds.
-func (c Config) EStarStar() float64 { return c.EStarStarFactor * c.E() }
-
 // Validate reports configuration errors.
 func (c Config) Validate() error {
 	switch {

@@ -242,10 +242,6 @@ func (p *Path) advance(t float64) {
 // queried time; exposed for tests and diagnostics.
 func (p *Path) InEpisode() bool { return p.inEpisode }
 
-// Regime returns the index into RegimeFactors of the load regime in
-// force at the last queried time; exposed for tests and diagnostics.
-func (p *Path) Regime() int { return p.regime }
-
 // Delay draws the total one-way delay experienced by a packet entering
 // the path at time t: current minimum plus queueing.
 func (p *Path) Delay(t float64) float64 {

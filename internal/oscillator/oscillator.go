@@ -225,9 +225,6 @@ func New(cfg Config, seed uint64) (*Oscillator, error) {
 // Config returns the configuration the oscillator was built from.
 func (o *Oscillator) Config() Config { return o.cfg }
 
-// NominalPeriod returns 1/NominalHz, the period a naive user would assume.
-func (o *Oscillator) NominalPeriod() float64 { return 1 / o.cfg.NominalHz }
-
 // MeanPeriod returns the true long-run mean period of the oscillator,
 // i.e. the p of the SKM: 1/(f0*(1+gamma0)). Periodic and random-walk
 // wander average to ~zero and do not shift the mean.

@@ -12,6 +12,14 @@ import (
 // startServer runs a local stratum-1 NTP server for live tests.
 func startServer(t *testing.T) net.Addr {
 	t.Helper()
+	addr, _ := startCountingServer(t)
+	return addr
+}
+
+// startCountingServer is startServer that also returns the server, whose
+// Stats count the requests it answered.
+func startCountingServer(t *testing.T) (net.Addr, *ntp.Server) {
+	t.Helper()
 	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -22,7 +30,7 @@ func startServer(t *testing.T) net.Addr {
 	}
 	go srv.Serve(pc)
 	t.Cleanup(func() { pc.Close() })
-	return pc.LocalAddr()
+	return pc.LocalAddr(), srv
 }
 
 func TestLiveStep(t *testing.T) {
@@ -58,7 +66,7 @@ func TestLiveStep(t *testing.T) {
 
 func TestLiveRunCancel(t *testing.T) {
 	addr := startServer(t)
-	// MaxPoll == Poll is a fixed cadence: no adaptive backoff.
+	// MaxPoll == Poll is a fixed cadence after warmup: no adaptive backoff.
 	l, err := DialMultiLive(MultiLiveOptions{Servers: []string{addr.String()},
 		Poll: 20 * time.Millisecond, MaxPoll: 20 * time.Millisecond, Timeout: time.Second})
 	if err != nil {

@@ -20,13 +20,16 @@ type MultiLiveOptions struct {
 	// the same client; three or more is what makes the ensemble's
 	// majority vote meaningful.
 	Servers []string
-	// Poll is the per-server polling interval floor. Default: 64 s. The
-	// aggregate request rate is Servers/Poll, so raise Poll when polling
+	// Poll is the per-server steady-state polling interval floor.
+	// Default: 64 s. Each engine's warmup (its first 32 exchanges) runs
+	// at Poll/4, so the aggregate request rate is 4·Servers/Poll during
+	// warmup and at most Servers/Poll after it. Raise Poll when polling
 	// many public servers, and be conservative: public stratum-1 servers
 	// must not be overloaded.
 	Poll time.Duration
 	// MaxPoll bounds the per-server adaptive backoff. Default: 16×Poll
-	// (capped at 1024 s). MaxPoll equal to Poll is a fixed cadence.
+	// (capped at 1024 s). MaxPoll equal to Poll is a fixed cadence after
+	// warmup.
 	MaxPoll time.Duration
 	// Timeout bounds each exchange. Default: 4 s.
 	Timeout time.Duration
@@ -335,10 +338,11 @@ func (m *MultiLive) UpstreamStates() []UpstreamState {
 }
 
 // Run polls every server until the context is cancelled, one goroutine
-// per server. Server k's first poll is delayed by k·Poll/N, staggering
-// the schedules so the combined clock receives a steady interleaved
-// stream rather than synchronized bursts; after that each server paces
-// itself with its own adaptive Poller (fast during warmup and after
+// per server. Server k's first poll is delayed by k·(Poll/4)/N,
+// staggering the schedules across one warmup poll so the combined clock
+// receives a steady interleaved stream rather than synchronized bursts,
+// and the N warmups overlap; after that each server paces itself with
+// its own adaptive Poller (Poll/4 during warmup, Poll after
 // disturbances, backed off to MaxPoll once calibrated — including
 // re-dial attempts of unreachable servers, which are hard errors and
 // back off immediately). A server that answers with a DENY or RSTR kiss
@@ -352,7 +356,7 @@ func (m *MultiLive) Run(ctx context.Context, onStep func(server int, st Ensemble
 		wg.Add(1)
 		go func(k int) {
 			defer wg.Done()
-			stagger := time.Duration(k) * m.poll / time.Duration(len(m.ups))
+			stagger := time.Duration(k) * (m.poll / warmupDivisor) / time.Duration(len(m.ups))
 			timer := time.NewTimer(stagger)
 			defer timer.Stop()
 			for {

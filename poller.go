@@ -16,11 +16,15 @@ import (
 // while information is scarce and back off once calibrated, optimizing
 // both convergence and server load.
 //
-// Policy: start at Min; after warmup, double the interval on every
-// quiet, good-quality exchange up to Max; fall back toward Min when the
-// engine signals trouble (poor quality, sanity triggers, a detected
+// Policy: Min is the steady-state floor. During the engine's warmup —
+// its first 32 exchanges, whose point errors are not yet trusted, when
+// information is scarcest — each exchange is followed by Min/4, so one
+// server's warmup sends 4/Min requests per second; the recommendation
+// itself (Interval) stays at Min. After warmup, double the interval on
+// every quiet, good-quality exchange up to Max; fall back to Min when
+// the engine signals trouble (poor quality, sanity triggers, a detected
 // level shift or server change) so fresh information arrives when it is
-// worth the most.
+// worth the most. Outside warmup the interval never leaves [Min, Max].
 //
 // Exchange errors are handled asymmetrically, and by kind. A timeout —
 // the request went out and nothing came back — looks like ordinary
@@ -48,6 +52,13 @@ type Poller struct {
 // longer run means the server is down and polling faster will not
 // bring it back.
 const failFastRetries = 2
+
+// warmupDivisor sets the warmup poll, Min/warmupDivisor. At
+// MultiLive's 64 s default Poll that is 16 s: the paper's dense-trace
+// period, and twice the 8 s average that ntpd's and chrony's default
+// rate limiters admit, so a public server sees no burst worth a kiss.
+// The cost is 24 extra requests per server, once per engine lifetime.
+const warmupDivisor = 4
 
 // isTimeout classifies an exchange error: true for a timed-out wait
 // (indistinguishable from packet loss, worth a fast retry), false for
@@ -121,7 +132,11 @@ func (p *Poller) Observe(st Status, exchangeErr error) time.Duration {
 			}
 		}
 	case st.Warmup:
+		// The engine is still gathering the packets it needs before it
+		// trusts any: spend them fast. The next exchange after warmup
+		// resumes the doubling from Min.
 		p.current = p.min
+		return p.min / warmupDivisor
 	case st.UpwardShiftDetected, st.OffsetSanity, st.PoorQuality, st.ServerChanged:
 		// Something changed or data quality collapsed: gather evidence
 		// quickly (re-detection windows are packet-count based, so a

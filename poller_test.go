@@ -7,6 +7,8 @@ import (
 	"os"
 	"testing"
 	"time"
+
+	"repro/internal/ntp"
 )
 
 // timeoutErr is a net.Error whose Timeout() is true: what a lost UDP
@@ -45,10 +47,21 @@ func TestPollerBackoff(t *testing.T) {
 	}
 }
 
+// TestPollerFastDuringWarmup: a warmup exchange is followed by exactly
+// min/warmupDivisor, while the recommendation stays at min, so the first
+// exchange after warmup resumes the doubling from min.
 func TestPollerFastDuringWarmup(t *testing.T) {
 	p := NewPoller(16*time.Second, 256*time.Second)
-	if got := p.Observe(Status{Warmup: true}, nil); got != 16*time.Second {
-		t.Errorf("warmup interval %v", got)
+	for i := 0; i < 3; i++ {
+		if got := p.Observe(Status{Warmup: true}, nil); got != 4*time.Second {
+			t.Errorf("warmup exchange %d: interval %v, want 4s", i, got)
+		}
+		if p.Interval() != 16*time.Second {
+			t.Errorf("warmup exchange %d: Interval() = %v, want min", i, p.Interval())
+		}
+	}
+	if got := p.Observe(Status{}, nil); got != 32*time.Second {
+		t.Errorf("first exchange after warmup: interval %v, want 32s", got)
 	}
 }
 
@@ -186,8 +199,9 @@ func TestPollerTimeoutVsHardError(t *testing.T) {
 }
 
 // TestPollerObserveTransitions walks Observe through every policy arc
-// in one continuous run: warmup pinning, quiet-good doubling, the max
-// clamp, a trouble reset, and the recovery climb afterwards.
+// in one continuous run: the warmup burst (and a kiss winning over it),
+// quiet-good doubling, the max clamp, a trouble reset, and the recovery
+// climb afterwards.
 func TestPollerObserveTransitions(t *testing.T) {
 	p := NewPoller(16*time.Second, 128*time.Second)
 	steps := []struct {
@@ -196,8 +210,10 @@ func TestPollerObserveTransitions(t *testing.T) {
 		err  error
 		want time.Duration
 	}{
-		{"warmup holds min", Status{Warmup: true}, nil, 16 * time.Second},
-		{"warmup again", Status{Warmup: true}, nil, 16 * time.Second},
+		{"warmup polls at min/4", Status{Warmup: true}, nil, 4 * time.Second},
+		{"warmup again", Status{Warmup: true}, nil, 4 * time.Second},
+		{"RATE kiss in warmup goes to max", Status{Warmup: true}, &ntp.KissError{Code: "RATE"}, 128 * time.Second},
+		{"warmup resumes at min/4", Status{Warmup: true}, nil, 4 * time.Second},
 		{"first quiet doubles", Status{}, nil, 32 * time.Second},
 		{"second quiet doubles", Status{}, nil, 64 * time.Second},
 		{"third quiet doubles", Status{}, nil, 128 * time.Second},
@@ -221,9 +237,10 @@ func TestPollerObserveTransitions(t *testing.T) {
 	}
 }
 
-// TestPollerMinClamp: the interval can never leave [min, max], whatever
-// sequence of outcomes is observed — including an error on the very
-// first observation and degenerate min == max bounds.
+// TestPollerMinClamp: outside warmup the interval can never leave
+// [min, max], whatever sequence of outcomes is observed — including an
+// error on the very first observation and degenerate min == max bounds;
+// a warmup exchange gets exactly min/4.
 func TestPollerMinClamp(t *testing.T) {
 	p := NewPoller(20*time.Second, 40*time.Second)
 	if got := p.Observe(Status{}, errTimeout("first poll lost")); got != 20*time.Second {
@@ -243,12 +260,18 @@ func TestPollerMinClamp(t *testing.T) {
 	}
 	for i, o := range outcomes {
 		got := p.Observe(o.st, o.err)
-		if got < 20*time.Second || got > 40*time.Second {
+		switch {
+		case o.st.Warmup && got != 5*time.Second:
+			t.Errorf("step %d: warmup interval %v, want 5s", i, got)
+		case !o.st.Warmup && (got < 20*time.Second || got > 40*time.Second):
 			t.Errorf("step %d: interval %v outside [20s, 40s]", i, got)
 		}
 	}
 
 	fixed := NewPoller(time.Minute, time.Minute)
+	if got := fixed.Observe(Status{Warmup: true}, nil); got != 15*time.Second {
+		t.Errorf("min==max warmup: interval %v, want 15s", got)
+	}
 	for i := 0; i < 3; i++ {
 		if got := fixed.Observe(Status{}, nil); got != time.Minute {
 			t.Errorf("min==max step %d: interval %v, want 1m", i, got)
