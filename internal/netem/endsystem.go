@@ -127,6 +127,13 @@ func (h *HostStamp) RecvLag() float64 {
 // excess is reliably detectable against the DAG reference and corrects
 // it for the stability analysis of Figure 3; the base mode (~5 µs wide)
 // remains.
+//
+// Known model bug, kept because fixing it moves every digit of every
+// trace: the side-mode loop breaks without taking the firing mode's
+// mass out of u, so u < SchedProb also fires inside each side-mode
+// bucket. With DefaultHostStamp the scheduling-error rate is therefore
+// 3e-4, not the documented ~1-in-10,000, and two thirds of those
+// errors land on top of a side mode. ROADMAP item 4 queues the fix.
 func (h *HostStamp) RecvLagParts() (base, extra float64) {
 	base = h.cfg.RecvBase + h.src.TruncNormalPos(0, h.cfg.RecvJitter)
 	u := h.src.Float64()

@@ -20,6 +20,7 @@ package oscillator
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/rng"
 	"repro/internal/timebase"
@@ -185,12 +186,21 @@ func MachineRoom() Config {
 	}
 }
 
+// term is one sinusoid with the constants its reads need computed
+// once: a = FromPPM(AmplitudePPM), omega = 2π/Period, a/omega and
+// cos(Phase). Each is a subexpression a read would otherwise evaluate
+// inline, kept in the same shape, so holding it changes no bit.
+type term struct {
+	Sinusoid
+	a, omega, aOverOmega, cosPhase float64
+}
+
 // Oscillator is a deterministic realization of a Config. It is not safe
 // for concurrent use.
 type Oscillator struct {
 	cfg    Config
-	gamma0 float64    // constant skew, dimensionless
-	sins   []Sinusoid // Sinusoids plus the expanded temperature cycle
+	gamma0 float64 // constant skew, dimensionless
+	terms  []term  // Sinusoids plus the expanded temperature cycle
 
 	// Random-walk frequency component, generated lazily in fixed steps.
 	// rwRate[j] is the dimensionless rate offset during absolute step
@@ -214,10 +224,13 @@ func New(cfg Config, seed uint64) (*Oscillator, error) {
 	o := &Oscillator{
 		cfg:    cfg,
 		gamma0: timebase.FromPPM(cfg.SkewPPM),
-		sins:   append(append([]Sinusoid(nil), cfg.Sinusoids...), cfg.Temp.expand()...),
 		rwSrc:  rng.New(seed),
 		rwRate: []float64{0},
 		rwCum:  []float64{0},
+	}
+	for _, s := range slices.Concat(cfg.Sinusoids, cfg.Temp.expand()) {
+		a, omega := timebase.FromPPM(s.AmplitudePPM), 2*math.Pi/s.Period
+		o.terms = append(o.terms, term{s, a, omega, a / omega, math.Cos(s.Phase)})
 	}
 	return o, nil
 }
@@ -236,8 +249,9 @@ func (o *Oscillator) MeanPeriod() float64 {
 // excluding the constant skew).
 func (o *Oscillator) wanderRate(t float64) float64 {
 	w := 0.0
-	for _, s := range o.sins {
-		w += timebase.FromPPM(s.AmplitudePPM) * math.Sin(2*math.Pi*t/s.Period+s.Phase)
+	for _, s := range o.terms {
+		// Not s.omega*t: 2π·t/Period rounds differently.
+		w += s.a * math.Sin(2*math.Pi*t/s.Period+s.Phase)
 	}
 	if o.cfg.RandomWalkStepPPM > 0 {
 		k := int(t / o.cfg.RandomWalkStep)
@@ -319,10 +333,8 @@ func (o *Oscillator) RandomWalkCacheLen() int { return len(o.rwRate) }
 // cumulative sums for the random walk.
 func (o *Oscillator) wanderIntegral(t float64) float64 {
 	w := 0.0
-	for _, s := range o.sins {
-		a := timebase.FromPPM(s.AmplitudePPM)
-		omega := 2 * math.Pi / s.Period
-		w += a / omega * (math.Cos(s.Phase) - math.Cos(omega*t+s.Phase))
+	for _, s := range o.terms {
+		w += s.aOverOmega * (s.cosPhase - math.Cos(s.omega*t+s.Phase))
 	}
 	if o.cfg.RandomWalkStepPPM > 0 {
 		h := o.cfg.RandomWalkStep

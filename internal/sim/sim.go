@@ -338,10 +338,15 @@ func stampExchange(ex *Exchange, tStamp float64, osc *oscillator.Oscillator,
 	ex.Tg = tf + dagSrc.Normal(0, dagJitter)
 	// The host's driver stamp follows the arrival by the interrupt
 	// latency (plus rare scheduling excursions); the corrected stamp
-	// keeps only the irreducible base latency.
+	// keeps only the irreducible base latency. Most exchanges have no
+	// excess, and then both stamps read the same instant (x+0 == x, and
+	// a repeated read draws nothing), so the counter is read once.
 	lagBase, lagExtra := host.RecvLagParts()
 	ex.TfCorr = osc.ReadTSC(tf + lagBase)
-	ex.Tf = osc.ReadTSC(tf + lagBase + lagExtra)
+	ex.Tf = ex.TfCorr
+	if lagExtra != 0 {
+		ex.Tf = osc.ReadTSC(tf + lagBase + lagExtra)
+	}
 }
 
 // Completed returns the non-lost exchanges.

@@ -8,8 +8,8 @@ package sim
 // the substrate models themselves, and the oscillator's random-walk
 // cache is trimmed behind the emission front once trimming is enabled
 // (SetTrim). The batch generators are thin collectors over the streams;
-// stream_equiv_test.go pins bit-identity against the original batch
-// implementations, which survive there as references.
+// digest_test.go pins all three — stream, trimmed stream, collector —
+// to committed sha256 digests of the emitted bits.
 
 import (
 	"fmt"
@@ -116,7 +116,7 @@ func (st *Stream) Next() (ex Exchange, ok bool) {
 	i := st.i
 	st.i++
 
-	sc := st.sc
+	sc := &st.sc
 	jitter := (st.pollSrc.Float64() - 0.5) * sc.PollJitterFrac * sc.PollPeriod
 	tStamp := float64(i)*sc.PollPeriod + sc.PollPeriod/2 + jitter
 
@@ -240,7 +240,7 @@ func (st *MultiStream) advanceServer(k int) {
 		st.nextT[k] = math.Inf(1)
 		return
 	}
-	sc := st.sc
+	sc := &st.sc
 	jitter := (st.jit[k].Float64() - 0.5) * sc.PollJitterFrac * sc.PollPeriod
 	st.nextT[k] = (float64(st.nextSeq[k])+0.5+float64(k)/float64(len(sc.Servers)))*sc.PollPeriod + jitter
 }
@@ -270,7 +270,7 @@ func (st *MultiStream) Next() (ex MultiExchange, ok bool) {
 	if k < 0 {
 		return MultiExchange{}, false
 	}
-	sc := st.sc
+	sc := &st.sc
 	ex = MultiExchange{Server: k, Exchange: Exchange{Seq: st.nextSeq[k]}}
 
 	lost := st.miss[k].Bool(sc.LossProb)
