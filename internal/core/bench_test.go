@@ -22,7 +22,7 @@ var benchTrace []Input // lazily built, shared across sub-benchmarks
 // the paper's τ′ = τ*/4 offset-window sensitivity setting, isolating
 // the cost of minimum tracking from the cost of the weighted offset
 // scan. Run with -benchmem: steady state must stay at 0 allocs/op (the
-// only byte counts are the ring growth during the first top window,
+// only byte counts are the windows' growth during the first top window,
 // amortized over the full trace).
 func BenchmarkProcess(b *testing.B) {
 	if benchTrace == nil {
@@ -77,14 +77,15 @@ func BenchmarkProcess(b *testing.B) {
 // BenchmarkProcessStages decomposes BenchmarkProcess/window=default —
 // what the benchmark ledger reports as core.process_ns — into the
 // engine's stages, each run by the method Process itself calls, on an
-// engine three top-window slides into the trace (every ring full, every
+// engine three top-window slides into the trace (every window full, every
 // tracker in its steady state): filter (RTT under p̂, the r̂ deque, the
 // point error), rate (the paired estimator's accept test and estimate),
 // shift (upward level-shift detection: in steady state, the threshold
 // test that skips the suffix query), offset (the weighted scan of the τ′
-// window and the sanity check), window (naive θ̂, the push into both
-// rings, and the top-window slide, whose half-window drop and pair
-// re-validation amortize over nTop/2 packets) and publish (the readout
+// window and the sanity check), window (naive θ̂, the push into the
+// history and the scan window, and the top-window slide, whose
+// half-window drop and move and pair re-validation amortize over nTop/2
+// packets) and publish (the readout
 // filled in its slab slot). What the sum leaves of BenchmarkProcess is
 // the call itself: input validation and the Result filled and returned
 // by value. Inputs keep moving: every stage is fed the packets that
@@ -96,9 +97,15 @@ func BenchmarkProcessStages(b *testing.B) {
 		benchTrace = SynthTrace(benchTraceLen)
 	}
 	const warm = 60_000
-	// steady returns the warmed engine and the next packets as the filter
-	// stage hands them on: complete records, not yet in the history.
-	steady := func(b *testing.B) (*Sync, []record) {
+	// arrival is a packet as the filter stage hands it on: its history
+	// record and the two values its scanRec adds.
+	type arrival struct {
+		rec             record
+		pointErr, theta float64
+	}
+	// steady returns the warmed engine and the next packets, not yet in
+	// the history.
+	steady := func(b *testing.B) (*Sync, []arrival) {
 		b.Helper()
 		s, err := NewSync(DefaultConfig(2e-9, 16))
 		if err != nil {
@@ -109,14 +116,14 @@ func BenchmarkProcessStages(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		next := make([]record, 64)
+		next := make([]arrival, 64)
 		for i := range next {
 			in := benchTrace[warm+i]
-			rec := record{seq: warm + i, ta: in.Ta, tf: in.Tf, tb: in.Tb, te: in.Te}
-			rec.rtt = spanSeconds(in.Ta, in.Tf, s.p)
-			rec.pointErr = max(0, rec.rtt-s.rHat)
-			rec.theta = s.naiveTheta(rec)
-			next[i] = rec
+			a := &next[i]
+			a.rec = record{seq: warm + i, ta: in.Ta, tf: in.Tf, tb: in.Tb, te: in.Te}
+			a.rec.rtt = spanSeconds(in.Ta, in.Tf, s.p)
+			a.pointErr = max(0, a.rec.rtt-s.rHat)
+			a.theta = s.naiveTheta(a.rec)
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -137,7 +144,7 @@ func BenchmarkProcessStages(b *testing.B) {
 		s, next := steady(b)
 		var res Result
 		for i := 0; i < b.N; i++ {
-			s.updateRate(&next[i&63], &res)
+			s.updateRate(&next[i&63].rec, &res)
 		}
 	})
 	b.Run("shift", func(b *testing.B) {
@@ -151,15 +158,17 @@ func BenchmarkProcessStages(b *testing.B) {
 		s, next := steady(b)
 		var res Result
 		for i := 0; i < b.N; i++ {
-			s.updateOffset(&next[i&63], &res)
+			a := &next[i&63]
+			s.updateOffset(a.rec.tf, a.pointErr, a.theta, &res)
 		}
 	})
 	b.Run("window", func(b *testing.B) {
 		s, next := steady(b)
 		for i := 0; i < b.N; i++ {
-			rec := next[i&63]
+			a := &next[i&63]
+			rec := a.rec
 			rec.seq = warm + i
-			s.pushRecord(&rec)
+			s.pushRecord(&rec, a.pointErr)
 			s.slideTopWindow()
 		}
 	})
@@ -184,7 +193,11 @@ func BenchmarkOffsetScan(b *testing.B) {
 		benchTrace = SynthTrace(benchTraceLen)
 	}
 	const warm = 60_000
-	s, err := NewSync(DefaultConfig(2e-9, 16))
+	// τ′ = 4τ* keeps the 250 newest scanRecs in the scan window; their
+	// values do not depend on τ′.
+	cfg := DefaultConfig(2e-9, 16)
+	cfg.OffsetWindow *= 4
+	s, err := NewSync(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}

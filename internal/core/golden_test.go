@@ -15,7 +15,7 @@ import (
 // demands per-packet agreement:
 //
 //   - PHat, PQuality, RTT, RTTHat, PointError, ThetaNaive and every
-//     boolean flag must be bit-identical — the ring buffer, the minimum
+//     boolean flag must be bit-identical — the history and scan windows, the minimum
 //     deques, and the pair bookkeeping perform the exact same float
 //     operations as the seed's scans, just without the rescanning;
 //   - ThetaHat may differ by at most 1e-12 (in practice ~1e-16): the

@@ -11,18 +11,19 @@ import (
 // scanLocalMinima is the direct O(window) implementation the argmin
 // trackers replaced: the oldest record of minimal point error in the
 // far sub-window [n−nLocalWin, n−nLocalWin+nLocalFar) and in the near
-// sub-window [n−nLocalNear, n). Kept test-only as the equivalence
-// oracle for pushLocalMinima/rebuildLocalMinima.
+// sub-window [n−nLocalNear, n) of the scan window. Kept test-only as the
+// equivalence oracle for pushLocalMinima/rebuildLocalMinima.
 func (s *Sync) scanLocalMinima() (jSeq, iSeq int) {
-	n := s.hist.Len()
+	n := s.scan.Len()
+	frontSeq := s.hist.Back().seq - n + 1
 	bestOf := func(i, j int) int {
-		best := s.hist.At(i)
+		best := i
 		for idx := i + 1; idx < j; idx++ {
-			if r := s.hist.At(idx); r.pointErr < best.pointErr {
-				best = r
+			if s.scan.At(idx).pointErr < s.scan.At(best).pointErr {
+				best = idx
 			}
 		}
-		return best.seq
+		return frontSeq + best
 	}
 	winStart := n - s.nLocalWin
 	return bestOf(winStart, winStart+s.nLocalFar), bestOf(n-s.nLocalNear, n)

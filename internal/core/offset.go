@@ -36,8 +36,12 @@ const weightCutoffBase = 9
 // increase monotonically toward the old end of the window — records
 // beyond the age horizon (cutoff/ε seconds) are located by binary
 // search and never touched. The surviving records go through
-// offsetScan, four to an instruction where the CPU has AVX2.
-func (s *Sync) updateOffset(rec *record, res *Result) {
+// offsetScan, four to an instruction where the CPU has AVX2, as one
+// contiguous slice of the scan window.
+//
+// now, pointErr and theta are the arriving packet's Tf, point error as
+// assigned at arrival and naive estimate.
+func (s *Sync) updateOffset(now uint64, pointErr, theta float64, res *Result) {
 	e := s.cfg.E()
 	if s.count <= s.nWarm {
 		e *= s.cfg.WarmupEInflation
@@ -52,11 +56,10 @@ func (s *Sync) updateOffset(rec *record, res *Result) {
 	// ((E^T/E)² < 676); the scan also carries its own argument clamp
 	// for defense in depth.
 
-	n := s.hist.Len()
-	start := n - s.nOff
-	if start < 0 {
-		start = 0
-	}
+	// The τ′ window: the newest min(nOff, history) packets, all of them
+	// in the scan window (nScan ≥ nOff).
+	n := s.scan.Len()
+	start := max(n-s.nOff, 0)
 	// Local-rate residual for linear prediction (equation 21): the
 	// estimate of the rate error of C(t) relative to true time. Zero
 	// when the refinement is off or not yet valid: θ − 0·age is θ
@@ -67,7 +70,6 @@ func (s *Sync) updateOffset(rec *record, res *Result) {
 		gl = s.pl/s.p - 1
 	}
 
-	now := rec.tf
 	// Field by field: a composite literal is built in a temporary and
 	// copied 16 bytes at a time, each copy a load that straddles two
 	// 8-byte stores still in flight — a store-forwarding stall apiece.
@@ -91,16 +93,9 @@ func (s *Sync) updateOffset(rec *record, res *Result) {
 		})
 	}
 
-	// Stage (i)+(ii): total errors and weights over the window's one or
-	// two ring segments, oldest first.
-	winA, winB := s.scan.Slices(start, n)
-	minET, sumW, sumWTheta := offsetScan(winA, &par)
-	if len(winB) > 0 {
-		m, w2, t2 := offsetScan(winB, &par)
-		minET = min(minET, m)
-		sumW += w2
-		sumWTheta += t2
-	}
+	// Stage (i)+(ii): total errors and weights over the window, oldest
+	// first.
+	minET, sumW, sumWTheta := offsetScan(s.scan.Slice(start, n), &par)
 
 	var cand float64
 	switch {
@@ -108,7 +103,7 @@ func (s *Sync) updateOffset(rec *record, res *Result) {
 		// First packet: the estimate is the naive one; with the clock
 		// aligned to the server at the first exchange this is the
 		// paper's "first estimate is just the server timestamp".
-		cand = rec.theta
+		cand = theta
 	case minET > eStarStar || sumW == 0:
 		res.PoorQuality = true
 		prevAge := spanSeconds(s.thetaTf, now, s.p)
@@ -117,22 +112,22 @@ func (s *Sync) updateOffset(rec *record, res *Result) {
 			prevPred -= gl * prevAge
 		}
 		gapped := false
-		if n >= 2 {
-			gapped = spanSeconds(s.hist.At(n-2).tf, now, s.p) > s.cfg.LocalRateWindow/2
+		if h := s.hist.Len(); h >= 2 {
+			gapped = spanSeconds(s.hist.At(h-2).tf, now, s.p) > s.cfg.LocalRateWindow/2
 		}
 		if gapped {
 			// After a long outage the stored window is stale: blend the
 			// new naive estimate (weighted by its point error) with the
 			// aged previous estimate, to let fresh data in quickly.
-			wNew := math.Exp(-(rec.pointErr / e) * (rec.pointErr / e))
+			wNew := math.Exp(-(pointErr / e) * (pointErr / e))
 			agedErr := s.thetaErr + s.cfg.AgingRate*prevAge
 			wOld := math.Exp(-(agedErr / e) * (agedErr / e))
 			if wNew+wOld > 0 {
-				cand = (wNew*rec.theta + wOld*prevPred) / (wNew + wOld)
+				cand = (wNew*theta + wOld*prevPred) / (wNew + wOld)
 			} else {
 				cand = prevPred
 			}
-			s.thetaErr = math.Min(rec.pointErr, agedErr)
+			s.thetaErr = math.Min(pointErr, agedErr)
 		} else {
 			cand = prevPred
 			s.thetaErr += s.cfg.AgingRate * prevAge
@@ -185,7 +180,7 @@ func (par *scanParams) aging(r *scanRec) float64 {
 	return par.eps * ((par.fnow - r.ftf) * par.p)
 }
 
-// scanLanes are the scan's accumulators: record i of a window segment
+// scanLanes are the scan's accumulators: record i of the window
 // accumulates into lane i mod 4. The AVX2 kernel stores each array
 // from one register.
 type scanLanes struct {
@@ -198,7 +193,7 @@ func emptyLanes() scanLanes {
 	return scanLanes{minET: [4]float64{inf, inf, inf, inf}}
 }
 
-// offsetScan is stages (i)+(ii) over one contiguous window segment:
+// offsetScan is stages (i)+(ii) over the τ′ window, one contiguous slice:
 // total errors E^T = E_i + ε·age, their minimum, and the weighted sums
 // with w = exp(−(E^T/E)²) over the records at or under the weight
 // cutoff (the others' weights are below exp(−81); see weightCutoffBase).
@@ -208,7 +203,7 @@ func emptyLanes() scanLanes {
 // through exactly the operations of offsetScanLoop's body in that
 // order, the lanes reduced as (l0+l1)+(l2+l3) and by min. The
 // implementations: offsetScanLoop, plain Go, on every platform; and
-// offsetScanAVX2 (offset_amd64.s), which takes the segment's whole
+// offsetScanAVX2 (offset_amd64.s), which takes the window's whole
 // blocks of four records — one lane each, so four records per
 // instruction — where the CPU has AVX2, leaving at most three records
 // to the loop. They agree to the last bit on finite inputs

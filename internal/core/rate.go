@@ -137,57 +137,59 @@ func (s *Sync) warmupRate(rec *record, res *Result) {
 	res.Accepted = true
 }
 
-// pushLocalMinima feeds the just-pushed record into the near/far argmin
-// trackers behind updateLocalRate. The near window is the trailing
-// nLocalNear records, so the new record enters immediately; the far
-// window [seq−nLocalWin+1, seq−nLocalWin+nLocalFar] lags the newest
-// record, so the record entering it now is an older one, located in the
-// ring by sequence number (seqs are contiguous: every processed packet
-// gets the next one). Amortized O(1) per packet.
-func (s *Sync) pushLocalMinima(rec *record) {
-	s.nearMin.Push(rec.seq, rec.pointErr)
-	s.nearMin.EvictBefore(rec.seq - s.nLocalNear + 1)
+// pushLocalMinima feeds the just-pushed packet (seq, pointErr) into the
+// near/far argmin trackers behind updateLocalRate. The near window is
+// the trailing nLocalNear packets, so the new one enters immediately;
+// the far window [seq−nLocalWin+1, seq−nLocalWin+nLocalFar] lags the
+// newest packet, so the one entering it now is older, located in the
+// scan window by sequence number (seqs are contiguous: every processed
+// packet gets the next one). Amortized O(1) per packet.
+func (s *Sync) pushLocalMinima(seq int, pointErr float64) {
+	s.nearMin.Push(seq, pointErr)
+	s.nearMin.EvictBefore(seq - s.nLocalNear + 1)
 
-	frontSeq := s.hist.Front().seq
-	winStart := rec.seq - s.nLocalWin + 1
+	frontSeq := seq - s.scan.Len() + 1
+	winStart := seq - s.nLocalWin + 1
 	target := winStart + s.nLocalFar - 1
 	for ; s.farNext <= target; s.farNext++ {
 		if s.farNext < frontSeq {
-			// The record left the ring before its push turn (slides that
-			// retain less than a full local window). Skipping it is safe:
-			// frontSeq only grows and updateLocalRate activates only once
-			// the whole window is retained (winStart ≥ frontSeq), so a
-			// skipped record can never be inside an active far window.
+			// The packet left the scan window before its push turn
+			// (slides that retain less than a full local window; the
+			// window holds min(nScan, history) ≥ min(nLocalWin, history)
+			// packets). Skipping it is safe: frontSeq only grows and
+			// updateLocalRate activates only once the whole window is
+			// retained (winStart ≥ frontSeq), so a skipped packet can
+			// never be inside an active far window.
 			continue
 		}
-		h := s.hist.At(s.farNext - frontSeq)
-		s.farMin.Push(h.seq, h.pointErr)
+		s.farMin.Push(s.farNext, s.scan.At(s.farNext-frontSeq).pointErr)
 	}
 	s.farMin.EvictBefore(winStart)
 }
 
-// rebuildLocalMinima reloads both argmin trackers from live history
-// values. Called after point-error revisions (upward level shift,
+// rebuildLocalMinima reloads both argmin trackers from the scan
+// window's point errors, which hold the whole local window whenever the
+// history does. Called after point-error revisions (upward level shift,
 // server identity re-base), which rewrite values the deques may have
 // cached; O(window) on rare events only.
 func (s *Sync) rebuildLocalMinima() {
-	if !s.cfg.UseLocalRate || s.hist.Len() == 0 {
+	if !s.cfg.UseLocalRate || s.scan.Len() == 0 {
 		return
 	}
 	s.nearMin.Reset()
 	s.farMin.Reset()
 	backSeq := s.hist.Back().seq
-	frontSeq := s.hist.Front().seq
+	frontSeq := backSeq - s.scan.Len() + 1
 
 	lo := maxInt(frontSeq, backSeq-s.nLocalNear+1)
 	for seq := lo; seq <= backSeq; seq++ {
-		s.nearMin.Push(seq, s.hist.At(seq-frontSeq).pointErr)
+		s.nearMin.Push(seq, s.scan.At(seq-frontSeq).pointErr)
 	}
 
 	winStart := backSeq - s.nLocalWin + 1
 	hi := winStart + s.nLocalFar - 1
 	for seq := maxInt(frontSeq, winStart); seq <= hi && seq <= backSeq; seq++ {
-		s.farMin.Push(seq, s.hist.At(seq-frontSeq).pointErr)
+		s.farMin.Push(seq, s.scan.At(seq-frontSeq).pointErr)
 	}
 	if hi+1 > s.farNext {
 		s.farNext = hi + 1

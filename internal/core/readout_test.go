@@ -260,11 +260,13 @@ func TestPublicationsKeepOffTheLiveLine(t *testing.T) {
 }
 
 // TestRingElementsHoldNoPointers pins what lets window.Ring.DropFront
-// advance its head without clearing the dropped slots: every ring the
-// engine keeps — the history, the scan ring and the three deques inside
-// the min trackers — holds plain numbers, so a stale slot pins nothing
-// for the collector. A pointer, slice, string, map or interface added to
-// one of these element types must come with a clearing slide.
+// and window.Tail advance past dropped slots, and Tail move elements
+// down, without clearing what they leave behind: every window the engine
+// keeps — the history and the scan window (Tails) and the three deques
+// inside the min trackers (Rings) — holds plain numbers, so a stale slot
+// pins nothing for the collector. A pointer, slice, string, map or
+// interface added to one of these element types must come with a
+// clearing slide.
 func TestRingElementsHoldNoPointers(t *testing.T) {
 	var pointerFree func(reflect.Type) bool
 	pointerFree = func(ty reflect.Type) bool {
@@ -291,7 +293,7 @@ func TestRingElementsHoldNoPointers(t *testing.T) {
 		if ty.Kind() != reflect.Struct {
 			return
 		}
-		if ty.PkgPath() == "repro/internal/window" && strings.HasPrefix(ty.Name(), "Ring[") {
+		if ty.PkgPath() == "repro/internal/window" && (strings.HasPrefix(ty.Name(), "Ring[") || strings.HasPrefix(ty.Name(), "Tail[")) {
 			at, ok := reflect.PointerTo(ty).MethodByName("At")
 			if !ok {
 				t.Fatalf("%s: %v has no At method to take the element type from", path, ty)
@@ -299,7 +301,7 @@ func TestRingElementsHoldNoPointers(t *testing.T) {
 			elem := at.Type.Out(0).Elem()
 			elems = append(elems, elem.Name())
 			if !pointerFree(elem) {
-				t.Errorf("%s: ring element %v holds pointers; DropFront would keep their referents alive", path, elem)
+				t.Errorf("%s: window element %v holds pointers; stale slots would keep their referents alive", path, elem)
 			}
 			return
 		}
@@ -310,6 +312,6 @@ func TestRingElementsHoldNoPointers(t *testing.T) {
 	walk("Sync", reflect.TypeOf(Sync{}))
 	sort.Strings(elems)
 	if want := []string{"minEntry", "minEntry", "minEntry", "record", "scanRec"}; !reflect.DeepEqual(elems, want) {
-		t.Errorf("rings found by value inside Sync hold %v, want %v — a ring moved where this test does not look", elems, want)
+		t.Errorf("windows found by value inside Sync hold %v, want %v — a window moved where this test does not look", elems, want)
 	}
 }

@@ -19,13 +19,13 @@ type refSync struct {
 
 	nOff, nLocalWin, nLocalNear, nLocalFar, nShift, nTop, nWarm int
 
-	hist  []record
+	hist  []refRecord
 	count int
 
 	p        float64
 	c        float64
-	pairJ    record
-	pairI    record
+	pairJ    refRecord
+	pairI    refRecord
 	havePair bool
 	pQual    float64
 
@@ -42,6 +42,17 @@ type refSync struct {
 
 	ident      Identity
 	identKnown bool
+}
+
+// refRecord is the seed's history entry: every per-packet value, kept
+// for the whole top window.
+type refRecord struct {
+	seq      int
+	ta, tf   uint64
+	tb, te   float64
+	rtt      float64
+	pointErr float64
+	theta    float64
 }
 
 func newRefSync(cfg Config) (*refSync, error) {
@@ -82,7 +93,7 @@ func (s *refSync) Process(in Input) (Result, error) {
 	s.count++
 	res := Result{Seq: seq, Warmup: seq < s.nWarm}
 
-	rec := record{seq: seq, ta: in.Ta, tf: in.Tf, tb: in.Tb, te: in.Te}
+	rec := refRecord{seq: seq, ta: in.Ta, tf: in.Tf, tb: in.Tb, te: in.Te}
 	rec.rtt = spanSeconds(in.Ta, in.Tf, s.p)
 
 	if rec.rtt < s.rHat {
@@ -118,7 +129,7 @@ func (s *refSync) Process(in Input) (Result, error) {
 	return res, nil
 }
 
-func (s *refSync) naiveTheta(rec record) float64 {
+func (s *refSync) naiveTheta(rec refRecord) float64 {
 	return (s.clockRead(rec.ta)+s.clockRead(rec.tf))/2 - (rec.tb+rec.te)/2
 }
 
@@ -143,7 +154,7 @@ func (s *refSync) slideTopWindow() {
 		return
 	}
 	eStar := s.cfg.EStar()
-	var newJ *record
+	var newJ *refRecord
 	for idx := range s.hist {
 		cand := &s.hist[idx]
 		if cand.seq >= s.pairI.seq {
@@ -220,7 +231,7 @@ func (s *refSync) detectUpwardShift(res *Result) {
 	}
 }
 
-func (s *refSync) pairEstimate(j, i record) (p float64, quality float64, ok bool) {
+func (s *refSync) pairEstimate(j, i refRecord) (p float64, quality float64, ok bool) {
 	if i.seq == j.seq || i.ta <= j.ta || i.tf <= j.tf {
 		return 0, 0, false
 	}
@@ -235,7 +246,7 @@ func (s *refSync) pairEstimate(j, i record) (p float64, quality float64, ok bool
 	return p, quality, true
 }
 
-func (s *refSync) updateRate(rec *record, res *Result) {
+func (s *refSync) updateRate(rec *refRecord, res *Result) {
 	if s.count <= 1 {
 		return
 	}
@@ -281,7 +292,7 @@ func (s *refSync) updateRate(rec *record, res *Result) {
 	res.RateUpdated = true
 }
 
-func (s *refSync) warmupRate(rec *record, res *Result) {
+func (s *refSync) warmupRate(rec *refRecord, res *Result) {
 	n := len(s.hist)
 	w := n / 4
 	if w < 1 {
@@ -348,7 +359,7 @@ func (s *refSync) updateLocalRate(res *Result) {
 	far := win[:s.nLocalFar]
 	near := win[len(win)-s.nLocalNear:]
 
-	bestOf := func(rs []record) record {
+	bestOf := func(rs []refRecord) refRecord {
 		best := rs[0]
 		for _, r := range rs[1:] {
 			if r.pointErr < best.pointErr {
@@ -380,7 +391,7 @@ func (s *refSync) updateLocalRate(res *Result) {
 	s.plValid = true
 }
 
-func (s *refSync) updateOffset(rec *record, res *Result) {
+func (s *refSync) updateOffset(rec *refRecord, res *Result) {
 	e := s.cfg.E()
 	if s.count <= s.nWarm {
 		e *= s.cfg.WarmupEInflation

@@ -61,7 +61,6 @@ func (s *Sync) ObserveIdentity(id Identity) bool {
 	last := s.hist.Back()
 	s.rHat = last.rtt
 	s.lastShiftSeq = last.seq
-	last.pointErr = 0
 	s.scan.Back().pointErr = 0
 	// The re-base revised a point error the local-rate argmin trackers
 	// already cached (the newest record is always in the near window).

@@ -59,25 +59,28 @@ type Result struct {
 	Warmup                bool // packet processed during warmup
 }
 
-// scanRec is the offset filter's view of a record, kept in a parallel
-// ring: the weighted scan of updateOffset touches only these three
-// fields, and packing them in 24 bytes (instead of striding across
-// 64-byte records) cuts the scan's cache traffic by more than half.
-// The ftf field is float64(tf); the one extra rounding against the
-// reference's float64(now−tf) perturbs E^T by ~1e-19 s, invisible at
-// the engine's 1e-12 equivalence budget.
-type scanRec struct {
-	ftf      float64
-	pointErr float64
-	theta    float64
-}
-
-// record is the per-packet history entry kept inside the top window.
+// record is the per-packet history entry kept for the whole top window:
+// exactly what the readers that look back that far use — the pair
+// searches (warmup, the first j, the replacement j at a slide) and
+// pairEstimate — and nothing else.
 type record struct {
 	seq    int
 	ta, tf uint64
 	tb, te float64
 	rtt    float64 // seconds, measured with p̂ at arrival
+}
+
+// scanRec is what the engine keeps of a packet only while it is among
+// the newest nScan: the offset filter reads these three fields over τ′,
+// shift revision rewrites pointErr over T_s, the local-rate trackers
+// read pointErr over τ̄, and nothing reads them further back. Packed in
+// 24 bytes, the weighted scan of updateOffset streams through them
+// without striding across history records. The ftf field is float64(tf);
+// the one extra rounding against the reference's float64(now−tf)
+// perturbs E^T by ~1e-19 s, invisible at the engine's 1e-12 equivalence
+// budget.
+type scanRec struct {
+	ftf float64
 	// pointErr is E_i relative to the r̂ in force at arrival, revised
 	// backwards when an upward level shift is detected (Section 6.2).
 	// It is never negative: r̂ is at or below the record's own RTT when
@@ -92,24 +95,29 @@ type record struct {
 // analysis"). Sync is not safe for concurrent use.
 //
 // Every per-packet operation is amortized O(1) in the window sizes:
-// history lives in a ring buffer that slides without copying, and the
-// two windowed minima the filters need — r̂ over the retained history
-// and r̂_l over the shift window T_s — come from monotonic-deque
-// trackers instead of per-packet scans. The only remaining per-packet
-// loop is the offset filter's weighted combination, which is O(active
-// offset window) by definition of the estimator (each in-window record
-// contributes an age-dependent weight that changes every packet) —
-// the work is inherent, its width is not: offsetScan takes four records
-// per instruction where the CPU has AVX2.
+// history lives in a contiguous window that drops its oldest half at a
+// slide and moves the rest down once, and the two windowed minima the
+// filters need — r̂ over the retained history and r̂_l over the shift
+// window T_s — come from monotonic-deque trackers instead of per-packet
+// scans. The only remaining per-packet loop is the offset filter's
+// weighted combination, which is O(active offset window) by definition
+// of the estimator (each in-window record contributes an age-dependent
+// weight that changes every packet) — the work is inherent, its width
+// is not: offsetScan takes four records per instruction where the CPU
+// has AVX2.
 type Sync struct {
 	cfg Config
 
-	// Window sizes in packets.
-	nOff, nLocalWin, nLocalNear, nLocalFar, nShift, nTop, nWarm int
+	// Window sizes in packets. nScan is the furthest back anything reads
+	// a scanRec: max(nOff, nShift, nLocalWin).
+	nOff, nLocalWin, nLocalNear, nLocalFar, nShift, nTop, nWarm, nScan int
 
-	hist  window.Ring[record]
-	scan  window.Ring[scanRec] // parallel to hist; see scanRec
-	count int                  // total packets processed
+	// hist is the top window, at most nTop records; scan holds the
+	// newest min(nScan, hist.Len()) packets' scanRecs in a backing array
+	// of at most 2·nScan. Both grow lazily: nothing is reserved up front.
+	hist  window.Tail[record]
+	scan  window.Tail[scanRec]
+	count int // total packets processed
 
 	// Global rate state: the pair (j, i) and the clock C(T) = p·T + c.
 	p        float64
@@ -183,6 +191,9 @@ func NewSync(cfg Config) (*Sync, error) {
 	if s.nTop < 2*s.nWarm {
 		s.nTop = 2 * s.nWarm
 	}
+	s.nScan = max(s.nOff, s.nShift, s.nLocalWin)
+	s.hist = window.MakeTail[record](s.nTop)
+	s.scan = window.MakeTail[scanRec](2 * s.nScan)
 	s.publish()
 	return s, nil
 }
@@ -242,7 +253,7 @@ func (s *Sync) Process(in Input) (Result, error) {
 	res := Result{Seq: seq, Warmup: seq < s.nWarm}
 
 	rec := record{seq: seq, ta: in.Ta, tf: in.Tf, tb: in.Tb, te: in.Te}
-	s.filterRTT(&rec)
+	pointErr := s.filterRTT(&rec)
 
 	if seq == 0 {
 		// Align the clock origin with the server: C(Ta,1) = Tb,1. The
@@ -257,8 +268,8 @@ func (s *Sync) Process(in Input) (Result, error) {
 
 	// The naive offset estimate uses the clock in force after the rate
 	// update so that filtering and estimation stay decoupled.
-	s.pushRecord(&rec)
-	res.ThetaNaive = rec.theta
+	theta := s.pushRecord(&rec, pointErr)
+	res.ThetaNaive = theta
 
 	// Upward level-shift detection (Section 6.2) may revise recent point
 	// errors, so run it before the offset filter consumes them.
@@ -267,8 +278,10 @@ func (s *Sync) Process(in Input) (Result, error) {
 	// Local rate refinement.
 	s.updateLocalRate(&res)
 
-	// Offset estimation (Section 5.3 with the Section 6.1 additions).
-	s.updateOffset(&rec, &res)
+	// Offset estimation (Section 5.3 with the Section 6.1 additions). The
+	// arrival's own point error enters as assigned at arrival: a shift
+	// revision above rewrites only the stored copy.
+	s.updateOffset(rec.tf, pointErr, theta, &res)
 
 	// Top-level window maintenance.
 	s.slideTopWindow()
@@ -280,39 +293,44 @@ func (s *Sync) Process(in Input) (Result, error) {
 	res.ClockP, res.ClockC = s.p, s.c
 	res.RTT = rec.rtt
 	res.RTTHat = s.rHat
-	res.PointError = s.hist.Back().pointErr
+	res.PointError = s.scan.Back().pointErr
 	res.ThetaHat = s.theta
 	s.publish()
 	return res, nil
 }
 
 // filterRTT is the RTT filter's per-packet step: the record's RTT under
-// the p̂ in force, the minimum tracking, and the point error against the
-// resulting r̂. Downward movements of the minimum are unambiguous
-// (congestion cannot lower it) and take effect immediately; the tracker
-// sees every sample, and its window trails by eviction only.
-func (s *Sync) filterRTT(rec *record) {
+// the p̂ in force, the minimum tracking, and the returned point error
+// against the resulting r̂. Downward movements of the minimum are
+// unambiguous (congestion cannot lower it) and take effect immediately;
+// the tracker sees every sample, and its window trails by eviction only.
+func (s *Sync) filterRTT(rec *record) (pointErr float64) {
 	rec.rtt = spanSeconds(rec.ta, rec.tf, s.p)
 	if rec.rtt < s.rHat {
 		s.rHat = rec.rtt
 	}
 	s.rMin.Push(rec.seq, rec.rtt)
-	rec.pointErr = rec.rtt - s.rHat
+	return rec.rtt - s.rHat
 }
 
-// pushRecord completes the record with its naive offset estimate and
-// appends it to the history, the scan ring and, when the local rate is
-// in use, the near/far argmin trackers.
-func (s *Sync) pushRecord(rec *record) {
-	rec.theta = s.naiveTheta(*rec)
-	*s.hist.PushSlot() = *rec
-	sc := s.scan.PushSlot()
-	sc.ftf = float64(rec.tf)
-	sc.pointErr = rec.pointErr
-	sc.theta = rec.theta
-	if s.cfg.UseLocalRate {
-		s.pushLocalMinima(rec)
+// pushRecord appends the record to the history, its scanRec — with the
+// naive offset estimate, which it returns — to the scan window and,
+// when the local rate is in use, its point error to the near/far argmin
+// trackers.
+func (s *Sync) pushRecord(rec *record, pointErr float64) (theta float64) {
+	theta = s.naiveTheta(*rec)
+	*s.hist.Push() = *rec
+	if s.scan.Len() == s.nScan {
+		s.scan.DropFront(1)
 	}
+	sc := s.scan.Push()
+	sc.ftf = float64(rec.tf)
+	sc.pointErr = pointErr
+	sc.theta = theta
+	if s.cfg.UseLocalRate {
+		s.pushLocalMinima(rec.seq, pointErr)
+	}
+	return theta
 }
 
 // naiveTheta computes equation (19) for a record with the current clock:
@@ -334,16 +352,18 @@ func (s *Sync) setRate(pNew float64, at uint64) {
 
 // slideTopWindow discards the oldest half of the history once the top
 // window is full, then re-derives r̂ and revalidates the rate pair
-// (Section 6.1, "Windowing"). With the ring buffer the slide is a head
-// advance — no copy, no reallocation — and r̂ over the retained history
-// is a deque eviction instead of a full re-scan.
+// (Section 6.1, "Windowing"). The slide is an offset advance — the
+// retained half moves down at the next push, no reallocation — and r̂
+// over the retained history is a deque eviction instead of a full
+// re-scan.
 func (s *Sync) slideTopWindow() {
 	if s.hist.Len() < s.nTop {
 		return
 	}
-	drop := s.nTop / 2
-	s.hist.DropFront(drop)
-	s.scan.DropFront(drop)
+	s.hist.DropFront(s.nTop / 2)
+	if excess := s.scan.Len() - s.hist.Len(); excess > 0 {
+		s.scan.DropFront(excess) // no scanRec outlives its record
+	}
 
 	// r̂ first: the minimum over the retained history, using only values
 	// beyond the last upward shift or server re-base point — a suffix
@@ -423,14 +443,15 @@ func (s *Sync) detectUpwardShift(res *Result) {
 		return
 	}
 	if rl-s.rHat > thresh {
-		start := s.hist.Len() - s.nShift
+		// The last nShift packets: the guard above puts all of them in
+		// the scan window as well as the history.
+		hs := s.hist.Slice(s.hist.Len()-s.nShift, s.hist.Len())
+		sc := s.scan.Slice(s.scan.Len()-s.nShift, s.scan.Len())
 		s.rHat = rl
-		s.lastShiftSeq = s.hist.At(start).seq
+		s.lastShiftSeq = hs[0].seq
 		s.rMin.EvictBefore(s.lastShiftSeq)
-		for i := start; i < s.hist.Len(); i++ {
-			h := s.hist.At(i)
-			h.pointErr = h.rtt - s.rHat
-			s.scan.At(i).pointErr = h.pointErr
+		for i := range sc {
+			sc[i].pointErr = hs[i].rtt - s.rHat
 		}
 		// The revision rewrote point errors the local-rate argmin
 		// trackers may have cached; reload them from live history.

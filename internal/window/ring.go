@@ -1,15 +1,17 @@
 // Package window provides the constant-time data structures behind the
-// engine's sliding-window maintenance: a power-of-two ring buffer for
-// packet history and a monotonic-deque minimum tracker.
+// engine's sliding-window maintenance: a contiguous tail window for
+// packet history, a power-of-two ring buffer, and a monotonic-deque
+// minimum tracker built on it.
 //
 // The synchronization algorithms of the paper are windowed throughout —
 // the top history window T, the level-shift window T_s, the offset
 // window τ′ — and a naive implementation re-scans or re-copies whole
 // windows on every packet. The structures here make every per-packet
-// operation amortized O(1): the ring buffer slides by advancing its
-// head (no copy, stable backing array once grown), and the minimum
-// tracker answers sliding-window minima by maintaining the classic
-// monotonic deque of candidate minima.
+// operation amortized O(1): the tail window drops by advancing an
+// offset and moves its live elements down only when its capped backing
+// array is full, the ring buffer slides by advancing its head, and the
+// minimum tracker answers sliding-window minima by maintaining the
+// classic monotonic deque of candidate minima.
 //
 //repro:deterministic
 package window
@@ -83,22 +85,11 @@ func (r *Ring[T]) Back() *T { return r.At(r.n - 1) }
 //
 //repro:hotpath
 func (r *Ring[T]) PushBack(v T) {
-	*r.PushSlot() = v
-}
-
-// PushSlot appends a new (stale-valued) element and returns a pointer
-// to it, letting callers construct large elements in place instead of
-// copying them through a call argument. The pointer obeys the same
-// validity rules as At.
-//
-//repro:hotpath
-func (r *Ring[T]) PushSlot() *T {
 	if r.n == len(r.buf) {
 		r.grow()
 	}
-	i := (r.head + r.n) & (len(r.buf) - 1)
+	r.buf[(r.head+r.n)&(len(r.buf)-1)] = v
 	r.n++
-	return &r.buf[i]
 }
 
 // PopFront removes and returns the oldest element.
@@ -132,14 +123,12 @@ func (r *Ring[T]) PopBack() T {
 }
 
 // DropFront discards the k oldest elements by advancing the head: O(1),
-// no copying, no reallocation — the window slide of the engine. The
-// dropped slots are NOT cleared (the engine drops half a top window,
-// megabytes of plain numbers, at a time): an element type holding
-// pointers would keep its referents reachable until later pushes
-// overwrite the slots, so such a ring should PopFront instead. The
-// engine's rings hold pointer-free elements, which a test in
-// internal/core pins. k larger than Len empties the ring; negative k
-// panics.
+// no copying, no reallocation. The dropped slots are NOT cleared: an
+// element type holding pointers would keep its referents reachable
+// until later pushes overwrite the slots, so such a ring should
+// PopFront instead. The engine's rings hold pointer-free elements,
+// which a test in internal/core pins. k larger than Len empties the
+// ring; negative k panics.
 //
 //repro:hotpath
 func (r *Ring[T]) DropFront(k int) {
@@ -184,7 +173,7 @@ func (r *Ring[T]) grow() {
 	if len(r.buf) > 0 {
 		newCap = 2 * len(r.buf)
 	}
-	//repro:alloc-ok amortized doubling: one allocation per capacity doubling, and the engine pre-sizes rings so steady state never grows
+	//repro:alloc-ok amortized doubling: one allocation per capacity doubling, so a ring grows only when its population reaches a new high; the engine's min-tracker deques are bounded by their windows and stop growing once those have filled
 	nb := make([]T, newCap)
 	a, b := r.slicesAll()
 	copy(nb, a)
