@@ -17,6 +17,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 	"time"
@@ -31,7 +32,7 @@ func main() {
 		list  = flag.Bool("list", false, "list experiment ids and exit")
 		quick = flag.Bool("quick", false, "shrink trace durations ~8x")
 		seed  = flag.Uint64("seed", 0, "override the deterministic seed (0 = default)")
-		out   = flag.String("out", "", "directory for TSV artifacts (optional)")
+		out   = flag.String("out", "", "directory for TSV artifacts and accuracy.json, the run's checks, lines and table digests (optional)")
 		plot  = flag.Bool("plot", false, "draw figure series as terminal charts")
 		days  = flag.Float64("days", 0, "longrun trace length in days (0 = default 21; streams at constant memory)")
 	)
@@ -51,6 +52,7 @@ func main() {
 	}
 
 	failed := 0
+	var reps []*experiments.Report
 	for _, id := range ids {
 		start := time.Now()
 		rep, err := experiments.Run(id, opts)
@@ -62,9 +64,26 @@ func main() {
 		if *plot {
 			printPlots(rep)
 		}
-		fmt.Printf("(%s in %.1fs)\n\n", id, time.Since(start).Seconds())
+		fmt.Printf("(%s in %.1fs", id, time.Since(start).Seconds())
+		if rep.PeakHeap > 0 {
+			fmt.Printf(", peak heap %.1f MB", float64(rep.PeakHeap)/(1<<20))
+		}
+		fmt.Print(")\n\n")
 		if !rep.Passed() {
 			failed++
+		}
+		if *out != "" {
+			reps = append(reps, rep)
+		}
+	}
+	if *out != "" {
+		err := os.MkdirAll(*out, 0o755)
+		if err == nil {
+			err = os.WriteFile(filepath.Join(*out, "accuracy.json"), experiments.AccuracyJSON(reps), 0o644)
+		}
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "accuracy record: %v\n", err)
+			os.Exit(1)
 		}
 	}
 	if failed > 0 {

@@ -26,11 +26,10 @@ import "math"
 //
 // The weighted offset estimate tolerates far larger weight errors than
 // this: a relative weight error η moves the weighted mean by at most
-// η·spread(θ) ≈ 1.4e-13 · (a few ms in any realistic window) — well
-// under the engine's 1e-12 equivalence budget against the math.Exp
-// reference (see TestGoldenEquivalence, which observes ~1e-16 in
-// practice because the per-weight errors largely cancel in the
-// weighted mean).
+// η·spread(θ) ≈ 1.4e-13 · (a few ms in any realistic window), under a
+// femtosecond; against math.Exp weights θ̂ moved by ~1e-16 s in
+// practice, the per-weight errors largely cancelling in the weighted
+// mean.
 //
 // The offset filter does not call this function: the call is most of
 // the loop's cost and the body exceeds the compiler's inlining budget.

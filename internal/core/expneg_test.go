@@ -10,9 +10,9 @@ import (
 // TestExpNegAccuracy sweeps the full domain the engine can produce
 // ((E^T/E)² up to the weight cutoff squared, plus far beyond) and
 // requires ~5e-13 relative agreement with math.Exp (the degree-3
-// reduction polynomial truncates at r⁴/24 ≈ 1.4e-13): comfortably
-// tighter than what the engine's 1e-12 equivalence budget needs from
-// individual weights.
+// reduction polynomial truncates at r⁴/24 ≈ 1.4e-13): a relative
+// weight error η moves θ̂ by at most η times the window's spread of θ,
+// under a femtosecond.
 func TestExpNegAccuracy(t *testing.T) {
 	checkRel := func(x float64) {
 		t.Helper()

@@ -11,7 +11,7 @@ import (
 // magnitude under any surviving weight whenever the filter is not in
 // its poor-quality fallback (min E^T ≤ E** means the best weight is at
 // least exp(−36)), so skipping these records moves θ̂ by far less than
-// the engine's 1e-12 equivalence budget. The effective cutoff is
+// a femtosecond. The effective cutoff is
 // max(weightCutoffBase, EStarStarFactor)·E so that the E** fallback
 // decision and the stored min E^T stay bit-identical to the full scan:
 // every record skipped for weight purposes still lies strictly above
@@ -174,8 +174,7 @@ type scanParams struct {
 }
 
 // aging is a record's aging term ε·age, in the scan's own operation
-// order: age = (Tf_now − Tf_i)·p first, then ε·age — the reference
-// engine's association.
+// order: age = (Tf_now − Tf_i)·p first, then ε·age.
 func (par *scanParams) aging(r *scanRec) float64 {
 	return par.eps * ((par.fnow - r.ftf) * par.p)
 }

@@ -74,8 +74,10 @@ func (s *Sync) updateRate(rec *record, res *Result) {
 	// — e.g. faulty server timestamps, which pass the RTT filter
 	// unscathed because server stamp errors cancel in host-measured
 	// RTTs — and the previous estimate is kept (Section 5.2's principle
-	// applied to p̂ as well as p̂_l).
-	if allowed := s.pQual + qual + s.cfg.RateSanity; math.Abs(pNew/s.p-1) > allowed {
+	// applied to p̂ as well as p̂_l). Until a pair is measured (i after j)
+	// there is no bound: p̂ is still PHatInit, which the bound would treat
+	// as exact.
+	if allowed := s.pQual + qual + s.cfg.RateSanity; s.pairI.seq > s.pairJ.seq && math.Abs(pNew/s.p-1) > allowed {
 		res.RateSanityTriggered = true
 		return
 	}

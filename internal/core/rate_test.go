@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/rng"
@@ -80,6 +81,52 @@ func TestWarmupRateEmptyHistory(t *testing.T) {
 	if s.havePair || res.RateUpdated {
 		t.Error("warmup with empty history fabricated a pair")
 	}
+}
+
+// TestRateFromDegenerateWarmup: the server's stamps stay frozen at the
+// first exchange's through warmup, so every warmup pair is degenerate
+// (pairEstimate refuses p = 0) and the first pair is searched for after
+// warmup. The sanity bound may not hold that pair to p̂ — still
+// PHatInit, which no measurement backs — or it refuses every estimate
+// for good; the engine must end where one with a normal warmup does.
+func TestRateFromDegenerateWarmup(t *testing.T) {
+	cfg := DefaultConfig(2e-9, 16)
+	ins := SynthTrace(400)
+	frozen := slices.Clone(ins)
+	for k := 1; k < cfg.WarmupSamples; k++ {
+		frozen[k].Tb, frozen[k].Te = ins[0].Tb, ins[0].Te
+	}
+	// run returns the last result and the rate updates after and during warmup.
+	run := func(ins []Input) (last Result, updates [2]int) {
+		s, err := NewSync(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, in := range ins {
+			if last, err = s.Process(in); err != nil {
+				t.Fatal(err)
+			}
+			updates[btoi(last.Warmup)] += btoi(last.RateUpdated)
+		}
+		return last, updates
+	}
+	want, _ := run(ins)
+	got, updates := run(frozen)
+	if rel := math.Abs(got.PHat/want.PHat - 1); updates[1] != 0 || updates[0] == 0 || rel > 1e-6 {
+		t.Errorf("frozen warmup: p̂ %v after %v rate updates, %.3g from the unfrozen run's %v", got.PHat, updates, rel, want.PHat)
+	}
+	// pairEstimate's other degenerate return: a packet paired with itself.
+	r := record{seq: 1, ta: 1000, tf: 2000, tb: 5, te: 5}
+	if _, _, ok := (&Sync{}).pairEstimate(&r, &r); ok {
+		t.Error("pairEstimate paired a packet with itself")
+	}
+}
+
+func btoi(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // TestSlidePairReplacement drives the engine far past the top window

@@ -15,8 +15,8 @@ import (
 
 // checkReadoutIsResult asserts that the readout a Process call
 // published is the account that call returned — Result is what
-// TestGoldenEquivalence holds to the reference engine, so the read side
-// needs no second copy to be held against — and that the absolute clock
+// TestEngineGoldenDigests pins packet by packet, so the read side needs
+// no second copy to be held against — and that the absolute clock
 // is the closed form Ca(T) = T·P + K − θ̂(T) at every horizon given.
 func checkReadoutIsResult(t *testing.T, i int, r *Readout, res Result, in Input, cfg Config, horizons ...uint64) {
 	t.Helper()

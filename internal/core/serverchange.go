@@ -56,8 +56,8 @@ func (s *Sync) ObserveIdentity(id Identity) bool {
 	// and every consumer reads the deque through a suffix query that
 	// respects it (r̂ at slides) or deliberately ignores it (the
 	// level-shift window r̂_l, which keeps spanning pre-rebase packets
-	// for the next T_s packets, exactly like the reference's plain
-	// window scan — see TestGoldenIdentityRebaseCongestion).
+	// for the next T_s packets, as a plain scan of that window would —
+	// TestEngineGoldenDigests/identity-rebase-congestion pins it).
 	last := s.hist.Back()
 	s.rHat = last.rtt
 	s.lastShiftSeq = last.seq

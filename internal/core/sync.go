@@ -75,10 +75,9 @@ type record struct {
 // shift revision rewrites pointErr over T_s, the local-rate trackers
 // read pointErr over τ̄, and nothing reads them further back. Packed in
 // 24 bytes, the weighted scan of updateOffset streams through them
-// without striding across history records. The ftf field is float64(tf);
-// the one extra rounding against the reference's float64(now−tf)
-// perturbs E^T by ~1e-19 s, invisible at the engine's 1e-12 equivalence
-// budget.
+// without striding across history records. The ftf field is float64(tf),
+// so a record's age is one float subtraction, fnow − ftf, which rounds
+// once more than float64(now−tf) would: ~1e-19 s on E^T.
 type scanRec struct {
 	ftf float64
 	// pointErr is E_i relative to the r̂ in force at arrival, revised

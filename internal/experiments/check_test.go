@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"math"
-	"regexp"
 	"strings"
 	"testing"
 )
@@ -60,45 +59,6 @@ func TestCheckRelations(t *testing.T) {
 		c := Check{Rel: AtMost, Hi: tc.bound, Value: tc.bound, Unit: tc.unit}
 		if c.Want() != tc.text || !strings.HasSuffix(tc.text, c.Got()) || !c.Pass() {
 			t.Errorf("unit %d: Want() = %q (want %q), Got() = %q, Pass() = %v", tc.unit, c.Want(), tc.text, c.Got(), c.Pass())
-		}
-	}
-}
-
-// peakHeap is the one figure of the sweep that is a property of the
-// process, not of the experiment: longrun's sampled heap watermark.
-var peakHeap = regexp.MustCompile(`peak heap [0-9.]+ MB`)
-
-// TestQuickSweepIsDeterministic runs every experiment twice in one
-// process: the same checks in the same order with bit-equal values and
-// bounds, and the same report lines.
-func TestQuickSweepIsDeterministic(t *testing.T) {
-	if testing.Short() {
-		t.Skip("two quick sweeps")
-	}
-	for _, id := range IDs() {
-		a, err := Run(id, Options{Quick: true})
-		if err != nil {
-			t.Fatalf("%s: %v", id, err)
-		}
-		b, err := Run(id, Options{Quick: true})
-		if err != nil {
-			t.Fatalf("%s: %v", id, err)
-		}
-		if len(a.Checks) != len(b.Checks) {
-			t.Fatalf("%s: %d checks, then %d", id, len(a.Checks), len(b.Checks))
-		}
-		for i, ca := range a.Checks {
-			cb := b.Checks[i]
-			bits := math.Float64bits
-			if ca.Name != cb.Name || ca.Rel != cb.Rel || ca.Unit != cb.Unit ||
-				bits(ca.Value) != bits(cb.Value) || bits(ca.Lo) != bits(cb.Lo) || bits(ca.Hi) != bits(cb.Hi) {
-				t.Errorf("%s check %d differs between runs:\n  %+v\n  %+v", id, i, ca, cb)
-			}
-		}
-		la := peakHeap.ReplaceAllString(strings.Join(a.Lines, "\n"), "")
-		lb := peakHeap.ReplaceAllString(strings.Join(b.Lines, "\n"), "")
-		if la != lb {
-			t.Errorf("%s report lines differ between runs:\n%s\n---\n%s", id, la, lb)
 		}
 	}
 }

@@ -76,8 +76,8 @@ type Report struct {
 	Tables map[string]*trace.Table
 
 	// PeakHeap is the peak live-heap watermark (bytes) sampled while
-	// the experiment ran. Only streaming experiments that sample it set
-	// it (longrun); the constant-memory regression gates read it.
+	// the experiment ran: a property of the process, so not a report
+	// line. Only longrun samples it; the constant-memory gates read it.
 	PeakHeap uint64
 }
 

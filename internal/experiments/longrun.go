@@ -209,9 +209,8 @@ func runLongRun(opts Options) (*Report, error) {
 		dur/timebase.Day, count, len(winMedians), timebase.FormatDuration(longRunWindow))
 	r.addLine("%s", fiveNumFmt("error", fn))
 	medLo, medHi := stats.MinMax(winMedians)
-	r.addLine("windowed medians in [%s, %s]; peak heap %.1f MB; oscillator cache %d steps",
-		timebase.FormatDuration(medLo), timebase.FormatDuration(medHi),
-		float64(peakHeap)/(1<<20), st.Osc().RandomWalkCacheLen())
+	r.addLine("windowed medians in [%s, %s]; oscillator cache %d steps",
+		timebase.FormatDuration(medLo), timebase.FormatDuration(medHi), st.Osc().RandomWalkCacheLen())
 	r.addLine("single-packet excursions beyond %s: %d of %d (worst %s; clipped from the Allan fold)",
 		timebase.FormatDuration(longRunClip), excursions, count,
 		timebase.FormatDuration(worstExcursion))

@@ -233,9 +233,6 @@ func NewServer(cfg ServerConfig, src *rng.Source) (*Server, error) {
 	return &Server{cfg: cfg, src: src}, nil
 }
 
-// Config returns the server's configuration.
-func (s *Server) Config() ServerConfig { return s.cfg }
-
 // Turnaround draws the server delay d^(i) = te - tb for one request.
 func (s *Server) Turnaround() float64 {
 	d := s.cfg.MinProc + s.src.Exponential(s.cfg.ProcMean)

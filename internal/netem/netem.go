@@ -168,9 +168,6 @@ func NewPath(cfg PathConfig, src *rng.Source) (*Path, error) {
 	return p, nil
 }
 
-// Config returns the path's configuration.
-func (p *Path) Config() PathConfig { return p.cfg }
-
 // utilization returns the load factor at t: the diurnal cycle scaled by
 // the regime factor in force. The regime process is advanced by
 // advance(); episode catch-up queries during a regime boundary crossing

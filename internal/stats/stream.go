@@ -101,9 +101,6 @@ func NewP2Quantile(p float64) *P2Quantile {
 	return &P2Quantile{p: p}
 }
 
-// P returns the target quantile.
-func (s *P2Quantile) P() float64 { return s.p }
-
 // N returns the number of observations folded.
 func (s *P2Quantile) N() int { return s.n }
 

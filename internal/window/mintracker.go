@@ -128,12 +128,6 @@ func (m *MinTracker) MinSeq() (seq int, ok bool) {
 	return m.dq.Front().seq, true
 }
 
-// Len returns the number of deque entries (candidate minima), not the
-// number of live samples.
-//
-//repro:hotpath
-func (m *MinTracker) Len() int { return m.dq.Len() }
-
 // Reset discards all state.
 func (m *MinTracker) Reset() {
 	m.dq.DropFront(m.dq.Len())
