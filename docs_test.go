@@ -14,6 +14,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/ensemble"
 	"repro/internal/ntp"
 )
@@ -162,6 +163,7 @@ func TestKnobsDocumented(t *testing.T) {
 		"EnsembleOptions":  EnsembleOptions{},
 		"MultiLiveOptions": MultiLiveOptions{},
 		"ensemble.Config":  ensemble.Config{},
+		"core.Config":      core.Config{},
 		"ntp.ServerConfig": ntp.ServerConfig{},
 	} {
 		typ := reflect.TypeOf(v)

@@ -14,8 +14,8 @@ func TestAccessors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := s.Config(); got.PollPeriod != 16 || got.Delta != cfg.Delta {
-		t.Errorf("Config() = %+v", got)
+	if s.cfg != cfg {
+		t.Errorf("engine config = %+v", s.cfg)
 	}
 	r := s.Readout()
 	if r.Count != 0 {

@@ -31,8 +31,19 @@ import (
 	"repro/internal/timebase"
 )
 
-// Config carries every parameter of the synchronization algorithms. The
-// zero value is not usable; start from DefaultConfig.
+// TauStar is τ*, the SKM scale in seconds: the largest time scale over
+// which the simple skew model holds. Paper value: 1000 s. The windows
+// of DefaultConfig are multiples of it, and so are the sensitivity
+// sweeps' (internal/experiments).
+const TauStar = 1000.0
+
+// Config carries the parameters of the synchronization algorithms that
+// some caller sets to a value of its own: the clock and polling inputs,
+// and what the paper's sensitivity studies vary (δ, E*, E, τ′, the
+// windows, ε, the shift threshold). The zero value is not usable; start
+// from DefaultConfig. The method's fixed values — τ*, W, γ*, the rate
+// sanity bound, E**/E, E_s, the hardware rate bound and the warmup
+// inflation of E — are constants beside the code that reads them.
 type Config struct {
 	// PHatInit is the a-priori counter period (seconds per cycle), e.g.
 	// the nominal value from the CPU specification. Its error (typically
@@ -48,10 +59,6 @@ type Config struct {
 	// all quality thresholds are calibrated. Paper value: 15 µs.
 	Delta float64
 
-	// TauStar is τ*, the SKM scale: the largest time scale over which
-	// the simple skew model holds. Paper value: 1000 s.
-	TauStar float64
-
 	// EStarFactor sets E* = EStarFactor·δ, the point-error acceptance
 	// threshold for global rate pairs. Paper explores 20 and 5.
 	EStarFactor float64
@@ -62,16 +69,6 @@ type Config struct {
 	// LocalRateWindow is τ̄, the effective width of the local rate
 	// estimation window. Paper value: 5τ*.
 	LocalRateWindow float64
-	// LocalRateW is W, the near/far sub-window divisor: near width
-	// τ̄/W, far width 2τ̄/W. Paper value: 30.
-	LocalRateW int
-	// LocalRateQuality is γ*, the target quality bound for accepting a
-	// local rate candidate. Paper value: 0.05 PPM.
-	LocalRateQuality float64
-	// RateSanity bounds the relative change between successive local
-	// rate estimates. Paper value: 3e-7 (a multiple of the 0.1 PPM
-	// hardware bound).
-	RateSanity float64
 
 	// OffsetWindow is τ′, the SKM-related window of past packets used in
 	// the weighted offset estimate. Paper default: τ* (sensitivity
@@ -83,23 +80,6 @@ type Config struct {
 	// AgingRate is ε, the residual-rate error used to age point errors:
 	// E_i^T = E_i + ε·age. Paper value: 0.02 PPM.
 	AgingRate float64
-	// EStarStarFactor sets E** = EStarStarFactor·E, the total-error
-	// level beyond which the weighted estimate is abandoned for the
-	// last-good fallback. Paper value: 6.
-	EStarStarFactor float64
-	// OffsetSanity is E_s, the threshold on successive offset estimate
-	// increments beyond which the previous value is duplicated. It must
-	// be set far above any physical increment. Paper value: 1 ms.
-	//
-	// The effective threshold between an estimate made at counter time
-	// T1 and a candidate at T2 is E_s + HardwareRateBound·(T2−T1): over
-	// long gaps (Figure 11a recovers from 3.8 days of no data) the clock
-	// can legitimately have drifted by far more than E_s, and a fixed
-	// threshold would cause exactly the lock-out the paper warns about.
-	OffsetSanity float64
-	// HardwareRateBound is the global clock stability bound used to age
-	// the sanity threshold. Paper hardware characterization: 0.1 PPM.
-	HardwareRateBound float64
 
 	// TopWindow is T, the top-level sliding history window, updated in
 	// half-window steps. Paper value: 1 week.
@@ -109,8 +89,6 @@ type Config struct {
 	// errors are not yet trusted: the rate estimator runs its growing
 	// near/far scheme and the offset quality width is inflated.
 	WarmupSamples int
-	// WarmupEInflation multiplies E during warmup.
-	WarmupEInflation float64
 
 	// ShiftWindow is T_s, the width of the local minimum window used for
 	// upward level-shift detection. Paper value: τ̄/2.
@@ -123,28 +101,19 @@ type Config struct {
 // DefaultConfig returns the paper's parameter set for a given counter
 // period estimate and polling period.
 func DefaultConfig(pHatInit, poll float64) Config {
-	tauStar := 1000.0
-	tauBar := 5 * tauStar
+	tauBar := 5 * TauStar
 	return Config{
 		PHatInit:             pHatInit,
 		PollPeriod:           poll,
 		Delta:                15 * timebase.Microsecond,
-		TauStar:              tauStar,
 		EStarFactor:          20,
 		UseLocalRate:         false,
 		LocalRateWindow:      tauBar,
-		LocalRateW:           30,
-		LocalRateQuality:     timebase.FromPPM(0.05),
-		RateSanity:           3e-7,
-		OffsetWindow:         tauStar,
+		OffsetWindow:         TauStar,
 		EFactor:              4,
 		AgingRate:            timebase.FromPPM(0.02),
-		EStarStarFactor:      6,
-		OffsetSanity:         timebase.Millisecond,
-		HardwareRateBound:    timebase.FromPPM(0.1),
 		TopWindow:            timebase.Week,
 		WarmupSamples:        32,
-		WarmupEInflation:     3,
 		ShiftWindow:          tauBar / 2,
 		ShiftThresholdFactor: 4,
 	}
@@ -165,12 +134,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: PollPeriod must be positive")
 	case !(c.Delta > 0):
 		return fmt.Errorf("core: Delta must be positive")
-	case !(c.TauStar > 0):
-		return fmt.Errorf("core: TauStar must be positive")
 	case !(c.EStarFactor > 0):
 		return fmt.Errorf("core: EStarFactor must be positive")
-	case c.UseLocalRate && c.LocalRateW < 3:
-		return fmt.Errorf("core: LocalRateW must be >= 3")
 	case c.UseLocalRate && !(c.LocalRateWindow > 0):
 		return fmt.Errorf("core: LocalRateWindow must be positive")
 	case !(c.OffsetWindow > 0):
@@ -179,23 +144,10 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: EFactor must be positive")
 	case c.AgingRate < 0:
 		return fmt.Errorf("core: AgingRate must be non-negative")
-	case !(c.EStarStarFactor > 1):
-		return fmt.Errorf("core: EStarStarFactor must exceed 1")
-	case !(c.EStarStarFactor < 26):
-		// Beyond 26 the fallback would be gated on Gaussian weights
-		// below exp(−26²) ≈ 2.5e-294 — numerically meaningless, and
-		// outside the offset scan's exactness envelope (offset.go).
-		return fmt.Errorf("core: EStarStarFactor must be below 26")
-	case !(c.OffsetSanity > 0):
-		return fmt.Errorf("core: OffsetSanity must be positive")
-	case c.HardwareRateBound < 0:
-		return fmt.Errorf("core: HardwareRateBound must be non-negative")
 	case !(c.TopWindow > 0):
 		return fmt.Errorf("core: TopWindow must be positive")
 	case c.WarmupSamples < 2:
 		return fmt.Errorf("core: WarmupSamples must be >= 2")
-	case !(c.WarmupEInflation >= 1):
-		return fmt.Errorf("core: WarmupEInflation must be >= 1")
 	case !(c.ShiftWindow > 0):
 		return fmt.Errorf("core: ShiftWindow must be positive")
 	case !(c.ShiftThresholdFactor > 0):

@@ -3,6 +3,8 @@ package core
 import (
 	"math"
 	"sort"
+
+	"repro/internal/timebase"
 )
 
 // weightCutoffBase is the quality-width multiple beyond which a
@@ -12,11 +14,46 @@ import (
 // its poor-quality fallback (min E^T ≤ E** means the best weight is at
 // least exp(−36)), so skipping these records moves θ̂ by far less than
 // a femtosecond. The effective cutoff is
-// max(weightCutoffBase, EStarStarFactor)·E so that the E** fallback
+// max(weightCutoffBase, eStarStarFactor)·E so that the E** fallback
 // decision and the stored min E^T stay bit-identical to the full scan:
 // every record skipped for weight purposes still lies strictly above
 // the fallback threshold.
 const weightCutoffBase = 9
+
+const (
+	// eStarStarFactor sets E** = eStarStarFactor·E, the total-error
+	// level beyond which the weighted estimate is abandoned for the
+	// last-good fallback. Paper value: 6.
+	eStarStarFactor = 6
+
+	// OffsetSanity is E_s, the threshold on successive offset estimate
+	// increments beyond which the previous value is duplicated. It must
+	// be far above any physical increment. Paper value: 1 ms.
+	//
+	// The effective threshold between an estimate made at counter time
+	// T1 and a candidate at T2 is E_s + hardwareRateBound·(T2−T1): over
+	// long gaps (Figure 11a recovers from 3.8 days of no data) the clock
+	// can legitimately have drifted by far more than E_s, and a fixed
+	// threshold would cause exactly the lock-out the paper warns about.
+	OffsetSanity = timebase.Millisecond
+
+	// hardwareRateBound is the global clock stability bound used to age
+	// the sanity threshold. Paper hardware characterization: 0.1 PPM.
+	hardwareRateBound = 0.1e-6
+
+	// warmupEInflation multiplies E during warmup, while point errors
+	// are not yet trusted.
+	warmupEInflation = 3
+)
+
+// The offset scan's exactness envelope: the cutoff max(9, E**/E)·E stays
+// under 26·E, so (E^T/E)² < 676 inside the scan's exponential reduction
+// range; beyond it the fallback would be gated on weights below
+// exp(−26²) ≈ 2.5e-294. These fail to compile unless 1 < E**/E < 26.
+const (
+	_ uint = 25 - eStarStarFactor
+	_ uint = eStarStarFactor - 2
+)
 
 // updateOffset runs the four-stage offset algorithm of Section 5.3 at the
 // arrival of the current packet, with the warmup and lost-packet
@@ -44,17 +81,13 @@ const weightCutoffBase = 9
 func (s *Sync) updateOffset(now uint64, pointErr, theta float64, res *Result) {
 	e := s.cfg.E()
 	if s.count <= s.nWarm {
-		e *= s.cfg.WarmupEInflation
+		e *= warmupEInflation
 	}
-	eStarStar := s.cfg.EStarStarFactor * e
+	eStarStar := eStarStarFactor * e
 	cutoff := weightCutoffBase * e
 	if eStarStar > cutoff {
 		cutoff = eStarStar
 	}
-	// Validate bounds EStarStarFactor below 26, so cutoff < 26·E and
-	// the scan's exponential argument stays inside its reduction range
-	// ((E^T/E)² < 676); the scan also carries its own argument clamp
-	// for defense in depth.
 
 	// The τ′ window: the newest min(nOff, history) packets, all of them
 	// in the scan window (nScan ≥ nOff).
@@ -149,11 +182,11 @@ func (s *Sync) updateOffset(now uint64, pointErr, theta float64, res *Result) {
 	// fresh data after a period of rejection, preventing permanent
 	// lock-out. During warmup the check is off entirely — the paper's
 	// warmup trusts nothing and locks nothing.
-	rateUnc := s.cfg.HardwareRateBound
+	rateUnc := hardwareRateBound
 	if s.havePair && s.pQual > rateUnc {
 		rateUnc = s.pQual
 	}
-	limit := s.cfg.OffsetSanity + rateUnc*spanSeconds(s.thetaTf, now, s.p)
+	limit := OffsetSanity + rateUnc*spanSeconds(s.thetaTf, now, s.p)
 	if s.haveTh && s.count > s.nWarm && math.Abs(cand-s.theta) > limit {
 		res.OffsetSanityTriggered = true
 		cand = s.theta // duplicate the most recent trusted value
@@ -224,7 +257,7 @@ func offsetScan(win []scanRec, par *scanParams) (minET, sumW, sumWTheta float64)
 // record is most of the loop's cost — with the domain guard reduced to
 // one clamp: (E^T/E)² is non-negative by construction and below 676
 // whenever the cutoff test passes and point errors are non-negative
-// (Validate bounds EStarStarFactor under 26); the clamp makes an
+// (eStarStarFactor is under 26); the clamp makes an
 // invariant breach yield weight ≈ 0 instead of a wrapped table index.
 // TestScanWeightIsExpNeg holds the copy to expNeg with ==.
 //

@@ -51,8 +51,8 @@ func checkKernelMatchesLoop(t testing.TB, win []scanRec, par *scanParams) {
 // randomScan draws one scan the engine could be asked for: a window of
 // n records with ages from 0 to twice the age horizon, point errors
 // that are zero, denormal, exactly at the cutoff, far beyond it or
-// spread under it, and the cutoff at 9·E or at 25.9·E — EStarStarFactor
-// just under its bound, where k>>8 reaches 975 and the kernel's
+// spread under it, and the cutoff at 9·E or at 25.9·E — E**/E just
+// under the 26 its compile-time guard allows, where k>>8 reaches 975 and the kernel's
 // exponent construction is exercised to its end — or, for the clamp's
 // sake, at 40·E.
 func randomScan(src *rng.Source, n int) ([]scanRec, scanParams) {

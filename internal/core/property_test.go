@@ -87,7 +87,7 @@ func TestPropertyEngineTotal(t *testing.T) {
 				// the previous trusted estimate by at most E_s plus the
 				// rate uncertainty integrated since that estimate.
 				age := float64(in.Tf-lastChangeTf) * res.PHat
-				bound := 1.01 * (cfg.OffsetSanity + (maxQualSince+cfg.HardwareRateBound)*age)
+				bound := 1.01 * (OffsetSanity + (maxQualSince+hardwareRateBound)*age)
 				if d := math.Abs(res.ThetaHat - prevTheta); d > bound {
 					t.Logf("offset jumped %v > bound %v (age %v)", d, bound, age)
 					return false

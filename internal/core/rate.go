@@ -2,6 +2,18 @@ package core
 
 import "math"
 
+const (
+	// localRateQuality is γ*, the target quality bound for accepting a
+	// local rate candidate. Paper value: 0.05 PPM.
+	localRateQuality = 0.05e-6
+
+	// rateSanity bounds the relative change between successive rate
+	// estimates: outright for p̂_l, on top of the two estimates' quality
+	// bounds for p̂. Paper value: 3e-7, a multiple of the 0.1 PPM
+	// hardware bound.
+	rateSanity = 3e-7
+)
+
 // pairEstimate computes the paired rate estimate of equation (17),
 // averaged over the forward and backward directions, together with its
 // quality bound (E_i+E_j)/Δ(t). ok is false when the pair is degenerate.
@@ -77,7 +89,7 @@ func (s *Sync) updateRate(rec *record, res *Result) {
 	// applied to p̂ as well as p̂_l). Until a pair is measured (i after j)
 	// there is no bound: p̂ is still PHatInit, which the bound would treat
 	// as exact.
-	if allowed := s.pQual + qual + s.cfg.RateSanity; s.pairI.seq > s.pairJ.seq && math.Abs(pNew/s.p-1) > allowed {
+	if allowed := s.pQual + qual + rateSanity; s.pairI.seq > s.pairJ.seq && math.Abs(pNew/s.p-1) > allowed {
 		res.RateSanityTriggered = true
 		return
 	}
@@ -248,11 +260,11 @@ func (s *Sync) updateLocalRate(res *Result) {
 		prev = s.p
 	}
 	switch {
-	case qual > s.cfg.LocalRateQuality:
+	case qual > localRateQuality:
 		// Conservative: quality insufficient, duplicate the previous
 		// value (p̂_l(t_k) = p̂_l(t_{k-1})).
 		s.pl = prev
-	case math.Abs(pCand/prev-1) > s.cfg.RateSanity:
+	case math.Abs(pCand/prev-1) > rateSanity:
 		// Sanity check: the hardware cannot change rate this fast, no
 		// matter what the data says (e.g. faulty server timestamps).
 		s.pl = prev

@@ -166,6 +166,10 @@ type Sync struct {
 	pub pubState
 }
 
+// localRateW is W, the local rate's near/far sub-window divisor: near
+// width τ̄/W, far width 2τ̄/W. Paper value: 30.
+const localRateW = 30
+
 // NewSync constructs an engine from a validated config.
 func NewSync(cfg Config) (*Sync, error) {
 	if err := cfg.Validate(); err != nil {
@@ -182,8 +186,8 @@ func NewSync(cfg Config) (*Sync, error) {
 	}
 	if cfg.UseLocalRate {
 		s.nLocalWin = cfg.packets(cfg.LocalRateWindow)
-		s.nLocalNear = maxInt(1, s.nLocalWin/cfg.LocalRateW)
-		s.nLocalFar = maxInt(1, 2*s.nLocalWin/cfg.LocalRateW)
+		s.nLocalNear = maxInt(1, s.nLocalWin/localRateW)
+		s.nLocalFar = maxInt(1, 2*s.nLocalWin/localRateW)
 		s.nearMin.KeepOldestTies = true
 		s.farMin.KeepOldestTies = true
 	}
@@ -196,9 +200,6 @@ func NewSync(cfg Config) (*Sync, error) {
 	s.publish()
 	return s, nil
 }
-
-// Config returns the engine's configuration.
-func (s *Sync) Config() Config { return s.cfg }
 
 // clockRead evaluates the uncorrected clock at counter value T.
 func (s *Sync) clockRead(T uint64) float64 { return float64(T)*s.p + s.c }

@@ -70,12 +70,9 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.PollPeriod = -1 },
 		func(c *Config) { c.Delta = 0 },
 		func(c *Config) { c.EStarFactor = 0 },
-		func(c *Config) { c.OffsetSanity = 0 },
-		func(c *Config) { c.EStarStarFactor = 1 },
-		func(c *Config) { c.EStarStarFactor = 26 },
 		func(c *Config) { c.WarmupSamples = 1 },
 		func(c *Config) { c.TopWindow = c.OffsetWindow },
-		func(c *Config) { c.UseLocalRate = true; c.LocalRateW = 2 },
+		func(c *Config) { c.UseLocalRate = true; c.LocalRateWindow = 0 },
 	}
 	for i, mutate := range cases {
 		c := defaultCfg()
@@ -427,7 +424,7 @@ func TestOffsetIncrementsBounded(t *testing.T) {
 		d := math.Abs(results[k].ThetaHat - results[k-1].ThetaHat)
 		// The aged threshold can exceed E_s after long rejection spells
 		// (the longest fault here is one hour: +0.36 ms of aging).
-		if d > 2*cfg.OffsetSanity {
+		if d > 2*OffsetSanity {
 			t.Fatalf("offset increment %v exceeds aged sanity bound at packet %d", d, k)
 		}
 	}

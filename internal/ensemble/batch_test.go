@@ -78,7 +78,7 @@ func TestProcessBatchEngineEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	for k := 0; k < servers; k++ {
-		if a, b := *seq.Engine(k).Readout(), *bat.Engine(k).Readout(); a != b {
+		if a, b := *seq.engines[k].Readout(), *bat.engines[k].Readout(); a != b {
 			t.Errorf("engine %d readout diverged under round batching:\n  sequential %+v\n  batched    %+v", k, a, b)
 		}
 	}
@@ -123,7 +123,7 @@ func TestProcessBatchError(t *testing.T) {
 		t.Fatal(err)
 	}
 	for k := 0; k < servers; k++ {
-		if a, b := *e.Engine(k).Readout(), *ref.Engine(k).Readout(); a != b {
+		if a, b := *e.engines[k].Readout(), *ref.engines[k].Readout(); a != b {
 			t.Errorf("engine %d after failed batch: %+v, want prefix-only %+v", k, a, b)
 		}
 	}

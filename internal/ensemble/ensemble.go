@@ -253,7 +253,7 @@ func (m *member) observe(ec *core.Config, res *core.Result) {
 		m.penalty += ec.E()
 	}
 	if res.OffsetSanityTriggered || res.RateSanityTriggered {
-		m.penalty += ec.OffsetSanity
+		m.penalty += core.OffsetSanity
 	}
 	if res.UpwardShiftDetected {
 		m.penalty += ec.ShiftThresholdFactor * ec.E()
@@ -384,9 +384,6 @@ func New(cfg Config) (*Ensemble, error) {
 // Size returns the number of servers (engines).
 func (e *Ensemble) Size() int { return len(e.engines) }
 
-// Engine returns server k's engine, for per-server inspection.
-func (e *Ensemble) Engine(k int) *core.Sync { return e.engines[k] }
-
 // Process feeds one completed exchange with server k — without identity
 // data, as simulated feeds and replayed stamp traces have none; see
 // ProcessFrom.
@@ -482,7 +479,7 @@ func (e *Ensemble) apply(server int, in core.Input, id core.Identity, res *core.
 	m := &e.members[server]
 	m.observe(&e.cfg.Engines[server], res)
 	if changed {
-		m.penalty += e.cfg.Engines[server].OffsetSanity
+		m.penalty += core.OffsetSanity
 	}
 	return changed, nil
 }

@@ -198,7 +198,7 @@ func TestFaultyServerOutvoted(t *testing.T) {
 	T := uint64((last + 1) / synthP)
 	truth := last + 1
 	combined := e.Readout().AbsoluteTime(T) - truth
-	faulty := e.Engine(2).Readout().AbsoluteTime(T) - truth
+	faulty := e.engines[2].Readout().AbsoluteTime(T) - truth
 	if math.Abs(faulty) < fault/2 {
 		t.Fatalf("faulty engine error %v; expected ≈ %v — harness lost its teeth", faulty, fault)
 	}

@@ -98,7 +98,7 @@ func checkReadout(t *testing.T, e *Ensemble, T uint64) {
 	voters, synced := r.voters, false
 	for k := range r.Servers {
 		sr := &r.Servers[k]
-		if sr.Clock != e.Engine(k).Readout() {
+		if sr.Clock != e.engines[k].Readout() {
 			t.Fatalf("server %d: readout does not carry the engine's current snapshot", k)
 		}
 		vals[k] = sr.Clock.AbsoluteTime(T) - sr.AsymCorrection

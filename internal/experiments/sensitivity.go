@@ -51,10 +51,10 @@ func runFig9a(opts Options) (*Report, error) {
 		var medians []float64
 		for _, ratio := range ratios {
 			cfg := defaultCfg(16)
-			cfg.OffsetWindow = ratio * cfg.TauStar
+			cfg.OffsetWindow = ratio * core.TauStar
 			cfg.UseLocalRate = useLocal
 			if useLocal {
-				cfg.LocalRateWindow = 20 * cfg.TauStar // τ̄ = 20τ* per the figure caption
+				cfg.LocalRateWindow = 20 * core.TauStar // τ̄ = 20τ* per the figure caption
 				cfg.TopWindow = math.Max(cfg.TopWindow, 2*cfg.LocalRateWindow)
 				cfg.ShiftWindow = cfg.LocalRateWindow / 2
 			}
@@ -98,7 +98,7 @@ func runFig9b(opts Options) (*Report, error) {
 	var medians, iqrs []float64
 	for _, f := range factors {
 		cfg := defaultCfg(16)
-		cfg.OffsetWindow = cfg.TauStar / 2
+		cfg.OffsetWindow = core.TauStar / 2
 		cfg.EFactor = f
 		fn, err := sweepFiveNum(sc, cfg, timebase.Hour)
 		if err != nil {

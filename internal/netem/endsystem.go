@@ -242,9 +242,6 @@ func (s *Server) Turnaround() float64 {
 	return d
 }
 
-// MinTurnaround returns the deterministic minimum server delay d^.
-func (s *Server) MinTurnaround() float64 { return s.cfg.MinProc }
-
 // ClockOffset returns the server clock's error at true time t, including
 // residual GPS-discipline wander and any active fault window.
 func (s *Server) ClockOffset(t float64) float64 {

@@ -87,7 +87,7 @@ func TestEpisodeLeakThrough(t *testing.T) {
 	light, inEp := 0, 0
 	for i := 0; i < 20000; i++ {
 		d := p.Delay(float64(i) * 16)
-		if !p.InEpisode() {
+		if !p.inEpisode {
 			continue
 		}
 		inEp++

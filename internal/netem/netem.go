@@ -24,7 +24,6 @@ package netem
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/rng"
 	"repro/internal/timebase"
@@ -235,10 +234,6 @@ func (p *Path) advance(t float64) {
 	}
 }
 
-// InEpisode reports whether a congestion episode is active at the last
-// queried time; exposed for tests and diagnostics.
-func (p *Path) InEpisode() bool { return p.inEpisode }
-
 // Delay draws the total one-way delay experienced by a packet entering
 // the path at time t: current minimum plus queueing.
 func (p *Path) Delay(t float64) float64 {
@@ -257,19 +252,4 @@ func (p *Path) Delay(t float64) float64 {
 		}
 	}
 	return p.MinAt(t) + q
-}
-
-// SortedShiftTimes returns the times at which the effective minimum of
-// the path changes, in increasing order (useful to experiments that must
-// locate detection latencies).
-func (p *Path) SortedShiftTimes() []float64 {
-	var ts []float64
-	for _, s := range p.cfg.Shifts {
-		ts = append(ts, s.At)
-		if s.Duration > 0 {
-			ts = append(ts, s.At+s.Duration)
-		}
-	}
-	sort.Float64s(ts)
-	return ts
 }

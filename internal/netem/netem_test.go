@@ -100,7 +100,7 @@ func TestEpisodesOccurAndRaiseDelay(t *testing.T) {
 	var inEp, outEp []float64
 	for i := 0; i < int(2*timebase.Day/16); i++ {
 		d := p.Delay(float64(i) * 16)
-		if p.InEpisode() {
+		if p.inEpisode {
 			inEp = append(inEp, d)
 		} else {
 			outEp = append(outEp, d)
@@ -173,9 +173,6 @@ func TestLevelShifts(t *testing.T) {
 			t.Errorf("MinAt(%v) = %v, want %v", c.t, got, c.want)
 		}
 	}
-	if got := p.SortedShiftTimes(); len(got) != 3 || got[0] != 1000 || got[1] != 1500 || got[2] != 3000 {
-		t.Errorf("SortedShiftTimes = %v", got)
-	}
 }
 
 func TestMinAtNeverNegative(t *testing.T) {
@@ -240,15 +237,15 @@ func TestServerTurnaround(t *testing.T) {
 	minSeen := math.Inf(1)
 	for i := 0; i < 100000; i++ {
 		d := s.Turnaround()
-		if d < s.MinTurnaround() {
-			t.Fatalf("turnaround %v below minimum %v", d, s.MinTurnaround())
+		if d < s.cfg.MinProc {
+			t.Fatalf("turnaround %v below minimum %v", d, s.cfg.MinProc)
 		}
 		if d < minSeen {
 			minSeen = d
 		}
 	}
-	if minSeen > s.MinTurnaround()+2*timebase.Microsecond {
-		t.Errorf("observed min turnaround %v far above configured %v", minSeen, s.MinTurnaround())
+	if minSeen > s.cfg.MinProc+2*timebase.Microsecond {
+		t.Errorf("observed min turnaround %v far above configured %v", minSeen, s.cfg.MinProc)
 	}
 }
 

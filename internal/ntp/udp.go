@@ -328,14 +328,13 @@ type SampleClock func() ClockSample
 // ServerConfig configures the bundled NTP server.
 type ServerConfig struct {
 	// Sample supplies stamping and per-request health. When nil, a
-	// static SampleClock is assembled from the legacy fields below.
+	// static SampleClock is assembled from Clock and RefID, advertising
+	// staticStratum and staticPrecision.
 	Sample SampleClock
 
 	// Clock stamps replies when Sample is nil.
-	Clock     ServerClock
-	RefID     uint32 // defaults to "GPS"
-	Stratum   uint8  // defaults to 1
-	Precision int8   // defaults to -20 (~1 µs)
+	Clock ServerClock
+	RefID uint32 // defaults to "GPS"
 
 	// Limit, when non-nil, rate-limits requests by client prefix on
 	// every shard: over-budget packets are dropped before parsing and
@@ -502,6 +501,13 @@ type Server struct {
 	stats   counters
 }
 
+// The health a static sample advertises: a stratum-1 server whose clock
+// reads to about a microsecond (2^−20 s).
+const (
+	staticStratum   = 1
+	staticPrecision = -20
+)
+
 // NewServer constructs a server; nil or zero fields take defaults.
 func NewServer(cfg ServerConfig) (*Server, error) {
 	sample := cfg.Sample
@@ -512,17 +518,11 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		if cfg.RefID == 0 {
 			cfg.RefID = RefIDFromString("GPS")
 		}
-		if cfg.Stratum == 0 {
-			cfg.Stratum = 1
-		}
-		if cfg.Precision == 0 {
-			cfg.Precision = -20
-		}
 		clock := cfg.Clock
 		static := ClockSample{
 			Leap:      LeapNone,
-			Stratum:   cfg.Stratum,
-			Precision: cfg.Precision,
+			Stratum:   staticStratum,
+			Precision: staticPrecision,
 			RefID:     cfg.RefID,
 		}
 		sample = func() ClockSample {

@@ -366,23 +366,6 @@ func (o *Oscillator) ReadTSC(t float64) uint64 {
 	return o.cfg.TSC0 + uint64(ph)
 }
 
-// ElapsedSeconds returns the exact true-time duration corresponding to
-// the counter interval [from, to] by inverting the phase function with a
-// few Newton steps. Used by tests and by the DAG reference to translate
-// counter spans without assuming the SKM.
-func (o *Oscillator) ElapsedSeconds(fromT, dCycles float64) float64 {
-	// Initial guess with the mean rate, then refine: solve
-	// Phase(fromT + dt) - Phase(fromT) = dCycles.
-	base := o.Phase(fromT)
-	dt := dCycles * o.MeanPeriod()
-	for i := 0; i < 4; i++ {
-		f := o.Phase(fromT+dt) - base - dCycles
-		rate := o.cfg.NominalHz * (1 + o.Rate(fromT+dt))
-		dt -= f / rate
-	}
-	return dt
-}
-
 // AverageRateError returns the mean dimensionless rate error over
 // [t1, t2] relative to nominal, computed exactly from the phase. This is
 // the reference value that per-interval rate estimators are judged

@@ -174,19 +174,6 @@ func TestPhaseContinuityAtRWSteps(t *testing.T) {
 	}
 }
 
-func TestElapsedSecondsInvertsPhase(t *testing.T) {
-	o := mustNew(t, Laboratory(), 29)
-	for _, from := range []float64{0, 123.4, 90000} {
-		for _, dt := range []float64{1e-3, 1, 1000, timebase.Day} {
-			dCycles := o.Phase(from+dt) - o.Phase(from)
-			got := o.ElapsedSeconds(from, dCycles)
-			if math.Abs(got-dt) > 1e-9*(1+dt) {
-				t.Errorf("ElapsedSeconds(%v, phase(%v)) = %v", from, dt, got)
-			}
-		}
-	}
-}
-
 func TestRateWithinPhysicalRange(t *testing.T) {
 	o := mustNew(t, Laboratory(), 31)
 	for tt := 0.0; tt < timebase.Week; tt += 977 {

@@ -209,15 +209,3 @@ func (tr *MultiTrace) Completed() []MultiExchange {
 	}
 	return out
 }
-
-// CompletedFor returns the non-lost exchanges of one server, the feed a
-// single-server clock pointed at it would see.
-func (tr *MultiTrace) CompletedFor(server int) []Exchange {
-	var out []Exchange
-	for _, e := range tr.Exchanges {
-		if !e.Lost && e.Server == server {
-			out = append(out, e.Exchange)
-		}
-	}
-	return out
-}

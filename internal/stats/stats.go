@@ -8,11 +8,8 @@
 //     curves of Figures 9 and 10 (linear interpolation between order
 //     statistics);
 //   - Median and IQR: the location/spread pair of Figure 12;
-//   - CoverageBounds: the tightest interval holding a given fraction
-//     of the data, used to frame the 99%-coverage histograms;
 //   - Histogram: fixed-bin counts with fractional normalization;
-//   - Mean/Std/MinMax: the conventional moments, for the few places
-//     the paper does use them (oscillator characterization).
+//   - MinMax: the extrema, for spreads across a sweep.
 //
 // Inputs are plain []float64; functions panic on empty input or
 // out-of-range parameters — callers own validation, these are
@@ -23,7 +20,6 @@ package stats
 
 import (
 	"fmt"
-	"math"
 	"sort"
 )
 
@@ -113,32 +109,6 @@ func FiveNumOf(xs []float64) FiveNum {
 	return FiveNum{P99: q[0], P75: q[1], P50: q[2], P25: q[3], P01: q[4]}
 }
 
-// Mean returns the arithmetic mean.
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		panic("stats: Mean of empty slice")
-	}
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}
-
-// Std returns the sample standard deviation (n−1 denominator).
-func Std(xs []float64) float64 {
-	if len(xs) < 2 {
-		panic("stats: Std needs at least 2 samples")
-	}
-	m := Mean(xs)
-	var acc float64
-	for _, x := range xs {
-		d := x - m
-		acc += d * d
-	}
-	return math.Sqrt(acc / float64(len(xs)-1))
-}
-
 // MinMax returns the extrema of xs.
 func MinMax(xs []float64) (min, max float64) {
 	if len(xs) == 0 {
@@ -209,16 +179,4 @@ func (h *Histogram) Fraction(i int) float64 {
 		return 0
 	}
 	return float64(h.Counts[i]) / float64(h.N)
-}
-
-// CoverageBounds returns the narrowest [lo, hi] interval that contains
-// the central frac (e.g. 0.99) of the sample, as used for Figure 12's
-// "exactly 99% of all values" histograms.
-func CoverageBounds(xs []float64, frac float64) (lo, hi float64) {
-	if frac <= 0 || frac > 1 {
-		panic("stats: coverage fraction out of (0, 1]")
-	}
-	tail := (1 - frac) / 2 * 100
-	q := Quantiles(xs, tail, 100-tail)
-	return q[0], q[1]
 }

@@ -15,69 +15,6 @@ import (
 	"math"
 )
 
-// Moments accumulates running count, mean, variance (Welford) and
-// extrema in O(1) memory. The zero value is ready to use.
-type Moments struct {
-	n        int
-	mean, m2 float64
-	min, max float64
-}
-
-// Add folds one observation.
-func (m *Moments) Add(x float64) {
-	if m.n == 0 {
-		m.min, m.max = x, x
-	} else {
-		if x < m.min {
-			m.min = x
-		}
-		if x > m.max {
-			m.max = x
-		}
-	}
-	m.n++
-	d := x - m.mean
-	m.mean += d / float64(m.n)
-	m.m2 += d * (x - m.mean)
-}
-
-// N returns the number of observations folded.
-func (m *Moments) N() int { return m.n }
-
-// Mean returns the running mean; it panics on an empty accumulator,
-// like the batch Mean.
-func (m *Moments) Mean() float64 {
-	if m.n == 0 {
-		panic("stats: Moments.Mean of empty accumulator")
-	}
-	return m.mean
-}
-
-// Std returns the running sample standard deviation (n−1 denominator);
-// it panics with fewer than 2 observations, like the batch Std.
-func (m *Moments) Std() float64 {
-	if m.n < 2 {
-		panic("stats: Moments.Std needs at least 2 samples")
-	}
-	return math.Sqrt(m.m2 / float64(m.n-1))
-}
-
-// Min returns the smallest observation; it panics on empty input.
-func (m *Moments) Min() float64 {
-	if m.n == 0 {
-		panic("stats: Moments.Min of empty accumulator")
-	}
-	return m.min
-}
-
-// Max returns the largest observation; it panics on empty input.
-func (m *Moments) Max() float64 {
-	if m.n == 0 {
-		panic("stats: Moments.Max of empty accumulator")
-	}
-	return m.max
-}
-
 // P2Quantile estimates a single quantile online with the P² algorithm:
 // five markers whose heights converge to the p-quantile and its
 // bracketing positions, O(1) memory and O(1) per observation. Until
@@ -276,18 +213,6 @@ func NewStreamingQuantiles(levels ...float64) *StreamingQuantiles {
 	return s
 }
 
-// SetExactPrefix overrides the exact-prefix budget (at least 5, the P²
-// marker count). It must be called before the first Add.
-func (s *StreamingQuantiles) SetExactPrefix(n int) {
-	if s.n != 0 {
-		panic("stats: SetExactPrefix after observations were folded")
-	}
-	if n < 5 {
-		panic("stats: exact prefix must hold at least 5 observations")
-	}
-	s.limit = n
-}
-
 // Add folds one observation.
 func (s *StreamingQuantiles) Add(x float64) {
 	s.n++
@@ -314,10 +239,6 @@ func (s *StreamingQuantiles) Add(x float64) {
 
 // N returns the number of observations folded.
 func (s *StreamingQuantiles) N() int { return s.n }
-
-// Exact reports whether the accumulator is still in the exact-prefix
-// regime (every Value is an exact order statistic).
-func (s *StreamingQuantiles) Exact() bool { return s.ests == nil }
 
 // Value returns the current estimate of level i (indexing the levels
 // passed at construction). It panics on an empty accumulator.

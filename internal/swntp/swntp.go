@@ -133,9 +133,6 @@ func New(cfg Config) (*Clock, error) {
 // Steps returns the number of clock steps (resets) so far.
 func (c *Clock) Steps() int { return c.steps }
 
-// Freq returns the current frequency correction.
-func (c *Clock) Freq() float64 { return c.freq }
-
 // Read returns the disciplined clock's value at the given counter
 // reading. Phase corrections are amortized at the bounded slew rate from
 // the moment they are scheduled.

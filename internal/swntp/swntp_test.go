@@ -113,8 +113,8 @@ func TestFrequencyBounded(t *testing.T) {
 			t.Fatalf("freq %v exceeds bound at update %d", u.Freq, i)
 		}
 	}
-	if math.Abs(c.Freq()) > cfg.MaxFreqAdj {
-		t.Errorf("final freq %v out of bounds", c.Freq())
+	if math.Abs(c.freq) > cfg.MaxFreqAdj {
+		t.Errorf("final freq %v out of bounds", c.freq)
 	}
 }
 

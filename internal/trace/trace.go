@@ -179,46 +179,3 @@ func (t *Table) SaveTSV(path string) error {
 	}
 	return f.Close()
 }
-
-// ReadTSV parses a table previously written by WriteTSV.
-func ReadTSV(r io.Reader) (*Table, error) {
-	br := bufio.NewScanner(r)
-	br.Buffer(make([]byte, 1<<20), 1<<20)
-	if !br.Scan() {
-		return nil, fmt.Errorf("trace: empty input")
-	}
-	head := splitTabs(br.Text())
-	t := NewTable(head...)
-	line := 1
-	for br.Scan() {
-		line++
-		fields := splitTabs(br.Text())
-		if len(fields) != len(head) {
-			return nil, fmt.Errorf("trace: line %d has %d fields, want %d", line, len(fields), len(head))
-		}
-		row := make([]float64, len(fields))
-		for i, f := range fields {
-			v, err := strconv.ParseFloat(f, 64)
-			if err != nil {
-				return nil, fmt.Errorf("trace: line %d field %d: %w", line, i, err)
-			}
-			row[i] = v
-		}
-		if err := t.Append(row...); err != nil {
-			return nil, err
-		}
-	}
-	return t, br.Err()
-}
-
-func splitTabs(s string) []string {
-	var out []string
-	start := 0
-	for i := 0; i < len(s); i++ {
-		if s[i] == '\t' {
-			out = append(out, s[start:i])
-			start = i + 1
-		}
-	}
-	return append(out, s[start:])
-}

@@ -2,7 +2,6 @@ package trace
 
 import (
 	"bytes"
-	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -17,27 +16,18 @@ func TestTableRoundTrip(t *testing.T) {
 	if err := tab.Append(16, -29.8, 0.91); err != nil {
 		t.Fatal(err)
 	}
+	if tab.Len() != 2 || tab.Row(1)[1] != -29.8 {
+		t.Fatalf("len %d, row 1 %v", tab.Len(), tab.Row(1))
+	}
+	if cols := tab.Columns(); len(cols) != 3 || cols[1] != "offset_us" {
+		t.Fatalf("columns = %v", cols)
+	}
 	var buf bytes.Buffer
 	if err := tab.WriteTSV(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadTSV(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Len() != 2 {
-		t.Fatalf("len = %d", got.Len())
-	}
-	cols := got.Columns()
-	if len(cols) != 3 || cols[1] != "offset_us" {
-		t.Fatalf("columns = %v", cols)
-	}
-	for i := 0; i < 2; i++ {
-		for j := range cols {
-			if math.Abs(got.Row(i)[j]-tab.Row(i)[j]) > 1e-12 {
-				t.Errorf("cell (%d,%d) = %v, want %v", i, j, got.Row(i)[j], tab.Row(i)[j])
-			}
-		}
+	if want := "t\toffset_us\trtt_ms\n0\t-31.2\t0.89\n16\t-29.8\t0.91\n"; buf.String() != want {
+		t.Errorf("TSV %q, want %q", buf.String(), want)
 	}
 }
 
@@ -48,18 +38,6 @@ func TestAppendArityChecked(t *testing.T) {
 	}
 	if err := tab.Append(1, 2, 3); err == nil {
 		t.Error("long row accepted")
-	}
-}
-
-func TestReadTSVErrors(t *testing.T) {
-	if _, err := ReadTSV(strings.NewReader("")); err == nil {
-		t.Error("empty input accepted")
-	}
-	if _, err := ReadTSV(strings.NewReader("a\tb\n1\n")); err == nil {
-		t.Error("ragged row accepted")
-	}
-	if _, err := ReadTSV(strings.NewReader("a\nxyz\n")); err == nil {
-		t.Error("non-numeric cell accepted")
 	}
 }
 
@@ -94,13 +72,8 @@ func TestPrecisionPreserved(t *testing.T) {
 	if err := tab.WriteTSV(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadTSV(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range vals {
-		if rel := math.Abs(got.Row(i)[0]-v) / math.Abs(v); rel > 1e-11 {
-			t.Errorf("value %v round-tripped to %v", v, got.Row(i)[0])
-		}
+	// Twelve significant digits: every value here is written exactly.
+	if want := "v\n-3.1e-05\n1.8226381e-09\n123456.789012\n"; buf.String() != want {
+		t.Errorf("TSV %q, want %q", buf.String(), want)
 	}
 }

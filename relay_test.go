@@ -57,7 +57,9 @@ func startServerAtStratum(t *testing.T, stratum uint8) net.Addr {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := ntp.NewServer(ntp.ServerConfig{Clock: ntp.SystemServerClock(), Stratum: stratum})
+	srv, err := ntp.NewServer(ntp.ServerConfig{Sample: func() ntp.ClockSample {
+		return ntp.ClockSample{Time: ntp.Time64FromTime(time.Now()), Stratum: stratum, Precision: -20, RefID: ntp.RefIDFromString("GPS")}
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
