@@ -18,12 +18,9 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
-	"strings"
 	"time"
 
 	"repro/internal/experiments"
-	"repro/internal/render"
 )
 
 func main() {
@@ -33,7 +30,6 @@ func main() {
 		quick = flag.Bool("quick", false, "shrink trace durations ~8x")
 		seed  = flag.Uint64("seed", 0, "override the deterministic seed (0 = default)")
 		out   = flag.String("out", "", "directory for TSV artifacts and accuracy.json, the run's checks, lines and table digests (optional)")
-		plot  = flag.Bool("plot", false, "draw figure series as terminal charts")
 		days  = flag.Float64("days", 0, "longrun trace length in days (0 = default 21; streams at constant memory)")
 	)
 	flag.Parse()
@@ -61,9 +57,6 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Print(rep.Render())
-		if *plot {
-			printPlots(rep)
-		}
 		fmt.Printf("(%s in %.1fs", id, time.Since(start).Seconds())
 		if rep.PeakHeap > 0 {
 			fmt.Printf(", peak heap %.1f MB", float64(rep.PeakHeap)/(1<<20))
@@ -89,35 +82,5 @@ func main() {
 	if failed > 0 {
 		fmt.Fprintf(os.Stderr, "%d experiment(s) had failing checks\n", failed)
 		os.Exit(2)
-	}
-}
-
-// printPlots renders every recorded series table of a report. Stability
-// curves get log-log axes; histogram tables get bars; everything else a
-// linear chart, downsampled by the renderer's grid.
-func printPlots(rep *experiments.Report) {
-	names := make([]string, 0, len(rep.Tables))
-	for name := range rep.Tables {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		tab := rep.Tables[name]
-		title := fmt.Sprintf("%s / %s", rep.ID, name)
-		var chart string
-		var err error
-		switch {
-		case strings.HasPrefix(name, "hist"):
-			chart, err = render.Histogram(tab, title, 50)
-		case rep.ID == "fig3":
-			chart, err = render.Chart(tab, title, render.Options{LogX: true, LogY: true})
-		default:
-			chart, err = render.Chart(tab, title, render.Options{})
-		}
-		if err != nil {
-			fmt.Printf("(plot %s: %v)\n", name, err)
-			continue
-		}
-		fmt.Println(chart)
 	}
 }

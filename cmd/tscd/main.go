@@ -1,25 +1,20 @@
 // Command tscd is the TSC-NTP synchronizer daemon. It runs the robust
-// calibration pipeline in one of three modes:
+// calibration pipeline in one of two modes:
 //
 //	-mode live   (default): poll one or more real NTP servers over UDP,
 //	             stamping with the host's raw monotonic counter;
-//	-mode sim:   generate a simulated scenario (environment x server) and
-//	             report accuracy against the simulation's ground truth —
-//	             useful to explore the algorithms without a network;
-//	-mode replay: the same report from a saved capture file.
+//	-mode replay: score the estimator on a saved capture file.
 //
 // Usage:
 //
 //	tscd -mode live -server 127.0.0.1:1123 -poll 16s
-//	tscd -mode sim -env MR -srv ServerInt -days 1 -poll 16s
 //	tscd -mode replay -trace mrint.tsctrc
 //
 // Replay mode consumes captures produced by cmd/tracegen (or any tool
 // writing the internal/capture format) and scores the estimator against
 // the recorded reference stamps, mirroring the paper's offline
-// post-processing workflow. Both offline modes score in one function
-// (score) and print the same summary, so a scenario and its tracegen
-// capture report the same percentiles.
+// post-processing workflow: to explore a simulated scenario, write it
+// with tracegen and replay it here.
 package main
 
 import (
@@ -35,22 +30,16 @@ import (
 
 	tscclock "repro"
 	"repro/internal/capture"
-	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/timebase"
 )
 
 func main() {
 	var (
-		mode   = flag.String("mode", "live", "live, sim or replay")
+		mode   = flag.String("mode", "live", "live or replay")
 		server = flag.String("server", "127.0.0.1:1123", "comma-separated NTP servers (live mode)")
-		poll   = flag.Duration("poll", 64*time.Second, "polling interval; live warmup polls at a quarter of it")
+		poll   = flag.Duration("poll", 64*time.Second, "polling interval (live mode); warmup polls at a quarter of it")
 		local  = flag.Bool("localrate", false, "enable the local-rate refinement")
-
-		env  = flag.String("env", "MR", "sim environment: Lab or MR")
-		srv  = flag.String("srv", "ServerInt", "sim server: ServerLoc, ServerInt, ServerExt")
-		days = flag.Float64("days", 1, "sim duration in days")
-		seed = flag.Uint64("seed", 1, "sim seed")
 
 		traceFile = flag.String("trace", "", "capture file (replay mode)")
 	)
@@ -59,8 +48,6 @@ func main() {
 	switch *mode {
 	case "live":
 		runLive(*server, *poll, *local)
-	case "sim":
-		runSim(*env, *srv, *days, poll.Seconds(), *seed, *local)
 	case "replay":
 		runReplay(*traceFile, *local)
 	default:
@@ -68,19 +55,25 @@ func main() {
 	}
 }
 
-// score is the one body of the offline modes: it feeds every completed
-// exchange next yields through a fresh clock and, past the first hour,
-// collects the absolute clock's error against the reference stamp.
-func score(opts tscclock.Options, next func() (capture.Record, bool)) (clock *tscclock.Clock, errs []float64, fed, lost int) {
-	clock, err := tscclock.New(opts)
+// runReplay feeds every completed exchange of a saved capture through a
+// fresh clock and, past the first hour, scores the absolute clock
+// against the recorded DAG reference stamps.
+func runReplay(path string, local bool) {
+	meta, recs, err := capture.LoadAll(path)
 	if err != nil {
 		log.Fatal(err)
 	}
-	for {
-		r, ok := next()
-		if !ok {
-			return clock, errs, fed, lost
-		}
+	clock, err := tscclock.New(tscclock.Options{
+		NominalPeriod: 1 / meta.NominalHz,
+		PollPeriod:    meta.PollPeriod,
+		UseLocalRate:  local,
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	var errs []float64
+	fed, lost := 0, 0
+	for _, r := range recs {
 		if r.Lost {
 			lost++
 			continue
@@ -93,10 +86,7 @@ func score(opts tscclock.Options, next func() (capture.Record, bool)) (clock *ts
 			errs = append(errs, clock.AbsoluteTime(r.Tf)-r.Tg)
 		}
 	}
-}
-
-// printErrors prints the summary both offline modes end with.
-func printErrors(errs []float64) {
+	fmt.Printf("replayed %q (%s): %d exchanges fed, %d lost\n", path, meta.Name, fed, lost)
 	if len(errs) == 0 {
 		fmt.Println("trace too short to score (needs > 1 h)")
 		return
@@ -109,29 +99,6 @@ func printErrors(errs []float64) {
 		timebase.FormatDuration(fn.P01), timebase.FormatDuration(fn.P25),
 		timebase.FormatDuration(fn.P50), timebase.FormatDuration(fn.P75),
 		timebase.FormatDuration(fn.P99))
-}
-
-// runReplay scores a saved capture against its recorded DAG reference
-// stamps.
-func runReplay(path string, local bool) {
-	meta, recs, err := capture.LoadAll(path)
-	if err != nil {
-		log.Fatal(err)
-	}
-	i := 0
-	_, errs, fed, lost := score(tscclock.Options{
-		NominalPeriod: 1 / meta.NominalHz,
-		PollPeriod:    meta.PollPeriod,
-		UseLocalRate:  local,
-	}, func() (capture.Record, bool) {
-		if i == len(recs) {
-			return capture.Record{}, false
-		}
-		i++
-		return recs[i-1], true
-	})
-	fmt.Printf("replayed %q (%s): %d exchanges fed, %d lost\n", path, meta.Name, fed, lost)
-	printErrors(errs)
 }
 
 func runLive(server string, poll time.Duration, local bool) {
@@ -163,47 +130,4 @@ func runLive(server string, poll time.Duration, local bool) {
 			timebase.FormatDuration(st.MinRTT),
 			live.Now().Format(time.RFC3339Nano))
 	})
-}
-
-func runSim(env, srv string, days, poll float64, seed uint64, local bool) {
-	var e sim.Environment
-	switch env {
-	case "Lab":
-		e = sim.Laboratory
-	case "MR":
-		e = sim.MachineRoom
-	default:
-		log.Fatalf("unknown environment %q (Lab or MR)", env)
-	}
-	var spec sim.ServerSpec
-	switch srv {
-	case "ServerLoc":
-		spec = sim.ServerLoc()
-	case "ServerInt":
-		spec = sim.ServerInt()
-	case "ServerExt":
-		spec = sim.ServerExt()
-	default:
-		log.Fatalf("unknown server %q", srv)
-	}
-
-	scenario := sim.NewScenario(e, spec, poll, days*timebase.Day, seed)
-	st, err := sim.NewStream(scenario)
-	if err != nil {
-		log.Fatal(err)
-	}
-	st.SetTrim(true)
-	clock, errs, fed, lost := score(tscclock.Options{
-		NominalPeriod: 1 / scenario.Oscillator.NominalHz,
-		PollPeriod:    poll,
-		UseLocalRate:  local,
-	}, func() (capture.Record, bool) {
-		ex, ok := st.Next()
-		return capture.FromExchange(ex), ok
-	})
-
-	fmt.Printf("scenario %s: %.1f days at poll %.0fs (%d exchanges, %d lost)\n",
-		scenario.Name, days, poll, fed+lost, lost)
-	fmt.Printf("rate error:      %+.4f PPM\n", timebase.PPM(clock.Period()/st.Osc().MeanPeriod()-1))
-	printErrors(errs)
 }

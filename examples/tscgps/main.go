@@ -6,8 +6,9 @@
 //
 // This example calibrates both clocks on the same simulated host — one
 // from the GPS PPS, one from NTP exchanges — and compares their absolute
-// accuracy, showing the ~30x gap between local-reference (sub-µs..µs)
-// and network (tens of µs) synchronization that the paper quantifies.
+// accuracy: the local reference reaches a few µs and the network tens of
+// µs, a median gap of about 11x in this run (2.3µs against 25.5µs). It
+// exits non-zero unless the TSC-GPS clock is the more accurate one.
 package main
 
 import (
@@ -72,15 +73,16 @@ func main() {
 		gpsErrs = append(gpsErrs, math.Abs(gpsClock.AbsoluteTime(counter)-tt))
 	}
 
+	ntpMed, gpsMed := stats.Median(ntpErrs), stats.Median(gpsErrs)
 	fmt.Println("absolute clock error over the final 12 minutes (same host, same oscillator):")
 	fmt.Printf("  TSC-NTP (ServerInt, 0.89ms RTT): median %s, worst %s\n",
-		timebase.FormatDuration(stats.Median(ntpErrs)),
-		timebase.FormatDuration(stats.Percentile(ntpErrs, 100)))
+		timebase.FormatDuration(ntpMed), timebase.FormatDuration(stats.Percentile(ntpErrs, 100)))
 	fmt.Printf("  TSC-GPS (local PPS reference):   median %s, worst %s\n",
-		timebase.FormatDuration(stats.Median(gpsErrs)),
-		timebase.FormatDuration(stats.Percentile(gpsErrs, 100)))
-	fmt.Printf("\nratio: %.0fx — the cost of synchronizing across a network instead of\n",
-		stats.Median(ntpErrs)/stats.Median(gpsErrs))
+		timebase.FormatDuration(gpsMed), timebase.FormatDuration(stats.Percentile(gpsErrs, 100)))
+	if gpsMed >= ntpMed {
+		log.Fatal("demonstration failed: want the TSC-GPS clock's median error below the TSC-NTP clock's")
+	}
+	fmt.Printf("\nratio: %.0fx — the cost of synchronizing across a network instead of\n", ntpMed/gpsMed)
 	fmt.Println("a roof antenna; the paper's argument is that tens of µs is already")
 	fmt.Println("sufficient for most measurement work, at a fraction of the deployment cost")
 }

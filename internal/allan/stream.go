@@ -105,9 +105,6 @@ func (r *Resampler) Finish() error {
 	return nil
 }
 
-// Emitted returns the number of uniform samples delivered so far.
-func (r *Resampler) Emitted() int { return r.totalEmitted }
-
 // Fold accumulates the overlapping Allan deviation of a uniformly
 // sampled series at a fixed grid of scales, one sample at a time. For
 // each scale m it maintains the running sum of squared second

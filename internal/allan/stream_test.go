@@ -64,8 +64,8 @@ func TestResamplerBitIdenticalToBatch(t *testing.T) {
 					t.Fatalf("sample %d differs: %v vs %v", i, got[i], want[i])
 				}
 			}
-			if r.Emitted() != len(want) {
-				t.Errorf("Emitted() = %d, want %d", r.Emitted(), len(want))
+			if r.totalEmitted != len(want) {
+				t.Errorf("totalEmitted = %d, want %d", r.totalEmitted, len(want))
 			}
 		})
 	}

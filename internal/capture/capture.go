@@ -69,8 +69,8 @@ type Record struct {
 	TrueTf float64
 }
 
-// FromExchange converts a simulation exchange.
-func FromExchange(e sim.Exchange) Record {
+// fromExchange converts a simulation exchange.
+func fromExchange(e sim.Exchange) Record {
 	return Record{
 		Seq: uint32(e.Seq), Lost: e.Lost,
 		Ta: e.Ta, Tf: e.Tf, Tb: e.Tb, Te: e.Te,
@@ -139,7 +139,7 @@ func (w *Writer) Write(r Record) error {
 // point for trace generation, which converts and writes records one at
 // a time so multi-week captures never hold a trace in memory.
 func (w *Writer) WriteExchange(e sim.Exchange) error {
-	return w.Write(FromExchange(e))
+	return w.Write(fromExchange(e))
 }
 
 // CreateFile opens (creating parent directories) a capture file at path
@@ -235,34 +235,6 @@ func (r *Reader) Next() (Record, error) {
 		TrueTa: math.Float64frombits(binary.LittleEndian.Uint64(b[48:])),
 		TrueTf: math.Float64frombits(binary.LittleEndian.Uint64(b[56:])),
 	}, nil
-}
-
-// SaveTrace writes a whole simulation trace to path.
-func SaveTrace(path string, tr *sim.Trace, comment string) (int, error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return 0, err
-	}
-	meta := Meta{
-		Name:       tr.Scenario.Name,
-		PollPeriod: tr.Scenario.PollPeriod,
-		Duration:   tr.Scenario.Duration,
-		Seed:       tr.Scenario.Seed,
-		NominalHz:  tr.Scenario.Oscillator.NominalHz,
-		Comment:    comment,
-	}
-	w, err := NewWriter(f, meta)
-	if err != nil {
-		f.Close()
-		return 0, err
-	}
-	for _, e := range tr.Exchanges {
-		if err := w.Write(FromExchange(e)); err != nil {
-			w.Close()
-			return 0, err
-		}
-	}
-	return w.Count(), w.Close()
 }
 
 // LoadAll reads every record from path.

@@ -23,13 +23,27 @@ func sampleTrace(t *testing.T) *sim.Trace {
 
 func TestRoundTripFile(t *testing.T) {
 	tr := sampleTrace(t)
-	path := filepath.Join(t.TempDir(), "trace.tsctrc")
-	n, err := SaveTrace(path, tr, "unit test")
+	// CreateFile makes the missing parent directory.
+	path := filepath.Join(t.TempDir(), "new", "trace.tsctrc")
+	w, err := CreateFile(path, Meta{
+		Name:       tr.Scenario.Name,
+		PollPeriod: tr.Scenario.PollPeriod,
+		Seed:       tr.Scenario.Seed,
+		Comment:    "unit test",
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != len(tr.Exchanges) {
-		t.Fatalf("wrote %d records, trace has %d", n, len(tr.Exchanges))
+	for _, e := range tr.Exchanges {
+		if err := w.WriteExchange(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if w.Count() != len(tr.Exchanges) {
+		t.Fatalf("wrote %d records, trace has %d", w.Count(), len(tr.Exchanges))
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
 	}
 	meta, recs, err := LoadAll(path)
 	if err != nil {
@@ -44,7 +58,7 @@ func TestRoundTripFile(t *testing.T) {
 	}
 	for i, e := range tr.Exchanges {
 		got := recs[i]
-		want := FromExchange(e)
+		want := fromExchange(e)
 		if got != want {
 			t.Fatalf("record %d mismatch:\n got %+v\nwant %+v", i, got, want)
 		}
@@ -63,7 +77,7 @@ func TestLostFlagPreserved(t *testing.T) {
 		if e.Lost {
 			lost++
 		}
-		if err := w.Write(FromExchange(e)); err != nil {
+		if err := w.Write(fromExchange(e)); err != nil {
 			t.Fatal(err)
 		}
 	}

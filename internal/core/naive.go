@@ -44,7 +44,3 @@ func NaiveTheta(in Input, p, c float64) float64 {
 func RTT(in Input, p float64) float64 {
 	return float64(in.Tf-in.Ta) * p
 }
-
-// ServerDelay computes the server turnaround d^ = Te − Tb, a time
-// difference measured by the single (synchronized) server clock.
-func ServerDelay(in Input) float64 { return in.Te - in.Tb }

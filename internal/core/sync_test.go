@@ -531,9 +531,6 @@ func TestNaiveTheta(t *testing.T) {
 	if got := RTT(in, p); math.Abs(got-2e-3) > 1e-15 {
 		t.Errorf("RTT = %v", got)
 	}
-	if got := ServerDelay(in); math.Abs(got-0.0002) > 1e-12 {
-		t.Errorf("ServerDelay = %v", got)
-	}
 }
 
 func TestRunUnderHighLoss(t *testing.T) {

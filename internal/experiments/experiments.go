@@ -37,7 +37,7 @@ type Options struct {
 	Quick bool
 	// OutputDir, when non-empty, receives TSV artifacts of each series.
 	// Streamed series write row by row as the experiment runs; only a
-	// bounded decimated preview is kept in memory for plotting.
+	// bounded decimated preview is kept in memory, for the report.
 	OutputDir string
 	// LongRunDays overrides the longrun experiment's trace length in
 	// days (0 = the default 21; Quick scaling still applies).
@@ -350,14 +350,15 @@ func fiveNumFmt(label string, fn stats.FiveNum) string {
 
 // previewCap bounds the in-memory preview of a streamed series: when a
 // series outgrows it, every other retained row is dropped and the keep
-// stride doubles, so plotting sees a uniform decimation at bounded
+// stride doubles, so the report holds a uniform decimation at bounded
 // memory no matter how long the series runs.
 const previewCap = 4096
 
 // seriesSink streams a per-packet series: rows go to a TSV file as they
 // are appended (when an output directory is configured) and to a
 // bounded decimated preview table registered with the report on Close,
-// so `-plot` keeps working without the series ever being resident.
+// whose digest the accuracy record carries, without the series ever
+// being resident.
 type seriesSink struct {
 	rep     *Report
 	name    string

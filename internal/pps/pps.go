@@ -15,8 +15,9 @@
 //     contaminated, with no path-asymmetry ambiguity at all.
 //
 // With a ~100 ns reference and µs-scale capture latency, the TSC-GPS
-// clock reaches sub-µs offsets — the "GPS-like" target the paper's
-// remote synchronization approaches within a factor of ~30.
+// clock reaches µs-scale offsets — the "GPS-like" target that the
+// paper's remote synchronization approaches to within about an order of
+// magnitude (examples/tscgps: a 2.3µs median against TSC-NTP's 25.5µs).
 package pps
 
 import (

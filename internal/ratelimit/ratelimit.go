@@ -14,7 +14,8 @@
 // full anyway, NEW prefixes are admitted untracked (fail open) — a
 // table-exhaustion attack must not become a tool to deny honest
 // clients, it merely degrades enforcement back to pre-limiter
-// behaviour while the Untracked counter makes the condition visible.
+// behaviour while the ratelimit_untracked_total counter makes the
+// condition visible.
 package ratelimit
 
 import (
@@ -262,11 +263,6 @@ func (l *Limiter) Len() int {
 
 // Denied returns the total requests rejected over budget.
 func (l *Limiter) Denied() uint64 { return l.denied.Value() }
-
-// Untracked returns the requests admitted without tracking because the
-// bucket table was full of live entries — the signature of a prefix-
-// churn attack outliving the table bound.
-func (l *Limiter) Untracked() uint64 { return l.untracked.Value() }
 
 // RegisterMetrics renders the limiter's table occupancy and its
 // fail-open counter cell (denials are counted, and rendered, by the

@@ -132,7 +132,7 @@ func TestTableFullFailsOpen(t *testing.T) {
 			t.Fatalf("first packet of fresh prefix %d denied (table pressure must fail open)", k)
 		}
 	}
-	if l.Untracked() == 0 {
+	if l.untracked.Value() == 0 {
 		t.Error("no untracked admissions despite a full table: the fail-open path never engaged")
 	}
 }

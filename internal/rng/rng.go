@@ -4,7 +4,7 @@
 // xoshiro256** generator (seeded via SplitMix64) rather than relying on
 // math/rand's unspecified-across-versions sources, together with the
 // distributions needed by the oscillator and network models: uniform,
-// normal, exponential, Pareto, Weibull and log-normal.
+// normal, exponential, Pareto and log-normal.
 //
 //repro:deterministic
 package rng
@@ -171,12 +171,6 @@ func (r *Source) Exponential(mean float64) float64 {
 // alpha produces the heavy tails characteristic of congestion episodes.
 func (r *Source) Pareto(scale, alpha float64) float64 {
 	return scale / math.Pow(r.Float64Open(), 1/alpha)
-}
-
-// Weibull returns a draw from the Weibull distribution with the given
-// scale lambda and shape k.
-func (r *Source) Weibull(scale, shape float64) float64 {
-	return scale * math.Pow(-math.Log(r.Float64Open()), 1/shape)
 }
 
 // LogNormal returns a draw whose logarithm is normal with parameters mu

@@ -149,19 +149,6 @@ func TestParetoProperties(t *testing.T) {
 	}
 }
 
-func TestWeibullMean(t *testing.T) {
-	r := New(10)
-	// Weibull(scale=1, shape=1) is Exponential(1): mean 1.
-	const n = 200000
-	var sum float64
-	for i := 0; i < n; i++ {
-		sum += r.Weibull(1, 1)
-	}
-	if mean := sum / n; math.Abs(mean-1) > 0.02 {
-		t.Errorf("Weibull(1,1) mean = %v, want 1", mean)
-	}
-}
-
 func TestLogNormalMedian(t *testing.T) {
 	r := New(11)
 	const n = 100001

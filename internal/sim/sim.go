@@ -360,17 +360,6 @@ func (tr *Trace) Completed() []Exchange {
 	return out
 }
 
-// LossCount returns the number of lost exchanges.
-func (tr *Trace) LossCount() int {
-	n := 0
-	for _, e := range tr.Exchanges {
-		if e.Lost {
-			n++
-		}
-	}
-	return n
-}
-
 // MinObservedRTT returns the smallest oracle RTT among completed
 // exchanges, used to validate Table 2 style characterizations.
 func (tr *Trace) MinObservedRTT() float64 {

@@ -45,10 +45,6 @@ func PPM(rate float64) float64 { return rate * 1e6 }
 // FromPPM converts a parts-per-million value to a dimensionless rate error.
 func FromPPM(ppm float64) float64 { return ppm * 1e-6 }
 
-// RateError reports the dimensionless relative error of an estimated
-// period pHat with respect to the true period p: pHat/p - 1.
-func RateError(pHat, p float64) float64 { return pHat/p - 1 }
-
 // OffsetAtRate returns the absolute time error accumulated over an
 // interval dt at a constant rate error (Table 1 of the paper):
 // delta(offset) = delta(t) * rateError.
@@ -63,10 +59,6 @@ func CounterSpan(from, to uint64, p float64) Seconds {
 	}
 	return -float64(from-to) * p
 }
-
-// CyclesIn returns the (floating point) number of cycles of period p that
-// fit in dt seconds.
-func CyclesIn(dt Seconds, p float64) float64 { return dt / p }
 
 // FormatDuration renders a duration in seconds using the most readable
 // engineering unit. It is intended for experiment output, mirroring the

@@ -132,9 +132,6 @@ func NewTable(columns ...string) *Table {
 	return &Table{columns: append([]string(nil), columns...)}
 }
 
-// Columns returns the column names.
-func (t *Table) Columns() []string { return append([]string(nil), t.columns...) }
-
 // Len returns the number of rows.
 func (t *Table) Len() int { return len(t.rows) }
 

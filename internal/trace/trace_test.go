@@ -19,7 +19,7 @@ func TestTableRoundTrip(t *testing.T) {
 	if tab.Len() != 2 || tab.Row(1)[1] != -29.8 {
 		t.Fatalf("len %d, row 1 %v", tab.Len(), tab.Row(1))
 	}
-	if cols := tab.Columns(); len(cols) != 3 || cols[1] != "offset_us" {
+	if cols := tab.columns; len(cols) != 3 || cols[1] != "offset_us" {
 		t.Fatalf("columns = %v", cols)
 	}
 	var buf bytes.Buffer

@@ -54,11 +54,6 @@ func ceilPow2(v int) int {
 //repro:hotpath
 func (r *Ring[T]) Len() int { return r.n }
 
-// Cap returns the current capacity of the backing array.
-//
-//repro:hotpath
-func (r *Ring[T]) Cap() int { return len(r.buf) }
-
 // At returns a pointer to the element at logical position i (0 is the
 // oldest). The pointer stays valid until the ring grows or the slot is
 // popped and overwritten by a later push.

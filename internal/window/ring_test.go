@@ -9,8 +9,8 @@ import (
 
 func TestRingBasics(t *testing.T) {
 	r := NewRing[int](5)
-	if r.Cap() != 8 {
-		t.Errorf("Cap = %d, want 8 (power of two >= 5)", r.Cap())
+	if len(r.buf) != 8 {
+		t.Errorf("Cap = %d, want 8 (power of two >= 5)", len(r.buf))
 	}
 	if r.Len() != 0 {
 		t.Errorf("new ring Len = %d", r.Len())
@@ -18,8 +18,8 @@ func TestRingBasics(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		r.PushBack(i)
 	}
-	if r.Len() != 10 || r.Cap() != 16 {
-		t.Errorf("Len=%d Cap=%d after growth, want 10, 16", r.Len(), r.Cap())
+	if r.Len() != 10 || len(r.buf) != 16 {
+		t.Errorf("Len=%d Cap=%d after growth, want 10, 16", r.Len(), len(r.buf))
 	}
 	if *r.Front() != 0 || *r.Back() != 9 {
 		t.Errorf("Front=%d Back=%d", *r.Front(), *r.Back())
@@ -75,8 +75,8 @@ func TestRingStableBacking(t *testing.T) {
 	for i := 16; i < 1000; i++ {
 		r.DropFront(1)
 		r.PushBack(i)
-		if r.Cap() != 16 {
-			t.Fatalf("capacity changed to %d at step %d", r.Cap(), i)
+		if len(r.buf) != 16 {
+			t.Fatalf("capacity changed to %d at step %d", len(r.buf), i)
 		}
 	}
 	_ = p
