@@ -37,7 +37,7 @@ bench:
 	$(GO) test ./internal/ensemble/ -run xxx -bench 'BenchmarkEnsembleStages|BenchmarkEnsembleRead' -benchmem
 	$(GO) test . -run xxx -bench 'BenchmarkReadParallel|BenchmarkWriteBesideReader' -benchmem
 	$(GO) test ./internal/ratelimit/ -run xxx -bench BenchmarkAllowParallel -cpu 1,2
-	$(GO) test ./internal/sim/ -run xxx -bench BenchmarkMultiStreamNext -benchtime 10x -benchmem
+	$(GO) test ./internal/sim/ -run xxx -bench BenchmarkMultiStreamNext -benchtime 10x -benchmem -cpu 1,2
 
 # bench-module compiles and smokes the nested benchmark module (bench/
 # has its own go.mod, so `go build ./...` and `go test ./...` at the

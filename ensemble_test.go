@@ -315,3 +315,42 @@ func TestOneServerEnsembleIsAClock(t *testing.T) {
 		}
 	}
 }
+
+// TestEnsembleReplaysPathDelaysPastThePoll: the benchmark's 14-day
+// colluding scenario at the two seeds whose traces hold a path delay
+// longer than the 16 s polling period — seed 33 an 18.7 s forward
+// delay (server 1, seq 14597), seed 24 a 17.6 s backward one (server 0,
+// seq 47742). The generator counts such a reply as lost, so the trace
+// generates without panicking and the ensemble refuses no exchange.
+func TestEnsembleReplaysPathDelaysPastThePoll(t *testing.T) {
+	if testing.Short() {
+		t.Skip("two 14-day traces")
+	}
+	const poll = 16.0
+	dur := 14 * timebase.Day
+	for _, seed := range []uint64{24, 33} {
+		sc := sim.NewColludingScenario(sim.MachineRoom, 1.5*timebase.Millisecond, poll, dur, seed)
+		sc.LossProb = 0.02
+		sc.AddTotalOutage(dur*5/14, dur*5/14+dur/56)
+		sc.AddServerStep(len(sc.Servers)-1, dur*9/14, dur*9/14+dur/28, 3*timebase.Millisecond)
+		st, err := sim.NewMultiStream(sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ens, err := NewEnsemble(EnsembleOptions{
+			Servers: len(sc.Servers),
+			Clock:   Options{NominalPeriod: 1 / sc.Oscillator.NominalHz, PollPeriod: poll},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for e, ok := st.Next(); ok; e, ok = st.Next() {
+			if e.Lost {
+				continue
+			}
+			if _, err := ens.ProcessNTPExchange(e.Server, e.Ta, e.Tf, e.Tb, e.Te); err != nil {
+				t.Fatalf("seed %d: server %d seq %d refused: %v", seed, e.Server, e.Seq, err)
+			}
+		}
+	}
+}

@@ -463,3 +463,45 @@ func TestClientKernelStampAB(t *testing.T) {
 		t.Errorf("Tf kernel-vs-userspace delta p50 = %v, want > 0 (the RX dwell the stamp sheds)", tfP50)
 	}
 }
+
+// TestRxTimestampLoopback: a socket armed by EnableRxTimestamping gets
+// a kernel RX stamp with a loopback datagram read by ReadMsgUDP, and
+// RxTimestampFromOOB returns it within stampMaxAge of the wall clock.
+func TestRxTimestampLoopback(t *testing.T) {
+	rx, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rx.Close()
+	if !EnableRxTimestamping(rx) {
+		t.Fatal("EnableRxTimestamping refused on Linux")
+	}
+	tx, err := net.DialUDP("udp", nil, rx.LocalAddr().(*net.UDPAddr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tx.Close()
+	if _, err := tx.Write([]byte("stamp me")); err != nil {
+		t.Fatal(err)
+	}
+	if err := rx.SetReadDeadline(time.Now().Add(2 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	var buf [64]byte
+	var oob [oobSize]byte
+	_, oobn, _, _, err := rx.ReadMsgUDP(buf[:], oob[:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	now := time.Now()
+	stamp, ok := RxTimestampFromOOB(oob[:oobn])
+	if !ok {
+		t.Fatalf("no RX stamp in %d control bytes", oobn)
+	}
+	if d := now.Sub(stamp); d < -stampMaxAge || d > stampMaxAge {
+		t.Fatalf("RX stamp %v is %v from the wall clock", stamp, d)
+	}
+	if _, ok := RxTimestampFromOOB(nil); ok {
+		t.Fatal("a stamp from no control bytes")
+	}
+}

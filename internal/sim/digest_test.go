@@ -168,20 +168,26 @@ var multiGolden = map[string]string{
 	"faults":    "f30e8f0492ac9d65cf7bb14b7ace50e4306f0b3476a4cdff2239142b69f69be5",
 }
 
+// TestMultiStreamGoldenDigests also holds the bits independent of the
+// CPU count: each digest is taken with the workers of one CPU (inline)
+// up to one CPU more than there are servers (pipelined); the faults
+// scenario spans 26 chunks.
 func TestMultiStreamGoldenDigests(t *testing.T) {
 	for name, sc := range multiScenarios() {
 		t.Run(name, func(t *testing.T) {
-			for _, trim := range []bool{false, true} {
-				st, err := NewMultiStream(sc)
-				if err != nil {
-					t.Fatal(err)
+			for cpus := 1; cpus <= len(sc.Servers)+1; cpus++ {
+				for _, trim := range []bool{false, true} {
+					st, err := newMultiStream(sc, cpus)
+					if err != nil {
+						t.Fatal(err)
+					}
+					st.SetTrim(trim)
+					d := newDigest()
+					for ex, ok := st.Next(); ok; ex, ok = st.Next() {
+						d.add(ex.Server, ex.Exchange)
+					}
+					d.check(t, fmt.Sprintf("MultiStream cpus=%d trim=%v", cpus, trim), multiGolden[name])
 				}
-				st.SetTrim(trim)
-				d := newDigest()
-				for ex, ok := st.Next(); ok; ex, ok = st.Next() {
-					d.add(ex.Server, ex.Exchange)
-				}
-				d.check(t, fmt.Sprintf("MultiStream trim=%v", trim), multiGolden[name])
 			}
 		})
 	}

@@ -1,8 +1,11 @@
 package sim
 
 import (
+	"bytes"
 	"math"
+	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/timebase"
 )
@@ -194,4 +197,89 @@ func completedFor(tr *MultiTrace, server int) []Exchange {
 		}
 	}
 	return out
+}
+
+// TestAbandonedMultiStreamLeavesNoGoroutine: a stream dropped in the
+// middle of a chunk needs no Close. Inline it never starts a goroutine;
+// pipelined, the fills in flight finish their chunks and exit.
+func TestAbandonedMultiStreamLeavesNoGoroutine(t *testing.T) {
+	wait := func(what string, done func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); !done(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				buf := make([]byte, 1<<20)
+				t.Fatalf("%s: %d goroutines\n%s", what, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
+			}
+		}
+	}
+	// Earlier tests' streams may still be finishing a chunk.
+	wait("earlier streams", func() bool {
+		buf := make([]byte, 1<<20)
+		return !bytes.Contains(buf[:runtime.Stack(buf, true)], []byte("(*MultiStream)"))
+	})
+	base := runtime.NumGoroutine()
+
+	sc := NewColludingScenario(MachineRoom, 1.5*timebase.Millisecond, 16, timebase.Day, 3)
+	for _, cpus := range []int{1, 2, 4} {
+		st, err := newMultiStream(sc, cpus)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for range chunkLen + chunkLen/2 {
+			if _, ok := st.Next(); !ok {
+				t.Fatal("stream ended early")
+			}
+		}
+		if n := runtime.NumGoroutine(); cpus == 1 && n != base {
+			t.Fatalf("inline stream runs %d goroutines, base %d", n, base)
+		}
+	}
+	wait("abandoned streams", func() bool { return runtime.NumGoroutine() <= base })
+}
+
+// TestRepliesPastTheNextPollAreLost: a reply the host would receive
+// once it has sent the same server its next request counts as lost,
+// in both generators. Polled faster than ServerExt's 14.2 ms minimum
+// RTT, every exchange is lost but each server's last, which no request
+// follows; polled a quarter millisecond slower than it, the queueing
+// tail loses some. Every completed exchange's Tf precedes the same
+// server's next Ta.
+func TestRepliesPastTheNextPollAreLost(t *testing.T) {
+	minRTT := ServerExt().MinRTT()
+	for _, poll := range []float64{0.7 * minRTT, minRTT + 250*timebase.Microsecond} {
+		single, err := NewStream(NewScenario(MachineRoom, ServerExt(), poll, timebase.Minute, 5))
+		if err != nil {
+			t.Fatal(err)
+		}
+		multi, err := NewMultiStream(NewMultiScenario(MachineRoom, []ServerSpec{ServerExt(), ServerExt()}, poll, timebase.Minute, 5))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var all []MultiExchange
+		for ex, ok := single.Next(); ok; ex, ok = single.Next() {
+			all = append(all, MultiExchange{Server: -1, Exchange: ex})
+		}
+		for ex, ok := multi.Next(); ok; ex, ok = multi.Next() {
+			all = append(all, ex)
+		}
+		completed := 0
+		lastTf := map[int]uint64{}
+		for _, e := range all {
+			if e.Lost {
+				continue
+			}
+			completed++
+			if e.Ta < lastTf[e.Server] {
+				t.Fatalf("poll %v: server %d seq %d: Ta %d before the previous Tf %d", poll, e.Server, e.Seq, e.Ta, lastTf[e.Server])
+			}
+			lastTf[e.Server] = e.Tf
+		}
+		if poll < minRTT {
+			if completed != 3 {
+				t.Errorf("poll %v below the minimum RTT: %d of %d exchanges completed", poll, completed, len(all))
+			}
+		} else if frac := float64(completed) / float64(len(all)); !(frac > 0.1 && frac < 0.9) {
+			t.Errorf("poll %v: completed share %.4f", poll, frac)
+		}
+	}
 }

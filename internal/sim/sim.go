@@ -309,43 +309,76 @@ func Generate(sc Scenario) (*Trace, error) {
 	return &Trace{Scenario: sc, Exchanges: exchanges, Osc: st.Osc()}, nil
 }
 
-// stampExchange realizes one completed exchange emitted at tStamp
-// through the given path and server models, stamping with the shared
-// oscillator, host model and DAG monitor. Both generators (Generate
-// and GenerateMulti) run this exact sequence, so single-server and
-// multi-server traces always model stamping identically — the
+// draw is what stage 1 fixes for one exchange before any path is
+// queried: its emission slot and the draws from the sources every
+// server shares — the host's send lead and receive lags and the DAG
+// monitor's noise. None of them depends on a path value, so stage 1
+// can run ahead of stage 2 in emission order.
+type draw struct {
+	t        float64 // emission instant, true time
+	deadline float64 // the same server's next emission (+Inf: none)
+
+	lead              float64 // host.SendLead
+	lagBase, lagExtra float64 // host.RecvLagParts
+	dagNoise          float64 // the monitor's timestamping noise
+}
+
+// drawShared takes one completed exchange's draws from the shared host
+// and DAG sources, each source in the order the exchange consumes it.
+func (d *draw) drawShared(host *netem.HostStamp, dagSrc *rng.Source, dagJitter float64) {
+	d.lead = host.SendLead()
+	d.dagNoise = dagSrc.Normal(0, dagJitter)
+	d.lagBase, d.lagExtra = host.RecvLagParts()
+}
+
+// stamp is stage 2: it realizes the exchange whose stage-1 draws are d
+// through one server's path and server models, reading the counter
+// from osc. It touches nothing but those models and osc, so each
+// server's exchanges can be stamped by whichever worker owns the
+// server. Both generators run this exact sequence, so single-server
+// and multi-server traces always model stamping identically — the
 // ensemble experiments compare clocks across the two.
-func stampExchange(ex *Exchange, tStamp float64, osc *oscillator.Oscillator,
-	host *netem.HostStamp, fwd, back *netem.Path, srv *netem.Server,
-	dagSrc *rng.Source, dagJitter float64) {
+//
+// A reply the host would receive at or after d.deadline is lost: the
+// client has sent that server its next request and no longer waits
+// for this one. The server's departure is checked before the backward
+// path is queried, so a delay longer than the polling period never
+// queries a path backwards in time, and the same server's counter
+// stamps stay in order.
+func stamp(ex *Exchange, d *draw, osc *oscillator.Oscillator, fwd, back *netem.Path, srv *netem.Server) {
 	// Host stamps Ta slightly before the true departure.
-	ta := tStamp + host.SendLead()
-	ex.Ta = osc.ReadTSC(tStamp)
-	ex.TrueTa = ta
-
+	ta := d.t + d.lead
 	tb := ta + fwd.Delay(ta)
-	ex.TrueTb = tb
-	ex.Tb = srv.StampArrival(tb)
-
+	tbStamp := srv.StampArrival(tb)
 	te := tb + srv.Turnaround()
-	ex.TrueTe = te
-	ex.Te = srv.StampDeparture(te)
-
+	if te >= d.deadline {
+		ex.Lost = true
+		return
+	}
+	teStamp := srv.StampDeparture(te)
 	tf := te + back.Delay(te)
+	// The host's driver stamp follows the arrival by the interrupt
+	// latency (plus rare scheduling excursions); the corrected stamp
+	// keeps only the irreducible base latency.
+	recv := tf + d.lagBase + d.lagExtra
+	if recv >= d.deadline {
+		ex.Lost = true
+		return
+	}
+	ex.Ta, ex.TrueTa = osc.ReadTSC(d.t), ta
+	ex.Tb, ex.TrueTb = tbStamp, tb
+	ex.Te, ex.TrueTe = teStamp, te
 	ex.TrueTf = tf
 	// The DAG taps the wire just before the host interface; its
 	// corrected stamp is true arrival plus reference jitter.
-	ex.Tg = tf + dagSrc.Normal(0, dagJitter)
-	// The host's driver stamp follows the arrival by the interrupt
-	// latency (plus rare scheduling excursions); the corrected stamp
-	// keeps only the irreducible base latency. Most exchanges have no
-	// excess, and then both stamps read the same instant (x+0 == x, and
-	// a repeated read draws nothing), so the counter is read once.
-	lagBase, lagExtra := host.RecvLagParts()
-	ex.TfCorr = osc.ReadTSC(tf + lagBase)
+	ex.Tg = tf + d.dagNoise
+	// Most exchanges have no excess lag, and then both stamps read the
+	// same instant (x+0 == x, and a repeated read draws nothing), so
+	// the counter is read once.
+	ex.TfCorr = osc.ReadTSC(tf + d.lagBase)
 	ex.Tf = ex.TfCorr
-	if lagExtra != 0 {
-		ex.Tf = osc.ReadTSC(tf + lagBase + lagExtra)
+	if d.lagExtra != 0 {
+		ex.Tf = osc.ReadTSC(recv)
 	}
 }
 

@@ -10,6 +10,15 @@ package sim
 // (SetTrim). The batch generators are thin collectors over the streams;
 // digest_test.go pins all three — stream, trimmed stream, collector —
 // to committed sha256 digests of the emitted bits.
+//
+// Every exchange is generated in two stages (sim.go). Stage 1 draws
+// what every server shares, in emission order: the schedule, loss and
+// faults, the host's stamping noise and the monitor's. Stage 2 stamps
+// the exchange through its own server's path and server models and
+// reads the counter. Stage 2 of different servers shares no state but
+// the oscillator, whose realization is a pure function of its seed, so
+// MultiStream hands each server to one worker with an oscillator of its
+// own and emits the same bits whatever the number of workers.
 
 import (
 	"fmt"
@@ -34,7 +43,9 @@ const trimEvery = 256
 // time. For a given scenario it yields exactly the sequence
 // Generate(sc).Exchanges, bit for bit, without ever holding more than
 // one exchange; Generate itself is implemented as a collector over it.
-// A Stream is single-use and not safe for concurrent use.
+// Next runs both stages inline, through the same two functions
+// MultiStream's workers run, with Osc's oscillator. A Stream is
+// single-use and not safe for concurrent use.
 type Stream struct {
 	sc        Scenario
 	osc       *oscillator.Oscillator
@@ -45,8 +56,9 @@ type Stream struct {
 	dagSrc    *rng.Source
 	pollSrc   *rng.Source
 
-	n, i int
-	trim bool
+	n, i  int
+	nextT float64 // exchange i's emission instant
+	trim  bool
 }
 
 // NewStream validates the scenario and builds the substrate models,
@@ -85,11 +97,23 @@ func NewStream(sc Scenario) (*Stream, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Stream{
+	st := &Stream{
 		sc: sc, osc: osc, host: host, fwd: fwd, back: back, srv: srv,
 		missSrc: missSrc, dagSrc: dagSrc, pollSrc: pollSrc,
 		n: int(sc.Duration / sc.PollPeriod),
-	}, nil
+	}
+	st.nextT = st.slot(0)
+	return st, nil
+}
+
+// slot draws exchange i's emission instant; +Inf past the last one.
+func (st *Stream) slot(i int) float64 {
+	if i >= st.n {
+		return math.Inf(1)
+	}
+	sc := &st.sc
+	jitter := (st.pollSrc.Float64() - 0.5) * sc.PollJitterFrac * sc.PollPeriod
+	return float64(i)*sc.PollPeriod + sc.PollPeriod/2 + jitter
 }
 
 // Len returns the total number of exchanges the stream will emit
@@ -117,8 +141,8 @@ func (st *Stream) Next() (ex Exchange, ok bool) {
 	st.i++
 
 	sc := &st.sc
-	jitter := (st.pollSrc.Float64() - 0.5) * sc.PollJitterFrac * sc.PollPeriod
-	tStamp := float64(i)*sc.PollPeriod + sc.PollPeriod/2 + jitter
+	tStamp := st.nextT
+	st.nextT = st.slot(st.i)
 
 	ex = Exchange{Seq: i}
 
@@ -137,12 +161,22 @@ func (st *Stream) Next() (ex Exchange, ok bool) {
 		return ex, true
 	}
 
-	stampExchange(&ex, tStamp, st.osc, st.host, st.fwd, st.back, st.srv, st.dagSrc, sc.DAGJitter)
+	d := draw{t: tStamp, deadline: st.nextT}
+	d.drawShared(st.host, st.dagSrc, sc.DAGJitter)
+	stamp(&ex, &d, st.osc, st.fwd, st.back, st.srv)
 	if st.trim && i%trimEvery == 0 {
 		st.osc.TrimBefore(tStamp - trimMargin)
 	}
 	return ex, true
 }
+
+// chunkLen is how many exchanges a pipelined MultiStream generates at
+// a time, and chunksAhead how many chunks it fills ahead of the one the
+// caller drains.
+const (
+	chunkLen    = 1024
+	chunksAhead = 3
+)
 
 // MultiStream generates the exchanges of a multi-server scenario in
 // emission order, one at a time: the lazy k-way merge of the per-server
@@ -151,32 +185,74 @@ func (st *Stream) Next() (ex Exchange, ok bool) {
 // are read from a fast-forwarded clone of the shared jitter stream (the
 // batch generator draws them server-major before sorting), and every
 // other model draw happens in merged emission order, exactly as the
-// batch generator's sorted loop performs them. A MultiStream is
-// single-use and not safe for concurrent use.
+// batch generator's sorted loop performs them.
+//
+// With one usable CPU (the calling thread's affinity on Linux,
+// GOMAXPROCS elsewhere) Next runs both stages inline, one exchange at a
+// time, stamping with Osc's oscillator. Otherwise goroutines fill the
+// next chunksAhead chunks of chunkLen exchanges while the caller drains
+// the current one: for each chunk stage 1 first, then stage 2 split
+// over one worker per usable CPU (at most one per server). Worker w
+// owns the servers k ≡ w modulo the worker count and an oscillator
+// realization of its own, and trims it under SetTrim. Each goroutine
+// exits when its stage of its chunk is done, so an abandoned stream
+// leaves none behind and needs no Close. The emitted bits do not
+// depend on the number of workers. A MultiStream is single-use and not
+// safe for concurrent use.
 type MultiStream struct {
-	sc   MultiScenario
-	osc  *oscillator.Oscillator
-	host *netem.HostStamp
-	fwd  []*netem.Path
-	back []*netem.Path
-	srv  []*netem.Server
-	miss []*rng.Source
-	dag  *rng.Source
+	sc  MultiScenario
+	osc *oscillator.Oscillator // Osc's realization
 
-	// Per-server lazy schedules: jit[k] yields server k's jitters in
-	// sequence order, nextT/nextSeq the server's pending emission
-	// (nextSeq == perServer means exhausted).
+	// Stage 1, touched by one goroutine at a time: the shared host and
+	// DAG sources, each server's loss stream, and the per-server lazy
+	// schedules — jit[k] yields server k's jitters in sequence order,
+	// nextT/nextSeq the server's pending emission (nextSeq == perServer
+	// means exhausted).
+	host      *netem.HostStamp
+	dag       *rng.Source
+	miss      []*rng.Source
 	jit       []*rng.Source
 	nextT     []float64
 	nextSeq   []int
 	perServer int
-	emitted   int
-	trim      bool
+
+	// Stage 2: each server's models and, pipelined, one oscillator per
+	// worker.
+	fwd  []*netem.Path
+	back []*netem.Path
+	srv  []*netem.Server
+	oscs []*oscillator.Oscillator
+
+	// Pipelined only: the chunk the caller drains and the chunks being
+	// filled, oldest first.
+	cur       *chunk
+	ahead     []*chunk
+	pos       int
+	exhausted bool
+
+	emitted int
+	trim    bool
+}
+
+// chunk is a run of consecutive exchanges and their stage-1 draws.
+// Its fill closes drawn when stage 1 is done, and stamped[w] when
+// worker w's stage 2 is.
+type chunk struct {
+	ex []MultiExchange
+	d  []draw
+
+	drawn   chan struct{}
+	stamped []chan struct{}
 }
 
 // NewMultiStream validates the scenario and builds the substrate
 // models, consuming the seed exactly as GenerateMulti does.
 func NewMultiStream(sc MultiScenario) (*MultiStream, error) {
+	return newMultiStream(sc, usableCPUs())
+}
+
+// newMultiStream builds a stream that uses cpus CPUs.
+func newMultiStream(sc MultiScenario, cpus int) (*MultiStream, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
@@ -186,7 +262,8 @@ func NewMultiStream(sc MultiScenario) (*MultiStream, error) {
 	dagSrc := root.Split()
 	pollSrc := root.Split()
 
-	osc, err := oscillator.New(sc.Oscillator, oscSrc.Uint64())
+	oscSeed := oscSrc.Uint64()
+	osc, err := oscillator.New(sc.Oscillator, oscSeed)
 	if err != nil {
 		return nil, err
 	}
@@ -230,7 +307,32 @@ func NewMultiStream(sc MultiScenario) (*MultiStream, error) {
 		st.nextSeq[k] = -1
 		st.advanceServer(k)
 	}
+	if cpus > 1 {
+		st.oscs = make([]*oscillator.Oscillator, min(cpus, nSrv))
+		for w := range st.oscs {
+			if st.oscs[w], err = oscillator.New(sc.Oscillator, oscSeed); err != nil {
+				return nil, err
+			}
+		}
+		size := min(chunkLen, st.Len())
+		st.cur = st.newChunk(size)
+		st.ahead = make([]*chunk, chunksAhead)
+		for i := range st.ahead {
+			st.ahead[i] = st.newChunk(size)
+		}
+	}
 	return st, nil
+}
+
+// newChunk returns an empty chunk whose fill counts as done.
+func (st *MultiStream) newChunk(size int) *chunk {
+	done := make(chan struct{})
+	close(done)
+	c := &chunk{ex: make([]MultiExchange, 0, size), d: make([]draw, 0, size), drawn: done}
+	for range st.oscs {
+		c.stamped = append(c.stamped, done)
+	}
+	return c
 }
 
 // advanceServer draws server k's next emission slot.
@@ -248,16 +350,48 @@ func (st *MultiStream) advanceServer(k int) {
 // Len returns the total number of exchanges the stream will emit.
 func (st *MultiStream) Len() int { return st.perServer * len(st.sc.Servers) }
 
-// Osc returns the shared oscillator realization.
+// Osc returns the shared oscillator realization. Pipelined, it is the
+// caller's own: the workers stamp with realizations of the same seed,
+// so every query answers what the stamps read.
 func (st *MultiStream) Osc() *oscillator.Oscillator { return st.osc }
 
-// SetTrim enables oscillator cache trimming behind the emission front;
-// see Stream.SetTrim.
+// SetTrim enables oscillator cache trimming behind the emission front,
+// Osc's and the workers'; see Stream.SetTrim. Call it before the first
+// Next.
 func (st *MultiStream) SetTrim(on bool) { st.trim = on }
 
 // Next emits the next exchange in global emission order; ok is false
 // when every server's schedule is exhausted.
 func (st *MultiStream) Next() (ex MultiExchange, ok bool) {
+	var t float64
+	if st.ahead == nil {
+		var d draw
+		if !st.drawNext(&ex, &d) {
+			return MultiExchange{}, false
+		}
+		if k := ex.Server; !ex.Lost {
+			stamp(&ex.Exchange, &d, st.osc, st.fwd[k], st.back[k], st.srv[k])
+		}
+		t = d.t
+	} else {
+		if st.pos == len(st.cur.ex) && !st.advance() {
+			return MultiExchange{}, false
+		}
+		ex, t = st.cur.ex[st.pos], st.cur.d[st.pos].t
+		st.pos++
+	}
+	st.emitted++
+	if st.trim && st.emitted%trimEvery == 0 {
+		st.osc.TrimBefore(t - trimMargin)
+	}
+	return ex, true
+}
+
+// drawNext is stage 1 for the next exchange: the merge of the per-server
+// schedules, loss, gaps and faults, and the shared draws if the
+// exchange is still alive. It reports false when every schedule is
+// exhausted.
+func (st *MultiStream) drawNext(ex *MultiExchange, d *draw) bool {
 	// Linear argmin over the per-server pending slots: server counts are
 	// single digits, and the deterministic lowest-index tie-break keeps
 	// the merge reproducible.
@@ -268,11 +402,10 @@ func (st *MultiStream) Next() (ex MultiExchange, ok bool) {
 		}
 	}
 	if k < 0 {
-		return MultiExchange{}, false
+		return false
 	}
 	sc := &st.sc
-	ex = MultiExchange{Server: k, Exchange: Exchange{Seq: st.nextSeq[k]}}
-
+	*ex = MultiExchange{Server: k, Exchange: Exchange{Seq: st.nextSeq[k]}}
 	lost := st.miss[k].Bool(sc.LossProb)
 	for _, g := range sc.Gaps {
 		if t >= g.From && t < g.To {
@@ -285,15 +418,92 @@ func (st *MultiStream) Next() (ex MultiExchange, ok bool) {
 	if !lost {
 		lost = sc.faultLost(k, t, st.miss[k])
 	}
+	st.advanceServer(k)
+	*d = draw{t: t, deadline: st.nextT[k]}
 	if lost {
 		ex.Lost = true
 	} else {
-		stampExchange(&ex.Exchange, t, st.osc, st.host, st.fwd[k], st.back[k], st.srv[k], st.dag, sc.DAGJitter)
+		d.drawShared(st.host, st.dag, sc.DAGJitter)
 	}
-	st.advanceServer(k)
-	st.emitted++
-	if st.trim && st.emitted%trimEvery == 0 {
-		st.osc.TrimBefore(t - trimMargin)
+	return true
+}
+
+// advance makes the next chunk current and reports whether it holds
+// any exchange: it waits for the oldest chunk being filled and starts a
+// fill into the chunk just drained, so chunksAhead are always in
+// flight.
+func (st *MultiStream) advance() bool {
+	if st.exhausted {
+		return false
 	}
-	return ex, true
+	if st.emitted == 0 {
+		prev := st.cur
+		for _, c := range st.ahead {
+			st.start(c, prev)
+			prev = c
+		}
+	}
+	next := st.ahead[0]
+	for _, done := range next.stamped {
+		<-done
+	}
+	last := st.ahead[len(st.ahead)-1]
+	copy(st.ahead, st.ahead[1:])
+	st.ahead[len(st.ahead)-1], st.cur = st.cur, next
+	if len(next.ex) == chunkLen {
+		st.start(st.ahead[len(st.ahead)-1], last)
+	}
+	st.pos = 0
+	st.exhausted = len(next.ex) < chunkLen
+	return len(next.ex) > 0
+}
+
+// start fills c in the background after prev, the chunk before it.
+// One goroutine runs stage 1 once prev's stage 1 is done; one per
+// worker runs that worker's stage 2 once c's stage 1 and the worker's
+// stage 2 of prev are done. So every stage's state is touched by one
+// goroutine at a time, in chunk order, while stage 1 runs ahead of
+// stage 2 and each worker runs ahead of the others.
+func (st *MultiStream) start(c, prev *chunk) {
+	trim := st.trim
+	drawn := make(chan struct{})
+	c.drawn = drawn
+	go func(after chan struct{}) {
+		<-after
+		c.ex, c.d = c.ex[:0], c.d[:0]
+		var ex MultiExchange
+		var d draw
+		for len(c.ex) < chunkLen && st.drawNext(&ex, &d) {
+			c.ex = append(c.ex, ex)
+			c.d = append(c.d, d)
+		}
+		close(drawn)
+	}(prev.drawn)
+	for w := range c.stamped {
+		stamped := make(chan struct{})
+		c.stamped[w] = stamped
+		go func(after chan struct{}) {
+			<-drawn
+			<-after
+			st.stampWorker(w, c, trim)
+			close(stamped)
+		}(prev.stamped[w])
+	}
+}
+
+// stampWorker is stage 2 for worker w: it stamps, in emission order,
+// every live exchange of c whose server it owns, with its own
+// oscillator, which it then trims behind the chunk's last emission.
+func (st *MultiStream) stampWorker(w int, c *chunk, trim bool) {
+	osc, n := st.oscs[w], len(st.oscs)
+	for i := range c.ex {
+		// Only the owner reads an exchange's Lost: stage 2 may set it.
+		ex := &c.ex[i]
+		if k := ex.Server; k%n == w && !ex.Lost {
+			stamp(&ex.Exchange, &c.d[i], osc, st.fwd[k], st.back[k], st.srv[k])
+		}
+	}
+	if trim && len(c.d) > 0 {
+		osc.TrimBefore(c.d[len(c.d)-1].t - trimMargin)
+	}
 }
