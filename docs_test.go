@@ -2,8 +2,9 @@ package tscclock
 
 // Documentation checks, run in CI's docs job: every relative link in
 // the top-level markdown files must resolve, every markdown file a Go
-// comment cites must exist, and every package must carry a package doc
-// comment so `go doc` reads as a tour.
+// comment cites must exist, every package must carry a package doc
+// comment so `go doc` reads as a tour, and ARCHITECTURE.md's Knobs and
+// Invariants tables must name fields, tests and analyzers that exist.
 
 import (
 	"io/fs"
@@ -14,6 +15,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/analysis"
 	"repro/internal/core"
 	"repro/internal/ensemble"
 	"repro/internal/ntp"
@@ -95,10 +97,11 @@ func TestDocLinks(t *testing.T) {
 // optional directory in front (bench/README.md).
 var mdRef = regexp.MustCompile(`(?:[\w.-]+/)*[A-Z][A-Z_]*\.md\b`)
 
-// TestGoCommentDocRefs resolves every markdown file a Go comment cites,
-// against the repository root or the citing file's own directory: a
-// comment that sends the reader to a document must name one that exists.
-func TestGoCommentDocRefs(t *testing.T) {
+// eachRepoFile calls fn with the path and contents of every file of
+// the repository whose name ends in suffix, testdata and hidden
+// directories excluded.
+func eachRepoFile(t *testing.T, suffix string, fn func(path, src string)) {
+	t.Helper()
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -109,14 +112,27 @@ func TestGoCommentDocRefs(t *testing.T) {
 			}
 			return nil
 		}
-		if !strings.HasSuffix(path, ".go") {
+		if !strings.HasSuffix(path, suffix) {
 			return nil
 		}
 		data, err := os.ReadFile(path)
 		if err != nil {
 			return err
 		}
-		for i, line := range strings.Split(string(data), "\n") {
+		fn(path, string(data))
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestGoCommentDocRefs resolves every markdown file a Go comment cites,
+// against the repository root or the citing file's own directory: a
+// comment that sends the reader to a document must name one that exists.
+func TestGoCommentDocRefs(t *testing.T) {
+	eachRepoFile(t, ".go", func(path, src string) {
+		for i, line := range strings.Split(src, "\n") {
 			_, comment, ok := strings.Cut(line, "//")
 			if !ok {
 				continue
@@ -129,11 +145,23 @@ func TestGoCommentDocRefs(t *testing.T) {
 				}
 			}
 		}
-		return nil
 	})
+}
+
+// architectureSection returns the body of ARCHITECTURE.md's "## name"
+// section, up to the next second-level heading.
+func architectureSection(t *testing.T, name string) string {
+	t.Helper()
+	data, err := os.ReadFile("ARCHITECTURE.md")
 	if err != nil {
 		t.Fatal(err)
 	}
+	_, section, ok := strings.Cut(string(data), "\n## "+name+"\n")
+	if !ok {
+		t.Fatalf("ARCHITECTURE.md has no %q section", name)
+	}
+	section, _, _ = strings.Cut(section, "\n## ")
+	return section
 }
 
 // knobRow matches a row of ARCHITECTURE.md's Knobs table and captures
@@ -144,17 +172,8 @@ var knobRow = regexp.MustCompile("(?m)^\\| `([A-Za-z.]+)` \\|")
 // ARCHITECTURE.md's "Knobs" table, and every row names a field that
 // exists, so a knob is neither added nor removed without the table.
 func TestKnobsDocumented(t *testing.T) {
-	data, err := os.ReadFile("ARCHITECTURE.md")
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, section, ok := strings.Cut(string(data), "\n## Knobs\n")
-	if !ok {
-		t.Fatal("ARCHITECTURE.md has no \"Knobs\" section")
-	}
-	section, _, _ = strings.Cut(section, "\n## ")
 	rows := map[string]bool{}
-	for _, m := range knobRow.FindAllStringSubmatch(section, -1) {
+	for _, m := range knobRow.FindAllStringSubmatch(architectureSection(t, "Knobs"), -1) {
 		rows[m[1]] = true
 	}
 	fields := map[string]bool{}
@@ -178,6 +197,75 @@ func TestKnobsDocumented(t *testing.T) {
 	for key := range rows {
 		if !fields[key] {
 			t.Errorf("ARCHITECTURE.md's Knobs table has a row for %s, which is no field", key)
+		}
+	}
+}
+
+var (
+	// backquoted captures each `name` of an Invariants row's
+	// "Enforced by" cell.
+	backquoted = regexp.MustCompile("`([^`]+)`")
+	// testFunc captures the name of a test or fuzz function declaration.
+	testFunc = regexp.MustCompile(`(?m)^func ((?:Test|Fuzz)\w*)\(`)
+	// noneYet marks a row that is stated but not yet checked, and names
+	// the ROADMAP item that will check it.
+	noneYet = regexp.MustCompile(`none yet — ROADMAP \d+`)
+)
+
+// TestInvariantsEnforced holds ARCHITECTURE.md's Invariants table to
+// the tree: every name an "Enforced by" cell quotes is a Test or Fuzz
+// function some _test.go file defines or an analyzer of analysis.All(),
+// every row quotes one or says "none yet — ROADMAP <item>", and every
+// analyzer has a row.
+func TestInvariantsEnforced(t *testing.T) {
+	tests := map[string]bool{}
+	eachRepoFile(t, "_test.go", func(_, src string) {
+		for _, m := range testFunc.FindAllStringSubmatch(src, -1) {
+			tests[m[1]] = true
+		}
+	})
+	analyzers := map[string]bool{} // analyzer name → has a row
+	for _, a := range analysis.All() {
+		analyzers[a.Name] = false
+	}
+
+	rows := 0
+	for _, line := range strings.Split(architectureSection(t, "Invariants"), "\n") {
+		if !strings.HasPrefix(line, "| ") || strings.HasPrefix(line, "| Invariant |") {
+			continue
+		}
+		cells := strings.Split(strings.Trim(line, "|"), " | ")
+		if len(cells) != 3 {
+			t.Errorf("Invariants row has %d cells, want 3: %s", len(cells), line)
+			continue
+		}
+		rows++
+		row, enforcers := strings.TrimSpace(cells[0]), cells[2]
+		named := backquoted.FindAllStringSubmatch(enforcers, -1)
+		for _, m := range named {
+			name := m[1]
+			if strings.HasPrefix(name, "Test") || strings.HasPrefix(name, "Fuzz") {
+				if !tests[name] {
+					t.Errorf("Invariants row %q names %s, which no _test.go file defines", row, name)
+				}
+				continue
+			}
+			if _, ok := analyzers[name]; !ok {
+				t.Errorf("Invariants row %q names %s, which is neither a test nor an analyzer of analysis.All()", row, name)
+				continue
+			}
+			analyzers[name] = true
+		}
+		if len(named) == 0 && !noneYet.MatchString(enforcers) {
+			t.Errorf("Invariants row %q names no enforcer and does not say \"none yet — ROADMAP <item>\"", row)
+		}
+	}
+	if rows == 0 {
+		t.Fatal("ARCHITECTURE.md's Invariants section has no table rows")
+	}
+	for _, a := range analysis.All() {
+		if !analyzers[a.Name] {
+			t.Errorf("analyzer %s has no row in ARCHITECTURE.md's Invariants table", a.Name)
 		}
 	}
 }

@@ -1,12 +1,11 @@
 // Package analysis implements reprolint: five static analyzers that
-// mechanically enforce the invariants the clock's robustness argument
-// rests on. Seven PRs in, properties like "the engine never reads the
-// wall clock", "the packet path does not allocate", and "a published
-// readout is never mutated" were guaranteed only by convention plus a
-// handful of point tests (TestReadPathZeroAlloc, the race suites) that
-// cover specific call sites. reprolint turns them into lint-time
-// failures over the whole codebase, so the guarantee no longer depends
-// on remembering to write the right test for each new call site.
+// enforce, over the whole module and at every call site, invariants the
+// clock's robustness argument rests on — deterministic packages never
+// read the wall clock, the packet path does not allocate, reads take no
+// lock, a published readout is never mutated, and no writer-touched
+// field shares a cache line with a word readers poll. ARCHITECTURE.md's
+// Invariants table gives each analyzer its row beside the tests that
+// check the same property at run time.
 //
 // The suite is driven by directive comments. A directive is a comment
 // line that begins exactly with "//repro:" (no space, mirroring the
@@ -80,7 +79,8 @@
 //
 // placed at the end of the offending line or on the line directly
 // above it. A waiver with no reason is itself reported: the point of a
-// waiver is to put the justification in the diff.
+// waiver is to put the justification in the diff. So is a waiver that
+// suppresses nothing, so none outlives the construct it excused.
 //
 // The analyzers are deliberately conservative approximations. They see
 // direct static calls only (calls through function values, interfaces,

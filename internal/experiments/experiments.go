@@ -14,6 +14,8 @@
 //
 // Run from the command line with `go run ./cmd/experiments -run fig12`;
 // TestAllExperimentsQuick runs the whole sweep under `go test`.
+//
+//repro:deterministic
 package experiments
 
 import (

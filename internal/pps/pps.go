@@ -18,6 +18,8 @@
 // clock reaches µs-scale offsets — the "GPS-like" target that the
 // paper's remote synchronization approaches to within about an order of
 // magnitude (examples/tscgps: a 2.3µs median against TSC-NTP's 25.5µs).
+//
+//repro:deterministic
 package pps
 
 import (

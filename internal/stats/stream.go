@@ -38,9 +38,6 @@ func NewP2Quantile(p float64) *P2Quantile {
 	return &P2Quantile{p: p}
 }
 
-// N returns the number of observations folded.
-func (s *P2Quantile) N() int { return s.n }
-
 // Add folds one observation.
 func (s *P2Quantile) Add(x float64) {
 	if s.n < 5 {
@@ -289,12 +286,6 @@ func (f *StreamingFiveNum) FiveNum() FiveNum {
 	}
 }
 
-// Median returns the current median estimate.
-func (f *StreamingFiveNum) Median() float64 { return f.qs.Value(2) }
-
-// IQR returns the current inter-quartile range estimate.
-func (f *StreamingFiveNum) IQR() float64 { return f.qs.Value(1) - f.qs.Value(3) }
-
 // MedianAbs estimates the median of |x| online: the robust error scale
 // the experiment reports summarize series by.
 type MedianAbs struct {
@@ -306,9 +297,6 @@ func NewMedianAbs() *MedianAbs { return &MedianAbs{q: NewStreamingQuantiles(0.5)
 
 // Add folds one observation (its absolute value is accumulated).
 func (m *MedianAbs) Add(x float64) { m.q.Add(math.Abs(x)) }
-
-// N returns the number of observations folded.
-func (m *MedianAbs) N() int { return m.q.N() }
 
 // Value returns the current median-|x| estimate; it panics on an empty
 // accumulator.

