@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -187,5 +188,45 @@ func TestFixturesListAnalyzers(t *testing.T) {
 	sort.Strings(missing)
 	if len(missing) > 0 {
 		t.Errorf("analyzers without a testdata/src fixture: %s", strings.Join(missing, ", "))
+	}
+}
+
+// TestDiagnosticString pins the finding format reprolint prints, the
+// one editors and CI logs parse: file:line:col: analyzer: message.
+func TestDiagnosticString(t *testing.T) {
+	d := Diagnostic{Pos: token.Position{Filename: "a.go", Line: 3, Column: 5}, Analyzer: "wallclock", Message: "time.Now on a //repro:sim path"}
+	if got, want := d.String(), "a.go:3:5: wallclock: time.Now on a //repro:sim path"; got != want {
+		t.Errorf("String() = %q, want %q", got, want)
+	}
+}
+
+// recordingImporter is a fallback that answers every path with a fresh
+// package and remembers what it was asked.
+type recordingImporter struct{ asked []string }
+
+func (r *recordingImporter) Import(path string) (*types.Package, error) {
+	return r.ImportFrom(path, "", 0)
+}
+
+func (r *recordingImporter) ImportFrom(path, _ string, _ types.ImportMode) (*types.Package, error) {
+	r.asked = append(r.asked, path)
+	return types.NewPackage(path, filepath.Base(path)), nil
+}
+
+// TestChainImporterImport checks the loader's plain Import entry point,
+// which go/types reaches only through ImportFrom: a module package comes
+// from the ones already type-checked, anything else from the fallback.
+func TestChainImporterImport(t *testing.T) {
+	own := types.NewPackage("repro/internal/window", "window")
+	fb := &recordingImporter{}
+	c := &chainImporter{loaded: map[string]*types.Package{own.Path(): own}, fallback: fb}
+	if p, err := c.Import(own.Path()); err != nil || p != own {
+		t.Errorf("module import resolved to %v, %v; want the loaded package", p, err)
+	}
+	if p, err := c.Import("fmt"); err != nil || p.Path() != "fmt" {
+		t.Errorf("stdlib import resolved to %v, %v; want the fallback's", p, err)
+	}
+	if !slices.Equal(fb.asked, []string{"fmt"}) {
+		t.Errorf("fallback asked for %v, want fmt only", fb.asked)
 	}
 }

@@ -22,29 +22,60 @@ import (
 
 type engineScenario struct {
 	name    string
-	sc      sim.Scenario // the trace; zero: rebaseCongestion
+	sc      sim.Scenario // the trace; zero: synthetic[name]
 	cfg     Config
 	identAt int    // from this packet on the server reports a second identity (0: never)
 	reaches string // the path (tally key) the trace exists for
 	digest  string
 }
 
+// pathTrace is n exchanges 16 s apart through a path whose RTT at
+// packet k is rtt(k); the server's stamps sit a third of the way in.
+func pathTrace(n int, rtt func(k int) float64) []Input {
+	counter, serverT := uint64(1000), 0.0
+	ins := make([]Input, n)
+	for k := range ins {
+		counter += uint64(16 / 2e-9)
+		serverT += 16
+		r := rtt(k)
+		ins[k] = Input{Ta: counter, Tf: counter + uint64(r/2e-9), Tb: serverT + r/3, Te: serverT + r/3 + 20e-6}
+		counter = ins[k].Tf
+	}
+	return ins
+}
+
 // rebaseCongestion is 400 clean exchanges with 1.3 ms of congestion over
 // packets 101–160, right after a server change at packet 100.
 func rebaseCongestion() []Input {
-	src, counter, serverT := rng.New(77), uint64(1000), 0.0
-	var ins []Input
-	for i := range 400 {
-		counter += uint64(16 / 2e-9)
-		serverT += 16
-		rtt := 300e-6 + src.Exponential(20e-6)
-		if i > 100 && i <= 160 {
-			rtt += 1.3e-3
+	src := rng.New(77)
+	return pathTrace(400, func(k int) float64 {
+		r := 300e-6 + src.Exponential(20e-6)
+		if k > 100 && k <= 160 {
+			r += 1.3e-3
 		}
-		ins = append(ins, Input{Ta: counter, Tf: counter + uint64(rtt/2e-9), Tb: serverT + rtt/3, Te: serverT + rtt/3 + 20e-6})
-		counter = ins[i].Tf
-	}
-	return ins
+		return r
+	})
+}
+
+// downwardStep drops the path's RTT by 0.7 ms, far more than E*, at
+// packet 127, the one that slides the top window: i moves to it, and no
+// retained packet older than i is within E* of the new r̂, so the slide
+// replaces j with the one of least point error.
+func downwardStep() []Input {
+	src := rng.New(78)
+	return pathTrace(300, func(k int) float64 {
+		r := 300e-6 + src.Exponential(20e-6)
+		if k < 127 {
+			r += 0.7e-3
+		}
+		return r
+	})
+}
+
+// shrinkingDelay is an upstream whose reply delay falls by 2 µs every
+// poll, so every packet is a new minimum RTT.
+func shrinkingDelay() []Input {
+	return pathTrace(600, func(k int) float64 { return 3e-3 - float64(k)*2e-6 })
 }
 
 func TestEngineGoldenDigests(t *testing.T) {
@@ -77,6 +108,21 @@ func TestEngineGoldenDigests(t *testing.T) {
 	// tiny keeps the shift window T_s at 32 packets.
 	tiny := defaultCfg()
 	tiny.TopWindow, tiny.ShiftWindow, tiny.OffsetWindow, tiny.LocalRateWindow, tiny.WarmupSamples = 256*16, 32*16, 16*16, 64*16, 8
+	// odd slides by 400 packets and keeps 401: the halves are unequal.
+	odd := small
+	odd.TopWindow, odd.ShiftWindow, odd.UseLocalRate = 801*16, 400*16, true
+	// slide64 slides every 32 packets.
+	slide64 := tiny
+	slide64.TopWindow, slide64.ShiftWindow, slide64.OffsetWindow, slide64.LocalRateWindow = 64*16, 16*16, 8*16, 16*16
+	// exact starts at the traces' nominal counter period, so the shrinking
+	// delay is never masked by the rate's convergence.
+	exact := tiny
+	exact.PHatInit = 2e-9
+	synthetic := map[string][]Input{
+		"identity-rebase-congestion": rebaseCongestion(),
+		"slide-minerr-fallback":      downwardStep(),
+		"every-packet-new-minimum":   shrinkingDelay(),
+	}
 
 	for _, sc := range []engineScenario{
 		{"machineroom-serverint-default", mr(2, 1001), defaultCfg(), 0, "rate", "656d57fb1e0dd0f965cb7ec4ac4100446ffc62a325171822d135d00e44a77017"},
@@ -93,9 +139,12 @@ func TestEngineGoldenDigests(t *testing.T) {
 		// once, at packet 100 + T_s, not T_s − 1 packets early (which is
 		// what evicting the r̂ deque at the re-base would do).
 		{"identity-rebase-congestion", sim.Scenario{}, tiny, 100, "rebase", "5ac82ed6a3b76c6c553b08f53bbbb7f709c024a9b7950081c2563a7e70b942ae"},
+		{"odd-topwindow-slides", mr(2, 1010), odd, 0, "slide", "a5c09913468710cf5509c11334933fb83d1f37fa1e4130d8e774d8140517e225"},
+		{"slide-minerr-fallback", sim.Scenario{}, slide64, 0, "fallback", "90c20247dc375b552b0ad74b0264d8b396758c34f2ac745d4f1d7301a380bd29"},
+		{"every-packet-new-minimum", sim.Scenario{}, exact, 0, "new-minimum", "17b66f84dcf1ade327d6c2244bb2c4973d9587606ef188489f633ac0e3799644"},
 	} {
 		t.Run(sc.name, func(t *testing.T) {
-			ins := rebaseCongestion()
+			ins := synthetic[sc.name]
 			if sc.sc.PollPeriod > 0 {
 				tr, err := sim.Generate(sc.sc)
 				if err != nil {
@@ -112,7 +161,7 @@ func TestEngineGoldenDigests(t *testing.T) {
 			}
 			h, tally, shifts := sha256.New(), map[string]int{}, []int(nil)
 			for k, in := range ins {
-				histLen, theta := s.hist.Len(), s.theta
+				front, theta, rHat, pairJ := s.front, s.theta, s.rHat, s.pairJ.seq
 				res, err := s.Process(in)
 				if err != nil {
 					t.Fatalf("packet %d: %v", k, err)
@@ -125,13 +174,16 @@ func TestEngineGoldenDigests(t *testing.T) {
 				rebased := s.ObserveIdentity(id)
 				fmt.Fprintf(h, "%v %v %v\n", res, rebased, *s.Readout())
 
+				slid := s.front > front
 				var gap float64
 				if k > 0 {
 					gap = float64(in.Tf-ins[k-1].Tf) * res.ClockP
 				}
 				for path, took := range map[string]bool{
 					"rate":           res.RateUpdated && !res.Warmup,
-					"slide":          s.hist.Len() < histLen,
+					"slide":          slid,
+					"fallback":       slid && s.pairJ.seq != pairJ && s.pairJ.rtt-s.rHat > sc.cfg.EStar(),
+					"new-minimum":    res.RTT < rHat,
 					"shift":          res.UpwardShiftDetected,
 					"poor-or-sanity": res.PoorQuality || res.OffsetSanityTriggered,
 					"gapped":         res.PoorQuality && gap > sc.cfg.LocalRateWindow/2 && res.ThetaHat != theta && !res.OffsetSanityTriggered,
@@ -149,6 +201,12 @@ func TestEngineGoldenDigests(t *testing.T) {
 			}
 			if sc.name == "identity-rebase-congestion" && !slices.Equal(shifts, []int{132}) {
 				t.Errorf("upward shifts detected at packets %v, want [132] only", shifts)
+			}
+			switch {
+			case sc.name == "odd-topwindow-slides" && tally["slide"] < 20:
+				t.Errorf("%d slides, want at least 20", tally["slide"])
+			case sc.name == "every-packet-new-minimum" && (tally["new-minimum"] != len(ins) || tally["slide"] < 2):
+				t.Errorf("%d of %d packets set a new minimum over %d slides, want all over at least 2", tally["new-minimum"], len(ins), tally["slide"])
 			}
 			if got := fmt.Sprintf("%x", h.Sum(nil)); got != sc.digest {
 				t.Errorf("digest %s, golden %s", got, sc.digest)

@@ -89,7 +89,7 @@ func (s *Sync) updateOffset(now uint64, pointErr, theta float64, res *Result) {
 		cutoff = eStarStar
 	}
 
-	// The τ′ window: the newest min(nOff, history) packets, all of them
+	// The τ′ window: the newest min(nOff, count−front) packets, all of them
 	// in the scan window (nScan ≥ nOff).
 	n := s.scan.Len()
 	start := max(n-s.nOff, 0)

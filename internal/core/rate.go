@@ -59,14 +59,10 @@ func (s *Sync) updateRate(rec *record, res *Result) {
 	res.Accepted = true
 
 	if !s.havePair {
-		// Find j: the first history packet currently within E*.
-		for idx := 0; idx < s.hist.Len(); idx++ {
-			cand := s.hist.At(idx)
-			if cand.rtt-s.rHat <= eStar && cand.tf < rec.tf {
-				s.pairJ = *cand
-				s.havePair = true
-				break
-			}
+		// Find j: the first packet of the top window currently within E*.
+		if j := s.firstWithin(eStar, rec.seq); j != nil {
+			s.pairJ = *j
+			s.havePair = true
 		}
 		if !s.havePair {
 			// No prior acceptable packet: this one becomes j and waits.
@@ -169,7 +165,7 @@ func (s *Sync) pushLocalMinima(seq int, pointErr float64) {
 		if s.farNext < frontSeq {
 			// The packet left the scan window before its push turn
 			// (slides that retain less than a full local window; the
-			// window holds min(nScan, history) ≥ min(nLocalWin, history)
+			// window holds min(nScan, count−front) ≥ min(nLocalWin, count−front)
 			// packets). Skipping it is safe: frontSeq only grows and
 			// updateLocalRate activates only once the whole window is
 			// retained (winStart ≥ frontSeq), so a skipped packet can

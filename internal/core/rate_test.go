@@ -163,9 +163,9 @@ func TestSlidePairReplacement(t *testing.T) {
 
 		preFront := -1
 		preQual := math.Inf(1)
-		willSlide := s.hist.Len() == s.nTop-1 // this Process call will slide
+		willSlide := s.count-s.front == s.nTop-1 // this Process call will slide
 		if willSlide {
-			preFront = s.hist.Front().seq
+			preFront = s.front
 			preQual = s.pQual
 			// Congest the sliding packet so the rate filter rejects it:
 			// pQual then cannot change before slideTopWindow runs, and
@@ -184,7 +184,7 @@ func TestSlidePairReplacement(t *testing.T) {
 
 		if willSlide {
 			slides++
-			if s.hist.Front().seq <= preFront {
+			if s.front <= preFront {
 				t.Fatalf("packet %d: top window did not slide", i)
 			}
 			if !s.havePair {
@@ -195,10 +195,10 @@ func TestSlidePairReplacement(t *testing.T) {
 			// the new j must have in-window provenance. When i itself
 			// left the window there is no candidate and the stale pair
 			// persists as a long-baseline anchor — allowed by design.
-			if s.pairI.seq > s.hist.Front().seq {
-				if s.pairJ.seq < s.hist.Front().seq {
+			if s.pairI.seq > s.front {
+				if s.pairJ.seq < s.front {
 					t.Fatalf("packet %d: pair j (seq %d) evicted but not replaced (front seq %d)",
-						i, s.pairJ.seq, s.hist.Front().seq)
+						i, s.pairJ.seq, s.front)
 				}
 				replaced++
 			}

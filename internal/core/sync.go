@@ -59,10 +59,10 @@ type Result struct {
 	Warmup                bool // packet processed during warmup
 }
 
-// record is the per-packet history entry kept for the whole top window:
-// exactly what the readers that look back that far use — the pair
-// searches (warmup, the first j, the replacement j at a slide) and
-// pairEstimate — and nothing else.
+// record is what pairEstimate reads of a packet. The engine keeps one
+// while the packet is among the newest nKeep (hist) and while it is a
+// strict RTT prefix minimum of its half of the top window (lows,
+// nextLows): the only records the pair searches can return.
 type record struct {
 	seq    int
 	ta, tf uint64
@@ -93,30 +93,42 @@ type scanRec struct {
 // (Section 6.1: "any lost packets are simply excluded from the
 // analysis"). Sync is not safe for concurrent use.
 //
-// Every per-packet operation is amortized O(1) in the window sizes:
-// history lives in a contiguous window that drops its oldest half at a
-// slide and moves the rest down once, and the two windowed minima the
-// filters need — r̂ over the retained history and r̂_l over the shift
-// window T_s — come from monotonic-deque trackers instead of per-packet
-// scans. The only remaining per-packet loop is the offset filter's
-// weighted combination, which is O(active offset window) by definition
-// of the estimator (each in-window record contributes an age-dependent
-// weight that changes every packet) — the work is inherent, its width
-// is not: offsetScan takes four records per instruction where the CPU
-// has AVX2.
+// Every per-packet operation is amortized O(1) in the window sizes, and
+// memory is bounded by the short windows, not the top one: the top
+// window is a sequence range [front, count), of which the engine keeps
+// the newest nKeep records and the RTT prefix minima (see firstWithin),
+// and the two windowed minima the filters need — r̂ over the top window
+// and r̂_l over the shift window T_s — come from monotonic-deque
+// trackers instead of per-packet scans. The only remaining per-packet
+// loop is the offset filter's weighted combination, which is O(active
+// offset window) by definition of the estimator (each in-window record
+// contributes an age-dependent weight that changes every packet) — the
+// work is inherent, its width is not: offsetScan takes four records per
+// instruction where the CPU has AVX2.
 type Sync struct {
 	cfg Config
 
 	// Window sizes in packets. nScan is the furthest back anything reads
-	// a scanRec: max(nOff, nShift, nLocalWin).
-	nOff, nLocalWin, nLocalNear, nLocalFar, nShift, nTop, nWarm, nScan int
+	// a scanRec: max(nOff, nShift, nLocalWin). nKeep is the furthest back
+	// anything reads a record by position: max(nScan, nWarm).
+	nOff, nLocalWin, nLocalNear, nLocalFar, nShift, nTop, nWarm, nScan, nKeep int
 
-	// hist is the top window, at most nTop records; scan holds the
-	// newest min(nScan, hist.Len()) packets' scanRecs in a backing array
-	// of at most 2·nScan. Both grow lazily: nothing is reserved up front.
+	// The top window is the packets [front, count). hist holds its newest
+	// min(nKeep, count−front) records and scan their newest min(nScan,
+	// count−front) scanRecs, each in a backing array of at most twice
+	// that, grown lazily: nothing is reserved up front. Every length
+	// guard on hist compares it with nKeep or less, so it has the outcome
+	// it would have on the whole window.
 	hist  window.Tail[record]
 	scan  window.Tail[scanRec]
 	count int // total packets processed
+	front int // first seq of the top window
+
+	// lows holds the strict RTT prefix minima of [front, front+nTop/2),
+	// the half the next slide drops, and nextLows those of
+	// [front+nTop/2, count), oldest first: a record enters when its RTT
+	// is below its list's last. A slide makes nextLows the new lows.
+	lows, nextLows []record
 
 	// Global rate state: the pair (j, i) and the clock C(T) = p·T + c.
 	p        float64
@@ -127,7 +139,7 @@ type Sync struct {
 	pQual    float64
 
 	// Minimum RTT tracking. rHat caches the front of rMin, the deque
-	// tracking the minimum over retained history at or after the last
+	// tracking the minimum over the top window at or after the last
 	// upward shift point; r̂_l over the trailing T_s window comes from
 	// the same deque via SuffixMin (the shift window always nests
 	// inside the r̂ window, sharing its leading edge).
@@ -195,7 +207,8 @@ func NewSync(cfg Config) (*Sync, error) {
 		s.nTop = 2 * s.nWarm
 	}
 	s.nScan = max(s.nOff, s.nShift, s.nLocalWin)
-	s.hist = window.MakeTail[record](s.nTop)
+	s.nKeep = max(s.nScan, s.nWarm)
+	s.hist = window.MakeTail[record](2 * s.nKeep)
 	s.scan = window.MakeTail[scanRec](2 * s.nScan)
 	s.publish()
 	return s, nil
@@ -313,13 +326,25 @@ func (s *Sync) filterRTT(rec *record) (pointErr float64) {
 	return rec.rtt - s.rHat
 }
 
-// pushRecord appends the record to the history, its scanRec — with the
-// naive offset estimate, which it returns — to the scan window and,
-// when the local rate is in use, its point error to the near/far argmin
-// trackers.
+// pushRecord appends the record to the history and, if it is a new
+// prefix minimum of its half of the top window, to that half's list;
+// its scanRec — with the naive offset estimate, which it returns — to
+// the scan window and, when the local rate is in use, its point error
+// to the near/far argmin trackers.
 func (s *Sync) pushRecord(rec *record, pointErr float64) (theta float64) {
 	theta = s.naiveTheta(*rec)
+	if s.hist.Len() == s.nKeep {
+		s.hist.DropFront(1)
+	}
 	*s.hist.Push() = *rec
+	lows := &s.lows
+	if rec.seq >= s.front+s.nTop/2 {
+		lows = &s.nextLows
+	}
+	if n := len(*lows); n == 0 || rec.rtt < (*lows)[n-1].rtt {
+		//repro:alloc-ok grows only when a half of the top window holds more prefix minima than any before it: the two backing arrays swap at slides and are never dropped, and a half of a real trace holds a dozen or so
+		*lows = append(*lows, *rec)
+	}
 	if s.scan.Len() == s.nScan {
 		s.scan.DropFront(1)
 	}
@@ -350,27 +375,41 @@ func (s *Sync) setRate(pNew float64, at uint64) {
 	s.p = pNew
 }
 
-// slideTopWindow discards the oldest half of the history once the top
-// window is full, then re-derives r̂ and revalidates the rate pair
-// (Section 6.1, "Windowing"). The slide is an offset advance — the
-// retained half moves down at the next push, no reallocation — and r̂
-// over the retained history is a deque eviction instead of a full
-// re-scan.
+// slideTopWindow advances the top window by half once it is full, then
+// re-derives r̂ and revalidates the rate pair (Section 6.1,
+// "Windowing"). The slide moves front and swaps the prefix-minimum
+// lists; r̂ over the retained window is a deque eviction instead of a
+// full re-scan.
 func (s *Sync) slideTopWindow() {
-	if s.hist.Len() < s.nTop {
+	if s.count-s.front < s.nTop {
 		return
 	}
-	s.hist.DropFront(s.nTop / 2)
-	if excess := s.scan.Len() - s.hist.Len(); excess > 0 {
-		s.scan.DropFront(excess) // no scanRec outlives its record
+	s.front += s.nTop / 2
+	s.lows, s.nextLows = s.nextLows, s.lows[:0]
+	// With nTop odd the newest record already lies past the next slide's
+	// front: it moves from lows to start nextLows, of which it is the
+	// first record and so a prefix minimum.
+	if back := s.hist.Back(); back.seq >= s.front+s.nTop/2 {
+		if n := len(s.lows) - 1; s.lows[n].seq == back.seq {
+			s.lows = s.lows[:n]
+		}
+		//repro:alloc-ok nextLows was just emptied, keeping its backing array, which a first slide may still have to allocate
+		s.nextLows = append(s.nextLows, *back)
+	}
+	// No record or scanRec outlives the window.
+	if excess := s.hist.Len() - (s.count - s.front); excess > 0 {
+		s.hist.DropFront(excess)
+	}
+	if excess := s.scan.Len() - (s.count - s.front); excess > 0 {
+		s.scan.DropFront(excess)
 	}
 
-	// r̂ first: the minimum over the retained history, using only values
+	// r̂ first: the minimum over the retained window, using only values
 	// beyond the last upward shift or server re-base point — a suffix
 	// query from lastShiftSeq (the eviction to the new window start
 	// only bounds deque memory; it is always at or before every future
 	// suffix start, so no later query loses samples).
-	s.rMin.EvictBefore(s.hist.Front().seq)
+	s.rMin.EvictBefore(s.front)
 	if m, ok := s.rMin.SuffixMin(s.lastShiftSeq); ok {
 		s.rHat = m
 	}
@@ -378,35 +417,14 @@ func (s *Sync) slideTopWindow() {
 	// Then p̂: if the pair's older packet fell out of the window, replace
 	// it with the first retained packet of similar or better point
 	// quality, and adopt the new pair only if its quality improves.
-	if !s.havePair || s.pairI.seq <= s.pairJ.seq || s.pairJ.seq >= s.hist.Front().seq {
+	if !s.havePair || s.pairI.seq <= s.pairJ.seq || s.pairJ.seq >= s.front {
 		return
 	}
-	eStar := s.cfg.EStar()
-	var newJ *record
-	for idx := 0; idx < s.hist.Len(); idx++ {
-		cand := s.hist.At(idx)
-		if cand.seq >= s.pairI.seq {
-			break
-		}
-		if cand.rtt-s.rHat <= eStar {
-			newJ = cand
-			break
-		}
-	}
+	newJ := s.firstWithin(s.cfg.EStar(), s.pairI.seq)
 	if newJ == nil {
 		// No packet meets E*; fall back to the best available so the
 		// pair always has in-window provenance.
-		best := math.Inf(1)
-		for idx := 0; idx < s.hist.Len(); idx++ {
-			cand := s.hist.At(idx)
-			if cand.seq >= s.pairI.seq {
-				break
-			}
-			if e := cand.rtt - s.rHat; e < best {
-				best = e
-				newJ = cand
-			}
-		}
+		newJ = s.firstBest(s.pairI.seq)
 	}
 	if newJ == nil {
 		return
@@ -417,6 +435,58 @@ func (s *Sync) slideTopWindow() {
 		s.setRate(pNew, s.hist.Back().tf)
 		s.pQual = qual
 	}
+}
+
+// prefixMinima returns the strict RTT prefix minima of the whole top
+// window, oldest first, in two parts: lows, then the records of
+// nextLows below lows' last. lows is never empty once a packet is in:
+// it holds the window's first record.
+func (s *Sync) prefixMinima() [2][]record {
+	next, last := s.nextLows, s.lows[len(s.lows)-1].rtt
+	for len(next) > 0 && next[0].rtt >= last {
+		next = next[1:]
+	}
+	return [2][]record{s.lows, next}
+}
+
+// firstWithin returns the oldest record of the top window older than
+// seq before whose point error against r̂ is at most e, or nil. It is
+// what a scan of the whole window would return: that record is a
+// strict RTT prefix minimum, because every older record's point error
+// exceeds its own and subtracting one r̂ is monotone in floating point.
+func (s *Sync) firstWithin(e float64, before int) *record {
+	for _, part := range s.prefixMinima() {
+		for k := range part {
+			c := &part[k]
+			if c.seq >= before {
+				return nil
+			}
+			if c.rtt-s.rHat <= e {
+				return c
+			}
+		}
+	}
+	return nil
+}
+
+// firstBest returns the oldest record of least point error among those
+// of the top window older than seq before, or nil; a strict RTT prefix
+// minimum too, by the same monotonicity.
+func (s *Sync) firstBest(before int) *record {
+	var best *record
+	bestErr := math.Inf(1)
+	for _, part := range s.prefixMinima() {
+		for k := range part {
+			c := &part[k]
+			if c.seq >= before {
+				return best
+			}
+			if e := c.rtt - s.rHat; e < bestErr {
+				bestErr, best = e, c
+			}
+		}
+	}
+	return best
 }
 
 // detectUpwardShift derives the local minimum r̂_l over the shift

@@ -294,3 +294,18 @@ func TestClientPassesOverImplausibleStamps(t *testing.T) {
 		t.Errorf("exchange with only implausible replies returned Tb=%v Te=%v, want a timeout", raw.Tb, raw.Te)
 	}
 }
+
+// TestKissErrorCodes pins what each kiss code asks of the client: DENY
+// and RSTR demobilize the association, RATE only slows it, and the error
+// text names the code.
+func TestKissErrorCodes(t *testing.T) {
+	for code, demobilizes := range map[string]bool{"RATE": false, "DENY": true, "RSTR": true} {
+		e := &KissError{Code: code}
+		if e.Demobilizes() != demobilizes {
+			t.Errorf("%s: Demobilizes() = %v, want %v", code, e.Demobilizes(), demobilizes)
+		}
+		if want := `ntp: kiss-of-death from server (refid "` + code + `")`; e.Error() != want {
+			t.Errorf("%s: Error() = %q, want %q", code, e.Error(), want)
+		}
+	}
+}

@@ -5,13 +5,13 @@ package window
 // Dropping from the front advances an offset; when a push finds the
 // array full, the live elements move down to its start, which costs one
 // element copy per freed slot, so pushes stay amortized O(1) as long as
-// the owner keeps at most half the limit live (the engine's offset-scan
-// window) or drops half of it at a time (its top-window history).
+// the owner keeps at most half the limit live, as the engine's history
+// and offset-scan window do.
 //
 // The backing array grows lazily, by doubling capped at the limit: a
-// Tail sized for a window that never fills (millisecond polls make the
-// engine's top window hundreds of millions of packets) costs only what
-// it holds.
+// Tail sized for a window that is slow to fill (at millisecond polls the
+// engine's shift window is millions of packets) costs only what it
+// holds.
 //
 // Dropped and moved-from slots are not cleared: T must not hold
 // pointers, or stale slots would keep their referents reachable.
