@@ -23,12 +23,11 @@ type Resampler struct {
 	tau0 float64
 	sink func(float64) error
 
-	n            int     // input points pushed
-	t0           float64 // first input time
-	paT, paX     float64 // second-to-last input point
-	pbT, pbX     float64 // last input point
-	k            int     // next uniform index to emit
-	totalEmitted int
+	n        int     // input points pushed
+	t0       float64 // first input time
+	paT, paX float64 // second-to-last input point
+	pbT, pbX float64 // last input point
+	k        int     // next uniform index to emit
 }
 
 // NewResampler returns a resampler with the given uniform spacing,
@@ -70,7 +69,6 @@ func (r *Resampler) Push(t, x float64) error {
 			return err
 		}
 		r.k++
-		r.totalEmitted++
 	}
 	r.paT, r.paX = aT, aX
 	r.pbT, r.pbX = t, x
@@ -100,7 +98,6 @@ func (r *Resampler) Finish() error {
 		if err := r.sink(r.paX*(1-w) + r.pbX*w); err != nil {
 			return err
 		}
-		r.totalEmitted++
 	}
 	return nil
 }

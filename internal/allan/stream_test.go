@@ -64,9 +64,6 @@ func TestResamplerBitIdenticalToBatch(t *testing.T) {
 					t.Fatalf("sample %d differs: %v vs %v", i, got[i], want[i])
 				}
 			}
-			if r.totalEmitted != len(want) {
-				t.Errorf("totalEmitted = %d, want %d", r.totalEmitted, len(want))
-			}
 		})
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/timebase"
-	"repro/internal/trace"
 )
 
 // runAblation quantifies the design choices ARCHITECTURE.md calls out
@@ -17,8 +16,7 @@ import (
 // scored against the best-achievable target −Δ(t)/2 (the asymmetry
 // ambiguity), so tracking a route change correctly is rewarded rather
 // than penalized.
-func runAblation(opts Options) (*Report, error) {
-	r := newReport("ablation", Title("ablation"))
+func runAblation(r *Report, opts Options) error {
 	dur := opts.scale(timebase.Day)
 
 	plain := sim.NewScenario(sim.MachineRoom, sim.ServerInt(), 16, dur, opts.seed()+77)
@@ -80,33 +78,27 @@ func runAblation(opts Options) (*Report, error) {
 		return minOf(sc.Server.Forward) - minOf(sc.Server.Backward)
 	}
 
-	tab := trace.NewTable("variant", "median_us", "p99_us")
+	tab := r.table("variants", "variant", "median_us", "p99_us")
 	med, p99 := make([]float64, len(variants)), make([]float64, len(variants))
 	for i, v := range variants {
 		var absErrs []float64
-		if _, err := streamRun(v.scenario, v.cfg(), func(e sim.Exchange, res core.Result) error {
+		if _, err := streamRun(v.scenario, v.cfg(), func(e sim.Exchange, res core.Result) {
 			if e.TrueTf > timebase.Hour {
 				target := -asymAt(v.scenario, e.TrueTf) / 2
 				absErrs = append(absErrs, math.Abs(offsetErrOf(res, e)-target))
 			}
-			return nil
 		}); err != nil {
-			return nil, fmt.Errorf("ablation %q: %w", v.name, err)
+			return fmt.Errorf("ablation %q: %w", v.name, err)
 		}
 		sorted := stats.NewSorted(absErrs) // one sort for both quantiles
 		med[i], p99[i] = sorted.Median(), sorted.Percentile(99)
-		if err := tab.Append(float64(i), med[i]/1e-6, p99[i]/1e-6); err != nil {
-			return nil, err
-		}
+		tab.Append(float64(i), med[i]/1e-6, p99[i]/1e-6)
 		r.addLine("%-36s median %-10s p99 %s", v.name,
 			timebase.FormatDuration(med[i]), timebase.FormatDuration(p99[i]))
-	}
-	if err := r.save(opts, "variants", tab); err != nil {
-		return nil, err
 	}
 
 	r.below("weighted window improves tails: p99 full/window=1", p99[full]/p99[noWeighting], 1, Ratio)
 	r.atLeast("shift detector essential under route change: median OFF/ON", med[detOff]/med[detOn], 10, Ratio)
 	r.below("user-level stamping works at higher variance: median user/driver-level", med[userLevel]/med[full], 10, Ratio)
-	return r, nil
+	return nil
 }

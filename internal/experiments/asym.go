@@ -6,7 +6,6 @@ import (
 	"repro/internal/ensemble"
 	"repro/internal/sim"
 	"repro/internal/timebase"
-	"repro/internal/trace"
 )
 
 // asymExtra is the differential forward-path delay injected into the
@@ -31,8 +30,7 @@ const asymExtra = 200 * timebase.Microsecond
 // half the differential bias. The experiment runs the identical trace
 // corrected and uncorrected (the ablation switch), plus a symmetric
 // control where the correction must do no harm.
-func runAsym(opts Options) (*Report, error) {
-	r := newReport("asym", Title("asym"))
+func runAsym(r *Report, opts Options) error {
 	dur := opts.scale(2 * timebase.Day)
 	tailFrom := 0.75 * dur
 
@@ -41,33 +39,29 @@ func runAsym(opts Options) (*Report, error) {
 	symm := sim.NewAsymmetricScenario(sim.MachineRoom, []float64{0, 0, 0}, 16, dur, opts.seed())
 
 	var uncorrErrs []float64
-	uncorrMed, _, err := ensembleRun(biased, ensemble.Config{}, tailFrom, func(s ensembleStep) error {
+	uncorrMed, _, err := ensembleRun(biased, ensemble.Config{}, tailFrom, func(s ensembleStep) {
 		uncorrErrs = append(uncorrErrs, s.Err)
-		return nil
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
 	// Series artifact: corrected vs uncorrected on the identical biased
 	// trace, exchange-aligned.
-	tab := trace.NewTable("t_day", "corr_err_us", "uncorr_err_us")
-	corrMed, corr, err := ensembleRun(biased, ensemble.Config{AsymCorrection: true}, tailFrom, func(s ensembleStep) error {
-		return tab.Append(s.TrueTf/timebase.Day,
+	tab := r.table("series", "t_day", "corr_err_us", "uncorr_err_us")
+	corrMed, corr, err := ensembleRun(biased, ensemble.Config{AsymCorrection: true}, tailFrom, func(s ensembleStep) {
+		tab.Append(s.TrueTf/timebase.Day,
 			s.Err/timebase.Microsecond, uncorrErrs[tab.Len()]/timebase.Microsecond)
 	})
 	if err != nil {
-		return nil, err
-	}
-	if err := r.save(opts, "series", tab); err != nil {
-		return nil, err
+		return err
 	}
 	symmCorrMed, symmCorr, err := ensembleRun(symm, ensemble.Config{AsymCorrection: true}, tailFrom, nil)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	symmUncorrMed, _, err := ensembleRun(symm, ensemble.Config{}, tailFrom, nil)
 	if err != nil {
-		return nil, err
+		return err
 	}
 
 	// Steady-state per-server view of the corrected run: applied
@@ -107,5 +101,5 @@ func runAsym(opts Options) (*Report, error) {
 	r.below("server 2 correction negative", states[2].AsymCorrection, 0, Seconds)
 	r.below("symmetric corrections stay near zero: max |correction| < bias/4", worstSymmCorr, asymExtra/8, Seconds)
 	r.equals("no server is convicted for its asymmetry: unselected at steady state", float64(unselected), 0, Count)
-	return r, nil
+	return nil
 }

@@ -30,8 +30,7 @@ import (
 //
 // Throughout, the combined clock must never read UNSYNCED once it has
 // first synchronized.
-func runChaos(opts Options) (*Report, error) {
-	r := newReport("chaos", Title("chaos"))
+func runChaos(r *Report, opts Options) error {
 	const poll = 16.0
 	dur := opts.scale(2 * timebase.Day)
 
@@ -48,7 +47,7 @@ func runChaos(opts Options) (*Report, error) {
 
 	st, err := sim.NewMultiStream(sc)
 	if err != nil {
-		return nil, err
+		return err
 	}
 
 	const (
@@ -61,10 +60,7 @@ func runChaos(opts Options) (*Report, error) {
 		UnsyncedAfter: 2 * dur, // never reached in this run
 	}
 
-	series, err := r.newSeries(opts, "series", "t_day", "state", "err_us", "bound_us", "voting")
-	if err != nil {
-		return nil, err
-	}
+	series := r.series("series", "t_day", "state", "err_us", "bound_us", "voting")
 
 	// Grid sampling between exchanges: the clock's health as downstream
 	// readers see it, including through the outage when no exchange
@@ -94,7 +90,7 @@ func runChaos(opts Options) (*Report, error) {
 	staleLag := staleAfter*poll + 2*poll
 	holdGrace := holdoverAfter + 2*poll
 
-	sample := func(t float64, ro *ensemble.Readout) error {
+	sample := func(t float64, ro *ensemble.Readout) {
 		T := osc.ReadTSC(t)
 		state := ro.State(T)
 		errT := clockErr(ro, T, t)
@@ -129,17 +125,15 @@ func runChaos(opts Options) (*Report, error) {
 		if t >= deathAt+deathFor+0.05*dur {
 			tailErrs.Add(errT)
 		}
-		return series.Append(t/timebase.Day, float64(state), errT/1e-6, bound/1e-6, float64(ro.VotingCount))
+		series.Append(t/timebase.Day, float64(state), errT/1e-6, bound/1e-6, float64(ro.VotingCount))
 	}
 
 	minWeight1 := math.Inf(1)
-	if _, err := ensembleFeed(st, cfg, func(s ensembleStep) error {
+	if _, err := ensembleFeed(st, cfg, func(s ensembleStep) {
 		// The grid points since the last exchange saw the readout that
 		// was in force then.
 		for ; gridT < s.TrueTf; gridT += gridStep {
-			if err := sample(gridT, s.Prev); err != nil {
-				return err
-			}
+			sample(gridT, s.Prev)
 		}
 		ro := s.Readout
 		if ro.BaseState == ensemble.StateSynced {
@@ -153,12 +147,8 @@ func runChaos(opts Options) (*Report, error) {
 				minWeight1 = w
 			}
 		}
-		return nil
 	}); err != nil {
-		return nil, err
-	}
-	if err := series.Close(); err != nil {
-		return nil, err
+		return err
 	}
 
 	preMed, tailMed := preFault.Value(), tailErrs.Value()
@@ -185,5 +175,5 @@ func runChaos(opts Options) (*Report, error) {
 	r.atMost("returned falseticker outvoted: tail median/pre-fault", tailMed/preMed, 2, Ratio)
 	r.atLeast("synchronizes (exchanges publishing SYNCED)", float64(syncedPubs), 1, Count)
 	r.equals("never UNSYNCED once synchronized: grid points UNSYNCED", float64(unsyncedAfterUp), 0, Count)
-	return r, nil
+	return nil
 }

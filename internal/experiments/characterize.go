@@ -8,7 +8,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/timebase"
-	"repro/internal/trace"
 )
 
 // The detrended offset series of Section 3.1 — θ(t_i) = Tf_i·p̄ − Tg_i
@@ -95,16 +94,12 @@ func detrendEmit(sc sim.Scenario, corrected bool, first sim.Exchange, pBar float
 // runFig2 regenerates Figure 2: offset drift of the uncorrected TSC
 // clock in the laboratory and machine-room environments, over a 1000 s
 // zoom and the full trace, with the ±0.1 PPM cone as the bound.
-func runFig2(opts Options) (*Report, error) {
-	r := newReport("fig2", Title("fig2"))
+func runFig2(r *Report, opts Options) error {
 	dur := opts.scale(timebase.Week)
 
 	for _, env := range []sim.Environment{sim.Laboratory, sim.MachineRoom} {
 		sc := sim.NewScenario(env, sim.ServerInt(), 16, dur, opts.seed())
-		sink, err := r.newSeries(opts, env.String(), "t_s", "offset_s")
-		if err != nil {
-			return nil, err
-		}
+		sink := r.series(env.String(), "t_s", "offset_s")
 
 		// The cone check: from the detrended origin, |θ(t)| must stay
 		// within 0.1 PPM · elapsed (plus timestamping noise floor). The
@@ -117,14 +112,12 @@ func runFig2(opts Options) (*Report, error) {
 		var t0 float64
 		var headTs, headTh []float64
 		i := 0
-		err = detrendStream(sc, false, func(tg, theta float64) error {
+		err := detrendStream(sc, false, func(tg, theta float64) error {
 			if i == 0 {
 				t0 = tg
 			}
 			if i%8 == 0 {
-				if err := sink.Append(tg, theta); err != nil {
-					return err
-				}
+				sink.Append(tg, theta)
 			}
 			i++
 			el := tg - t0
@@ -142,10 +135,7 @@ func runFig2(opts Options) (*Report, error) {
 			return nil
 		})
 		if err != nil {
-			return nil, err
-		}
-		if err := sink.Close(); err != nil {
-			return nil, err
+			return err
 		}
 		r.addLine("%-4s max |offset drift| %s over %s (worst cone ratio %.2f)",
 			env, timebase.FormatDuration(maxAbs), timebase.FormatDuration(dur), worstRatio)
@@ -157,7 +147,7 @@ func runFig2(opts Options) (*Report, error) {
 		r.addLine("%-4s SKM residual over first 1000s: %s", env, timebase.FormatDuration(res))
 		r.below(fmt.Sprintf("%s SKM residual (1000s)", env), res, 30*timebase.Microsecond, Seconds)
 	}
-	return r, nil
+	return nil
 }
 
 // maxResidualAfterLinearFit returns the maximum absolute residual of ys
@@ -194,8 +184,7 @@ func maxResidualAfterLinearFit(ts, ys []float64) float64 {
 // characterization: a 1/τ small-scale zone, a minimum near 0.01 PPM
 // around τ* = 1000 s, and a large-scale rise bounded by 0.1 PPM with the
 // laboratory above the machine room.
-func runFig3(opts Options) (*Report, error) {
-	r := newReport("fig3", Title("fig3"))
+func runFig3(r *Report, opts Options) error {
 	dur := opts.scale(timebase.Week)
 
 	type envCase struct {
@@ -220,41 +209,36 @@ func runFig3(opts Options) (*Report, error) {
 		// resident, and the fold's ring is bounded by the largest scale.
 		first, last, pBar, err := detrendAnchors(sc, true)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		nUniform := int((last.Tg-first.Tg)/sc.PollPeriod) + 1
 		grid, err := allan.CurveGrid(nUniform, 4)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		fold, err := allan.NewFold(sc.PollPeriod, grid)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		res, err := allan.NewResampler(sc.PollPeriod, func(v float64) error {
 			fold.Add(v)
 			return nil
 		})
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if err := detrendEmit(sc, true, first, pBar, res.Push); err != nil {
-			return nil, err
+			return err
 		}
 		if err := res.Finish(); err != nil {
-			return nil, err
+			return err
 		}
 		pts := fold.Points()
 		curves[i] = pts
 
-		tab := trace.NewTable("tau_s", "allan_dev")
+		tab := r.table(c.name, "tau_s", "allan_dev")
 		for _, p := range pts {
-			if err := tab.Append(p.Tau, p.Deviation); err != nil {
-				return nil, err
-			}
-		}
-		if err := r.save(opts, c.name, tab); err != nil {
-			return nil, err
+			tab.Append(p.Tau, p.Deviation)
 		}
 		r.addLine("%-8s min deviation %.4f PPM at τ=%s; max %.4f PPM",
 			c.name, timebase.PPM(minDev(pts)), timebase.FormatDuration(minDevTau(pts)),
@@ -280,7 +264,7 @@ func runFig3(opts Options) (*Report, error) {
 	tauBig := math.Min(lab[len(lab)-1].Tau, mr[len(mr)-1].Tau) / 2
 	r.atLeast("laboratory above machine room at large τ: Lab-Int/MR-Int",
 		devNear(lab, tauBig)/devNear(mr, tauBig), 0.95, Ratio)
-	return r, nil
+	return nil
 }
 
 func minDev(pts []allan.Point) float64 {
@@ -329,20 +313,19 @@ func devNear(pts []allan.Point, tau float64) float64 {
 // and server delay series (1000 successive packets, machine room with
 // the local server), computed exactly as the paper computes them:
 // d←(i) = Tg_i − Te_i and d↑(i) = Te_i − Tb_i.
-func runFig4(opts Options) (*Report, error) {
-	r := newReport("fig4", Title("fig4"))
+func runFig4(r *Report, opts Options) error {
 	sc := sim.NewScenario(sim.MachineRoom, sim.ServerLoc(), 16, 1100*16, opts.seed())
 	// The figure wants exactly 1000 successive packets: pull them from
 	// the stream and stop — the bounded sample is the working set, and
 	// the generator never runs past what the figure consumes.
 	st, err := sim.NewStream(sc)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	st.SetTrim(true)
 
 	var back, srv []float64
-	tab := trace.NewTable("te_s", "backward_delay_s", "server_delay_s")
+	tab := r.table("series", "te_s", "backward_delay_s", "server_delay_s")
 	for len(back) < 1000 {
 		e, ok := st.Next()
 		if !ok {
@@ -355,12 +338,7 @@ func runFig4(opts Options) (*Report, error) {
 		s := e.Te - e.Tb
 		back = append(back, b)
 		srv = append(srv, s)
-		if err := tab.Append(e.Te, b, s); err != nil {
-			return nil, err
-		}
-	}
-	if err := r.save(opts, "series", tab); err != nil {
-		return nil, err
+		tab.Append(e.Te, b, s)
 	}
 
 	bMin, bMax := stats.MinMax(back)
@@ -381,5 +359,5 @@ func runFig4(opts Options) (*Report, error) {
 	r.atLeast("Te outliers bounded: backward delay min (paper: up to ~1ms early)", bMin, -1.5e-3, Seconds)
 	r.within("server delay min in µs range", sMin, 2e-6, 50e-6, Seconds)
 	r.above("server delays ≪ network delays: median backward/server", bMed/sMed, 3, Ratio)
-	return r, nil
+	return nil
 }

@@ -8,7 +8,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/timebase"
-	"repro/internal/trace"
 )
 
 // runEnsemble demonstrates the multi-server ensemble clock beyond the
@@ -21,8 +20,7 @@ import (
 // aged sanity envelope reopens. The ensemble never does: the weighted
 // median follows the two servers that agree, and the faulty server's
 // sanity events dent its combining weight while the trouble lasts.
-func runEnsemble(opts Options) (*Report, error) {
-	r := newReport("ensemble", Title("ensemble"))
+func runEnsemble(r *Report, opts Options) error {
 	dur := opts.scale(2 * timebase.Day)
 	faultAt := 0.4 * dur
 	const faultOff = 1.5 * timebase.Millisecond
@@ -46,8 +44,8 @@ func runEnsemble(opts Options) (*Report, error) {
 	goodTail, faultyTail := stats.NewMedianAbs(), stats.NewMedianAbs()
 	minFaultyWeight := math.Inf(1)
 	var lastTf uint64
-	tab := trace.NewTable("t_day", "ens_err_us", "faulty_weight")
-	ensMed, final, err := ensembleRun(sc, ensemble.Config{}, tailFrom, func(s ensembleStep) error {
+	tab := r.table("series", "t_day", "ens_err_us", "faulty_weight")
+	ensMed, final, err := ensembleRun(sc, ensemble.Config{}, tailFrom, func(s ensembleStep) {
 		w := s.Readout.Servers[faulty].Weight
 		if s.TrueTf > faultAt && w < minFaultyWeight {
 			minFaultyWeight = w
@@ -61,13 +59,10 @@ func runEnsemble(opts Options) (*Report, error) {
 			}
 		}
 		lastTf = s.Tf
-		return tab.Append(s.TrueTf/timebase.Day, s.Err/1e-6, w)
+		tab.Append(s.TrueTf/timebase.Day, s.Err/1e-6, w)
 	})
 	if err != nil {
-		return nil, err
-	}
-	if err := r.save(opts, "series", tab); err != nil {
-		return nil, err
+		return err
 	}
 	goodMed, faultyMed := goodTail.Value(), faultyTail.Value()
 	agreement := final.Agreement(lastTf)
@@ -83,5 +78,5 @@ func runEnsemble(opts Options) (*Report, error) {
 	r.atMost("ensemble outvotes the faulty server: tail median ensemble/good", ensMed/goodMed, 2, Ratio)
 	r.below("trust scoring dents the faulty server's weight: min after onset", minFaultyWeight, 0.20, Share)
 	r.equals("faulty server excluded from final agreement (of 3)", float64(agreement), 2, Count)
-	return r, nil
+	return nil
 }

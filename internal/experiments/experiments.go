@@ -12,6 +12,12 @@
 // every run goes through one harness per clock kind (streamRun,
 // ensembleRun): generate → estimator → per-exchange callback.
 //
+// Run owns each report's whole life: it builds the Report, hands it to
+// the experiment, closes every series the experiment opened (also when
+// it fails) and writes every table to Options.OutputDir. It is the one
+// place artifacts are written; an experiment only registers them
+// (Report.table, Report.series) and keeps its computation.
+//
 // Run from the command line with `go run ./cmd/experiments -run fig12`;
 // TestAllExperimentsQuick runs the whole sweep under `go test`.
 //
@@ -20,6 +26,7 @@ package experiments
 
 import (
 	"fmt"
+	"path/filepath"
 	"strings"
 
 	"repro/internal/core"
@@ -37,9 +44,10 @@ type Options struct {
 	// Quick shrinks trace durations ~8x for CI and benchmark use. The
 	// shapes under test survive; the statistics get noisier.
 	Quick bool
-	// OutputDir, when non-empty, receives TSV artifacts of each series.
-	// Streamed series write row by row as the experiment runs; only a
-	// bounded decimated preview is kept in memory, for the report.
+	// OutputDir, when non-empty, receives one TSV per table of the
+	// report, DIR/<id>_<name>.tsv. Streamed series write row by row as
+	// the experiment runs; only a bounded decimated preview is kept in
+	// memory, for the report. When empty, a run writes no file.
 	OutputDir string
 	// LongRunDays overrides the longrun experiment's trace length in
 	// days (0 = the default 21; Quick scaling still applies).
@@ -81,10 +89,10 @@ type Report struct {
 	// the experiment ran: a property of the process, so not a report
 	// line. Only longrun samples it; the constant-memory gates read it.
 	PeakHeap uint64
-}
 
-func newReport(id, title string) *Report {
-	return &Report{ID: id, Title: title, Tables: map[string]*trace.Table{}}
+	dir   string        // Options.OutputDir: where artifacts go, "" for none
+	saved []string      // names of the tables Run writes, in order
+	sinks []*seriesSink // series Run closes
 }
 
 func (r *Report) addLine(format string, args ...interface{}) {
@@ -118,22 +126,23 @@ func (r *Report) Render() string {
 	return b.String()
 }
 
-// save writes a table artifact when an output directory is configured.
-func (r *Report) save(opts Options, name string, t *trace.Table) error {
+// table registers a materialized table artifact; Run writes it to
+// DIR/<id>_<name>.tsv when the experiment succeeds.
+func (r *Report) table(name string, cols ...string) *trace.Table {
+	t := trace.NewTable(cols...)
 	r.Tables[name] = t
-	if opts.OutputDir == "" {
-		return nil
-	}
-	return t.SaveTSV(fmt.Sprintf("%s/%s_%s.tsv", opts.OutputDir, r.ID, name))
+	r.saved = append(r.saved, name)
+	return t
 }
 
-// runner is the signature of one experiment.
-type runner func(Options) (*Report, error)
+// path is the file of the artifact name.
+func (r *Report) path(name string) string {
+	return filepath.Join(r.dir, r.ID+"_"+name+".tsv")
+}
 
-// registry maps experiment IDs to implementations, in presentation
-// order. It is populated in init to avoid an initialization cycle
-// (experiments look their own titles up through Title).
-var registry []registryEntry
+// runner is the signature of one experiment: it fills the report Run
+// built for it.
+type runner func(r *Report, opts Options) error
 
 type registryEntry struct {
 	id    string
@@ -141,34 +150,34 @@ type registryEntry struct {
 	run   runner
 }
 
-func init() {
-	registry = []registryEntry{
-		{"table1", "Absolute errors at key error rates and intervals", runTable1},
-		{"table2", "Characteristics of the stratum-1 NTP servers", runTable2},
-		{"fig2", "Offset drift of the uncorrected clock in two environments", runFig2},
-		{"fig3", "Allan deviation plots across four environments", runFig3},
-		{"fig4", "Backward network delay and server delay time series", runFig4},
-		{"fig5", "Naive per-packet rate estimates vs reference", runFig5},
-		{"fig6", "Naive per-packet offset estimates vs reference", runFig6},
-		{"fig7", "Robust rate estimation error for E*=20δ and 5δ", runFig7},
-		{"fig8", "Offset algorithm vs naive vs reference time series", runFig8},
-		{"fig9a", "Offset error sensitivity to window size τ'", runFig9a},
-		{"fig9b", "Offset error sensitivity to quality parameter E", runFig9b},
-		{"fig9c", "Offset error sensitivity to polling period", runFig9c},
-		{"fig10", "Performance over four host-server environments", runFig10},
-		{"fig11a", "Recovery after a multi-day data gap", runFig11a},
-		{"fig11b", "150 ms server clock error contained by sanity check", runFig11b},
-		{"fig11c", "Artificial upward level shifts (temporary and permanent)", runFig11c},
-		{"fig11d", "Natural symmetric downward level shift", runFig11d},
-		{"fig12", "Offset error over 3 months at polling 64 and 256", runFig12},
-		{"baseline", "SW-NTP baseline on identical traces", runBaseline},
-		{"ablation", "Contribution of each design mechanism", runAblation},
-		{"ensemble", "Faulty-server containment by the multi-server ensemble clock", runEnsemble},
-		{"select", "Colluding-minority rejection by interval-intersection selection", runSelect},
-		{"asym", "Path-asymmetry correction: damped ensemble consensus transfer", runAsym},
-		{"longrun", "Multi-week streaming run: windowed error and online Allan series", runLongRun},
-		{"chaos", "Fault-schedule survival: degradation ladder, holdover bound, recovery", runChaos},
-	}
+// registry maps experiment IDs to implementations, in presentation
+// order.
+var registry = []registryEntry{
+	{"table1", "Absolute errors at key error rates and intervals", runTable1},
+	{"table2", "Characteristics of the stratum-1 NTP servers", runTable2},
+	{"fig2", "Offset drift of the uncorrected clock in two environments", runFig2},
+	{"fig3", "Allan deviation plots across four environments", runFig3},
+	{"fig4", "Backward network delay and server delay time series", runFig4},
+	{"fig5", "Naive per-packet rate estimates vs reference", runFig5},
+	{"fig6", "Naive per-packet offset estimates vs reference", runFig6},
+	{"fig7", "Robust rate estimation error for E*=20δ and 5δ", runFig7},
+	{"fig8", "Offset algorithm vs naive vs reference time series", runFig8},
+	{"fig9a", "Offset error sensitivity to window size τ'", runFig9a},
+	{"fig9b", "Offset error sensitivity to quality parameter E", runFig9b},
+	{"fig9c", "Offset error sensitivity to polling period", runFig9c},
+	{"fig10", "Performance over four host-server environments", runFig10},
+	{"fig11a", "Recovery after a multi-day data gap", runFig11a},
+	{"fig11b", "150 ms server clock error contained by sanity check", runFig11b},
+	{"fig11c", "Artificial upward level shifts (temporary and permanent)", runFig11c},
+	{"fig11d", "Natural symmetric downward level shift", runFig11d},
+	{"fig12", "Offset error over 3 months at polling 64 and 256", runFig12},
+	{"baseline", "SW-NTP baseline on identical traces", runBaseline},
+	{"ablation", "Contribution of each design mechanism", runAblation},
+	{"ensemble", "Faulty-server containment by the multi-server ensemble clock", runEnsemble},
+	{"select", "Colluding-minority rejection by interval-intersection selection", runSelect},
+	{"asym", "Path-asymmetry correction: damped ensemble consensus transfer", runAsym},
+	{"longrun", "Multi-week streaming run: windowed error and online Allan series", runLongRun},
+	{"chaos", "Fault-schedule survival: degradation ladder, holdover bound, recovery", runChaos},
 }
 
 // IDs returns all experiment identifiers in presentation order.
@@ -190,14 +199,42 @@ func Title(id string) string {
 	return ""
 }
 
-// Run executes one experiment by ID.
+// Run executes one experiment by ID on a report it builds, then ends
+// the report's life (Report.close).
 func Run(id string, opts Options) (*Report, error) {
 	for _, e := range registry {
 		if e.id == id {
-			return e.run(opts)
+			r := &Report{ID: id, Title: e.title, Tables: map[string]*trace.Table{}, dir: opts.OutputDir}
+			if err := r.close(e.run(r, opts)); err != nil {
+				return nil, err
+			}
+			return r, nil
 		}
 	}
 	return nil, fmt.Errorf("experiments: unknown id %q (have %s)", id, strings.Join(IDs(), ", "))
+}
+
+// close ends a report's life after its experiment returned err: every
+// series the experiment opened is closed — also when it failed, so no
+// file is left open — and its preview registered, and, on success,
+// every table is written to the output directory when one is set. It
+// returns the first error.
+func (r *Report) close(err error) error {
+	for _, s := range r.sinks {
+		r.Tables[s.name] = s.preview
+		if cerr := s.close(); err == nil {
+			err = cerr
+		}
+	}
+	if err != nil || r.dir == "" {
+		return err
+	}
+	for _, name := range r.saved {
+		if err := r.Tables[name].SaveTSV(r.path(name)); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // --- shared helpers ---
@@ -241,7 +278,7 @@ func clockErr(ro *ensemble.Readout, T uint64, truth float64) float64 {
 // completed exchange through a fresh engine built from cfg, invoking fn
 // per packet. It returns the stream (for oracle references such as
 // Osc().MeanPeriod()) after the full pass.
-func streamRun(sc sim.Scenario, cfg core.Config, fn func(e sim.Exchange, res core.Result) error) (*sim.Stream, error) {
+func streamRun(sc sim.Scenario, cfg core.Config, fn func(e sim.Exchange, res core.Result)) (*sim.Stream, error) {
 	st, err := sim.NewStream(sc)
 	if err != nil {
 		return nil, err
@@ -263,9 +300,7 @@ func streamRun(sc sim.Scenario, cfg core.Config, fn func(e sim.Exchange, res cor
 		if err != nil {
 			return nil, fmt.Errorf("experiments: process seq %d: %w", e.Seq, err)
 		}
-		if err := fn(e, res); err != nil {
-			return nil, err
-		}
+		fn(e, res)
 	}
 }
 
@@ -288,7 +323,7 @@ type ensembleStep struct {
 // fn (when non-nil) per exchange. It returns the median |Err| over the
 // exchanges after tailFrom, the settled tail every ensemble experiment
 // scores, and the final readout.
-func ensembleRun(sc sim.MultiScenario, cfg ensemble.Config, tailFrom float64, fn func(ensembleStep) error) (float64, *ensemble.Readout, error) {
+func ensembleRun(sc sim.MultiScenario, cfg ensemble.Config, tailFrom float64, fn func(ensembleStep)) (float64, *ensemble.Readout, error) {
 	st, err := sim.NewMultiStream(sc)
 	if err != nil {
 		return 0, nil, err
@@ -298,14 +333,13 @@ func ensembleRun(sc sim.MultiScenario, cfg ensemble.Config, tailFrom float64, fn
 		cfg.Engines[i] = defaultCfg(sc.PollPeriod)
 	}
 	tail := stats.NewMedianAbs()
-	final, err := ensembleFeed(st, cfg, func(s ensembleStep) error {
+	final, err := ensembleFeed(st, cfg, func(s ensembleStep) {
 		if s.TrueTf > tailFrom {
 			tail.Add(s.Err)
 		}
-		if fn == nil {
-			return nil
+		if fn != nil {
+			fn(s)
 		}
-		return fn(s)
 	})
 	if err != nil {
 		return 0, nil, err
@@ -316,7 +350,7 @@ func ensembleRun(sc sim.MultiScenario, cfg ensemble.Config, tailFrom float64, fn
 // ensembleFeed is the harness's loop over a stream the caller opened
 // (chaos reads the stream's oscillator between exchanges) and the
 // engines cfg names.
-func ensembleFeed(st *sim.MultiStream, cfg ensemble.Config, fn func(ensembleStep) error) (*ensemble.Readout, error) {
+func ensembleFeed(st *sim.MultiStream, cfg ensemble.Config, fn func(ensembleStep)) (*ensemble.Readout, error) {
 	ens, err := ensemble.New(cfg)
 	if err != nil {
 		return nil, err
@@ -335,9 +369,7 @@ func ensembleFeed(st *sim.MultiStream, cfg ensemble.Config, fn func(ensembleStep
 			return nil, fmt.Errorf("experiments: server %d seq %d: %w", e.Server, e.Seq, err)
 		}
 		ro := ens.Readout()
-		if err := fn(ensembleStep{MultiExchange: e, Res: res, Prev: prev, Readout: ro, Err: clockErr(ro, e.Tf, e.Tg)}); err != nil {
-			return nil, err
-		}
+		fn(ensembleStep{MultiExchange: e, Res: res, Prev: prev, Readout: ro, Err: clockErr(ro, e.Tf, e.Tg)})
 		prev = ro
 	}
 }
@@ -350,6 +382,13 @@ func fiveNumFmt(label string, fn stats.FiveNum) string {
 		label, toUs(fn.P01), toUs(fn.P25), toUs(fn.P50), toUs(fn.P75), toUs(fn.P99))
 }
 
+// fiveNumRow appends key, a five-number summary in µs and any extra
+// values as one row of t: the percentile tables of Figures 9 and 10.
+func fiveNumRow(t *trace.Table, key float64, fn stats.FiveNum, extra ...float64) {
+	row := []float64{key, fn.P01 / 1e-6, fn.P25 / 1e-6, fn.P50 / 1e-6, fn.P75 / 1e-6, fn.P99 / 1e-6}
+	t.Append(append(row, extra...)...)
+}
+
 // previewCap bounds the in-memory preview of a streamed series: when a
 // series outgrows it, every other retained row is dropped and the keep
 // stride doubles, so the report holds a uniform decimation at bounded
@@ -358,66 +397,53 @@ const previewCap = 4096
 
 // seriesSink streams a per-packet series: rows go to a TSV file as they
 // are appended (when an output directory is configured) and to a
-// bounded decimated preview table registered with the report on Close,
-// whose digest the accuracy record carries, without the series ever
-// being resident.
+// bounded decimated preview table, which Run registers with the report
+// when it closes the sink and whose digest the accuracy record carries,
+// without the series ever being resident.
 type seriesSink struct {
-	rep     *Report
 	name    string
 	file    *trace.Writer
+	err     error // the file's creation error, reported on close
 	preview *trace.Table
 	cols    []string
 	stride  int
 	seen    int
 }
 
-// newSeries opens a streamed series artifact on the report.
-func (r *Report) newSeries(opts Options, name string, cols ...string) (*seriesSink, error) {
-	s := &seriesSink{
-		rep: r, name: name, cols: cols,
-		preview: trace.NewTable(cols...), stride: 1,
+// series opens a streamed series artifact on the report; its file is
+// DIR/<id>_<name>.tsv.
+func (r *Report) series(name string, cols ...string) *seriesSink {
+	s := &seriesSink{name: name, cols: cols, preview: trace.NewTable(cols...), stride: 1}
+	if r.dir != "" {
+		s.file, s.err = trace.Create(r.path(name), cols...)
 	}
-	if opts.OutputDir != "" {
-		w, err := trace.Create(fmt.Sprintf("%s/%s_%s.tsv", opts.OutputDir, r.ID, name), cols...)
-		if err != nil {
-			return nil, err
-		}
-		s.file = w
-	}
-	return s, nil
+	r.sinks = append(r.sinks, s)
+	return s
 }
 
 // Append adds one row to the streamed file and (subsampled) preview.
-func (s *seriesSink) Append(vals ...float64) error {
+func (s *seriesSink) Append(vals ...float64) {
 	if s.file != nil {
-		if err := s.file.Append(vals...); err != nil {
-			return err
-		}
+		s.file.Append(vals...)
 	}
 	if s.seen%s.stride == 0 {
 		if s.preview.Len() >= previewCap {
 			compact := trace.NewTable(s.cols...)
 			for i := 0; i < s.preview.Len(); i += 2 {
-				if err := compact.Append(s.preview.Row(i)...); err != nil {
-					return err
-				}
+				compact.Append(s.preview.Row(i)...)
 			}
 			s.preview = compact
 			s.stride *= 2
 		}
-		if err := s.preview.Append(vals...); err != nil {
-			return err
-		}
+		s.preview.Append(vals...)
 	}
 	s.seen++
-	return nil
 }
 
-// Close flushes the file and registers the preview with the report.
-func (s *seriesSink) Close() error {
-	s.rep.Tables[s.name] = s.preview
+// close flushes and closes the file.
+func (s *seriesSink) close() error {
 	if s.file != nil {
 		return s.file.Close()
 	}
-	return nil
+	return s.err
 }

@@ -1,6 +1,9 @@
 package experiments
 
 import (
+	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -60,13 +63,75 @@ func TestAllExperimentsQuick(t *testing.T) {
 	}
 }
 
+// TestArtifactsSaved holds the files Run writes to the report it
+// returns: DIR/<id>_<name>.tsv for every table, a materialized table's
+// file byte-identical to its WriteTSV, a series' file holding every row
+// appended and its preview the file's rows 0, s, 2s, … for one power of
+// two s. A run without an output directory writes no file.
 func TestArtifactsSaved(t *testing.T) {
-	dir := t.TempDir()
-	rep, err := Run("table1", Options{Quick: true, OutputDir: dir})
-	if err != nil {
-		t.Fatal(err)
+	for _, id := range []string{"table1", "fig3", "fig11a", "chaos"} {
+		t.Run(id, func(t *testing.T) {
+			dir := t.TempDir()
+			rep, err := Run(id, Options{Quick: true, OutputDir: dir})
+			if err != nil {
+				t.Fatal(err)
+			}
+			appended := map[string]int{} // rows appended to each series
+			for _, s := range rep.sinks {
+				appended[s.name] = s.seen
+			}
+			if files, err := os.ReadDir(dir); err != nil || len(files) != len(rep.Tables) || len(files) == 0 {
+				t.Fatalf("%d files for %d tables (%v)", len(files), len(rep.Tables), err)
+			}
+			for name, tab := range rep.Tables {
+				data, err := os.ReadFile(filepath.Join(dir, id+"_"+name+".tsv"))
+				if err != nil {
+					t.Fatal(err)
+				}
+				var want bytes.Buffer
+				if err := tab.WriteTSV(&want); err != nil {
+					t.Fatal(err)
+				}
+				n, series := appended[name]
+				if !series {
+					if !bytes.Equal(data, want.Bytes()) {
+						t.Errorf("%s: file is not the table's TSV", name)
+					}
+					continue
+				}
+				checkPreview(t, name, strings.SplitAfter(string(data), "\n"), strings.SplitAfter(want.String(), "\n"), n)
+			}
+
+			t.Chdir(t.TempDir()) // where a file without a directory would land
+			if _, err := Run(id, Options{Quick: true}); err != nil {
+				t.Fatal(err)
+			}
+			if files, _ := os.ReadDir("."); len(files) != 0 {
+				t.Errorf("a run without an output directory wrote %d files", len(files))
+			}
+		})
 	}
-	if len(rep.Tables) == 0 {
-		t.Error("no tables recorded")
+}
+
+// checkPreview requires file (header, rows, a final empty string) to
+// hold n rows and preview to be its header and rows 0, s, 2s, … for one
+// power of two s.
+func checkPreview(t *testing.T, name string, file, preview []string, n int) {
+	t.Helper()
+	rows, kept := len(file)-2, len(preview)-2
+	if rows != n || kept < 1 || file[0] != preview[0] {
+		t.Fatalf("%s: file holds %d rows of %d appended, preview %d", name, rows, n, kept)
+	}
+	s := 1
+	for (rows+s-1)/s > kept {
+		s *= 2
+	}
+	if (rows+s-1)/s != kept {
+		t.Fatalf("%s: a preview of %d rows is no power-of-two decimation of %d", name, kept, rows)
+	}
+	for k := 0; k < kept; k++ {
+		if preview[1+k] != file[1+k*s] {
+			t.Fatalf("%s: preview row %d is not file row %d", name, k, k*s)
+		}
 	}
 }

@@ -12,7 +12,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/timebase"
-	"repro/internal/trace"
 )
 
 // The longrun experiment is the streaming pipeline's reason to exist:
@@ -64,8 +63,7 @@ func NewLongRunScenario(days, poll float64, seed uint64) sim.Scenario {
 	return sc
 }
 
-func runLongRun(opts Options) (*Report, error) {
-	r := newReport("longrun", Title("longrun"))
+func runLongRun(r *Report, opts Options) error {
 	days := opts.LongRunDays
 	if days == 0 {
 		days = longRunDefaultDays
@@ -76,10 +74,7 @@ func runLongRun(opts Options) (*Report, error) {
 	settle := 3 * timebase.Hour
 
 	// Streamed per-packet error series: rows go to disk as they happen.
-	sink, err := r.newSeries(opts, "errors", "tb_day", "offset_err_us")
-	if err != nil {
-		return nil, err
-	}
+	sink := r.series("errors", "tb_day", "offset_err_us")
 
 	// Online Allan fold of the settled offset error (the warmup
 	// transient would dominate the squared differences), on the batch
@@ -88,7 +83,7 @@ func runLongRun(opts Options) (*Report, error) {
 	nUniform := int((dur - settle) / poll)
 	grid, err := allan.CurveGrid(nUniform, 4)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	maxM := int(timebase.Day / poll)
 	for len(grid) > 0 && grid[len(grid)-1] > maxM {
@@ -96,33 +91,31 @@ func runLongRun(opts Options) (*Report, error) {
 	}
 	fold, err := allan.NewFold(poll, grid)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	resampler, err := allan.NewResampler(poll, func(v float64) error {
 		fold.Add(v)
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
 
 	// Windowed five-number series plus whole-run accumulators.
-	winTab := trace.NewTable("window_end_day", "p01_us", "p25_us", "p50_us", "p75_us", "p99_us", "n")
+	winTab := r.table("windows", "window_end_day", "p01_us", "p25_us", "p50_us", "p75_us", "p99_us", "n")
 	overall := stats.NewStreamingFiveNum()
 	win := stats.NewStreamingFiveNum()
 	var winMedians []float64
 	winEnd := settle + longRunWindow
 
-	flushWindow := func(endDay float64) error {
+	flushWindow := func(endDay float64) {
 		if win.N() == 0 {
-			return nil
+			return
 		}
 		fn := win.FiveNum()
 		winMedians = append(winMedians, fn.P50)
-		err := winTab.Append(endDay, fn.P01/1e-6, fn.P25/1e-6, fn.P50/1e-6,
-			fn.P75/1e-6, fn.P99/1e-6, float64(win.N()))
+		fiveNumRow(winTab, endDay, fn, float64(win.N()))
 		win = stats.NewStreamingFiveNum()
-		return err
 	}
 
 	// Peak-heap watermark, sampled during the run: the number that must
@@ -141,11 +134,10 @@ func runLongRun(opts Options) (*Report, error) {
 	var lastPHat float64
 	count, excursions := 0, 0
 	worstExcursion := 0.0
-	st, err := streamRun(sc, defaultCfg(poll), func(e sim.Exchange, res core.Result) error {
+	var pushErr error // the resampler's first, reported after the pass
+	st, err := streamRun(sc, defaultCfg(poll), func(e sim.Exchange, res core.Result) {
 		errV := offsetErrOf(res, e)
-		if err := sink.Append(e.Tb/timebase.Day, errV/1e-6); err != nil {
-			return err
-		}
+		sink.Append(e.Tb/timebase.Day, errV/1e-6)
 		t := e.TrueTf
 		if t > settle {
 			clipped := errV
@@ -156,14 +148,12 @@ func runLongRun(opts Options) (*Report, error) {
 				}
 				clipped = math.Copysign(longRunClip, errV)
 			}
-			if err := resampler.Push(e.Tg, clipped); err != nil {
-				return err
+			if pushErr == nil {
+				pushErr = resampler.Push(e.Tg, clipped)
 			}
 			overall.Add(errV)
 			for t > winEnd {
-				if err := flushWindow(winEnd / timebase.Day); err != nil {
-					return err
-				}
+				flushWindow(winEnd / timebase.Day)
 				winEnd += longRunWindow
 			}
 			win.Add(errV)
@@ -174,34 +164,23 @@ func runLongRun(opts Options) (*Report, error) {
 		if count%8192 == 0 {
 			sampleHeap()
 		}
-		return nil
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if err := resampler.Finish(); err != nil {
-		return nil, err
+	if pushErr == nil {
+		pushErr = resampler.Finish()
 	}
-	if err := flushWindow(last.TrueTf / timebase.Day); err != nil {
-		return nil, err
+	if pushErr != nil {
+		return pushErr
 	}
-	if err := sink.Close(); err != nil {
-		return nil, err
-	}
-	if err := r.save(opts, "windows", winTab); err != nil {
-		return nil, err
-	}
+	flushWindow(last.TrueTf / timebase.Day)
 	sampleHeap()
 
 	pts := fold.Points()
-	allanTab := trace.NewTable("tau_s", "allan_dev")
+	allanTab := r.table("allan", "tau_s", "allan_dev")
 	for _, p := range pts {
-		if err := allanTab.Append(p.Tau, p.Deviation); err != nil {
-			return nil, err
-		}
-	}
-	if err := r.save(opts, "allan", allanTab); err != nil {
-		return nil, err
+		allanTab.Append(p.Tau, p.Deviation)
 	}
 
 	fn := overall.FiveNum()
@@ -237,5 +216,5 @@ func runLongRun(opts Options) (*Report, error) {
 	r.atMost("rate estimate within hardware stability bound", rateErr, timebase.FromPPM(0.1), PPM)
 	r.atMost("oscillator cache trimmed behind the emission front (steps)",
 		float64(st.Osc().RandomWalkCacheLen()), 512, Count)
-	return r, nil
+	return nil
 }

@@ -8,7 +8,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/timebase"
-	"repro/internal/trace"
 )
 
 // oneDayScenario is the first-day dataset behind Figures 5 to 7:
@@ -20,11 +19,10 @@ func oneDayScenario(opts Options) sim.Scenario {
 // runFig5 regenerates Figure 5: naive per-packet rate estimates against
 // the DAG reference, with the growing baseline Δ(TSC) damping errors at
 // rate 1/Δ(t) but congested packets still producing poor estimates.
-func runFig5(opts Options) (*Report, error) {
-	r := newReport("fig5", Title("fig5"))
+func runFig5(r *Report, opts Options) error {
 	tr, err := sim.Generate(oneDayScenario(opts))
 	if err != nil {
-		return nil, err
+		return err
 	}
 	ex := tr.Completed()
 	first := ex[0]
@@ -33,7 +31,7 @@ func runFig5(opts Options) (*Report, error) {
 	last := ex[len(ex)-1]
 	pBar := (last.Tg - first.Tg) / float64(last.Tf-first.Tf)
 
-	tab := trace.NewTable("te_day", "naive_rel_ppm", "ref_rel_ppm")
+	tab := r.table("series", "te_day", "naive_rel_ppm", "ref_rel_ppm")
 	var relErrsLate []float64 // |naive − reference| after 0.2 day
 	withinEarly, totalEarly := 0, 0
 	for _, e := range ex[1:] {
@@ -45,9 +43,7 @@ func runFig5(opts Options) (*Report, error) {
 		}
 		ref := (e.Tg - first.Tg) / float64(e.Tf-first.Tf)
 		day := e.Te / timebase.Day
-		if err := tab.Append(day, timebase.PPM(back/pBar-1), timebase.PPM(ref/pBar-1)); err != nil {
-			return nil, err
-		}
+		tab.Append(day, timebase.PPM(back/pBar-1), timebase.PPM(ref/pBar-1))
 		rel := math.Abs(back/ref - 1)
 		if day > 0.2 {
 			relErrsLate = append(relErrsLate, rel)
@@ -58,9 +54,6 @@ func runFig5(opts Options) (*Report, error) {
 				withinEarly++
 			}
 		}
-	}
-	if err := r.save(opts, "series", tab); err != nil {
-		return nil, err
 	}
 
 	frac := float64(withinEarly) / float64(totalEarly)
@@ -73,17 +66,16 @@ func runFig5(opts Options) (*Report, error) {
 	r.atLeast("bulk quickly within 0.1 PPM of reference", frac, 0.8, Share)
 	r.atMost("median damps to ≪0.1 PPM after 0.2 day", med, timebase.FromPPM(0.05), PPM)
 	r.above("congested packets remain unreliable: worst/median", worst/med, 5, Ratio)
-	return r, nil
+	return nil
 }
 
 // runFig6 regenerates Figure 6: naive per-packet offset estimates θ̂_i
 // against reference, showing undamped network-delay noise biased to
 // negative values by the more heavily utilised forward path.
-func runFig6(opts Options) (*Report, error) {
-	r := newReport("fig6", Title("fig6"))
+func runFig6(r *Report, opts Options) error {
 	tr, err := sim.Generate(oneDayScenario(opts))
 	if err != nil {
-		return nil, err
+		return err
 	}
 	ex := tr.Completed()
 	first, last := ex[0], ex[len(ex)-1]
@@ -93,19 +85,14 @@ func runFig6(opts Options) (*Report, error) {
 	pBar := (last.Tg - first.Tg) / float64(last.Tf-first.Tf)
 	cBar := first.Tb - float64(first.Ta)*pBar
 
-	tab := trace.NewTable("te_day", "naive_offset_s", "ref_offset_s")
+	tab := r.table("series", "te_day", "naive_offset_s", "ref_offset_s")
 	var devs []float64
 	for _, e := range ex {
 		in := core.Input{Ta: e.Ta, Tf: e.Tf, Tb: e.Tb, Te: e.Te}
 		naive := core.NaiveTheta(in, pBar, cBar)
 		ref := float64(e.Tf)*pBar + cBar - e.Tg
-		if err := tab.Append(e.Te/timebase.Day, naive, ref); err != nil {
-			return nil, err
-		}
+		tab.Append(e.Te/timebase.Day, naive, ref)
 		devs = append(devs, naive-ref)
-	}
-	if err := r.save(opts, "series", tab); err != nil {
-		return nil, err
 	}
 
 	med := stats.Median(devs)
@@ -124,19 +111,18 @@ func runFig6(opts Options) (*Report, error) {
 	r.above("deviations biased negative (forward more utilised)", negFrac, 0.6, Share)
 	r.above("undamped noise ≫ filtered scale: IQR", iqr, 10*timebase.Microsecond, Seconds)
 	r.within("median reflects −Δ/2 ambiguity ≈ −25µs", med, -80e-6, 0, Seconds)
-	return r, nil
+	return nil
 }
 
 // runFig7 regenerates Figure 7: relative error of the robust rate
 // estimate for E* = 20δ and 5δ against the expected bound 2E*/Δ(t);
 // errors fall below 0.1 PPM and remain there, insensitive to E*.
-func runFig7(opts Options) (*Report, error) {
-	r := newReport("fig7", Title("fig7"))
+func runFig7(r *Report, opts Options) error {
 	sc := oneDayScenario(opts)
 	// Reference rate over the whole trace from its DAG endpoints.
 	_, _, pRef, err := detrendAnchors(sc, false)
 	if err != nil {
-		return nil, err
+		return err
 	}
 
 	// Per E*: the accepted share and the final |rel err|.
@@ -145,10 +131,10 @@ func runFig7(opts Options) (*Report, error) {
 		cfg := defaultCfg(16)
 		cfg.EStarFactor = eStarFactor
 
-		tab := trace.NewTable("te_day", "rel_err", "bound")
+		tab := r.table(fmt.Sprintf("Estar%.0fdelta", eStarFactor), "te_day", "rel_err", "bound")
 		accepted, n := 0, 0
 		var maxAfter float64 // worst error once past 0.1 day
-		if _, err := streamRun(sc, cfg, func(e sim.Exchange, res core.Result) error {
+		if _, err := streamRun(sc, cfg, func(e sim.Exchange, res core.Result) {
 			day := e.Te / timebase.Day
 			rel := math.Abs(res.PHat/pRef - 1)
 			if res.Accepted {
@@ -159,12 +145,9 @@ func runFig7(opts Options) (*Report, error) {
 			}
 			n++
 			final[i] = rel
-			return tab.Append(day, rel, 2*res.PQuality)
+			tab.Append(day, rel, 2*res.PQuality)
 		}); err != nil {
-			return nil, err
-		}
-		if err := r.save(opts, fmt.Sprintf("Estar%.0fdelta", eStarFactor), tab); err != nil {
-			return nil, err
+			return err
 		}
 		acc[i] = float64(accepted) / float64(n)
 		r.addLine("E*=%2.0fδ: accepted %.1f%% of packets; max |rel err| after 0.1 day = %.4f PPM",
@@ -181,24 +164,23 @@ func runFig7(opts Options) (*Report, error) {
 	r.atLeast("5δ markedly more selective than 20δ: acc(20δ) − acc(5δ)", acc[0]-acc[1], 0.10, Share)
 	r.atMost("final estimates agree across E* (insensitivity): worse of the two",
 		math.Max(final[0], final[1]), timebase.FromPPM(0.05), PPM)
-	return r, nil
+	return nil
 }
 
 // runFig8 regenerates Figure 8: the offset algorithm's estimates against
 // naive estimates and the DAG reference over the 3-week machine-room
 // ServerInt trace; the algorithm stays ~30 µs from reference.
-func runFig8(opts Options) (*Report, error) {
-	r := newReport("fig8", Title("fig8"))
+func runFig8(r *Report, opts Options) error {
 	dur := opts.scale(3 * timebase.Week)
 	sc := sim.NewScenario(sim.MachineRoom, sim.ServerInt(), 16, dur, opts.seed())
 
 	// The figure's statistics are exact order statistics of the settled
 	// series (after 1 h), so that series is kept: signed errors, and the
 	// algorithm's and the naive estimate's |error| for the 90th pct.
-	tab := trace.NewTable("tb_day", "theta_hat_s", "theta_naive_s", "theta_ref_s")
+	tab := r.table("series", "tb_day", "theta_hat_s", "theta_naive_s", "theta_ref_s")
 	var settled, algAbs, naiveAbs []float64
 	k := 0
-	if _, err := streamRun(sc, defaultCfg(16), func(e sim.Exchange, res core.Result) error {
+	if _, err := streamRun(sc, defaultCfg(16), func(e sim.Exchange, res core.Result) {
 		thetaG := refOffset(res, e)
 		if e.TrueTf > timebase.Hour {
 			errV := offsetErrOf(res, e)
@@ -207,14 +189,11 @@ func runFig8(opts Options) (*Report, error) {
 			naiveAbs = append(naiveAbs, math.Abs(res.ThetaNaive-thetaG))
 		}
 		if k++; k%4 != 1 { // every fourth packet, from the first
-			return nil
+			return
 		}
-		return tab.Append(e.Tb/timebase.Day, res.ThetaHat, res.ThetaNaive, thetaG)
+		tab.Append(e.Tb/timebase.Day, res.ThetaHat, res.ThetaNaive, thetaG)
 	}); err != nil {
-		return nil, err
-	}
-	if err := r.save(opts, "series", tab); err != nil {
-		return nil, err
+		return err
 	}
 
 	med := stats.Median(settled)
@@ -231,5 +210,5 @@ func runFig8(opts Options) (*Report, error) {
 	r.atMost("IQR small", iqr, 60*timebase.Microsecond, Seconds)
 	r.below("algorithm beats naive at 90th pct: alg/naive", a90/n90, 1, Ratio)
 	r.within("median shows −Δ/2 ambiguity", med, -80e-6, 10e-6, Seconds)
-	return r, nil
+	return nil
 }

@@ -19,13 +19,11 @@ import (
 	"repro/internal/stats"
 	"repro/internal/swntp"
 	"repro/internal/timebase"
-	"repro/internal/trace"
 )
 
 // runFig11a regenerates Figure 11a: recovery after a multi-day loss of
 // data (the paper simulates server unavailability with a 3.8-day gap).
-func runFig11a(opts Options) (*Report, error) {
-	r := newReport("fig11a", Title("fig11a"))
+func runFig11a(r *Report, opts Options) error {
 	dur := 10 * timebase.Day
 	gapStart, gapEnd := 4*timebase.Day, 7.8*timebase.Day
 	if opts.Quick {
@@ -35,21 +33,16 @@ func runFig11a(opts Options) (*Report, error) {
 	sc := sim.NewScenario(sim.MachineRoom, sim.ServerInt(), 64, dur, opts.seed())
 	sc.Gaps = []sim.Gap{{From: gapStart, To: gapEnd}}
 
-	sink, err := r.newSeries(opts, "series", "tb_day", "offset_err_us")
-	if err != nil {
-		return nil, err
-	}
+	sink := r.series("series", "tb_day", "offset_err_us")
 
 	// Error at the last packet before the gap, the first after, and
 	// after 30 minutes of recovery data — all latched in stream order.
 	var preGap, firstAfter, recovered, lastPHat float64
 	var tFirstAfter float64
 	havePost, haveRecovered := false, false
-	st, err := streamRun(sc, defaultCfg(64), func(e sim.Exchange, res core.Result) error {
+	st, err := streamRun(sc, defaultCfg(64), func(e sim.Exchange, res core.Result) {
 		errV := offsetErrOf(res, e)
-		if err := sink.Append(e.Tb/timebase.Day, errV/1e-6); err != nil {
-			return err
-		}
+		sink.Append(e.Tb/timebase.Day, errV/1e-6)
 		t := e.TrueTf
 		if t < gapStart {
 			preGap = errV
@@ -63,13 +56,9 @@ func runFig11a(opts Options) (*Report, error) {
 			haveRecovered = true
 		}
 		lastPHat = res.PHat
-		return nil
 	})
 	if err != nil {
-		return nil, err
-	}
-	if err := sink.Close(); err != nil {
-		return nil, err
+		return err
 	}
 	r.addLine("gap %.1f days: error before %s, first after %s, after 30min %s",
 		(gapEnd-gapStart)/timebase.Day,
@@ -83,14 +72,13 @@ func runFig11a(opts Options) (*Report, error) {
 	trueP := st.Osc().MeanPeriod()
 	finalRate := math.Abs(lastPHat/trueP - 1)
 	r.atMost("rate estimate survives the gap", finalRate, timebase.FromPPM(0.1), PPM)
-	return r, nil
+	return nil
 }
 
 // runFig11b regenerates Figure 11b: a server clock error of 150 ms
 // lasting a few minutes. RTT filtering cannot see it (server timestamp
 // errors cancel in RTT), so the offset sanity check is the containment.
-func runFig11b(opts Options) (*Report, error) {
-	r := newReport("fig11b", Title("fig11b"))
+func runFig11b(r *Report, opts Options) error {
 	dur := opts.scale(2 * timebase.Day)
 	faultAt := dur / 2
 	sc := sim.NewScenario(sim.MachineRoom, sim.ServerInt(), 16, dur, opts.seed())
@@ -98,13 +86,10 @@ func runFig11b(opts Options) (*Report, error) {
 		{From: faultAt, To: faultAt + 4*timebase.Minute, Offset: 150 * timebase.Millisecond},
 	}
 
-	sink, err := r.newSeries(opts, "series", "tb_day", "offset_err_us", "sanity")
-	if err != nil {
-		return nil, err
-	}
+	sink := r.series("series", "tb_day", "offset_err_us", "sanity")
 	sanityCount := 0
 	maxDamage, lastErr := 0.0, 0.0
-	if _, err := streamRun(sc, defaultCfg(16), func(e sim.Exchange, res core.Result) error {
+	if _, err := streamRun(sc, defaultCfg(16), func(e sim.Exchange, res core.Result) {
 		errV := offsetErrOf(res, e)
 		s := 0.0
 		if res.OffsetSanityTriggered {
@@ -117,12 +102,9 @@ func runFig11b(opts Options) (*Report, error) {
 			}
 		}
 		lastErr = errV
-		return sink.Append(e.Tb/timebase.Day, errV/1e-6, s)
+		sink.Append(e.Tb/timebase.Day, errV/1e-6, s)
 	}); err != nil {
-		return nil, err
-	}
-	if err := sink.Close(); err != nil {
-		return nil, err
+		return err
 	}
 
 	r.addLine("sanity check fired on %d packets; max |err| %s; final |err| %s",
@@ -131,7 +113,7 @@ func runFig11b(opts Options) (*Report, error) {
 	r.atLeast("sanity check triggered (packets)", float64(sanityCount), 1, Count)
 	r.atMost("damage limited to ~a millisecond: max |err| vs 150ms fault", maxDamage, 4*timebase.Millisecond, Seconds)
 	r.atMost("healed by end of trace: |err|", math.Abs(lastErr), 300*timebase.Microsecond, Seconds)
-	return r, nil
+	return nil
 }
 
 // runFig11c regenerates Figure 11c: two artificial 0.9 ms upward level
@@ -139,8 +121,7 @@ func runFig11b(opts Options) (*Report, error) {
 // window T_s (never detected, little impact) and one permanent (detected
 // a time T_s later; the estimate then jumps by ≈ Δshift/2 = 0.45 ms, the
 // change in path asymmetry, not an algorithm failure).
-func runFig11c(opts Options) (*Report, error) {
-	r := newReport("fig11c", Title("fig11c"))
+func runFig11c(r *Report, opts Options) error {
 	cfg := defaultCfg(16)
 	dur := opts.scale(4 * timebase.Day)
 	tempAt := dur / 8
@@ -152,10 +133,7 @@ func runFig11c(opts Options) (*Report, error) {
 		{At: permAt, Delta: 0.9 * timebase.Millisecond},
 	}
 
-	sink, err := r.newSeries(opts, "series", "tb_day", "offset_err_us", "shift_detected")
-	if err != nil {
-		return nil, err
-	}
+	sink := r.series("series", "tb_day", "offset_err_us", "shift_detected")
 	// Median error well before vs well after the permanent shift. The
 	// "before" window is fixed a priori; the "after" window opens two
 	// hours past the detection, which the stream reveals in time order —
@@ -165,7 +143,7 @@ func runFig11c(opts Options) (*Report, error) {
 	var detections []float64
 	earlyDetections := 0 // before the permanent shift: the temporary one, or a false alarm
 	permDetectedAt := math.Inf(1)
-	if _, err := streamRun(sc, cfg, func(e sim.Exchange, res core.Result) error {
+	if _, err := streamRun(sc, cfg, func(e sim.Exchange, res core.Result) {
 		errV := offsetErrOf(res, e)
 		t := e.TrueTf
 		d := 0.0
@@ -184,12 +162,9 @@ func runFig11c(opts Options) (*Report, error) {
 		case t > permDetectedAt+2*timebase.Hour:
 			after.Add(errV)
 		}
-		return sink.Append(e.Tb/timebase.Day, errV/1e-6, d)
+		sink.Append(e.Tb/timebase.Day, errV/1e-6, d)
 	}); err != nil {
-		return nil, err
-	}
-	if err := sink.Close(); err != nil {
-		return nil, err
+		return err
 	}
 
 	r.addLine("detections at: %v (temp shift at %.2fd for %s, perm at %.2fd)",
@@ -205,14 +180,13 @@ func runFig11c(opts Options) (*Report, error) {
 		timebase.FormatDuration(before.Value(0)),
 		timebase.FormatDuration(after.Value(0)), timebase.FormatDuration(jump))
 	r.within("post-shift jump ≈ −Δshift/2", jump, -650e-6, -250e-6, Seconds)
-	return r, nil
+	return nil
 }
 
 // runFig11d regenerates Figure 11d: a natural-style downward level shift
 // occurring equally in both directions (Δ unchanged) using ServerExt.
 // Detection and reaction are immediate; estimation quality is unchanged.
-func runFig11d(opts Options) (*Report, error) {
-	r := newReport("fig11d", Title("fig11d"))
+func runFig11d(r *Report, opts Options) error {
 	dur := opts.scale(2 * timebase.Day)
 	shiftAt := dur / 2
 	delta := -0.18 * timebase.Millisecond
@@ -220,10 +194,7 @@ func runFig11d(opts Options) (*Report, error) {
 	sc.Server.Forward.Shifts = []netem.Shift{{At: shiftAt, Delta: delta}}
 	sc.Server.Backward.Shifts = []netem.Shift{{At: shiftAt, Delta: delta}}
 
-	sink, err := r.newSeries(opts, "series", "tb_day", "offset_err_us", "rtt_hat_ms")
-	if err != nil {
-		return nil, err
-	}
+	sink := r.series("series", "tb_day", "offset_err_us", "rtt_hat_ms")
 	upward := 0
 	// r̂ must absorb the 0.36 ms total downward move promptly.
 	rHatAfter, haveRHat := 0.0, false
@@ -231,7 +202,7 @@ func runFig11d(opts Options) (*Report, error) {
 	after := stats.NewStreamingQuantiles(0.5)
 	settle := math.Min(3*timebase.Hour, shiftAt/2)
 	afterFrom := shiftAt + math.Min(timebase.Hour, (dur-shiftAt)/4)
-	if _, err := streamRun(sc, defaultCfg(64), func(e sim.Exchange, res core.Result) error {
+	if _, err := streamRun(sc, defaultCfg(64), func(e sim.Exchange, res core.Result) {
 		errV := offsetErrOf(res, e)
 		t := e.TrueTf
 		if res.UpwardShiftDetected {
@@ -246,12 +217,9 @@ func runFig11d(opts Options) (*Report, error) {
 		case t > afterFrom:
 			after.Add(errV)
 		}
-		return sink.Append(e.Tb/timebase.Day, errV/1e-6, res.RTTHat/1e-3)
+		sink.Append(e.Tb/timebase.Day, errV/1e-6, res.RTTHat/1e-3)
 	}); err != nil {
-		return nil, err
-	}
-	if err := sink.Close(); err != nil {
-		return nil, err
+		return err
 	}
 
 	wantRTT := sc.Server.MinRTT() + 2*delta
@@ -263,7 +231,7 @@ func runFig11d(opts Options) (*Report, error) {
 	r.equals("no upward detection for a downward shift", float64(upward), 0, Count)
 	r.atMost("r̂ absorbs the shift promptly: |r̂ − new min|", math.Abs(rHatAfter-wantRTT), 100e-6, Seconds)
 	r.atMost("no observable change in estimation quality: |median move|", math.Abs(shiftOfMedian), 120e-6, Seconds)
-	return r, nil
+	return nil
 }
 
 // runFig12 regenerates Figure 12: offset error distribution over a
@@ -272,8 +240,7 @@ func runFig11d(opts Options) (*Report, error) {
 // per polling period: quantiles first (the histogram range is the 99%
 // coverage interval, known only after a full pass), then the identical
 // stream again to fill the fixed bins.
-func runFig12(opts Options) (*Report, error) {
-	r := newReport("fig12", Title("fig12"))
+func runFig12(r *Report, opts Options) error {
 	dur := 13 * timebase.Week
 	if opts.Quick {
 		dur = timebase.Week
@@ -291,13 +258,12 @@ func runFig12(opts Options) (*Report, error) {
 		}
 		// Pass 1: median, quartiles and the 0.5/99.5 coverage bounds.
 		q := stats.NewStreamingQuantiles(0.005, 0.25, 0.5, 0.75, 0.995)
-		if _, err := streamRun(sc, defaultCfg(poll), func(e sim.Exchange, res core.Result) error {
+		if _, err := streamRun(sc, defaultCfg(poll), func(e sim.Exchange, res core.Result) {
 			if e.TrueTf > 3*timebase.Hour {
 				q.Add(offsetErrOf(res, e))
 			}
-			return nil
 		}); err != nil {
-			return nil, err
+			return err
 		}
 		med := q.Value(2)
 		iqr := q.Value(3) - q.Value(1)
@@ -307,24 +273,18 @@ func runFig12(opts Options) (*Report, error) {
 		// Pass 2: fill the histogram over the now-known range.
 		hist, err := stats.NewHistogram(nil, lo, hi+1e-12, 40)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		if _, err := streamRun(sc, defaultCfg(poll), func(e sim.Exchange, res core.Result) error {
+		if _, err := streamRun(sc, defaultCfg(poll), func(e sim.Exchange, res core.Result) {
 			if e.TrueTf > 3*timebase.Hour {
 				hist.Add(offsetErrOf(res, e))
 			}
-			return nil
 		}); err != nil {
-			return nil, err
+			return err
 		}
-		tab := trace.NewTable("offset_err_us", "fraction")
+		tab := r.table(fmt.Sprintf("hist_poll%.0f", poll), "offset_err_us", "fraction")
 		for i := range hist.Counts {
-			if err := tab.Append(hist.BinCenter(i)/1e-6, hist.Fraction(i)); err != nil {
-				return nil, err
-			}
-		}
-		if err := r.save(opts, fmt.Sprintf("hist_poll%.0f", poll), tab); err != nil {
-			return nil, err
+			tab.Append(hist.BinCenter(i)/1e-6, hist.Fraction(i))
 		}
 		r.addLine("poll %3.0fs over %.0f days: median %s, IQR %s (99%% of values in [%s, %s])",
 			poll, dur/timebase.Day, timebase.FormatDuration(med), timebase.FormatDuration(iqr),
@@ -335,7 +295,7 @@ func runFig12(opts Options) (*Report, error) {
 	}
 	r.atMost("performance does not change greatly with polling rate: IQR(256)/IQR(64)",
 		iqrs[1]/iqrs[0], 3, Ratio)
-	return r, nil
+	return nil
 }
 
 // runBaseline runs the SW-NTP discipline on the same traces as the core
@@ -344,8 +304,7 @@ func runFig12(opts Options) (*Report, error) {
 // not reset on a large server fault. Both estimators consume the same
 // stream in one pass of the engine harness, SW-NTP riding in its
 // callback — each estimator's state depends only on its own inputs.
-func runBaseline(opts Options) (*Report, error) {
-	r := newReport("baseline", Title("baseline"))
+func runBaseline(r *Report, opts Options) error {
 	dur := opts.scale(timebase.Week)
 	faultAt := dur * 0.75
 	sc := sim.NewScenario(sim.MachineRoom, sim.ServerInt(), 64, dur, opts.seed())
@@ -357,16 +316,13 @@ func runBaseline(opts Options) (*Report, error) {
 
 	sw, err := swntp.New(swntp.DefaultConfig(1.0/548655270, 64))
 	if err != nil {
-		return nil, err
+		return err
 	}
-	sink, err := r.newSeries(opts, "comparison", "tb_day", "swntp_err_us", "tsc_err_us")
-	if err != nil {
-		return nil, err
-	}
+	sink := r.series("comparison", "tb_day", "swntp_err_us", "tsc_err_us")
 
 	swMedAcc, coreMedAcc := stats.NewMedianAbs(), stats.NewMedianAbs()
 	swWorst, coreWorst := 0.0, 0.0
-	if _, err := streamRun(sc, defaultCfg(64), func(e sim.Exchange, res core.Result) error {
+	if _, err := streamRun(sc, defaultCfg(64), func(e sim.Exchange, res core.Result) {
 		sw.ProcessExchange(e.Ta, e.Tf, e.Tb, e.Te)
 		swErr := sw.Read(e.Tf) - e.Tg
 		coreErr := offsetErrOf(res, e)
@@ -380,12 +336,9 @@ func runBaseline(opts Options) (*Report, error) {
 				coreWorst = a
 			}
 		}
-		return sink.Append(e.Tb/timebase.Day, swErr/1e-6, coreErr/1e-6)
+		sink.Append(e.Tb/timebase.Day, swErr/1e-6, coreErr/1e-6)
 	}); err != nil {
-		return nil, err
-	}
-	if err := sink.Close(); err != nil {
-		return nil, err
+		return err
 	}
 	swMed, coreMed := swMedAcc.Value(), coreMedAcc.Value()
 
@@ -404,5 +357,5 @@ func runBaseline(opts Options) (*Report, error) {
 	r.atLeast("SW-NTP resets on the 150 ms fault (steps)", float64(sw.Steps()), 2, Count)
 	// Core containment on the same event.
 	r.atMost("TSC-NTP contains the same fault without reset: max |err|", coreWorst, 4*timebase.Millisecond, Seconds)
-	return r, nil
+	return nil
 }

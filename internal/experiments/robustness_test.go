@@ -15,12 +15,11 @@ import (
 // estimate and the stream (for the oracle rate).
 func settledRun(t *testing.T, sc sim.Scenario, settle float64) (errs []float64, pHat float64, st *sim.Stream) {
 	t.Helper()
-	st, err := streamRun(sc, defaultCfg(sc.PollPeriod), func(e sim.Exchange, res core.Result) error {
+	st, err := streamRun(sc, defaultCfg(sc.PollPeriod), func(e sim.Exchange, res core.Result) {
 		if e.TrueTf > settle {
 			errs = append(errs, offsetErrOf(res, e))
 		}
 		pHat = res.PHat
-		return nil
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -6,7 +6,6 @@ import (
 	"repro/internal/ensemble"
 	"repro/internal/sim"
 	"repro/internal/timebase"
-	"repro/internal/trace"
 )
 
 // runSelect demonstrates why the ensemble's interval-intersection
@@ -23,8 +22,7 @@ import (
 // which localizes the lie on the pair (and, for honest servers, the
 // path-asymmetry error no single path can observe about itself,
 // paper §2.3).
-func runSelect(opts Options) (*Report, error) {
-	r := newReport("select", Title("select"))
+func runSelect(r *Report, opts Options) error {
 	dur := opts.scale(2 * timebase.Day)
 	const lie = 1.5 * timebase.Millisecond
 
@@ -37,29 +35,28 @@ func runSelect(opts Options) (*Report, error) {
 
 	goodMed, _, err := ensembleRun(good, ensemble.Config{}, tailFrom, nil)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	// The median-only combiner on the adversarial trace; its errors are
 	// kept for the series artifact below.
 	var medErrs []float64
-	medMed, _, err := ensembleRun(adv, ensemble.Config{DisableSelection: true}, tailFrom, func(s ensembleStep) error {
+	medMed, _, err := ensembleRun(adv, ensemble.Config{DisableSelection: true}, tailFrom, func(s ensembleStep) {
 		medErrs = append(medErrs, s.Err)
-		return nil
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
 
 	// Selection on the same trace: the series artifact, exchange-aligned
 	// with the median-only run (same trace, same completions), and the
 	// tail-steady-state selection diagnostics.
-	tab := trace.NewTable("t_day", "sel_err_us", "med_err_us", "falsetickers", "colluder_w")
+	tab := r.table("series", "t_day", "sel_err_us", "med_err_us", "falsetickers", "colluder_w")
 	var (
 		tailSnaps int // snapshots in the tail window
 		tailBoth  int // ... with both colluders excluded
 		maxCollW  float64
 	)
-	selMed, last, err := ensembleRun(adv, ensemble.Config{}, tailFrom, func(s ensembleStep) error {
+	selMed, last, err := ensembleRun(adv, ensemble.Config{}, tailFrom, func(s ensembleStep) {
 		collW, both := 0.0, true
 		for k := sim.ColludingHonest; k < nSrv; k++ { // the colluders
 			collW += s.Readout.Servers[k].Weight
@@ -76,14 +73,11 @@ func runSelect(opts Options) (*Report, error) {
 				tailBoth++
 			}
 		}
-		return tab.Append(s.TrueTf/timebase.Day, s.Err/1e-6, medErrs[tab.Len()]/1e-6,
+		tab.Append(s.TrueTf/timebase.Day, s.Err/1e-6, medErrs[tab.Len()]/1e-6,
 			float64(s.Readout.Falsetickers), collW)
 	})
 	if err != nil {
-		return nil, err
-	}
-	if err := r.save(opts, "series", tab); err != nil {
-		return nil, err
+		return err
 	}
 
 	// Final steady-state view of the selection run.
@@ -114,5 +108,5 @@ func runSelect(opts Options) (*Report, error) {
 	r.equals("falsetickers hold zero weight: max colluder weight", maxCollW, 0, Share)
 	r.atLeast("asymmetry hint localizes the lie: smallest colluder hint ≥ lie/2", minCollHint, lie/2, Seconds)
 	r.below("asymmetry hint localizes the lie: largest honest hint < lie/5", worstHonestHint, lie/5, Seconds)
-	return r, nil
+	return nil
 }

@@ -8,7 +8,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/timebase"
-	"repro/internal/trace"
 )
 
 // sensitivityScenario is the 3-week MR-Int dataset behind Figure 9
@@ -26,11 +25,10 @@ func sensitivityScenario(opts Options, poll float64, seedOff uint64) sim.Scenari
 // summary.
 func sweepFiveNum(sc sim.Scenario, cfg core.Config, settle float64) (stats.FiveNum, error) {
 	acc := stats.NewStreamingFiveNum()
-	_, err := streamRun(sc, cfg, func(e sim.Exchange, res core.Result) error {
+	_, err := streamRun(sc, cfg, func(e sim.Exchange, res core.Result) {
 		if e.TrueTf > settle {
 			acc.Add(offsetErrOf(res, e))
 		}
-		return nil
 	})
 	if err != nil {
 		return stats.FiveNum{}, err
@@ -41,13 +39,12 @@ func sweepFiveNum(sc sim.Scenario, cfg core.Config, settle float64) (stats.FiveN
 // runFig9a: sensitivity of offset error to the window size τ′/τ*
 // over [1/16, 4], E = 4δ, with and without the local rate refinement.
 // The paper's result: very low sensitivity, optimum near τ′ = τ*.
-func runFig9a(opts Options) (*Report, error) {
-	r := newReport("fig9a", Title("fig9a"))
+func runFig9a(r *Report, opts Options) error {
 	sc := sensitivityScenario(opts, 16, 0)
 	ratios := []float64{1.0 / 16, 1.0 / 8, 1.0 / 4, 1.0 / 2, 1, 2, 4}
 
 	for _, useLocal := range []bool{false, true} {
-		tab := trace.NewTable("ratio", "p01_us", "p25_us", "p50_us", "p75_us", "p99_us")
+		tab := r.table("sweep_"+localTag(useLocal), "ratio", "p01_us", "p25_us", "p50_us", "p75_us", "p99_us")
 		var medians []float64
 		for _, ratio := range ratios {
 			cfg := defaultCfg(16)
@@ -60,16 +57,11 @@ func runFig9a(opts Options) (*Report, error) {
 			}
 			fn, err := sweepFiveNum(sc, cfg, timebase.Hour)
 			if err != nil {
-				return nil, err
+				return err
 			}
-			if err := tab.Append(ratio, fn.P01/1e-6, fn.P25/1e-6, fn.P50/1e-6, fn.P75/1e-6, fn.P99/1e-6); err != nil {
-				return nil, err
-			}
+			fiveNumRow(tab, ratio, fn)
 			medians = append(medians, fn.P50)
 			r.addLine("%s τ'/τ*=%-6.4g %s", localTag(useLocal), ratio, fiveNumFmt("", fn))
-		}
-		if err := r.save(opts, "sweep_"+localTag(useLocal), tab); err != nil {
-			return nil, err
 		}
 		lo, hi := stats.MinMax(medians)
 		tag := localTag(useLocal)
@@ -77,7 +69,7 @@ func runFig9a(opts Options) (*Report, error) {
 		r.above(fmt.Sprintf("medians in the −Δ/2 band (%s): lowest", tag), lo, -90e-6, Seconds)
 		r.below(fmt.Sprintf("medians in the −Δ/2 band (%s): highest", tag), hi, 10e-6, Seconds)
 	}
-	return r, nil
+	return nil
 }
 
 func localTag(useLocal bool) string {
@@ -89,12 +81,11 @@ func localTag(useLocal bool) string {
 
 // runFig9b: sensitivity to the quality parameter E/δ over [1, 20] at
 // τ′ = τ*/2. Again: very low sensitivity.
-func runFig9b(opts Options) (*Report, error) {
-	r := newReport("fig9b", Title("fig9b"))
+func runFig9b(r *Report, opts Options) error {
 	sc := sensitivityScenario(opts, 16, 0)
 	factors := []float64{1, 2, 3, 4, 7, 10, 20}
 
-	tab := trace.NewTable("e_over_delta", "p01_us", "p25_us", "p50_us", "p75_us", "p99_us")
+	tab := r.table("sweep", "e_over_delta", "p01_us", "p25_us", "p50_us", "p75_us", "p99_us")
 	var medians, iqrs []float64
 	for _, f := range factors {
 		cfg := defaultCfg(16)
@@ -102,17 +93,12 @@ func runFig9b(opts Options) (*Report, error) {
 		cfg.EFactor = f
 		fn, err := sweepFiveNum(sc, cfg, timebase.Hour)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		if err := tab.Append(f, fn.P01/1e-6, fn.P25/1e-6, fn.P50/1e-6, fn.P75/1e-6, fn.P99/1e-6); err != nil {
-			return nil, err
-		}
+		fiveNumRow(tab, f, fn)
 		medians = append(medians, fn.P50)
 		iqrs = append(iqrs, fn.P75-fn.P25)
 		r.addLine("E=%2.0fδ %s", f, fiveNumFmt("", fn))
-	}
-	if err := r.save(opts, "sweep", tab); err != nil {
-		return nil, err
 	}
 	lo, hi := stats.MinMax(medians)
 	r.atMost("median insensitive to E: spread", hi-lo, 30*timebase.Microsecond, Seconds)
@@ -120,45 +106,38 @@ func runFig9b(opts Options) (*Report, error) {
 	// 2x of the best across the sweep.
 	bestIQR, _ := stats.MinMax(iqrs)
 	r.atMost("E=4δ near-optimal: IQR(4δ)/best IQR", iqrs[3]/bestIQR, 2, Ratio)
-	return r, nil
+	return nil
 }
 
 // runFig9c: sensitivity to polling period over 16–512 s at τ′ = τ*,
 // E = 4δ. The paper: the median moves by only a few µs despite a 32x
 // reduction in raw information.
-func runFig9c(opts Options) (*Report, error) {
-	r := newReport("fig9c", Title("fig9c"))
+func runFig9c(r *Report, opts Options) error {
 	polls := []float64{16, 32, 64, 128, 256, 512}
 
-	tab := trace.NewTable("poll_s", "p01_us", "p25_us", "p50_us", "p75_us", "p99_us")
+	tab := r.table("sweep", "poll_s", "p01_us", "p25_us", "p50_us", "p75_us", "p99_us")
 	var medians []float64
 	for _, poll := range polls {
 		fn, err := sweepFiveNum(sensitivityScenario(opts, poll, 0), defaultCfg(poll), 3*timebase.Hour)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		if err := tab.Append(poll, fn.P01/1e-6, fn.P25/1e-6, fn.P50/1e-6, fn.P75/1e-6, fn.P99/1e-6); err != nil {
-			return nil, err
-		}
+		fiveNumRow(tab, poll, fn)
 		medians = append(medians, fn.P50)
 		r.addLine("poll=%3.0fs %s", poll, fiveNumFmt("", fn))
-	}
-	if err := r.save(opts, "sweep", tab); err != nil {
-		return nil, err
 	}
 	lo, hi := stats.MinMax(medians)
 	r.atMost("median barely moves across 32x polling range: spread", hi-lo, 30*timebase.Microsecond, Seconds)
 	r.above("all medians in the −Δ/2 band: lowest", lo, -100e-6, Seconds)
 	r.below("all medians in the −Δ/2 band: highest", hi, 10e-6, Seconds)
-	return r, nil
+	return nil
 }
 
 // runFig10 regenerates Figure 10: offset error percentiles across the
 // four host-server environments at polling period 64. Moving from the
 // laboratory to the machine room reduces variability; the local server
 // improves it further; the remote server's median shifts by ≈ −Δ/2.
-func runFig10(opts Options) (*Report, error) {
-	r := newReport("fig10", Title("fig10"))
+func runFig10(r *Report, opts Options) error {
 	dur := opts.scale(timebase.Week)
 
 	cases := []struct {
@@ -172,23 +151,18 @@ func runFig10(opts Options) (*Report, error) {
 		{"MR-Ext", sim.MachineRoom, sim.ServerExt()},
 	}
 
-	tab := trace.NewTable("case", "p01_us", "p25_us", "p50_us", "p75_us", "p99_us")
+	tab := r.table("environments", "case", "p01_us", "p25_us", "p50_us", "p75_us", "p99_us")
 	const labInt, mrInt, mrLoc, mrExt = 0, 1, 2, 3 // positions in cases
 	summaries := make([]stats.FiveNum, len(cases))
 	for i, c := range cases {
 		sc := sim.NewScenario(c.env, c.spec, 64, dur, opts.seed()+uint64(200+i))
 		fn, err := sweepFiveNum(sc, defaultCfg(64), 3*timebase.Hour)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		summaries[i] = fn
-		if err := tab.Append(float64(i), fn.P01/1e-6, fn.P25/1e-6, fn.P50/1e-6, fn.P75/1e-6, fn.P99/1e-6); err != nil {
-			return nil, err
-		}
+		fiveNumRow(tab, float64(i), fn)
 		r.addLine("%s", fiveNumFmt(c.name, fn))
-	}
-	if err := r.save(opts, "environments", tab); err != nil {
-		return nil, err
 	}
 
 	iqr := func(i int) float64 { return summaries[i].P75 - summaries[i].P25 }
@@ -198,5 +172,5 @@ func runFig10(opts Options) (*Report, error) {
 	r.within("remote server median shifted by ≈ −Δ/2 (−250µs)", extMedian, -400e-6, -120e-6, Seconds)
 	r.above("remote server more variable: IQR MR-Ext/MR-Int", iqr(mrExt)/iqr(mrInt), 1, Ratio)
 	r.below("error ≪ remote RTT (14.2ms): |median|", math.Abs(extMedian), timebase.Millisecond, Seconds)
-	return r, nil
+	return nil
 }

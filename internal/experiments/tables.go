@@ -6,15 +6,13 @@ import (
 
 	"repro/internal/sim"
 	"repro/internal/timebase"
-	"repro/internal/trace"
 )
 
 // runTable1 regenerates Table 1: the translation of rate error (PPM)
 // into absolute offset error over the key intervals of the paper. It is
 // analytic — the table defines the design targets the algorithms are
 // built around — and the checks pin the bold entries the text relies on.
-func runTable1(opts Options) (*Report, error) {
-	r := newReport("table1", Title("table1"))
+func runTable1(r *Report, opts Options) error {
 
 	rows := []struct {
 		name string
@@ -29,20 +27,15 @@ func runTable1(opts Options) (*Report, error) {
 	}
 	rates := []float64{0.02, 0.1}
 
-	tab := trace.NewTable("interval_s", "err_at_0.02ppm_s", "err_at_0.1ppm_s")
+	tab := r.table("rows", "interval_s", "err_at_0.02ppm_s", "err_at_0.1ppm_s")
 	r.addLine("%-32s %-10s %14s %14s", "Significant Time Interval", "Duration", "@0.02 PPM", "@0.1 PPM")
 	for _, row := range rows {
 		e1 := timebase.OffsetAtRate(row.dt, timebase.FromPPM(rates[0]))
 		e2 := timebase.OffsetAtRate(row.dt, timebase.FromPPM(rates[1]))
-		if err := tab.Append(row.dt, e1, e2); err != nil {
-			return nil, err
-		}
+		tab.Append(row.dt, e1, e2)
 		r.addLine("%-32s %-10s %14s %14s", row.name,
 			timebase.FormatDuration(row.dt),
 			timebase.FormatDuration(e1), timebase.FormatDuration(e2))
-	}
-	if err := r.save(opts, "rows", tab); err != nil {
-		return nil, err
 	}
 
 	// The bold entries of the paper's Table 1, held to one part per
@@ -55,14 +48,13 @@ func runTable1(opts Options) (*Report, error) {
 	check("tau* @ 0.02 PPM = 20µs", 1000, 0.02, 20e-6)
 	check("tau* @ 0.1 PPM = 0.1ms", 1000, 0.1, 0.1e-3)
 	check("1 day @ 0.1 PPM = 8.6ms", timebase.Day, 0.1, 8.64e-3)
-	return r, nil
+	return nil
 }
 
 // runTable2 regenerates Table 2: the characteristics of the three
 // stratum-1 servers, measured from week-long traces exactly as the paper
 // measured them (minimum RTT over at least a week; asymmetry Δ).
-func runTable2(opts Options) (*Report, error) {
-	r := newReport("table2", Title("table2"))
+func runTable2(r *Report, opts Options) error {
 	dur := opts.scale(timebase.Week)
 
 	specs := []sim.ServerSpec{sim.ServerLoc(), sim.ServerInt(), sim.ServerExt()}
@@ -72,19 +64,17 @@ func runTable2(opts Options) (*Report, error) {
 	wantRef := []string{"GPS", "GPS", "Atomic"}
 	refMismatches := 0
 
-	tab := trace.NewTable("min_rtt_s", "hops", "asymmetry_s")
+	tab := r.table("servers", "min_rtt_s", "hops", "asymmetry_s")
 	r.addLine("%-10s %-9s %-10s %8s %6s %10s", "Server", "Reference", "Distance", "RTT", "Hops", "Delta")
 	for i, spec := range specs {
 		sc := sim.NewScenario(sim.MachineRoom, spec, 16, dur, opts.seed()+uint64(i))
 		tr, err := sim.Generate(sc)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		minRTT := tr.MinObservedRTT()
 		asym := spec.Asymmetry()
-		if err := tab.Append(minRTT, float64(spec.Forward.Hops), asym); err != nil {
-			return nil, err
-		}
+		tab.Append(minRTT, float64(spec.Forward.Hops), asym)
 		r.addLine("%-10s %-9s %-10s %8s %6d %10s", spec.Name, spec.Reference,
 			fmt.Sprintf("%.0fm", spec.DistanceMeters),
 			timebase.FormatDuration(minRTT), spec.Forward.Hops,
@@ -101,8 +91,5 @@ func runTable2(opts Options) (*Report, error) {
 		}
 	}
 	r.equals("reference ids GPS, GPS, Atomic (mismatches)", float64(refMismatches), 0, Count)
-	if err := r.save(opts, "servers", tab); err != nil {
-		return nil, err
-	}
-	return r, nil
+	return nil
 }

@@ -6,59 +6,69 @@ package stats
 // what lets multi-week experiment reports run at constant memory. The
 // quantile accumulators implement the P² algorithm (Jain & Chlamtac,
 // CACM 1985): five markers track the target quantile and its
-// neighborhood, adjusted parabolically as observations arrive. P² is an
-// approximation; stream_test.go documents and enforces its tolerance
-// against the exact Sorted results on random and adversarial inputs.
+// neighborhood, adjusted parabolically as observations arrive. P² only
+// ever starts warm, from the exact order statistics of a bounded
+// prefix; past that prefix it is an approximation, and stream_test.go
+// documents and enforces its tolerance against the exact Sorted
+// results on random and adversarial inputs.
 
 import (
 	"fmt"
 	"math"
 )
 
-// P2Quantile estimates a single quantile online with the P² algorithm:
+// p2Quantile estimates a single quantile online with the P² algorithm:
 // five markers whose heights converge to the p-quantile and its
-// bracketing positions, O(1) memory and O(1) per observation. Until
-// five observations have arrived the estimate is exact (computed from
-// the stored observations with the package's interpolation).
-type P2Quantile struct {
-	p   float64
-	n   int
+// bracketing positions, O(1) memory and O(1) per observation. It only
+// ever starts warm: newP2Quantile places the markers on the exact order
+// statistics of a sorted prefix.
+type p2Quantile struct {
 	q   [5]float64 // marker heights
 	pos [5]float64 // marker positions (1-based)
 	des [5]float64 // desired marker positions
 	inc [5]float64 // desired position increments per observation
 }
 
-// NewP2Quantile returns an estimator for the quantile p in (0, 1),
-// e.g. 0.5 for the median. It panics on out-of-range p.
-func NewP2Quantile(p float64) *P2Quantile {
+// newP2Quantile returns an estimator for the quantile p in (0, 1),
+// e.g. 0.5 for the median, warm-started from a sorted sample as if its
+// observations had been folded already: the markers are placed on the
+// exact order statistics at their desired positions. Folding a bounded
+// exact prefix and warm-starting P² from it removes the algorithm's
+// cold-start error on autocorrelated series — the hybrid the
+// StreamingQuantiles type packages. It panics on out-of-range p and on
+// a sample of fewer than five observations.
+func newP2Quantile(p float64, sorted Sorted) *p2Quantile {
 	if !(p > 0 && p < 1) {
 		panic(fmt.Sprintf("stats: P2 quantile %v outside (0,1)", p))
 	}
-	return &P2Quantile{p: p}
+	n := len(sorted)
+	if n < 5 {
+		panic("stats: P2 warm start needs at least 5 observations")
+	}
+	s := &p2Quantile{}
+	s.inc = [5]float64{0, p / 2, p, (1 + p) / 2, 1}
+	for i, d := range s.inc {
+		want := 1 + float64(n-1)*d
+		s.des[i] = want
+		pos := int(math.Round(want))
+		// Clamp to strict monotonicity with the ends pinned.
+		if lo := i + 1; pos < lo {
+			pos = lo
+		}
+		if hi := n - (4 - i); pos > hi {
+			pos = hi
+		}
+		if i > 0 && float64(pos) <= s.pos[i-1] {
+			pos = int(s.pos[i-1]) + 1
+		}
+		s.pos[i] = float64(pos)
+		s.q[i] = sorted[pos-1]
+	}
+	return s
 }
 
 // Add folds one observation.
-func (s *P2Quantile) Add(x float64) {
-	if s.n < 5 {
-		// Insertion into the sorted prefix.
-		i := s.n
-		for i > 0 && s.q[i-1] > x {
-			s.q[i] = s.q[i-1]
-			i--
-		}
-		s.q[i] = x
-		s.n++
-		if s.n == 5 {
-			p := s.p
-			s.pos = [5]float64{1, 2, 3, 4, 5}
-			s.des = [5]float64{1, 1 + 2*p, 1 + 4*p, 3 + 2*p, 5}
-			s.inc = [5]float64{0, p / 2, p, (1 + p) / 2, 1}
-		}
-		return
-	}
-	s.n++
-
+func (s *p2Quantile) Add(x float64) {
 	// Locate the cell and update the extreme markers.
 	var k int
 	switch {
@@ -105,67 +115,21 @@ func (s *P2Quantile) Add(x float64) {
 	}
 }
 
-func (s *P2Quantile) parabolic(i int, d float64) float64 {
+func (s *p2Quantile) parabolic(i int, d float64) float64 {
 	q, n := &s.q, &s.pos
 	return q[i] + d/(n[i+1]-n[i-1])*
 		((n[i]-n[i-1]+d)*(q[i+1]-q[i])/(n[i+1]-n[i])+
 			(n[i+1]-n[i]-d)*(q[i]-q[i-1])/(n[i]-n[i-1]))
 }
 
-func (s *P2Quantile) linear(i int, d float64) float64 {
+func (s *p2Quantile) linear(i int, d float64) float64 {
 	q, n := &s.q, &s.pos
 	j := i + int(d)
 	return q[i] + d*(q[j]-q[i])/(n[j]-n[i])
 }
 
-// Value returns the current quantile estimate. It panics on an empty
-// accumulator; with fewer than five observations it is exact.
-func (s *P2Quantile) Value() float64 {
-	if s.n == 0 {
-		panic("stats: P2Quantile.Value of empty accumulator")
-	}
-	if s.n < 5 {
-		return Sorted(s.q[:s.n]).Percentile(s.p * 100)
-	}
-	return s.q[2]
-}
-
-// WarmStart initializes the estimator from a sorted sample, as if its
-// observations had been folded already: the markers are placed on the
-// exact order statistics at their desired positions. Folding a bounded
-// exact prefix and warm-starting P² from it removes the algorithm's
-// cold-start error on autocorrelated series — the hybrid the
-// StreamingQuantiles type packages. The receiver must be empty and the
-// sample at least five observations.
-func (s *P2Quantile) WarmStart(sorted Sorted) {
-	if s.n != 0 {
-		panic("stats: WarmStart on a non-empty estimator")
-	}
-	n := len(sorted)
-	if n < 5 {
-		panic("stats: WarmStart needs at least 5 observations")
-	}
-	p := s.p
-	s.n = n
-	s.inc = [5]float64{0, p / 2, p, (1 + p) / 2, 1}
-	for i, d := range s.inc {
-		want := 1 + float64(n-1)*d
-		s.des[i] = want
-		pos := int(math.Round(want))
-		// Clamp to strict monotonicity with the ends pinned.
-		if lo := i + 1; pos < lo {
-			pos = lo
-		}
-		if hi := n - (4 - i); pos > hi {
-			pos = hi
-		}
-		if i > 0 && float64(pos) <= s.pos[i-1] {
-			pos = int(s.pos[i-1]) + 1
-		}
-		s.pos[i] = float64(pos)
-		s.q[i] = sorted[pos-1]
-	}
-}
+// Value returns the current quantile estimate.
+func (s *p2Quantile) Value() float64 { return s.q[2] }
 
 // DefaultExactPrefix is the exact-prefix budget of StreamingQuantiles:
 // 32k float64s, 256 KiB — a fixed constant independent of stream
@@ -190,13 +154,13 @@ type StreamingQuantiles struct {
 
 	buf    []float64 // exact prefix; nil once switched to P²
 	sorted bool      // buf is currently sorted
-	ests   []*P2Quantile
+	ests   []*p2Quantile
 	n      int
 }
 
 // NewStreamingQuantiles returns an empty accumulator for the given
 // quantile levels in (0, 1), with the DefaultExactPrefix budget. It
-// panics on out-of-range levels, like NewP2Quantile.
+// panics on out-of-range levels.
 func NewStreamingQuantiles(levels ...float64) *StreamingQuantiles {
 	s := &StreamingQuantiles{
 		levels: append([]float64(nil), levels...),
@@ -226,10 +190,9 @@ func (s *StreamingQuantiles) Add(x float64) {
 	}
 	// Switch regimes: one sort, then exact warm starts.
 	sorted := NewSorted(s.buf)
-	s.ests = make([]*P2Quantile, len(s.levels))
+	s.ests = make([]*p2Quantile, len(s.levels))
 	for i, p := range s.levels {
-		s.ests[i] = NewP2Quantile(p)
-		s.ests[i].WarmStart(sorted)
+		s.ests[i] = newP2Quantile(p, sorted)
 	}
 	s.buf, s.sorted = nil, false
 }

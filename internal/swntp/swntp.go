@@ -22,6 +22,8 @@ package swntp
 import (
 	"fmt"
 	"math"
+
+	"repro/internal/timebase"
 )
 
 // Config parameterizes the discipline loop.
@@ -140,7 +142,7 @@ func (c *Clock) Read(counter uint64) float64 {
 	if !c.initialized {
 		return 0
 	}
-	dt := spanSeconds(c.counterBase, counter, c.cfg.PNominal)
+	dt := timebase.CounterSpan(c.counterBase, counter, c.cfg.PNominal)
 	raw := c.base + dt*(1+c.freq)
 	if c.residual == 0 {
 		return raw
@@ -153,19 +155,11 @@ func (c *Clock) Read(counter uint64) float64 {
 	return raw + math.Copysign(avail, c.residual)
 }
 
-// spanSeconds converts a counter span to seconds, preserving sign.
-func spanSeconds(from, to uint64, p float64) float64 {
-	if to >= from {
-		return float64(to-from) * p
-	}
-	return -float64(from-to) * p
-}
-
 // rebase moves the clock origin to the given counter, folding in the
 // consumed part of the residual so Read stays continuous.
 func (c *Clock) rebase(counter uint64) {
 	now := c.Read(counter)
-	dt := spanSeconds(c.counterBase, counter, c.cfg.PNominal)
+	dt := timebase.CounterSpan(c.counterBase, counter, c.cfg.PNominal)
 	consumed := now - (c.base + dt*(1+c.freq))
 	c.residual -= consumed
 	if math.Abs(c.residual) < 1e-12 {
@@ -187,7 +181,7 @@ func (c *Clock) ProcessExchange(ta, tf uint64, tb, te float64) Update {
 		// First exchange: set the clock outright from the server.
 		c.initialized = true
 		c.counterBase = tf
-		c.base = te + spanSeconds(ta, tf, c.cfg.PNominal)/2
+		c.base = te + timebase.CounterSpan(ta, tf, c.cfg.PNominal)/2
 		c.lastCounter = tf
 		return Update{Stepped: true, Applied: true}
 	}
@@ -240,7 +234,7 @@ func (c *Clock) ProcessExchange(ta, tf uint64, tb, te float64) Update {
 
 	// PLL: phase correction scheduled for amortized slewing, frequency
 	// correction integrating the offset over the loop time constant.
-	dt := spanSeconds(c.lastCounter, tf, c.cfg.PNominal)
+	dt := timebase.CounterSpan(c.lastCounter, tf, c.cfg.PNominal)
 	if dt <= 0 {
 		dt = c.cfg.PollPeriod
 	}

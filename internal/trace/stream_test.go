@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -18,9 +19,7 @@ func TestWriterMatchesTable(t *testing.T) {
 	}
 	tab := NewTable("t", "offset", "rtt")
 	for _, r := range rows {
-		if err := tab.Append(r...); err != nil {
-			t.Fatal(err)
-		}
+		tab.Append(r...)
 	}
 	var batch bytes.Buffer
 	if err := tab.WriteTSV(&batch); err != nil {
@@ -28,20 +27,12 @@ func TestWriterMatchesTable(t *testing.T) {
 	}
 
 	var streamed bytes.Buffer
-	w, err := NewWriter(&streamed, "t", "offset", "rtt")
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := NewWriter(&streamed, "t", "offset", "rtt")
 	for _, r := range rows {
-		if err := w.Append(r...); err != nil {
-			t.Fatal(err)
-		}
+		w.Append(r...)
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
-	}
-	if w.Len() != len(rows) {
-		t.Errorf("Len = %d, want %d", w.Len(), len(rows))
 	}
 	if !bytes.Equal(streamed.Bytes(), batch.Bytes()) {
 		t.Errorf("streamed output differs from batch:\n%q\nvs\n%q", streamed.Bytes(), batch.Bytes())
@@ -49,18 +40,41 @@ func TestWriterMatchesTable(t *testing.T) {
 }
 
 func TestWriterArityAndValidation(t *testing.T) {
-	if _, err := NewWriter(&bytes.Buffer{}); err == nil {
-		t.Error("writer with no columns accepted")
-	}
-	w, err := NewWriter(&bytes.Buffer{}, "a", "b")
-	if err != nil {
+	mustPanic(t, "writer with no columns", func() { NewWriter(&bytes.Buffer{}) })
+	var buf bytes.Buffer
+	w := NewWriter(&buf, "a", "b")
+	mustPanic(t, "short row", func() { w.Append(1) })
+	mustPanic(t, "long row", func() { w.Append(1, 2, 3) })
+	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Append(1); err == nil {
-		t.Error("short row accepted")
+	if buf.String() != "a\tb\n" {
+		t.Errorf("rejected rows written: %q", buf.String())
 	}
-	if err := w.Append(1, 2, 3); err == nil {
-		t.Error("long row accepted")
+}
+
+// failWriter accepts n bytes, then fails every write.
+type failWriter struct{ n int }
+
+func (f *failWriter) Write(p []byte) (int, error) {
+	if len(p) > f.n {
+		k := f.n
+		f.n = 0
+		return k, errors.New("disk full")
+	}
+	f.n -= len(p)
+	return len(p), nil
+}
+
+// TestWriterKeepsWriteError: a write error is not lost between Appends
+// that return nothing; Close reports it.
+func TestWriterKeepsWriteError(t *testing.T) {
+	w := NewWriter(&failWriter{n: 10}, "t_s", "err_us")
+	for i := 0; i < 10000; i++ {
+		w.Append(float64(i), 1)
+	}
+	if err := w.Close(); err == nil || err.Error() != "disk full" {
+		t.Errorf("Close = %v, want the write error", err)
 	}
 }
 
@@ -74,9 +88,7 @@ func TestCreateStreamsToDisk(t *testing.T) {
 	}
 	const n = 10000
 	for i := 0; i < n; i++ {
-		if err := w.Append(float64(i)*16, float64(i%97)-48); err != nil {
-			t.Fatal(err)
-		}
+		w.Append(float64(i)*16, float64(i%97)-48)
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)

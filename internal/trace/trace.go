@@ -18,29 +18,27 @@ import (
 // one line per Append, buffered through to the underlying writer. It
 // never buffers rows, so a multi-week series writes in constant memory
 // — the streaming counterpart of Table for data too long to hold
-// resident. Rows it writes are byte-identical to Table.WriteTSV's.
+// resident. Rows it writes are byte-identical to Table.WriteTSV's. A
+// write error is kept and returned by Close, as bufio.Writer does.
 type Writer struct {
 	columns int
 	bw      *bufio.Writer
 	c       io.Closer
-	n       int
 }
 
 // NewWriter writes the header line to w and returns a row writer. If w
-// is also an io.Closer, Close will close it.
-func NewWriter(w io.Writer, columns ...string) (*Writer, error) {
+// is also an io.Closer, Close will close it. It panics on no columns.
+func NewWriter(w io.Writer, columns ...string) *Writer {
 	if len(columns) == 0 {
-		return nil, fmt.Errorf("trace: writer needs at least one column")
+		panic("trace: writer needs at least one column")
 	}
 	bw := bufio.NewWriter(w)
-	if err := writeRowStrings(bw, columns); err != nil {
-		return nil, err
-	}
+	writeRowStrings(bw, columns)
 	sw := &Writer{columns: len(columns), bw: bw}
 	if c, ok := w.(io.Closer); ok {
 		sw.c = c
 	}
-	return sw, nil
+	return sw
 }
 
 // Create opens (creating parent directories) a file at path and returns
@@ -53,72 +51,56 @@ func Create(path string, columns ...string) (*Writer, error) {
 	if err != nil {
 		return nil, err
 	}
-	w, err := NewWriter(f, columns...)
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	return w, nil
+	return NewWriter(f, columns...), nil
 }
 
-// Append writes one row; the value count must match the column count.
-func (w *Writer) Append(values ...float64) error {
-	if len(values) != w.columns {
-		return fmt.Errorf("trace: row has %d values, writer has %d columns", len(values), w.columns)
-	}
-	if err := writeRowFloats(w.bw, values); err != nil {
-		return err
-	}
-	w.n++
-	return nil
+// Append writes one row. The value count must match the column count:
+// a mismatch is a programming error and panics.
+func (w *Writer) Append(values ...float64) {
+	checkArity(len(values), w.columns)
+	writeRowFloats(w.bw, values)
 }
-
-// Len returns the number of rows written.
-func (w *Writer) Len() int { return w.n }
 
 // Close flushes buffered rows and closes the underlying writer when it
-// is closable.
+// is closable. It returns the first error any write met.
 func (w *Writer) Close() error {
-	if err := w.bw.Flush(); err != nil {
-		if w.c != nil {
-			w.c.Close()
-		}
-		return err
-	}
+	err := w.bw.Flush()
 	if w.c != nil {
-		return w.c.Close()
+		if cerr := w.c.Close(); err == nil {
+			err = cerr
+		}
 	}
-	return nil
+	return err
 }
 
-// writeRowStrings emits one tab-separated line of strings.
-func writeRowStrings(bw *bufio.Writer, fields []string) error {
+func checkArity(values, columns int) {
+	if values != columns {
+		panic(fmt.Sprintf("trace: row has %d values, want %d columns", values, columns))
+	}
+}
+
+// writeRowStrings emits one tab-separated line of strings. A
+// bufio.Writer's error is sticky, so the caller's Flush reports it.
+func writeRowStrings(bw *bufio.Writer, fields []string) {
 	for i, f := range fields {
 		if i > 0 {
-			if err := bw.WriteByte('\t'); err != nil {
-				return err
-			}
+			bw.WriteByte('\t')
 		}
-		if _, err := bw.WriteString(f); err != nil {
-			return err
-		}
+		bw.WriteString(f)
 	}
-	return bw.WriteByte('\n')
+	bw.WriteByte('\n')
 }
 
-// writeRowFloats emits one tab-separated line of formatted floats.
-func writeRowFloats(bw *bufio.Writer, values []float64) error {
+// writeRowFloats emits one tab-separated line of formatted floats;
+// errors surface at Flush, as for writeRowStrings.
+func writeRowFloats(bw *bufio.Writer, values []float64) {
 	for i, v := range values {
 		if i > 0 {
-			if err := bw.WriteByte('\t'); err != nil {
-				return err
-			}
+			bw.WriteByte('\t')
 		}
-		if _, err := bw.WriteString(strconv.FormatFloat(v, 'g', 12, 64)); err != nil {
-			return err
-		}
+		bw.WriteString(strconv.FormatFloat(v, 'g', 12, 64))
 	}
-	return bw.WriteByte('\n')
+	bw.WriteByte('\n')
 }
 
 // Table is a column-ordered set of float64 series with a shared length.
@@ -135,13 +117,11 @@ func NewTable(columns ...string) *Table {
 // Len returns the number of rows.
 func (t *Table) Len() int { return len(t.rows) }
 
-// Append adds one row; the value count must match the column count.
-func (t *Table) Append(values ...float64) error {
-	if len(values) != len(t.columns) {
-		return fmt.Errorf("trace: row has %d values, table has %d columns", len(values), len(t.columns))
-	}
+// Append adds one row. The value count must match the column count:
+// a mismatch is a programming error and panics.
+func (t *Table) Append(values ...float64) {
+	checkArity(len(values), len(t.columns))
 	t.rows = append(t.rows, append([]float64(nil), values...))
-	return nil
 }
 
 // Row returns row i (borrowed, do not mutate).
@@ -150,13 +130,9 @@ func (t *Table) Row(i int) []float64 { return t.rows[i] }
 // WriteTSV streams the table as tab-separated values with a header line.
 func (t *Table) WriteTSV(w io.Writer) error {
 	bw := bufio.NewWriter(w)
-	if err := writeRowStrings(bw, t.columns); err != nil {
-		return err
-	}
+	writeRowStrings(bw, t.columns)
 	for _, row := range t.rows {
-		if err := writeRowFloats(bw, row); err != nil {
-			return err
-		}
+		writeRowFloats(bw, row)
 	}
 	return bw.Flush()
 }
