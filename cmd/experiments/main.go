@@ -1,5 +1,5 @@
 // Command experiments regenerates the tables and figures of the paper's
-// evaluation. Each experiment prints the rows/series the paper reports
+// evaluation. Each experiment prints the figures the paper reports
 // plus shape checks (who wins, by what factor, where crossovers fall).
 //
 // Usage:
@@ -29,7 +29,7 @@ func main() {
 		list  = flag.Bool("list", false, "list experiment ids and exit")
 		quick = flag.Bool("quick", false, "shrink trace durations ~8x")
 		seed  = flag.Uint64("seed", 0, "override the deterministic seed (0 = default)")
-		out   = flag.String("out", "", "directory for TSV artifacts and accuracy.json, the run's checks, lines and table digests (optional)")
+		out   = flag.String("out", "", "directory for TSV artifacts and accuracy.json, the run's figures, checks and table digests (optional)")
 		days  = flag.Float64("days", 0, "longrun trace length in days (0 = default 21; streams at constant memory)")
 	)
 	flag.Parse()

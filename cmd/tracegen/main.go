@@ -133,12 +133,17 @@ func genMulti(env sim.Environment, spec sim.ServerSpec, nSrv int, poll, days flo
 
 	writers := make([]*capture.Writer, nSrv)
 	paths := make([]string, nSrv)
-	closeAll := func() {
+	// closeAll closes every open writer, also past a failing one, and
+	// returns the first error.
+	closeAll := func() (first error) {
 		for _, w := range writers {
 			if w != nil {
-				w.Close()
+				if err := w.Close(); first == nil {
+					first = err
+				}
 			}
 		}
+		return first
 	}
 	for k := range writers {
 		paths[k] = serverPath(out, k)
@@ -164,12 +169,11 @@ func genMulti(env sim.Environment, spec sim.ServerSpec, nSrv int, poll, days flo
 			return err
 		}
 	}
+	if err := closeAll(); err != nil {
+		return err
+	}
 	for k, w := range writers {
-		n := w.Count()
-		if err := w.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("server %d: wrote %d exchanges (%d lost) to %s\n", k, n, lost[k], paths[k])
+		fmt.Printf("server %d: wrote %d exchanges (%d lost) to %s\n", k, w.Count(), lost[k], paths[k])
 	}
 	return nil
 }

@@ -163,15 +163,17 @@ func CreateFile(path string, meta Meta) (*Writer, error) {
 // Count returns the number of records written.
 func (w *Writer) Count() int { return w.n }
 
-// Close flushes and closes the underlying writer when it is closable.
+// Close flushes and closes the underlying writer when it is closable —
+// also when the flush failed, so the file is never left open — and
+// returns the first error.
 func (w *Writer) Close() error {
-	if err := w.w.Flush(); err != nil {
-		return err
-	}
+	err := w.w.Flush()
 	if w.c != nil {
-		return w.c.Close()
+		if cerr := w.c.Close(); err == nil {
+			err = cerr
+		}
 	}
-	return nil
+	return err
 }
 
 // Reader streams records from a capture file.

@@ -2,6 +2,7 @@ package capture
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"path/filepath"
 	"testing"
@@ -183,5 +184,31 @@ func BenchmarkWrite(b *testing.B) {
 			buf.Reset()
 			b.StartTimer()
 		}
+	}
+}
+
+// failingCloser is a destination whose every write fails; it records
+// whether it was closed.
+type failingCloser struct{ closed bool }
+
+var errDiskFull = errors.New("disk full")
+
+func (f *failingCloser) Write([]byte) (int, error) { return 0, errDiskFull }
+func (f *failingCloser) Close() error              { f.closed = true; return nil }
+
+// TestCloseReleasesOnFlushError: when the final flush fails, Close
+// still closes the destination — a file is never left open — and
+// reports the flush's error.
+func TestCloseReleasesOnFlushError(t *testing.T) {
+	dst := &failingCloser{}
+	w, err := NewWriter(dst, Meta{Name: "doomed"})
+	if err != nil {
+		t.Fatal(err) // the header is buffered, so no write has happened yet
+	}
+	if err := w.Close(); !errors.Is(err, errDiskFull) {
+		t.Errorf("Close = %v, want the flush error %v", err, errDiskFull)
+	}
+	if !dst.closed {
+		t.Error("Close left the destination open after the flush failed")
 	}
 }

@@ -93,8 +93,8 @@ func runAblation(r *Report, opts Options) error {
 		sorted := stats.NewSorted(absErrs) // one sort for both quantiles
 		med[i], p99[i] = sorted.Median(), sorted.Percentile(99)
 		tab.Append(float64(i), med[i]/1e-6, p99[i]/1e-6)
-		r.addLine("%-36s median %-10s p99 %s", v.name,
-			timebase.FormatDuration(med[i]), timebase.FormatDuration(p99[i]))
+		r.figure(v.name+" median", med[i], Seconds)
+		r.figure(v.name+" p99", p99[i], Seconds)
 	}
 
 	r.below("weighted window improves tails: p99 full/window=1", p99[full]/p99[noWeighting], 1, Ratio)

@@ -9,10 +9,11 @@ import (
 )
 
 // AccuracyJSON renders reports as the evaluation's accuracy record, one
-// entry per experiment: every check (exact value and bounds — the
-// shortest decimals that parse back to the same float64 — the printed
-// relation, bound and unit, and the verdict), every report line, and
-// each table's row count and TSV sha256. `cmd/experiments -out DIR`
+// entry per experiment: every figure in registration order (its exact
+// value — the shortest decimal that parses back to the same float64 —
+// and its printed value), every check (exact value and bounds, the
+// printed relation, bound and unit, and the verdict), and each table's
+// row count and TSV sha256. `cmd/experiments -out DIR`
 // writes it as DIR/accuracy.json; the `-run all` one is committed as
 // testdata/accuracy.json.
 func AccuracyJSON(reps []*Report) []byte {
@@ -29,11 +30,13 @@ func AccuracyJSON(reps []*Report) []byte {
 }
 
 type accuracy struct {
-	ID     string
-	Lines  []string
-	Checks []checkRecord
-	Tables map[string]string
+	ID      string
+	Figures []figureRecord
+	Checks  []checkRecord
+	Tables  map[string]string
 }
+
+type figureRecord struct{ Name, Value, Printed string }
 
 type checkRecord struct {
 	Name, Value, Want, Lo, Hi string
@@ -42,7 +45,10 @@ type checkRecord struct {
 
 func accuracyOf(r *Report) accuracy {
 	exact := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-	a := accuracy{ID: r.ID, Lines: r.Lines, Tables: map[string]string{}}
+	a := accuracy{ID: r.ID, Figures: make([]figureRecord, len(r.Figures)), Tables: map[string]string{}}
+	for i, f := range r.Figures {
+		a.Figures[i] = figureRecord{f.Name, exact(f.Value), f.Got()}
+	}
 	for _, c := range r.Checks {
 		a.Checks = append(a.Checks, checkRecord{c.Name, exact(c.Value), c.Want(), exact(c.Lo), exact(c.Hi), c.Pass()})
 	}

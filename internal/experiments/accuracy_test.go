@@ -39,6 +39,7 @@ func TestAccuracyGolden(t *testing.T) {
 				if reps[i] = rep; !rep.Passed() {
 					t.Errorf("a check failed:\n%s", rep.Render())
 				}
+				checkRecorded(t, rep)
 				if !reflect.DeepEqual(accuracyOf(rep), golden[i]) {
 					t.Error("moved from the record")
 				}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"math"
 
 	"repro/internal/ensemble"
@@ -73,18 +74,21 @@ func runAsym(r *Report, opts Options) error {
 			worstSymmCorr = c
 		}
 	}
-	r.addLine("servers 0,1 carry %s extra forward delay (one-way bias %s); server 2 symmetric",
-		timebase.FormatDuration(asymExtra), timebase.FormatDuration(asymExtra/2))
-	r.addLine("tail medians |err|: corrected %s, uncorrected %s (%.2fx); symmetric control %s vs %s",
-		timebase.FormatDuration(corrMed), timebase.FormatDuration(uncorrMed), corrMed/uncorrMed,
-		timebase.FormatDuration(symmCorrMed), timebase.FormatDuration(symmUncorrMed))
+	r.figure("servers 0,1 extra forward delay", asymExtra, Seconds)
+	r.figure("servers 0,1 one-way bias", asymExtra/2, Seconds)
+	r.figure("tail median |err| corrected", corrMed, Seconds)
+	r.figure("tail median |err| uncorrected", uncorrMed, Seconds)
+	r.figure("symmetric control tail median |err| corrected", symmCorrMed, Seconds)
+	r.figure("symmetric control tail median |err| uncorrected", symmUncorrMed, Seconds)
 	unselected := 0
 	for k, st := range states {
-		r.addLine("server %d: correction %s (hint %s), selected %v",
-			k, timebase.FormatDuration(st.AsymCorrection), timebase.FormatDuration(st.AsymmetryHint), st.Selected)
+		selected := 1.0
 		if !st.Selected {
+			selected = 0
 			unselected++
 		}
+		r.figure(fmt.Sprintf("server %d asymmetry hint", k), st.AsymmetryHint, Seconds)
+		r.figure(fmt.Sprintf("server %d selected", k), selected, Count)
 	}
 
 	// The CI gate: the corrected combined clock is strictly tighter on

@@ -154,13 +154,16 @@ func runChaos(r *Report, opts Options) error {
 	preMed, tailMed := preFault.Value(), tailErrs.Value()
 	recoverTime := outRecoverAt - outTo
 
-	r.addLine("schedule: partition{1,2} %.2f–%.2f d, total outage %.2f–%.2f d, server 1 dead %.2f–%.2f d then +%s forever",
-		partFrom/timebase.Day, partTo/timebase.Day, outFrom/timebase.Day, outTo/timebase.Day,
-		deathAt/timebase.Day, (deathAt+deathFor)/timebase.Day, timebase.FormatDuration(stepAfter))
-	r.addLine("holdover: %d grid points, worst |err|/bound %.3f; recovery to SYNCED %.0f s after outage end",
-		holdoverPts, worstBoundRatio, recoverTime)
-	r.addLine("medians |err|: pre-fault %s, post-falseticker tail %s; server 1 min weight after return %.3f",
-		timebase.FormatDuration(preMed), timebase.FormatDuration(tailMed), minWeight1)
+	r.figure("partition of servers 1,2 from", partFrom, Seconds)
+	r.figure("partition of servers 1,2 to", partTo, Seconds)
+	r.figure("total outage from", outFrom, Seconds)
+	r.figure("total outage to", outTo, Seconds)
+	r.figure("server 1 dead from", deathAt, Seconds)
+	r.figure("server 1 dead to", deathAt+deathFor, Seconds)
+	r.figure("server 1 step after return", stepAfter, Seconds)
+	r.figure("holdover grid points", float64(holdoverPts), Count)
+	r.figure("median |err| pre-fault", preMed, Seconds)
+	r.figure("median |err| post-falseticker tail", tailMed, Seconds)
 
 	r.equals("total outage lands in HOLDOVER: grid points in the outage window",
 		float64(holdoverPts-holdoverBreaks)/float64(holdoverPts), 1, Share)

@@ -58,18 +58,8 @@ func detrendAnchors(sc sim.Scenario, corrected bool) (first, last sim.Exchange, 
 	return first, last, pBar, nil
 }
 
-// detrendStream streams the scenario a second time and emits each
-// completed exchange's (Tg, θ) to fn in order.
-func detrendStream(sc sim.Scenario, corrected bool, fn func(tg, theta float64) error) error {
-	first, _, pBar, err := detrendAnchors(sc, corrected)
-	if err != nil {
-		return err
-	}
-	return detrendEmit(sc, corrected, first, pBar, fn)
-}
-
-// detrendEmit is detrendStream's second pass with the anchors already
-// known, for callers that needed them to size downstream folds.
+// detrendEmit is the second pass: it streams the scenario again and
+// emits each completed exchange's (Tg, θ) to fn in order.
 func detrendEmit(sc sim.Scenario, corrected bool, first sim.Exchange, pBar float64, fn func(tg, theta float64) error) error {
 	st, err := sim.NewStream(sc)
 	if err != nil {
@@ -96,10 +86,15 @@ func detrendEmit(sc sim.Scenario, corrected bool, first sim.Exchange, pBar float
 // zoom and the full trace, with the ±0.1 PPM cone as the bound.
 func runFig2(r *Report, opts Options) error {
 	dur := opts.scale(timebase.Week)
+	r.figure("trace span", dur, Seconds)
 
 	for _, env := range []sim.Environment{sim.Laboratory, sim.MachineRoom} {
 		sc := sim.NewScenario(env, sim.ServerInt(), 16, dur, opts.seed())
 		sink := r.series(env.String(), "t_s", "offset_s")
+		first, _, pBar, err := detrendAnchors(sc, false)
+		if err != nil {
+			return err
+		}
 
 		// The cone check: from the detrended origin, |θ(t)| must stay
 		// within 0.1 PPM · elapsed (plus timestamping noise floor). The
@@ -112,7 +107,7 @@ func runFig2(r *Report, opts Options) error {
 		var t0 float64
 		var headTs, headTh []float64
 		i := 0
-		err := detrendStream(sc, false, func(tg, theta float64) error {
+		err = detrendEmit(sc, false, first, pBar, func(tg, theta float64) error {
 			if i == 0 {
 				t0 = tg
 			}
@@ -137,14 +132,12 @@ func runFig2(r *Report, opts Options) error {
 		if err != nil {
 			return err
 		}
-		r.addLine("%-4s max |offset drift| %s over %s (worst cone ratio %.2f)",
-			env, timebase.FormatDuration(maxAbs), timebase.FormatDuration(dur), worstRatio)
+		r.figure(fmt.Sprintf("%s max |offset drift| after 1000s", env), maxAbs, Seconds)
 		r.atMost(fmt.Sprintf("%s drift inside 0.1 PPM cone", env), worstRatio, 1, Ratio)
 
 		// Over the first 1000 s the SKM holds: the residual after the
 		// best local linear fit is dominated by µs timestamping noise.
 		res := maxResidualAfterLinearFit(headTs, headTh)
-		r.addLine("%-4s SKM residual over first 1000s: %s", env, timebase.FormatDuration(res))
 		r.below(fmt.Sprintf("%s SKM residual (1000s)", env), res, 30*timebase.Microsecond, Seconds)
 	}
 	return nil
@@ -240,9 +233,10 @@ func runFig3(r *Report, opts Options) error {
 		for _, p := range pts {
 			tab.Append(p.Tau, p.Deviation)
 		}
-		r.addLine("%-8s min deviation %.4f PPM at τ=%s; max %.4f PPM",
-			c.name, timebase.PPM(minDev(pts)), timebase.FormatDuration(minDevTau(pts)),
-			timebase.PPM(maxDevAbove(pts, 100)))
+		least := minDev(pts)
+		r.figure(c.name+" min deviation", least.Deviation, PPM)
+		r.figure(c.name+" min deviation at τ", least.Tau, Seconds)
+		r.figure(c.name+" max deviation (τ ≥ 100s)", maxDevAbove(pts, 100), PPM)
 	}
 
 	for i, c := range cases {
@@ -267,25 +261,15 @@ func runFig3(r *Report, opts Options) error {
 	return nil
 }
 
-func minDev(pts []allan.Point) float64 {
-	m := math.Inf(1)
+// minDev is the first point of least deviation.
+func minDev(pts []allan.Point) allan.Point {
+	m := allan.Point{Deviation: math.Inf(1)}
 	for _, p := range pts {
-		if p.Deviation < m {
-			m = p.Deviation
+		if p.Deviation < m.Deviation {
+			m = p
 		}
 	}
 	return m
-}
-
-func minDevTau(pts []allan.Point) float64 {
-	m, tau := math.Inf(1), 0.0
-	for _, p := range pts {
-		if p.Deviation < m {
-			m = p.Deviation
-			tau = p.Tau
-		}
-	}
-	return tau
 }
 
 func maxDevAbove(pts []allan.Point, tauMin float64) float64 {
@@ -345,11 +329,10 @@ func runFig4(r *Report, opts Options) error {
 	sMin, sMax := stats.MinMax(srv)
 	bSorted, sSorted := stats.NewSorted(back), stats.NewSorted(srv) // one sort each
 	b05, bMed, sMed := bSorted.Percentile(5), bSorted.Median(), sSorted.Median()
-	r.addLine("backward delay: min %s p05 %s median %s max %s",
-		timebase.FormatDuration(bMin), timebase.FormatDuration(b05),
-		timebase.FormatDuration(bMed), timebase.FormatDuration(bMax))
-	r.addLine("server delay:   min %s median %s max %s",
-		timebase.FormatDuration(sMin), timebase.FormatDuration(sMed), timebase.FormatDuration(sMax))
+	r.figure("backward delay median", bMed, Seconds)
+	r.figure("backward delay max", bMax, Seconds)
+	r.figure("server delay median", sMed, Seconds)
+	r.figure("server delay max", sMax, Seconds)
 
 	// Note: Tg − Te can go *negative* on rare packets — the paper's own
 	// observation that server departure stamps Te can exceed true

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 
 	"repro/internal/timebase"
@@ -21,10 +22,10 @@ const (
 	Equals                  // Value = Lo
 )
 
-// Unit says what a Check's numbers measure, and so how they print.
+// Unit says what a Figure's numbers measure, and so how they print.
 type Unit uint8
 
-// The units the evaluation's checks are stated in.
+// The units the evaluation's figures are stated in.
 const (
 	Seconds Unit = iota // a duration or time error
 	PPM                 // a dimensionless rate error, printed in parts per million
@@ -33,17 +34,26 @@ const (
 	Count               // a number of things
 )
 
+// Figure is one number an experiment reports: its name, its value and
+// the unit it is measured in, which also says how it prints.
+type Figure struct {
+	Name  string
+	Value float64
+	Unit  Unit
+}
+
+// Got renders the value.
+func (f Figure) Got() string { return f.Unit.format(f.Value) }
+
 // Check is one shape assertion, as data: a property of the paper's
 // result that the reproduction must preserve, stated as a measured
-// value, the bound(s) it is held to and the relation between them. The
+// figure, the bound(s) it is held to and the relation between them. The
 // verdict and both printed texts are derived from these fields, so the
 // bound a report prints is the bound that was enforced.
 type Check struct {
-	Name   string
-	Value  float64
+	Figure
 	Rel    Relation
 	Lo, Hi float64 // the bound(s) Rel names; the other is unused
-	Unit   Unit
 }
 
 // Pass reports whether Value satisfies the relation. A value that is
@@ -89,9 +99,6 @@ func (c Check) Want() string {
 	return fmt.Sprintf("relation %d", c.Rel)
 }
 
-// Got renders the measured value.
-func (c Check) Got() string { return c.Unit.format(c.Value) }
-
 // format prints v to three significant digits in the unit's notation.
 func (u Unit) format(v float64) string {
 	switch u {
@@ -115,18 +122,23 @@ func sig3(v float64) string {
 	return strconv.FormatFloat(v, 'g', 3, 64)
 }
 
+// figure registers a reported number. Names are unique within a report:
+// a second figure of the same name is a programming error and panics.
+func (r *Report) figure(name string, v float64, u Unit) {
+	if slices.ContainsFunc(r.Figures, func(f Figure) bool { return f.Name == name }) {
+		panic(fmt.Sprintf("experiments: %s: figure %q registered twice", r.ID, name))
+	}
+	r.Figures = append(r.Figures, Figure{name, v, u})
+}
+
 func (r *Report) check(name string, v float64, rel Relation, lo, hi float64, u Unit) {
-	r.Checks = append(r.Checks, Check{Name: name, Value: v, Rel: rel, Lo: lo, Hi: hi, Unit: u})
+	r.Checks = append(r.Checks, Check{Figure{name, v, u}, rel, lo, hi})
 }
 
 // The six ways an experiment states a bound, one per relation.
-func (r *Report) atMost(name string, v, hi float64, u Unit)  { r.check(name, v, AtMost, 0, hi, u) }
-func (r *Report) below(name string, v, hi float64, u Unit)   { r.check(name, v, Below, 0, hi, u) }
-func (r *Report) atLeast(name string, v, lo float64, u Unit) { r.check(name, v, AtLeast, lo, 0, u) }
-func (r *Report) above(name string, v, lo float64, u Unit)   { r.check(name, v, Above, lo, 0, u) }
-func (r *Report) equals(name string, v, want float64, u Unit) {
-	r.check(name, v, Equals, want, 0, u)
-}
-func (r *Report) within(name string, v, lo, hi float64, u Unit) {
-	r.check(name, v, Within, lo, hi, u)
-}
+func (r *Report) atMost(name string, v, hi float64, u Unit)     { r.check(name, v, AtMost, 0, hi, u) }
+func (r *Report) below(name string, v, hi float64, u Unit)      { r.check(name, v, Below, 0, hi, u) }
+func (r *Report) atLeast(name string, v, lo float64, u Unit)    { r.check(name, v, AtLeast, lo, 0, u) }
+func (r *Report) above(name string, v, lo float64, u Unit)      { r.check(name, v, Above, lo, 0, u) }
+func (r *Report) equals(name string, v, want float64, u Unit)   { r.check(name, v, Equals, want, 0, u) }
+func (r *Report) within(name string, v, lo, hi float64, u Unit) { r.check(name, v, Within, lo, hi, u) }

@@ -28,7 +28,7 @@ func TestCheckRelations(t *testing.T) {
 		{Within, hi, true, ""}, {Within, down(hi), true, ""}, {Within, up(hi), false, ""},
 		{Equals, lo, true, "= 2.5µs"}, {Equals, up(lo), false, ""}, {Equals, down(lo), false, ""},
 	} {
-		c := Check{Name: "x", Value: tc.v, Rel: tc.rel, Lo: lo, Hi: hi, Unit: Seconds}
+		c := Check{Figure: Figure{Name: "x", Value: tc.v, Unit: Seconds}, Rel: tc.rel, Lo: lo, Hi: hi}
 		if c.Pass() != tc.pass {
 			t.Errorf("relation %d at %v (bounds %v, %v): Pass = %v, want %v", tc.rel, tc.v, lo, hi, c.Pass(), tc.pass)
 		}
@@ -56,9 +56,58 @@ func TestCheckRelations(t *testing.T) {
 		{Share, 0.0002, "≤ 0.02%"},
 		{Count, 512, "≤ 512"},
 	} {
-		c := Check{Rel: AtMost, Hi: tc.bound, Value: tc.bound, Unit: tc.unit}
+		c := Check{Figure: Figure{Value: tc.bound, Unit: tc.unit}, Rel: AtMost, Hi: tc.bound}
 		if c.Want() != tc.text || !strings.HasSuffix(tc.text, c.Got()) || !c.Pass() {
 			t.Errorf("unit %d: Want() = %q (want %q), Got() = %q, Pass() = %v", tc.unit, c.Want(), tc.text, c.Got(), c.Pass())
 		}
 	}
+}
+
+// TestFigureRendering pins how a figure prints in each unit — the one
+// formatter checks print their values and bounds with — and how Render
+// lays figures out: one aligned "name  value" line each, in registration
+// order, before the check lines.
+func TestFigureRendering(t *testing.T) {
+	for _, tc := range []struct {
+		f    Figure
+		text string
+	}{
+		{Figure{"a duration", 31.3e-6, Seconds}, "31.3µs"},
+		{Figure{"a long one", 2 * 86400, Seconds}, "2d"},
+		{Figure{"a rate", 0.0153e-6, PPM}, "0.0153 PPM"},
+		{Figure{"a quotient", 0.74, Ratio}, "0.74×"},
+		{Figure{"a big quotient", 1047.3, Ratio}, "1047×"},
+		{Figure{"a share", 0.974, Share}, "97.4%"},
+		{Figure{"a count", 113247, Count}, "113247"},
+		{Figure{"a flag", 1, Count}, "1"},
+	} {
+		if got := tc.f.Got(); got != tc.text {
+			t.Errorf("%s in unit %d: Got() = %q, want %q", tc.f.Name, tc.f.Unit, got, tc.text)
+		}
+	}
+
+	r := &Report{ID: "x", Title: "rendering"}
+	r.figure("p", 2e-3, Seconds)
+	r.figure("τ longer", 0.5, Share)
+	r.atMost("bound", 1, 2, Count)
+	want := "== x: rendering ==\n" +
+		"p         2ms\n" +
+		"τ longer  50%\n" +
+		"[PASS] bound                                    want ≤ 2                          got 1\n"
+	if got := r.Render(); got != want {
+		t.Errorf("Render() =\n%s\nwant\n%s", got, want)
+	}
+}
+
+// TestDuplicateFigurePanics: a figure name is its identity in the
+// record, so registering one twice is a programming error.
+func TestDuplicateFigurePanics(t *testing.T) {
+	r := &Report{ID: "x"}
+	r.figure("median", 1, Seconds)
+	defer func() {
+		if recover() == nil {
+			t.Error("a second figure named \"median\" was accepted")
+		}
+	}()
+	r.figure("median", 2, Seconds)
 }

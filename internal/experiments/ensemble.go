@@ -67,12 +67,12 @@ func runEnsemble(r *Report, opts Options) error {
 	goodMed, faultyMed := goodTail.Value(), faultyTail.Value()
 	agreement := final.Agreement(lastTf)
 
-	r.addLine("fault: server %d off by %s from %.2f days; tail medians |err|: good single %s, faulty single %s, ensemble %s",
-		faulty, timebase.FormatDuration(faultOff), faultAt/timebase.Day,
-		timebase.FormatDuration(goodMed), timebase.FormatDuration(faultyMed),
-		timebase.FormatDuration(ensMed))
-	r.addLine("faulty server: min weight after onset %.3f (nominal 0.333); final agreement %d/3",
-		minFaultyWeight, agreement)
+	r.figure("faulty server", faulty, Count)
+	r.figure("fault offset", faultOff, Seconds)
+	r.figure("fault onset", faultAt, Seconds)
+	r.figure("tail median |err| good single clock", goodMed, Seconds)
+	r.figure("tail median |err| faulty single clock", faultyMed, Seconds)
+	r.figure("tail median |err| ensemble", ensMed, Seconds)
 
 	r.atLeast("single clock on the faulty server diverges: tail median faulty/good", faultyMed/goodMed, 10, Ratio)
 	r.atMost("ensemble outvotes the faulty server: tail median ensemble/good", ensMed/goodMed, 2, Ratio)

@@ -1,22 +1,24 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation. Each experiment builds its workload with internal/sim,
 // runs the algorithms of internal/core (and internal/swntp for the
-// baseline), and reports the same rows or series the paper reports,
+// baseline), and reports the numbers, rows or series the paper reports,
 // together with shape checks: who wins, by roughly what factor, where
 // the crossovers fall. Absolute numbers differ from the paper's testbed;
 // `cmd/experiments -list` names what each item reproduces.
 //
-// Every check is data (Check: a value, its bound, the relation between
-// them), every error against ground truth comes from one scorer per
-// clock kind (offsetErrOf for an engine, clockErr for an ensemble), and
-// every run goes through one harness per clock kind (streamRun,
-// ensembleRun): generate → estimator → per-exchange callback.
+// Every reported number is data (Figure: a name, a value, a unit), every
+// check is a figure plus its bound and relation (Check), and one
+// formatter prints both. Every error against ground truth comes from one
+// scorer per clock kind (offsetErrOf for an engine, clockErr for an
+// ensemble), and every run goes through one harness per clock kind
+// (streamRun, ensembleRun): generate → estimator → per-exchange callback.
 //
 // Run owns each report's whole life: it builds the Report, hands it to
 // the experiment, closes every series the experiment opened (also when
 // it fails) and writes every table to Options.OutputDir. It is the one
 // place artifacts are written; an experiment only registers them
-// (Report.table, Report.series) and keeps its computation.
+// (Report.table, Report.series), its figures and its checks, and keeps
+// its computation.
 //
 // Run from the command line with `go run ./cmd/experiments -run fig12`;
 // TestAllExperimentsQuick runs the whole sweep under `go test`.
@@ -28,6 +30,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"strings"
+	"unicode/utf8"
 
 	"repro/internal/core"
 	"repro/internal/ensemble"
@@ -41,7 +44,7 @@ import (
 type Options struct {
 	// Seed selects the deterministic realization; 0 means the default.
 	Seed uint64
-	// Quick shrinks trace durations ~8x for CI and benchmark use. The
+	// Quick shrinks trace durations ~8x for CI and quick runs. The
 	// shapes under test survive; the statistics get noisier.
 	Quick bool
 	// OutputDir, when non-empty, receives one TSV per table of the
@@ -79,24 +82,20 @@ func (o Options) scale(d float64) float64 {
 
 // Report is the output of one experiment.
 type Report struct {
-	ID     string
-	Title  string
-	Lines  []string
-	Checks []Check
-	Tables map[string]*trace.Table
+	ID      string
+	Title   string
+	Figures []Figure
+	Checks  []Check
+	Tables  map[string]*trace.Table
 
 	// PeakHeap is the peak live-heap watermark (bytes) sampled while
 	// the experiment ran: a property of the process, so not a report
-	// line. Only longrun samples it; the constant-memory gates read it.
+	// figure. Only longrun samples it; the constant-memory gates read it.
 	PeakHeap uint64
 
 	dir   string        // Options.OutputDir: where artifacts go, "" for none
 	saved []string      // names of the tables Run writes, in order
 	sinks []*seriesSink // series Run closes
-}
-
-func (r *Report) addLine(format string, args ...interface{}) {
-	r.Lines = append(r.Lines, fmt.Sprintf(format, args...))
 }
 
 // Passed reports whether every check passed.
@@ -113,8 +112,12 @@ func (r *Report) Passed() bool {
 func (r *Report) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "== %s: %s ==\n", r.ID, r.Title)
-	for _, l := range r.Lines {
-		fmt.Fprintf(&b, "%s\n", l)
+	w := 0
+	for _, f := range r.Figures {
+		w = max(w, utf8.RuneCountInString(f.Name))
+	}
+	for _, f := range r.Figures {
+		fmt.Fprintf(&b, "%-*s  %s\n", w, f.Name, f.Got())
 	}
 	for _, c := range r.Checks {
 		mark := "PASS"
@@ -374,12 +377,14 @@ func ensembleFeed(st *sim.MultiStream, cfg ensemble.Config, fn func(ensembleStep
 	}
 }
 
-// fiveNumFmt renders a five-number summary in µs, matching the
-// percentile curves of Figures 9 and 10.
-func fiveNumFmt(label string, fn stats.FiveNum) string {
-	toUs := func(v float64) float64 { return v / timebase.Microsecond }
-	return fmt.Sprintf("%-14s p01=%8.1fµs p25=%8.1fµs p50=%8.1fµs p75=%8.1fµs p99=%8.1fµs",
-		label, toUs(fn.P01), toUs(fn.P25), toUs(fn.P50), toUs(fn.P75), toUs(fn.P99))
+// fiveNum registers a five-number summary as the five figures
+// "label p01" … "label p99": the percentile curves of Figures 9 and 10.
+func (r *Report) fiveNum(label string, fn stats.FiveNum) {
+	r.figure(label+" p01", fn.P01, Seconds)
+	r.figure(label+" p25", fn.P25, Seconds)
+	r.figure(label+" p50", fn.P50, Seconds)
+	r.figure(label+" p75", fn.P75, Seconds)
+	r.figure(label+" p99", fn.P99, Seconds)
 }
 
 // fiveNumRow appends key, a five-number summary in µs and any extra

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -51,6 +52,7 @@ func TestAllExperimentsQuick(t *testing.T) {
 			if len(rep.Checks) == 0 {
 				t.Fatal("experiment has no checks")
 			}
+			checkRecorded(t, rep)
 			for _, c := range rep.Checks {
 				if !c.Pass() {
 					t.Errorf("check %q: want %s, got %s", c.Name, c.Want(), c.Got())
@@ -60,6 +62,21 @@ func TestAllExperimentsQuick(t *testing.T) {
 				t.Error("render missing ID")
 			}
 		})
+	}
+}
+
+// checkRecorded requires a report to record something — at least one
+// figure or check — and every figure to be a finite number: a NaN or
+// ±Inf figure is a broken measurement, not a result.
+func checkRecorded(t *testing.T, rep *Report) {
+	t.Helper()
+	if len(rep.Figures)+len(rep.Checks) == 0 {
+		t.Error("the report records no figure and no check")
+	}
+	for _, f := range rep.Figures {
+		if math.IsNaN(f.Value) || math.IsInf(f.Value, 0) {
+			t.Errorf("figure %q is %v", f.Name, f.Value)
+		}
 	}
 }
 

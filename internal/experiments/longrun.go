@@ -184,15 +184,14 @@ func runLongRun(r *Report, opts Options) error {
 	}
 
 	fn := overall.FiveNum()
-	r.addLine("%s over %.1f days (%d packets, %d windows of %s)", sc.Name,
-		dur/timebase.Day, count, len(winMedians), timebase.FormatDuration(longRunWindow))
-	r.addLine("%s", fiveNumFmt("error", fn))
+	r.figure("trace span", dur, Seconds)
+	r.figure("packets", float64(count), Count)
+	r.figure("window", longRunWindow, Seconds)
+	r.fiveNum("error", fn)
 	medLo, medHi := stats.MinMax(winMedians)
-	r.addLine("windowed medians in [%s, %s]; oscillator cache %d steps",
-		timebase.FormatDuration(medLo), timebase.FormatDuration(medHi), st.Osc().RandomWalkCacheLen())
-	r.addLine("single-packet excursions beyond %s: %d of %d (worst %s; clipped from the Allan fold)",
-		timebase.FormatDuration(longRunClip), excursions, count,
-		timebase.FormatDuration(worstExcursion))
+	r.figure("excursion threshold (clipped from the Allan fold)", longRunClip, Seconds)
+	r.figure("single-packet excursions", float64(excursions), Count)
+	r.figure("worst excursion", worstExcursion, Seconds)
 
 	// Shape checks: multi-week stability despite temperature cycles and
 	// load regimes, and the constant-memory machinery actually engaged.

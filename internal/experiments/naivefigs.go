@@ -59,9 +59,7 @@ func runFig5(r *Report, opts Options) error {
 	frac := float64(withinEarly) / float64(totalEarly)
 	med := stats.Median(relErrsLate)
 	worst := stats.Percentile(relErrsLate, 100)
-	r.addLine("bulk within 0.1 PPM (0.05–0.2 day): %.1f%%", frac*100)
-	r.addLine("after 0.2 day: median |rel err| %.4f PPM, worst %.3f PPM",
-		timebase.PPM(med), timebase.PPM(worst))
+	r.figure("worst |rel err| after 0.2 day", worst, PPM)
 
 	r.atLeast("bulk quickly within 0.1 PPM of reference", frac, 0.8, Share)
 	r.atMost("median damps to ≪0.1 PPM after 0.2 day", med, timebase.FromPPM(0.05), PPM)
@@ -104,9 +102,6 @@ func runFig6(r *Report, opts Options) error {
 		}
 	}
 	negFrac := float64(neg) / float64(len(devs))
-	r.addLine("naive − reference: median %s, IQR %s, %.0f%% negative",
-		timebase.FormatDuration(med), timebase.FormatDuration(iqr), negFrac*100)
-
 	// The deviation distribution is (q← − q→)/2 plus the −Δ/2 ambiguity.
 	r.above("deviations biased negative (forward more utilised)", negFrac, 0.6, Share)
 	r.above("undamped noise ≫ filtered scale: IQR", iqr, 10*timebase.Microsecond, Seconds)
@@ -150,8 +145,7 @@ func runFig7(r *Report, opts Options) error {
 			return err
 		}
 		acc[i] = float64(accepted) / float64(n)
-		r.addLine("E*=%2.0fδ: accepted %.1f%% of packets; max |rel err| after 0.1 day = %.4f PPM",
-			eStarFactor, acc[i]*100, timebase.PPM(maxAfter))
+		r.figure(fmt.Sprintf("E*=%.0fδ accepted", eStarFactor), acc[i], Share)
 		r.atMost(fmt.Sprintf("E*=%.0fδ error below 0.1 PPM and stays (max after 0.1d)", eStarFactor),
 			maxAfter, timebase.FromPPM(0.1), PPM)
 	}
@@ -201,10 +195,8 @@ func runFig8(r *Report, opts Options) error {
 	alg := stats.NewSorted(algAbs) // one sort for both quantiles
 	medAbs, a90 := alg.Median(), alg.Percentile(90)
 	n90 := stats.Percentile(naiveAbs, 90)
-	r.addLine("θ̂ − θ_ref after 1h: median %s, IQR %s, median |err| %s",
-		timebase.FormatDuration(med), timebase.FormatDuration(iqr), timebase.FormatDuration(medAbs))
-	r.addLine("90th pct |err|: algorithm %s vs naive %s",
-		timebase.FormatDuration(a90), timebase.FormatDuration(n90))
+	r.figure("90th pct |err| algorithm", a90, Seconds)
+	r.figure("90th pct |err| naive", n90, Seconds)
 
 	r.atMost("median |error| at the tens-of-µs scale", medAbs, 60*timebase.Microsecond, Seconds)
 	r.atMost("IQR small", iqr, 60*timebase.Microsecond, Seconds)

@@ -60,10 +60,10 @@ func runFig11a(r *Report, opts Options) error {
 	if err != nil {
 		return err
 	}
-	r.addLine("gap %.1f days: error before %s, first after %s, after 30min %s",
-		(gapEnd-gapStart)/timebase.Day,
-		timebase.FormatDuration(preGap), timebase.FormatDuration(firstAfter),
-		timebase.FormatDuration(recovered))
+	r.figure("gap", gapEnd-gapStart, Seconds)
+	r.figure("error before the gap", preGap, Seconds)
+	r.figure("error first after the gap", firstAfter, Seconds)
+	r.figure("error after 30 min of data", recovered, Seconds)
 
 	r.atMost("first post-gap estimate already bounded: |err|", math.Abs(firstAfter), timebase.Millisecond, Seconds)
 	r.atMost("fast recovery (30 min of data): |err|", math.Abs(recovered), 150*timebase.Microsecond, Seconds)
@@ -107,9 +107,6 @@ func runFig11b(r *Report, opts Options) error {
 		return err
 	}
 
-	r.addLine("sanity check fired on %d packets; max |err| %s; final |err| %s",
-		sanityCount, timebase.FormatDuration(maxDamage),
-		timebase.FormatDuration(math.Abs(lastErr)))
 	r.atLeast("sanity check triggered (packets)", float64(sanityCount), 1, Count)
 	r.atMost("damage limited to ~a millisecond: max |err| vs 150ms fault", maxDamage, 4*timebase.Millisecond, Seconds)
 	r.atMost("healed by end of trace: |err|", math.Abs(lastErr), 300*timebase.Microsecond, Seconds)
@@ -167,8 +164,12 @@ func runFig11c(r *Report, opts Options) error {
 		return err
 	}
 
-	r.addLine("detections at: %v (temp shift at %.2fd for %s, perm at %.2fd)",
-		detections, tempAt/timebase.Day, timebase.FormatDuration(tempDur), permAt/timebase.Day)
+	r.figure("temporary shift at", tempAt, Seconds)
+	r.figure("temporary shift lasts", tempDur, Seconds)
+	r.figure("permanent shift at", permAt, Seconds)
+	for i, at := range detections {
+		r.figure(fmt.Sprintf("detection %d at", i+1), at, Seconds)
+	}
 	r.equals("temporary shift (<Ts) never detected: detections before the permanent shift",
 		float64(earlyDetections), 0, Count)
 	r.within("permanent shift detected within ~1.5·Ts: delay", permDetectedAt-permAt, 0, 1.5*cfg.ShiftWindow, Seconds)
@@ -176,9 +177,8 @@ func runFig11c(r *Report, opts Options) error {
 	// The jump is ≈ Δshift/2 (asymmetry change), directed negative since
 	// the forward minimum grew.
 	jump := after.Value(0) - before.Value(0)
-	r.addLine("median error before %s, after %s (jump %s; Δ/2 = −450µs)",
-		timebase.FormatDuration(before.Value(0)),
-		timebase.FormatDuration(after.Value(0)), timebase.FormatDuration(jump))
+	r.figure("median error before", before.Value(0), Seconds)
+	r.figure("median error after", after.Value(0), Seconds)
 	r.within("post-shift jump ≈ −Δshift/2", jump, -650e-6, -250e-6, Seconds)
 	return nil
 }
@@ -224,9 +224,9 @@ func runFig11d(r *Report, opts Options) error {
 
 	wantRTT := sc.Server.MinRTT() + 2*delta
 	shiftOfMedian := after.Value(0) - before.Value(0)
-	r.addLine("r̂ after shift %s (want ≈ %s); median error moved by %s",
-		timebase.FormatDuration(rHatAfter), timebase.FormatDuration(wantRTT),
-		timebase.FormatDuration(shiftOfMedian))
+	r.figure("r̂ after shift", rHatAfter, Seconds)
+	r.figure("new minimum RTT", wantRTT, Seconds)
+	r.figure("median error moved by", shiftOfMedian, Seconds)
 
 	r.equals("no upward detection for a downward shift", float64(upward), 0, Count)
 	r.atMost("r̂ absorbs the shift promptly: |r̂ − new min|", math.Abs(rHatAfter-wantRTT), 100e-6, Seconds)
@@ -246,6 +246,7 @@ func runFig12(r *Report, opts Options) error {
 		dur = timebase.Week
 	}
 
+	r.figure("trace span", dur, Seconds)
 	var iqrs [2]float64 // per polling period, in order
 	for i, poll := range []float64{64, 256} {
 		sc := sim.NewScenario(sim.MachineRoom, sim.ServerInt(), poll, dur, opts.seed())
@@ -286,9 +287,8 @@ func runFig12(r *Report, opts Options) error {
 		for i := range hist.Counts {
 			tab.Append(hist.BinCenter(i)/1e-6, hist.Fraction(i))
 		}
-		r.addLine("poll %3.0fs over %.0f days: median %s, IQR %s (99%% of values in [%s, %s])",
-			poll, dur/timebase.Day, timebase.FormatDuration(med), timebase.FormatDuration(iqr),
-			timebase.FormatDuration(lo), timebase.FormatDuration(hi))
+		r.figure(fmt.Sprintf("poll %.0f p0.5", poll), lo, Seconds)
+		r.figure(fmt.Sprintf("poll %.0f p99.5", poll), hi, Seconds)
 
 		r.within(fmt.Sprintf("poll %.0f median at tens-of-µs (paper: −31/−33µs)", poll), med, -100e-6, 0, Seconds)
 		r.atMost(fmt.Sprintf("poll %.0f IQR small (paper: 15/24µs)", poll), iqr, 80e-6, Seconds)
@@ -342,11 +342,9 @@ func runBaseline(r *Report, opts Options) error {
 	}
 	swMed, coreMed := swMedAcc.Value(), coreMedAcc.Value()
 
-	r.addLine("median |error|: SW-NTP %s vs TSC-NTP %s (factor %.1f)",
-		timebase.FormatDuration(swMed), timebase.FormatDuration(coreMed), swMed/coreMed)
-	r.addLine("worst |error|: SW-NTP %s vs TSC-NTP %s (factor %.0f); SW steps (resets): %d",
-		timebase.FormatDuration(swWorst), timebase.FormatDuration(coreWorst),
-		swWorst/coreWorst, sw.Steps())
+	r.figure("median |error| SW-NTP", swMed, Seconds)
+	r.figure("median |error| TSC-NTP", coreMed, Seconds)
+	r.figure("worst |error| SW-NTP", swWorst, Seconds)
 
 	// The paper's criticism of SW-NTP is reliability, not median-case
 	// accuracy on a quiet path: errors "well in excess of RTTs in

@@ -93,13 +93,16 @@ func runSelect(r *Report, opts Options) error {
 		}
 	}
 
-	r.addLine("colluding pair (servers %d,%d) lies by %s over clean paths; tail medians |err|: all-good baseline %s, selection %s, median-only %s",
-		sim.ColludingHonest, nSrv-1, timebase.FormatDuration(lie),
-		timebase.FormatDuration(goodMed), timebase.FormatDuration(selMed), timebase.FormatDuration(medMed))
-	r.addLine("steady state: colluders excluded in %d/%d tail snapshots, max colluder weight %.4f, falsetickers %d/%d",
-		tailBoth, tailSnaps, maxCollW, last.Falsetickers, nSrv)
-	r.addLine("asymmetry hints: colluders ≥ %s (the lie localized), honest ≤ %s",
-		timebase.FormatDuration(minCollHint), timebase.FormatDuration(worstHonestHint))
+	r.figure("servers", float64(nSrv), Count)
+	r.figure("first colluding server", sim.ColludingHonest, Count)
+	r.figure("last colluding server", float64(nSrv-1), Count)
+	r.figure("colluders' lie", lie, Seconds)
+	r.figure("tail median |err| all-good baseline", goodMed, Seconds)
+	r.figure("tail median |err| selection", selMed, Seconds)
+	r.figure("tail median |err| median-only", medMed, Seconds)
+	r.figure("tail snapshots", float64(tailSnaps), Count)
+	r.figure("tail snapshots excluding both colluders", float64(tailBoth), Count)
+	r.figure("final falsetickers", float64(last.Falsetickers), Count)
 
 	r.atMost("selection holds the all-good baseline: tail median selection/baseline", selMed/goodMed, 1.5, Ratio)
 	r.atLeast("median-only combiner degrades: tail median median-only/baseline", medMed/goodMed, 5, Ratio)

@@ -43,8 +43,9 @@ func runFig9a(r *Report, opts Options) error {
 	sc := sensitivityScenario(opts, 16, 0)
 	ratios := []float64{1.0 / 16, 1.0 / 8, 1.0 / 4, 1.0 / 2, 1, 2, 4}
 
-	for _, useLocal := range []bool{false, true} {
-		tab := r.table("sweep_"+localTag(useLocal), "ratio", "p01_us", "p25_us", "p50_us", "p75_us", "p99_us")
+	for _, tag := range []string{"nolocal", "local"} {
+		useLocal := tag == "local"
+		tab := r.table("sweep_"+tag, "ratio", "p01_us", "p25_us", "p50_us", "p75_us", "p99_us")
 		var medians []float64
 		for _, ratio := range ratios {
 			cfg := defaultCfg(16)
@@ -61,22 +62,14 @@ func runFig9a(r *Report, opts Options) error {
 			}
 			fiveNumRow(tab, ratio, fn)
 			medians = append(medians, fn.P50)
-			r.addLine("%s τ'/τ*=%-6.4g %s", localTag(useLocal), ratio, fiveNumFmt("", fn))
+			r.fiveNum(fmt.Sprintf("%s τ'/τ*=%g", tag, ratio), fn)
 		}
 		lo, hi := stats.MinMax(medians)
-		tag := localTag(useLocal)
 		r.atMost(fmt.Sprintf("median insensitive to τ' (%s): spread", tag), hi-lo, 30*timebase.Microsecond, Seconds)
 		r.above(fmt.Sprintf("medians in the −Δ/2 band (%s): lowest", tag), lo, -90e-6, Seconds)
 		r.below(fmt.Sprintf("medians in the −Δ/2 band (%s): highest", tag), hi, 10e-6, Seconds)
 	}
 	return nil
-}
-
-func localTag(useLocal bool) string {
-	if useLocal {
-		return "local"
-	}
-	return "nolocal"
 }
 
 // runFig9b: sensitivity to the quality parameter E/δ over [1, 20] at
@@ -98,7 +91,7 @@ func runFig9b(r *Report, opts Options) error {
 		fiveNumRow(tab, f, fn)
 		medians = append(medians, fn.P50)
 		iqrs = append(iqrs, fn.P75-fn.P25)
-		r.addLine("E=%2.0fδ %s", f, fiveNumFmt("", fn))
+		r.fiveNum(fmt.Sprintf("E=%gδ", f), fn)
 	}
 	lo, hi := stats.MinMax(medians)
 	r.atMost("median insensitive to E: spread", hi-lo, 30*timebase.Microsecond, Seconds)
@@ -124,7 +117,7 @@ func runFig9c(r *Report, opts Options) error {
 		}
 		fiveNumRow(tab, poll, fn)
 		medians = append(medians, fn.P50)
-		r.addLine("poll=%3.0fs %s", poll, fiveNumFmt("", fn))
+		r.fiveNum(fmt.Sprintf("poll=%gs", poll), fn)
 	}
 	lo, hi := stats.MinMax(medians)
 	r.atMost("median barely moves across 32x polling range: spread", hi-lo, 30*timebase.Microsecond, Seconds)
@@ -162,7 +155,7 @@ func runFig10(r *Report, opts Options) error {
 		}
 		summaries[i] = fn
 		fiveNumRow(tab, float64(i), fn)
-		r.addLine("%s", fiveNumFmt(c.name, fn))
+		r.fiveNum(c.name, fn)
 	}
 
 	iqr := func(i int) float64 { return summaries[i].P75 - summaries[i].P25 }

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/sim"
@@ -28,14 +27,13 @@ func runTable1(r *Report, opts Options) error {
 	rates := []float64{0.02, 0.1}
 
 	tab := r.table("rows", "interval_s", "err_at_0.02ppm_s", "err_at_0.1ppm_s")
-	r.addLine("%-32s %-10s %14s %14s", "Significant Time Interval", "Duration", "@0.02 PPM", "@0.1 PPM")
 	for _, row := range rows {
 		e1 := timebase.OffsetAtRate(row.dt, timebase.FromPPM(rates[0]))
 		e2 := timebase.OffsetAtRate(row.dt, timebase.FromPPM(rates[1]))
 		tab.Append(row.dt, e1, e2)
-		r.addLine("%-32s %-10s %14s %14s", row.name,
-			timebase.FormatDuration(row.dt),
-			timebase.FormatDuration(e1), timebase.FormatDuration(e2))
+		r.figure(row.name+": interval", row.dt, Seconds)
+		r.figure(row.name+": error @ 0.02 PPM", e1, Seconds)
+		r.figure(row.name+": error @ 0.1 PPM", e2, Seconds)
 	}
 
 	// The bold entries of the paper's Table 1, held to one part per
@@ -65,7 +63,6 @@ func runTable2(r *Report, opts Options) error {
 	refMismatches := 0
 
 	tab := r.table("servers", "min_rtt_s", "hops", "asymmetry_s")
-	r.addLine("%-10s %-9s %-10s %8s %6s %10s", "Server", "Reference", "Distance", "RTT", "Hops", "Delta")
 	for i, spec := range specs {
 		sc := sim.NewScenario(sim.MachineRoom, spec, 16, dur, opts.seed()+uint64(i))
 		tr, err := sim.Generate(sc)
@@ -75,10 +72,7 @@ func runTable2(r *Report, opts Options) error {
 		minRTT := tr.MinObservedRTT()
 		asym := spec.Asymmetry()
 		tab.Append(minRTT, float64(spec.Forward.Hops), asym)
-		r.addLine("%-10s %-9s %-10s %8s %6d %10s", spec.Name, spec.Reference,
-			fmt.Sprintf("%.0fm", spec.DistanceMeters),
-			timebase.FormatDuration(minRTT), spec.Forward.Hops,
-			timebase.FormatDuration(asym))
+		r.figure(spec.Name+" distance (m)", spec.DistanceMeters, Count)
 
 		// The paper's value, to 5 % + 30 µs for a measured minimum and
 		// 10 µs for a configured asymmetry.
