@@ -103,7 +103,7 @@ func genSingle(env sim.Environment, spec sim.ServerSpec, poll, days float64, see
 		if e.Lost {
 			lost++
 		}
-		if err := w.WriteExchange(e); err != nil {
+		if err := w.Write(e); err != nil {
 			w.Close()
 			return err
 		}
@@ -164,7 +164,7 @@ func genMulti(env sim.Environment, spec sim.ServerSpec, nSrv int, poll, days flo
 		if e.Lost {
 			lost[e.Server]++
 		}
-		if err := writers[e.Server].WriteExchange(e.Exchange); err != nil {
+		if err := writers[e.Server].Write(e.Exchange); err != nil {
 			closeAll()
 			return err
 		}

@@ -11,7 +11,7 @@
 //	magic   "TSCTRC01"              8 bytes
 //	metaLen uint32 little-endian    4 bytes
 //	meta    JSON                    metaLen bytes
-//	records                         72 bytes each
+//	records                         64 bytes each
 //
 // Record layout (little-endian):
 //
@@ -20,9 +20,10 @@
 //	tb     float64  te     float64
 //	tg     float64  trueTa float64  trueTf float64
 //
-// Reference oracle fields beyond Tg are not stored: captures are meant
-// to be replayable through the estimators and scored against Tg, exactly
-// like the paper's DAG-verified datasets.
+// A record is a sim.Exchange, field for field. The generator's other
+// ground truth (sim.Truth) is not stored: captures are meant to be
+// replayable through the estimators and scored against Tg, exactly like
+// the paper's DAG-verified datasets.
 package capture
 
 import (
@@ -41,8 +42,9 @@ import (
 // Magic identifies capture files.
 const Magic = "TSCTRC01"
 
-// recordSize is the fixed width of one exchange record.
-const recordSize = 4 + 4 + 8 + 8 + 8 + 8 + 8 + 8 + 8
+// recordSize is the fixed width of one exchange record: seq, flags and
+// seven 8-byte stamps.
+const recordSize = 4 + 4 + 7*8
 
 const flagLost = 1 << 0
 
@@ -58,25 +60,9 @@ type Meta struct {
 }
 
 // Record is one stored exchange: the raw data plus the DAG reference
-// stamp and oracle endpoints needed to score estimators.
-type Record struct {
-	Seq    uint32
-	Lost   bool
-	Ta, Tf uint64
-	Tb, Te float64
-	Tg     float64
-	TrueTa float64
-	TrueTf float64
-}
-
-// fromExchange converts a simulation exchange.
-func fromExchange(e sim.Exchange) Record {
-	return Record{
-		Seq: uint32(e.Seq), Lost: e.Lost,
-		Ta: e.Ta, Tf: e.Tf, Tb: e.Tb, Te: e.Te,
-		Tg: e.Tg, TrueTa: e.TrueTa, TrueTf: e.TrueTf,
-	}
-}
+// stamp and oracle endpoints needed to score estimators — the
+// generator's own record, so a stream writes straight to a capture.
+type Record = sim.Exchange
 
 // Writer streams records to a capture file.
 type Writer struct {
@@ -112,7 +98,9 @@ func NewWriter(w io.Writer, meta Meta) (*Writer, error) {
 	return cw, nil
 }
 
-// Write appends one record.
+// Write appends one record. Trace generation streams exchanges through
+// it one at a time, so multi-week captures never hold a trace in
+// memory.
 func (w *Writer) Write(r Record) error {
 	b := w.buf[:]
 	binary.LittleEndian.PutUint32(b[0:], r.Seq)
@@ -133,13 +121,6 @@ func (w *Writer) Write(r Record) error {
 	}
 	w.n++
 	return nil
-}
-
-// WriteExchange appends one simulation exchange: the streaming entry
-// point for trace generation, which converts and writes records one at
-// a time so multi-week captures never hold a trace in memory.
-func (w *Writer) WriteExchange(e sim.Exchange) error {
-	return w.Write(fromExchange(e))
 }
 
 // CreateFile opens (creating parent directories) a capture file at path

@@ -2,8 +2,10 @@ package capture
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"io"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -11,63 +13,74 @@ import (
 	"repro/internal/timebase"
 )
 
-func sampleTrace(t *testing.T) *sim.Trace {
-	t.Helper()
+// sampleScenario is an hour of 16 s polls with 5 % loss.
+func sampleScenario() sim.Scenario {
 	sc := sim.NewScenario(sim.MachineRoom, sim.ServerInt(), 16, timebase.Hour, 5)
 	sc.LossProb = 0.05
-	tr, err := sim.Generate(sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return tr
+	return sc
 }
 
+// TestRoundTripFile: every exchange a stream emits reads back equal to
+// itself, and each takes 64 bytes after the header.
 func TestRoundTripFile(t *testing.T) {
-	tr := sampleTrace(t)
-	// CreateFile makes the missing parent directory.
-	path := filepath.Join(t.TempDir(), "new", "trace.tsctrc")
-	w, err := CreateFile(path, Meta{
-		Name:       tr.Scenario.Name,
-		PollPeriod: tr.Scenario.PollPeriod,
-		Seed:       tr.Scenario.Seed,
-		Comment:    "unit test",
-	})
+	sc := sampleScenario()
+	st, err := sim.NewStream(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, e := range tr.Exchanges {
-		if err := w.WriteExchange(e); err != nil {
+	// CreateFile makes the missing parent directory.
+	path := filepath.Join(t.TempDir(), "new", "trace.tsctrc")
+	meta := Meta{Name: sc.Name, PollPeriod: sc.PollPeriod, Seed: sc.Seed, Comment: "unit test"}
+	w, err := CreateFile(path, meta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var streamed []sim.Exchange
+	for e, ok := st.Next(); ok; e, ok = st.Next() {
+		if err := w.Write(e); err != nil {
 			t.Fatal(err)
 		}
+		streamed = append(streamed, e)
 	}
-	if w.Count() != len(tr.Exchanges) {
-		t.Fatalf("wrote %d records, trace has %d", w.Count(), len(tr.Exchanges))
+	if w.Count() != len(streamed) {
+		t.Fatalf("wrote %d records, the stream emitted %d", w.Count(), len(streamed))
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	meta, recs, err := LoadAll(path)
+	got, recs, err := LoadAll(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if meta.Name != tr.Scenario.Name || meta.PollPeriod != 16 ||
-		meta.Seed != 5 || meta.Comment != "unit test" {
-		t.Errorf("meta = %+v", meta)
+	if got != meta {
+		t.Errorf("meta = %+v, want %+v", got, meta)
 	}
-	if len(recs) != len(tr.Exchanges) {
+	if len(recs) != len(streamed) {
 		t.Fatalf("read %d records", len(recs))
 	}
-	for i, e := range tr.Exchanges {
-		got := recs[i]
-		want := fromExchange(e)
-		if got != want {
-			t.Fatalf("record %d mismatch:\n got %+v\nwant %+v", i, got, want)
+	for i, e := range streamed {
+		if recs[i] != e {
+			t.Fatalf("record %d mismatch:\n got %+v\nwant %+v", i, recs[i], e)
 		}
+	}
+	mb, err := json.Marshal(meta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := int64(len(Magic) + 4 + len(mb) + 64*len(streamed)); fi.Size() != want {
+		t.Errorf("file is %d bytes, want the header plus 64 per record: %d", fi.Size(), want)
 	}
 }
 
 func TestLostFlagPreserved(t *testing.T) {
-	tr := sampleTrace(t)
+	tr, err := sim.Generate(sampleScenario())
+	if err != nil {
+		t.Fatal(err)
+	}
 	var buf bytes.Buffer
 	w, err := NewWriter(&buf, Meta{Name: "x"})
 	if err != nil {
@@ -78,7 +91,7 @@ func TestLostFlagPreserved(t *testing.T) {
 		if e.Lost {
 			lost++
 		}
-		if err := w.Write(fromExchange(e)); err != nil {
+		if err := w.Write(e); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -21,19 +21,29 @@ import (
 // receive stamps are used (Figure 3); otherwise the raw ones (Figure 2,
 // whose µs-scale irregularities the paper attributes to exactly this).
 
-func detrendStamp(e sim.Exchange, corrected bool) uint64 {
+// anchor is one end of a detrended series: its exchange's DAG stamp and
+// the receive stamp the series reads.
+type anchor struct {
+	Tg float64
+	Tf uint64
+}
+
+// detrendStamp returns the receive stamp the series reads of e, the
+// exchange st last returned: the corrected one from the stream's Truth,
+// or the raw Tf.
+func detrendStamp(st *sim.Stream, e sim.Exchange, corrected bool) uint64 {
 	if corrected {
-		return e.TfCorr
+		return st.Truth().TfCorr
 	}
 	return e.Tf
 }
 
 // detrendAnchors streams the scenario once and returns its first and
-// last completed exchanges plus the detrending period p̄.
-func detrendAnchors(sc sim.Scenario, corrected bool) (first, last sim.Exchange, pBar float64, err error) {
+// last completed exchanges' anchors plus the detrending period p̄.
+func detrendAnchors(sc sim.Scenario, corrected bool) (first, last anchor, pBar float64, err error) {
 	st, err := sim.NewStream(sc)
 	if err != nil {
-		return sim.Exchange{}, sim.Exchange{}, 0, err
+		return anchor{}, anchor{}, 0, err
 	}
 	st.SetTrim(true)
 	n := 0
@@ -45,22 +55,23 @@ func detrendAnchors(sc sim.Scenario, corrected bool) (first, last sim.Exchange, 
 		if e.Lost {
 			continue
 		}
+		a := anchor{Tg: e.Tg, Tf: detrendStamp(st, e, corrected)}
 		if n == 0 {
-			first = e
+			first = a
 		}
-		last = e
+		last = a
 		n++
 	}
 	if n < 2 {
-		return sim.Exchange{}, sim.Exchange{}, 0, fmt.Errorf("experiments: %s: %d completed exchanges, need 2", sc.Name, n)
+		return anchor{}, anchor{}, 0, fmt.Errorf("experiments: %s: %d completed exchanges, need 2", sc.Name, n)
 	}
-	pBar = (last.Tg - first.Tg) / float64(detrendStamp(last, corrected)-detrendStamp(first, corrected))
+	pBar = (last.Tg - first.Tg) / float64(last.Tf-first.Tf)
 	return first, last, pBar, nil
 }
 
 // detrendEmit is the second pass: it streams the scenario again and
 // emits each completed exchange's (Tg, θ) to fn in order.
-func detrendEmit(sc sim.Scenario, corrected bool, first sim.Exchange, pBar float64, fn func(tg, theta float64) error) error {
+func detrendEmit(sc sim.Scenario, corrected bool, first anchor, pBar float64, fn func(tg, theta float64) error) error {
 	st, err := sim.NewStream(sc)
 	if err != nil {
 		return err
@@ -74,7 +85,7 @@ func detrendEmit(sc sim.Scenario, corrected bool, first sim.Exchange, pBar float
 		if e.Lost {
 			continue
 		}
-		theta := float64(detrendStamp(e, corrected)-detrendStamp(first, corrected))*pBar - (e.Tg - first.Tg)
+		theta := float64(detrendStamp(st, e, corrected)-first.Tf)*pBar - (e.Tg - first.Tg)
 		if err := fn(e.Tg, theta); err != nil {
 			return err
 		}

@@ -276,13 +276,16 @@ func (c *Client) readReply(b []byte) (int, rxStampInfo, error) {
 // write→kernel-transmit dwell drained from the error queue (correlated
 // to this request by the Transmit cookie). Either stamp missing — or
 // outside the shared trust clamp — leaves the userspace stamp in place
-// and is counted, so coverage is observable per client.
+// and is counted, so coverage is observable per client. Corrections
+// that would put Tf at or before Ta are both dropped (orderedStamps)
+// and counted as missing.
 func (c *Client) applyKernelStamps(raw *RawExchange, cookie Time64, taWall time.Time, rx rxStampInfo) {
 	ks := c.ks
 	if ks == nil {
 		return
 	}
 
+	userTa, userTf := raw.Ta, raw.Tf
 	if !rx.kernel.IsZero() && !rx.wall.IsZero() {
 		age, usable, clamped := trustStamp(rx.wall.Sub(rx.kernel))
 		if clamped {
@@ -290,15 +293,8 @@ func (c *Client) applyKernelStamps(raw *RawExchange, cookie Time64, taWall time.
 		}
 		if units := uint64(age.Seconds() / ks.period); usable && units <= raw.Tf {
 			raw.Tf -= units
-			raw.KernelTf = true
-			raw.TfDelta = age.Seconds()
-			c.sc.rxStamped.Inc()
-			c.sc.tfDelta.Observe(raw.TfDelta, StampDeltaAlpha)
-		} else {
-			c.sc.rxMissing.Inc()
+			raw.KernelTf, raw.TfDelta = true, age.Seconds()
 		}
-	} else {
-		c.sc.rxMissing.Inc()
 	}
 
 	ks.wantCookie = uint64(cookie)
@@ -310,12 +306,24 @@ func (c *Client) applyKernelStamps(raw *RawExchange, cookie Time64, taWall time.
 		}
 		if usable {
 			raw.Ta += uint64(dwell.Seconds() / ks.period)
-			raw.KernelTa = true
-			raw.TaDelta = dwell.Seconds()
-			c.sc.txStamped.Inc()
-			c.sc.taDelta.Observe(raw.TaDelta, StampDeltaAlpha)
-			return
+			raw.KernelTa, raw.TaDelta = true, dwell.Seconds()
 		}
 	}
-	c.sc.txMissing.Inc()
+
+	var kept bool
+	if raw.Ta, raw.Tf, kept = orderedStamps(userTa, userTf, raw.Ta, raw.Tf); !kept {
+		raw.KernelTa, raw.KernelTf, raw.TaDelta, raw.TfDelta = false, false, 0, 0
+	}
+	if raw.KernelTf {
+		c.sc.rxStamped.Inc()
+		c.sc.tfDelta.Observe(raw.TfDelta, StampDeltaAlpha)
+	} else {
+		c.sc.rxMissing.Inc()
+	}
+	if raw.KernelTa {
+		c.sc.txStamped.Inc()
+		c.sc.taDelta.Observe(raw.TaDelta, StampDeltaAlpha)
+	} else {
+		c.sc.txMissing.Inc()
+	}
 }

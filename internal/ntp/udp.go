@@ -297,6 +297,21 @@ func (c *Client) Exchange() (RawExchange, error) {
 	}
 }
 
+// orderedStamps returns the Ta, Tf an exchange reports: the
+// kernel-corrected pair ta, tf while Tf stays after Ta, otherwise the
+// userspace pair userTa, userTf, which the monotonic counter keeps
+// ordered. On a fast path the two corrections can cross — Ta moves
+// forward by the send dwell, Tf back by the receive dwell, each
+// measured on the wall clock — and an engine refuses an exchange whose
+// Tf is not after its Ta. kept reports whether the corrected pair was
+// kept.
+func orderedStamps(userTa, userTf, ta, tf uint64) (_, _ uint64, kept bool) {
+	if tf > ta {
+		return ta, tf, true
+	}
+	return userTa, userTf, false
+}
+
 // ServerClock supplies the server's notion of current time for stamping.
 type ServerClock func() Time64
 

@@ -173,6 +173,29 @@ func TestMonotonicCounter(t *testing.T) {
 	}
 }
 
+// TestOrderedStamps: an exchange keeps its kernel-corrected stamps
+// only while Tf stays after Ta; an inverted or equal pair falls back to
+// the userspace readings.
+func TestOrderedStamps(t *testing.T) {
+	const userTa, userTf = 1000, 1100
+	for _, tc := range []struct {
+		name           string
+		ta, tf         uint64
+		wantTa, wantTf uint64
+		wantKept       bool
+	}{
+		{"inverted", 1060, 1040, userTa, userTf, false},
+		{"equal", 1050, 1050, userTa, userTf, false},
+		{"ordered", 1020, 1080, 1020, 1080, true},
+	} {
+		ta, tf, kept := orderedStamps(userTa, userTf, tc.ta, tc.tf)
+		if ta != tc.wantTa || tf != tc.wantTf || kept != tc.wantKept {
+			t.Errorf("%s: orderedStamps = (%d, %d, %v), want (%d, %d, %v)",
+				tc.name, ta, tf, kept, tc.wantTa, tc.wantTf, tc.wantKept)
+		}
+	}
+}
+
 // TestClientOriginCookie: the Transmit field of a request is an
 // unpredictable cookie, not a clock reading — fresh on every request
 // and nowhere near the wall clock, so an off-path sender cannot guess

@@ -1,11 +1,11 @@
 package sim
 
 // Golden digests of the generator: a sha256 over every field of every
-// emitted exchange, lost ones included, for a fixed set of scenarios.
-// Each digest is checked three ways — the stream as is, the stream
-// with the oscillator cache trimmed, and the Generate/GenerateMulti
-// collector — so streaming, trimming and collecting are all pinned to
-// the same bits. There is no update flag: a change that means to move
+// emitted exchange and its Truth, lost ones included, for a fixed set
+// of scenarios. Each digest is checked on the stream as is and with the
+// oscillator cache trimmed; the Generate/GenerateMulti collectors must
+// return the stream's records, record for record. So streaming,
+// trimming and collecting are all pinned to the same bits. There is no update flag: a change that means to move
 // the bits edits the constant and says why; any other change leaves
 // every digest as it is.
 
@@ -23,9 +23,9 @@ import (
 	"repro/internal/timebase"
 )
 
-// digest hashes exchanges field by field, little-endian: Server, Seq,
-// Lost, Ta, Tf, TfCorr, then the bits of Tb, Te, Tg and the four true
-// times.
+// digest hashes exchanges and their Truths field by field,
+// little-endian: Server, Seq, Lost, Ta, Tf, TfCorr, then the bits of
+// Tb, Te, Tg and the four true times.
 type digest struct {
 	h hash.Hash
 	b []byte
@@ -33,17 +33,17 @@ type digest struct {
 
 func newDigest() *digest { return &digest{h: sha256.New()} }
 
-func (d *digest) add(server int, ex Exchange) {
+func (d *digest) add(server int, ex Exchange, tr Truth) {
 	lost := uint64(0)
 	if ex.Lost {
 		lost = 1
 	}
 	d.b = d.b[:0]
 	for _, v := range [...]uint64{
-		uint64(server), uint64(ex.Seq), lost, ex.Ta, ex.Tf, ex.TfCorr,
+		uint64(server), uint64(ex.Seq), lost, ex.Ta, ex.Tf, tr.TfCorr,
 		math.Float64bits(ex.Tb), math.Float64bits(ex.Te), math.Float64bits(ex.Tg),
-		math.Float64bits(ex.TrueTa), math.Float64bits(ex.TrueTb),
-		math.Float64bits(ex.TrueTe), math.Float64bits(ex.TrueTf),
+		math.Float64bits(ex.TrueTa), math.Float64bits(tr.TrueTb),
+		math.Float64bits(tr.TrueTe), math.Float64bits(ex.TrueTf),
 	} {
 		d.b = binary.LittleEndian.AppendUint64(d.b, v)
 	}
@@ -112,7 +112,7 @@ func TestStreamGoldenDigests(t *testing.T) {
 				st.SetTrim(trim)
 				d := newDigest()
 				for ex, ok := st.Next(); ok; ex, ok = st.Next() {
-					d.add(0, ex)
+					d.add(0, ex, st.Truth())
 				}
 				d.check(t, fmt.Sprintf("Stream trim=%v", trim), streamGolden[name])
 			}
@@ -120,19 +120,38 @@ func TestStreamGoldenDigests(t *testing.T) {
 	}
 }
 
-// TestGenerateIsStreamCollector: the batch entry point emits the
-// golden bits too.
+// TestGenerateIsStreamCollector: the batch entry point returns the
+// records of the stream the golden pins, record for record.
 func TestGenerateIsStreamCollector(t *testing.T) {
 	for name, sc := range streamScenarios() {
 		tr, err := Generate(sc)
 		if err != nil {
 			t.Fatal(err)
 		}
-		d := newDigest()
-		for _, ex := range tr.Exchanges {
-			d.add(0, ex)
+		st, err := NewStream(sc)
+		if err != nil {
+			t.Fatal(err)
 		}
-		d.check(t, "Generate "+name, streamGolden[name])
+		sameRecords(t, "Generate "+name, tr.Exchanges, st.Next)
+	}
+}
+
+// sameRecords fails unless collected holds exactly the records next
+// yields, in order.
+func sameRecords[E comparable](t *testing.T, way string, collected []E, next func() (E, bool)) {
+	t.Helper()
+	i := 0
+	for ex, ok := next(); ok; ex, ok = next() {
+		if i == len(collected) {
+			t.Fatalf("%s: the stream runs past the collector's %d records", way, i)
+		}
+		if collected[i] != ex {
+			t.Fatalf("%s: record %d is %+v, the stream's %+v", way, i, collected[i], ex)
+		}
+		i++
+	}
+	if i != len(collected) {
+		t.Fatalf("%s: the collector holds %d records, the stream %d", way, len(collected), i)
 	}
 }
 
@@ -184,7 +203,7 @@ func TestMultiStreamGoldenDigests(t *testing.T) {
 					st.SetTrim(trim)
 					d := newDigest()
 					for ex, ok := st.Next(); ok; ex, ok = st.Next() {
-						d.add(ex.Server, ex.Exchange)
+						d.add(ex.Server, ex.Exchange, st.Truth())
 					}
 					d.check(t, fmt.Sprintf("MultiStream cpus=%d trim=%v", cpus, trim), multiGolden[name])
 				}
@@ -193,17 +212,19 @@ func TestMultiStreamGoldenDigests(t *testing.T) {
 	}
 }
 
+// TestGenerateMultiIsStreamCollector: likewise for the multi-server
+// collector.
 func TestGenerateMultiIsStreamCollector(t *testing.T) {
 	for name, sc := range multiScenarios() {
 		tr, err := GenerateMulti(sc)
 		if err != nil {
 			t.Fatal(err)
 		}
-		d := newDigest()
-		for _, ex := range tr.Exchanges {
-			d.add(ex.Server, ex.Exchange)
+		st, err := NewMultiStream(sc)
+		if err != nil {
+			t.Fatal(err)
 		}
-		d.check(t, "GenerateMulti "+name, multiGolden[name])
+		sameRecords(t, "GenerateMulti "+name, tr.Exchanges, st.Next)
 	}
 }
 
@@ -230,7 +251,7 @@ func TestStreamTrimBitIdentical(t *testing.T) {
 		if !okA {
 			break
 		}
-		if a != b {
+		if a != b || plain.Truth() != trimmed.Truth() {
 			t.Fatalf("exchange %d differs under trimming", i)
 		}
 	}
@@ -250,16 +271,15 @@ func TestRegimeSwitchingShape(t *testing.T) {
 		p.RegimeMeanDwell = 5 * timebase.Hour
 		p.RegimeFactors = []float64{1, 3}
 	}
-	tr, err := Generate(sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range tr.Completed() {
-		if !(e.TrueTa < e.TrueTb && e.TrueTb < e.TrueTe && e.TrueTe < e.TrueTf) {
-			t.Fatalf("event order violated: %+v", e)
+	exs, truths, _ := streamCompleted(t, sc)
+	m := math.Inf(1)
+	for i, e := range exs {
+		if !eventsOrdered(e, truths[i]) {
+			t.Fatalf("event order violated: %+v %+v", e, truths[i])
 		}
+		m = min(m, e.RTTTrue())
 	}
-	if m := tr.MinObservedRTT(); m < sc.Server.MinRTT() {
+	if m < sc.Server.MinRTT() {
 		t.Fatalf("min RTT %v below configured %v", m, sc.Server.MinRTT())
 	}
 }

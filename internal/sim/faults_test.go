@@ -153,23 +153,17 @@ func TestStepScheduleShiftsOnlyServerStamps(t *testing.T) {
 	const step = 2 * timebase.Millisecond
 	from, to := timebase.Hour, 2*timebase.Hour
 
-	control, err := GenerateMulti(chaosScenario(9))
-	if err != nil {
-		t.Fatal(err)
-	}
+	control, controlTruths := streamMulti(t, chaosScenario(9))
 	sc := chaosScenario(9)
 	sc.AddServerStep(1, from, to, step)
-	faulted, err := GenerateMulti(sc)
-	if err != nil {
-		t.Fatal(err)
-	}
+	faulted, faultedTruths := streamMulti(t, sc)
 
-	if len(control.Exchanges) != len(faulted.Exchanges) {
-		t.Fatalf("lengths differ: %d vs %d", len(control.Exchanges), len(faulted.Exchanges))
+	if len(control) != len(faulted) {
+		t.Fatalf("lengths differ: %d vs %d", len(control), len(faulted))
 	}
 	shifted := 0
-	for i := range control.Exchanges {
-		g, f := control.Exchanges[i], faulted.Exchanges[i]
+	for i := range control {
+		g, f := control[i], faulted[i]
 		at := emissionTime(sc, g)
 		if g.Server == 1 && at >= from && at < to {
 			if math.Abs(f.Tb-g.Tb-step) > 1e-12 || math.Abs(f.Te-g.Te-step) > 1e-12 {
@@ -180,7 +174,7 @@ func TestStepScheduleShiftsOnlyServerStamps(t *testing.T) {
 			// server lies, the network does not change.
 			f.Tb, f.Te = g.Tb, g.Te
 		}
-		if g != f {
+		if g != f || controlTruths[i] != faultedTruths[i] {
 			t.Fatalf("exchange %d (server %d at %v) differs beyond the injected step", i, g.Server, at)
 		}
 		if g.Server == 1 && at >= from && at < to {
@@ -199,12 +193,9 @@ func TestDeathRestartComposition(t *testing.T) {
 	sc := chaosScenario(10)
 	at, downFor := 2*timebase.Hour, 30*timebase.Minute
 	sc.AddServerDeathRestart(1, at, downFor, step)
-	tr, err := GenerateMulti(sc)
-	if err != nil {
-		t.Fatal(err)
-	}
+	exs, truths := streamMulti(t, sc)
 	afterRestart := 0
-	for i, e := range tr.Exchanges {
+	for i, e := range exs {
 		et := emissionTime(sc, e)
 		if e.Server != 1 {
 			if e.Lost {
@@ -223,7 +214,7 @@ func TestDeathRestartComposition(t *testing.T) {
 			}
 			// The restarted server's stamps carry the permanent step
 			// (clock error dwarfs µs-scale stamp noise and wander).
-			if errAt := (e.Tb+e.Te)/2 - (e.TrueTb+e.TrueTe)/2; math.Abs(errAt-step) > timebase.Millisecond {
+			if errAt := (e.Tb+e.Te)/2 - (truths[i].TrueTb+truths[i].TrueTe)/2; math.Abs(errAt-step) > timebase.Millisecond {
 				t.Fatalf("exchange %d: restarted server clock error %v, want ≈%v", i, errAt, step)
 			}
 			afterRestart++

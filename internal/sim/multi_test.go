@@ -14,6 +14,23 @@ func threeServers() []ServerSpec {
 	return []ServerSpec{ServerLoc(), ServerInt(), ServerExt()}
 }
 
+// streamMulti streams sc and returns every exchange, lost ones
+// included, and its Truth, index for index.
+func streamMulti(t *testing.T, sc MultiScenario) ([]MultiExchange, []Truth) {
+	t.Helper()
+	st, err := NewMultiStream(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var exs []MultiExchange
+	var truths []Truth
+	for e, ok := st.Next(); ok; e, ok = st.Next() {
+		exs = append(exs, e)
+		truths = append(truths, st.Truth())
+	}
+	return exs, truths
+}
+
 func TestGenerateMultiDeterministic(t *testing.T) {
 	sc := NewMultiScenario(MachineRoom, threeServers(), 16, 6*timebase.Hour, 42)
 	a, err := GenerateMulti(sc)
@@ -113,16 +130,16 @@ func TestColludingScenario(t *testing.T) {
 	if n := len(sc.Servers); n != 5 {
 		t.Fatalf("servers = %d, want 5", n)
 	}
-	tr, err := GenerateMulti(sc)
-	if err != nil {
-		t.Fatal(err)
-	}
+	exs, truths := streamMulti(t, sc)
 	for k := range sc.Servers {
 		worst := 0.0
-		for _, e := range completedFor(tr, k) {
+		for i, e := range exs {
+			if e.Lost || e.Server != k {
+				continue
+			}
 			// The server clock error as the stamps expose it, net of
 			// µs-scale stamp noise and wander.
-			err := (e.Tb+e.Te)/2 - (e.TrueTb+e.TrueTe)/2
+			err := (e.Tb+e.Te)/2 - (truths[i].TrueTb+truths[i].TrueTe)/2
 			want := 0.0
 			if k >= ColludingHonest {
 				want = lie
@@ -150,11 +167,11 @@ func TestColludingScenario(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(good.Exchanges) != len(tr.Exchanges) {
-		t.Fatalf("control trace has %d exchanges, adversarial %d", len(good.Exchanges), len(tr.Exchanges))
+	if len(good.Exchanges) != len(exs) {
+		t.Fatalf("control trace has %d exchanges, adversarial %d", len(good.Exchanges), len(exs))
 	}
 	for i := range good.Exchanges {
-		g, b := good.Exchanges[i], tr.Exchanges[i]
+		g, b := good.Exchanges[i], exs[i]
 		if g.Server != b.Server || g.Lost != b.Lost || g.TrueTa != b.TrueTa {
 			t.Fatalf("exchange %d: control and adversarial schedules diverge", i)
 		}

@@ -9,7 +9,12 @@
 //   - the reference data available only to the evaluation — the
 //     DAG-monitor stamp Tg of the returning packet (true time plus
 //     ~100 ns jitter, already corrected by the 7.2 µs first-bit offset)
-//     and the oracle event times ta, tb, te, tf.
+//     and the oracle departure and arrival times ta, tf.
+//
+// The record is the one a capture file stores. The streams hand out the
+// rest of the ground truth — the oracle server times tb, te and the
+// corrected receive stamp — as a Truth beside the exchange Next last
+// returned; the batch generators keep only the records.
 //
 // The three stratum-1 servers of the paper's Table 2 (ServerLoc,
 // ServerInt, ServerExt) and the two temperature environments (laboratory,
@@ -253,26 +258,33 @@ func NewScenario(env Environment, server ServerSpec, poll, duration float64, see
 	}
 }
 
-// Exchange is one completed (or lost) NTP request/response.
+// Exchange is one completed (or lost) NTP request/response: the record
+// a capture file stores, nine fields in 64 bytes.
 type Exchange struct {
-	Seq int
+	Seq uint32
+	// Lost marks exchanges that never completed; their stamps are zero
+	// and must not be consumed by the algorithms.
+	Lost bool
 
 	// Raw data visible to the synchronization algorithm.
 	Ta, Tf uint64  // host counter stamps
 	Tb, Te float64 // server payload stamps, seconds
 
 	// Reference data visible only to the evaluation.
-	Tg                             float64 // corrected DAG stamp of the response arrival
-	TrueTa, TrueTb, TrueTe, TrueTf float64 // oracle event times
+	Tg             float64 // corrected DAG stamp of the response arrival
+	TrueTa, TrueTf float64 // oracle departure and arrival times
+}
+
+// Truth is the rest of the generator's ground truth for one exchange,
+// which no capture stores: the streams hand it out beside the record
+// (Stream.Truth, MultiStream.Truth). A lost exchange's Truth is zero.
+type Truth struct {
+	TrueTb, TrueTe float64 // oracle server arrival and departure times
 	// TfCorr is the "corrected Tf" of the paper's Section 2.4: the
 	// receive stamp with the DAG-detectable interrupt-latency side modes
 	// and scheduling excursions removed, leaving only the irreducible
 	// ~5 µs mode. Used by the stability analysis (Figure 3).
 	TfCorr uint64
-
-	// Lost marks exchanges that never completed; their raw fields are
-	// zero and must not be consumed by the algorithms.
-	Lost bool
 }
 
 // RTTTrue returns the oracle round-trip time r_i = tf - ta.
@@ -344,8 +356,9 @@ func (d *draw) drawShared(host *netem.HostStamp, dagSrc *rng.Source, dagJitter f
 // for this one. The server's departure is checked before the backward
 // path is queried, so a delay longer than the polling period never
 // queries a path backwards in time, and the same server's counter
-// stamps stay in order.
-func stamp(ex *Exchange, d *draw, osc *oscillator.Oscillator, fwd, back *netem.Path, srv *netem.Server) {
+// stamps stay in order. It returns the exchange's Truth, zero for a
+// lost one.
+func stamp(ex *Exchange, d *draw, osc *oscillator.Oscillator, fwd, back *netem.Path, srv *netem.Server) Truth {
 	// Host stamps Ta slightly before the true departure.
 	ta := d.t + d.lead
 	tb := ta + fwd.Delay(ta)
@@ -353,7 +366,7 @@ func stamp(ex *Exchange, d *draw, osc *oscillator.Oscillator, fwd, back *netem.P
 	te := tb + srv.Turnaround()
 	if te >= d.deadline {
 		ex.Lost = true
-		return
+		return Truth{}
 	}
 	teStamp := srv.StampDeparture(te)
 	tf := te + back.Delay(te)
@@ -363,11 +376,10 @@ func stamp(ex *Exchange, d *draw, osc *oscillator.Oscillator, fwd, back *netem.P
 	recv := tf + d.lagBase + d.lagExtra
 	if recv >= d.deadline {
 		ex.Lost = true
-		return
+		return Truth{}
 	}
 	ex.Ta, ex.TrueTa = osc.ReadTSC(d.t), ta
-	ex.Tb, ex.TrueTb = tbStamp, tb
-	ex.Te, ex.TrueTe = teStamp, te
+	ex.Tb, ex.Te = tbStamp, teStamp
 	ex.TrueTf = tf
 	// The DAG taps the wire just before the host interface; its
 	// corrected stamp is true arrival plus reference jitter.
@@ -375,11 +387,12 @@ func stamp(ex *Exchange, d *draw, osc *oscillator.Oscillator, fwd, back *netem.P
 	// Most exchanges have no excess lag, and then both stamps read the
 	// same instant (x+0 == x, and a repeated read draws nothing), so
 	// the counter is read once.
-	ex.TfCorr = osc.ReadTSC(tf + d.lagBase)
-	ex.Tf = ex.TfCorr
+	tr := Truth{TrueTb: tb, TrueTe: te, TfCorr: osc.ReadTSC(tf + d.lagBase)}
+	ex.Tf = tr.TfCorr
 	if d.lagExtra != 0 {
 		ex.Tf = osc.ReadTSC(recv)
 	}
+	return tr
 }
 
 // Completed returns the non-lost exchanges.

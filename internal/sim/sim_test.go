@@ -1,9 +1,11 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"sort"
 	"testing"
+	"unsafe"
 
 	"repro/internal/netem"
 	"repro/internal/timebase"
@@ -12,6 +14,95 @@ import (
 func shortScenario(seed uint64) Scenario {
 	sc := NewScenario(MachineRoom, ServerInt(), 16, 6*timebase.Hour, seed)
 	return sc
+}
+
+// streamCompleted streams sc and returns its completed exchanges and
+// their Truths, index for index, and the stream, whose Osc keeps its
+// whole history.
+func streamCompleted(t *testing.T, sc Scenario) ([]Exchange, []Truth, *Stream) {
+	t.Helper()
+	st, err := NewStream(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var exs []Exchange
+	var truths []Truth
+	for e, ok := st.Next(); ok; e, ok = st.Next() {
+		if !e.Lost {
+			exs = append(exs, e)
+			truths = append(truths, st.Truth())
+		}
+	}
+	return exs, truths, st
+}
+
+// eventsOrdered reports whether an exchange's oracle times run
+// ta < tb < te < tf.
+func eventsOrdered(e Exchange, tr Truth) bool {
+	return e.TrueTa < tr.TrueTb && tr.TrueTb < tr.TrueTe && tr.TrueTe < e.TrueTf
+}
+
+// TestRecordLayout: an exchange is the 64-byte capture record, a
+// multi-server exchange adds only the server index, and the ground
+// truth beside the record is zero wherever no exchange completed —
+// before the first Next, for a lost exchange and after the last — in
+// the single-server stream and in both schedules of the multi-server
+// one.
+func TestRecordLayout(t *testing.T) {
+	if n := unsafe.Sizeof(Exchange{}); n != 64 {
+		t.Errorf("Exchange is %d bytes, want 64", n)
+	}
+	if n, want := unsafe.Sizeof(MultiExchange{}), 64+unsafe.Sizeof(int(0)); n != want {
+		t.Errorf("MultiExchange is %d bytes, want %d", n, want)
+	}
+
+	check := func(way string, next func() (Exchange, bool), truth func() Truth) {
+		t.Helper()
+		if tr := truth(); tr != (Truth{}) {
+			t.Fatalf("%s: Truth before the first Next is %+v", way, tr)
+		}
+		lost, completed := 0, 0
+		for e, ok := next(); ok; e, ok = next() {
+			switch tr := truth(); {
+			case e.Lost && tr != (Truth{}):
+				t.Fatalf("%s: lost exchange %d has Truth %+v", way, e.Seq, tr)
+			case e.Lost:
+				lost++
+			case tr.TfCorr == 0 || tr.TrueTb == 0 || tr.TrueTe == 0:
+				t.Fatalf("%s: completed exchange %d has Truth %+v", way, e.Seq, tr)
+			default:
+				completed++
+			}
+		}
+		if tr := truth(); tr != (Truth{}) {
+			t.Fatalf("%s: Truth after the last exchange is %+v", way, tr)
+		}
+		if lost == 0 || completed == 0 {
+			t.Fatalf("%s: %d lost and %d completed exchanges, want both", way, lost, completed)
+		}
+	}
+
+	sc := shortScenario(12)
+	sc.LossProb = 0.05
+	single, err := NewStream(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("Stream", single.Next, single.Truth)
+
+	msc := NewMultiScenario(MachineRoom, threeServers(), 16, 6*timebase.Hour, 12)
+	msc.LossProb = 0.05
+	for _, cpus := range []int{1, 2} {
+		multi, err := newMultiStream(msc, cpus)
+		if err != nil {
+			t.Fatal(err)
+		}
+		next := func() (Exchange, bool) {
+			e, ok := multi.Next()
+			return e.Exchange, ok
+		}
+		check(fmt.Sprintf("MultiStream cpus=%d", cpus), next, multi.Truth)
+	}
 }
 
 func TestGenerateDeterministic(t *testing.T) {
@@ -48,13 +139,10 @@ func TestGenerateSeedSensitivity(t *testing.T) {
 }
 
 func TestEventOrdering(t *testing.T) {
-	tr, err := Generate(shortScenario(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range tr.Completed() {
-		if !(e.TrueTa < e.TrueTb && e.TrueTb < e.TrueTe && e.TrueTe < e.TrueTf) {
-			t.Fatalf("event order violated: %+v", e)
+	exs, truths, _ := streamCompleted(t, shortScenario(3))
+	for i, e := range exs {
+		if !eventsOrdered(e, truths[i]) {
+			t.Fatalf("event order violated: %+v %+v", e, truths[i])
 		}
 		if e.Tf <= e.Ta {
 			t.Fatalf("counter stamps not ordered: %+v", e)
@@ -166,19 +254,17 @@ func TestLossAndGaps(t *testing.T) {
 func TestServerFaultVisibleInStamps(t *testing.T) {
 	sc := shortScenario(7)
 	sc.Server.Server.Faults = []netem.FaultWindow{{From: 1000, To: 1300, Offset: 150 * timebase.Millisecond}}
-	tr, err := Generate(sc)
-	if err != nil {
-		t.Fatal(err)
-	}
+	exs, truths, _ := streamCompleted(t, sc)
 	seenFault := false
-	for _, e := range tr.Completed() {
-		err := e.Tb - e.TrueTb
-		if e.TrueTb > 1000 && e.TrueTb < 1300 {
+	for i, e := range exs {
+		tb := truths[i].TrueTb
+		err := e.Tb - tb
+		if tb > 1000 && tb < 1300 {
 			if err > 0.14 {
 				seenFault = true
 			}
 		} else if math.Abs(err) > timebase.Millisecond {
-			t.Fatalf("server stamp error %v outside fault window at t=%v", err, e.TrueTb)
+			t.Fatalf("server stamp error %v outside fault window at t=%v", err, tb)
 		}
 	}
 	if !seenFault {
@@ -190,14 +276,11 @@ func TestNaiveOffsetBiasNegative(t *testing.T) {
 	// Forward path is more utilised than backward; the naive offset noise
 	// (q< - q>)/2 must be biased negative on average (Figure 6).
 	sc := NewScenario(MachineRoom, ServerInt(), 16, timebase.Day, 8)
-	tr, err := Generate(sc)
-	if err != nil {
-		t.Fatal(err)
-	}
+	exs, truths, _ := streamCompleted(t, sc)
 	var diffs []float64
-	for _, e := range tr.Completed() {
-		qf := (e.TrueTb - e.TrueTa) - sc.Server.Forward.MinDelay
-		qb := (e.TrueTf - e.TrueTe) - sc.Server.Backward.MinDelay
+	for i, e := range exs {
+		qf := (truths[i].TrueTb - e.TrueTa) - sc.Server.Forward.MinDelay
+		qb := (e.TrueTf - truths[i].TrueTe) - sc.Server.Backward.MinDelay
 		diffs = append(diffs, (qb-qf)/2)
 	}
 	// The episode component is heavy-tailed (infinite variance), so test

@@ -7,9 +7,10 @@ package sim
 // so multi-week scenarios run in constant memory — the only state is
 // the substrate models themselves, and the oscillator's random-walk
 // cache is trimmed behind the emission front once trimming is enabled
-// (SetTrim). The batch generators are thin collectors over the streams;
-// digest_test.go pins all three — stream, trimmed stream, collector —
-// to committed sha256 digests of the emitted bits.
+// (SetTrim). The batch generators are thin collectors over the streams'
+// records; digest_test.go pins the stream and the trimmed stream, with
+// each exchange's Truth, to committed sha256 digests of the emitted
+// bits, and holds the collectors' records equal to the stream's.
 //
 // Every exchange is generated in two stages (sim.go). Stage 1 draws
 // what every server shares, in emission order: the schedule, loss and
@@ -59,6 +60,7 @@ type Stream struct {
 	n, i  int
 	nextT float64 // exchange i's emission instant
 	trim  bool
+	truth Truth // the last exchange's
 }
 
 // NewStream validates the scenario and builds the substrate models,
@@ -132,8 +134,13 @@ func (st *Stream) Osc() *oscillator.Oscillator { return st.osc }
 // caller needs the full Osc() history afterwards (Generate does).
 func (st *Stream) SetTrim(on bool) { st.trim = on }
 
+// Truth returns the ground truth of the exchange Next last returned:
+// zero for a lost one, before the first Next and after the last.
+func (st *Stream) Truth() Truth { return st.truth }
+
 // Next emits the next exchange; ok is false when the stream is done.
 func (st *Stream) Next() (ex Exchange, ok bool) {
+	st.truth = Truth{}
 	if st.i >= st.n {
 		return Exchange{}, false
 	}
@@ -144,7 +151,7 @@ func (st *Stream) Next() (ex Exchange, ok bool) {
 	tStamp := st.nextT
 	st.nextT = st.slot(st.i)
 
-	ex = Exchange{Seq: i}
+	ex = Exchange{Seq: uint32(i)}
 
 	// Loss and outage gaps: the exchange never completes. Note the
 	// path/server models are still *not* advanced: a lost packet
@@ -163,7 +170,7 @@ func (st *Stream) Next() (ex Exchange, ok bool) {
 
 	d := draw{t: tStamp, deadline: st.nextT}
 	d.drawShared(st.host, st.dagSrc, sc.DAGJitter)
-	stamp(&ex, &d, st.osc, st.fwd, st.back, st.srv)
+	st.truth = stamp(&ex, &d, st.osc, st.fwd, st.back, st.srv)
 	if st.trim && i%trimEvery == 0 {
 		st.osc.TrimBefore(tStamp - trimMargin)
 	}
@@ -232,14 +239,17 @@ type MultiStream struct {
 
 	emitted int
 	trim    bool
+	truth   Truth // the last exchange's
 }
 
-// chunk is a run of consecutive exchanges and their stage-1 draws.
-// Its fill closes drawn when stage 1 is done, and stamped[w] when
-// worker w's stage 2 is.
+// chunk is a run of consecutive exchanges, their stage-1 draws and
+// their Truths. Stage 1 fills ex and d and zeroes truth; each worker
+// writes the truth of the exchanges it stamps. Its fill closes drawn
+// when stage 1 is done, and stamped[w] when worker w's stage 2 is.
 type chunk struct {
-	ex []MultiExchange
-	d  []draw
+	ex    []MultiExchange
+	d     []draw
+	truth []Truth
 
 	drawn   chan struct{}
 	stamped []chan struct{}
@@ -328,7 +338,10 @@ func newMultiStream(sc MultiScenario, cpus int) (*MultiStream, error) {
 func (st *MultiStream) newChunk(size int) *chunk {
 	done := make(chan struct{})
 	close(done)
-	c := &chunk{ex: make([]MultiExchange, 0, size), d: make([]draw, 0, size), drawn: done}
+	c := &chunk{
+		ex: make([]MultiExchange, 0, size), d: make([]draw, 0, size), truth: make([]Truth, 0, size),
+		drawn: done,
+	}
 	for range st.oscs {
 		c.stamped = append(c.stamped, done)
 	}
@@ -360,9 +373,14 @@ func (st *MultiStream) Osc() *oscillator.Oscillator { return st.osc }
 // Next.
 func (st *MultiStream) SetTrim(on bool) { st.trim = on }
 
+// Truth returns the ground truth of the exchange Next last returned:
+// zero for a lost one, before the first Next and after the last.
+func (st *MultiStream) Truth() Truth { return st.truth }
+
 // Next emits the next exchange in global emission order; ok is false
 // when every server's schedule is exhausted.
 func (st *MultiStream) Next() (ex MultiExchange, ok bool) {
+	st.truth = Truth{}
 	var t float64
 	if st.ahead == nil {
 		var d draw
@@ -370,14 +388,14 @@ func (st *MultiStream) Next() (ex MultiExchange, ok bool) {
 			return MultiExchange{}, false
 		}
 		if k := ex.Server; !ex.Lost {
-			stamp(&ex.Exchange, &d, st.osc, st.fwd[k], st.back[k], st.srv[k])
+			st.truth = stamp(&ex.Exchange, &d, st.osc, st.fwd[k], st.back[k], st.srv[k])
 		}
 		t = d.t
 	} else {
 		if st.pos == len(st.cur.ex) && !st.advance() {
 			return MultiExchange{}, false
 		}
-		ex, t = st.cur.ex[st.pos], st.cur.d[st.pos].t
+		ex, st.truth, t = st.cur.ex[st.pos], st.cur.truth[st.pos], st.cur.d[st.pos].t
 		st.pos++
 	}
 	st.emitted++
@@ -405,7 +423,7 @@ func (st *MultiStream) drawNext(ex *MultiExchange, d *draw) bool {
 		return false
 	}
 	sc := &st.sc
-	*ex = MultiExchange{Server: k, Exchange: Exchange{Seq: st.nextSeq[k]}}
+	*ex = MultiExchange{Server: k, Exchange: Exchange{Seq: uint32(st.nextSeq[k])}}
 	lost := st.miss[k].Bool(sc.LossProb)
 	for _, g := range sc.Gaps {
 		if t >= g.From && t < g.To {
@@ -470,12 +488,13 @@ func (st *MultiStream) start(c, prev *chunk) {
 	c.drawn = drawn
 	go func(after chan struct{}) {
 		<-after
-		c.ex, c.d = c.ex[:0], c.d[:0]
+		c.ex, c.d, c.truth = c.ex[:0], c.d[:0], c.truth[:0]
 		var ex MultiExchange
 		var d draw
 		for len(c.ex) < chunkLen && st.drawNext(&ex, &d) {
 			c.ex = append(c.ex, ex)
 			c.d = append(c.d, d)
+			c.truth = append(c.truth, Truth{})
 		}
 		close(drawn)
 	}(prev.drawn)
@@ -493,14 +512,15 @@ func (st *MultiStream) start(c, prev *chunk) {
 
 // stampWorker is stage 2 for worker w: it stamps, in emission order,
 // every live exchange of c whose server it owns, with its own
-// oscillator, which it then trims behind the chunk's last emission.
+// oscillator, records each one's Truth, and then trims the oscillator
+// behind the chunk's last emission.
 func (st *MultiStream) stampWorker(w int, c *chunk, trim bool) {
 	osc, n := st.oscs[w], len(st.oscs)
 	for i := range c.ex {
 		// Only the owner reads an exchange's Lost: stage 2 may set it.
 		ex := &c.ex[i]
 		if k := ex.Server; k%n == w && !ex.Lost {
-			stamp(&ex.Exchange, &c.d[i], osc, st.fwd[k], st.back[k], st.srv[k])
+			c.truth[i] = stamp(&ex.Exchange, &c.d[i], osc, st.fwd[k], st.back[k], st.srv[k])
 		}
 	}
 	if trim && len(c.d) > 0 {
