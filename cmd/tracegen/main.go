@@ -8,11 +8,11 @@
 // multi-week (-days 21 and beyond) trace writes in constant memory —
 // wall-clock and disk are the only resources that scale with length.
 //
-// With -servers N > 1 a multi-server scenario is generated (one host
-// oscillator polling N servers of the given class over independent
-// paths) and one capture file is written per server, suffixed .s0, .s1,
-// …, so ensemble experiments replay from disk exactly like
-// single-server ones.
+// With -servers N > 1 the scenario has N servers (one host oscillator
+// polling N servers of the given class over independent paths) and one
+// capture file is written per server, suffixed .s0, .s1, …, so
+// ensemble experiments replay from disk exactly like single-server
+// ones.
 //
 // Usage:
 //
@@ -69,56 +69,16 @@ func main() {
 		log.Fatalf("-servers must be >= 1, got %d", *servers)
 	}
 
-	if *servers == 1 {
-		if err := genSingle(e, spec, *poll, *days, *seed, *loss, *out); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-	if err := genMulti(e, spec, *servers, *poll, *days, *seed, *loss, *out); err != nil {
+	if err := generate(e, spec, *servers, *poll, *days, *seed, *loss, *out); err != nil {
 		log.Fatal(err)
 	}
 }
 
-// genSingle streams a single-server scenario to one capture file.
-func genSingle(env sim.Environment, spec sim.ServerSpec, poll, days float64, seed uint64, loss float64, out string) error {
-	sc := sim.NewScenario(env, spec, poll, days*timebase.Day, seed)
-	sc.LossProb = loss
-	st, err := sim.NewStream(sc)
-	if err != nil {
-		return err
-	}
-	st.SetTrim(true)
-	w, err := capture.CreateFile(out, captureMeta(sc.Name, poll, sc.Duration, seed,
-		sc.Oscillator.NominalHz, days))
-	if err != nil {
-		return err
-	}
-	lost := 0
-	for {
-		e, ok := st.Next()
-		if !ok {
-			break
-		}
-		if e.Lost {
-			lost++
-		}
-		if err := w.Write(e); err != nil {
-			w.Close()
-			return err
-		}
-	}
-	n := w.Count()
-	if err := w.Close(); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %d exchanges (%d lost) to %s\n", n, lost, out)
-	return nil
-}
-
-// genMulti streams a multi-server scenario, demultiplexing the merged
-// emission order into one capture file per server.
-func genMulti(env sim.Environment, spec sim.ServerSpec, nSrv int, poll, days float64, seed uint64, loss float64, out string) error {
+// generate streams a scenario of nSrv servers of one class,
+// demultiplexing the merged emission order into one capture file per
+// server. One server writes out itself under the scenario's name; more
+// write out with .sK inserted, named scenario/sK.
+func generate(env sim.Environment, spec sim.ServerSpec, nSrv int, poll, days float64, seed uint64, loss float64, out string) error {
 	specs := make([]sim.ServerSpec, nSrv)
 	for k := range specs {
 		specs[k] = spec
@@ -146,10 +106,13 @@ func genMulti(env sim.Environment, spec sim.ServerSpec, nSrv int, poll, days flo
 		return first
 	}
 	for k := range writers {
-		paths[k] = serverPath(out, k)
+		name := sc.Name
+		paths[k] = out
+		if nSrv > 1 {
+			paths[k], name = serverPath(out, k), fmt.Sprintf("%s/s%d", sc.Name, k)
+		}
 		writers[k], err = capture.CreateFile(paths[k],
-			captureMeta(fmt.Sprintf("%s/s%d", sc.Name, k), poll, sc.Duration, seed,
-				sc.Oscillator.NominalHz, days))
+			captureMeta(name, poll, sc.Duration, seed, sc.Oscillator.NominalHz, days))
 		if err != nil {
 			closeAll()
 			return err
@@ -173,7 +136,7 @@ func genMulti(env sim.Environment, spec sim.ServerSpec, nSrv int, poll, days flo
 		return err
 	}
 	for k, w := range writers {
-		fmt.Printf("server %d: wrote %d exchanges (%d lost) to %s\n", k, w.Count(), lost[k], paths[k])
+		fmt.Printf("wrote %d exchanges (%d lost) to %s\n", w.Count(), lost[k], paths[k])
 	}
 	return nil
 }

@@ -21,6 +21,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"math"
 	"os"
@@ -55,14 +56,20 @@ func main() {
 	}
 }
 
-// runReplay feeds every completed exchange of a saved capture through a
-// fresh clock and, past the first hour, scores the absolute clock
-// against the recorded DAG reference stamps.
+// runReplay streams a saved capture record by record, feeds every
+// completed exchange through a fresh clock and, past the first hour,
+// scores the absolute clock against the recorded DAG reference stamps.
 func runReplay(path string, local bool) {
-	meta, recs, err := capture.LoadAll(path)
+	f, err := os.Open(path)
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer f.Close()
+	rd, err := capture.NewReader(f)
+	if err != nil {
+		log.Fatal(err)
+	}
+	meta := rd.Meta()
 	clock, err := tscclock.New(tscclock.Options{
 		NominalPeriod: 1 / meta.NominalHz,
 		PollPeriod:    meta.PollPeriod,
@@ -73,7 +80,14 @@ func runReplay(path string, local bool) {
 	}
 	var errs []float64
 	fed, lost := 0, 0
-	for _, r := range recs {
+	for {
+		r, err := rd.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			log.Fatal(err)
+		}
 		if r.Lost {
 			lost++
 			continue

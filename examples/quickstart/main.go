@@ -35,8 +35,8 @@ func main() {
 		log.Fatal(err)
 	}
 
-	fmt.Println("calibrating against", scenario.Server.Name,
-		"(min RTT", timebase.FormatDuration(scenario.Server.MinRTT()), ")")
+	fmt.Println("calibrating against", scenario.Servers[0].Name,
+		"(min RTT", timebase.FormatDuration(scenario.Servers[0].MinRTT()), ")")
 	fmt.Printf("%-8s %-12s %-12s %-12s %-10s\n",
 		"elapsed", "rate err", "offset est", "min RTT", "state")
 

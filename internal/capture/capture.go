@@ -219,27 +219,3 @@ func (r *Reader) Next() (Record, error) {
 		TrueTf: math.Float64frombits(binary.LittleEndian.Uint64(b[56:])),
 	}, nil
 }
-
-// LoadAll reads every record from path.
-func LoadAll(path string) (Meta, []Record, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return Meta{}, nil, err
-	}
-	defer f.Close()
-	r, err := NewReader(f)
-	if err != nil {
-		return Meta{}, nil, err
-	}
-	var recs []Record
-	for {
-		rec, err := r.Next()
-		if err == io.EOF {
-			return r.Meta(), recs, nil
-		}
-		if err != nil {
-			return r.Meta(), recs, err
-		}
-		recs = append(recs, rec)
-	}
-}

@@ -14,7 +14,7 @@ import (
 )
 
 // sampleScenario is an hour of 16 s polls with 5 % loss.
-func sampleScenario() sim.Scenario {
+func sampleScenario() sim.MultiScenario {
 	sc := sim.NewScenario(sim.MachineRoom, sim.ServerInt(), 16, timebase.Hour, 5)
 	sc.LossProb = 0.05
 	return sc
@@ -24,7 +24,7 @@ func sampleScenario() sim.Scenario {
 // itself, and each takes 64 bytes after the header.
 func TestRoundTripFile(t *testing.T) {
 	sc := sampleScenario()
-	st, err := sim.NewStream(sc)
+	st, err := sim.NewMultiStream(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,10 +37,10 @@ func TestRoundTripFile(t *testing.T) {
 	}
 	var streamed []sim.Exchange
 	for e, ok := st.Next(); ok; e, ok = st.Next() {
-		if err := w.Write(e); err != nil {
+		if err := w.Write(e.Exchange); err != nil {
 			t.Fatal(err)
 		}
-		streamed = append(streamed, e)
+		streamed = append(streamed, e.Exchange)
 	}
 	if w.Count() != len(streamed) {
 		t.Fatalf("wrote %d records, the stream emitted %d", w.Count(), len(streamed))
@@ -48,20 +48,29 @@ func TestRoundTripFile(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	got, recs, err := LoadAll(path)
+	f, err := os.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != meta {
+	defer f.Close()
+	r, err := NewReader(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := r.Meta(); got != meta {
 		t.Errorf("meta = %+v, want %+v", got, meta)
 	}
-	if len(recs) != len(streamed) {
-		t.Fatalf("read %d records", len(recs))
-	}
 	for i, e := range streamed {
-		if recs[i] != e {
-			t.Fatalf("record %d mismatch:\n got %+v\nwant %+v", i, recs[i], e)
+		rec, err := r.Next()
+		if err != nil {
+			t.Fatalf("record %d: %v", i, err)
 		}
+		if rec != e {
+			t.Fatalf("record %d mismatch:\n got %+v\nwant %+v", i, rec, e)
+		}
+	}
+	if _, err := r.Next(); err != io.EOF {
+		t.Fatalf("after %d records: %v, want io.EOF", len(streamed), err)
 	}
 	mb, err := json.Marshal(meta)
 	if err != nil {
@@ -91,7 +100,7 @@ func TestLostFlagPreserved(t *testing.T) {
 		if e.Lost {
 			lost++
 		}
-		if err := w.Write(e); err != nil {
+		if err := w.Write(e.Exchange); err != nil {
 			t.Fatal(err)
 		}
 	}

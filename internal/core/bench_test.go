@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"testing"
+
+	"repro/internal/timebase"
 )
 
 // benchTraceLen is the synthetic trace length for the throughput
@@ -121,7 +123,7 @@ func BenchmarkProcessStages(b *testing.B) {
 			in := benchTrace[warm+i]
 			a := &next[i]
 			a.rec = record{seq: warm + i, ta: in.Ta, tf: in.Tf, tb: in.Tb, te: in.Te}
-			a.rec.rtt = spanSeconds(in.Ta, in.Tf, s.p)
+			a.rec.rtt = timebase.CounterSpan(in.Ta, in.Tf, s.p)
 			a.pointErr = max(0, a.rec.rtt-s.rHat)
 			a.theta = s.naiveTheta(a.rec)
 		}

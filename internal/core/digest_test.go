@@ -22,7 +22,7 @@ import (
 
 type engineScenario struct {
 	name    string
-	sc      sim.Scenario // the trace; zero: synthetic[name]
+	sc      sim.MultiScenario // the trace; zero: synthetic[name]
 	cfg     Config
 	identAt int    // from this packet on the server reports a second identity (0: never)
 	reaches string // the path (tally key) the trace exists for
@@ -79,16 +79,16 @@ func shrinkingDelay() []Input {
 }
 
 func TestEngineGoldenDigests(t *testing.T) {
-	mr := func(days float64, seed uint64) sim.Scenario {
+	mr := func(days float64, seed uint64) sim.MultiScenario {
 		return sim.NewScenario(sim.MachineRoom, sim.ServerInt(), 16, days*timebase.Day, seed)
 	}
-	shifted := func(seed uint64) sim.Scenario {
+	shifted := func(seed uint64) sim.MultiScenario {
 		sc := mr(1, seed)
-		sc.Server.Forward.Shifts = []netem.Shift{{At: 8 * timebase.Hour, Delta: 0.9 * timebase.Millisecond}}
+		sc.Servers[0].Forward.Shifts = []netem.Shift{{At: 8 * timebase.Hour, Delta: 0.9 * timebase.Millisecond}}
 		return sc
 	}
 	faulty := mr(1, 1004)
-	faulty.Server.Server.Faults = []netem.FaultWindow{
+	faulty.Servers[0].Server.Faults = []netem.FaultWindow{
 		{From: 6 * timebase.Hour, To: 6*timebase.Hour + 20*timebase.Minute, Offset: 150 * timebase.Millisecond},
 	}
 	// After this outage the first packet is 391 µs congested, past E**:
@@ -138,10 +138,10 @@ func TestEngineGoldenDigests(t *testing.T) {
 		// shift until the shift window has rolled past the re-base point:
 		// once, at packet 100 + T_s, not T_s − 1 packets early (which is
 		// what evicting the r̂ deque at the re-base would do).
-		{"identity-rebase-congestion", sim.Scenario{}, tiny, 100, "rebase", "5ac82ed6a3b76c6c553b08f53bbbb7f709c024a9b7950081c2563a7e70b942ae"},
+		{"identity-rebase-congestion", sim.MultiScenario{}, tiny, 100, "rebase", "5ac82ed6a3b76c6c553b08f53bbbb7f709c024a9b7950081c2563a7e70b942ae"},
 		{"odd-topwindow-slides", mr(2, 1010), odd, 0, "slide", "a5c09913468710cf5509c11334933fb83d1f37fa1e4130d8e774d8140517e225"},
-		{"slide-minerr-fallback", sim.Scenario{}, slide64, 0, "fallback", "90c20247dc375b552b0ad74b0264d8b396758c34f2ac745d4f1d7301a380bd29"},
-		{"every-packet-new-minimum", sim.Scenario{}, exact, 0, "new-minimum", "17b66f84dcf1ade327d6c2244bb2c4973d9587606ef188489f633ac0e3799644"},
+		{"slide-minerr-fallback", sim.MultiScenario{}, slide64, 0, "fallback", "90c20247dc375b552b0ad74b0264d8b396758c34f2ac745d4f1d7301a380bd29"},
+		{"every-packet-new-minimum", sim.MultiScenario{}, exact, 0, "new-minimum", "17b66f84dcf1ade327d6c2244bb2c4973d9587606ef188489f633ac0e3799644"},
 	} {
 		t.Run(sc.name, func(t *testing.T) {
 			ins := synthetic[sc.name]

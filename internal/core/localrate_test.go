@@ -38,14 +38,14 @@ func (s *Sync) scanLocalMinima() (jSeq, iSeq int) {
 func TestLocalRateMinimaEquivalence(t *testing.T) {
 	scenarios := []struct {
 		name    string
-		mutate  func(*sim.Scenario)
+		mutate  func(*sim.MultiScenario)
 		identAt int
 	}{
 		{name: "steady"},
 		{
 			name: "upward-shift",
-			mutate: func(sc *sim.Scenario) {
-				sc.Server.Forward.Shifts = []netem.Shift{
+			mutate: func(sc *sim.MultiScenario) {
+				sc.Servers[0].Forward.Shifts = []netem.Shift{
 					{At: 6 * timebase.Hour, Delta: 0.9 * timebase.Millisecond},
 					{At: 14 * timebase.Hour, Delta: 1.3 * timebase.Millisecond},
 				}
@@ -54,7 +54,7 @@ func TestLocalRateMinimaEquivalence(t *testing.T) {
 		{name: "identity-rebase", identAt: 1500},
 		{
 			name: "loss-and-gap",
-			mutate: func(sc *sim.Scenario) {
+			mutate: func(sc *sim.MultiScenario) {
 				sc.LossProb = 0.2
 				sc.Gaps = []sim.Gap{{From: 10 * timebase.Hour, To: 11 * timebase.Hour}}
 			},

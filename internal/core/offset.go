@@ -139,14 +139,14 @@ func (s *Sync) updateOffset(now uint64, pointErr, theta float64, res *Result) {
 		cand = theta
 	case minET > eStarStar || sumW == 0:
 		res.PoorQuality = true
-		prevAge := spanSeconds(s.thetaTf, now, s.p)
+		prevAge := timebase.CounterSpan(s.thetaTf, now, s.p)
 		prevPred := s.theta
 		if useGl {
 			prevPred -= gl * prevAge
 		}
 		gapped := false
 		if h := s.hist.Len(); h >= 2 {
-			gapped = spanSeconds(s.hist.At(h-2).tf, now, s.p) > s.cfg.LocalRateWindow/2
+			gapped = timebase.CounterSpan(s.hist.At(h-2).tf, now, s.p) > s.cfg.LocalRateWindow/2
 		}
 		if gapped {
 			// After a long outage the stored window is stale: blend the
@@ -186,7 +186,7 @@ func (s *Sync) updateOffset(now uint64, pointErr, theta float64, res *Result) {
 	if s.havePair && s.pQual > rateUnc {
 		rateUnc = s.pQual
 	}
-	limit := OffsetSanity + rateUnc*spanSeconds(s.thetaTf, now, s.p)
+	limit := OffsetSanity + rateUnc*timebase.CounterSpan(s.thetaTf, now, s.p)
 	if s.haveTh && s.count > s.nWarm && math.Abs(cand-s.theta) > limit {
 		res.OffsetSanityTriggered = true
 		cand = s.theta // duplicate the most recent trusted value

@@ -1,6 +1,10 @@
 package core
 
-import "math"
+import (
+	"math"
+
+	"repro/internal/timebase"
+)
 
 const (
 	// localRateQuality is γ*, the target quality bound for accepting a
@@ -230,7 +234,7 @@ func (s *Sync) updateLocalRate(res *Result) {
 	// to the previous packet is too large the local rate is out of date.
 	n := s.hist.Len()
 	if n >= 2 {
-		gap := spanSeconds(s.hist.At(n-2).tf, s.hist.At(n-1).tf, s.p)
+		gap := timebase.CounterSpan(s.hist.At(n-2).tf, s.hist.At(n-1).tf, s.p)
 		if gap > s.cfg.LocalRateWindow/2 {
 			s.plValid = false
 			return

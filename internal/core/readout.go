@@ -18,6 +18,7 @@ import (
 	"unsafe"
 
 	"repro/internal/cacheline"
+	"repro/internal/timebase"
 )
 
 // Readout is an immutable snapshot of everything a clock read needs:
@@ -89,7 +90,7 @@ func (r *Readout) ThetaAt(T uint64) float64 {
 	}
 	if r.UseLocalRate && r.PLocalValid && r.P > 0 {
 		gl := r.PLocal/r.P - 1
-		return r.Theta - gl*spanSeconds(r.ThetaTf, T, r.P)
+		return r.Theta - gl*timebase.CounterSpan(r.ThetaTf, T, r.P)
 	}
 	return r.Theta
 }
@@ -107,7 +108,7 @@ func (r *Readout) AbsoluteTime(T uint64) float64 {
 //
 //repro:readpath
 func (r *Readout) DifferenceSpan(T1, T2 uint64) float64 {
-	return spanSeconds(T1, T2, r.P)
+	return timebase.CounterSpan(T1, T2, r.P)
 }
 
 // Age returns the seconds elapsed (per the difference clock) since the
@@ -116,7 +117,7 @@ func (r *Readout) DifferenceSpan(T1, T2 uint64) float64 {
 // measures from the counter origin.
 //
 //repro:readpath
-func (r *Readout) Age(T uint64) float64 { return spanSeconds(r.LastTf, T, r.P) }
+func (r *Readout) Age(T uint64) float64 { return timebase.CounterSpan(r.LastTf, T, r.P) }
 
 // publish makes the current engine state visible to lock-free readers:
 // it fills a fresh slot in place and stores the pointer. Called after

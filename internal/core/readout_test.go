@@ -121,13 +121,13 @@ func TestReadoutEquivalence(t *testing.T) {
 // refinement — and checks after every packet that the published
 // readout is the Result of the Process call that published it.
 func TestReadoutEquivalenceSimScenarios(t *testing.T) {
-	scenarios := map[string]func() sim.Scenario{
-		"steady": func() sim.Scenario {
+	scenarios := map[string]func() sim.MultiScenario{
+		"steady": func() sim.MultiScenario {
 			return sim.NewScenario(sim.MachineRoom, sim.ServerInt(), 16, 6*timebase.Hour, 1001)
 		},
-		"levelshift": func() sim.Scenario {
+		"levelshift": func() sim.MultiScenario {
 			sc := sim.NewScenario(sim.MachineRoom, sim.ServerInt(), 16, 6*timebase.Hour, 1003)
-			sc.Server.Forward.Shifts = []netem.Shift{{At: 3 * timebase.Hour, Delta: 0.9 * timebase.Millisecond}}
+			sc.Servers[0].Forward.Shifts = []netem.Shift{{At: 3 * timebase.Hour, Delta: 0.9 * timebase.Millisecond}}
 			return sc
 		},
 	}

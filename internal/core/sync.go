@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/timebase"
 	"repro/internal/window"
 )
 
@@ -217,14 +218,6 @@ func NewSync(cfg Config) (*Sync, error) {
 // clockRead evaluates the uncorrected clock at counter value T.
 func (s *Sync) clockRead(T uint64) float64 { return float64(T)*s.p + s.c }
 
-// spanSeconds converts a counter span to seconds, preserving sign.
-func spanSeconds(from, to uint64, p float64) float64 {
-	if to >= from {
-		return float64(to-from) * p
-	}
-	return -float64(from-to) * p
-}
-
 // finite reports whether x is neither NaN nor ±Inf.
 func finite(x float64) bool { return x-x == 0 }
 
@@ -318,7 +311,7 @@ func (s *Sync) Process(in Input) (Result, error) {
 // unambiguous (congestion cannot lower it) and take effect immediately;
 // the tracker sees every sample, and its window trails by eviction only.
 func (s *Sync) filterRTT(rec *record) (pointErr float64) {
-	rec.rtt = spanSeconds(rec.ta, rec.tf, s.p)
+	rec.rtt = timebase.CounterSpan(rec.ta, rec.tf, s.p)
 	if rec.rtt < s.rHat {
 		s.rHat = rec.rtt
 	}

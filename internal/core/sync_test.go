@@ -12,7 +12,7 @@ import (
 
 // runTrace feeds every completed exchange of a trace through a fresh
 // engine and returns the per-packet results alongside the exchanges.
-func runTrace(t testing.TB, tr *sim.Trace, cfg Config) ([]Result, []sim.Exchange) {
+func runTrace(t testing.TB, tr *sim.Trace, cfg Config) ([]Result, []sim.MultiExchange) {
 	t.Helper()
 	s, err := NewSync(cfg)
 	if err != nil {
@@ -33,7 +33,7 @@ func runTrace(t testing.TB, tr *sim.Trace, cfg Config) ([]Result, []sim.Exchange
 // offsetErrors computes θ̂ − θ_g for every packet: the absolute clock
 // error against the DAG reference (θ_g = C(Tf) − Tg under the clock the
 // engine was using at that packet).
-func offsetErrors(results []Result, ex []sim.Exchange) []float64 {
+func offsetErrors(results []Result, ex []sim.MultiExchange) []float64 {
 	errs := make([]float64, len(results))
 	for k, res := range results {
 		thetaG := float64(ex[k].Tf)*res.ClockP + res.ClockC - ex[k].Tg
@@ -251,7 +251,7 @@ func TestOffsetBeatNaive(t *testing.T) {
 
 func TestOffsetSanityOnServerFault(t *testing.T) {
 	sc := sim.NewScenario(sim.MachineRoom, sim.ServerInt(), 16, 12*timebase.Hour, 46)
-	sc.Server.Server.Faults = []netem.FaultWindow{
+	sc.Servers[0].Server.Faults = []netem.FaultWindow{
 		{From: 6 * timebase.Hour, To: 6*timebase.Hour + 5*timebase.Minute, Offset: 150 * timebase.Millisecond},
 	}
 	tr, err := sim.Generate(sc)
@@ -285,7 +285,7 @@ func TestOffsetSanityOnServerFault(t *testing.T) {
 func TestUpwardShiftDetected(t *testing.T) {
 	sc := sim.NewScenario(sim.MachineRoom, sim.ServerInt(), 16, timebase.Day, 47)
 	shiftAt := 12 * timebase.Hour
-	sc.Server.Forward.Shifts = []netem.Shift{{At: shiftAt, Delta: 0.9 * timebase.Millisecond}}
+	sc.Servers[0].Forward.Shifts = []netem.Shift{{At: shiftAt, Delta: 0.9 * timebase.Millisecond}}
 	tr, err := sim.Generate(sc)
 	if err != nil {
 		t.Fatal(err)
@@ -312,7 +312,7 @@ func TestUpwardShiftDetected(t *testing.T) {
 	}
 	// After detection, r̂ must track the new minimum.
 	last := results[len(results)-1]
-	newMin := tr.Scenario.Server.MinRTT() + 0.9*timebase.Millisecond
+	newMin := tr.Scenario.Servers[0].MinRTT() + 0.9*timebase.Millisecond
 	if math.Abs(last.RTTHat-newMin) > 100*timebase.Microsecond {
 		t.Errorf("final r̂ = %v, want ~%v", last.RTTHat, newMin)
 	}
@@ -322,8 +322,8 @@ func TestDownwardShiftAbsorbed(t *testing.T) {
 	sc := sim.NewScenario(sim.MachineRoom, sim.ServerExt(), 64, timebase.Day, 48)
 	shiftAt := 12 * timebase.Hour
 	// Symmetric downward shift: Δ unchanged, like Figure 11d.
-	sc.Server.Forward.Shifts = []netem.Shift{{At: shiftAt, Delta: -0.18 * timebase.Millisecond}}
-	sc.Server.Backward.Shifts = []netem.Shift{{At: shiftAt, Delta: -0.18 * timebase.Millisecond}}
+	sc.Servers[0].Forward.Shifts = []netem.Shift{{At: shiftAt, Delta: -0.18 * timebase.Millisecond}}
+	sc.Servers[0].Backward.Shifts = []netem.Shift{{At: shiftAt, Delta: -0.18 * timebase.Millisecond}}
 	tr, err := sim.Generate(sc)
 	if err != nil {
 		t.Fatal(err)
@@ -333,7 +333,7 @@ func TestDownwardShiftAbsorbed(t *testing.T) {
 	// r̂ must drop promptly after the shift (within ~an hour of packets).
 	for k, res := range results {
 		if ex[k].TrueTf > shiftAt+2*timebase.Hour {
-			want := tr.Scenario.Server.MinRTT() - 0.36*timebase.Millisecond
+			want := tr.Scenario.Servers[0].MinRTT() - 0.36*timebase.Millisecond
 			if res.RTTHat > want+200*timebase.Microsecond {
 				t.Errorf("r̂ = %v at t=%v, want near %v", res.RTTHat, ex[k].TrueTf, want)
 			}
@@ -410,7 +410,7 @@ func TestOffsetIncrementsBounded(t *testing.T) {
 	// Invariant (stage iv): successive offset estimates never differ by
 	// more than E_s, no matter what the data does.
 	sc := sim.NewScenario(sim.MachineRoom, sim.ServerInt(), 16, timebase.Day, 51)
-	sc.Server.Server.Faults = []netem.FaultWindow{
+	sc.Servers[0].Server.Faults = []netem.FaultWindow{
 		{From: 6 * timebase.Hour, To: 7 * timebase.Hour, Offset: -2},
 		{From: 18 * timebase.Hour, To: 18.2 * timebase.Hour, Offset: 0.4},
 	}

@@ -37,7 +37,7 @@ func TestPerServerIsolation(t *testing.T) {
 	for _, sc := range scenarios {
 		n := len(sc.Servers)
 		sc.AddOutage(n-1, 0.5*dur, 0.6*dur)
-		tr, err := sim.GenerateMulti(sc)
+		tr, err := sim.Generate(sc)
 		if err != nil {
 			t.Fatal(err)
 		}

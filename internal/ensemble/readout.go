@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/cacheline"
 	"repro/internal/core"
+	"repro/internal/timebase"
 )
 
 // ServerReadout is one server's slice of a combined readout: its
@@ -204,10 +205,7 @@ func (r *Readout) RateHat() float64 { return r.Rate }
 //
 //repro:readpath
 func (r *Readout) DifferenceSpan(T1, T2 uint64) float64 {
-	if T2 >= T1 {
-		return float64(T2-T1) * r.Rate
-	}
-	return -float64(T1-T2) * r.Rate
+	return timebase.CounterSpan(T1, T2, r.Rate)
 }
 
 // AgreementBound is the half-width of server k's error interval

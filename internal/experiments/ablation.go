@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/netem"
@@ -21,7 +22,8 @@ func runAblation(r *Report, opts Options) error {
 
 	plain := sim.NewScenario(sim.MachineRoom, sim.ServerInt(), 16, dur, opts.seed()+77)
 	shifted := plain
-	shifted.Server.Forward.Shifts = []netem.Shift{
+	shifted.Servers = slices.Clone(plain.Servers)
+	shifted.Servers[0].Forward.Shifts = []netem.Shift{
 		{At: dur / 3, Delta: 0.9 * timebase.Millisecond},
 	}
 	userStamps := plain
@@ -33,7 +35,7 @@ func runAblation(r *Report, opts Options) error {
 	const full, noWeighting, detOff, detOn, userLevel = 0, 2, 4, 5, 6
 	variants := []struct {
 		name     string
-		scenario sim.Scenario
+		scenario sim.MultiScenario
 		cfg      func() core.Config
 	}{
 		{"full algorithm", plain, func() core.Config { return base }},
@@ -65,7 +67,7 @@ func runAblation(r *Report, opts Options) error {
 		}},
 	}
 
-	asymAt := func(sc sim.Scenario, t float64) float64 {
+	asymAt := func(sc sim.MultiScenario, t float64) float64 {
 		minOf := func(cfg netem.PathConfig) float64 {
 			m := cfg.MinDelay
 			for _, s := range cfg.Shifts {
@@ -75,7 +77,7 @@ func runAblation(r *Report, opts Options) error {
 			}
 			return math.Max(m, 0)
 		}
-		return minOf(sc.Server.Forward) - minOf(sc.Server.Backward)
+		return minOf(sc.Servers[0].Forward) - minOf(sc.Servers[0].Backward)
 	}
 
 	tab := r.table("variants", "variant", "median_us", "p99_us")

@@ -31,7 +31,7 @@ type anchor struct {
 // detrendStamp returns the receive stamp the series reads of e, the
 // exchange st last returned: the corrected one from the stream's Truth,
 // or the raw Tf.
-func detrendStamp(st *sim.Stream, e sim.Exchange, corrected bool) uint64 {
+func detrendStamp(st *sim.MultiStream, e sim.Exchange, corrected bool) uint64 {
 	if corrected {
 		return st.Truth().TfCorr
 	}
@@ -40,8 +40,8 @@ func detrendStamp(st *sim.Stream, e sim.Exchange, corrected bool) uint64 {
 
 // detrendAnchors streams the scenario once and returns its first and
 // last completed exchanges' anchors plus the detrending period p̄.
-func detrendAnchors(sc sim.Scenario, corrected bool) (first, last anchor, pBar float64, err error) {
-	st, err := sim.NewStream(sc)
+func detrendAnchors(sc sim.MultiScenario, corrected bool) (first, last anchor, pBar float64, err error) {
+	st, err := sim.NewMultiStream(sc)
 	if err != nil {
 		return anchor{}, anchor{}, 0, err
 	}
@@ -55,7 +55,7 @@ func detrendAnchors(sc sim.Scenario, corrected bool) (first, last anchor, pBar f
 		if e.Lost {
 			continue
 		}
-		a := anchor{Tg: e.Tg, Tf: detrendStamp(st, e, corrected)}
+		a := anchor{Tg: e.Tg, Tf: detrendStamp(st, e.Exchange, corrected)}
 		if n == 0 {
 			first = a
 		}
@@ -71,8 +71,8 @@ func detrendAnchors(sc sim.Scenario, corrected bool) (first, last anchor, pBar f
 
 // detrendEmit is the second pass: it streams the scenario again and
 // emits each completed exchange's (Tg, θ) to fn in order.
-func detrendEmit(sc sim.Scenario, corrected bool, first anchor, pBar float64, fn func(tg, theta float64) error) error {
-	st, err := sim.NewStream(sc)
+func detrendEmit(sc sim.MultiScenario, corrected bool, first anchor, pBar float64, fn func(tg, theta float64) error) error {
+	st, err := sim.NewMultiStream(sc)
 	if err != nil {
 		return err
 	}
@@ -85,7 +85,7 @@ func detrendEmit(sc sim.Scenario, corrected bool, first anchor, pBar float64, fn
 		if e.Lost {
 			continue
 		}
-		theta := float64(detrendStamp(st, e, corrected)-first.Tf)*pBar - (e.Tg - first.Tg)
+		theta := float64(detrendStamp(st, e.Exchange, corrected)-first.Tf)*pBar - (e.Tg - first.Tg)
 		if err := fn(e.Tg, theta); err != nil {
 			return err
 		}
@@ -313,7 +313,7 @@ func runFig4(r *Report, opts Options) error {
 	// The figure wants exactly 1000 successive packets: pull them from
 	// the stream and stop — the bounded sample is the working set, and
 	// the generator never runs past what the figure consumes.
-	st, err := sim.NewStream(sc)
+	st, err := sim.NewMultiStream(sc)
 	if err != nil {
 		return err
 	}

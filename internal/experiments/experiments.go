@@ -268,7 +268,7 @@ func clockErr(ro *ensemble.Readout, T uint64, truth float64) float64 {
 // --- run harnesses ---
 //
 // One per clock kind, same shape: a scenario is generated as a pull
-// stream (bit-identical to sim.Generate / sim.GenerateMulti), each
+// stream (bit-identical to sim.Generate's records), each
 // completed exchange is pushed through a fresh estimator, and the
 // per-exchange callback folds whatever the report needs — online
 // accumulators (internal/stats), row-streamed TSV sinks, or a slice
@@ -281,8 +281,8 @@ func clockErr(ro *ensemble.Readout, T uint64, truth float64) float64 {
 // completed exchange through a fresh engine built from cfg, invoking fn
 // per packet. It returns the stream (for oracle references such as
 // Osc().MeanPeriod()) after the full pass.
-func streamRun(sc sim.Scenario, cfg core.Config, fn func(e sim.Exchange, res core.Result)) (*sim.Stream, error) {
-	st, err := sim.NewStream(sc)
+func streamRun(sc sim.MultiScenario, cfg core.Config, fn func(e sim.Exchange, res core.Result)) (*sim.MultiStream, error) {
+	st, err := sim.NewMultiStream(sc)
 	if err != nil {
 		return nil, err
 	}
@@ -303,7 +303,7 @@ func streamRun(sc sim.Scenario, cfg core.Config, fn func(e sim.Exchange, res cor
 		if err != nil {
 			return nil, fmt.Errorf("experiments: process seq %d: %w", e.Seq, err)
 		}
-		fn(e, res)
+		fn(e.Exchange, res)
 	}
 }
 

@@ -49,14 +49,14 @@ const longRunClip = timebase.Millisecond
 // run exercises at least a few regime switches. Shared with the
 // memory-ceiling benchmark and the CI heap smoke test, which must
 // measure exactly the pipeline the experiment runs.
-func NewLongRunScenario(days, poll float64, seed uint64) sim.Scenario {
+func NewLongRunScenario(days, poll float64, seed uint64) sim.MultiScenario {
 	sc := sim.NewScenario(sim.MachineRoom, sim.ServerInt(), poll, days*timebase.Day, seed)
 	sc.Name = fmt.Sprintf("MR-Int-longrun%.3gd", days)
 	sc.Oscillator.Temp = oscillator.TempCycle{
 		AmplitudePPM: 0.02, Phase: 1.3, Harmonic2: 0.35, WeeklyMod: 0.3,
 	}
 	dwell := math.Min(2.5*timebase.Day, sc.Duration/6)
-	for _, p := range []*netem.PathConfig{&sc.Server.Forward, &sc.Server.Backward} {
+	for _, p := range []*netem.PathConfig{&sc.Servers[0].Forward, &sc.Servers[0].Backward} {
 		p.RegimeMeanDwell = dwell
 		p.RegimeFactors = []float64{1, 2.2}
 	}
@@ -214,6 +214,6 @@ func runLongRun(r *Report, opts Options) error {
 	rateErr := math.Abs(lastPHat/trueP - 1)
 	r.atMost("rate estimate within hardware stability bound", rateErr, timebase.FromPPM(0.1), PPM)
 	r.atMost("oscillator cache trimmed behind the emission front (steps)",
-		float64(st.Osc().RandomWalkCacheLen()), 512, Count)
+		float64(st.StampCacheLen()), 512, Count)
 	return nil
 }

@@ -12,7 +12,7 @@ import (
 
 // oneDayScenario is the first-day dataset behind Figures 5 to 7:
 // machine room, ServerInt, 16 s polling.
-func oneDayScenario(opts Options) sim.Scenario {
+func oneDayScenario(opts Options) sim.MultiScenario {
 	return sim.NewScenario(sim.MachineRoom, sim.ServerInt(), 16, timebase.Day, opts.seed())
 }
 

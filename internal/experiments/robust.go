@@ -82,7 +82,7 @@ func runFig11b(r *Report, opts Options) error {
 	dur := opts.scale(2 * timebase.Day)
 	faultAt := dur / 2
 	sc := sim.NewScenario(sim.MachineRoom, sim.ServerInt(), 16, dur, opts.seed())
-	sc.Server.Server.Faults = []netem.FaultWindow{
+	sc.Servers[0].Server.Faults = []netem.FaultWindow{
 		{From: faultAt, To: faultAt + 4*timebase.Minute, Offset: 150 * timebase.Millisecond},
 	}
 
@@ -125,7 +125,7 @@ func runFig11c(r *Report, opts Options) error {
 	permAt := dur / 2
 	tempDur := cfg.ShiftWindow / 3 // below Ts: should never be detected
 	sc := sim.NewScenario(sim.MachineRoom, sim.ServerInt(), 16, dur, opts.seed())
-	sc.Server.Forward.Shifts = []netem.Shift{
+	sc.Servers[0].Forward.Shifts = []netem.Shift{
 		{At: tempAt, Delta: 0.9 * timebase.Millisecond, Duration: tempDur},
 		{At: permAt, Delta: 0.9 * timebase.Millisecond},
 	}
@@ -191,8 +191,8 @@ func runFig11d(r *Report, opts Options) error {
 	shiftAt := dur / 2
 	delta := -0.18 * timebase.Millisecond
 	sc := sim.NewScenario(sim.MachineRoom, sim.ServerExt(), 64, dur, opts.seed())
-	sc.Server.Forward.Shifts = []netem.Shift{{At: shiftAt, Delta: delta}}
-	sc.Server.Backward.Shifts = []netem.Shift{{At: shiftAt, Delta: delta}}
+	sc.Servers[0].Forward.Shifts = []netem.Shift{{At: shiftAt, Delta: delta}}
+	sc.Servers[0].Backward.Shifts = []netem.Shift{{At: shiftAt, Delta: delta}}
 
 	sink := r.series("series", "tb_day", "offset_err_us", "rtt_hat_ms")
 	upward := 0
@@ -222,7 +222,7 @@ func runFig11d(r *Report, opts Options) error {
 		return err
 	}
 
-	wantRTT := sc.Server.MinRTT() + 2*delta
+	wantRTT := sc.Servers[0].MinRTT() + 2*delta
 	shiftOfMedian := after.Value(0) - before.Value(0)
 	r.figure("r̂ after shift", rHatAfter, Seconds)
 	r.figure("new minimum RTT", wantRTT, Seconds)
@@ -310,7 +310,7 @@ func runBaseline(r *Report, opts Options) error {
 	sc := sim.NewScenario(sim.MachineRoom, sim.ServerInt(), 64, dur, opts.seed())
 	// The fault must span enough polls to pass the SW-NTP clock filter's
 	// minimum-delay selection (~8 polls between applied samples).
-	sc.Server.Server.Faults = []netem.FaultWindow{
+	sc.Servers[0].Server.Faults = []netem.FaultWindow{
 		{From: faultAt, To: faultAt + 45*timebase.Minute, Offset: 150 * timebase.Millisecond},
 	}
 

@@ -13,7 +13,7 @@ import (
 // settledRun pushes a one-day scenario through the engine harness and
 // returns the offset errors after the settling time, the final rate
 // estimate and the stream (for the oracle rate).
-func settledRun(t *testing.T, sc sim.Scenario, settle float64) (errs []float64, pHat float64, st *sim.Stream) {
+func settledRun(t *testing.T, sc sim.MultiScenario, settle float64) (errs []float64, pHat float64, st *sim.MultiStream) {
 	t.Helper()
 	st, err := streamRun(sc, defaultCfg(sc.PollPeriod), func(e sim.Exchange, res core.Result) {
 		if e.TrueTf > settle {

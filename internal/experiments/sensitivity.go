@@ -15,7 +15,7 @@ import (
 // stream once per engine configuration instead of materializing the
 // trace once: generation is a small fraction of the engine pass, and
 // peak memory stays flat in the trace length.
-func sensitivityScenario(opts Options, poll float64, seedOff uint64) sim.Scenario {
+func sensitivityScenario(opts Options, poll float64, seedOff uint64) sim.MultiScenario {
 	dur := opts.scale(3 * timebase.Week)
 	return sim.NewScenario(sim.MachineRoom, sim.ServerInt(), poll, dur, opts.seed()+seedOff)
 }
@@ -23,7 +23,7 @@ func sensitivityScenario(opts Options, poll float64, seedOff uint64) sim.Scenari
 // sweepFiveNum streams the scenario through one engine configuration
 // and folds the settled offset errors into an online five-number
 // summary.
-func sweepFiveNum(sc sim.Scenario, cfg core.Config, settle float64) (stats.FiveNum, error) {
+func sweepFiveNum(sc sim.MultiScenario, cfg core.Config, settle float64) (stats.FiveNum, error) {
 	acc := stats.NewStreamingFiveNum()
 	_, err := streamRun(sc, cfg, func(e sim.Exchange, res core.Result) {
 		if e.TrueTf > settle {

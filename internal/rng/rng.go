@@ -43,10 +43,10 @@ func New(seed uint64) *Source {
 
 // Clone returns an exact copy of the generator state: the clone and the
 // original produce identical draw sequences from this point on. The
-// streaming trace generators use clones to fast-forward one logical
-// stream to a later position (draw and discard) without disturbing the
-// original, which is what lets a lazily merged multi-server schedule
-// reproduce the batch generator's draw order bit for bit.
+// trace stream clones its one jitter stream per server and
+// fast-forwards each clone (SkipFloat64) to that server's stretch of
+// it, so a lazily merged schedule reads every server's draws in
+// constant memory without disturbing the others.
 func (r *Source) Clone() *Source {
 	cp := *r
 	return &cp

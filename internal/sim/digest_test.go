@@ -3,11 +3,12 @@ package sim
 // Golden digests of the generator: a sha256 over every field of every
 // emitted exchange and its Truth, lost ones included, for a fixed set
 // of scenarios. Each digest is checked on the stream as is and with the
-// oscillator cache trimmed; the Generate/GenerateMulti collectors must
-// return the stream's records, record for record. So streaming,
-// trimming and collecting are all pinned to the same bits. There is no update flag: a change that means to move
-// the bits edits the constant and says why; any other change leaves
-// every digest as it is.
+// oscillator cache trimmed, inline and pipelined; the Generate
+// collector must return the stream's records, record for record. So
+// streaming, trimming, the worker count and collecting are all pinned
+// to the same bits. There is no update flag: a change that means to
+// move the bits edits the constant and says why; any other change
+// leaves every digest as it is.
 
 import (
 	"crypto/sha256"
@@ -63,7 +64,7 @@ func (d *digest) check(t *testing.T, way, golden string) {
 // steady state, loss+gap, server fault, level shift, and the
 // long-horizon ingredients (oscillator temperature cycle, path load
 // regimes).
-func streamScenarios() map[string]Scenario {
+func streamScenarios() map[string]MultiScenario {
 	steady := NewScenario(MachineRoom, ServerInt(), 16, 6*timebase.Hour, 101)
 
 	lossy := NewScenario(Laboratory, ServerLoc(), 64, 12*timebase.Hour, 102)
@@ -71,23 +72,23 @@ func streamScenarios() map[string]Scenario {
 	lossy.Gaps = []Gap{{From: 2 * timebase.Hour, To: 3 * timebase.Hour}}
 
 	faulty := NewScenario(MachineRoom, ServerExt(), 16, 4*timebase.Hour, 103)
-	faulty.Server.Server.Faults = []netem.FaultWindow{
+	faulty.Servers[0].Server.Faults = []netem.FaultWindow{
 		{From: 1000, To: 2000, Offset: 150 * timebase.Millisecond},
 	}
 
 	shifted := NewScenario(MachineRoom, ServerInt(), 16, 8*timebase.Hour, 104)
-	shifted.Server.Forward.Shifts = []netem.Shift{{At: 4 * timebase.Hour, Delta: 0.9 * timebase.Millisecond}}
+	shifted.Servers[0].Forward.Shifts = []netem.Shift{{At: 4 * timebase.Hour, Delta: 0.9 * timebase.Millisecond}}
 
 	longrun := NewScenario(MachineRoom, ServerInt(), 64, timebase.Day, 105)
 	longrun.Oscillator.Temp = oscillator.TempCycle{
 		AmplitudePPM: 0.02, Phase: 1.1, Harmonic2: 0.3, WeeklyMod: 0.4,
 	}
-	for _, p := range []*netem.PathConfig{&longrun.Server.Forward, &longrun.Server.Backward} {
+	for _, p := range []*netem.PathConfig{&longrun.Servers[0].Forward, &longrun.Servers[0].Backward} {
 		p.RegimeMeanDwell = 4 * timebase.Hour
 		p.RegimeFactors = []float64{1, 2.5}
 	}
 
-	return map[string]Scenario{
+	return map[string]MultiScenario{
 		"steady": steady, "lossy": lossy, "faulty": faulty,
 		"shifted": shifted, "longrun": longrun,
 	}
@@ -101,34 +102,59 @@ var streamGolden = map[string]string{
 	"longrun": "1aef17e78d8d18df377050d838a9868ba60f184d4c3df720cab56237e8410848",
 }
 
+// TestStreamGoldenDigests holds the single-server bits inline and
+// pipelined: each digest is taken with one and with two CPUs.
 func TestStreamGoldenDigests(t *testing.T) {
 	for name, sc := range streamScenarios() {
 		t.Run(name, func(t *testing.T) {
-			for _, trim := range []bool{false, true} {
-				st, err := NewStream(sc)
-				if err != nil {
-					t.Fatal(err)
-				}
-				st.SetTrim(trim)
-				d := newDigest()
-				for ex, ok := st.Next(); ok; ex, ok = st.Next() {
-					d.add(0, ex, st.Truth())
-				}
-				d.check(t, fmt.Sprintf("Stream trim=%v", trim), streamGolden[name])
-			}
+			checkDigests(t, sc, 2, streamGolden[name])
 		})
 	}
 }
 
+// checkDigests takes sc's digest with 1…maxCPUs CPUs, trimmed and not,
+// and compares each with golden.
+func checkDigests(t *testing.T, sc MultiScenario, maxCPUs int, golden string) {
+	t.Helper()
+	for cpus := 1; cpus <= maxCPUs; cpus++ {
+		for _, trim := range []bool{false, true} {
+			st, err := newMultiStream(sc, cpus)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st.SetTrim(trim)
+			d := newDigest()
+			for ex, ok := st.Next(); ok; ex, ok = st.Next() {
+				d.add(ex.Server, ex.Exchange, st.Truth())
+			}
+			d.check(t, fmt.Sprintf("cpus=%d trim=%v", cpus, trim), golden)
+		}
+	}
+}
+
 // TestGenerateIsStreamCollector: the batch entry point returns the
-// records of the stream the golden pins, record for record.
+// records of the stream the golden pins, record for record, for the
+// single-server scenarios.
 func TestGenerateIsStreamCollector(t *testing.T) {
-	for name, sc := range streamScenarios() {
+	checkCollector(t, streamScenarios())
+}
+
+// TestGenerateMultiIsStreamCollector: likewise for the multi-server
+// scenarios, through the same collector.
+func TestGenerateMultiIsStreamCollector(t *testing.T) {
+	checkCollector(t, multiScenarios())
+}
+
+// checkCollector fails unless Generate returns, for every scenario,
+// exactly the records its stream yields.
+func checkCollector(t *testing.T, scenarios map[string]MultiScenario) {
+	t.Helper()
+	for name, sc := range scenarios {
 		tr, err := Generate(sc)
 		if err != nil {
 			t.Fatal(err)
 		}
-		st, err := NewStream(sc)
+		st, err := NewMultiStream(sc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -194,71 +220,56 @@ var multiGolden = map[string]string{
 func TestMultiStreamGoldenDigests(t *testing.T) {
 	for name, sc := range multiScenarios() {
 		t.Run(name, func(t *testing.T) {
-			for cpus := 1; cpus <= len(sc.Servers)+1; cpus++ {
-				for _, trim := range []bool{false, true} {
-					st, err := newMultiStream(sc, cpus)
-					if err != nil {
-						t.Fatal(err)
-					}
-					st.SetTrim(trim)
-					d := newDigest()
-					for ex, ok := st.Next(); ok; ex, ok = st.Next() {
-						d.add(ex.Server, ex.Exchange, st.Truth())
-					}
-					d.check(t, fmt.Sprintf("MultiStream cpus=%d trim=%v", cpus, trim), multiGolden[name])
-				}
-			}
+			checkDigests(t, sc, len(sc.Servers)+1, multiGolden[name])
 		})
 	}
 }
 
-// TestGenerateMultiIsStreamCollector: likewise for the multi-server
-// collector.
-func TestGenerateMultiIsStreamCollector(t *testing.T) {
-	for name, sc := range multiScenarios() {
-		tr, err := GenerateMulti(sc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		st, err := NewMultiStream(sc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameRecords(t, "GenerateMulti "+name, tr.Exchanges, st.Next)
-	}
-}
-
-// TestStreamTrimBitIdentical: trimming the oscillator cache behind the
-// emission front must not change a single emitted bit, and must keep
-// the cache bounded.
+// TestStreamTrimBitIdentical: trimming the oscillator caches behind
+// the emission front must not change a single emitted bit, and must
+// keep every cache bounded, inline and pipelined. The workers trim on
+// the inline schedule, so one server's stamping cache ends the same at
+// one CPU and at two.
 func TestStreamTrimBitIdentical(t *testing.T) {
 	sc := NewScenario(MachineRoom, ServerInt(), 16, timebase.Day, 33)
-	plain, err := NewStream(sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	trimmed, err := NewStream(sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	trimmed.SetTrim(true)
-	for i := 0; ; i++ {
-		a, okA := plain.Next()
-		b, okB := trimmed.Next()
-		if okA != okB {
-			t.Fatalf("streams end at different lengths near %d", i)
+	var stampCache [2]int
+	for cpus := 1; cpus <= 2; cpus++ {
+		plain, err := newMultiStream(sc, cpus)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if !okA {
-			break
+		trimmed, err := newMultiStream(sc, cpus)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if a != b || plain.Truth() != trimmed.Truth() {
-			t.Fatalf("exchange %d differs under trimming", i)
+		trimmed.SetTrim(true)
+		for i := 0; ; i++ {
+			a, okA := plain.Next()
+			b, okB := trimmed.Next()
+			if okA != okB {
+				t.Fatalf("cpus=%d: streams end at different lengths near %d", cpus, i)
+			}
+			if !okA {
+				break
+			}
+			if a != b || plain.Truth() != trimmed.Truth() {
+				t.Fatalf("cpus=%d: exchange %d differs under trimming", cpus, i)
+			}
+		}
+		// And the caches really are bounded: a day at 60 s steps is
+		// 1440 entries untrimmed.
+		stampCache[cpus-1] = trimmed.StampCacheLen()
+		for _, n := range []int{stampCache[cpus-1], trimmed.Osc().RandomWalkCacheLen()} {
+			if n > 2*trimMargin/60+trimEvery {
+				t.Errorf("cpus=%d: trimmed oscillator cache holds %d steps", cpus, n)
+			}
+		}
+		if n := plain.StampCacheLen(); n < 1440 {
+			t.Errorf("cpus=%d: untrimmed stamping cache holds only %d steps", cpus, n)
 		}
 	}
-	// And the cache really is bounded: a day at 60 s steps is 1440
-	// entries untrimmed.
-	if n := trimmed.Osc().RandomWalkCacheLen(); n > 2*trimMargin/60+trimEvery {
-		t.Errorf("trimmed oscillator cache holds %d steps", n)
+	if stampCache[0] != stampCache[1] {
+		t.Errorf("stamping cache holds %d steps inline, %d pipelined", stampCache[0], stampCache[1])
 	}
 }
 
@@ -267,7 +278,7 @@ func TestStreamTrimBitIdentical(t *testing.T) {
 // regimes (the default) is bit-identical to the pre-regime model.
 func TestRegimeSwitchingShape(t *testing.T) {
 	sc := NewScenario(MachineRoom, ServerInt(), 16, 2*timebase.Day, 55)
-	for _, p := range []*netem.PathConfig{&sc.Server.Forward, &sc.Server.Backward} {
+	for _, p := range []*netem.PathConfig{&sc.Servers[0].Forward, &sc.Servers[0].Backward} {
 		p.RegimeMeanDwell = 5 * timebase.Hour
 		p.RegimeFactors = []float64{1, 3}
 	}
@@ -279,8 +290,8 @@ func TestRegimeSwitchingShape(t *testing.T) {
 		}
 		m = min(m, e.RTTTrue())
 	}
-	if m < sc.Server.MinRTT() {
-		t.Fatalf("min RTT %v below configured %v", m, sc.Server.MinRTT())
+	if m < sc.Servers[0].MinRTT() {
+		t.Fatalf("min RTT %v below configured %v", m, sc.Servers[0].MinRTT())
 	}
 }
 

@@ -32,11 +32,11 @@ func TestFaultScheduleDeterministic(t *testing.T) {
 		sc.AddServerStep(2, 3*timebase.Hour, 4*timebase.Hour, 2*timebase.Millisecond)
 		return sc
 	}
-	a, err := GenerateMulti(build())
+	a, err := Generate(build())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := GenerateMulti(build())
+	b, err := Generate(build())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestOutageBlackholesOneServer(t *testing.T) {
 	sc := chaosScenario(5)
 	from, to := timebase.Hour, 2*timebase.Hour
 	sc.AddOutage(1, from, to)
-	tr, err := GenerateMulti(sc)
+	tr, err := Generate(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestPartitionBlackholesSubset(t *testing.T) {
 	sc := chaosScenario(6)
 	from, to := timebase.Hour, 90*timebase.Minute
 	sc.AddPartition([]int{0, 2}, from, to)
-	tr, err := GenerateMulti(sc)
+	tr, err := Generate(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestTotalOutageBlackholesEveryone(t *testing.T) {
 	sc := chaosScenario(7)
 	from, to := 2*timebase.Hour, 3*timebase.Hour
 	sc.AddTotalOutage(from, to)
-	tr, err := GenerateMulti(sc)
+	tr, err := Generate(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestFlakyWindowIsPartial(t *testing.T) {
 	sc := chaosScenario(8)
 	from, to := timebase.Hour, 3*timebase.Hour
 	sc.AddFlaky(2, from, to, 0.5)
-	tr, err := GenerateMulti(sc)
+	tr, err := Generate(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,14 +232,14 @@ func TestDeathRestartComposition(t *testing.T) {
 // TestEmptyScheduleLeavesTraceUntouched: adding no faults must not
 // change a single bit relative to the schedule-free generator.
 func TestEmptyScheduleLeavesTraceUntouched(t *testing.T) {
-	base, err := GenerateMulti(NewMultiScenario(MachineRoom, threeServers(), 16, 6*timebase.Hour, 42))
+	base, err := Generate(NewMultiScenario(MachineRoom, threeServers(), 16, 6*timebase.Hour, 42))
 	if err != nil {
 		t.Fatal(err)
 	}
 	sc := NewMultiScenario(MachineRoom, threeServers(), 16, 6*timebase.Hour, 42)
 	sc.Outages = []ServerOutage{}
 	sc.Partitions = []Partition{}
-	with, err := GenerateMulti(sc)
+	with, err := Generate(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,13 +254,13 @@ func TestEmptyScheduleLeavesTraceUntouched(t *testing.T) {
 }
 
 // TestMultiStreamFaultsMatchBatch: the streaming generator emits the
-// identical faulted sequence (GenerateMulti is a collector over it, so
-// this pins the trim path too).
+// identical faulted sequence trimmed as untrimmed (Generate is a
+// collector over the untrimmed stream).
 func TestMultiStreamFaultsMatchBatch(t *testing.T) {
 	sc := NewMultiScenario(MachineRoom, threeServers(), 16, 6*timebase.Hour, 13)
 	sc.AddOutage(0, timebase.Hour, 2*timebase.Hour)
 	sc.AddFlaky(1, 2*timebase.Hour, 3*timebase.Hour, 0.3)
-	batch, err := GenerateMulti(sc)
+	batch, err := Generate(sc)
 	if err != nil {
 		t.Fatal(err)
 	}

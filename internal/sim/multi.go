@@ -6,24 +6,30 @@ import (
 
 	"repro/internal/netem"
 	"repro/internal/oscillator"
+	"repro/internal/timebase"
 )
 
-// MultiScenario describes a multi-server trace: ONE host (one
-// oscillator, one timestamping model) polling several NTP servers over
-// independent network paths. Sharing the oscillator is the point — the
-// per-server engines of an ensemble then calibrate the same counter,
-// making their clocks comparable, exactly as on a real host.
+// MultiScenario fully describes a trace to generate: ONE host (one
+// oscillator, one timestamping model) polling one or more NTP servers
+// over independent network paths. Sharing the oscillator is the point —
+// the per-server engines of an ensemble then calibrate the same
+// counter, making their clocks comparable, exactly as on a real host.
 //
 // Each server is polled every PollPeriod with its schedule staggered by
-// k·PollPeriod/N, the interleaving a MultiLive deployment produces.
+// k·PollPeriod/N, the interleaving a MultiLive deployment produces:
+// server k's poll i goes out at (i + 1/2 + k/N)·PollPeriod plus jitter,
+// the half-period base offset keeping the first emission positive for
+// any valid jitter fraction.
 type MultiScenario struct {
 	Name       string
 	Oscillator oscillator.Config
 	Host       netem.HostStampConfig
 	Servers    []ServerSpec
 
-	// PollPeriod is the per-server polling period in seconds;
-	// PollJitterFrac dithers each emission by ±frac/2 of the period.
+	// PollPeriod is the per-server polling period in seconds (the paper
+	// uses 16 for dense data and 64-256 as standard defaults);
+	// PollJitterFrac dithers each emission by ±frac/2 of the period so
+	// the trace does not beat against periodic model components.
 	PollPeriod     float64
 	PollJitterFrac float64
 
@@ -52,34 +58,44 @@ func (s MultiScenario) Validate() error {
 	if len(s.Servers) == 0 {
 		return fmt.Errorf("sim: MultiScenario needs at least one server")
 	}
-	single := Scenario{
-		PollPeriod:     s.PollPeriod,
-		PollJitterFrac: s.PollJitterFrac,
-		Duration:       s.Duration,
-		LossProb:       s.LossProb,
+	if !(s.PollPeriod > 0) {
+		return fmt.Errorf("sim: PollPeriod must be positive")
 	}
-	if err := single.Validate(); err != nil {
-		return err
+	if !(s.Duration > 0) {
+		return fmt.Errorf("sim: Duration must be positive")
+	}
+	if s.LossProb < 0 || s.LossProb >= 1 {
+		return fmt.Errorf("sim: LossProb %v outside [0,1)", s.LossProb)
+	}
+	if s.PollJitterFrac < 0 || s.PollJitterFrac >= 1 {
+		return fmt.Errorf("sim: PollJitterFrac %v outside [0,1)", s.PollJitterFrac)
 	}
 	return s.validateFaults()
 }
 
-// NewMultiScenario assembles a standard multi-server scenario, e.g.
-// three ServerInt-class upstreams polled every 16 s from a machine-room
-// host.
+// NewMultiScenario assembles a standard scenario, e.g. three
+// ServerInt-class upstreams polled every 16 s from a machine-room host.
+// One server is named after its environment and server ("MR-ServerInt"),
+// more after their count ("MR-ensemble3").
 func NewMultiScenario(env Environment, servers []ServerSpec, poll, duration float64, seed uint64) MultiScenario {
-	base := NewScenario(env, ServerSpec{}, poll, duration, seed)
+	osc := oscillator.MachineRoom()
+	if env == Laboratory {
+		osc = oscillator.Laboratory()
+	}
 	name := fmt.Sprintf("%s-ensemble%d", env, len(servers))
+	if len(servers) == 1 {
+		name = fmt.Sprintf("%s-%s", env, servers[0].Name)
+	}
 	return MultiScenario{
 		Name:           name,
-		Oscillator:     base.Oscillator,
-		Host:           base.Host,
+		Oscillator:     osc,
+		Host:           netem.DefaultHostStamp(),
 		Servers:        servers,
 		PollPeriod:     poll,
-		PollJitterFrac: base.PollJitterFrac,
+		PollJitterFrac: 0.02,
 		Duration:       duration,
-		LossProb:       base.LossProb,
-		DAGJitter:      base.DAGJitter,
+		LossProb:       0.0015,
+		DAGJitter:      100 * timebase.Nanosecond,
 		Seed:           seed,
 	}
 }
@@ -154,58 +170,4 @@ func NewAsymmetricScenario(env Environment, extraForward []float64, poll, durati
 	sc := NewMultiScenario(env, servers, poll, duration, seed)
 	sc.Name = fmt.Sprintf("%s-asym%d", env, len(servers))
 	return sc
-}
-
-// MultiExchange is one exchange of a multi-server trace: the exchange
-// data plus the index of the server that served it.
-type MultiExchange struct {
-	Server int
-	Exchange
-}
-
-// MultiTrace is a generated multi-server dataset. Exchanges are in
-// emission order across servers (the order a single host would perform
-// them), so feeding them to an ensemble in slice order satisfies the
-// per-server arrival-order requirement.
-type MultiTrace struct {
-	Scenario  MultiScenario
-	Exchanges []MultiExchange
-	Osc       *oscillator.Oscillator
-}
-
-// GenerateMulti produces the deterministic multi-server trace described
-// by the scenario, materialized in memory: a collector over the
-// pull-based MultiStream, which lazily merges the per-server schedules
-// into the identical emission-ordered sequence. Every server gets its
-// own independent path, server and loss random streams; the oscillator,
-// host model and DAG monitor are shared, as on a real host. The
-// schedule places server k's poll i at (i + 1/2 + k/N)·PollPeriod plus
-// jitter; the half-period base offset (as in the single-server
-// generator) keeps the first emission positive for any valid jitter
-// fraction.
-func GenerateMulti(sc MultiScenario) (*MultiTrace, error) {
-	st, err := NewMultiStream(sc)
-	if err != nil {
-		return nil, err
-	}
-	exchanges := make([]MultiExchange, 0, st.Len())
-	for {
-		ex, ok := st.Next()
-		if !ok {
-			break
-		}
-		exchanges = append(exchanges, ex)
-	}
-	return &MultiTrace{Scenario: sc, Exchanges: exchanges, Osc: st.Osc()}, nil
-}
-
-// Completed returns the non-lost exchanges, in emission order.
-func (tr *MultiTrace) Completed() []MultiExchange {
-	out := make([]MultiExchange, 0, len(tr.Exchanges))
-	for _, e := range tr.Exchanges {
-		if !e.Lost {
-			out = append(out, e)
-		}
-	}
-	return out
 }

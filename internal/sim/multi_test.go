@@ -33,11 +33,11 @@ func streamMulti(t *testing.T, sc MultiScenario) ([]MultiExchange, []Truth) {
 
 func TestGenerateMultiDeterministic(t *testing.T) {
 	sc := NewMultiScenario(MachineRoom, threeServers(), 16, 6*timebase.Hour, 42)
-	a, err := GenerateMulti(sc)
+	a, err := Generate(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := GenerateMulti(sc)
+	b, err := Generate(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestGenerateMultiDeterministic(t *testing.T) {
 func TestGenerateMultiShape(t *testing.T) {
 	servers := threeServers()
 	sc := NewMultiScenario(MachineRoom, servers, 16, timebase.Day, 7)
-	tr, err := GenerateMulti(sc)
+	tr, err := Generate(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,12 +103,11 @@ func TestGenerateMultiShape(t *testing.T) {
 
 // TestGenerateMultiHighJitter: a jitter fraction larger than the 1/N
 // stagger spacing must not push server 0's first emission before the
-// time origin (the half-period base offset guarantees the margin, as
-// in the single-server generator).
+// time origin (the half-period base offset guarantees the margin).
 func TestGenerateMultiHighJitter(t *testing.T) {
 	sc := NewMultiScenario(MachineRoom, threeServers(), 16, timebase.Hour, 3)
 	sc.PollJitterFrac = 0.9
-	tr, err := GenerateMulti(sc)
+	tr, err := Generate(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +162,7 @@ func TestColludingScenario(t *testing.T) {
 	}
 
 	// Offset 0 is the all-good control: identical draws, no lie.
-	good, err := GenerateMulti(NewColludingScenario(MachineRoom, 0, 16, 6*timebase.Hour, 11))
+	good, err := Generate(NewColludingScenario(MachineRoom, 0, 16, 6*timebase.Hour, 11))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +184,7 @@ func TestColludingScenario(t *testing.T) {
 func TestGenerateMultiGapsAndValidation(t *testing.T) {
 	sc := NewMultiScenario(MachineRoom, threeServers(), 16, 6*timebase.Hour, 9)
 	sc.Gaps = []Gap{{From: timebase.Hour, To: 2 * timebase.Hour}}
-	tr, err := GenerateMulti(sc)
+	tr, err := Generate(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,18 +194,18 @@ func TestGenerateMultiGapsAndValidation(t *testing.T) {
 		}
 	}
 
-	if _, err := GenerateMulti(MultiScenario{}); err == nil {
+	if _, err := Generate(MultiScenario{}); err == nil {
 		t.Error("empty scenario accepted")
 	}
 	bad := NewMultiScenario(MachineRoom, nil, 16, timebase.Hour, 1)
-	if _, err := GenerateMulti(bad); err == nil {
+	if _, err := Generate(bad); err == nil {
 		t.Error("scenario without servers accepted")
 	}
 }
 
 // completedFor returns the non-lost exchanges of one server, the feed a
 // single-server clock pointed at it would see.
-func completedFor(tr *MultiTrace, server int) []Exchange {
+func completedFor(tr *Trace, server int) []Exchange {
 	var out []Exchange
 	for _, e := range tr.Exchanges {
 		if !e.Lost && e.Server == server {
@@ -256,7 +255,7 @@ func TestAbandonedMultiStreamLeavesNoGoroutine(t *testing.T) {
 
 // TestRepliesPastTheNextPollAreLost: a reply the host would receive
 // once it has sent the same server its next request counts as lost,
-// in both generators. Polled faster than ServerExt's 14.2 ms minimum
+// for one server and for two. Polled faster than ServerExt's 14.2 ms minimum
 // RTT, every exchange is lost but each server's last, which no request
 // follows; polled a quarter millisecond slower than it, the queueing
 // tail loses some. Every completed exchange's Tf precedes the same
@@ -264,7 +263,7 @@ func TestAbandonedMultiStreamLeavesNoGoroutine(t *testing.T) {
 func TestRepliesPastTheNextPollAreLost(t *testing.T) {
 	minRTT := ServerExt().MinRTT()
 	for _, poll := range []float64{0.7 * minRTT, minRTT + 250*timebase.Microsecond} {
-		single, err := NewStream(NewScenario(MachineRoom, ServerExt(), poll, timebase.Minute, 5))
+		single, err := NewMultiStream(NewScenario(MachineRoom, ServerExt(), poll, timebase.Minute, 5))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -274,7 +273,8 @@ func TestRepliesPastTheNextPollAreLost(t *testing.T) {
 		}
 		var all []MultiExchange
 		for ex, ok := single.Next(); ok; ex, ok = single.Next() {
-			all = append(all, MultiExchange{Server: -1, Exchange: ex})
+			ex.Server = -1
+			all = append(all, ex)
 		}
 		for ex, ok := multi.Next(); ok; ex, ok = multi.Next() {
 			all = append(all, ex)

@@ -11,10 +11,14 @@
 //     ~100 ns jitter, already corrected by the 7.2 µs first-bit offset)
 //     and the oracle departure and arrival times ta, tf.
 //
-// The record is the one a capture file stores. The streams hand out the
+// The record is the one a capture file stores. The stream hands out the
 // rest of the ground truth — the oracle server times tb, te and the
 // corrected receive stamp — as a Truth beside the exchange Next last
-// returned; the batch generators keep only the records.
+// returned; the Generate collector keeps only the records.
+//
+// There is one scenario type, MultiScenario: one host polling one or
+// more servers. A single-server scenario (NewScenario) is a one-server
+// MultiScenario, generated by the same stream.
 //
 // The three stratum-1 servers of the paper's Table 2 (ServerLoc,
 // ServerInt, ServerExt) and the two temperature environments (laboratory,
@@ -26,7 +30,6 @@ package sim
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/netem"
 	"repro/internal/oscillator"
@@ -167,51 +170,6 @@ type Gap struct {
 	From, To float64
 }
 
-// Scenario fully describes a trace to generate.
-type Scenario struct {
-	Name       string
-	Oscillator oscillator.Config
-	Host       netem.HostStampConfig
-	Server     ServerSpec
-
-	// PollPeriod is the NTP polling period in seconds (the paper uses
-	// 16 for dense data and 64-256 as standard defaults).
-	PollPeriod float64
-	// PollJitterFrac dithers emission times by +-frac/2 of the period so
-	// the trace does not beat against periodic model components.
-	PollJitterFrac float64
-
-	// Duration of the trace in seconds.
-	Duration float64
-
-	// LossProb is the per-exchange loss probability; Gaps are wholesale
-	// outage windows.
-	LossProb float64
-	Gaps     []Gap
-
-	// DAGJitter is the reference monitor's timestamping noise (1 sigma).
-	DAGJitter float64
-
-	Seed uint64
-}
-
-// Validate reports scenario configuration errors.
-func (s Scenario) Validate() error {
-	if !(s.PollPeriod > 0) {
-		return fmt.Errorf("sim: PollPeriod must be positive")
-	}
-	if !(s.Duration > 0) {
-		return fmt.Errorf("sim: Duration must be positive")
-	}
-	if s.LossProb < 0 || s.LossProb >= 1 {
-		return fmt.Errorf("sim: LossProb %v outside [0,1)", s.LossProb)
-	}
-	if s.PollJitterFrac < 0 || s.PollJitterFrac >= 1 {
-		return fmt.Errorf("sim: PollJitterFrac %v outside [0,1)", s.PollJitterFrac)
-	}
-	return nil
-}
-
 // Environment selects the temperature environment preset.
 type Environment int
 
@@ -233,29 +191,12 @@ func (e Environment) String() string {
 	}
 }
 
-// NewScenario assembles a standard scenario in the paper's terms, e.g.
-// NewScenario(MachineRoom, ServerInt(), 16, 3*timebase.Week, seed) is the
-// "MR-Int" dataset behind Figures 8, 9 and 12.
-func NewScenario(env Environment, server ServerSpec, poll, duration float64, seed uint64) Scenario {
-	var osc oscillator.Config
-	switch env {
-	case Laboratory:
-		osc = oscillator.Laboratory()
-	default:
-		osc = oscillator.MachineRoom()
-	}
-	return Scenario{
-		Name:           fmt.Sprintf("%s-%s", env, server.Name),
-		Oscillator:     osc,
-		Host:           netem.DefaultHostStamp(),
-		Server:         server,
-		PollPeriod:     poll,
-		PollJitterFrac: 0.02,
-		Duration:       duration,
-		LossProb:       0.0015,
-		DAGJitter:      100 * timebase.Nanosecond,
-		Seed:           seed,
-	}
+// NewScenario assembles a standard single-server scenario in the
+// paper's terms, e.g. NewScenario(MachineRoom, ServerInt(), 16,
+// 3*timebase.Week, seed) is the "MR-Int" dataset behind Figures 8, 9
+// and 12: NewMultiScenario with the one server.
+func NewScenario(env Environment, server ServerSpec, poll, duration float64, seed uint64) MultiScenario {
+	return NewMultiScenario(env, []ServerSpec{server}, poll, duration, seed)
 }
 
 // Exchange is one completed (or lost) NTP request/response: the record
@@ -276,8 +217,8 @@ type Exchange struct {
 }
 
 // Truth is the rest of the generator's ground truth for one exchange,
-// which no capture stores: the streams hand it out beside the record
-// (Stream.Truth, MultiStream.Truth). A lost exchange's Truth is zero.
+// which no capture stores: the stream hands it out beside the record
+// (MultiStream.Truth). A lost exchange's Truth is zero.
 type Truth struct {
 	TrueTb, TrueTe float64 // oracle server arrival and departure times
 	// TfCorr is the "corrected Tf" of the paper's Section 2.4: the
@@ -290,11 +231,21 @@ type Truth struct {
 // RTTTrue returns the oracle round-trip time r_i = tf - ta.
 func (e Exchange) RTTTrue() float64 { return e.TrueTf - e.TrueTa }
 
+// MultiExchange is one exchange of a trace: the exchange data plus the
+// index of the server that served it.
+type MultiExchange struct {
+	Server int
+	Exchange
+}
+
 // Trace is a generated dataset plus everything needed to evaluate
-// estimators against ground truth.
+// estimators against ground truth. Exchanges are in emission order
+// across servers (the order a single host would perform them), so
+// feeding them to an ensemble in slice order satisfies the per-server
+// arrival-order requirement.
 type Trace struct {
-	Scenario  Scenario
-	Exchanges []Exchange
+	Scenario  MultiScenario
+	Exchanges []MultiExchange
 
 	// Osc is the oscillator realization that produced the host stamps;
 	// experiments use it for oracle rate references.
@@ -302,15 +253,15 @@ type Trace struct {
 }
 
 // Generate produces the deterministic trace described by the scenario,
-// materialized in memory: a collector over the pull-based Stream, which
-// emits the identical exchange sequence one record at a time for
+// materialized in memory: a collector over the pull-based MultiStream,
+// which emits the identical exchange sequence one record at a time for
 // workloads too long to hold resident.
-func Generate(sc Scenario) (*Trace, error) {
-	st, err := NewStream(sc)
+func Generate(sc MultiScenario) (*Trace, error) {
+	st, err := NewMultiStream(sc)
 	if err != nil {
 		return nil, err
 	}
-	exchanges := make([]Exchange, 0, st.Len())
+	exchanges := make([]MultiExchange, 0, st.Len())
 	for {
 		ex, ok := st.Next()
 		if !ok {
@@ -347,9 +298,7 @@ func (d *draw) drawShared(host *netem.HostStamp, dagSrc *rng.Source, dagJitter f
 // through one server's path and server models, reading the counter
 // from osc. It touches nothing but those models and osc, so each
 // server's exchanges can be stamped by whichever worker owns the
-// server. Both generators run this exact sequence, so single-server
-// and multi-server traces always model stamping identically — the
-// ensemble experiments compare clocks across the two.
+// server.
 //
 // A reply the host would receive at or after d.deadline is lost: the
 // client has sent that server its next request and no longer waits
@@ -395,25 +344,13 @@ func stamp(ex *Exchange, d *draw, osc *oscillator.Oscillator, fwd, back *netem.P
 	return tr
 }
 
-// Completed returns the non-lost exchanges.
-func (tr *Trace) Completed() []Exchange {
-	out := make([]Exchange, 0, len(tr.Exchanges))
+// Completed returns the non-lost exchanges, in emission order.
+func (tr *Trace) Completed() []MultiExchange {
+	out := make([]MultiExchange, 0, len(tr.Exchanges))
 	for _, e := range tr.Exchanges {
 		if !e.Lost {
 			out = append(out, e)
 		}
 	}
 	return out
-}
-
-// MinObservedRTT returns the smallest oracle RTT among completed
-// exchanges, used to validate Table 2 style characterizations.
-func (tr *Trace) MinObservedRTT() float64 {
-	m := math.Inf(1)
-	for _, e := range tr.Exchanges {
-		if !e.Lost && e.RTTTrue() < m {
-			m = e.RTTTrue()
-		}
-	}
-	return m
 }

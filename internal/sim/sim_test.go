@@ -11,17 +11,17 @@ import (
 	"repro/internal/timebase"
 )
 
-func shortScenario(seed uint64) Scenario {
+func shortScenario(seed uint64) MultiScenario {
 	sc := NewScenario(MachineRoom, ServerInt(), 16, 6*timebase.Hour, seed)
 	return sc
 }
 
-// streamCompleted streams sc and returns its completed exchanges and
-// their Truths, index for index, and the stream, whose Osc keeps its
-// whole history.
-func streamCompleted(t *testing.T, sc Scenario) ([]Exchange, []Truth, *Stream) {
+// streamCompleted streams a one-server sc and returns its completed
+// exchanges and their Truths, index for index, and the stream, whose
+// Osc keeps its whole history.
+func streamCompleted(t *testing.T, sc MultiScenario) ([]Exchange, []Truth, *MultiStream) {
 	t.Helper()
-	st, err := NewStream(sc)
+	st, err := NewMultiStream(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +29,7 @@ func streamCompleted(t *testing.T, sc Scenario) ([]Exchange, []Truth, *Stream) {
 	var truths []Truth
 	for e, ok := st.Next(); ok; e, ok = st.Next() {
 		if !e.Lost {
-			exs = append(exs, e)
+			exs = append(exs, e.Exchange)
 			truths = append(truths, st.Truth())
 		}
 	}
@@ -45,9 +45,8 @@ func eventsOrdered(e Exchange, tr Truth) bool {
 // TestRecordLayout: an exchange is the 64-byte capture record, a
 // multi-server exchange adds only the server index, and the ground
 // truth beside the record is zero wherever no exchange completed —
-// before the first Next, for a lost exchange and after the last — in
-// the single-server stream and in both schedules of the multi-server
-// one.
+// before the first Next, for a lost exchange and after the last — for
+// one server and for three, in both schedules.
 func TestRecordLayout(t *testing.T) {
 	if n := unsafe.Sizeof(Exchange{}); n != 64 {
 		t.Errorf("Exchange is %d bytes, want 64", n)
@@ -82,26 +81,21 @@ func TestRecordLayout(t *testing.T) {
 		}
 	}
 
-	sc := shortScenario(12)
-	sc.LossProb = 0.05
-	single, err := NewStream(sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	check("Stream", single.Next, single.Truth)
-
-	msc := NewMultiScenario(MachineRoom, threeServers(), 16, 6*timebase.Hour, 12)
-	msc.LossProb = 0.05
-	for _, cpus := range []int{1, 2} {
-		multi, err := newMultiStream(msc, cpus)
-		if err != nil {
-			t.Fatal(err)
+	single := shortScenario(12)
+	multi := NewMultiScenario(MachineRoom, threeServers(), 16, 6*timebase.Hour, 12)
+	for _, sc := range []MultiScenario{single, multi} {
+		sc.LossProb = 0.05
+		for _, cpus := range []int{1, 2} {
+			st, err := newMultiStream(sc, cpus)
+			if err != nil {
+				t.Fatal(err)
+			}
+			next := func() (Exchange, bool) {
+				e, ok := st.Next()
+				return e.Exchange, ok
+			}
+			check(fmt.Sprintf("%d servers cpus=%d", len(sc.Servers), cpus), next, st.Truth)
 		}
-		next := func() (Exchange, bool) {
-			e, ok := multi.Next()
-			return e.Exchange, ok
-		}
-		check(fmt.Sprintf("MultiStream cpus=%d", cpus), next, multi.Truth)
 	}
 }
 
@@ -185,13 +179,14 @@ func TestRTTAboveMinimum(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	min := tr.Scenario.Server.MinRTT()
+	min, got := tr.Scenario.Servers[0].MinRTT(), math.Inf(1)
 	for _, e := range tr.Completed() {
 		if e.RTTTrue() < min {
 			t.Fatalf("oracle RTT %v below configured minimum %v", e.RTTTrue(), min)
 		}
+		got = math.Min(got, e.RTTTrue())
 	}
-	if got := tr.MinObservedRTT(); got > min+40*timebase.Microsecond {
+	if got > min+40*timebase.Microsecond {
 		t.Errorf("observed min RTT %v far above configured %v over 6 h", got, min)
 	}
 }
@@ -253,7 +248,7 @@ func TestLossAndGaps(t *testing.T) {
 
 func TestServerFaultVisibleInStamps(t *testing.T) {
 	sc := shortScenario(7)
-	sc.Server.Server.Faults = []netem.FaultWindow{{From: 1000, To: 1300, Offset: 150 * timebase.Millisecond}}
+	sc.Servers[0].Server.Faults = []netem.FaultWindow{{From: 1000, To: 1300, Offset: 150 * timebase.Millisecond}}
 	exs, truths, _ := streamCompleted(t, sc)
 	seenFault := false
 	for i, e := range exs {
@@ -279,8 +274,8 @@ func TestNaiveOffsetBiasNegative(t *testing.T) {
 	exs, truths, _ := streamCompleted(t, sc)
 	var diffs []float64
 	for i, e := range exs {
-		qf := (truths[i].TrueTb - e.TrueTa) - sc.Server.Forward.MinDelay
-		qb := (e.TrueTf - truths[i].TrueTe) - sc.Server.Backward.MinDelay
+		qf := (truths[i].TrueTb - e.TrueTa) - sc.Servers[0].Forward.MinDelay
+		qb := (e.TrueTf - truths[i].TrueTe) - sc.Servers[0].Backward.MinDelay
 		diffs = append(diffs, (qb-qf)/2)
 	}
 	// The episode component is heavy-tailed (infinite variance), so test

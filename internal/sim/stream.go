@@ -1,16 +1,16 @@
 package sim
 
 // Pull-based trace generation: the streaming half of the evaluation
-// pipeline. Generate/GenerateMulti materialize a whole trace in RAM,
-// which caps experiments at what fits in memory; Stream and MultiStream
-// produce the *bit-identical* exchange sequence one record at a time,
-// so multi-week scenarios run in constant memory — the only state is
-// the substrate models themselves, and the oscillator's random-walk
-// cache is trimmed behind the emission front once trimming is enabled
-// (SetTrim). The batch generators are thin collectors over the streams'
-// records; digest_test.go pins the stream and the trimmed stream, with
-// each exchange's Truth, to committed sha256 digests of the emitted
-// bits, and holds the collectors' records equal to the stream's.
+// pipeline. MultiStream produces a scenario's exchanges one record at a
+// time, so multi-week scenarios run in constant memory — the only state
+// is the substrate models themselves, and the oscillators' random-walk
+// caches are trimmed behind the emission front once trimming is
+// enabled (SetTrim). A single-server scenario is a one-server
+// MultiScenario and runs through the same stream. Generate is a thin
+// collector over the stream's records; digest_test.go pins the stream
+// and the trimmed stream, with each exchange's Truth, to committed
+// sha256 digests of the emitted bits at every worker count, and holds
+// the collector's records equal to the stream's.
 //
 // Every exchange is generated in two stages (sim.go). Stage 1 draws
 // what every server shares, in emission order: the schedule, loss and
@@ -40,143 +40,6 @@ const trimMargin = 600
 // trimEvery is the emission interval between cache trims.
 const trimEvery = 256
 
-// Stream generates the exchanges of a single-server scenario one at a
-// time. For a given scenario it yields exactly the sequence
-// Generate(sc).Exchanges, bit for bit, without ever holding more than
-// one exchange; Generate itself is implemented as a collector over it.
-// Next runs both stages inline, through the same two functions
-// MultiStream's workers run, with Osc's oscillator. A Stream is
-// single-use and not safe for concurrent use.
-type Stream struct {
-	sc        Scenario
-	osc       *oscillator.Oscillator
-	host      *netem.HostStamp
-	fwd, back *netem.Path
-	srv       *netem.Server
-	missSrc   *rng.Source
-	dagSrc    *rng.Source
-	pollSrc   *rng.Source
-
-	n, i  int
-	nextT float64 // exchange i's emission instant
-	trim  bool
-	truth Truth // the last exchange's
-}
-
-// NewStream validates the scenario and builds the substrate models,
-// consuming the seed exactly as Generate does.
-func NewStream(sc Scenario) (*Stream, error) {
-	if err := sc.Validate(); err != nil {
-		return nil, err
-	}
-	root := rng.New(sc.Seed)
-	oscSrc := root.Split()
-	fwdSrc := root.Split()
-	backSrc := root.Split()
-	srvSrc := root.Split()
-	hostSrc := root.Split()
-	missSrc := root.Split()
-	dagSrc := root.Split()
-	pollSrc := root.Split()
-
-	osc, err := oscillator.New(sc.Oscillator, oscSrc.Uint64())
-	if err != nil {
-		return nil, err
-	}
-	fwd, err := netem.NewPath(sc.Server.Forward, fwdSrc)
-	if err != nil {
-		return nil, fmt.Errorf("sim: forward path: %w", err)
-	}
-	back, err := netem.NewPath(sc.Server.Backward, backSrc)
-	if err != nil {
-		return nil, fmt.Errorf("sim: backward path: %w", err)
-	}
-	srv, err := netem.NewServer(sc.Server.Server, srvSrc)
-	if err != nil {
-		return nil, err
-	}
-	host, err := netem.NewHostStamp(sc.Host, hostSrc)
-	if err != nil {
-		return nil, err
-	}
-	st := &Stream{
-		sc: sc, osc: osc, host: host, fwd: fwd, back: back, srv: srv,
-		missSrc: missSrc, dagSrc: dagSrc, pollSrc: pollSrc,
-		n: int(sc.Duration / sc.PollPeriod),
-	}
-	st.nextT = st.slot(0)
-	return st, nil
-}
-
-// slot draws exchange i's emission instant; +Inf past the last one.
-func (st *Stream) slot(i int) float64 {
-	if i >= st.n {
-		return math.Inf(1)
-	}
-	sc := &st.sc
-	jitter := (st.pollSrc.Float64() - 0.5) * sc.PollJitterFrac * sc.PollPeriod
-	return float64(i)*sc.PollPeriod + sc.PollPeriod/2 + jitter
-}
-
-// Len returns the total number of exchanges the stream will emit
-// (completed and lost).
-func (st *Stream) Len() int { return st.n }
-
-// Osc returns the oscillator realization driving the host stamps, for
-// oracle rate references. After SetTrim(true) it only answers queries
-// near or after the emission front.
-func (st *Stream) Osc() *oscillator.Oscillator { return st.osc }
-
-// SetTrim enables trimming the oscillator's random-walk cache behind
-// the emission front: the one internal state that otherwise grows with
-// trace duration. Trimming never changes emitted values; it only
-// forbids oscillator queries far in the past, so leave it off when the
-// caller needs the full Osc() history afterwards (Generate does).
-func (st *Stream) SetTrim(on bool) { st.trim = on }
-
-// Truth returns the ground truth of the exchange Next last returned:
-// zero for a lost one, before the first Next and after the last.
-func (st *Stream) Truth() Truth { return st.truth }
-
-// Next emits the next exchange; ok is false when the stream is done.
-func (st *Stream) Next() (ex Exchange, ok bool) {
-	st.truth = Truth{}
-	if st.i >= st.n {
-		return Exchange{}, false
-	}
-	i := st.i
-	st.i++
-
-	sc := &st.sc
-	tStamp := st.nextT
-	st.nextT = st.slot(st.i)
-
-	ex = Exchange{Seq: uint32(i)}
-
-	// Loss and outage gaps: the exchange never completes. Note the
-	// path/server models are still *not* advanced: a lost packet
-	// consumes no queueing draws, matching the paper's treatment of
-	// loss as absence of data.
-	lost := st.missSrc.Bool(sc.LossProb)
-	for _, g := range sc.Gaps {
-		if tStamp >= g.From && tStamp < g.To {
-			lost = true
-		}
-	}
-	if lost {
-		ex.Lost = true
-		return ex, true
-	}
-
-	d := draw{t: tStamp, deadline: st.nextT}
-	d.drawShared(st.host, st.dagSrc, sc.DAGJitter)
-	st.truth = stamp(&ex, &d, st.osc, st.fwd, st.back, st.srv)
-	if st.trim && i%trimEvery == 0 {
-		st.osc.TrimBefore(tStamp - trimMargin)
-	}
-	return ex, true
-}
-
 // chunkLen is how many exchanges a pipelined MultiStream generates at
 // a time, and chunksAhead how many chunks it fills ahead of the one the
 // caller drains.
@@ -185,14 +48,11 @@ const (
 	chunksAhead = 3
 )
 
-// MultiStream generates the exchanges of a multi-server scenario in
-// emission order, one at a time: the lazy k-way merge of the per-server
-// schedules. For a given scenario it yields exactly the sequence
-// GenerateMulti(sc).Exchanges, bit for bit: each server's poll jitters
-// are read from a fast-forwarded clone of the shared jitter stream (the
-// batch generator draws them server-major before sorting), and every
-// other model draw happens in merged emission order, exactly as the
-// batch generator's sorted loop performs them.
+// MultiStream generates the exchanges of a scenario in emission order,
+// one at a time: the lazy k-way merge of the per-server schedules. Each
+// server's poll jitters are read from a fast-forwarded clone of the
+// shared jitter stream, server k's from position k·Len()/N on, and
+// every other model draw happens in merged emission order.
 //
 // With one usable CPU (the calling thread's affinity on Linux,
 // GOMAXPROCS elsewhere) Next runs both stages inline, one exchange at a
@@ -201,7 +61,8 @@ const (
 // the current one: for each chunk stage 1 first, then stage 2 split
 // over one worker per usable CPU (at most one per server). Worker w
 // owns the servers k ≡ w modulo the worker count and an oscillator
-// realization of its own, and trims it under SetTrim. Each goroutine
+// realization of its own, and trims it under SetTrim on the inline
+// schedule: after every trimEvery-th emission. Each goroutine
 // exits when its stage of its chunk is done, so an abandoned stream
 // leaves none behind and needs no Close. The emitted bits do not
 // depend on the number of workers. A MultiStream is single-use and not
@@ -211,10 +72,10 @@ type MultiStream struct {
 	osc *oscillator.Oscillator // Osc's realization
 
 	// Stage 1, touched by one goroutine at a time: the shared host and
-	// DAG sources, each server's loss stream, and the per-server lazy
+	// DAG sources, each server's loss stream, the per-server lazy
 	// schedules — jit[k] yields server k's jitters in sequence order,
 	// nextT/nextSeq the server's pending emission (nextSeq == perServer
-	// means exhausted).
+	// means exhausted) — and the count of exchanges drawn.
 	host      *netem.HostStamp
 	dag       *rng.Source
 	miss      []*rng.Source
@@ -222,9 +83,10 @@ type MultiStream struct {
 	nextT     []float64
 	nextSeq   []int
 	perServer int
+	drawn     int
 
-	// Stage 2: each server's models and, pipelined, one oscillator per
-	// worker.
+	// Stage 2: each server's models and the oscillators that stamp —
+	// inline Osc's alone, pipelined one per worker.
 	fwd  []*netem.Path
 	back []*netem.Path
 	srv  []*netem.Server
@@ -243,10 +105,12 @@ type MultiStream struct {
 }
 
 // chunk is a run of consecutive exchanges, their stage-1 draws and
-// their Truths. Stage 1 fills ex and d and zeroes truth; each worker
-// writes the truth of the exchanges it stamps. Its fill closes drawn
-// when stage 1 is done, and stamped[w] when worker w's stage 2 is.
+// their Truths; first is the emission index of ex[0]. Stage 1 fills ex
+// and d and zeroes truth; each worker writes the truth of the exchanges
+// it stamps. Its fill closes drawn when stage 1 is done, and stamped[w]
+// when worker w's stage 2 is.
 type chunk struct {
+	first int
 	ex    []MultiExchange
 	d     []draw
 	truth []Truth
@@ -256,9 +120,43 @@ type chunk struct {
 }
 
 // NewMultiStream validates the scenario and builds the substrate
-// models, consuming the seed exactly as GenerateMulti does.
+// models.
 func NewMultiStream(sc MultiScenario) (*MultiStream, error) {
 	return newMultiStream(sc, usableCPUs())
+}
+
+// sources are the random streams a scenario's seed splits into: the
+// shared ones, and per server the two paths', the server's and the
+// loss stream.
+type sources struct {
+	osc, host, dag, poll *rng.Source
+	fwd, back, srv, miss []*rng.Source
+}
+
+// splitSeed splits seed for n servers. Two or more take osc, host, dag
+// and poll, then fwd, back, srv and miss server by server. One server
+// takes osc, fwd, back, srv, host, miss, dag, poll — the order
+// single-server traces have always been drawn in, so they keep their
+// bits.
+func splitSeed(seed uint64, n int) sources {
+	root := rng.New(seed)
+	s := sources{
+		fwd: make([]*rng.Source, n), back: make([]*rng.Source, n),
+		srv: make([]*rng.Source, n), miss: make([]*rng.Source, n),
+	}
+	if n == 1 {
+		s.osc = root.Split()
+		s.fwd[0], s.back[0], s.srv[0] = root.Split(), root.Split(), root.Split()
+		s.host = root.Split()
+		s.miss[0] = root.Split()
+		s.dag, s.poll = root.Split(), root.Split()
+		return s
+	}
+	s.osc, s.host, s.dag, s.poll = root.Split(), root.Split(), root.Split(), root.Split()
+	for k := range n {
+		s.fwd[k], s.back[k], s.srv[k], s.miss[k] = root.Split(), root.Split(), root.Split(), root.Split()
+	}
+	return s
 }
 
 // newMultiStream builds a stream that uses cpus CPUs.
@@ -266,53 +164,46 @@ func newMultiStream(sc MultiScenario, cpus int) (*MultiStream, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
-	root := rng.New(sc.Seed)
-	oscSrc := root.Split()
-	hostSrc := root.Split()
-	dagSrc := root.Split()
-	pollSrc := root.Split()
-
-	oscSeed := oscSrc.Uint64()
+	nSrv := len(sc.Servers)
+	src := splitSeed(sc.Seed, nSrv)
+	oscSeed := src.osc.Uint64()
 	osc, err := oscillator.New(sc.Oscillator, oscSeed)
 	if err != nil {
 		return nil, err
 	}
-	host, err := netem.NewHostStamp(sc.Host, hostSrc)
+	host, err := netem.NewHostStamp(sc.Host, src.host)
 	if err != nil {
 		return nil, err
 	}
 
-	nSrv := len(sc.Servers)
 	st := &MultiStream{
-		sc: sc, osc: osc, host: host, dag: dagSrc,
+		sc: sc, osc: osc, host: host, dag: src.dag, miss: src.miss,
 		fwd:  make([]*netem.Path, nSrv),
 		back: make([]*netem.Path, nSrv),
 		srv:  make([]*netem.Server, nSrv),
-		miss: make([]*rng.Source, nSrv),
 		jit:  make([]*rng.Source, nSrv),
+		oscs: []*oscillator.Oscillator{osc},
 
 		nextT:     make([]float64, nSrv),
 		nextSeq:   make([]int, nSrv),
 		perServer: int(sc.Duration / sc.PollPeriod),
 	}
 	for k, spec := range sc.Servers {
-		if st.fwd[k], err = netem.NewPath(spec.Forward, root.Split()); err != nil {
+		if st.fwd[k], err = netem.NewPath(spec.Forward, src.fwd[k]); err != nil {
 			return nil, fmt.Errorf("sim: server %d forward path: %w", k, err)
 		}
-		if st.back[k], err = netem.NewPath(spec.Backward, root.Split()); err != nil {
+		if st.back[k], err = netem.NewPath(spec.Backward, src.back[k]); err != nil {
 			return nil, fmt.Errorf("sim: server %d backward path: %w", k, err)
 		}
-		if st.srv[k], err = netem.NewServer(spec.Server, root.Split()); err != nil {
+		if st.srv[k], err = netem.NewServer(spec.Server, src.srv[k]); err != nil {
 			return nil, fmt.Errorf("sim: server %d: %w", k, err)
 		}
-		st.miss[k] = root.Split()
 	}
-	// The batch generator draws all jitters from one stream in
-	// server-major order; server k's draws are positions
-	// [k·perServer, (k+1)·perServer). A fast-forwarded clone per server
-	// reads the identical subsequence lazily, in constant memory.
+	// Server k's jitters are positions [k·perServer, (k+1)·perServer)
+	// of the one poll stream; a fast-forwarded clone per server reads
+	// them lazily, in constant memory.
 	for k := 0; k < nSrv; k++ {
-		st.jit[k] = pollSrc.Clone()
+		st.jit[k] = src.poll.Clone()
 		st.jit[k].SkipFloat64(k * st.perServer)
 		st.nextSeq[k] = -1
 		st.advanceServer(k)
@@ -363,15 +254,31 @@ func (st *MultiStream) advanceServer(k int) {
 // Len returns the total number of exchanges the stream will emit.
 func (st *MultiStream) Len() int { return st.perServer * len(st.sc.Servers) }
 
-// Osc returns the shared oscillator realization. Pipelined, it is the
-// caller's own: the workers stamp with realizations of the same seed,
-// so every query answers what the stamps read.
+// Osc returns the oscillator realization driving the host stamps, for
+// oracle rate references. Pipelined, it is the caller's own: the
+// workers stamp with realizations of the same seed, so every query
+// answers what the stamps read. After SetTrim(true) it only answers
+// queries near or after the emission front.
 func (st *MultiStream) Osc() *oscillator.Oscillator { return st.osc }
 
-// SetTrim enables oscillator cache trimming behind the emission front,
-// Osc's and the workers'; see Stream.SetTrim. Call it before the first
-// Next.
+// SetTrim enables trimming the oscillators' random-walk caches behind
+// the emission front, Osc's and the workers': the one internal state
+// that otherwise grows with trace duration. Trimming never changes
+// emitted values; it only forbids oscillator queries far in the past,
+// so leave it off when the caller needs the full Osc() history
+// afterwards (Generate does). Call it before the first Next.
 func (st *MultiStream) SetTrim(on bool) { st.trim = on }
+
+// StampCacheLen returns the largest random-walk cache among the
+// oscillators that stamp the exchanges: Osc's inline, the workers'
+// pipelined. Call it once Next has reported the end of the stream.
+func (st *MultiStream) StampCacheLen() int {
+	n := 0
+	for _, osc := range st.oscs {
+		n = max(n, osc.RandomWalkCacheLen())
+	}
+	return n
+}
 
 // Truth returns the ground truth of the exchange Next last returned:
 // zero for a lost one, before the first Next and after the last.
@@ -488,6 +395,7 @@ func (st *MultiStream) start(c, prev *chunk) {
 	c.drawn = drawn
 	go func(after chan struct{}) {
 		<-after
+		c.first = st.drawn
 		c.ex, c.d, c.truth = c.ex[:0], c.d[:0], c.truth[:0]
 		var ex MultiExchange
 		var d draw
@@ -496,6 +404,7 @@ func (st *MultiStream) start(c, prev *chunk) {
 			c.d = append(c.d, d)
 			c.truth = append(c.truth, Truth{})
 		}
+		st.drawn += len(c.ex)
 		close(drawn)
 	}(prev.drawn)
 	for w := range c.stamped {
@@ -512,8 +421,9 @@ func (st *MultiStream) start(c, prev *chunk) {
 
 // stampWorker is stage 2 for worker w: it stamps, in emission order,
 // every live exchange of c whose server it owns, with its own
-// oscillator, records each one's Truth, and then trims the oscillator
-// behind the chunk's last emission.
+// oscillator, and records each one's Truth. It trims the oscillator
+// where the inline stream trims its own, so at one worker the two
+// caches hold the same steps.
 func (st *MultiStream) stampWorker(w int, c *chunk, trim bool) {
 	osc, n := st.oscs[w], len(st.oscs)
 	for i := range c.ex {
@@ -522,8 +432,8 @@ func (st *MultiStream) stampWorker(w int, c *chunk, trim bool) {
 		if k := ex.Server; k%n == w && !ex.Lost {
 			c.truth[i] = stamp(&ex.Exchange, &c.d[i], osc, st.fwd[k], st.back[k], st.srv[k])
 		}
-	}
-	if trim && len(c.d) > 0 {
-		osc.TrimBefore(c.d[len(c.d)-1].t - trimMargin)
+		if trim && (c.first+i+1)%trimEvery == 0 {
+			osc.TrimBefore(c.d[i].t - trimMargin)
+		}
 	}
 }

@@ -10,7 +10,7 @@ import (
 	"repro/internal/timebase"
 )
 
-func run(t testing.TB, tr *sim.Trace) (*Clock, []Update, []sim.Exchange) {
+func run(t testing.TB, tr *sim.Trace) (*Clock, []Update, []sim.MultiExchange) {
 	t.Helper()
 	cfg := DefaultConfig(1.0/548655270, tr.Scenario.PollPeriod)
 	c, err := New(cfg)
@@ -88,7 +88,7 @@ func TestStepsOnLargeServerFault(t *testing.T) {
 	// SW-NTP clock must step (reset) — the paper's headline criticism —
 	// in contrast to the core engine's sanity check containment.
 	sc := sim.NewScenario(sim.MachineRoom, sim.ServerInt(), 16, 6*timebase.Hour, 63)
-	sc.Server.Server.Faults = []netem.FaultWindow{
+	sc.Servers[0].Server.Faults = []netem.FaultWindow{
 		{From: 3 * timebase.Hour, To: 3*timebase.Hour + 10*timebase.Minute, Offset: 150 * timebase.Millisecond},
 	}
 	tr, err := sim.Generate(sc)

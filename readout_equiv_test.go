@@ -64,7 +64,7 @@ func TestEnsembleReadoutEquivalenceSim(t *testing.T) {
 	}
 	for name, sc := range scenarios {
 		t.Run(name, func(t *testing.T) {
-			tr, err := sim.GenerateMulti(sc)
+			tr, err := sim.Generate(sc)
 			if err != nil {
 				t.Fatal(err)
 			}
