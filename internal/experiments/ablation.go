@@ -83,20 +83,18 @@ func runAblation(r *Report, opts Options) error {
 	tab := r.table("variants", "variant", "median_us", "p99_us")
 	med, p99 := make([]float64, len(variants)), make([]float64, len(variants))
 	for i, v := range variants {
-		var absErrs []float64
+		errs := stats.NewErrFold()
 		if _, err := streamRun(v.scenario, v.cfg(), func(e sim.Exchange, res core.Result) {
 			if e.TrueTf > timebase.Hour {
 				target := -asymAt(v.scenario, e.TrueTf) / 2
-				absErrs = append(absErrs, math.Abs(offsetErrOf(res, e)-target))
+				errs.Add(offsetErrOf(res, e) - target)
 			}
 		}); err != nil {
 			return fmt.Errorf("ablation %q: %w", v.name, err)
 		}
-		sorted := stats.NewSorted(absErrs) // one sort for both quantiles
-		med[i], p99[i] = sorted.Median(), sorted.Percentile(99)
+		s := r.errFigures(v.name, errs)
+		med[i], p99[i] = s.AbsP50, s.AbsP99
 		tab.Append(float64(i), med[i]/1e-6, p99[i]/1e-6)
-		r.figure(v.name+" median", med[i], Seconds)
-		r.figure(v.name+" p99", p99[i], Seconds)
 	}
 
 	r.below("weighted window improves tails: p99 full/window=1", p99[full]/p99[noWeighting], 1, Ratio)

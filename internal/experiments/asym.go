@@ -40,7 +40,7 @@ func runAsym(r *Report, opts Options) error {
 	symm := sim.NewAsymmetricScenario(sim.MachineRoom, []float64{0, 0, 0}, 16, dur, opts.seed())
 
 	var uncorrErrs []float64
-	uncorrMed, _, err := ensembleRun(biased, ensemble.Config{}, tailFrom, func(s ensembleStep) {
+	uncorrTail, _, err := ensembleRun(biased, ensemble.Config{}, tailFrom, func(s ensembleStep) {
 		uncorrErrs = append(uncorrErrs, s.Err)
 	})
 	if err != nil {
@@ -49,18 +49,18 @@ func runAsym(r *Report, opts Options) error {
 	// Series artifact: corrected vs uncorrected on the identical biased
 	// trace, exchange-aligned.
 	tab := r.table("series", "t_day", "corr_err_us", "uncorr_err_us")
-	corrMed, corr, err := ensembleRun(biased, ensemble.Config{AsymCorrection: true}, tailFrom, func(s ensembleStep) {
+	corrTail, corr, err := ensembleRun(biased, ensemble.Config{AsymCorrection: true}, tailFrom, func(s ensembleStep) {
 		tab.Append(s.TrueTf/timebase.Day,
 			s.Err/timebase.Microsecond, uncorrErrs[tab.Len()]/timebase.Microsecond)
 	})
 	if err != nil {
 		return err
 	}
-	symmCorrMed, symmCorr, err := ensembleRun(symm, ensemble.Config{AsymCorrection: true}, tailFrom, nil)
+	symmCorrTail, symmCorr, err := ensembleRun(symm, ensemble.Config{AsymCorrection: true}, tailFrom, nil)
 	if err != nil {
 		return err
 	}
-	symmUncorrMed, _, err := ensembleRun(symm, ensemble.Config{}, tailFrom, nil)
+	symmUncorrTail, _, err := ensembleRun(symm, ensemble.Config{}, tailFrom, nil)
 	if err != nil {
 		return err
 	}
@@ -76,10 +76,10 @@ func runAsym(r *Report, opts Options) error {
 	}
 	r.figure("servers 0,1 extra forward delay", asymExtra, Seconds)
 	r.figure("servers 0,1 one-way bias", asymExtra/2, Seconds)
-	r.figure("tail median |err| corrected", corrMed, Seconds)
-	r.figure("tail median |err| uncorrected", uncorrMed, Seconds)
-	r.figure("symmetric control tail median |err| corrected", symmCorrMed, Seconds)
-	r.figure("symmetric control tail median |err| uncorrected", symmUncorrMed, Seconds)
+	corrMed := r.errFigures("corrected tail", corrTail).AbsP50
+	uncorrMed := r.errFigures("uncorrected tail", uncorrTail).AbsP50
+	symmCorrMed := r.errFigures("symmetric control corrected tail", symmCorrTail).AbsP50
+	symmUncorrMed := r.errFigures("symmetric control uncorrected tail", symmUncorrTail).AbsP50
 	unselected := 0
 	for k, st := range states {
 		selected := 1.0

@@ -79,8 +79,8 @@ func runChaos(r *Report, opts Options) error {
 		degradedWrong   int
 		syncedBetween   int // SYNCED grid points between partition and outage
 
-		preFault = stats.NewMedianAbs()
-		tailErrs = stats.NewMedianAbs()
+		preFault = stats.NewErrFold()
+		tailErrs = stats.NewErrFold()
 
 		outRecoverAt = math.Inf(1)
 	)
@@ -151,7 +151,6 @@ func runChaos(r *Report, opts Options) error {
 		return err
 	}
 
-	preMed, tailMed := preFault.Value(), tailErrs.Value()
 	recoverTime := outRecoverAt - outTo
 
 	r.figure("partition of servers 1,2 from", partFrom, Seconds)
@@ -162,8 +161,8 @@ func runChaos(r *Report, opts Options) error {
 	r.figure("server 1 dead to", deathAt+deathFor, Seconds)
 	r.figure("server 1 step after return", stepAfter, Seconds)
 	r.figure("holdover grid points", float64(holdoverPts), Count)
-	r.figure("median |err| pre-fault", preMed, Seconds)
-	r.figure("median |err| post-falseticker tail", tailMed, Seconds)
+	preMed := r.errFigures("pre-fault", preFault).AbsP50
+	tailMed := r.errFigures("post-falseticker tail", tailErrs).AbsP50
 
 	r.equals("total outage lands in HOLDOVER: grid points in the outage window",
 		float64(holdoverPts-holdoverBreaks)/float64(holdoverPts), 1, Share)

@@ -41,11 +41,11 @@ func runEnsemble(r *Report, opts Options) error {
 	// faulty clock's sanity lock-out window, so "diverged" means
 	// diverged for good, not merely briefly.
 	tailFrom := 0.75 * dur
-	goodTail, faultyTail := stats.NewMedianAbs(), stats.NewMedianAbs()
+	goodTail, faultyTail := stats.NewErrFold(), stats.NewErrFold()
 	minFaultyWeight := math.Inf(1)
 	var lastTf uint64
 	tab := r.table("series", "t_day", "ens_err_us", "faulty_weight")
-	ensMed, final, err := ensembleRun(sc, ensemble.Config{}, tailFrom, func(s ensembleStep) {
+	ensTail, final, err := ensembleRun(sc, ensemble.Config{}, tailFrom, func(s ensembleStep) {
 		w := s.Readout.Servers[faulty].Weight
 		if s.TrueTf > faultAt && w < minFaultyWeight {
 			minFaultyWeight = w
@@ -64,15 +64,14 @@ func runEnsemble(r *Report, opts Options) error {
 	if err != nil {
 		return err
 	}
-	goodMed, faultyMed := goodTail.Value(), faultyTail.Value()
 	agreement := final.Agreement(lastTf)
 
 	r.figure("faulty server", faulty, Count)
 	r.figure("fault offset", faultOff, Seconds)
 	r.figure("fault onset", faultAt, Seconds)
-	r.figure("tail median |err| good single clock", goodMed, Seconds)
-	r.figure("tail median |err| faulty single clock", faultyMed, Seconds)
-	r.figure("tail median |err| ensemble", ensMed, Seconds)
+	goodMed := r.errFigures("good single clock tail", goodTail).AbsP50
+	faultyMed := r.errFigures("faulty single clock tail", faultyTail).AbsP50
+	ensMed := r.errFigures("ensemble tail", ensTail).AbsP50
 
 	r.atLeast("single clock on the faulty server diverges: tail median faulty/good", faultyMed/goodMed, 10, Ratio)
 	r.atMost("ensemble outvotes the faulty server: tail median ensemble/good", ensMed/goodMed, 2, Ratio)

@@ -10,8 +10,12 @@
 // check is a figure plus its bound and relation (Check), and one
 // formatter prints both. Every error against ground truth comes from one
 // scorer per clock kind (offsetErrOf for an engine, clockErr for an
-// ensemble), and every run goes through one harness per clock kind
-// (streamRun, ensembleRun): generate → estimator → per-exchange callback.
+// ensemble), every run goes through one harness per clock kind
+// (streamRun, ensembleRun): generate → estimator → per-exchange callback,
+// and every error series a report summarizes is folded by one
+// stats.ErrFold and registered by Report.errFigures as the same eight
+// figures, "<scope> err p01|p25|p50|p75|p99" and "<scope> |err|
+// p50|p99|max".
 //
 // Run owns each report's whole life: it builds the Report, hands it to
 // the experiment, closes every series the experiment opened (also when
@@ -323,19 +327,19 @@ type ensembleStep struct {
 // ensembleRun is the ensemble harness: it generates sc as a stream and
 // feeds every completed exchange through a fresh ensemble — cfg with one
 // default engine per server at the scenario's polling period — invoking
-// fn (when non-nil) per exchange. It returns the median |Err| over the
+// fn (when non-nil) per exchange. It returns the fold of Err over the
 // exchanges after tailFrom, the settled tail every ensemble experiment
 // scores, and the final readout.
-func ensembleRun(sc sim.MultiScenario, cfg ensemble.Config, tailFrom float64, fn func(ensembleStep)) (float64, *ensemble.Readout, error) {
+func ensembleRun(sc sim.MultiScenario, cfg ensemble.Config, tailFrom float64, fn func(ensembleStep)) (*stats.ErrFold, *ensemble.Readout, error) {
 	st, err := sim.NewMultiStream(sc)
 	if err != nil {
-		return 0, nil, err
+		return nil, nil, err
 	}
 	cfg.Engines = make([]core.Config, len(sc.Servers))
 	for i := range cfg.Engines {
 		cfg.Engines[i] = defaultCfg(sc.PollPeriod)
 	}
-	tail := stats.NewMedianAbs()
+	tail := stats.NewErrFold()
 	final, err := ensembleFeed(st, cfg, func(s ensembleStep) {
 		if s.TrueTf > tailFrom {
 			tail.Add(s.Err)
@@ -345,9 +349,9 @@ func ensembleRun(sc sim.MultiScenario, cfg ensemble.Config, tailFrom float64, fn
 		}
 	})
 	if err != nil {
-		return 0, nil, err
+		return nil, nil, err
 	}
-	return tail.Value(), final, nil
+	return tail, final, nil
 }
 
 // ensembleFeed is the harness's loop over a stream the caller opened
@@ -377,20 +381,25 @@ func ensembleFeed(st *sim.MultiStream, cfg ensemble.Config, fn func(ensembleStep
 	}
 }
 
-// fiveNum registers a five-number summary as the five figures
-// "label p01" … "label p99": the percentile curves of Figures 9 and 10.
-func (r *Report) fiveNum(label string, fn stats.FiveNum) {
-	r.figure(label+" p01", fn.P01, Seconds)
-	r.figure(label+" p25", fn.P25, Seconds)
-	r.figure(label+" p50", fn.P50, Seconds)
-	r.figure(label+" p75", fn.P75, Seconds)
-	r.figure(label+" p99", fn.P99, Seconds)
+// errFigures registers the summary of one scored error series as the
+// eight figures every such series reports, whatever the experiment:
+// "<scope> err p01" … "<scope> err p99" (the percentile curves of
+// Figures 9, 10 and 12) and "<scope> |err| p50", "|err| p99", "|err|
+// max". It returns the summary for the experiment's checks.
+func (r *Report) errFigures(scope string, f *stats.ErrFold) stats.ErrSummary {
+	s := f.Summary()
+	names := [...]string{"err p01", "err p25", "err p50", "err p75", "err p99", "|err| p50", "|err| p99", "|err| max"}
+	for i, v := range [...]float64{s.P01, s.P25, s.P50, s.P75, s.P99, s.AbsP50, s.AbsP99, s.AbsMax} {
+		r.figure(scope+" "+names[i], v, Seconds)
+	}
+	return s
 }
 
-// fiveNumRow appends key, a five-number summary in µs and any extra
-// values as one row of t: the percentile tables of Figures 9 and 10.
-func fiveNumRow(t *trace.Table, key float64, fn stats.FiveNum, extra ...float64) {
-	row := []float64{key, fn.P01 / 1e-6, fn.P25 / 1e-6, fn.P50 / 1e-6, fn.P75 / 1e-6, fn.P99 / 1e-6}
+// fiveNumRow appends key, the signed percentiles of s in µs and any
+// extra values as one row of t: the percentile tables of Figures 9 and
+// 10.
+func fiveNumRow(t *trace.Table, key float64, s stats.ErrSummary, extra ...float64) {
+	row := []float64{key, s.P01 / 1e-6, s.P25 / 1e-6, s.P50 / 1e-6, s.P75 / 1e-6, s.P99 / 1e-6}
 	t.Append(append(row, extra...)...)
 }
 

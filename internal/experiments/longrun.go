@@ -101,10 +101,9 @@ func runLongRun(r *Report, opts Options) error {
 		return err
 	}
 
-	// Windowed five-number series plus whole-run accumulators.
+	// Windowed percentile series plus the whole-run fold.
 	winTab := r.table("windows", "window_end_day", "p01_us", "p25_us", "p50_us", "p75_us", "p99_us", "n")
-	overall := stats.NewStreamingFiveNum()
-	win := stats.NewStreamingFiveNum()
+	overall, win := stats.NewErrFold(), stats.NewErrFold()
 	var winMedians []float64
 	winEnd := settle + longRunWindow
 
@@ -112,10 +111,10 @@ func runLongRun(r *Report, opts Options) error {
 		if win.N() == 0 {
 			return
 		}
-		fn := win.FiveNum()
-		winMedians = append(winMedians, fn.P50)
-		fiveNumRow(winTab, endDay, fn, float64(win.N()))
-		win = stats.NewStreamingFiveNum()
+		s := win.Summary()
+		winMedians = append(winMedians, s.P50)
+		fiveNumRow(winTab, endDay, s, float64(win.N()))
+		win = stats.NewErrFold()
 	}
 
 	// Peak-heap watermark, sampled during the run: the number that must
@@ -133,7 +132,6 @@ func runLongRun(r *Report, opts Options) error {
 	var last sim.Exchange
 	var lastPHat float64
 	count, excursions := 0, 0
-	worstExcursion := 0.0
 	var pushErr error // the resampler's first, reported after the pass
 	st, err := streamRun(sc, defaultCfg(poll), func(e sim.Exchange, res core.Result) {
 		errV := offsetErrOf(res, e)
@@ -141,11 +139,8 @@ func runLongRun(r *Report, opts Options) error {
 		t := e.TrueTf
 		if t > settle {
 			clipped := errV
-			if a := math.Abs(errV); a > longRunClip {
+			if math.Abs(errV) > longRunClip {
 				excursions++
-				if a > worstExcursion {
-					worstExcursion = a
-				}
 				clipped = math.Copysign(longRunClip, errV)
 			}
 			if pushErr == nil {
@@ -183,15 +178,13 @@ func runLongRun(r *Report, opts Options) error {
 		allanTab.Append(p.Tau, p.Deviation)
 	}
 
-	fn := overall.FiveNum()
 	r.figure("trace span", dur, Seconds)
 	r.figure("packets", float64(count), Count)
 	r.figure("window", longRunWindow, Seconds)
-	r.fiveNum("error", fn)
+	all := r.errFigures("overall", overall)
 	medLo, medHi := stats.MinMax(winMedians)
 	r.figure("excursion threshold (clipped from the Allan fold)", longRunClip, Seconds)
 	r.figure("single-packet excursions", float64(excursions), Count)
-	r.figure("worst excursion", worstExcursion, Seconds)
 
 	// Shape checks: multi-week stability despite temperature cycles and
 	// load regimes, and the constant-memory machinery actually engaged.
@@ -200,7 +193,7 @@ func runLongRun(r *Report, opts Options) error {
 	r.above("every window median in the −Δ/2 band: lowest", medLo, -120e-6, Seconds)
 	r.below("every window median in the −Δ/2 band: highest", medHi, 20e-6, Seconds)
 	r.atMost("median stable across regimes/weeks: spread", medHi-medLo, 80e-6, Seconds)
-	r.atMost("overall p99 bounded through congestion regimes", fn.P99, timebase.Millisecond, Seconds)
+	r.atMost("overall p99 bounded through congestion regimes", all.P99, timebase.Millisecond, Seconds)
 	r.atMost("single-packet excursions rare (share of packets)", float64(excursions)/float64(count), 0.0002, Share)
 
 	dev1000 := devNear(pts, 1000)

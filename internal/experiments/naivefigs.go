@@ -84,24 +84,22 @@ func runFig6(r *Report, opts Options) error {
 	cBar := first.Tb - float64(first.Ta)*pBar
 
 	tab := r.table("series", "te_day", "naive_offset_s", "ref_offset_s")
-	var devs []float64
+	devs, neg := stats.NewErrFold(), 0
 	for _, e := range ex {
 		in := core.Input{Ta: e.Ta, Tf: e.Tf, Tb: e.Tb, Te: e.Te}
 		naive := core.NaiveTheta(in, pBar, cBar)
 		ref := float64(e.Tf)*pBar + cBar - e.Tg
 		tab.Append(e.Te/timebase.Day, naive, ref)
-		devs = append(devs, naive-ref)
-	}
-
-	med := stats.Median(devs)
-	iqr := stats.IQR(devs)
-	neg := 0
-	for _, d := range devs {
+		d := naive - ref
+		devs.Add(d)
 		if d < 0 {
 			neg++
 		}
 	}
-	negFrac := float64(neg) / float64(len(devs))
+
+	s := r.errFigures("naive", devs)
+	med, iqr := s.P50, s.IQR()
+	negFrac := float64(neg) / float64(devs.N())
 	// The deviation distribution is (q← − q→)/2 plus the −Δ/2 ambiguity.
 	r.above("deviations biased negative (forward more utilised)", negFrac, 0.6, Share)
 	r.above("undamped noise ≫ filtered scale: IQR", iqr, 10*timebase.Microsecond, Seconds)

@@ -88,7 +88,7 @@ func runFig11b(r *Report, opts Options) error {
 
 	sink := r.series("series", "tb_day", "offset_err_us", "sanity")
 	sanityCount := 0
-	maxDamage, lastErr := 0.0, 0.0
+	settled, lastErr := stats.NewErrFold(), 0.0
 	if _, err := streamRun(sc, defaultCfg(16), func(e sim.Exchange, res core.Result) {
 		errV := offsetErrOf(res, e)
 		s := 0.0
@@ -97,9 +97,7 @@ func runFig11b(r *Report, opts Options) error {
 			sanityCount++
 		}
 		if e.TrueTf > timebase.Hour {
-			if a := math.Abs(errV); a > maxDamage {
-				maxDamage = a
-			}
+			settled.Add(errV)
 		}
 		lastErr = errV
 		sink.Append(e.Tb/timebase.Day, errV/1e-6, s)
@@ -107,8 +105,9 @@ func runFig11b(r *Report, opts Options) error {
 		return err
 	}
 
+	damage := r.errFigures("settled", settled)
 	r.atLeast("sanity check triggered (packets)", float64(sanityCount), 1, Count)
-	r.atMost("damage limited to ~a millisecond: max |err| vs 150ms fault", maxDamage, 4*timebase.Millisecond, Seconds)
+	r.atMost("damage limited to ~a millisecond: max |err| vs 150ms fault", damage.AbsMax, 4*timebase.Millisecond, Seconds)
 	r.atMost("healed by end of trace: |err|", math.Abs(lastErr), 300*timebase.Microsecond, Seconds)
 	return nil
 }
@@ -135,8 +134,7 @@ func runFig11c(r *Report, opts Options) error {
 	// "before" window is fixed a priori; the "after" window opens two
 	// hours past the detection, which the stream reveals in time order —
 	// everything later in the pass can test against it directly.
-	before := stats.NewStreamingQuantiles(0.5)
-	after := stats.NewStreamingQuantiles(0.5)
+	before, after := stats.NewErrFold(), stats.NewErrFold()
 	var detections []float64
 	earlyDetections := 0 // before the permanent shift: the temporary one, or a false alarm
 	permDetectedAt := math.Inf(1)
@@ -176,9 +174,8 @@ func runFig11c(r *Report, opts Options) error {
 
 	// The jump is ≈ Δshift/2 (asymmetry change), directed negative since
 	// the forward minimum grew.
-	jump := after.Value(0) - before.Value(0)
-	r.figure("median error before", before.Value(0), Seconds)
-	r.figure("median error after", after.Value(0), Seconds)
+	pre, post := r.errFigures("pre-shift", before), r.errFigures("post-detection", after)
+	jump := post.P50 - pre.P50
 	r.within("post-shift jump ≈ −Δshift/2", jump, -650e-6, -250e-6, Seconds)
 	return nil
 }
@@ -198,8 +195,7 @@ func runFig11d(r *Report, opts Options) error {
 	upward := 0
 	// r̂ must absorb the 0.36 ms total downward move promptly.
 	rHatAfter, haveRHat := 0.0, false
-	before := stats.NewStreamingQuantiles(0.5)
-	after := stats.NewStreamingQuantiles(0.5)
+	before, after := stats.NewErrFold(), stats.NewErrFold()
 	settle := math.Min(3*timebase.Hour, shiftAt/2)
 	afterFrom := shiftAt + math.Min(timebase.Hour, (dur-shiftAt)/4)
 	if _, err := streamRun(sc, defaultCfg(64), func(e sim.Exchange, res core.Result) {
@@ -223,9 +219,10 @@ func runFig11d(r *Report, opts Options) error {
 	}
 
 	wantRTT := sc.Servers[0].MinRTT() + 2*delta
-	shiftOfMedian := after.Value(0) - before.Value(0)
 	r.figure("r̂ after shift", rHatAfter, Seconds)
 	r.figure("new minimum RTT", wantRTT, Seconds)
+	pre, post := r.errFigures("pre-shift", before), r.errFigures("post-shift", after)
+	shiftOfMedian := post.P50 - pre.P50
 	r.figure("median error moved by", shiftOfMedian, Seconds)
 
 	r.equals("no upward detection for a downward shift", float64(upward), 0, Count)
@@ -257,19 +254,20 @@ func runFig12(r *Report, opts Options) error {
 				{From: 45 * timebase.Day, To: 48.8 * timebase.Day},
 			}
 		}
-		// Pass 1: median, quartiles and the 0.5/99.5 coverage bounds.
-		q := stats.NewStreamingQuantiles(0.005, 0.25, 0.5, 0.75, 0.995)
+		// Pass 1: the error fold, and the 0.5/99.5 coverage bounds
+		// (the histogram's range, not an error summary).
+		errs := stats.NewErrFold()
+		cover := stats.NewStreamingQuantiles(0.005, 0.995)
 		if _, err := streamRun(sc, defaultCfg(poll), func(e sim.Exchange, res core.Result) {
 			if e.TrueTf > 3*timebase.Hour {
-				q.Add(offsetErrOf(res, e))
+				errV := offsetErrOf(res, e)
+				errs.Add(errV)
+				cover.Add(errV)
 			}
 		}); err != nil {
 			return err
 		}
-		med := q.Value(2)
-		iqr := q.Value(3) - q.Value(1)
-		lo, hi := q.Value(0), q.Value(4)
-		iqrs[i] = iqr
+		lo, hi := cover.Value(0), cover.Value(1)
 
 		// Pass 2: fill the histogram over the now-known range.
 		hist, err := stats.NewHistogram(nil, lo, hi+1e-12, 40)
@@ -289,9 +287,11 @@ func runFig12(r *Report, opts Options) error {
 		}
 		r.figure(fmt.Sprintf("poll %.0f p0.5", poll), lo, Seconds)
 		r.figure(fmt.Sprintf("poll %.0f p99.5", poll), hi, Seconds)
+		s := r.errFigures(fmt.Sprintf("poll %.0f", poll), errs)
+		iqrs[i] = s.IQR()
 
-		r.within(fmt.Sprintf("poll %.0f median at tens-of-µs (paper: −31/−33µs)", poll), med, -100e-6, 0, Seconds)
-		r.atMost(fmt.Sprintf("poll %.0f IQR small (paper: 15/24µs)", poll), iqr, 80e-6, Seconds)
+		r.within(fmt.Sprintf("poll %.0f median at tens-of-µs (paper: −31/−33µs)", poll), s.P50, -100e-6, 0, Seconds)
+		r.atMost(fmt.Sprintf("poll %.0f IQR small (paper: 15/24µs)", poll), iqrs[i], 80e-6, Seconds)
 	}
 	r.atMost("performance does not change greatly with polling rate: IQR(256)/IQR(64)",
 		iqrs[1]/iqrs[0], 3, Ratio)
@@ -320,31 +320,22 @@ func runBaseline(r *Report, opts Options) error {
 	}
 	sink := r.series("comparison", "tb_day", "swntp_err_us", "tsc_err_us")
 
-	swMedAcc, coreMedAcc := stats.NewMedianAbs(), stats.NewMedianAbs()
-	swWorst, coreWorst := 0.0, 0.0
+	swErrs, coreErrs := stats.NewErrFold(), stats.NewErrFold()
 	if _, err := streamRun(sc, defaultCfg(64), func(e sim.Exchange, res core.Result) {
 		sw.ProcessExchange(e.Ta, e.Tf, e.Tb, e.Te)
 		swErr := sw.Read(e.Tf) - e.Tg
 		coreErr := offsetErrOf(res, e)
 		if e.TrueTf > 3*timebase.Hour {
-			swMedAcc.Add(swErr)
-			coreMedAcc.Add(coreErr)
-			if a := math.Abs(swErr); a > swWorst {
-				swWorst = a
-			}
-			if a := math.Abs(coreErr); a > coreWorst {
-				coreWorst = a
-			}
+			swErrs.Add(swErr)
+			coreErrs.Add(coreErr)
 		}
 		sink.Append(e.Tb/timebase.Day, swErr/1e-6, coreErr/1e-6)
 	}); err != nil {
 		return err
 	}
-	swMed, coreMed := swMedAcc.Value(), coreMedAcc.Value()
-
-	r.figure("median |error| SW-NTP", swMed, Seconds)
-	r.figure("median |error| TSC-NTP", coreMed, Seconds)
-	r.figure("worst |error| SW-NTP", swWorst, Seconds)
+	swS, coreS := r.errFigures("SW-NTP", swErrs), r.errFigures("TSC-NTP", coreErrs)
+	swMed, coreMed := swS.AbsP50, coreS.AbsP50
+	swWorst, coreWorst := swS.AbsMax, coreS.AbsMax
 
 	// The paper's criticism of SW-NTP is reliability, not median-case
 	// accuracy on a quiet path: errors "well in excess of RTTs in

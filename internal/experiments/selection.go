@@ -33,14 +33,14 @@ func runSelect(r *Report, opts Options) error {
 	nSrv := len(adv.Servers)
 	tailFrom := 0.75 * dur
 
-	goodMed, _, err := ensembleRun(good, ensemble.Config{}, tailFrom, nil)
+	goodTail, _, err := ensembleRun(good, ensemble.Config{}, tailFrom, nil)
 	if err != nil {
 		return err
 	}
 	// The median-only combiner on the adversarial trace; its errors are
 	// kept for the series artifact below.
 	var medErrs []float64
-	medMed, _, err := ensembleRun(adv, ensemble.Config{DisableSelection: true}, tailFrom, func(s ensembleStep) {
+	medTail, _, err := ensembleRun(adv, ensemble.Config{DisableSelection: true}, tailFrom, func(s ensembleStep) {
 		medErrs = append(medErrs, s.Err)
 	})
 	if err != nil {
@@ -56,7 +56,7 @@ func runSelect(r *Report, opts Options) error {
 		tailBoth  int // ... with both colluders excluded
 		maxCollW  float64
 	)
-	selMed, last, err := ensembleRun(adv, ensemble.Config{}, tailFrom, func(s ensembleStep) {
+	selTail, last, err := ensembleRun(adv, ensemble.Config{}, tailFrom, func(s ensembleStep) {
 		collW, both := 0.0, true
 		for k := sim.ColludingHonest; k < nSrv; k++ { // the colluders
 			collW += s.Readout.Servers[k].Weight
@@ -97,9 +97,9 @@ func runSelect(r *Report, opts Options) error {
 	r.figure("first colluding server", sim.ColludingHonest, Count)
 	r.figure("last colluding server", float64(nSrv-1), Count)
 	r.figure("colluders' lie", lie, Seconds)
-	r.figure("tail median |err| all-good baseline", goodMed, Seconds)
-	r.figure("tail median |err| selection", selMed, Seconds)
-	r.figure("tail median |err| median-only", medMed, Seconds)
+	goodMed := r.errFigures("all-good baseline tail", goodTail).AbsP50
+	selMed := r.errFigures("selection tail", selTail).AbsP50
+	medMed := r.errFigures("median-only tail", medTail).AbsP50
 	r.figure("tail snapshots", float64(tailSnaps), Count)
 	r.figure("tail snapshots excluding both colluders", float64(tailBoth), Count)
 	r.figure("final falsetickers", float64(last.Falsetickers), Count)

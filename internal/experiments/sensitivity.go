@@ -20,20 +20,16 @@ func sensitivityScenario(opts Options, poll float64, seedOff uint64) sim.MultiSc
 	return sim.NewScenario(sim.MachineRoom, sim.ServerInt(), poll, dur, opts.seed()+seedOff)
 }
 
-// sweepFiveNum streams the scenario through one engine configuration
-// and folds the settled offset errors into an online five-number
-// summary.
-func sweepFiveNum(sc sim.MultiScenario, cfg core.Config, settle float64) (stats.FiveNum, error) {
-	acc := stats.NewStreamingFiveNum()
+// sweepErrs streams the scenario through one engine configuration and
+// folds the settled offset errors.
+func sweepErrs(sc sim.MultiScenario, cfg core.Config, settle float64) (*stats.ErrFold, error) {
+	errs := stats.NewErrFold()
 	_, err := streamRun(sc, cfg, func(e sim.Exchange, res core.Result) {
 		if e.TrueTf > settle {
-			acc.Add(offsetErrOf(res, e))
+			errs.Add(offsetErrOf(res, e))
 		}
 	})
-	if err != nil {
-		return stats.FiveNum{}, err
-	}
-	return acc.FiveNum(), nil
+	return errs, err
 }
 
 // runFig9a: sensitivity of offset error to the window size τ′/τ*
@@ -56,13 +52,13 @@ func runFig9a(r *Report, opts Options) error {
 				cfg.TopWindow = math.Max(cfg.TopWindow, 2*cfg.LocalRateWindow)
 				cfg.ShiftWindow = cfg.LocalRateWindow / 2
 			}
-			fn, err := sweepFiveNum(sc, cfg, timebase.Hour)
+			errs, err := sweepErrs(sc, cfg, timebase.Hour)
 			if err != nil {
 				return err
 			}
-			fiveNumRow(tab, ratio, fn)
-			medians = append(medians, fn.P50)
-			r.fiveNum(fmt.Sprintf("%s τ'/τ*=%g", tag, ratio), fn)
+			s := r.errFigures(fmt.Sprintf("%s τ'/τ*=%g", tag, ratio), errs)
+			fiveNumRow(tab, ratio, s)
+			medians = append(medians, s.P50)
 		}
 		lo, hi := stats.MinMax(medians)
 		r.atMost(fmt.Sprintf("median insensitive to τ' (%s): spread", tag), hi-lo, 30*timebase.Microsecond, Seconds)
@@ -84,14 +80,14 @@ func runFig9b(r *Report, opts Options) error {
 		cfg := defaultCfg(16)
 		cfg.OffsetWindow = core.TauStar / 2
 		cfg.EFactor = f
-		fn, err := sweepFiveNum(sc, cfg, timebase.Hour)
+		errs, err := sweepErrs(sc, cfg, timebase.Hour)
 		if err != nil {
 			return err
 		}
-		fiveNumRow(tab, f, fn)
-		medians = append(medians, fn.P50)
-		iqrs = append(iqrs, fn.P75-fn.P25)
-		r.fiveNum(fmt.Sprintf("E=%gδ", f), fn)
+		s := r.errFigures(fmt.Sprintf("E=%gδ", f), errs)
+		fiveNumRow(tab, f, s)
+		medians = append(medians, s.P50)
+		iqrs = append(iqrs, s.IQR())
 	}
 	lo, hi := stats.MinMax(medians)
 	r.atMost("median insensitive to E: spread", hi-lo, 30*timebase.Microsecond, Seconds)
@@ -111,13 +107,13 @@ func runFig9c(r *Report, opts Options) error {
 	tab := r.table("sweep", "poll_s", "p01_us", "p25_us", "p50_us", "p75_us", "p99_us")
 	var medians []float64
 	for _, poll := range polls {
-		fn, err := sweepFiveNum(sensitivityScenario(opts, poll, 0), defaultCfg(poll), 3*timebase.Hour)
+		errs, err := sweepErrs(sensitivityScenario(opts, poll, 0), defaultCfg(poll), 3*timebase.Hour)
 		if err != nil {
 			return err
 		}
-		fiveNumRow(tab, poll, fn)
-		medians = append(medians, fn.P50)
-		r.fiveNum(fmt.Sprintf("poll=%gs", poll), fn)
+		s := r.errFigures(fmt.Sprintf("poll=%gs", poll), errs)
+		fiveNumRow(tab, poll, s)
+		medians = append(medians, s.P50)
 	}
 	lo, hi := stats.MinMax(medians)
 	r.atMost("median barely moves across 32x polling range: spread", hi-lo, 30*timebase.Microsecond, Seconds)
@@ -146,19 +142,18 @@ func runFig10(r *Report, opts Options) error {
 
 	tab := r.table("environments", "case", "p01_us", "p25_us", "p50_us", "p75_us", "p99_us")
 	const labInt, mrInt, mrLoc, mrExt = 0, 1, 2, 3 // positions in cases
-	summaries := make([]stats.FiveNum, len(cases))
+	summaries := make([]stats.ErrSummary, len(cases))
 	for i, c := range cases {
 		sc := sim.NewScenario(c.env, c.spec, 64, dur, opts.seed()+uint64(200+i))
-		fn, err := sweepFiveNum(sc, defaultCfg(64), 3*timebase.Hour)
+		errs, err := sweepErrs(sc, defaultCfg(64), 3*timebase.Hour)
 		if err != nil {
 			return err
 		}
-		summaries[i] = fn
-		fiveNumRow(tab, float64(i), fn)
-		r.fiveNum(c.name, fn)
+		summaries[i] = r.errFigures(c.name, errs)
+		fiveNumRow(tab, float64(i), summaries[i])
 	}
 
-	iqr := func(i int) float64 { return summaries[i].P75 - summaries[i].P25 }
+	iqr := func(i int) float64 { return summaries[i].IQR() }
 	extMedian := summaries[mrExt].P50
 	r.atMost("machine room tighter than laboratory: IQR MR-Int/Lab-Int", iqr(mrInt)/iqr(labInt), 1.1, Ratio)
 	r.atMost("local server at least as tight as internal: IQR MR-Loc/MR-Int", iqr(mrLoc)/iqr(mrInt), 1.2, Ratio)

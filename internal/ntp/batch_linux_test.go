@@ -160,7 +160,12 @@ func TestBatchSyscallReduction(t *testing.T) {
 
 // TestBatchKernelStamps: over a real loopback socket the kernel's RX
 // stamps must be observed and must backdate Receive, never past
-// Transmit (Tb ≤ Te is what downstream clients rely on).
+// Transmit (Tb ≤ Te is what downstream clients rely on). Linux arms
+// software RX stamping through a deferred static-key switch
+// (net_enable_timestamp queues netstamp_work), so the first datagrams
+// after a socket arms SO_TIMESTAMPING can arrive unstamped on a loaded
+// machine: the test keeps querying until a stamp is counted, and only a
+// kernel that stamps none for 2 s skips it.
 func TestBatchKernelStamps(t *testing.T) {
 	srv, err := NewServer(ServerConfig{Clock: SystemServerClock()})
 	if err != nil {
@@ -174,7 +179,8 @@ func TestBatchKernelStamps(t *testing.T) {
 	go func() { defer close(done); _ = srv.Serve(pc) }()
 	defer func() { pc.Close(); <-done }()
 
-	for i := 0; i < 4; i++ {
+	deadline := time.Now().Add(2 * time.Second)
+	for i := 0; ; i++ {
 		reply := rawQuery(t, pc.LocalAddr(), clientPacket(4), true)
 		var resp Packet
 		if err := resp.Unmarshal(reply); err != nil {
@@ -183,13 +189,19 @@ func TestBatchKernelStamps(t *testing.T) {
 		if tb, te := resp.Receive.Seconds(), resp.Transmit.Seconds(); tb > te {
 			t.Errorf("exchange %d: Tb %.9f > Te %.9f", i, tb, te)
 		}
-	}
-	st := srv.Stats()
-	if st.KernelRx == 0 {
-		if st.KernelRxMissing > 0 {
-			t.Skipf("kernel provided no RX timestamps here (%d missing); loop fell back to sample stamps", st.KernelRxMissing)
+		st := srv.Stats()
+		if st.KernelRx > 0 {
+			if i >= 3 {
+				return
+			}
+			continue
 		}
-		t.Errorf("neither KernelRx nor KernelRxMissing counted over a batched socket: %+v", st)
+		if time.Now().After(deadline) {
+			if st.KernelRxMissing > 0 {
+				t.Skipf("kernel provided no RX timestamps here in 2 s (%d missing); loop fell back to sample stamps", st.KernelRxMissing)
+			}
+			t.Fatalf("neither KernelRx nor KernelRxMissing counted over a batched socket: %+v", st)
+		}
 	}
 }
 

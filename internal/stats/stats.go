@@ -4,14 +4,16 @@
 // tails heavy, and a mean would be dominated by the rare excursions
 // the algorithms are designed to ignore — so the package centers on:
 //
-//   - Percentile/Quantiles/FiveNum: the 1/25/50/75/99-percentile
-//     curves of Figures 9 and 10 (linear interpolation between order
-//     statistics);
-//   - Median and IQR: the location/spread pair of Figure 12;
+//   - Percentile/Quantiles/Median/IQR over a Sorted copy: exact order
+//     statistics, linear interpolation between them;
+//   - ErrFold: the one summary of an error series against ground truth
+//     — the paper's 1/25/50/75/99-percentile curves (PaperPercentiles,
+//     Figures 9, 10 and 12) and the median, 99th percentile and maximum
+//     of |error| — folded online in bounded memory (stream.go);
 //   - Histogram: fixed-bin counts with fractional normalization;
 //   - MinMax: the extrema, for spreads across a sweep.
 //
-// Inputs are plain []float64; functions panic on empty input or
+// Batch inputs are plain []float64; functions panic on empty input or
 // out-of-range parameters — callers own validation, these are
 // evaluation-path helpers, not a public API.
 //
@@ -97,17 +99,6 @@ func Quantiles(xs []float64, ps ...float64) []float64 {
 // PaperPercentiles are the five percentile levels plotted throughout the
 // paper's sensitivity figures, top curve to bottom curve.
 var PaperPercentiles = []float64{99, 75, 50, 25, 1}
-
-// FiveNum reports the paper's five percentile curves for one sample.
-type FiveNum struct {
-	P99, P75, P50, P25, P01 float64
-}
-
-// FiveNumOf computes the paper's five percentiles.
-func FiveNumOf(xs []float64) FiveNum {
-	q := Quantiles(xs, PaperPercentiles...)
-	return FiveNum{P99: q[0], P75: q[1], P50: q[2], P25: q[3], P01: q[4]}
-}
 
 // MinMax returns the extrema of xs.
 func MinMax(xs []float64) (min, max float64) {

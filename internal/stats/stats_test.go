@@ -85,20 +85,6 @@ func TestMedianIQRGaussian(t *testing.T) {
 	}
 }
 
-func TestFiveNumOf(t *testing.T) {
-	xs := make([]float64, 1000)
-	for i := range xs {
-		xs[i] = float64(i)
-	}
-	fn := FiveNumOf(xs)
-	if !(fn.P01 < fn.P25 && fn.P25 < fn.P50 && fn.P50 < fn.P75 && fn.P75 < fn.P99) {
-		t.Errorf("five-number summary not ordered: %+v", fn)
-	}
-	if math.Abs(fn.P50-499.5) > 1 {
-		t.Errorf("P50 = %v", fn.P50)
-	}
-}
-
 func TestMinMax(t *testing.T) {
 	xs := []float64{4, 2, 4, 4, 5, 5, 9, 7}
 	lo, hi := MinMax(xs)

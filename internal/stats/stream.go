@@ -216,51 +216,49 @@ func (s *StreamingQuantiles) Value(i int) float64 {
 	return Sorted(s.buf).Percentile(s.levels[i] * 100)
 }
 
-// StreamingFiveNum folds the paper's five percentile curves online: a
-// StreamingQuantiles over the levels of PaperPercentiles.
-type StreamingFiveNum struct {
-	qs *StreamingQuantiles
+// ErrFold summarizes a series of signed errors against ground truth
+// online, the one way the evaluation states accuracy: the paper's five
+// percentile curves (PaperPercentiles), the median and 99th percentile
+// of |x|, and the exact maximum of |x|. Each side is one
+// StreamingQuantiles, so a series shorter than DefaultExactPrefix is
+// summarized exactly, and each level is its own P² estimator, so it
+// reads what a one-level accumulator fed the same series would.
+type ErrFold struct {
+	signed, abs *StreamingQuantiles
+	max         float64
 }
 
-// NewStreamingFiveNum returns an empty accumulator.
-func NewStreamingFiveNum() *StreamingFiveNum {
-	levels := make([]float64, len(PaperPercentiles))
-	for i, p := range PaperPercentiles {
-		levels[i] = p / 100
+// NewErrFold returns an empty fold.
+func NewErrFold() *ErrFold {
+	return &ErrFold{signed: NewStreamingQuantiles(0.01, 0.25, 0.5, 0.75, 0.99), abs: NewStreamingQuantiles(0.5, 0.99)}
+}
+
+// Add folds one signed error.
+func (f *ErrFold) Add(x float64) {
+	a := math.Abs(x)
+	f.signed.Add(x)
+	f.abs.Add(a)
+	f.max = max(f.max, a)
+}
+
+// N returns the number of errors folded.
+func (f *ErrFold) N() int { return f.signed.N() }
+
+// ErrSummary is what an ErrFold reports: the signed percentiles P01 …
+// P99 and the |error| median, 99th percentile and maximum.
+type ErrSummary struct {
+	P01, P25, P50, P75, P99 float64
+	AbsP50, AbsP99, AbsMax  float64
+}
+
+// IQR returns the inter-quartile range of the signed error.
+func (s ErrSummary) IQR() float64 { return s.P75 - s.P25 }
+
+// Summary returns the current estimates. It panics on an empty fold.
+func (f *ErrFold) Summary() ErrSummary {
+	q, a := f.signed, f.abs
+	return ErrSummary{
+		P01: q.Value(0), P25: q.Value(1), P50: q.Value(2), P75: q.Value(3), P99: q.Value(4),
+		AbsP50: a.Value(0), AbsP99: a.Value(1), AbsMax: f.max,
 	}
-	return &StreamingFiveNum{qs: NewStreamingQuantiles(levels...)}
 }
-
-// Add folds one observation into all five estimators.
-func (f *StreamingFiveNum) Add(x float64) { f.qs.Add(x) }
-
-// N returns the number of observations folded.
-func (f *StreamingFiveNum) N() int { return f.qs.N() }
-
-// FiveNum returns the current five-number estimate. It panics on an
-// empty accumulator, like the batch FiveNumOf.
-func (f *StreamingFiveNum) FiveNum() FiveNum {
-	if f.qs.N() == 0 {
-		panic("stats: StreamingFiveNum of empty accumulator")
-	}
-	return FiveNum{
-		P99: f.qs.Value(0), P75: f.qs.Value(1), P50: f.qs.Value(2),
-		P25: f.qs.Value(3), P01: f.qs.Value(4),
-	}
-}
-
-// MedianAbs estimates the median of |x| online: the robust error scale
-// the experiment reports summarize series by.
-type MedianAbs struct {
-	q *StreamingQuantiles
-}
-
-// NewMedianAbs returns an empty accumulator.
-func NewMedianAbs() *MedianAbs { return &MedianAbs{q: NewStreamingQuantiles(0.5)} }
-
-// Add folds one observation (its absolute value is accumulated).
-func (m *MedianAbs) Add(x float64) { m.q.Add(math.Abs(x)) }
-
-// Value returns the current median-|x| estimate; it panics on an empty
-// accumulator.
-func (m *MedianAbs) Value() float64 { return m.q.Value(0) }

@@ -190,16 +190,25 @@ func TestStreamingQuantilesValidation(t *testing.T) {
 	}
 }
 
-func TestStreamingFiveNumMatchesBatch(t *testing.T) {
+// TestErrFoldExactBelowPrefix: below the exact-prefix budget every
+// level of the fold, signed and |x|, is the batch order statistic of the
+// same sample, and the max is the exact max |x|.
+func TestErrFoldExactBelowPrefix(t *testing.T) {
 	for name, xs := range inputShapes(20000) {
-		f := NewStreamingFiveNum()
-		for _, x := range xs {
+		f := NewErrFold()
+		abs := make([]float64, len(xs))
+		for i, x := range xs {
 			f.Add(x)
+			abs[i] = math.Abs(x)
 		}
-		// 20000 < DefaultExactPrefix: the hybrid must be exact here.
-		got, want := f.FiveNum(), FiveNumOf(xs)
-		if got != want {
-			t.Errorf("%s: streaming %+v vs batch %+v", name, got, want)
+		signed, a := NewSorted(xs), NewSorted(abs)
+		want := ErrSummary{
+			P01: signed.Percentile(1), P25: signed.Percentile(25), P50: signed.Percentile(50),
+			P75: signed.Percentile(75), P99: signed.Percentile(99),
+			AbsP50: a.Percentile(50), AbsP99: a.Percentile(99), AbsMax: a[len(a)-1],
+		}
+		if got := f.Summary(); got != want {
+			t.Errorf("%s: fold %+v vs batch %+v", name, got, want)
 		}
 		if f.N() != len(xs) {
 			t.Errorf("%s: N=%d, want %d", name, f.N(), len(xs))
@@ -207,17 +216,44 @@ func TestStreamingFiveNumMatchesBatch(t *testing.T) {
 	}
 }
 
-func TestMedianAbsMatchesBatch(t *testing.T) {
-	for name, xs := range inputShapes(20000) {
-		m := NewMedianAbs()
-		abs := make([]float64, len(xs))
-		for i, x := range xs {
-			m.Add(x)
-			abs[i] = math.Abs(x)
+// TestErrFoldLevelsIndependent: past the prefix each level of the fold
+// is bit-equal to a one-level StreamingQuantiles fed the same values —
+// folding more levels beside it moves none.
+func TestErrFoldLevelsIndependent(t *testing.T) {
+	levels := []float64{0.01, 0.25, 0.5, 0.75, 0.99, 0.5, 0.99} // signed, then |x|
+	for name, xs := range inputShapes(DefaultExactPrefix + 20000) {
+		f := NewErrFold()
+		one := make([]*StreamingQuantiles, len(levels))
+		for i, p := range levels {
+			one[i] = NewStreamingQuantiles(p)
 		}
-		// Below the exact-prefix budget the hybrid is exact.
-		if got, want := m.Value(), NewSorted(abs).Median(); got != want {
-			t.Errorf("%s: streaming median|x| %.6g vs batch %.6g", name, got, want)
+		for _, x := range xs {
+			f.Add(x)
+			for i, q := range one {
+				if i < 5 {
+					q.Add(x)
+				} else {
+					q.Add(math.Abs(x))
+				}
+			}
+		}
+		if f.signed.ests == nil || f.abs.ests == nil {
+			t.Fatalf("%s: did not switch regimes past the prefix", name)
+		}
+		s := f.Summary()
+		for i, got := range []float64{s.P01, s.P25, s.P50, s.P75, s.P99, s.AbsP50, s.AbsP99} {
+			if want := one[i].Value(0); math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("%s level %d (%v): fold %v, one-level %v", name, i, levels[i], got, want)
+			}
 		}
 	}
+}
+
+func TestErrFoldEmptyPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("expected panic on an empty fold")
+		}
+	}()
+	NewErrFold().Summary()
 }
