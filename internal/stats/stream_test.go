@@ -190,10 +190,32 @@ func TestStreamingQuantilesValidation(t *testing.T) {
 	}
 }
 
-// TestErrFoldExactBelowPrefix: below the exact-prefix budget every
-// level of the fold, signed and |x|, is the batch order statistic of the
-// same sample, and the max is the exact max |x|.
-func TestErrFoldExactBelowPrefix(t *testing.T) {
+// TestStreamingFiveNumMatchesBatch: below the exact-prefix budget the
+// fold's five signed levels are the batch order statistics of the same
+// sample.
+func TestStreamingFiveNumMatchesBatch(t *testing.T) {
+	for name, xs := range inputShapes(20000) {
+		f := NewErrFold()
+		for _, x := range xs {
+			f.Add(x)
+		}
+		sorted, s := NewSorted(xs), f.Summary()
+		got := []float64{s.P01, s.P25, s.P50, s.P75, s.P99}
+		for i, p := range []float64{1, 25, 50, 75, 99} {
+			if want := sorted.Percentile(p); got[i] != want {
+				t.Errorf("%s p%v: fold %v vs batch %v", name, p, got[i], want)
+			}
+		}
+		if f.N() != len(xs) {
+			t.Errorf("%s: N=%d, want %d", name, f.N(), len(xs))
+		}
+	}
+}
+
+// TestMedianAbsMatchesBatch: below the exact-prefix budget the fold's
+// |x| median and p99 are the batch order statistics of |x|, and its max
+// is the exact max |x|.
+func TestMedianAbsMatchesBatch(t *testing.T) {
 	for name, xs := range inputShapes(20000) {
 		f := NewErrFold()
 		abs := make([]float64, len(xs))
@@ -201,18 +223,35 @@ func TestErrFoldExactBelowPrefix(t *testing.T) {
 			f.Add(x)
 			abs[i] = math.Abs(x)
 		}
-		signed, a := NewSorted(xs), NewSorted(abs)
-		want := ErrSummary{
-			P01: signed.Percentile(1), P25: signed.Percentile(25), P50: signed.Percentile(50),
-			P75: signed.Percentile(75), P99: signed.Percentile(99),
-			AbsP50: a.Percentile(50), AbsP99: a.Percentile(99), AbsMax: a[len(a)-1],
+		a, s := NewSorted(abs), f.Summary()
+		if got, want := s.AbsP50, a.Median(); got != want {
+			t.Errorf("%s: fold median|x| %.6g vs batch %.6g", name, got, want)
 		}
-		if got := f.Summary(); got != want {
-			t.Errorf("%s: fold %+v vs batch %+v", name, got, want)
+		if got, want := s.AbsP99, a.Percentile(99); got != want {
+			t.Errorf("%s: fold p99|x| %.6g vs batch %.6g", name, got, want)
 		}
-		if f.N() != len(xs) {
-			t.Errorf("%s: N=%d, want %d", name, f.N(), len(xs))
+		if got, want := s.AbsMax, a[len(a)-1]; got != want {
+			t.Errorf("%s: fold max|x| %.6g vs exact %.6g", name, got, want)
 		}
+	}
+}
+
+// TestFiveNumOf: on ordered input the fold's five signed levels are
+// strictly ordered and the median is the interpolated middle.
+func TestFiveNumOf(t *testing.T) {
+	f := NewErrFold()
+	for i := 0; i < 1000; i++ {
+		f.Add(float64(i))
+	}
+	s := f.Summary()
+	if !(s.P01 < s.P25 && s.P25 < s.P50 && s.P50 < s.P75 && s.P75 < s.P99) {
+		t.Errorf("five signed levels not ordered: %+v", s)
+	}
+	if s.P50 != 499.5 {
+		t.Errorf("P50 = %v, want 499.5", s.P50)
+	}
+	if s.AbsMax != 999 {
+		t.Errorf("AbsMax = %v, want 999", s.AbsMax)
 	}
 }
 
