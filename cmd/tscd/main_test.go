@@ -42,8 +42,10 @@ func writeCapture(t *testing.T, dur float64) string {
 }
 
 // TestReplay pins what `tscd -mode replay` prints for a one-day capture
-// (≈ 5 200 scored exchanges: the exact regime of the error fold) and
-// for one too short to score.
+// (≈ 5 200 scored exchanges: the exact regime of the error fold), a
+// seven-day one (≈ 37 500 scored: past the fold's 32 768-value exact
+// prefix, so each level is a bucket midpoint) and one too short to
+// score.
 func TestReplay(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -53,6 +55,9 @@ func TestReplay(t *testing.T) {
 		{"one day", timebase.Day, "replayed %q (MR-ServerInt): 5391 exchanges fed, 9 lost\n" +
 			"absolute clock:  median err 29.4µs, IQR 11.6µs, |median| 29.4µs\n" +
 			"percentiles:     p01 9.39µs  p25 22.9µs  p50 29.4µs  p75 34.5µs  p99 46.8µs\n"},
+		{"seven days", 7 * timebase.Day, "replayed %q (MR-ServerInt): 37753 exchanges fed, 47 lost\n" +
+			"absolute clock:  median err 30.5µs, IQR 15.7µs, |median| 30.5µs\n" +
+			"percentiles:     p01 5.5µs  p25 23.1µs  p50 30.5µs  p75 38.7µs  p99 58.8µs\n"},
 		{"under an hour", 30 * timebase.Minute, "replayed %q (MR-ServerInt): 112 exchanges fed, 0 lost\n" +
 			"trace too short to score (needs > 1 h)\n"},
 	} {

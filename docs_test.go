@@ -12,6 +12,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -317,4 +318,45 @@ func TestPackageDocs(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestChangesEntryCap holds CHANGES.md to one short entry per change.
+// An entry is a "- PR N" line plus the indented lines under it; the
+// FOUND:/MENDED: notes are lines of their own and do not count. From
+// entry cappedFrom on, each number has one entry of at most
+// changesEntryCap bytes: per-figure tables and test-by-test narration
+// belong in the change's description, not in the running log. Older
+// entries predate the cap and stay as written.
+func TestChangesEntryCap(t *testing.T) {
+	const cappedFrom, changesEntryCap = 47, 2000
+	data, err := os.ReadFile("CHANGES.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	head := regexp.MustCompile(`^- PR (\d+)\b`)
+	seen := map[int]bool{}
+	pr, size := 0, 0
+	closeEntry := func() {
+		if pr >= cappedFrom && size > changesEntryCap {
+			t.Errorf("CHANGES.md entry PR %d is %d bytes, over the %d-byte cap", pr, size, changesEntryCap)
+		}
+		pr = 0
+	}
+	for _, line := range strings.Split(string(data), "\n") {
+		switch m := head.FindStringSubmatch(line); {
+		case m != nil:
+			closeEntry()
+			pr, _ = strconv.Atoi(m[1])
+			size = len(line)
+			if pr >= cappedFrom && seen[pr] {
+				t.Errorf("CHANGES.md has a second entry for PR %d", pr)
+			}
+			seen[pr] = true
+		case strings.HasPrefix(line, " "):
+			size += 1 + len(line)
+		default:
+			closeEntry()
+		}
+	}
+	closeEntry()
 }

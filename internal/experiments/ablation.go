@@ -92,7 +92,7 @@ func runAblation(r *Report, opts Options) error {
 		}); err != nil {
 			return fmt.Errorf("ablation %q: %w", v.name, err)
 		}
-		s := r.errFigures(v.name, errs)
+		s := r.errFigures(v.name, Seconds, errs)
 		med[i], p99[i] = s.AbsP50, s.AbsP99
 		tab.Append(float64(i), med[i]/1e-6, p99[i]/1e-6)
 	}

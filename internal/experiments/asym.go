@@ -76,10 +76,10 @@ func runAsym(r *Report, opts Options) error {
 	}
 	r.figure("servers 0,1 extra forward delay", asymExtra, Seconds)
 	r.figure("servers 0,1 one-way bias", asymExtra/2, Seconds)
-	corrMed := r.errFigures("corrected tail", corrTail).AbsP50
-	uncorrMed := r.errFigures("uncorrected tail", uncorrTail).AbsP50
-	symmCorrMed := r.errFigures("symmetric control corrected tail", symmCorrTail).AbsP50
-	symmUncorrMed := r.errFigures("symmetric control uncorrected tail", symmUncorrTail).AbsP50
+	corrMed := r.errFigures("corrected tail", Seconds, corrTail).AbsP50
+	uncorrMed := r.errFigures("uncorrected tail", Seconds, uncorrTail).AbsP50
+	symmCorrMed := r.errFigures("symmetric control corrected tail", Seconds, symmCorrTail).AbsP50
+	symmUncorrMed := r.errFigures("symmetric control uncorrected tail", Seconds, symmUncorrTail).AbsP50
 	unselected := 0
 	for k, st := range states {
 		selected := 1.0

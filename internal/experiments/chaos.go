@@ -161,8 +161,8 @@ func runChaos(r *Report, opts Options) error {
 	r.figure("server 1 dead to", deathAt+deathFor, Seconds)
 	r.figure("server 1 step after return", stepAfter, Seconds)
 	r.figure("holdover grid points", float64(holdoverPts), Count)
-	preMed := r.errFigures("pre-fault", preFault).AbsP50
-	tailMed := r.errFigures("post-falseticker tail", tailErrs).AbsP50
+	preMed := r.errFigures("pre-fault", Seconds, preFault).AbsP50
+	tailMed := r.errFigures("post-falseticker tail", Seconds, tailErrs).AbsP50
 
 	r.equals("total outage lands in HOLDOVER: grid points in the outage window",
 		float64(holdoverPts-holdoverBreaks)/float64(holdoverPts), 1, Share)

@@ -69,9 +69,9 @@ func runEnsemble(r *Report, opts Options) error {
 	r.figure("faulty server", faulty, Count)
 	r.figure("fault offset", faultOff, Seconds)
 	r.figure("fault onset", faultAt, Seconds)
-	goodMed := r.errFigures("good single clock tail", goodTail).AbsP50
-	faultyMed := r.errFigures("faulty single clock tail", faultyTail).AbsP50
-	ensMed := r.errFigures("ensemble tail", ensTail).AbsP50
+	goodMed := r.errFigures("good single clock tail", Seconds, goodTail).AbsP50
+	faultyMed := r.errFigures("faulty single clock tail", Seconds, faultyTail).AbsP50
+	ensMed := r.errFigures("ensemble tail", Seconds, ensTail).AbsP50
 
 	r.atLeast("single clock on the faulty server diverges: tail median faulty/good", faultyMed/goodMed, 10, Ratio)
 	r.atMost("ensemble outvotes the faulty server: tail median ensemble/good", ensMed/goodMed, 2, Ratio)

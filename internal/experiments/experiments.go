@@ -385,12 +385,13 @@ func ensembleFeed(st *sim.MultiStream, cfg ensemble.Config, fn func(ensembleStep
 // eight figures every such series reports, whatever the experiment:
 // "<scope> err p01" … "<scope> err p99" (the percentile curves of
 // Figures 9, 10 and 12) and "<scope> |err| p50", "|err| p99", "|err|
-// max". It returns the summary for the experiment's checks.
-func (r *Report) errFigures(scope string, f *stats.ErrFold) stats.ErrSummary {
+// max", in unit u: Seconds for a clock's error, PPM for a rate's. It
+// returns the summary for the experiment's checks.
+func (r *Report) errFigures(scope string, u Unit, f *stats.ErrFold) stats.ErrSummary {
 	s := f.Summary()
 	names := [...]string{"err p01", "err p25", "err p50", "err p75", "err p99", "|err| p50", "|err| p99", "|err| max"}
 	for i, v := range [...]float64{s.P01, s.P25, s.P50, s.P75, s.P99, s.AbsP50, s.AbsP99, s.AbsMax} {
-		r.figure(scope+" "+names[i], v, Seconds)
+		r.figure(scope+" "+names[i], v, u)
 	}
 	return s
 }

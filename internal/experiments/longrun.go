@@ -101,7 +101,8 @@ func runLongRun(r *Report, opts Options) error {
 		return err
 	}
 
-	// Windowed percentile series plus the whole-run fold.
+	// Windowed percentile series; each window's fold is merged into the
+	// whole run's when it closes.
 	winTab := r.table("windows", "window_end_day", "p01_us", "p25_us", "p50_us", "p75_us", "p99_us", "n")
 	overall, win := stats.NewErrFold(), stats.NewErrFold()
 	var winMedians []float64
@@ -114,6 +115,7 @@ func runLongRun(r *Report, opts Options) error {
 		s := win.Summary()
 		winMedians = append(winMedians, s.P50)
 		fiveNumRow(winTab, endDay, s, float64(win.N()))
+		overall.Merge(win)
 		win = stats.NewErrFold()
 	}
 
@@ -146,7 +148,6 @@ func runLongRun(r *Report, opts Options) error {
 			if pushErr == nil {
 				pushErr = resampler.Push(e.Tg, clipped)
 			}
-			overall.Add(errV)
 			for t > winEnd {
 				flushWindow(winEnd / timebase.Day)
 				winEnd += longRunWindow
@@ -181,7 +182,7 @@ func runLongRun(r *Report, opts Options) error {
 	r.figure("trace span", dur, Seconds)
 	r.figure("packets", float64(count), Count)
 	r.figure("window", longRunWindow, Seconds)
-	all := r.errFigures("overall", overall)
+	all := r.errFigures("overall", Seconds, overall)
 	medLo, medHi := stats.MinMax(winMedians)
 	r.figure("excursion threshold (clipped from the Allan fold)", longRunClip, Seconds)
 	r.figure("single-packet excursions", float64(excursions), Count)

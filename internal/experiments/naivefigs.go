@@ -32,7 +32,7 @@ func runFig5(r *Report, opts Options) error {
 	pBar := (last.Tg - first.Tg) / float64(last.Tf-first.Tf)
 
 	tab := r.table("series", "te_day", "naive_rel_ppm", "ref_rel_ppm")
-	var relErrsLate []float64 // |naive − reference| after 0.2 day
+	late := stats.NewErrFold() // naive/reference − 1 after 0.2 day
 	withinEarly, totalEarly := 0, 0
 	for _, e := range ex[1:] {
 		_, back, _, err := core.NaiveRatePair(
@@ -46,7 +46,7 @@ func runFig5(r *Report, opts Options) error {
 		tab.Append(day, timebase.PPM(back/pBar-1), timebase.PPM(ref/pBar-1))
 		rel := math.Abs(back/ref - 1)
 		if day > 0.2 {
-			relErrsLate = append(relErrsLate, rel)
+			late.Add(back/ref - 1)
 		}
 		if day > 0.05 && day < 0.2 {
 			totalEarly++
@@ -57,9 +57,8 @@ func runFig5(r *Report, opts Options) error {
 	}
 
 	frac := float64(withinEarly) / float64(totalEarly)
-	med := stats.Median(relErrsLate)
-	worst := stats.Percentile(relErrsLate, 100)
-	r.figure("worst |rel err| after 0.2 day", worst, PPM)
+	lateS := r.errFigures("naive rate", PPM, late)
+	med, worst := lateS.AbsP50, lateS.AbsMax
 
 	r.atLeast("bulk quickly within 0.1 PPM of reference", frac, 0.8, Share)
 	r.atMost("median damps to ≪0.1 PPM after 0.2 day", med, timebase.FromPPM(0.05), PPM)
@@ -97,7 +96,7 @@ func runFig6(r *Report, opts Options) error {
 		}
 	}
 
-	s := r.errFigures("naive", devs)
+	s := r.errFigures("naive", Seconds, devs)
 	med, iqr := s.P50, s.IQR()
 	negFrac := float64(neg) / float64(devs.N())
 	// The deviation distribution is (q← − q→)/2 plus the −Δ/2 ambiguity.
@@ -126,15 +125,15 @@ func runFig7(r *Report, opts Options) error {
 
 		tab := r.table(fmt.Sprintf("Estar%.0fdelta", eStarFactor), "te_day", "rel_err", "bound")
 		accepted, n := 0, 0
-		var maxAfter float64 // worst error once past 0.1 day
+		after := stats.NewErrFold() // PHat/pRef − 1 once past 0.1 day
 		if _, err := streamRun(sc, cfg, func(e sim.Exchange, res core.Result) {
 			day := e.Te / timebase.Day
 			rel := math.Abs(res.PHat/pRef - 1)
 			if res.Accepted {
 				accepted++
 			}
-			if day > 0.1 && rel > maxAfter {
-				maxAfter = rel
+			if day > 0.1 {
+				after.Add(res.PHat/pRef - 1)
 			}
 			n++
 			final[i] = rel
@@ -143,8 +142,10 @@ func runFig7(r *Report, opts Options) error {
 			return err
 		}
 		acc[i] = float64(accepted) / float64(n)
-		r.figure(fmt.Sprintf("E*=%.0fδ accepted", eStarFactor), acc[i], Share)
-		r.atMost(fmt.Sprintf("E*=%.0fδ error below 0.1 PPM and stays (max after 0.1d)", eStarFactor),
+		scope := fmt.Sprintf("E*=%.0fδ", eStarFactor)
+		r.figure(scope+" accepted", acc[i], Share)
+		maxAfter := r.errFigures(scope+" rate", PPM, after).AbsMax
+		r.atMost(scope+" error below 0.1 PPM and stays (max after 0.1d)",
 			maxAfter, timebase.FromPPM(0.1), PPM)
 	}
 
@@ -166,19 +167,16 @@ func runFig8(r *Report, opts Options) error {
 	dur := opts.scale(3 * timebase.Week)
 	sc := sim.NewScenario(sim.MachineRoom, sim.ServerInt(), 16, dur, opts.seed())
 
-	// The figure's statistics are exact order statistics of the settled
-	// series (after 1 h), so that series is kept: signed errors, and the
-	// algorithm's and the naive estimate's |error| for the 90th pct.
+	// The settled series (after 1 h) of the algorithm's and the naive
+	// estimate's errors, each folded.
 	tab := r.table("series", "tb_day", "theta_hat_s", "theta_naive_s", "theta_ref_s")
-	var settled, algAbs, naiveAbs []float64
+	alg, naive := stats.NewErrFold(), stats.NewErrFold()
 	k := 0
 	if _, err := streamRun(sc, defaultCfg(16), func(e sim.Exchange, res core.Result) {
 		thetaG := refOffset(res, e)
 		if e.TrueTf > timebase.Hour {
-			errV := offsetErrOf(res, e)
-			settled = append(settled, errV)
-			algAbs = append(algAbs, math.Abs(errV))
-			naiveAbs = append(naiveAbs, math.Abs(res.ThetaNaive-thetaG))
+			alg.Add(offsetErrOf(res, e))
+			naive.Add(res.ThetaNaive - thetaG)
 		}
 		if k++; k%4 != 1 { // every fourth packet, from the first
 			return
@@ -188,11 +186,10 @@ func runFig8(r *Report, opts Options) error {
 		return err
 	}
 
-	med := stats.Median(settled)
-	iqr := stats.IQR(settled)
-	alg := stats.NewSorted(algAbs) // one sort for both quantiles
-	medAbs, a90 := alg.Median(), alg.Percentile(90)
-	n90 := stats.Percentile(naiveAbs, 90)
+	algS := r.errFigures("algorithm", Seconds, alg)
+	r.errFigures("naive", Seconds, naive)
+	med, iqr, medAbs := algS.P50, algS.IQR(), algS.AbsP50
+	a90, n90 := alg.AbsQuantile(0.9), naive.AbsQuantile(0.9)
 	r.figure("90th pct |err| algorithm", a90, Seconds)
 	r.figure("90th pct |err| naive", n90, Seconds)
 

@@ -105,7 +105,7 @@ func runFig11b(r *Report, opts Options) error {
 		return err
 	}
 
-	damage := r.errFigures("settled", settled)
+	damage := r.errFigures("settled", Seconds, settled)
 	r.atLeast("sanity check triggered (packets)", float64(sanityCount), 1, Count)
 	r.atMost("damage limited to ~a millisecond: max |err| vs 150ms fault", damage.AbsMax, 4*timebase.Millisecond, Seconds)
 	r.atMost("healed by end of trace: |err|", math.Abs(lastErr), 300*timebase.Microsecond, Seconds)
@@ -174,7 +174,7 @@ func runFig11c(r *Report, opts Options) error {
 
 	// The jump is ≈ Δshift/2 (asymmetry change), directed negative since
 	// the forward minimum grew.
-	pre, post := r.errFigures("pre-shift", before), r.errFigures("post-detection", after)
+	pre, post := r.errFigures("pre-shift", Seconds, before), r.errFigures("post-detection", Seconds, after)
 	jump := post.P50 - pre.P50
 	r.within("post-shift jump ≈ −Δshift/2", jump, -650e-6, -250e-6, Seconds)
 	return nil
@@ -221,7 +221,7 @@ func runFig11d(r *Report, opts Options) error {
 	wantRTT := sc.Servers[0].MinRTT() + 2*delta
 	r.figure("r̂ after shift", rHatAfter, Seconds)
 	r.figure("new minimum RTT", wantRTT, Seconds)
-	pre, post := r.errFigures("pre-shift", before), r.errFigures("post-shift", after)
+	pre, post := r.errFigures("pre-shift", Seconds, before), r.errFigures("post-shift", Seconds, after)
 	shiftOfMedian := post.P50 - pre.P50
 	r.figure("median error moved by", shiftOfMedian, Seconds)
 
@@ -254,20 +254,17 @@ func runFig12(r *Report, opts Options) error {
 				{From: 45 * timebase.Day, To: 48.8 * timebase.Day},
 			}
 		}
-		// Pass 1: the error fold, and the 0.5/99.5 coverage bounds
-		// (the histogram's range, not an error summary).
+		// Pass 1: the error fold, whose 0.5/99.5 levels are the
+		// histogram's range.
 		errs := stats.NewErrFold()
-		cover := stats.NewStreamingQuantiles(0.005, 0.995)
 		if _, err := streamRun(sc, defaultCfg(poll), func(e sim.Exchange, res core.Result) {
 			if e.TrueTf > 3*timebase.Hour {
-				errV := offsetErrOf(res, e)
-				errs.Add(errV)
-				cover.Add(errV)
+				errs.Add(offsetErrOf(res, e))
 			}
 		}); err != nil {
 			return err
 		}
-		lo, hi := cover.Value(0), cover.Value(1)
+		lo, hi := errs.Quantile(0.005), errs.Quantile(0.995)
 
 		// Pass 2: fill the histogram over the now-known range.
 		hist, err := stats.NewHistogram(nil, lo, hi+1e-12, 40)
@@ -287,7 +284,7 @@ func runFig12(r *Report, opts Options) error {
 		}
 		r.figure(fmt.Sprintf("poll %.0f p0.5", poll), lo, Seconds)
 		r.figure(fmt.Sprintf("poll %.0f p99.5", poll), hi, Seconds)
-		s := r.errFigures(fmt.Sprintf("poll %.0f", poll), errs)
+		s := r.errFigures(fmt.Sprintf("poll %.0f", poll), Seconds, errs)
 		iqrs[i] = s.IQR()
 
 		r.within(fmt.Sprintf("poll %.0f median at tens-of-µs (paper: −31/−33µs)", poll), s.P50, -100e-6, 0, Seconds)
@@ -333,7 +330,7 @@ func runBaseline(r *Report, opts Options) error {
 	}); err != nil {
 		return err
 	}
-	swS, coreS := r.errFigures("SW-NTP", swErrs), r.errFigures("TSC-NTP", coreErrs)
+	swS, coreS := r.errFigures("SW-NTP", Seconds, swErrs), r.errFigures("TSC-NTP", Seconds, coreErrs)
 	swMed, coreMed := swS.AbsP50, coreS.AbsP50
 	swWorst, coreWorst := swS.AbsMax, coreS.AbsMax
 

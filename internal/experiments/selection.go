@@ -97,9 +97,9 @@ func runSelect(r *Report, opts Options) error {
 	r.figure("first colluding server", sim.ColludingHonest, Count)
 	r.figure("last colluding server", float64(nSrv-1), Count)
 	r.figure("colluders' lie", lie, Seconds)
-	goodMed := r.errFigures("all-good baseline tail", goodTail).AbsP50
-	selMed := r.errFigures("selection tail", selTail).AbsP50
-	medMed := r.errFigures("median-only tail", medTail).AbsP50
+	goodMed := r.errFigures("all-good baseline tail", Seconds, goodTail).AbsP50
+	selMed := r.errFigures("selection tail", Seconds, selTail).AbsP50
+	medMed := r.errFigures("median-only tail", Seconds, medTail).AbsP50
 	r.figure("tail snapshots", float64(tailSnaps), Count)
 	r.figure("tail snapshots excluding both colluders", float64(tailBoth), Count)
 	r.figure("final falsetickers", float64(last.Falsetickers), Count)

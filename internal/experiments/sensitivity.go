@@ -56,7 +56,7 @@ func runFig9a(r *Report, opts Options) error {
 			if err != nil {
 				return err
 			}
-			s := r.errFigures(fmt.Sprintf("%s τ'/τ*=%g", tag, ratio), errs)
+			s := r.errFigures(fmt.Sprintf("%s τ'/τ*=%g", tag, ratio), Seconds, errs)
 			fiveNumRow(tab, ratio, s)
 			medians = append(medians, s.P50)
 		}
@@ -84,7 +84,7 @@ func runFig9b(r *Report, opts Options) error {
 		if err != nil {
 			return err
 		}
-		s := r.errFigures(fmt.Sprintf("E=%gδ", f), errs)
+		s := r.errFigures(fmt.Sprintf("E=%gδ", f), Seconds, errs)
 		fiveNumRow(tab, f, s)
 		medians = append(medians, s.P50)
 		iqrs = append(iqrs, s.IQR())
@@ -111,7 +111,7 @@ func runFig9c(r *Report, opts Options) error {
 		if err != nil {
 			return err
 		}
-		s := r.errFigures(fmt.Sprintf("poll=%gs", poll), errs)
+		s := r.errFigures(fmt.Sprintf("poll=%gs", poll), Seconds, errs)
 		fiveNumRow(tab, poll, s)
 		medians = append(medians, s.P50)
 	}
@@ -149,7 +149,7 @@ func runFig10(r *Report, opts Options) error {
 		if err != nil {
 			return err
 		}
-		summaries[i] = r.errFigures(c.name, errs)
+		summaries[i] = r.errFigures(c.name, Seconds, errs)
 		fiveNumRow(tab, float64(i), summaries[i])
 	}
 

@@ -9,7 +9,9 @@
 //   - ErrFold: the one summary of an error series against ground truth
 //     — the paper's 1/25/50/75/99-percentile curves (PaperPercentiles,
 //     Figures 9, 10 and 12) and the median, 99th percentile and maximum
-//     of |error| — folded online in bounded memory (stream.go);
+//     of |error| — folded online in bounded memory, mergeable and
+//     order-free: exact up to 32 768 values, within 2⁻⁸·|x| + 1 ns of
+//     the exact order statistics past them (stream.go);
 //   - Histogram: fixed-bin counts with fractional normalization;
 //   - MinMax: the extrema, for spreads across a sweep.
 //
@@ -44,12 +46,18 @@ func NewSorted(xs []float64) Sorted {
 	return Sorted(cp)
 }
 
+// checkPercentile panics unless p is in [0,100]; a NaN p is out of
+// range too.
+func checkPercentile(p float64) {
+	if !(p >= 0 && p <= 100) {
+		panic(fmt.Sprintf("stats: percentile %v out of range", p))
+	}
+}
+
 // Percentile returns the p-th percentile (p in [0,100]) using linear
 // interpolation between order statistics. It panics on out-of-range p.
 func (s Sorted) Percentile(p float64) float64 {
-	if p < 0 || p > 100 {
-		panic(fmt.Sprintf("stats: percentile %v out of range", p))
-	}
+	checkPercentile(p)
 	if len(s) == 1 {
 		return s[0]
 	}

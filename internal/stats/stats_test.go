@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"runtime"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -38,12 +39,17 @@ func TestPercentilePanics(t *testing.T) {
 		func() { Percentile(nil, 50) },
 		func() { Percentile([]float64{1}, -1) },
 		func() { Percentile([]float64{1}, 101) },
+		func() { Percentile([]float64{1}, math.NaN()) },
+		func() { Percentile([]float64{1, 2}, math.NaN()) },
 		func() { MinMax(nil) },
 	} {
 		func() {
 			defer func() {
-				if recover() == nil {
+				switch r := recover().(type) {
+				case nil:
 					t.Error("expected panic")
+				case runtime.Error:
+					t.Errorf("panicked in the runtime, not on the argument: %v", r)
 				}
 			}()
 			f()

@@ -2,58 +2,15 @@ package stats
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/rng"
 )
 
-// P² error budget, documented per input shape as a fraction of the
-// sample's inter-quartile range (plus an absolute floor for degenerate
-// spreads). These are the bounds the experiment rewiring relies on —
-// the shape checks in internal/experiments sit an order of magnitude
-// above the well-behaved rows:
-//
-//   - random (the shape experiment error series actually have):
-//     0.05·IQR at interior levels, 0.35·IQR at the 1/99 tails;
-//   - monotone sorted/reversed (the adversarial worst case — P²'s
-//     markers trail a drifting distribution): 0.3·IQR at the median,
-//     1.2·IQR elsewhere. Genuinely drifting inputs should be windowed,
-//     as the longrun experiment does;
-//   - constant: exact to 1e-12;
-//   - heavy-tailed (Pareto α=1.3, infinite variance): interior levels
-//     as random; tails within 50% relative.
-const (
-	p2TolIQRFrac     = 0.05
-	p2TolIQRTail     = 0.35
-	p2TolMonoMedian  = 0.3
-	p2TolMonoOther   = 1.2
-	p2TolHeavyTailed = 0.5 // relative, tail levels only
-	p2TolAbs         = 1e-12
-)
-
-// p2Tol returns the documented absolute tolerance for one shape/level
-// pair, or a negative value when the relative heavy-tail bound applies.
-func p2Tol(shape string, p, iqr float64) float64 {
-	tail := p <= 0.01 || p >= 0.99
-	switch shape {
-	case "sorted", "reversed":
-		if p == 0.5 {
-			return p2TolMonoMedian*iqr + p2TolAbs
-		}
-		return p2TolMonoOther*iqr + p2TolAbs
-	case "heavy":
-		if tail {
-			return -1
-		}
-	}
-	if tail {
-		return p2TolIQRTail*iqr + p2TolAbs
-	}
-	return p2TolIQRFrac*iqr + p2TolAbs
-}
-
-// inputShapes generates the test corpus: random, sorted (adversarial
-// for P² marker movement), reverse-sorted, constant, and heavy-tailed.
+// inputShapes generates the test corpus: random, sorted, reverse-sorted,
+// constant, heavy-tailed, drifting (a mean that moves through the
+// series) and near-zero (straddling the 1 ns zero bucket).
 func inputShapes(n int) map[string][]float64 {
 	src := rng.New(20041025)
 	random := make([]float64, n)
@@ -76,117 +33,154 @@ func inputShapes(n int) map[string][]float64 {
 			heavy[i] = -heavy[i]
 		}
 	}
+	drifting := make([]float64, n)
+	for i := range drifting {
+		drifting[i] = -60e-6 + 80e-6*float64(i)/float64(n) + src.Normal(0, 5e-6)
+	}
+	nearZero := make([]float64, n)
+	for i := range nearZero {
+		nearZero[i] = src.Normal(0, 3e-9)
+	}
 	return map[string][]float64{
-		"random":   random,
-		"sorted":   []float64(sortedCopy),
-		"reversed": reverse,
-		"constant": constant,
-		"heavy":    heavy,
+		"random":    random,
+		"sorted":    []float64(sortedCopy),
+		"reversed":  reverse,
+		"constant":  constant,
+		"heavy":     heavy,
+		"drifting":  drifting,
+		"near-zero": nearZero,
 	}
 }
 
-func TestP2QuantilePanics(t *testing.T) {
-	sample := NewSorted([]float64{5, 1, 4, 2, 3})
-	for _, fn := range []func(){
-		func() { newP2Quantile(0, sample) },
-		func() { newP2Quantile(1, sample) },
-		func() { newP2Quantile(-0.5, sample) },
-		func() { newP2Quantile(1.5, sample) },
-		func() { newP2Quantile(0.5, sample[:4]) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("expected panic")
-				}
-			}()
-			fn()
-		}()
+// foldOf folds xs in order.
+func foldOf(xs []float64) *ErrFold {
+	f := NewErrFold()
+	for _, x := range xs {
+		f.Add(x)
 	}
+	return f
 }
 
-// TestStreamingQuantilesExactBelowPrefix pins the hybrid's headline
-// property: any stream shorter than the exact-prefix budget — every
-// quick-mode experiment series — is summarized *exactly*, adversarial
-// shapes included.
+// absOf returns |x| for each x.
+func absOf(xs []float64) []float64 {
+	abs := make([]float64, len(xs))
+	for i, x := range xs {
+		abs[i] = math.Abs(x)
+	}
+	return abs
+}
+
+// summaryBits is a summary as bits, so that comparing two tells 0 from
+// −0.
+func summaryBits(s ErrSummary) [8]uint64 {
+	var b [8]uint64
+	for i, v := range [...]float64{s.P01, s.P25, s.P50, s.P75, s.P99, s.AbsP50, s.AbsP99, s.AbsMax} {
+		b[i] = math.Float64bits(v)
+	}
+	return b
+}
+
+// levels are the quantile levels the fold tests read: the ends, the
+// histogram range of Figure 12 and the paper's percentile curves.
+var levels = []float64{0, 0.005, 0.01, 0.25, 0.5, 0.75, 0.9, 0.99, 0.995, 1}
+
+// TestStreamingQuantilesExactBelowPrefix pins the fold's exact regime:
+// any series no longer than the exact prefix — every quick-mode
+// experiment series — is summarized exactly, adversarial shapes
+// included, and so is one of exactly the prefix's length.
 func TestStreamingQuantilesExactBelowPrefix(t *testing.T) {
-	levels := []float64{0.01, 0.25, 0.5, 0.75, 0.99}
-	for name, xs := range inputShapes(20000) {
-		s := NewStreamingQuantiles(levels...)
-		for _, x := range xs {
-			s.Add(x)
-		}
-		if s.ests != nil {
-			t.Fatalf("%s: %d observations left the exact regime (budget %d)",
-				name, len(xs), DefaultExactPrefix)
-		}
-		sorted := NewSorted(xs)
-		for i, p := range levels {
-			if got, want := s.Value(i), sorted.Percentile(p*100); got != want {
-				t.Errorf("%s p=%.2f: got %v, want exact %v", name, p, got, want)
+	for _, n := range []int{20000, exactPrefix} {
+		for name, xs := range inputShapes(n) {
+			f := foldOf(xs)
+			if f.buf == nil {
+				t.Fatalf("%s: %d values left the exact regime (prefix %d)", name, n, exactPrefix)
 			}
-		}
-		if s.N() != len(xs) {
-			t.Errorf("%s: N=%d, want %d", name, s.N(), len(xs))
-		}
-	}
-}
-
-// TestStreamingQuantilesWarmStarted forces the regime switch with a
-// small prefix budget and holds the warm-started tail to the documented
-// P² tolerances on all five input shapes; the markers begin on the
-// exact order statistics, the only way P² ever starts.
-func TestStreamingQuantilesWarmStarted(t *testing.T) {
-	levels := []float64{0.01, 0.25, 0.5, 0.75, 0.99}
-	for name, xs := range inputShapes(50000) {
-		s := NewStreamingQuantiles(levels...)
-		s.limit = 4096
-		for _, x := range xs {
-			s.Add(x)
-		}
-		if s.ests == nil {
-			t.Fatalf("%s: did not switch regimes past the prefix", name)
-		}
-		sorted := NewSorted(xs)
-		iqr := sorted.IQR()
-		for i, p := range levels {
-			if name == "heavy" && p == 0.5 {
-				// The ±Pareto mixture has zero density in (−x_m, x_m):
-				// its median is sign-ambiguous and any estimator may land
-				// on either edge of the gap, a property of the input, not
-				// the estimator.
-				continue
-			}
-			got, want := s.Value(i), sorted.Percentile(p*100)
-			tol := p2Tol(name, p, iqr)
-			if tol < 0 {
-				if rel := math.Abs(got-want) / math.Abs(want); rel > p2TolHeavyTailed {
-					t.Errorf("%s p=%.2f: hybrid %.3g vs exact %.3g (rel %.2f)",
-						name, p, got, want, rel)
+			sorted, abs := NewSorted(xs), NewSorted(absOf(xs))
+			for _, p := range levels {
+				if got, want := f.Quantile(p), sorted.Percentile(p*100); got != want {
+					t.Errorf("%s n=%d p=%v: got %v, want exact %v", name, n, p, got, want)
 				}
-				continue
+				if got, want := f.AbsQuantile(p), abs.Percentile(p*100); got != want {
+					t.Errorf("%s n=%d |x| p=%v: got %v, want exact %v", name, n, p, got, want)
+				}
 			}
-			if d := math.Abs(got - want); d > tol {
-				t.Errorf("%s p=%.2f: hybrid %.6g vs exact %.6g (|Δ|=%.3g > tol %.3g)",
-					name, p, got, want, d, tol)
+			if f.N() != n {
+				t.Errorf("%s: N=%d, want %d", name, f.N(), n)
 			}
 		}
 	}
 }
 
-func TestStreamingQuantilesValidation(t *testing.T) {
-	for _, fn := range []func(){
-		func() { NewStreamingQuantiles(0.5).Value(0) },
-		func() { NewStreamingQuantiles(1.5) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("expected panic")
+// TestErrFoldBound holds the bucketed regime to its stated bound on
+// every input shape: the level of rank r = p·(n−1) lies in
+// [x⌊r⌋ − 2⁻⁸·|x⌊r⌋| − 1 ns, x⌈r⌉ + 2⁻⁸·|x⌈r⌉| + 1 ns], for the signed
+// values and for |x|, and the max |x| is exact.
+func TestErrFoldBound(t *testing.T) {
+	n := exactPrefix + 20000
+	for name, xs := range inputShapes(n) {
+		f := foldOf(xs)
+		if f.buf != nil {
+			t.Fatalf("%s: did not leave the exact regime past the prefix", name)
+		}
+		sorted, abs := NewSorted(xs), NewSorted(absOf(xs))
+		for _, p := range levels {
+			checkBound(t, name, p, f.Quantile(p), sorted)
+			checkBound(t, name+" |x|", p, f.AbsQuantile(p), abs)
+		}
+		if got, want := f.Summary().AbsMax, abs[n-1]; got != want {
+			t.Errorf("%s: max |x| %v, want exact %v", name, got, want)
+		}
+	}
+}
+
+func checkBound(t *testing.T, name string, p, got float64, s Sorted) {
+	t.Helper()
+	r := p * float64(len(s)-1)
+	lo, hi := s[int(math.Floor(r))], s[int(math.Ceil(r))]
+	const ns = 1e-9 // the zero bucket's edge, stated here rather than read from the code under test
+	if !(got >= lo-math.Abs(lo)/256-ns && got <= hi+math.Abs(hi)/256+ns) {
+		t.Errorf("%s p=%v: %.6g outside the bound of the order statistics [%.6g, %.6g]",
+			name, p, got, lo, hi)
+	}
+}
+
+// TestErrFoldOrderFree: a summary is a function of the multiset folded,
+// on both sides of the prefix. A permutation of the series, and the
+// series split at any cut into two folds then merged, give the same
+// bits as the series folded in order, cuts either side of the prefix
+// included.
+func TestErrFoldOrderFree(t *testing.T) {
+	src := rng.New(7)
+	for _, n := range []int{20000, exactPrefix + 20000} {
+		for name, xs := range inputShapes(n) {
+			want := summaryBits(foldOf(xs).Summary())
+
+			perm := append([]float64(nil), xs...)
+			for i := len(perm) - 1; i > 0; i-- {
+				j := src.Intn(i + 1)
+				perm[i], perm[j] = perm[j], perm[i]
+			}
+			if got := summaryBits(foldOf(perm).Summary()); got != want {
+				t.Errorf("%s n=%d: a permutation moved the summary", name, n)
+			}
+
+			for _, cut := range []int{0, 1, n / 2, exactPrefix - 1, exactPrefix, exactPrefix + 1, n - 1, n} {
+				if cut > n {
+					continue
 				}
-			}()
-			fn()
-		}()
+				a, b := foldOf(xs[:cut]), foldOf(xs[cut:])
+				a.Merge(b)
+				if a.N() != n {
+					t.Errorf("%s n=%d cut %d: merged N=%d", name, n, cut, a.N())
+				}
+				if got := summaryBits(a.Summary()); got != want {
+					t.Errorf("%s n=%d cut %d: split-then-Merge moved the summary", name, n, cut)
+				}
+				if b.N() != n-cut {
+					t.Errorf("%s n=%d cut %d: Merge changed its argument", name, n, cut)
+				}
+			}
+		}
 	}
 }
 
@@ -195,10 +189,7 @@ func TestStreamingQuantilesValidation(t *testing.T) {
 // sample.
 func TestStreamingFiveNumMatchesBatch(t *testing.T) {
 	for name, xs := range inputShapes(20000) {
-		f := NewErrFold()
-		for _, x := range xs {
-			f.Add(x)
-		}
+		f := foldOf(xs)
 		sorted, s := NewSorted(xs), f.Summary()
 		got := []float64{s.P01, s.P25, s.P50, s.P75, s.P99}
 		for i, p := range []float64{1, 25, 50, 75, 99} {
@@ -217,13 +208,8 @@ func TestStreamingFiveNumMatchesBatch(t *testing.T) {
 // is the exact max |x|.
 func TestMedianAbsMatchesBatch(t *testing.T) {
 	for name, xs := range inputShapes(20000) {
-		f := NewErrFold()
-		abs := make([]float64, len(xs))
-		for i, x := range xs {
-			f.Add(x)
-			abs[i] = math.Abs(x)
-		}
-		a, s := NewSorted(abs), f.Summary()
+		f := foldOf(xs)
+		a, s := NewSorted(absOf(xs)), f.Summary()
 		if got, want := s.AbsP50, a.Median(); got != want {
 			t.Errorf("%s: fold median|x| %.6g vs batch %.6g", name, got, want)
 		}
@@ -255,36 +241,56 @@ func TestFiveNumOf(t *testing.T) {
 	}
 }
 
-// TestErrFoldLevelsIndependent: past the prefix each level of the fold
-// is bit-equal to a one-level StreamingQuantiles fed the same values —
-// folding more levels beside it moves none.
+// TestErrFoldLevelsIndependent: on both sides of the prefix each level
+// of the summary is what that level reads when it is the only one
+// queried, so reading more levels, in any order, moves none.
 func TestErrFoldLevelsIndependent(t *testing.T) {
-	levels := []float64{0.01, 0.25, 0.5, 0.75, 0.99, 0.5, 0.99} // signed, then |x|
-	for name, xs := range inputShapes(DefaultExactPrefix + 20000) {
-		f := NewErrFold()
-		one := make([]*StreamingQuantiles, len(levels))
-		for i, p := range levels {
-			one[i] = NewStreamingQuantiles(p)
-		}
-		for _, x := range xs {
-			f.Add(x)
-			for i, q := range one {
-				if i < 5 {
-					q.Add(x)
-				} else {
-					q.Add(math.Abs(x))
+	for _, n := range []int{20000, exactPrefix + 20000} {
+		for name, xs := range inputShapes(n) {
+			s := summaryBits(foldOf(xs).Summary())
+			alone := []func(*ErrFold) float64{
+				func(f *ErrFold) float64 { return f.Quantile(0.01) },
+				func(f *ErrFold) float64 { return f.Quantile(0.25) },
+				func(f *ErrFold) float64 { return f.Quantile(0.5) },
+				func(f *ErrFold) float64 { return f.Quantile(0.75) },
+				func(f *ErrFold) float64 { return f.Quantile(0.99) },
+				func(f *ErrFold) float64 { return f.AbsQuantile(0.5) },
+				func(f *ErrFold) float64 { return f.AbsQuantile(0.99) },
+			}
+			for i, q := range alone {
+				if got := math.Float64bits(q(foldOf(xs))); got != s[i] {
+					t.Errorf("%s n=%d level %d: alone %v, in the summary %v",
+						name, n, i, math.Float64frombits(got), math.Float64frombits(s[i]))
 				}
 			}
 		}
-		if f.signed.ests == nil || f.abs.ests == nil {
-			t.Fatalf("%s: did not switch regimes past the prefix", name)
+	}
+}
+
+// TestStreamingQuantilesValidation: a level outside [0, 1], NaN
+// included, and any level of an empty fold panic on the argument, in
+// both regimes.
+func TestStreamingQuantilesValidation(t *testing.T) {
+	exact, bucketed := foldOf(make([]float64, 10)), foldOf(make([]float64, exactPrefix+1))
+	var fns []func()
+	for _, f := range []*ErrFold{exact, bucketed} {
+		for _, p := range []float64{-0.01, 1.01, math.NaN(), math.Inf(1)} {
+			fns = append(fns, func() { f.Quantile(p) }, func() { f.AbsQuantile(p) })
 		}
-		s := f.Summary()
-		for i, got := range []float64{s.P01, s.P25, s.P50, s.P75, s.P99, s.AbsP50, s.AbsP99} {
-			if want := one[i].Value(0); math.Float64bits(got) != math.Float64bits(want) {
-				t.Errorf("%s level %d (%v): fold %v, one-level %v", name, i, levels[i], got, want)
-			}
-		}
+	}
+	fns = append(fns, func() { NewErrFold().Quantile(0.5) }, func() { NewErrFold().AbsQuantile(0.5) })
+	for i, fn := range fns {
+		func() {
+			defer func() {
+				switch r := recover().(type) {
+				case nil:
+					t.Errorf("case %d: expected panic", i)
+				case runtime.Error:
+					t.Errorf("case %d: panicked in the runtime, not on the argument: %v", i, r)
+				}
+			}()
+			fn()
+		}()
 	}
 }
 
