@@ -7,8 +7,8 @@
 //   - Percentile/Quantiles/Median/IQR over a Sorted copy: exact order
 //     statistics, linear interpolation between them;
 //   - ErrFold: the one summary of an error series against ground truth
-//     — the paper's 1/25/50/75/99-percentile curves (PaperPercentiles,
-//     Figures 9, 10 and 12) and the median, 99th percentile and maximum
+//     — the paper's percentile curves at levels 1, 25, 50, 75 and 99
+//     (Figures 9, 10 and 12) and the median, 99th percentile and maximum
 //     of |error| — folded online in bounded memory, mergeable and
 //     order-free: exact up to 32 768 values, within 2⁻⁸·|x| + 1 ns of
 //     the exact order statistics past them (stream.go);
@@ -98,15 +98,6 @@ func Median(xs []float64) float64 { return Percentile(xs, 50) }
 
 // IQR returns the inter-quartile range (75th − 25th percentile).
 func IQR(xs []float64) float64 { return NewSorted(xs).IQR() }
-
-// Quantiles evaluates several percentiles with a single sort.
-func Quantiles(xs []float64, ps ...float64) []float64 {
-	return NewSorted(xs).Quantiles(ps...)
-}
-
-// PaperPercentiles are the five percentile levels plotted throughout the
-// paper's sensitivity figures, top curve to bottom curve.
-var PaperPercentiles = []float64{99, 75, 50, 25, 1}
 
 // MinMax returns the extrema of xs.
 func MinMax(xs []float64) (min, max float64) {

@@ -68,7 +68,7 @@ func TestPercentileOrderingQuick(t *testing.T) {
 		if len(xs) == 0 {
 			return true
 		}
-		q := Quantiles(xs, 1, 25, 50, 75, 99)
+		q := NewSorted(xs).Quantiles(1, 25, 50, 75, 99)
 		return sort.Float64sAreSorted(q)
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -149,9 +149,9 @@ func TestQuantilesSingleSortConsistent(t *testing.T) {
 	for i := range xs {
 		xs[i] = src.Float64()
 	}
-	q := Quantiles(xs, 1, 50, 99)
+	q := NewSorted(xs).Quantiles(1, 50, 99)
 	if q[0] != Percentile(xs, 1) || q[1] != Percentile(xs, 50) || q[2] != Percentile(xs, 99) {
-		t.Error("Quantiles disagrees with Percentile")
+		t.Error("Sorted.Quantiles disagrees with Percentile")
 	}
 }
 
@@ -173,10 +173,10 @@ func TestSortedMatchesSliceAPI(t *testing.T) {
 			t.Errorf("Sorted.Percentile(%v) = %v, Percentile = %v", p, got, want)
 		}
 	}
-	q := s.Quantiles(PaperPercentiles...)
-	for i, want := range Quantiles(xs, PaperPercentiles...) {
-		if q[i] != want {
-			t.Errorf("Sorted.Quantiles[%d] = %v, want %v", i, q[i], want)
+	levels := []float64{99, 75, 50, 25, 1}
+	for i, q := range s.Quantiles(levels...) {
+		if want := s.Percentile(levels[i]); q != want {
+			t.Errorf("Sorted.Quantiles level %v = %v, Percentile = %v", levels[i], q, want)
 		}
 	}
 	// NewSorted copies: the caller's slice is untouched, and the sorted
@@ -214,6 +214,6 @@ func BenchmarkQuantiles(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Quantiles(xs, PaperPercentiles...)
+		NewSorted(xs).Quantiles(99, 75, 50, 25, 1)
 	}
 }

@@ -75,8 +75,8 @@ func (b *counts) get(k int) uint64 {
 
 // ErrFold summarizes a series of signed errors against ground truth
 // online, the one way the evaluation states accuracy: the paper's five
-// percentile curves (PaperPercentiles), the median and 99th percentile
-// of |x|, and the exact maximum of |x|. Its summary is a function of
+// percentile curves (levels 1, 25, 50, 75 and 99), the median and 99th
+// percentile of |x|, and the exact maximum of |x|. Its summary is a function of
 // the multiset of values folded, not of their order or of how they were
 // split between folds later merged:
 //

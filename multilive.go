@@ -338,26 +338,30 @@ func (m *MultiLive) UpstreamStates() []UpstreamState {
 }
 
 // Run polls every server until the context is cancelled, one goroutine
-// per server. Server k's first poll is delayed by k·(Poll/4)/N,
-// staggering the schedules across one warmup poll so the combined clock
-// receives a steady interleaved stream rather than synchronized bursts,
-// and the N warmups overlap; after that each server paces itself with
-// its own adaptive Poller (Poll/4 during warmup, Poll after
-// disturbances, backed off to MaxPoll once calibrated — including
-// re-dial attempts of unreachable servers, which are hard errors and
-// back off immediately). A server that answers with a DENY or RSTR kiss
-// is demobilized: its goroutine sends nothing more and waits for the
-// context like the rest. onStep, when installed, is called after every
-// attempt from the polling goroutines (serialize any shared state it
-// touches).
+// per server. Server k's first poll is due k·(Poll/4)/N after Run
+// starts, staggering the schedules across one warmup poll so the
+// combined clock receives a steady interleaved stream rather than
+// synchronized bursts, and the N warmups overlap; after that each
+// server paces itself with its own adaptive Poller (Poll/4 during
+// warmup, Poll after disturbances, backed off to MaxPoll once
+// calibrated — including re-dial attempts of unreachable servers, which
+// are hard errors and back off immediately). Polls are paced on
+// deadlines: each is due the Poller's interval after the previous one
+// was due, not after it returned, so exchange latency does not stretch
+// the schedule (see nextDue). A server that answers with a DENY or RSTR
+// kiss is demobilized: its goroutine sends nothing more and waits for
+// the context like the rest. onStep, when installed, is called after
+// every attempt from the polling goroutines (serialize any shared state
+// it touches).
 func (m *MultiLive) Run(ctx context.Context, onStep func(server int, st EnsembleStatus, err error)) error {
+	start := time.Now()
 	var wg sync.WaitGroup
 	for k := range m.ups {
 		wg.Add(1)
 		go func(k int) {
 			defer wg.Done()
-			stagger := time.Duration(k) * (m.poll / warmupDivisor) / time.Duration(len(m.ups))
-			timer := time.NewTimer(stagger)
+			due := start.Add(time.Duration(k) * (m.poll / warmupDivisor) / time.Duration(len(m.ups)))
+			timer := time.NewTimer(time.Until(due))
 			defer timer.Stop()
 			for {
 				select {
@@ -373,12 +377,26 @@ func (m *MultiLive) Run(ctx context.Context, onStep func(server int, st Ensemble
 					<-ctx.Done()
 					return
 				}
-				timer.Reset(m.pollers[k].Observe(st.Status, err))
+				due = nextDue(due, m.pollers[k].Observe(st.Status, err), time.Now())
+				timer.Reset(time.Until(due))
 			}
 		}(k)
 	}
 	wg.Wait()
 	return ctx.Err()
+}
+
+// nextDue returns when the next poll is due, given that the last one
+// was due at due, its Poller asked for wait and its exchange returned at
+// now: wait after due, so neither the exchange's duration nor the
+// timer's lateness adds up across polls — or now, once that time has
+// passed, so a slow or timed-out exchange is followed by one immediate
+// poll, never by a burst catching up the polls it missed.
+func nextDue(due time.Time, wait time.Duration, now time.Time) time.Time {
+	if next := due.Add(wait); next.After(now) {
+		return next
+	}
+	return now
 }
 
 // Now reads the combined absolute clock as a wall-clock time, resolving

@@ -18,9 +18,9 @@ import (
 //
 // Policy: Min is the steady-state floor. During the engine's warmup —
 // its first 32 exchanges, whose point errors are not yet trusted, when
-// information is scarcest — each exchange is followed by Min/4, so one
-// server's warmup sends 4/Min requests per second; the recommendation
-// itself (Interval) stays at Min. After warmup, double the interval on
+// information is scarcest — polls are due Min/4 apart, so one server's
+// warmup sends 4/Min requests per second; the recommendation itself
+// (Interval) stays at Min. After warmup, double the interval on
 // every quiet, good-quality exchange up to Max; fall back to Min when
 // the engine signals trouble (poor quality, sanity triggers, a detected
 // level shift or server change) so fresh information arrives when it is
@@ -101,8 +101,10 @@ func NewPoller(min, max time.Duration) *Poller {
 func (p *Poller) Interval() time.Duration { return p.current }
 
 // Observe updates the recommendation from the latest exchange outcome
-// and returns the interval to wait before the next poll. A nil receiver
-// is not valid.
+// and returns the interval from the due time of the poll that produced
+// it to the due time of the next poll (MultiLive.Run paces on these
+// deadlines, so the exchange's own duration is inside the interval, not
+// added to it). A nil receiver is not valid.
 func (p *Poller) Observe(st Status, exchangeErr error) time.Duration {
 	if exchangeErr == nil {
 		p.failures = 0

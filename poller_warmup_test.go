@@ -4,11 +4,13 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"net"
 	"os"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/ntp"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/timebase"
@@ -196,5 +198,99 @@ func TestRunWarmupSchedule(t *testing.T) {
 	time.Sleep(10 * poll)
 	if after := srv.Stats().Replied - ready; after > 11 {
 		t.Errorf("upstream answered %d requests in the 10 polls after Ready, want at most 11", after)
+	}
+}
+
+// TestNextPollDue holds the pacing rule: the next poll is due one wait
+// after the previous one was due, however late the timer woke or the
+// exchange returned, unless it returned after that time; then it is due
+// at once, and only once — missed polls are not caught up.
+func TestNextPollDue(t *testing.T) {
+	const wait = 20 * time.Millisecond
+	ms := time.Millisecond
+	// Each step is one exchange: when it returned and when the next poll
+	// is then due, both as offsets from the first poll's due time.
+	type step struct{ returned, want time.Duration }
+	for _, tc := range []struct {
+		name  string
+		steps []step
+	}{
+		{"on time", []step{{1 * ms, 20 * ms}, {21 * ms, 40 * ms}, {41 * ms, 60 * ms}}},
+		{"woke 3 ms late", []step{{4 * ms, 20 * ms}, {24 * ms, 40 * ms}}},
+		{"exchange overran the next due time", []step{{25 * ms, 25 * ms}, {26 * ms, 45 * ms}, {46 * ms, 65 * ms}}},
+		{"returned exactly at the next due time", []step{{20 * ms, 20 * ms}, {21 * ms, 40 * ms}}},
+		{"ten intervals of outage", []step{{200 * ms, 200 * ms}, {201 * ms, 220 * ms}, {221 * ms, 240 * ms}}},
+	} {
+		t0 := time.Now()
+		due := t0
+		for i, s := range tc.steps {
+			due = nextDue(due, wait, t0.Add(s.returned))
+			if got := due.Sub(t0); got != s.want {
+				t.Errorf("%s: step %d returned at +%v: next due at +%v, want +%v", tc.name, i, s.returned, got, s.want)
+			}
+		}
+	}
+}
+
+// TestRunPacesOnDeadlines runs the live schedule against one loopback
+// upstream that takes 10 ms to answer. At Poll = 80 ms the warmup polls
+// are due every 20 ms, so the first 33 requests span 32·20 ms = 640 ms;
+// timing each poll from when the previous exchange returned would add
+// the 10 ms to every gap, at least 32·30 ms = 960 ms.
+func TestRunPacesOnDeadlines(t *testing.T) {
+	const (
+		poll     = 80 * time.Millisecond
+		delay    = 10 * time.Millisecond
+		requests = 33
+		maxSpan  = 800 * time.Millisecond
+	)
+	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	arrivals := make(chan time.Time, requests)
+	srv, err := ntp.NewServer(ntp.ServerConfig{Sample: func() ntp.ClockSample {
+		select {
+		case arrivals <- time.Now():
+		default:
+		}
+		time.Sleep(delay)
+		return ntp.ClockSample{Time: ntp.Time64FromTime(time.Now()), Stratum: 1, Precision: -20, RefID: ntp.RefIDFromString("GPS")}
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(pc)
+	t.Cleanup(func() { pc.Close() })
+
+	l, err := DialMultiLive(MultiLiveOptions{Servers: []string{pc.LocalAddr().String()},
+		Poll: poll, MaxPoll: poll, Timeout: time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() { done <- l.Run(ctx, nil) }()
+	defer func() {
+		cancel()
+		<-done
+	}()
+
+	var first, last time.Time
+	for i := 0; i < requests; i++ {
+		select {
+		case last = <-arrivals:
+		case <-time.After(2 * time.Second):
+			t.Fatalf("%d requests arrived, want %d", i, requests)
+		}
+		if i == 0 {
+			first = last
+		}
+	}
+	span := last.Sub(first)
+	t.Logf("%d requests spanned %v (due every %v, each answered after %v)", requests, span, poll/warmupDivisor, delay)
+	if span >= maxSpan {
+		t.Errorf("%d requests spanned %v, want under %v: exchange latency stretches the schedule", requests, span, maxSpan)
 	}
 }
