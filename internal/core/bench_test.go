@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/cpuid"
 	"repro/internal/timebase"
 )
 
@@ -218,7 +219,7 @@ func BenchmarkOffsetScan(b *testing.B) {
 		}
 		run := func(path string, scan func(*scanParams) float64) {
 			b.Run(fmt.Sprintf("n=%d/%s", n, path), func(b *testing.B) {
-				if path == "kernel" && !haveAVX2 {
+				if path == "kernel" && !cpuid.AVX2 {
 					b.Skip("no AVX2: offsetScan is offsetScanLoop here")
 				}
 				par := par

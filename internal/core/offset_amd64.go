@@ -1,14 +1,10 @@
 package core
 
-import "math"
+import (
+	"math"
 
-// haveAVX2 reports whether the CPU and the operating system support
-// the AVX2 kernel; it is the scan's whole dispatch.
-var haveAVX2 = cpuHasAVX2()
-
-// cpuHasAVX2 asks CPUID for AVX, AVX2 and OSXSAVE, and XGETBV whether
-// the OS saves the YMM state.
-func cpuHasAVX2() bool
+	"repro/internal/cpuid"
+)
 
 // offsetScanAVX2 sets *acc to what offsetScanLoop makes of empty lanes
 // and nblocks whole blocks of four records starting at recs, record i
@@ -22,7 +18,7 @@ func offsetScanAVX2(recs *scanRec, nblocks int, par *scanParams, acc *scanLanes)
 // empty lanes, and returns how many records that was: where
 // offsetScanLoop takes over.
 func scanBlocks(win []scanRec, par *scanParams, acc *scanLanes) int {
-	if !haveAVX2 || len(win) < 4 {
+	if !cpuid.AVX2 || len(win) < 4 {
 		return 0
 	}
 	offsetScanAVX2(&win[0], len(win)/4, par, acc)

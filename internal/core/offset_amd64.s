@@ -1,14 +1,13 @@
 #include "textflag.h"
 
-// The repository's one assembly file: the offset filter's weighted
-// scan, four records per instruction (AVX2), and the CPUID probe that
-// decides whether it may run. The contract is offset_amd64.go's:
-// offsetScanAVX2 is offsetScanLoop (offset.go) over whole blocks of
-// four records, equal to it bit for bit on finite inputs, reading
-// nothing past the blocks. Each line below carries the loop's
-// expression it computes; the operations are the loop's, in the loop's
-// order, with separate multiplies and adds — no FMA, which would round
-// once where the Go compiler rounds twice.
+// The offset filter's weighted scan, four records per instruction
+// (AVX2); internal/cpuid decides whether it may run. The contract is
+// offset_amd64.go's: offsetScanAVX2 is offsetScanLoop (offset.go) over
+// whole blocks of four records, equal to it bit for bit on finite
+// inputs, reading nothing past the blocks. Each line below carries the
+// loop's expression it computes; the operations are the loop's, in the
+// loop's order, with separate multiplies and adds — no FMA, which would
+// round once where the Go compiler rounds twice.
 //
 // Operand order is Go's: sources first, destination last, and for the
 // non-commutative ones OP b, a, dst is dst = a − b, min(a, b), a ≤ b.
@@ -126,30 +125,4 @@ done:
 	VMOVUPD Y10, 32(DI)
 	VMOVUPD Y9, 64(DI)
 	VZEROUPPER                     // the code around this is legacy SSE; dirty upper halves would tax all of it
-	RET
-
-// func cpuHasAVX2() bool
-TEXT ·cpuHasAVX2(SB), NOSPLIT, $0-1
-	MOVB $0, ret+0(FP)
-	MOVL $0, AX
-	CPUID
-	CMPL AX, $7                    // leaf 7 exists
-	JLT  no
-	MOVL $1, AX
-	CPUID
-	ANDL $(3<<27), CX              // leaf 1 ECX: OSXSAVE (27) and AVX (28)
-	CMPL CX, $(3<<27)
-	JNE  no
-	MOVL $0, CX
-	XGETBV
-	ANDL $6, AX                    // XCR0: the OS saves XMM (1) and YMM (2) state
-	CMPL AX, $6
-	JNE  no
-	MOVL $7, AX
-	MOVL $0, CX
-	CPUID
-	SHRL $5, BX                    // leaf 7 EBX bit 5: AVX2
-	ANDL $1, BX
-	MOVB BX, ret+0(FP)
-no:
 	RET

@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/cpuid"
 	"repro/internal/rng"
 )
 
@@ -12,7 +13,7 @@ import (
 // run on, and otherwise puts the path updateOffset takes in the log.
 func requireKernel(t testing.TB) {
 	t.Helper()
-	if !haveAVX2 {
+	if !cpuid.AVX2 {
 		t.Skip("no AVX2 kernel here (not amd64, or CPUID reports no OS-enabled AVX2): updateOffset scans with offsetScanLoop alone, there is nothing to compare")
 	}
 	t.Log("CPUID reports AVX2: updateOffset scans whole blocks of four with offsetScanAVX2, the tail with offsetScanLoop")

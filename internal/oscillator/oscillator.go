@@ -14,6 +14,12 @@
 // random-walk term, so that multi-month traces can be generated without
 // accumulating numerical drift.
 //
+// The phase takes its sinusoids' cosines four at a time (cos4). On amd64
+// with AVX2 an assembly kernel (cos_amd64.s) computes them, bit for bit
+// math.Cos for every finite argument below 2²⁹ in magnitude; any other
+// lane, and every other platform, takes math.Cos itself. internal/cpuid's
+// probe is the whole dispatch, so a trace is the same bits either way.
+//
 //repro:deterministic
 package oscillator
 
@@ -187,12 +193,19 @@ func MachineRoom() Config {
 }
 
 // term is one sinusoid with the constants its reads need computed
-// once: a = FromPPM(AmplitudePPM), omega = 2π/Period, a/omega and
-// cos(Phase). Each is a subexpression a read would otherwise evaluate
-// inline, kept in the same shape, so holding it changes no bit.
+// once: a = FromPPM(AmplitudePPM), a/omega and cos(Phase), where
+// omega = 2π/Period. Each is a subexpression a read would otherwise
+// evaluate inline, kept in the same shape, so holding it changes no bit.
 type term struct {
 	Sinusoid
-	a, omega, aOverOmega, cosPhase float64
+	a, aOverOmega, cosPhase float64
+}
+
+// quad holds four terms' omega and Phase in lanes, the layout cos4
+// reads: lane i of quads[q] is terms[4q+i], and the last quad's unused
+// lanes are zero.
+type quad struct {
+	omega, phase [4]float64
 }
 
 // Oscillator is a deterministic realization of a Config. It is not safe
@@ -201,6 +214,7 @@ type Oscillator struct {
 	cfg    Config
 	gamma0 float64 // constant skew, dimensionless
 	terms  []term  // Sinusoids plus the expanded temperature cycle
+	quads  []quad  // the terms' cosine arguments, four to a quad
 
 	// Random-walk frequency component, generated lazily in fixed steps.
 	// rwRate[j] is the dimensionless rate offset during absolute step
@@ -228,9 +242,12 @@ func New(cfg Config, seed uint64) (*Oscillator, error) {
 		rwRate: []float64{0},
 		rwCum:  []float64{0},
 	}
-	for _, s := range slices.Concat(cfg.Sinusoids, cfg.Temp.expand()) {
+	sins := slices.Concat(cfg.Sinusoids, cfg.Temp.expand())
+	o.quads = make([]quad, (len(sins)+3)/4)
+	for i, s := range sins {
 		a, omega := timebase.FromPPM(s.AmplitudePPM), 2*math.Pi/s.Period
-		o.terms = append(o.terms, term{s, a, omega, a / omega, math.Cos(s.Phase)})
+		o.terms = append(o.terms, term{s, a, a / omega, math.Cos(s.Phase)})
+		o.quads[i/4].omega[i%4], o.quads[i/4].phase[i%4] = omega, s.Phase
 	}
 	return o, nil
 }
@@ -250,8 +267,8 @@ func (o *Oscillator) MeanPeriod() float64 {
 func (o *Oscillator) wanderRate(t float64) float64 {
 	w := 0.0
 	for _, s := range o.terms {
-		// Not s.omega*t: 2π·t/Period rounds differently.
-		w += s.a * math.Sin(2*math.Pi*t/s.Period+s.Phase)
+		// Not omega*t: 2π·t/Period rounds differently.
+		w += float64(s.a * math.Sin(2*math.Pi*t/s.Period+s.Phase))
 	}
 	if o.cfg.RandomWalkStepPPM > 0 {
 		k := int(t / o.cfg.RandomWalkStep)
@@ -278,19 +295,20 @@ func (o *Oscillator) extendRW(k int) {
 	}
 	h := o.cfg.RandomWalkStep
 	step := timebase.FromPPM(o.cfg.RandomWalkStepPPM)
-	bound := timebase.FromPPM(o.cfg.RandomWalkBoundPPM)
+	// FromPPM is a product; rounded here, 2*bound below cannot fuse with it.
+	bound := float64(timebase.FromPPM(o.cfg.RandomWalkBoundPPM))
 	for o.rwBase+len(o.rwRate) <= k {
 		prev := o.rwRate[len(o.rwRate)-1]
-		next := prev + step*o.rwSrc.StdNormal()
+		next := prev + float64(step*o.rwSrc.StdNormal())
 		// Reflect at the stability bound so the 0.1 PPM hardware
 		// characterization cannot be violated by an unlucky sample path.
 		if next > bound {
-			next = 2*bound - next
+			next = float64(2*bound) - next
 		}
 		if next < -bound {
-			next = -2*bound - next
+			next = float64(-2*bound) - next
 		}
-		o.rwCum = append(o.rwCum, o.rwCum[len(o.rwCum)-1]+prev*h)
+		o.rwCum = append(o.rwCum, o.rwCum[len(o.rwCum)-1]+float64(prev*h))
 		o.rwRate = append(o.rwRate, next)
 	}
 }
@@ -328,19 +346,37 @@ func (o *Oscillator) TrimBefore(t float64) {
 // with trimming it stays a bounded window.
 func (o *Oscillator) RandomWalkCacheLen() int { return len(o.rwRate) }
 
+// cos4 returns cos(ω·t+φ) for the four lanes of q, each bit for bit
+// math.Cos(float64(ω·t)+φ). The kernel, where the CPU has one, takes the
+// lanes whose argument is finite and below 2²⁹ in magnitude; the Go
+// expression takes the rest.
+func cos4(t float64, q *quad) [4]float64 {
+	c, done := cosKernel(t, q)
+	for i := range c {
+		if done&(1<<i) == 0 {
+			c[i] = math.Cos(float64(q.omega[i]*t) + q.phase[i])
+		}
+	}
+	return c
+}
+
 // wanderIntegral returns the integral of the wander rate from 0 to t, in
 // seconds, computed in closed form for the sinusoids and from the cached
-// cumulative sums for the random walk.
+// cumulative sums for the random walk. The sinusoids' cosines are taken
+// four at a time (cos4) and summed term by term in order.
 func (o *Oscillator) wanderIntegral(t float64) float64 {
 	w := 0.0
-	for _, s := range o.terms {
-		w += s.aOverOmega * (s.cosPhase - math.Cos(s.omega*t+s.Phase))
+	for q := range o.quads {
+		c := cos4(t, &o.quads[q])
+		for i, s := range o.terms[4*q : min(4*q+4, len(o.terms))] {
+			w += float64(s.aOverOmega * (s.cosPhase - c[i]))
+		}
 	}
 	if o.cfg.RandomWalkStepPPM > 0 {
 		h := o.cfg.RandomWalkStep
 		k := int(t / h)
 		o.extendRW(k)
-		w += o.rwCum[k-o.rwBase] + o.rwRate[k-o.rwBase]*(t-float64(k)*h)
+		w += o.rwCum[k-o.rwBase] + float64(o.rwRate[k-o.rwBase]*(t-float64(float64(k)*h)))
 	}
 	return w
 }
@@ -353,7 +389,7 @@ func (o *Oscillator) Phase(t float64) float64 {
 	if t < 0 {
 		return o.cfg.NominalHz * (1 + o.gamma0) * t
 	}
-	return o.cfg.NominalHz * ((1+o.gamma0)*t + o.wanderIntegral(t))
+	return o.cfg.NominalHz * (float64((1+o.gamma0)*t) + o.wanderIntegral(t))
 }
 
 // ReadTSC returns the counter value at true time t, i.e. the hardware

@@ -9,17 +9,36 @@
 //repro:deterministic
 package rng
 
-import "math"
+import (
+	"math"
+	"unsafe"
+
+	"repro/internal/cacheline"
+)
 
 // Source is a deterministic xoshiro256** pseudo-random generator.
 // The zero value is not usable; construct with New.
+//
+// A Source fills one cache line: the trace generator draws from some
+// sources on one goroutine and from others on its stamping workers, and
+// sources allocated back to back would otherwise share lines, each
+// draw taking the line away from the other core.
 type Source struct {
 	s [4]uint64
 
 	// Box-Muller spare variate cache for StdNormal.
-	haveSpare bool
 	spare     float64
+	haveSpare bool
+
+	_ [cacheline.Size - 41]byte
 }
+
+// A Source is exactly one line, so the allocator's 64-byte size class
+// puts each on a line of its own.
+const (
+	_ = uint(unsafe.Sizeof(Source{}) - cacheline.Size)
+	_ = uint(cacheline.Size - unsafe.Sizeof(Source{}))
+)
 
 // New returns a Source seeded deterministically from seed using
 // SplitMix64, the initialization recommended by the xoshiro authors.
@@ -144,7 +163,7 @@ func (r *Source) Bool(p float64) bool {
 // and standard deviation, generated with the Box-Muller transform. The
 // spare variate is cached.
 func (r *Source) Normal(mean, stddev float64) float64 {
-	return mean + stddev*r.StdNormal()
+	return mean + float64(stddev*r.StdNormal())
 }
 
 // StdNormal returns a standard normal draw.
@@ -156,9 +175,12 @@ func (r *Source) StdNormal() float64 {
 	u1 := r.Float64Open()
 	u2 := r.Float64()
 	mag := math.Sqrt(-2 * math.Log(u1))
-	r.spare = mag * math.Sin(2*math.Pi*u2)
+	// One reduction for both: for 2π·u2 ≥ 0 Sincos is Sin and Cos bit
+	// for bit.
+	sin, cos := math.Sincos(2 * math.Pi * u2)
+	r.spare = mag * sin
 	r.haveSpare = true
-	return mag * math.Cos(2*math.Pi*u2)
+	return mag * cos
 }
 
 // Exponential returns an exponential draw with the given mean (not rate).
