@@ -3,10 +3,11 @@
 //
 // The setup is the paper's "MR-Int" workhorse: a machine-room host
 // polling an organization-internal stratum-1 server every 16 s. The
-// program feeds one day of NTP exchanges to the public tscclock API and
-// prints the synchronization state as it evolves, then reads both clocks
-// (difference and absolute) and compares them against the simulation's
-// ground truth.
+// program feeds NTP exchanges from one simulated day to the public
+// tscclock API and prints the synchronization state as it evolves. At
+// 23 h + 120 s it reads both clocks (difference and absolute) with the
+// state it has by then, as a live reader would, and compares them
+// against the simulation's ground truth.
 package main
 
 import (
@@ -40,14 +41,18 @@ func main() {
 	fmt.Printf("%-8s %-12s %-12s %-12s %-10s\n",
 		"elapsed", "rate err", "offset est", "min RTT", "state")
 
+	// The read instants: a 120 s interval ending an hour before the trace
+	// does. Only the exchanges completed by then are fed.
+	t1, t2 := 23*timebase.Hour, 23*timebase.Hour+120
 	next := 60.0
-	var last tscclock.Status
 	for _, e := range tr.Completed() {
+		if e.TrueTf > t2 {
+			break
+		}
 		st, err := clock.ProcessNTPExchange(e.Ta, e.Tf, e.Tb, e.Te)
 		if err != nil {
 			log.Fatal(err)
 		}
-		last = st
 		if e.TrueTf >= next {
 			state := "tracking"
 			if st.Warmup {
@@ -61,10 +66,8 @@ func main() {
 			next *= 4
 		}
 	}
-	_ = last
 
 	// Read the clocks and compare with ground truth.
-	t1, t2 := 23*timebase.Hour, 23*timebase.Hour+120
 	c1, c2 := tr.Osc.ReadTSC(t1), tr.Osc.ReadTSC(t2)
 
 	span := clock.Between(c1, c2)

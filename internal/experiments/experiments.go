@@ -185,6 +185,8 @@ var registry = []registryEntry{
 	{"asym", "Path-asymmetry correction: damped ensemble consensus transfer", runAsym},
 	{"longrun", "Multi-week streaming run: windowed error and online Allan series", runLongRun},
 	{"chaos", "Fault-schedule survival: degradation ladder, holdover bound, recovery", runChaos},
+	{"owd", "One-way delay measured with a commodity PC (§1)", runOWD},
+	{"tscgps", "TSC-GPS clock calibrated from a local PPS reference (conclusion)", runTSCGPS},
 }
 
 // IDs returns all experiment identifiers in presentation order.

@@ -14,7 +14,8 @@ func TestRegistryComplete(t *testing.T) {
 	want := []string{"table1", "table2", "fig2", "fig3", "fig4", "fig5",
 		"fig6", "fig7", "fig8", "fig9a", "fig9b", "fig9c", "fig10",
 		"fig11a", "fig11b", "fig11c", "fig11d", "fig12", "baseline",
-		"ablation", "ensemble", "select", "asym", "longrun", "chaos"}
+		"ablation", "ensemble", "select", "asym", "longrun", "chaos",
+		"owd", "tscgps"}
 	if len(ids) != len(want) {
 		t.Fatalf("registry has %d entries, want %d", len(ids), len(want))
 	}

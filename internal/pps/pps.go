@@ -17,7 +17,15 @@
 // With a ~100 ns reference and µs-scale capture latency, the TSC-GPS
 // clock reaches µs-scale offsets — the "GPS-like" target that the
 // paper's remote synchronization approaches to within about an order of
-// magnitude (examples/tscgps: a 2.3µs median against TSC-NTP's 25.5µs).
+// magnitude (`cmd/experiments -run tscgps`: a 1.61µs median |err|
+// against TSC-NTP's 17.3µs at the default seed, 1.55–1.63µs against
+// 14.3–25.2µs over seeds 1–16).
+//
+// This is the one rate estimator kept beside internal/core's, for a
+// reason: a pulse has no round trip. core.Process refuses Tf ≤ Ta, and
+// fed as Ta = Tf, Tb = Te a pulse's RTT-based point error would be zero
+// for every pulse, so the offset filter could not weigh capture
+// latency. The minimum-residual filter here is its one-sided analogue.
 //
 //repro:deterministic
 package pps
