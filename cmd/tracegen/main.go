@@ -89,7 +89,6 @@ func generate(env sim.Environment, spec sim.ServerSpec, nSrv int, poll, days flo
 	if err != nil {
 		return err
 	}
-	st.SetTrim(true)
 
 	writers := make([]*capture.Writer, nSrv)
 	paths := make([]string, nSrv)

@@ -45,7 +45,6 @@ func detrendAnchors(sc sim.MultiScenario, corrected bool) (first, last anchor, p
 	if err != nil {
 		return anchor{}, anchor{}, 0, err
 	}
-	st.SetTrim(true)
 	n := 0
 	for {
 		e, ok := st.Next()
@@ -76,7 +75,6 @@ func detrendEmit(sc sim.MultiScenario, corrected bool, first anchor, pBar float6
 	if err != nil {
 		return err
 	}
-	st.SetTrim(true)
 	for {
 		e, ok := st.Next()
 		if !ok {
@@ -317,7 +315,6 @@ func runFig4(r *Report, opts Options) error {
 	if err != nil {
 		return err
 	}
-	st.SetTrim(true)
 
 	var back, srv []float64
 	tab := r.table("series", "te_s", "backward_delay_s", "server_delay_s")

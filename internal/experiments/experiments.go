@@ -282,17 +282,15 @@ func clockErr(ro *ensemble.Readout, T uint64, truth float64) float64 {
 // else materializes a trace or a result slice, so peak memory is set by
 // the estimator's windows and the accumulators, not the trace length.
 
-// streamRun is the engine harness: it generates sc as a stream (the
-// oscillator cache trimmed behind the emission front) and feeds every
-// completed exchange through a fresh engine built from cfg, invoking fn
-// per packet. It returns the stream (for oracle references such as
-// Osc().MeanPeriod()) after the full pass.
+// streamRun is the engine harness: it generates sc as a stream and
+// feeds every completed exchange through a fresh engine built from cfg,
+// invoking fn per packet. It returns the stream (for oracle references
+// such as Osc().MeanPeriod()) after the full pass.
 func streamRun(sc sim.MultiScenario, cfg core.Config, fn func(e sim.Exchange, res core.Result)) (*sim.MultiStream, error) {
 	st, err := sim.NewMultiStream(sc)
 	if err != nil {
 		return nil, err
 	}
-	st.SetTrim(true)
 	s, err := core.NewSync(cfg)
 	if err != nil {
 		return nil, err

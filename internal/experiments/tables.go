@@ -93,7 +93,6 @@ func minObservedRTT(sc sim.MultiScenario) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	st.SetTrim(true)
 	m := math.Inf(1)
 	for e, ok := st.Next(); ok; e, ok = st.Next() {
 		if !e.Lost {

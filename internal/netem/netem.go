@@ -175,7 +175,7 @@ func NewPath(cfg PathConfig, src *rng.Source) (*Path, error) {
 func (p *Path) utilization(t float64) float64 {
 	u := 1.0
 	if p.cfg.DiurnalAmplitude != 0 {
-		u += p.cfg.DiurnalAmplitude * math.Cos(2*math.Pi*(t-p.cfg.DiurnalPeak)/timebase.Day)
+		u += float64(p.cfg.DiurnalAmplitude * math.Cos(2*math.Pi*(t-p.cfg.DiurnalPeak)/timebase.Day))
 	}
 	if p.cfg.RegimeMeanDwell > 0 {
 		u *= p.cfg.RegimeFactors[p.regime]

@@ -106,8 +106,10 @@ func (r *Source) Uint64() uint64 {
 }
 
 // Float64 returns a uniform value in [0, 1) with 53 bits of precision.
+// The outer conversion rounds the scaling (a product by 2⁻⁵³ once
+// compiled), so a caller it is inlined into cannot fuse it into a sum.
 func (r *Source) Float64() float64 {
-	return float64(r.Uint64()>>11) / (1 << 53)
+	return float64(float64(r.Uint64()>>11) / (1 << 53))
 }
 
 // Float64Open returns a uniform value in (0, 1), never exactly zero,

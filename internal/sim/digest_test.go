@@ -2,13 +2,12 @@ package sim
 
 // Golden digests of the generator: a sha256 over every field of every
 // emitted exchange and its Truth, lost ones included, for a fixed set
-// of scenarios. Each digest is checked on the stream as is and with the
-// oscillator cache trimmed, inline and pipelined; the Generate
-// collector must return the stream's records, record for record. So
-// streaming, trimming, the worker count and collecting are all pinned
-// to the same bits. There is no update flag: a change that means to
-// move the bits edits the constant and says why; any other change
-// leaves every digest as it is.
+// of scenarios. Each digest is checked on the stream at every worker
+// count; the Generate collector must return the stream's records,
+// record for record. So streaming, trimming, the worker count and
+// collecting are all pinned to the same bits. There is no update flag:
+// a change that means to move the bits edits the constant and says
+// why; any other change leaves every digest as it is.
 
 import (
 	"crypto/sha256"
@@ -102,8 +101,8 @@ var streamGolden = map[string]string{
 	"longrun": "1aef17e78d8d18df377050d838a9868ba60f184d4c3df720cab56237e8410848",
 }
 
-// TestStreamGoldenDigests holds the single-server bits inline and
-// pipelined: each digest is taken with one and with two CPUs.
+// TestStreamGoldenDigests holds the single-server bits: each digest is
+// taken with one and with two CPUs.
 func TestStreamGoldenDigests(t *testing.T) {
 	for name, sc := range streamScenarios() {
 		t.Run(name, func(t *testing.T) {
@@ -112,23 +111,20 @@ func TestStreamGoldenDigests(t *testing.T) {
 	}
 }
 
-// checkDigests takes sc's digest with 1…maxCPUs CPUs, trimmed and not,
-// and compares each with golden.
+// checkDigests takes sc's digest with 1…maxCPUs CPUs and compares each
+// with golden.
 func checkDigests(t *testing.T, sc MultiScenario, maxCPUs int, golden string) {
 	t.Helper()
 	for cpus := 1; cpus <= maxCPUs; cpus++ {
-		for _, trim := range []bool{false, true} {
-			st, err := newMultiStream(sc, cpus)
-			if err != nil {
-				t.Fatal(err)
-			}
-			st.SetTrim(trim)
-			d := newDigest()
-			for ex, ok := st.Next(); ok; ex, ok = st.Next() {
-				d.add(ex.Server, ex.Exchange, st.Truth())
-			}
-			d.check(t, fmt.Sprintf("cpus=%d trim=%v", cpus, trim), golden)
+		st, err := newMultiStream(sc, cpus)
+		if err != nil {
+			t.Fatal(err)
 		}
+		d := newDigest()
+		for ex, ok := st.Next(); ok; ex, ok = st.Next() {
+			d.add(ex.Server, ex.Exchange, st.Truth())
+		}
+		d.check(t, fmt.Sprintf("cpus=%d", cpus), golden)
 	}
 }
 
@@ -214,9 +210,8 @@ var multiGolden = map[string]string{
 }
 
 // TestMultiStreamGoldenDigests also holds the bits independent of the
-// CPU count: each digest is taken with the workers of one CPU (inline)
-// up to one CPU more than there are servers (pipelined); the faults
-// scenario spans 26 chunks.
+// CPU count: each digest is taken with the workers of one CPU up to one
+// CPU more than there are servers; the faults scenario spans 26 chunks.
 func TestMultiStreamGoldenDigests(t *testing.T) {
 	for name, sc := range multiScenarios() {
 		t.Run(name, func(t *testing.T) {
@@ -225,51 +220,37 @@ func TestMultiStreamGoldenDigests(t *testing.T) {
 	}
 }
 
-// TestStreamTrimBitIdentical: trimming the oscillator caches behind
-// the emission front must not change a single emitted bit, and must
-// keep every cache bounded, inline and pipelined. The workers trim on
-// the inline schedule, so one server's stamping cache ends the same at
-// one CPU and at two.
-func TestStreamTrimBitIdentical(t *testing.T) {
-	sc := NewScenario(MachineRoom, ServerInt(), 16, timebase.Day, 33)
-	var stampCache [2]int
-	for cpus := 1; cpus <= 2; cpus++ {
-		plain, err := newMultiStream(sc, cpus)
-		if err != nil {
-			t.Fatal(err)
-		}
-		trimmed, err := newMultiStream(sc, cpus)
-		if err != nil {
-			t.Fatal(err)
-		}
-		trimmed.SetTrim(true)
-		for i := 0; ; i++ {
-			a, okA := plain.Next()
-			b, okB := trimmed.Next()
-			if okA != okB {
-				t.Fatalf("cpus=%d: streams end at different lengths near %d", cpus, i)
+// TestStreamCachesBounded: every stream trims its stamping caches
+// behind the emission front at every worker count, and the digests,
+// taken untrimmed, hold that to the same bits. Trimming follows the
+// emission index, so one server's stamping cache ends the same at one
+// CPU and at two. The caller's Osc holds only what the caller queried.
+func TestStreamCachesBounded(t *testing.T) {
+	for _, sc := range []MultiScenario{
+		NewScenario(MachineRoom, ServerInt(), 16, timebase.Day, 33),
+		NewMultiScenario(MachineRoom, threeServers(), 16, timebase.Day, 33),
+	} {
+		n := len(sc.Servers)
+		stampCache := make([]int, n+1)
+		for cpus := 1; cpus <= n+1; cpus++ {
+			st, err := newMultiStream(sc, cpus)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if !okA {
-				break
+			for _, ok := st.Next(); ok; _, ok = st.Next() {
 			}
-			if a != b || plain.Truth() != trimmed.Truth() {
-				t.Fatalf("cpus=%d: exchange %d differs under trimming", cpus, i)
+			// A day at 60 s steps is 1440 entries untrimmed.
+			stampCache[cpus-1] = st.StampCacheLen()
+			if c := stampCache[cpus-1]; c > 2*trimMargin/60+trimEvery {
+				t.Errorf("%d servers, cpus=%d: stamping cache holds %d steps", n, cpus, c)
+			}
+			if c := st.Osc().RandomWalkCacheLen(); c > 1 {
+				t.Errorf("%d servers, cpus=%d: the caller's oscillator holds %d steps it was never asked for", n, cpus, c)
 			}
 		}
-		// And the caches really are bounded: a day at 60 s steps is
-		// 1440 entries untrimmed.
-		stampCache[cpus-1] = trimmed.StampCacheLen()
-		for _, n := range []int{stampCache[cpus-1], trimmed.Osc().RandomWalkCacheLen()} {
-			if n > 2*trimMargin/60+trimEvery {
-				t.Errorf("cpus=%d: trimmed oscillator cache holds %d steps", cpus, n)
-			}
+		if n == 1 && stampCache[0] != stampCache[1] {
+			t.Errorf("stamping cache holds %d steps with one CPU, %d with two", stampCache[0], stampCache[1])
 		}
-		if n := plain.StampCacheLen(); n < 1440 {
-			t.Errorf("cpus=%d: untrimmed stamping cache holds only %d steps", cpus, n)
-		}
-	}
-	if stampCache[0] != stampCache[1] {
-		t.Errorf("stamping cache holds %d steps inline, %d pipelined", stampCache[0], stampCache[1])
 	}
 }
 

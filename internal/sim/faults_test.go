@@ -254,8 +254,7 @@ func TestEmptyScheduleLeavesTraceUntouched(t *testing.T) {
 }
 
 // TestMultiStreamFaultsMatchBatch: the streaming generator emits the
-// identical faulted sequence trimmed as untrimmed (Generate is a
-// collector over the untrimmed stream).
+// faulted sequence Generate collects, record for record.
 func TestMultiStreamFaultsMatchBatch(t *testing.T) {
 	sc := NewMultiScenario(MachineRoom, threeServers(), 16, 6*timebase.Hour, 13)
 	sc.AddOutage(0, timebase.Hour, 2*timebase.Hour)
@@ -268,7 +267,6 @@ func TestMultiStreamFaultsMatchBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st.SetTrim(true)
 	for i := 0; ; i++ {
 		ex, ok := st.Next()
 		if !ok {

@@ -3,14 +3,13 @@ package sim
 // Pull-based trace generation: the streaming half of the evaluation
 // pipeline. MultiStream produces a scenario's exchanges one record at a
 // time, so multi-week scenarios run in constant memory — the only state
-// is the substrate models themselves, and the oscillators' random-walk
-// caches are trimmed behind the emission front once trimming is
-// enabled (SetTrim). A single-server scenario is a one-server
-// MultiScenario and runs through the same stream. Generate is a thin
-// collector over the stream's records; digest_test.go pins the stream
-// and the trimmed stream, with each exchange's Truth, to committed
-// sha256 digests of the emitted bits at every worker count, and holds
-// the collector's records equal to the stream's.
+// is the substrate models themselves, and the stamping oscillators'
+// random-walk caches are trimmed behind the emission front. A
+// single-server scenario is a one-server MultiScenario and runs through
+// the same stream. Generate is a thin collector over the stream's
+// records; digest_test.go pins the stream, with each exchange's Truth,
+// to committed sha256 digests of the emitted bits at every worker
+// count, and holds the collector's records equal to the stream's.
 //
 // Every exchange is generated in two stages (sim.go). Stage 1 draws
 // what every server shares, in emission order: the schedule, loss and
@@ -40,9 +39,9 @@ const trimMargin = 600
 // trimEvery is the emission interval between cache trims.
 const trimEvery = 256
 
-// chunkLen is how many exchanges a pipelined MultiStream generates at
-// a time, and chunksAhead how many chunks it fills ahead of the one the
-// caller drains.
+// chunkLen is how many exchanges a MultiStream generates at a time,
+// and chunksAhead how many chunks it fills ahead of the one the caller
+// drains.
 const (
 	chunkLen    = 1024
 	chunksAhead = 3
@@ -54,22 +53,20 @@ const (
 // shared jitter stream, server k's from position k·Len()/N on, and
 // every other model draw happens in merged emission order.
 //
-// With one usable CPU (the calling thread's affinity on Linux,
-// GOMAXPROCS elsewhere) Next runs both stages inline, one exchange at a
-// time, stamping with Osc's oscillator. Otherwise goroutines fill the
-// next chunksAhead chunks of chunkLen exchanges while the caller drains
-// the current one: for each chunk stage 1 first, then stage 2 split
-// over one worker per usable CPU (at most one per server). Worker w
-// owns the servers k ≡ w modulo the worker count and an oscillator
-// realization of its own, and trims it under SetTrim on the inline
-// schedule: after every trimEvery-th emission. Each goroutine
+// Goroutines fill the next chunksAhead chunks of chunkLen exchanges
+// while the caller drains the current one: for each chunk stage 1
+// first, then stage 2 split over one worker per usable CPU (the
+// calling thread's affinity on Linux, GOMAXPROCS elsewhere), at least
+// one and at most one per server. Worker w owns the servers k ≡ w
+// modulo the worker count and an oscillator realization of its own,
+// which it trims after every trimEvery-th emission. Each goroutine
 // exits when its stage of its chunk is done, so an abandoned stream
 // leaves none behind and needs no Close. The emitted bits do not
 // depend on the number of workers. A MultiStream is single-use and not
 // safe for concurrent use.
 type MultiStream struct {
 	sc  MultiScenario
-	osc *oscillator.Oscillator // Osc's realization
+	osc *oscillator.Oscillator // Osc's realization, which nothing stamps with
 
 	// Stage 1, touched by one goroutine at a time: the shared host and
 	// DAG sources, each server's loss stream, the per-server lazy
@@ -85,23 +82,21 @@ type MultiStream struct {
 	perServer int
 	drawn     int
 
-	// Stage 2: each server's models and the oscillators that stamp —
-	// inline Osc's alone, pipelined one per worker.
+	// Stage 2: each server's models and the oscillators that stamp,
+	// one per worker.
 	fwd  []*netem.Path
 	back []*netem.Path
 	srv  []*netem.Server
 	oscs []*oscillator.Oscillator
 
-	// Pipelined only: the chunk the caller drains and the chunks being
-	// filled, oldest first.
+	// The chunk the caller drains and the chunks being filled, oldest
+	// first; ahead is nil until the first Next starts the fills.
 	cur       *chunk
 	ahead     []*chunk
 	pos       int
 	exhausted bool
 
-	emitted int
-	trim    bool
-	truth   Truth // the last exchange's
+	truth Truth // the last exchange's
 }
 
 // chunk is a run of consecutive exchanges, their stage-1 draws and
@@ -159,7 +154,8 @@ func splitSeed(seed uint64, n int) sources {
 	return s
 }
 
-// newMultiStream builds a stream that uses cpus CPUs.
+// newMultiStream builds a stream that stamps with max(1, min(cpus,
+// servers)) workers.
 func newMultiStream(sc MultiScenario, cpus int) (*MultiStream, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err
@@ -182,7 +178,7 @@ func newMultiStream(sc MultiScenario, cpus int) (*MultiStream, error) {
 		back: make([]*netem.Path, nSrv),
 		srv:  make([]*netem.Server, nSrv),
 		jit:  make([]*rng.Source, nSrv),
-		oscs: []*oscillator.Oscillator{osc},
+		oscs: make([]*oscillator.Oscillator, max(1, min(cpus, nSrv))),
 
 		nextT:     make([]float64, nSrv),
 		nextSeq:   make([]int, nSrv),
@@ -208,25 +204,18 @@ func newMultiStream(sc MultiScenario, cpus int) (*MultiStream, error) {
 		st.nextSeq[k] = -1
 		st.advanceServer(k)
 	}
-	if cpus > 1 {
-		st.oscs = make([]*oscillator.Oscillator, min(cpus, nSrv))
-		for w := range st.oscs {
-			if st.oscs[w], err = oscillator.New(sc.Oscillator, oscSeed); err != nil {
-				return nil, err
-			}
-		}
-		size := min(chunkLen, st.Len())
-		st.cur = st.newChunk(size)
-		st.ahead = make([]*chunk, chunksAhead)
-		for i := range st.ahead {
-			st.ahead[i] = st.newChunk(size)
+	for w := range st.oscs {
+		if st.oscs[w], err = oscillator.New(sc.Oscillator, oscSeed); err != nil {
+			return nil, err
 		}
 	}
+	st.cur = st.newChunk()
 	return st, nil
 }
 
 // newChunk returns an empty chunk whose fill counts as done.
-func (st *MultiStream) newChunk(size int) *chunk {
+func (st *MultiStream) newChunk() *chunk {
+	size := min(chunkLen, st.Len())
 	done := make(chan struct{})
 	close(done)
 	c := &chunk{
@@ -247,31 +236,25 @@ func (st *MultiStream) advanceServer(k int) {
 		return
 	}
 	sc := &st.sc
-	jitter := (st.jit[k].Float64() - 0.5) * sc.PollJitterFrac * sc.PollPeriod
-	st.nextT[k] = (float64(st.nextSeq[k])+0.5+float64(k)/float64(len(sc.Servers)))*sc.PollPeriod + jitter
+	// The conversions keep each product out of a fused multiply-add, so
+	// every GOARCH rounds alike (Go spec, "Arithmetic operators").
+	jitter := float64((st.jit[k].Float64() - 0.5) * sc.PollJitterFrac * sc.PollPeriod)
+	st.nextT[k] = float64((float64(st.nextSeq[k])+0.5+float64(k)/float64(len(sc.Servers)))*sc.PollPeriod) + jitter
 }
 
 // Len returns the total number of exchanges the stream will emit.
 func (st *MultiStream) Len() int { return st.perServer * len(st.sc.Servers) }
 
 // Osc returns the oscillator realization driving the host stamps, for
-// oracle rate references. Pipelined, it is the caller's own: the
-// workers stamp with realizations of the same seed, so every query
-// answers what the stamps read. After SetTrim(true) it only answers
-// queries near or after the emission front.
+// oracle rate references. It is the caller's own: the workers stamp
+// with realizations of the same seed, so every query, at any instant
+// of the trace, answers what the stamps read, and its cache holds only
+// what the caller queried.
 func (st *MultiStream) Osc() *oscillator.Oscillator { return st.osc }
 
-// SetTrim enables trimming the oscillators' random-walk caches behind
-// the emission front, Osc's and the workers': the one internal state
-// that otherwise grows with trace duration. Trimming never changes
-// emitted values; it only forbids oscillator queries far in the past,
-// so leave it off when the caller needs the full Osc() history
-// afterwards (Generate does). Call it before the first Next.
-func (st *MultiStream) SetTrim(on bool) { st.trim = on }
-
 // StampCacheLen returns the largest random-walk cache among the
-// oscillators that stamp the exchanges: Osc's inline, the workers'
-// pipelined. Call it once Next has reported the end of the stream.
+// oscillators that stamp the exchanges. Call it once Next has reported
+// the end of the stream.
 func (st *MultiStream) StampCacheLen() int {
 	n := 0
 	for _, osc := range st.oscs {
@@ -287,28 +270,12 @@ func (st *MultiStream) Truth() Truth { return st.truth }
 // Next emits the next exchange in global emission order; ok is false
 // when every server's schedule is exhausted.
 func (st *MultiStream) Next() (ex MultiExchange, ok bool) {
-	st.truth = Truth{}
-	var t float64
-	if st.ahead == nil {
-		var d draw
-		if !st.drawNext(&ex, &d) {
-			return MultiExchange{}, false
-		}
-		if k := ex.Server; !ex.Lost {
-			st.truth = stamp(&ex.Exchange, &d, st.osc, st.fwd[k], st.back[k], st.srv[k])
-		}
-		t = d.t
-	} else {
-		if st.pos == len(st.cur.ex) && !st.advance() {
-			return MultiExchange{}, false
-		}
-		ex, st.truth, t = st.cur.ex[st.pos], st.cur.truth[st.pos], st.cur.d[st.pos].t
-		st.pos++
+	if st.pos == len(st.cur.ex) && !st.advance() {
+		st.truth = Truth{}
+		return MultiExchange{}, false
 	}
-	st.emitted++
-	if st.trim && st.emitted%trimEvery == 0 {
-		st.osc.TrimBefore(t - trimMargin)
-	}
+	ex, st.truth = st.cur.ex[st.pos], st.cur.truth[st.pos]
+	st.pos++
 	return ex, true
 }
 
@@ -356,16 +323,18 @@ func (st *MultiStream) drawNext(ex *MultiExchange, d *draw) bool {
 // advance makes the next chunk current and reports whether it holds
 // any exchange: it waits for the oldest chunk being filled and starts a
 // fill into the chunk just drained, so chunksAhead are always in
-// flight.
+// flight. The first call starts the first chunksAhead fills.
 func (st *MultiStream) advance() bool {
 	if st.exhausted {
 		return false
 	}
-	if st.emitted == 0 {
+	if st.ahead == nil {
+		st.ahead = make([]*chunk, chunksAhead)
 		prev := st.cur
-		for _, c := range st.ahead {
-			st.start(c, prev)
-			prev = c
+		for i := range st.ahead {
+			st.ahead[i] = st.newChunk()
+			st.start(st.ahead[i], prev)
+			prev = st.ahead[i]
 		}
 	}
 	next := st.ahead[0]
@@ -390,7 +359,6 @@ func (st *MultiStream) advance() bool {
 // goroutine at a time, in chunk order, while stage 1 runs ahead of
 // stage 2 and each worker runs ahead of the others.
 func (st *MultiStream) start(c, prev *chunk) {
-	trim := st.trim
 	drawn := make(chan struct{})
 	c.drawn = drawn
 	go func(after chan struct{}) {
@@ -413,7 +381,7 @@ func (st *MultiStream) start(c, prev *chunk) {
 		go func(after chan struct{}) {
 			<-drawn
 			<-after
-			st.stampWorker(w, c, trim)
+			st.stampWorker(w, c)
 			close(stamped)
 		}(prev.stamped[w])
 	}
@@ -422,9 +390,9 @@ func (st *MultiStream) start(c, prev *chunk) {
 // stampWorker is stage 2 for worker w: it stamps, in emission order,
 // every live exchange of c whose server it owns, with its own
 // oscillator, and records each one's Truth. It trims the oscillator
-// where the inline stream trims its own, so at one worker the two
-// caches hold the same steps.
-func (st *MultiStream) stampWorker(w int, c *chunk, trim bool) {
+// after every trimEvery-th emission, whatever the worker count, so the
+// cache stays bounded.
+func (st *MultiStream) stampWorker(w int, c *chunk) {
 	osc, n := st.oscs[w], len(st.oscs)
 	for i := range c.ex {
 		// Only the owner reads an exchange's Lost: stage 2 may set it.
@@ -432,7 +400,7 @@ func (st *MultiStream) stampWorker(w int, c *chunk, trim bool) {
 		if k := ex.Server; k%n == w && !ex.Lost {
 			c.truth[i] = stamp(&ex.Exchange, &c.d[i], osc, st.fwd[k], st.back[k], st.srv[k])
 		}
-		if trim && (c.first+i+1)%trimEvery == 0 {
+		if (c.first+i+1)%trimEvery == 0 {
 			osc.TrimBefore(c.d[i].t - trimMargin)
 		}
 	}

@@ -64,8 +64,6 @@ func TestClockConcurrentReads(t *testing.T) {
 				_ = c.AbsoluteTime(T)
 				_ = c.Between(T, T+5000)
 				_ = c.Period()
-				_, _ = c.Offset()
-				_ = c.MinRTT()
 				_ = c.Exchanges()
 			}
 		}()

@@ -205,23 +205,6 @@ func (c *Clock) Period() float64 {
 	return c.sync.Readout().P
 }
 
-// Offset returns the current offset estimate θ̂ and whether one exists.
-// Lock-free.
-//
-//repro:readpath
-func (c *Clock) Offset() (float64, bool) {
-	r := c.sync.Readout()
-	return r.Theta, r.HaveTheta
-}
-
-// MinRTT returns the current minimum round-trip-time estimate r̂.
-// Lock-free.
-//
-//repro:readpath
-func (c *Clock) MinRTT() float64 {
-	return c.sync.Readout().RTTHat
-}
-
 // Exchanges returns the number of exchanges processed. Lock-free.
 //
 //repro:readpath
