@@ -78,7 +78,7 @@ type Readout struct {
 // ClockAt evaluates the uncorrected clock C(T) = P·T + K.
 //
 //repro:readpath
-func (r *Readout) ClockAt(T uint64) float64 { return float64(T)*r.P + r.K }
+func (r *Readout) ClockAt(T uint64) float64 { return float64(float64(T)*r.P) + r.K }
 
 // ThetaAt extrapolates the offset estimate to counter value T, using
 // the local rate linear prediction when it is valid (equation 23).
@@ -89,8 +89,9 @@ func (r *Readout) ThetaAt(T uint64) float64 {
 		return 0
 	}
 	if r.UseLocalRate && r.PLocalValid && r.P > 0 {
-		gl := r.PLocal/r.P - 1
-		return r.Theta - gl*timebase.CounterSpan(r.ThetaTf, T, r.P)
+		// g = p̂_l/p̂ − 1, the local rate's relative correction, named by
+		// no variable: that keeps AbsoluteTime within the inlining budget.
+		return r.Theta - float64((r.PLocal/r.P-1)*timebase.CounterSpan(r.ThetaTf, T, r.P))
 	}
 	return r.Theta
 }

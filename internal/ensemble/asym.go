@@ -61,7 +61,7 @@ func (e *Ensemble) updateAsymCorrection() {
 		ns := m.noiseScale()
 		open := m.selected && m.penalty <= asymPenaltyGateFrac*ns
 		if open {
-			m.corrEwma += asymAlpha * (m.asym - m.corrEwma)
+			m.corrEwma += float64(asymAlpha * (m.asym - m.corrEwma))
 		}
 		// Clamp the tracker itself, not just the applied value: a hint
 		// transient larger than the clamp must not bank an excess the

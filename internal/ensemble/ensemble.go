@@ -64,22 +64,33 @@
 // What a read touches is laid out for it. Each Readout carries, beside
 // the per-server rows, a voter list: one {clock, correction, raw weight}
 // entry per positive-weight server, contiguous, in a slab slot of its
-// own. Readout.AbsoluteTime — the call behind every Now() and every
-// downstream reply — loads the published pointer, the header, that one
-// slot and the voters' engine readouts, evaluates each voter's clock
-// and takes the median; it never walks the rows, tests a weight or
-// steps over a convicted server (the rows serve Agreement, the
-// diagnostics and the no-voter fallback). Synced is decided once per
-// publication the same way.
+// own, and an empty read memo. Readout.AbsoluteTime — the call behind
+// every Now() and every downstream reply — is one affine evaluation: the
+// voters' clocks are affine in the counter, so their weighted median is
+// piecewise affine, and the first read of a readout records its pieces
+// in the memo (memo.go). Every later read outside a guard band around a
+// crossing of two voter lines loads the published pointer, the header,
+// the memo and one voter's engine readout, and evaluates that clock —
+// the bits the sorted read (every voter evaluated, stably sorted, the
+// median walked) returns, which every other read still takes. No read
+// walks the rows, tests a weight or steps over a convicted server (the
+// rows serve Agreement, the diagnostics and the no-voter fallback).
+// Synced is decided once per publication.
 //
-// The measured budget (PERF.md "PR 13", "PR 16"): at five servers the
-// combine costs ≈ 370 ns against the engine step's ≈ 460, publication
-// the largest stage of it — 720 B of fresh memory per combine (a 160 B
-// header, five 88 B rows, five 24 B voter entries) of the ≈ 1 kB an
+// The measured budget (PERF.md, "A read evaluates the voters and
+// nothing else" and "One affine evaluation per combined read"): at five
+// servers the combine costs ≈ 370 ns against the engine step's ≈ 460,
+// publication the largest stage of it — 970 B of fresh memory per
+// combine at five servers (a 192 B header, five 88 B rows, five 24 B
+// voter entries, a 176 B memo; 744 B before the memo) of the ≈ 1 kB an
 // exchange allocates in all — and BenchmarkEnsembleStages splits it into
 // observe / select / ladder / publish lines; fresh memory, not code, is
-// most of what a publication costs. A combined read with three voters is
-// ≈ 15 ns, beside a writer publishing 20 000 times a second too.
+// most of what a publication costs. A combined read at five servers
+// with two convicted (three voters) is 11–15 ns in BenchmarkEnsembleRead
+// and ≈ 9 ns beside a writer publishing 20 000 times a second
+// (clock-reads), once the memo is filled; the sorted read it replaces
+// was 28–41 ns and ≈ 24 ns. The first read after a publication, which
+// fills the memo on cold lines, is ≈ 300 ns.
 //
 //repro:deterministic
 package ensemble
@@ -238,9 +249,9 @@ func (m *member) observe(ec *core.Config, res *core.Result) {
 		m.ewmaErr = res.PointError
 		m.lastRHat = res.RTTHat
 	}
-	m.ewmaErr = flushTiny(m.ewmaErr + errAlpha*(res.PointError-m.ewmaErr))
+	m.ewmaErr = flushTiny(m.ewmaErr + float64(errAlpha*(res.PointError-m.ewmaErr)))
 	d := math.Abs(res.RTTHat - m.lastRHat)
-	m.rttWobble = flushTiny(m.rttWobble + errAlpha*(d-m.rttWobble))
+	m.rttWobble = flushTiny(m.rttWobble + float64(errAlpha*(d-m.rttWobble)))
 	m.lastRHat = res.RTTHat
 
 	// Event penalties, in seconds on the same scale as the thresholds
@@ -250,13 +261,13 @@ func (m *member) observe(ec *core.Config, res *core.Result) {
 	// shift means the path (and so the asymmetry baked into θ̂) changed.
 	m.penalty = flushTiny(m.penalty * penaltyDecay)
 	if res.PoorQuality {
-		m.penalty += ec.E()
+		m.penalty += float64(ec.E())
 	}
 	if res.OffsetSanityTriggered || res.RateSanityTriggered {
 		m.penalty += core.OffsetSanity
 	}
 	if res.UpwardShiftDetected {
-		m.penalty += ec.ShiftThresholdFactor * ec.E()
+		m.penalty += float64(ec.ShiftThresholdFactor * ec.E())
 	}
 	if !m.ready && !res.Warmup {
 		// Graduation: enter the selected set on trust — the very next
@@ -530,7 +541,7 @@ func (e *Ensemble) updateSelection(T uint64) {
 		}
 		nReady++
 		c := e.clk[k].AbsoluteTime(T)
-		bound := agreementFactor * m.noiseScale()
+		bound := float64(agreementFactor * m.noiseScale())
 		e.lo[k] = c - bound
 		e.hi[k] = c + bound
 	}
@@ -620,10 +631,10 @@ func (e *Ensemble) updateSelection(T uint64) {
 	// here, on a server healthy by every single-path signal, is what an
 	// uncalibrated path asymmetry error looks like from the outside
 	// (paper §2.3).
-	mid := (iLo + iHi) / 2
+	mid := float64((iLo + iHi) / 2)
 	for k := range e.members {
 		if m := &e.members[k]; m.ready {
-			m.asym = (e.lo[k]+e.hi[k])/2 - mid
+			m.asym = float64((e.lo[k]+e.hi[k])/2) - mid
 		}
 	}
 }
@@ -765,6 +776,20 @@ func medianOfItems(items []wv, total float64) float64 {
 		}
 		items[j] = it
 	}
+	i, tie := medianPos(items, total)
+	if tie {
+		return (items[i].v + items[i+1].v) / 2
+	}
+	return items[i].v
+}
+
+// medianPos is medianOfItems' walk over items already in sorted order:
+// the position whose cumulative weight first reaches half the total,
+// and whether it lands exactly on the half-weight boundary (the median
+// is then the mean of positions i and i+1). Only the weights and their
+// order are read: the read memo decides each piece of the counter axis
+// with this same summation.
+func medianPos(items []wv, total float64) (i int, tie bool) {
 	half := total / 2
 	acc := 0.0
 	for i := range items {
@@ -774,11 +799,11 @@ func medianOfItems(items []wv, total float64) float64 {
 			// between this value and the next positive-weight one.
 			// i+1 is in range — acc == total/2 < total means weight
 			// remains, and every retained item has positive weight.
-			return (items[i].v + items[i+1].v) / 2
+			return i, true
 		}
 		if acc > half {
-			return items[i].v
+			return i, false
 		}
 	}
-	return items[len(items)-1].v
+	return len(items) - 1, false
 }

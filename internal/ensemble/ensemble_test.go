@@ -633,7 +633,8 @@ func TestReadmitAfterValidation(t *testing.T) {
 // --- read-path allocations ---
 
 // TestReadPathZeroAlloc pins the read-path contract: combined reads
-// run on stack scratch and allocate nothing.
+// run on stack scratch and allocate nothing — the first read of a
+// readout too, which fills its read memo in storage carved with the slot.
 func TestReadPathZeroAlloc(t *testing.T) {
 	e := mustEnsemble(t, 5)
 	last := run(t, e, 60, func(k, _ int) float64 {
@@ -643,10 +644,18 @@ func TestReadPathZeroAlloc(t *testing.T) {
 		return 0
 	})
 	T := uint64((last + 1) / synthP)
+	fresh := make([]*Readout, 101) // AllocsPerRun's warm-up run, then 100
+	for i := range fresh {
+		e.publish()
+		fresh[i] = e.Readout()
+	}
 	r := e.Readout()
 	var sinkF float64
 	var sinkI int
 	for name, fn := range map[string]func(){
+		"AbsoluteTime (first read, fills the memo)": func() {
+			sinkF, fresh = fresh[0].AbsoluteTime(T), fresh[1:]
+		},
 		"AbsoluteTime":   func() { sinkF = r.AbsoluteTime(T) },
 		"RateHat":        func() { sinkF = r.RateHat() },
 		"DifferenceSpan": func() { sinkF = r.DifferenceSpan(T, T+1000) },
@@ -655,6 +664,9 @@ func TestReadPathZeroAlloc(t *testing.T) {
 		if allocs := testing.AllocsPerRun(100, fn); allocs != 0 {
 			t.Errorf("%s: %v allocs/op, want 0", name, allocs)
 		}
+	}
+	if s := r.memo.state.Load(); s&memoMask != memoReady {
+		t.Errorf("memo state %#x after the reads, want a filled memo", s)
 	}
 	_, _ = sinkF, sinkI
 }

@@ -87,7 +87,9 @@ type voter struct {
 // Exactly one is published per Process/ProcessFrom (and one per
 // ProcessBatch), identity changes included; a Readout obtained once
 // keeps answering consistently while the ensemble processes further
-// exchanges. All methods are pure functions of the snapshot.
+// exchanges. All methods are pure functions of the snapshot. The one
+// thing written after publication is the read memo, which the first
+// AbsoluteTime fills once and which changes no answer's bits (memo.go).
 //
 //repro:immutable
 type Readout struct {
@@ -136,6 +138,11 @@ type Readout struct {
 	// AbsoluteTime walks one contiguous list instead of testing every
 	// row of Servers.
 	voters []voter
+
+	// memo is the voters' weighted median recorded piece by piece
+	// (memo.go): empty at publication, filled once by the first
+	// AbsoluteTime, the one thing written after the store.
+	memo readMemo
 }
 
 // State returns the degradation-ladder state at counter value T: the
@@ -175,15 +182,43 @@ const readScratch = 16
 // list and nothing else; with no voter at all (before any exchange)
 // the first server's clock is returned.
 //
+// The answer is sortedTime's, bit for bit. The first call on a readout
+// records the median's pieces in the read memo (memo.go); from then on
+// a read outside every guard band evaluates one voter, or two at an
+// exact half-weight tie, and every other read is sortedTime itself.
+//
 //repro:readpath
 //repro:hotpath
 func (r *Readout) AbsoluteTime(T uint64) float64 {
+	s := r.memo.state.Load()
+	if s == memoEmpty {
+		s = r.memo.fill(r.voters)
+	}
+	if s&memoMask == memoReady {
+		if p, ok := r.memo.piece(T, s>>memoShift); ok {
+			a, b := &r.voters[p&15], &r.voters[p>>4]
+			if a == b {
+				return a.at(T)
+			}
+			return (a.at(T) + b.at(T)) / 2
+		}
+	}
+	return r.sortedTime(T)
+}
+
+// sortedTime is the combined read's definition: every voter evaluated,
+// stably sorted, and the weighted median walked. It is AbsoluteTime's
+// fallback inside a guard band and the memo's test oracle.
+//
+//repro:readpath
+//repro:hotpath
+func (r *Readout) sortedTime(T uint64) float64 {
 	var buf [readScratch]wv
 	items, total := buf[:0], 0.0
 	for i := range r.voters {
 		v := &r.voters[i]
 		//repro:alloc-ok append into the readScratch stack buffer; spills to the heap only past readScratch servers (documented above)
-		items = append(items, wv{v.clock.AbsoluteTime(T) - v.corr, v.raw})
+		items = append(items, wv{v.at(T), v.raw})
 		total += v.raw
 	}
 	if len(items) == 0 {
@@ -397,18 +432,20 @@ func (e *Ensemble) Readout() *Readout { return e.pub.Load() }
 
 // pubSlabSize is how many publication slots one slab allocation hands
 // out; see the identically named constant in internal/core. Carving
-// slots from writer-owned blocks removes the three per-combine heap
-// allocations (the Readout, its Servers slice and its voter list) in
-// exchange for a reader pinning at most one slab's worth of history
-// (~pubSlabSize combines) while it holds an old snapshot.
+// slots from writer-owned blocks removes the four per-combine heap
+// allocations (the Readout, its Servers slice, its voter list and its
+// read memo's words) in exchange for a reader pinning at most one
+// slab's worth of history (~pubSlabSize combines) while it holds an old
+// snapshot.
 //
-// All three slabs are carved in cacheline.Slot order (odd slots, then
+// All four slabs are carved in cacheline.Slot order (odd slots, then
 // even ones), for core's reason: a header, an N×88-byte server row and
 // an N×24-byte voter list are no line multiples, so the slot next in
 // memory shares a line with the live one, and filling it front to back
 // would pull that line from under every reader once per combine. Two
 // slots apart, the combine being written and the one being read have a
-// whole slot between them.
+// whole slot between them. The writer never writes a memo slot at all
+// (make zeroes it); a reader writes each once, at its fill.
 const pubSlabSize = 256
 
 // Slots narrower than a line could not keep two-apart slots off each
@@ -438,12 +475,13 @@ type ensemblePub struct {
 	_ cacheline.Pad
 
 	// The current slabs, refilled together: slot k of roSlab goes with
-	// row k of srvSlab and voter slot k of voterSlab. seq counts the
-	// combines published so far, seq mod pubSlabSize of them from the
-	// current slabs.
+	// row k of srvSlab, voter slot k of voterSlab and memo slot k of
+	// memoSlab. seq counts the combines published so far, seq mod
+	// pubSlabSize of them from the current slabs.
 	roSlab    []Readout
 	srvSlab   []ServerReadout
 	voterSlab []voter
+	memoSlab  []uint64
 	seq       uint64
 }
 
@@ -459,9 +497,10 @@ func (ep *ensemblePub) Load() *Readout { return ep.p.Load() }
 func (e *Ensemble) Publications() uint64 { return e.pub.seq }
 
 // nextSlot returns a zeroed, never-reused Readout with a Servers slice
-// of length nSrv (the same on every call) and an empty voter list with
-// room for nSrv entries, carved from the slabs. The caller fills it and
-// then publishes it with store.
+// of length nSrv (the same on every call), an empty voter list with
+// room for nSrv entries and an empty read memo sized for nSrv voters,
+// carved from the slabs. The caller fills it and then publishes it with
+// store; the memo is left for the first reader.
 //
 //repro:builder
 func (ep *ensemblePub) nextSlot(nSrv int) *Readout {
@@ -474,6 +513,8 @@ func (ep *ensemblePub) nextSlot(nSrv int) *Readout {
 		ep.srvSlab = make([]ServerReadout, pubSlabSize*nSrv)
 		//repro:alloc-ok amortized slab refill: one allocation per pubSlabSize combines (PERF.md)
 		ep.voterSlab = make([]voter, pubSlabSize*stride)
+		//repro:alloc-ok amortized slab refill: one allocation per pubSlabSize combines (PERF.md)
+		ep.memoSlab = make([]uint64, pubSlabSize*memoWords(nSrv))
 	}
 	k := cacheline.Slot(carved, pubSlabSize)
 	ep.seq++
@@ -482,6 +523,8 @@ func (ep *ensemblePub) nextSlot(nSrv int) *Readout {
 	// bleed into another combine's row or list.
 	ro.Servers = ep.srvSlab[k*nSrv : (k+1)*nSrv : (k+1)*nSrv]
 	ro.voters = ep.voterSlab[k*stride : k*stride : k*stride+nSrv]
+	mw := memoWords(nSrv)
+	ro.memo.words = ep.memoSlab[k*mw : (k+1)*mw : (k+1)*mw]
 	return ro
 }
 
