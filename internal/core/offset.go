@@ -180,7 +180,10 @@ func (s *Sync) updateOffset(now uint64, pointErr, theta float64, res *Result) {
 	// bound while it is still worse than that (early life, where C(t)
 	// genuinely drifts at multiple PPM). Aging is also what re-admits
 	// fresh data after a period of rejection, preventing permanent
-	// lock-out. During warmup the check is off entirely — the paper's
+	// lock-out — at a price: a step Δ in the servers' labels is
+	// re-admitted only after (Δ − OffsetSanity)/rate bound, ≈ 1e7 s ≈ 116
+	// days for a 1 s step at the 0.1 PPM hardware bound (a leap second;
+	// ROADMAP 23). During warmup the check is off entirely — the paper's
 	// warmup trusts nothing and locks nothing.
 	rateUnc := hardwareRateBound
 	if s.havePair && s.pQual > rateUnc {

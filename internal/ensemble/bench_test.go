@@ -144,16 +144,17 @@ func BenchmarkEnsembleStages(b *testing.B) {
 
 // BenchmarkEnsembleRead measures the read path over a held readout —
 // combined absolute time (after the first read, one voter's clock
-// evaluation out of the read memo), the precomputed rate, and the
-// agreement count — and, as AbsoluteTime/fresh, the first read after a
-// publication: the memo's fill plus that read (budget ≤ 250 ns at
+// evaluation out of the read memo's piece), the precomputed rate, and
+// the agreement count — and, as AbsoluteTime/fresh, the first read after
+// a publication: the memo's fill plus that read (budget ≤ 250 ns at
 // servers=5/convicted=2). Every variant must report 0 allocs/op: reads
-// run entirely on stack scratch and the memo's storage is carved with
-// the slot (TestReadPathZeroAlloc pins the same contract as a hard test).
+// run entirely on stack scratch and the memo lives in the readout
+// (TestReadPathZeroAlloc pins the same contract as a hard test).
 func BenchmarkEnsembleRead(b *testing.B) {
 	// {5, 2} is the ledger's shape (bench/ clock-reads, ensemble.read_ns):
-	// five servers, a colluding pair voted out, three voters.
-	for _, shape := range []struct{ servers, convicted int }{{3, 0}, {5, 2}, {8, 0}} {
+	// five servers, a colluding pair voted out, three voters. 12 and 16
+	// are where a fill's pairwise bands are many.
+	for _, shape := range []struct{ servers, convicted int }{{3, 0}, {5, 2}, {8, 0}, {12, 0}, {16, 0}} {
 		e := calibrated(b, shape.servers, shape.convicted)
 		r := e.Readout()
 		name := fmt.Sprintf("servers=%d", shape.servers)

@@ -634,7 +634,7 @@ func TestReadmitAfterValidation(t *testing.T) {
 
 // TestReadPathZeroAlloc pins the read-path contract: combined reads
 // run on stack scratch and allocate nothing — the first read of a
-// readout too, which fills its read memo in storage carved with the slot.
+// readout too, which fills the read memo held in the readout itself.
 func TestReadPathZeroAlloc(t *testing.T) {
 	e := mustEnsemble(t, 5)
 	last := run(t, e, 60, func(k, _ int) float64 {

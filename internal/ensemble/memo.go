@@ -7,9 +7,12 @@ package ensemble
 // 6–7, 23) — so the weighted median of the voters is piecewise affine
 // in T: between two crossings of voter lines the voters keep one order,
 // and the median is one voter (or, at an exact half-weight tie, the
-// mean of two). The first read of a published Readout records that
-// arrangement once; every later read outside a guard band finds its
-// piece and evaluates one voter.
+// mean of two). The first read of a published Readout records the piece
+// it lands in — the counter range between the nearest guard bands on
+// either side — and the pick there; every later read inside that piece
+// evaluates one voter. A readout's readers read near one counter value,
+// so one piece is all a memo needs, and its storage does not grow with
+// the voter count.
 //
 // Why the bits cannot move. A guard band is the range of T where the
 // rounding in the read's own operations could order two voters
@@ -19,10 +22,11 @@ package ensemble
 // changes inside a piece, so the sorted read sorts every T of a piece
 // into one permutation, walks one weight sum (medianPos, the sorted
 // read's own) to one position, and returns that voter's evaluation —
-// the very expression the memo evaluates. Inside a band, before the
-// fill, when another reader is filling, or when the arrangement does not
-// fit, the read is the sorted read: it stays the one definition, the
-// fallback and the test oracle (FuzzReadMemo, TestReadMemoMatchesSorted).
+// the very expression the memo evaluates. Outside the piece, before the
+// fill, when another reader is filling, or when the first read fell in a
+// band or the arrangement does not fit, the read is the sorted read: it
+// stays the one definition, the fallback and the test oracle
+// (FuzzReadMemo, TestReadMemoMatchesSorted).
 
 import (
 	"math"
@@ -30,13 +34,13 @@ import (
 )
 
 // Memo states: the low bits of readMemo.state. Above memoShift, a ready
-// memo's state word holds how many guard bands it recorded, so a reader
-// learns both from one atomic load.
+// memo's state word holds its pick (see pickAt), so a reader learns
+// both from one atomic load.
 const (
 	memoEmpty   = 0 // not filled: the next reader claims the fill
 	memoFilling = 1 // a reader is filling: everyone else reads sorted
-	memoReady   = 2 // pieces recorded: a read outside a band is one evaluation
-	memoSorted  = 3 // the memo declined (see record): every read is sorted
+	memoReady   = 2 // a piece recorded: a read inside it is one evaluation
+	memoSorted  = 3 // the memo declined (see pieceAt): every read is sorted
 	memoMask    = 3
 	memoShift   = 2
 )
@@ -54,31 +58,14 @@ const (
 // computing the bound and in solving it for T.
 const memoGuard = 16 * 0x1p-53
 
-// memoWords is the size of an n-server memo in 64-bit words: room for
-// one guard band per pair of voters (two band ends each), then one pick
-// byte per piece, eight to a word — 22 words at five servers. Past
-// readScratch servers there is no memo: such a readout reads sorted.
-func memoWords(n int) int {
-	if n > readScratch {
-		return 0
-	}
-	b := n * (n - 1) / 2
-	return 2*b + (b+1+7)/8
-}
-
 // readMemo is the one part of a published Readout written after
 // publication: by its first reader, once, after winning the CAS on
-// state. words is carved with the slot, zeroed, and holds — once state
-// reads memoReady with nb bands — the inclusive ends [lo, hi] of band k
-// at words[2k], words[2k+1] in increasing order, then one pick per
-// piece (piece k lies before band k, piece nb after the last) in byte k
-// of words[2nb:]: the low nibble is the voter at the weighted-median
-// position, the high nibble the next one in sorted order when the
-// piece's median falls on an exact half-weight tie (equal nibbles
-// otherwise).
+// state. Once state reads memoReady, [lo, hi] is the recorded piece:
+// the inclusive range of counter values between the nearest guard bands
+// on either side of the first read.
 type readMemo struct {
-	state atomic.Uint32
-	words []uint64
+	state  atomic.Uint32
+	lo, hi uint64
 }
 
 // memoLine is one voter's clock as the fill sees it: the exact affine
@@ -91,119 +78,74 @@ type band struct{ lo, hi uint64 }
 
 // at is one voter's term of a combined read: its engine's absolute
 // clock less its asymmetry correction. The sorted read and the memo's
-// piece read both evaluate a voter through it.
+// one-voter read both evaluate a voter through it.
 //
 //repro:readpath
 func (v *voter) at(T uint64) float64 { return v.clock.AbsoluteTime(T) - v.corr }
 
-// piece returns the pick of the piece holding T, or false when T lies
-// in a guard band. nb is the band count from the state word.
+// fill claims and fills the memo for the voter list vs at the first
+// read's counter value T and returns the state it leaves: memoReady with
+// the pick, memoSorted when pieceAt declines, or — when another reader
+// won the claim — whatever that reader has published so far. It never
+// waits.
 //
 //repro:readpath
-func (m *readMemo) piece(T uint64, nb uint32) (uint8, bool) {
-	cuts := m.words[:2*nb]
-	k := 0 // 2 × the piece index
-	for ; k+1 < len(cuts); k += 2 {
-		if T < cuts[k] {
-			break
-		}
-		if T <= cuts[k+1] {
-			return 0, false
-		}
-	}
-	return uint8(m.words[len(cuts)+k/16] >> (4 * (k % 16))), true
-}
-
-// fill claims and fills the memo for the voter list vs and returns the
-// state it leaves: memoReady with the band count, memoSorted when the
-// arrangement does not fit, or — when another reader won the claim —
-// whatever that reader has published so far. It never waits.
-//
-//repro:readpath
-func (m *readMemo) fill(vs []voter) uint32 {
+func (m *readMemo) fill(vs []voter, T uint64) uint32 {
 	//repro:readpath-ok claim: the one CAS from empty makes this reader the memo's only writer; a loser reads sorted and never waits
 	if !m.state.CompareAndSwap(memoEmpty, memoFilling) {
 		return m.state.Load()
 	}
 	s := uint32(memoSorted)
-	if nb, ok := m.record(vs); ok {
-		s = memoReady | nb<<memoShift
+	if lo, hi, pick, ok := pieceAt(vs, T); ok {
+		//repro:readpath-ok fill: only the claim's winner writes the piece, and no reader reads it before the release
+		m.lo, m.hi = lo, hi
+		s = memoReady | pick<<memoShift
 	}
-	//repro:readpath-ok release: publishes the recorded words to every later reader; no reader reads them before this store
+	//repro:readpath-ok release: publishes the recorded piece to every later reader; no reader reads it before this store
 	m.state.Store(s)
 	return s
 }
 
-// record computes the arrangement of vs into m.words: the guard band of
-// every pair of voters, sorted and merged in place, then the pick of
-// each piece between them, decided at the piece's middle as the sorted
-// read decides it (pickAt). It reports false for no voters, more than
-// readScratch of them, storage not carved for that many, or a clock
-// whose magnitudes could overflow; the state word then says so, and
-// nothing reads the words.
+// pieceAt returns the piece of vs's arrangement holding T — the
+// inclusive range [lo, hi] between the nearest guard-band ends on
+// either side of T, over the bands of every pair of voters — and its
+// pick, decided at T as the sorted read decides it (pickAt). It reports
+// false for no voters, more than readScratch of them, a clock whose
+// magnitudes could overflow, or a T inside a band; the state word then
+// says so.
 //
 //repro:readpath
-func (m *readMemo) record(vs []voter) (nb uint32, ok bool) {
+func pieceAt(vs []voter, T uint64) (lo, hi uint64, pick uint32, ok bool) {
 	n := len(vs)
-	if n == 0 || n > readScratch || len(m.words) < memoWords(n) {
-		return 0, false
+	if n == 0 || n > readScratch {
+		return 0, 0, 0, false
 	}
 	var lines [readScratch]memoLine
 	for i := range vs {
 		if lines[i], ok = lineOf(&vs[i]); !ok {
-			return 0, false
+			return 0, 0, 0, false
 		}
 	}
-	nbs := 0
+	lo, hi = 0, math.MaxUint64
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			if b, hit := pairBand(&lines[i], &lines[j]); hit {
-				//repro:readpath-ok fill: only the claim's winner writes the words, and no reader reads them before the release
-				m.words[2*nbs], m.words[2*nbs+1] = b.lo, b.hi
-				nbs++
+			b, hit := pairBand(&lines[i], &lines[j])
+			switch {
+			case !hit:
+			case b.hi < T:
+				lo = max(lo, b.hi+1)
+			case b.lo > T:
+				hi = min(hi, b.lo-1)
+			default: // T is in the band
+				return 0, 0, 0, false
 			}
 		}
 	}
-	nb = uint32(mergeBands(m.words[:2*nbs]))
-	cuts := m.words[:2*nb]
 	total := 0.0
 	for i := range vs {
 		total += vs[i].raw
 	}
-	var pw uint64
-	for k := uint32(0); k <= nb; k++ {
-		if T, ok := pieceMid(cuts, k); ok {
-			pw |= uint64(pickAt(vs, &lines, T, total)) << (8 * (k % 8))
-		}
-		if k%8 == 7 || k == nb {
-			//repro:readpath-ok fill: only the claim's winner writes the words, and no reader reads them before the release
-			m.words[2*nb+k/8] = pw
-			pw = 0
-		}
-	}
-	return nb, true
-}
-
-// pieceMid returns the middle of piece k between the merged bands whose
-// ends cuts holds, or false when the piece is empty (a band starts at
-// zero or ends at the top of the counter range).
-//
-//repro:readpath
-func pieceMid(cuts []uint64, k uint32) (uint64, bool) {
-	start, end := uint64(0), uint64(math.MaxUint64)
-	if k > 0 {
-		if cuts[2*k-1] == math.MaxUint64 {
-			return 0, false
-		}
-		start = cuts[2*k-1] + 1
-	}
-	if 2*k < uint32(len(cuts)) {
-		if cuts[2*k] == 0 {
-			return 0, false
-		}
-		end = cuts[2*k] - 1
-	}
-	return start + (end-start)/2, true
+	return lo, hi, pickAt(vs, &lines, T, total), true
 }
 
 // lineOf returns voter v's line and its magnitude bound, mirroring
@@ -286,42 +228,19 @@ func solveLE(q, r, lo, hi float64) (float64, float64) {
 	return lo, hi
 }
 
-// mergeBands sorts the bands held as [lo, hi] pairs in w by start and
-// merges overlapping or adjacent ones in place, returning how many
-// bands the merged prefix of w holds. During the fill, w is the memo's
-// own words.
-//
-//repro:readpath
-func mergeBands(w []uint64) int {
-	for i := 2; i < len(w); i += 2 {
-		lo, hi, j := w[i], w[i+1], i
-		for ; j > 0 && lo < w[j-2]; j -= 2 {
-			w[j], w[j+1] = w[j-2], w[j-1]
-		}
-		w[j], w[j+1] = lo, hi
-	}
-	out := 0
-	for i := 0; i < len(w); i += 2 {
-		if out > 0 && (w[out-1] == math.MaxUint64 || w[i] <= w[out-1]+1) {
-			w[out-1] = max(w[out-1], w[i+1])
-			continue
-		}
-		w[out], w[out+1] = w[i], w[i+1]
-		out += 2
-	}
-	return out / 2
-}
-
 // pickAt is the sorted read's decision at a counter value T outside
 // every guard band, as a pick: the voters stably sorted by value as
 // medianOfItems sorts them, and the weights walked in that order by
 // medianPos against the total summed in voter order, as the read sums
-// it. The values are the lines' own, s·T + b — outside every band they
+// it. The low byte of the pick is the voter at the weighted-median
+// position, the byte above it the next one in sorted order when the
+// median falls on an exact half-weight tie (the same voter otherwise).
+// The values are the lines' own, s·T + b — outside every band they
 // order the voters as the read's evaluations do (memoGuard), at a
 // fraction of the cost.
 //
 //repro:readpath
-func pickAt(vs []voter, lines *[readScratch]memoLine, T uint64, total float64) uint8 {
+func pickAt(vs []voter, lines *[readScratch]memoLine, T uint64, total float64) uint32 {
 	var items [readScratch]wv
 	var ord [readScratch]uint8
 	x := float64(T)
@@ -337,5 +256,5 @@ func pickAt(vs []voter, lines *[readScratch]memoLine, T uint64, total float64) u
 	if tie {
 		b = ord[pos+1]
 	}
-	return a | b<<4
+	return uint32(a) | uint32(b)<<8
 }

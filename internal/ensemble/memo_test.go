@@ -16,7 +16,7 @@ import (
 // extrapolated at a local rate, asymmetry corrections, dyadic weights
 // (so exact half-weight ties happen) or continuous ones — and some
 // voters repeat an earlier voter's clock exactly, run nearly parallel
-// to it, or stand still (p̂ = 0). The readout's memo is empty and sized as nextSlot sizes it.
+// to it, or stand still (p̂ = 0). The readout's memo is empty.
 func memoArrangement(src *rng.Source, n int) (r *Readout, T0 uint64) {
 	const P0 = 1 / 3.1e9
 	T0 = uint64(math.Exp2(src.Float64() * 63.9))
@@ -24,7 +24,6 @@ func memoArrangement(src *rng.Source, n int) (r *Readout, T0 uint64) {
 	spread := []float64{1e-9, 1e-6, 1e-3}[src.Intn(3)]
 	dyadic := src.Intn(2) == 0
 	r = &Readout{voters: make([]voter, 0, n)}
-	r.memo.words = make([]uint64, memoWords(n))
 	for i := 0; i < n; i++ {
 		v := voter{raw: src.Float64() + 0.05}
 		if dyadic {
@@ -77,36 +76,34 @@ type memoProbe struct {
 func checkMemoAt(t testing.TB, r *Readout, T uint64, p *memoProbe) {
 	t.Helper()
 	got, want := r.AbsoluteTime(T), r.sortedTime(T)
+	lo, hi, ready := memoPiece(r)
 	if math.Float64bits(got) != math.Float64bits(want) {
-		s := r.memo.state.Load()
-		t.Fatalf("%d voters, T=%d: memo read %v (%#x), sorted read %v (%#x); memo state %d, bands %v",
-			len(r.voters), T, got, math.Float64bits(got), want, math.Float64bits(want), s&memoMask, memoBandEnds(r))
+		t.Fatalf("%d voters, T=%d: memo read %v (%#x), sorted read %v (%#x); memo state %d, piece [%d, %d]",
+			len(r.voters), T, got, math.Float64bits(got), want, math.Float64bits(want), r.memo.state.Load()&memoMask, lo, hi)
 	}
 	p.reads++
-	if s := r.memo.state.Load(); s&memoMask == memoReady {
-		if pick, ok := r.memo.piece(T, s>>memoShift); ok {
-			p.pieceReads++
-			if pick&15 != pick>>4 {
-				p.tieReads++
-			}
+	if ready && lo <= T && T <= hi {
+		p.pieceReads++
+		if pick := r.memo.state.Load() >> memoShift; pick&0xff != pick>>8 {
+			p.tieReads++
 		}
 	}
 }
 
-// memoBandEnds returns the recorded band ends of a filled memo.
-func memoBandEnds(r *Readout) []uint64 {
-	s := r.memo.state.Load()
-	if s&memoMask != memoReady {
-		return nil
+// memoPiece returns the recorded piece of a filled memo.
+func memoPiece(r *Readout) (lo, hi uint64, ready bool) {
+	if r.memo.state.Load()&memoMask != memoReady {
+		return 0, 0, false
 	}
-	return r.memo.words[:2*(s>>memoShift)]
+	return r.memo.lo, r.memo.hi, true
 }
 
-// checkMemoArrangement reads r at and around T0, at random counter
-// values over the whole range, and ±64 counts around every band end.
-func checkMemoArrangement(t testing.TB, src *rng.Source, r *Readout, T0 uint64, p *memoProbe) {
+// checkMemoArrangement fills r's memo with a first read at first, then
+// reads r at random counter values over the whole range and around T0,
+// and ±64 counts around both ends of the recorded piece.
+func checkMemoArrangement(t testing.TB, src *rng.Source, r *Readout, first, T0 uint64, p *memoProbe) {
 	t.Helper()
-	checkMemoAt(t, r, T0, p) // the first read fills the memo
+	checkMemoAt(t, r, first, p) // the first read fills the memo
 	if r.memo.state.Load()&memoMask == memoSorted {
 		p.sortedMemos++
 	}
@@ -118,9 +115,11 @@ func checkMemoArrangement(t testing.TB, src *rng.Source, r *Readout, T0 uint64, 
 	for _, T := range []uint64{0, 1, 1 << 53, math.MaxUint64} {
 		checkMemoAt(t, r, T, p)
 	}
-	for _, end := range memoBandEnds(r) {
-		for d := uint64(0); d <= 128; d++ {
-			checkMemoAt(t, r, end-64+d, p)
+	if lo, hi, ready := memoPiece(r); ready {
+		for _, end := range []uint64{lo, hi} {
+			for d := uint64(0); d <= 128; d++ {
+				checkMemoAt(t, r, end-64+d, p)
+			}
 		}
 	}
 }
@@ -129,15 +128,18 @@ func checkMemoArrangement(t testing.TB, src *rng.Source, r *Readout, T0 uint64, 
 // arrangements of 1…readScratch voters — crossings anywhere on the
 // counter axis, nearly parallel and identical lines, exact half-weight
 // ties, asymmetry corrections and local-rate extrapolation — every read
-// equals the sorted read bit for bit: inside the pieces (one evaluation),
-// ±64 counts around every guard-band end, and at random counter values.
+// equals the sorted read bit for bit: at the first read, which lands at
+// the crossings, near them or anywhere on the axis; inside the recorded
+// piece (one evaluation), ±64 counts around both its ends, and at random
+// counter values.
 func TestReadMemoMatchesSorted(t *testing.T) {
 	src := rng.New(53)
 	var p memoProbe
 	for n := 1; n <= readScratch; n++ {
 		for trial := 0; trial < 60; trial++ {
 			r, T0 := memoArrangement(src, n)
-			checkMemoArrangement(t, src, r, T0, &p)
+			first := []uint64{T0, T0 + uint64(src.Intn(1<<30)) - 1<<29, src.Uint64()}[src.Intn(3)]
+			checkMemoArrangement(t, src, r, first, T0, &p)
 		}
 	}
 	t.Logf("%d reads, %d by one piece (%d at a half-weight tie), %d memos declined", p.reads, p.pieceReads, p.tieReads, p.sortedMemos)
@@ -147,7 +149,7 @@ func TestReadMemoMatchesSorted(t *testing.T) {
 }
 
 // FuzzReadMemo holds the memo read to the sorted read on arbitrary
-// arrangements (a seed), voter counts and counter values.
+// arrangements (a seed), voter counts and first-read counter values.
 func FuzzReadMemo(f *testing.F) {
 	f.Add(uint64(1), uint8(3), uint64(1<<40))
 	f.Add(uint64(2), uint8(5), uint64(1<<60))
@@ -156,46 +158,53 @@ func FuzzReadMemo(f *testing.F) {
 		src := rng.New(seed)
 		r, T0 := memoArrangement(src, 1+int(n)%readScratch)
 		var p memoProbe
-		checkMemoAt(t, r, T, &p)
-		checkMemoArrangement(t, src, r, T0, &p)
+		checkMemoArrangement(t, src, r, T, T0, &p)
 	})
 }
 
 // TestReadMemoDeclines: what the memo cannot hold it records as such,
 // and those readouts read sorted — more voters than readScratch, a
 // clock whose terms could overflow somewhere on the counter axis, a
-// NaN, and a readout built without memo storage.
+// NaN, and a first read inside a guard band (two lines crossing there).
 func TestReadMemoDeclines(t *testing.T) {
 	src := rng.New(7)
 	huge, _ := memoArrangement(src, 3)
 	huge.voters[1].clock = &core.Readout{P: 1e290, K: 1}
 	nan, _ := memoArrangement(src, 3)
 	nan.voters[2].clock = &core.Readout{P: 1e-9, K: math.NaN()}
-	bare, _ := memoArrangement(src, 3)
-	bare.memo.words = nil
 	many := &Readout{}
 	for i := 0; i <= readScratch; i++ {
 		many.voters = append(many.voters, voter{clock: &core.Readout{P: 1e-9, K: float64(i)}, raw: 1})
 	}
-	many.memo.words = make([]uint64, memoWords(len(many.voters)))
-	for name, r := range map[string]*Readout{"overflow": huge, "NaN": nan, "no storage": bare, "past readScratch": many} {
-		for _, T := range []uint64{0, 1 << 40, math.MaxUint64} {
-			got, want := r.AbsoluteTime(T), r.sortedTime(T)
+	const X = 1 << 40 // where the two lines cross
+	a := &core.Readout{P: 1e-9}
+	b := &core.Readout{P: 1e-9 * (1 + 1e-6)}
+	b.K = a.P*X - b.P*X
+	crossing := &Readout{voters: []voter{{clock: a, raw: 1}, {clock: b, raw: 1}, {clock: a, raw: 1}}}
+	for name, c := range map[string]struct {
+		r     *Readout
+		first uint64
+	}{"overflow": {huge, 0}, "NaN": {nan, 0}, "past readScratch": {many, 0}, "first read in a band": {crossing, X}} {
+		for _, T := range []uint64{c.first, 0, 1 << 40, math.MaxUint64} {
+			got, want := c.r.AbsoluteTime(T), c.r.sortedTime(T)
 			if math.Float64bits(got) != math.Float64bits(want) {
 				t.Errorf("%s: read %v, sorted %v", name, got, want)
 			}
 		}
-		if s := r.memo.state.Load(); s != memoSorted {
+		if s := c.r.memo.state.Load(); s != memoSorted {
 			t.Errorf("%s: memo state %d, want memoSorted (%d)", name, s, memoSorted)
 		}
 	}
 }
 
 // TestReadMemoConcurrentFirstReads races several readers on the first
-// read of each fresh readout (run it under -race: two fills would be
-// concurrent writes to the memo's words). Every answer equals the sorted
-// read, every memo ends filled or declined — never empty or mid-fill —
-// and its words equal a fill of an identical readout made alone.
+// read of each fresh readout, each starting at a different counter value
+// (run it under -race: two fills would be concurrent writes to the
+// memo's piece). Every answer equals the sorted read, every memo ends
+// filled or declined — never empty or mid-fill — and what it holds is
+// what a fill of an identical readout made alone records at one of the
+// racing first reads: which read fills first decides the piece, never
+// an answer's bits.
 func TestReadMemoConcurrentFirstReads(t *testing.T) {
 	const readers = 4
 	src := rng.New(99)
@@ -232,15 +241,16 @@ func TestReadMemoConcurrentFirstReads(t *testing.T) {
 		if s&memoMask != memoReady && s != memoSorted {
 			t.Fatalf("trial %d: memo left in state %d", trial, s)
 		}
-		alone := &Readout{voters: r.voters}
-		alone.memo.words = make([]uint64, len(r.memo.words))
-		if alone.AbsoluteTime(T0); alone.memo.state.Load() != s {
-			t.Fatalf("trial %d: state %#x after the race, %#x alone", trial, s, alone.memo.state.Load())
+		lo, hi, _ := memoPiece(r)
+		matched := false
+		for _, T := range Ts {
+			alone := &Readout{voters: r.voters}
+			alone.AbsoluteTime(T)
+			alo, ahi, _ := memoPiece(alone)
+			matched = matched || alone.memo.state.Load() == s && alo == lo && ahi == hi
 		}
-		for i := range alone.memo.words {
-			if alone.memo.words[i] != r.memo.words[i] {
-				t.Fatalf("trial %d: memo word %d is %#x after the race, %#x alone", trial, i, r.memo.words[i], alone.memo.words[i])
-			}
+		if !matched {
+			t.Fatalf("trial %d: state %#x, piece [%d, %d] after the race; no lone fill at %v records it", trial, s, lo, hi, Ts)
 		}
 	}
 }

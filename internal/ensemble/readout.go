@@ -139,8 +139,8 @@ type Readout struct {
 	// row of Servers.
 	voters []voter
 
-	// memo is the voters' weighted median recorded piece by piece
-	// (memo.go): empty at publication, filled once by the first
+	// memo is the piece of the voters' weighted median around the first
+	// read (memo.go): empty at publication, filled once by the first
 	// AbsoluteTime, the one thing written after the store.
 	memo readMemo
 }
@@ -183,32 +183,31 @@ const readScratch = 16
 // the first server's clock is returned.
 //
 // The answer is sortedTime's, bit for bit. The first call on a readout
-// records the median's pieces in the read memo (memo.go); from then on
-// a read outside every guard band evaluates one voter, or two at an
-// exact half-weight tie, and every other read is sortedTime itself.
+// records the median's piece around its T in the read memo (memo.go);
+// from then on a read inside that piece evaluates one voter, or two at
+// an exact half-weight tie, and every other read is sortedTime itself.
 //
 //repro:readpath
 //repro:hotpath
 func (r *Readout) AbsoluteTime(T uint64) float64 {
 	s := r.memo.state.Load()
 	if s == memoEmpty {
-		s = r.memo.fill(r.voters)
+		s = r.memo.fill(r.voters, T)
 	}
-	if s&memoMask == memoReady {
-		if p, ok := r.memo.piece(T, s>>memoShift); ok {
-			a, b := &r.voters[p&15], &r.voters[p>>4]
-			if a == b {
-				return a.at(T)
-			}
-			return (a.at(T) + b.at(T)) / 2
+	if s&memoMask == memoReady && r.memo.lo <= T && T <= r.memo.hi {
+		p := s >> memoShift
+		a, b := &r.voters[p&0xff], &r.voters[p>>8]
+		if a == b {
+			return a.at(T)
 		}
+		return (a.at(T) + b.at(T)) / 2
 	}
 	return r.sortedTime(T)
 }
 
 // sortedTime is the combined read's definition: every voter evaluated,
 // stably sorted, and the weighted median walked. It is AbsoluteTime's
-// fallback inside a guard band and the memo's test oracle.
+// fallback outside the memo's piece and the memo's test oracle.
 //
 //repro:readpath
 //repro:hotpath
@@ -432,20 +431,19 @@ func (e *Ensemble) Readout() *Readout { return e.pub.Load() }
 
 // pubSlabSize is how many publication slots one slab allocation hands
 // out; see the identically named constant in internal/core. Carving
-// slots from writer-owned blocks removes the four per-combine heap
-// allocations (the Readout, its Servers slice, its voter list and its
-// read memo's words) in exchange for a reader pinning at most one
-// slab's worth of history (~pubSlabSize combines) while it holds an old
-// snapshot.
+// slots from writer-owned blocks removes the three per-combine heap
+// allocations (the Readout, its Servers slice and its voter list) in
+// exchange for a reader pinning at most one slab's worth of history
+// (~pubSlabSize combines) while it holds an old snapshot.
 //
-// All four slabs are carved in cacheline.Slot order (odd slots, then
+// All three slabs are carved in cacheline.Slot order (odd slots, then
 // even ones), for core's reason: a header, an N×88-byte server row and
 // an N×24-byte voter list are no line multiples, so the slot next in
 // memory shares a line with the live one, and filling it front to back
 // would pull that line from under every reader once per combine. Two
 // slots apart, the combine being written and the one being read have a
-// whole slot between them. The writer never writes a memo slot at all
-// (make zeroes it); a reader writes each once, at its fill.
+// whole slot between them. The writer never writes a header's read memo
+// (the slab's make zeroes it); a reader writes it once, at its fill.
 const pubSlabSize = 256
 
 // Slots narrower than a line could not keep two-apart slots off each
@@ -475,13 +473,12 @@ type ensemblePub struct {
 	_ cacheline.Pad
 
 	// The current slabs, refilled together: slot k of roSlab goes with
-	// row k of srvSlab, voter slot k of voterSlab and memo slot k of
-	// memoSlab. seq counts the combines published so far, seq mod
-	// pubSlabSize of them from the current slabs.
+	// row k of srvSlab and voter slot k of voterSlab. seq counts the
+	// combines published so far, seq mod pubSlabSize of them from the
+	// current slabs.
 	roSlab    []Readout
 	srvSlab   []ServerReadout
 	voterSlab []voter
-	memoSlab  []uint64
 	seq       uint64
 }
 
@@ -497,10 +494,10 @@ func (ep *ensemblePub) Load() *Readout { return ep.p.Load() }
 func (e *Ensemble) Publications() uint64 { return e.pub.seq }
 
 // nextSlot returns a zeroed, never-reused Readout with a Servers slice
-// of length nSrv (the same on every call), an empty voter list with
-// room for nSrv entries and an empty read memo sized for nSrv voters,
-// carved from the slabs. The caller fills it and then publishes it with
-// store; the memo is left for the first reader.
+// of length nSrv (the same on every call) and an empty voter list with
+// room for nSrv entries, carved from the slabs. The caller fills it and
+// then publishes it with store; the read memo is left for the first
+// reader.
 //
 //repro:builder
 func (ep *ensemblePub) nextSlot(nSrv int) *Readout {
@@ -513,8 +510,6 @@ func (ep *ensemblePub) nextSlot(nSrv int) *Readout {
 		ep.srvSlab = make([]ServerReadout, pubSlabSize*nSrv)
 		//repro:alloc-ok amortized slab refill: one allocation per pubSlabSize combines (PERF.md)
 		ep.voterSlab = make([]voter, pubSlabSize*stride)
-		//repro:alloc-ok amortized slab refill: one allocation per pubSlabSize combines (PERF.md)
-		ep.memoSlab = make([]uint64, pubSlabSize*memoWords(nSrv))
 	}
 	k := cacheline.Slot(carved, pubSlabSize)
 	ep.seq++
@@ -523,8 +518,6 @@ func (ep *ensemblePub) nextSlot(nSrv int) *Readout {
 	// bleed into another combine's row or list.
 	ro.Servers = ep.srvSlab[k*nSrv : (k+1)*nSrv : (k+1)*nSrv]
 	ro.voters = ep.voterSlab[k*stride : k*stride : k*stride+nSrv]
-	mw := memoWords(nSrv)
-	ro.memo.words = ep.memoSlab[k*mw : (k+1)*mw : (k+1)*mw]
 	return ro
 }
 

@@ -32,7 +32,11 @@ func PrecisionFromPeriod(period float64) int8 {
 // (1 ns). This is the live-path stand-in for the TSC register: Go exposes
 // no portable cycle counter, but the runtime's monotonic clock is driven
 // by the same underlying hardware oscillator, so the paper's calibration
-// algorithms apply unchanged with p ~ 1e-9.
+// algorithms apply unchanged with p ~ 1e-9 — but only while no host
+// daemon (chrony, ntpd, systemd-timesyncd) slews CLOCK_MONOTONIC through
+// adjtimex. A slewed counter is no longer the raw oscillator the paper
+// assumes: each frequency change looks to the engine like a rate break,
+// and the estimates chase the other daemon's corrections (ROADMAP 24).
 func MonotonicCounter() (Counter, float64) {
 	start := time.Now()
 	return func() uint64 {
