@@ -5,8 +5,8 @@ package tscclock
 // readouts (BenchmarkReadParallel, BenchmarkWriteBesideReader,
 // BenchmarkClockReads). The paper's tables and figures are not
 // benchmarks: `go run ./cmd/experiments -run all` regenerates them and
-// gates on their checks, TestAllExperimentsQuick does the same under
-// `go test`, and the per-packet engine cost is core's BenchmarkProcess
+// gates on their checks, TestAccuracyGolden does the same under `go
+// test`, and the per-packet engine cost is core's BenchmarkProcess
 // (`make bench`).
 
 import (
@@ -270,7 +270,7 @@ func BenchmarkWriteBesideReader(b *testing.B) {
 				b.StopTimer()
 				stop.Store(true)
 				reader.Wait()
-				b.ReportMetric(stats.Median(ns), "ns/write")
+				b.ReportMetric(stats.NewSorted(ns).Median(), "ns/write")
 			})
 		}
 	}

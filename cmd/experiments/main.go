@@ -6,7 +6,7 @@
 //
 //	experiments -list
 //	experiments -run fig12
-//	experiments -run all -quick -out artifacts/
+//	experiments -run all -out artifacts/
 //	experiments -run longrun -days 28 -out artifacts/
 //
 // The exit status is the gate: 0 when every check of every experiment
@@ -25,12 +25,11 @@ import (
 
 func main() {
 	var (
-		run   = flag.String("run", "all", "experiment id to run, or 'all'")
-		list  = flag.Bool("list", false, "list experiment ids and exit")
-		quick = flag.Bool("quick", false, "shrink trace durations ~8x")
-		seed  = flag.Uint64("seed", 0, "override the deterministic seed (0 = default)")
-		out   = flag.String("out", "", "directory for TSV artifacts and accuracy.json, the run's figures, checks and table digests (optional)")
-		days  = flag.Float64("days", 0, "longrun trace length in days (0 = default 21; streams at constant memory)")
+		run  = flag.String("run", "all", "experiment id to run, or 'all'")
+		list = flag.Bool("list", false, "list experiment ids and exit")
+		seed = flag.Uint64("seed", 0, "override the deterministic seed (0 = default)")
+		out  = flag.String("out", "", "directory for TSV artifacts and accuracy.json, the run's figures, checks and table digests (optional)")
+		days = flag.Float64("days", 0, "longrun trace length in days (0 = default 21; streams at constant memory)")
 	)
 	flag.Parse()
 
@@ -41,7 +40,7 @@ func main() {
 		return
 	}
 
-	opts := experiments.Options{Seed: *seed, Quick: *quick, OutputDir: *out, LongRunDays: *days}
+	opts := experiments.Options{Seed: *seed, OutputDir: *out, LongRunDays: *days}
 	ids := []string{*run}
 	if *run == "all" {
 		ids = experiments.IDs()

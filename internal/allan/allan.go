@@ -42,7 +42,7 @@ func Deviation(x []float64, tau0 float64, m int) (Point, error) {
 	var acc float64
 	for k := 0; k < n; k++ {
 		d := x[k+2*m] - 2*x[k+m] + x[k]
-		acc += d * d
+		acc += float64(d * d)
 	}
 	av := acc / (2 * float64(n) * tau * tau)
 	return Point{Tau: tau, Deviation: math.Sqrt(av), N: n}, nil
@@ -93,7 +93,7 @@ func Resample(ts, xs []float64, tau0 float64) ([]float64, error) {
 	out := make([]float64, 0, n)
 	j := 0
 	for k := 0; k < n; k++ {
-		t := ts[0] + float64(k)*tau0
+		t := ts[0] + float64(float64(k)*tau0)
 		for j+1 < len(ts)-1 && ts[j+1] < t {
 			j++
 		}
@@ -105,7 +105,7 @@ func Resample(ts, xs []float64, tau0 float64) ([]float64, error) {
 		if w > 1 {
 			w = 1
 		}
-		out = append(out, xs[j]*(1-w)+xs[j+1]*w)
+		out = append(out, float64(xs[j]*(1-w))+float64(xs[j+1]*w))
 	}
 	return out, nil
 }

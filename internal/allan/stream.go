@@ -21,7 +21,7 @@ import (
 // where the last uniform time lands past the last input.
 type Resampler struct {
 	tau0 float64
-	sink func(float64) error
+	sink func(float64)
 
 	n        int     // input points pushed
 	t0       float64 // first input time
@@ -32,7 +32,7 @@ type Resampler struct {
 
 // NewResampler returns a resampler with the given uniform spacing,
 // delivering samples to sink in order.
-func NewResampler(tau0 float64, sink func(float64) error) (*Resampler, error) {
+func NewResampler(tau0 float64, sink func(float64)) (*Resampler, error) {
 	if tau0 <= 0 {
 		return nil, fmt.Errorf("allan: non-positive spacing")
 	}
@@ -57,7 +57,7 @@ func (r *Resampler) Push(t, x float64) error {
 	// uniform time as the interval's right endpoint.
 	aT, aX := r.pbT, r.pbX
 	for {
-		u := r.t0 + float64(r.k)*r.tau0
+		u := r.t0 + float64(float64(r.k)*r.tau0)
 		if u > t {
 			break
 		}
@@ -65,9 +65,7 @@ func (r *Resampler) Push(t, x float64) error {
 		if w < 0 {
 			w = 0
 		}
-		if err := r.sink(aX*(1-w) + x*w); err != nil {
-			return err
-		}
+		r.sink(float64(aX*(1-w)) + float64(x*w))
 		r.k++
 	}
 	r.paT, r.paX = aT, aX
@@ -87,7 +85,7 @@ func (r *Resampler) Finish() error {
 	}
 	total := int((r.pbT-r.t0)/r.tau0) + 1
 	for ; r.k < total; r.k++ {
-		u := r.t0 + float64(r.k)*r.tau0
+		u := r.t0 + float64(float64(r.k)*r.tau0)
 		w := (u - r.paT) / (r.pbT - r.paT)
 		if w < 0 {
 			w = 0
@@ -95,9 +93,7 @@ func (r *Resampler) Finish() error {
 		if w > 1 {
 			w = 1
 		}
-		if err := r.sink(r.paX*(1-w) + r.pbX*w); err != nil {
-			return err
-		}
+		r.sink(float64(r.paX*(1-w)) + float64(r.pbX*w))
 	}
 	return nil
 }
@@ -154,7 +150,7 @@ func (f *Fold) Add(x float64) {
 			continue
 		}
 		d := x - 2*f.ring[(f.n-m)%len(f.ring)] + f.ring[(f.n-2*m)%len(f.ring)]
-		f.acc[i] += d * d
+		f.acc[i] += float64(d * d)
 		f.cnt[i]++
 	}
 	f.n++

@@ -41,10 +41,7 @@ func TestResamplerBitIdenticalToBatch(t *testing.T) {
 				t.Fatal(err)
 			}
 			var got []float64
-			r, err := NewResampler(tc.tau0, func(v float64) error {
-				got = append(got, v)
-				return nil
-			})
+			r, err := NewResampler(tc.tau0, func(v float64) { got = append(got, v) })
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -69,13 +66,13 @@ func TestResamplerBitIdenticalToBatch(t *testing.T) {
 }
 
 func TestResamplerErrors(t *testing.T) {
-	if _, err := NewResampler(0, func(float64) error { return nil }); err == nil {
+	if _, err := NewResampler(0, func(float64) {}); err == nil {
 		t.Error("zero spacing accepted")
 	}
 	if _, err := NewResampler(1, nil); err == nil {
 		t.Error("nil sink accepted")
 	}
-	r, _ := NewResampler(1, func(float64) error { return nil })
+	r, _ := NewResampler(1, func(float64) {})
 	if err := r.Finish(); err == nil {
 		t.Error("Finish with no points accepted")
 	}
@@ -179,7 +176,7 @@ func TestStreamedPipelineEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewResampler(tau0, func(v float64) error { f.Add(v); return nil })
+	r, err := NewResampler(tau0, f.Add)
 	if err != nil {
 		t.Fatal(err)
 	}

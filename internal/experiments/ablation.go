@@ -18,7 +18,7 @@ import (
 // ambiguity), so tracking a route change correctly is rewarded rather
 // than penalized.
 func runAblation(r *Report, opts Options) error {
-	dur := opts.scale(timebase.Day)
+	dur := timebase.Day
 
 	plain := sim.NewScenario(sim.MachineRoom, sim.ServerInt(), 16, dur, opts.seed()+77)
 	shifted := plain

@@ -5,12 +5,14 @@ import (
 	"encoding/json"
 	"os"
 	"reflect"
+	"strings"
 	"testing"
 )
 
 // TestAccuracyGolden reruns the full-size evaluation, requires every
-// check to pass, and holds the sweep's record byte for byte to the
-// committed testdata/accuracy.json. There is no update flag: a change
+// experiment to make at least one check, every check to pass and every
+// render to name its experiment, and holds the sweep's record byte for
+// byte to the committed testdata/accuracy.json. There is no update flag: a change
 // that means to move a digit regenerates the record, the one way there
 // is — `go run ./cmd/experiments -run all -out DIR`, then copy
 // DIR/accuracy.json over it — and says why; diffing the two files shows
@@ -38,6 +40,12 @@ func TestAccuracyGolden(t *testing.T) {
 				}
 				if reps[i] = rep; !rep.Passed() {
 					t.Errorf("a check failed:\n%s", rep.Render())
+				}
+				if len(rep.Checks) == 0 {
+					t.Error("experiment has no checks")
+				}
+				if !strings.Contains(rep.Render(), id) {
+					t.Error("render missing ID")
 				}
 				checkRecorded(t, rep)
 				if !reflect.DeepEqual(accuracyOf(rep), golden[i]) {

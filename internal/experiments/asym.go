@@ -32,7 +32,7 @@ const asymExtra = 200 * timebase.Microsecond
 // corrected and uncorrected (the ablation switch), plus a symmetric
 // control where the correction must do no harm.
 func runAsym(r *Report, opts Options) error {
-	dur := opts.scale(2 * timebase.Day)
+	dur := 2 * timebase.Day
 	tailFrom := 0.75 * dur
 
 	biased := sim.NewAsymmetricScenario(sim.MachineRoom, []float64{asymExtra, asymExtra, 0}, 16, dur, opts.seed())

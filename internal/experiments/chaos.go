@@ -32,7 +32,7 @@ import (
 // first synchronized.
 func runChaos(r *Report, opts Options) error {
 	const poll = 16.0
-	dur := opts.scale(2 * timebase.Day)
+	dur := 2 * timebase.Day
 
 	partFrom, partTo := 0.20*dur, 0.28*dur
 	outFrom, outTo := 0.45*dur, 0.55*dur

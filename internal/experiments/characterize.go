@@ -94,7 +94,7 @@ func detrendEmit(sc sim.MultiScenario, corrected bool, first anchor, pBar float6
 // clock in the laboratory and machine-room environments, over a 1000 s
 // zoom and the full trace, with the ±0.1 PPM cone as the bound.
 func runFig2(r *Report, opts Options) error {
-	dur := opts.scale(timebase.Week)
+	dur := timebase.Week
 	r.figure("trace span", dur, Seconds)
 
 	for _, env := range []sim.Environment{sim.Laboratory, sim.MachineRoom} {
@@ -187,7 +187,7 @@ func maxResidualAfterLinearFit(ts, ys []float64) float64 {
 // around τ* = 1000 s, and a large-scale rise bounded by 0.1 PPM with the
 // laboratory above the machine room.
 func runFig3(r *Report, opts Options) error {
-	dur := opts.scale(timebase.Week)
+	dur := timebase.Week
 
 	type envCase struct {
 		name string
@@ -222,10 +222,7 @@ func runFig3(r *Report, opts Options) error {
 		if err != nil {
 			return err
 		}
-		res, err := allan.NewResampler(sc.PollPeriod, func(v float64) error {
-			fold.Add(v)
-			return nil
-		})
+		res, err := allan.NewResampler(sc.PollPeriod, fold.Add)
 		if err != nil {
 			return err
 		}

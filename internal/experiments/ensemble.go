@@ -21,7 +21,7 @@ import (
 // median follows the two servers that agree, and the faulty server's
 // sanity events dent its combining weight while the trouble lasts.
 func runEnsemble(r *Report, opts Options) error {
-	dur := opts.scale(2 * timebase.Day)
+	dur := 2 * timebase.Day
 	faultAt := 0.4 * dur
 	const faultOff = 1.5 * timebase.Millisecond
 	const faulty = 2 // index of the faulty server

@@ -25,7 +25,8 @@
 // its computation.
 //
 // Run from the command line with `go run ./cmd/experiments -run fig12`;
-// TestAllExperimentsQuick runs the whole sweep under `go test`.
+// TestAccuracyGolden runs the whole sweep under `go test` and holds it
+// to the committed record.
 //
 //repro:deterministic
 package experiments
@@ -40,7 +41,6 @@ import (
 	"repro/internal/ensemble"
 	"repro/internal/sim"
 	"repro/internal/stats"
-	"repro/internal/timebase"
 	"repro/internal/trace"
 )
 
@@ -48,16 +48,13 @@ import (
 type Options struct {
 	// Seed selects the deterministic realization; 0 means the default.
 	Seed uint64
-	// Quick shrinks trace durations ~8x for CI and quick runs. The
-	// shapes under test survive; the statistics get noisier.
-	Quick bool
 	// OutputDir, when non-empty, receives one TSV per table of the
 	// report, DIR/<id>_<name>.tsv. Streamed series write row by row as
 	// the experiment runs; only a bounded decimated preview is kept in
 	// memory, for the report. When empty, a run writes no file.
 	OutputDir string
 	// LongRunDays overrides the longrun experiment's trace length in
-	// days (0 = the default 21; Quick scaling still applies).
+	// days (0 = the default 21).
 	LongRunDays float64
 }
 
@@ -66,22 +63,6 @@ func (o Options) seed() uint64 {
 		return 20041025 // the paper's presentation date at IMC'04
 	}
 	return o.Seed
-}
-
-// scale shrinks a duration in Quick mode, with a floor to keep windows
-// meaningful.
-func (o Options) scale(d float64) float64 {
-	if !o.Quick {
-		return d
-	}
-	s := d / 8
-	if s < 6*timebase.Hour {
-		s = 6 * timebase.Hour
-	}
-	if s > d {
-		s = d
-	}
-	return s
 }
 
 // Report is the output of one experiment.

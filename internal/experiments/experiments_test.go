@@ -35,37 +35,6 @@ func TestUnknownID(t *testing.T) {
 	}
 }
 
-// TestAllExperimentsQuick runs every experiment in quick mode and
-// requires every shape check to pass. This is the repository's
-// integration test: the full paper evaluation end to end, scaled down.
-func TestAllExperimentsQuick(t *testing.T) {
-	if testing.Short() {
-		t.Skip("quick experiment sweep still takes seconds")
-	}
-	for _, id := range IDs() {
-		id := id
-		t.Run(id, func(t *testing.T) {
-			t.Parallel()
-			rep, err := Run(id, Options{Quick: true})
-			if err != nil {
-				t.Fatalf("run: %v", err)
-			}
-			if len(rep.Checks) == 0 {
-				t.Fatal("experiment has no checks")
-			}
-			checkRecorded(t, rep)
-			for _, c := range rep.Checks {
-				if !c.Pass() {
-					t.Errorf("check %q: want %s, got %s", c.Name, c.Want(), c.Got())
-				}
-			}
-			if !strings.Contains(rep.Render(), rep.ID) {
-				t.Error("render missing ID")
-			}
-		})
-	}
-}
-
 // checkRecorded requires a report to record something — at least one
 // figure or check — and every figure to be a finite number: a NaN or
 // ±Inf figure is a broken measurement, not a result.
@@ -90,7 +59,7 @@ func TestArtifactsSaved(t *testing.T) {
 	for _, id := range []string{"table1", "fig3", "fig11a", "chaos"} {
 		t.Run(id, func(t *testing.T) {
 			dir := t.TempDir()
-			rep, err := Run(id, Options{Quick: true, OutputDir: dir})
+			rep, err := Run(id, Options{OutputDir: dir})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -121,7 +90,7 @@ func TestArtifactsSaved(t *testing.T) {
 			}
 
 			t.Chdir(t.TempDir()) // where a file without a directory would land
-			if _, err := Run(id, Options{Quick: true}); err != nil {
+			if _, err := Run(id, Options{}); err != nil {
 				t.Fatal(err)
 			}
 			if files, _ := os.ReadDir("."); len(files) != 0 {

@@ -45,10 +45,11 @@ const longRunClip = timebase.Millisecond
 
 // NewLongRunScenario builds the long-horizon scenario: MR-Int at the
 // given polling period plus the temperature cycle and load regimes.
-// The regime dwell adapts to very short (quick-mode) durations so every
-// run exercises at least a few regime switches. Shared with the
-// memory-ceiling benchmark and the CI heap smoke test, which must
-// measure exactly the pipeline the experiment runs.
+// The regime dwell is 2.5 days, or a sixth of a run shorter than 15
+// days (short -days runs, the 12-day memory test, the 1-day benchmark),
+// so every run exercises at least a few regime switches. The memory
+// benchmark and tests reach it through Run, so they measure exactly
+// the pipeline the experiment runs.
 func NewLongRunScenario(days, poll float64, seed uint64) sim.MultiScenario {
 	sc := sim.NewScenario(sim.MachineRoom, sim.ServerInt(), poll, days*timebase.Day, seed)
 	sc.Name = fmt.Sprintf("MR-Int-longrun%.3gd", days)
@@ -69,8 +70,8 @@ func runLongRun(r *Report, opts Options) error {
 		days = longRunDefaultDays
 	}
 	const poll = 16.0
-	dur := opts.scale(days * timebase.Day)
-	sc := NewLongRunScenario(dur/timebase.Day, poll, opts.seed())
+	dur := days * timebase.Day
+	sc := NewLongRunScenario(days, poll, opts.seed())
 	settle := 3 * timebase.Hour
 
 	// Streamed per-packet error series: rows go to disk as they happen.
@@ -93,10 +94,7 @@ func runLongRun(r *Report, opts Options) error {
 	if err != nil {
 		return err
 	}
-	resampler, err := allan.NewResampler(poll, func(v float64) error {
-		fold.Add(v)
-		return nil
-	})
+	resampler, err := allan.NewResampler(poll, fold.Add)
 	if err != nil {
 		return err
 	}

@@ -164,7 +164,7 @@ func runFig7(r *Report, opts Options) error {
 // naive estimates and the DAG reference over the 3-week machine-room
 // ServerInt trace; the algorithm stays ~30 µs from reference.
 func runFig8(r *Report, opts Options) error {
-	dur := opts.scale(3 * timebase.Week)
+	dur := 3 * timebase.Week
 	sc := sim.NewScenario(sim.MachineRoom, sim.ServerInt(), 16, dur, opts.seed())
 
 	// The settled series (after 1 h) of the algorithm's and the naive

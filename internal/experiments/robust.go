@@ -26,10 +26,6 @@ import (
 func runFig11a(r *Report, opts Options) error {
 	dur := 10 * timebase.Day
 	gapStart, gapEnd := 4*timebase.Day, 7.8*timebase.Day
-	if opts.Quick {
-		dur = 2 * timebase.Day
-		gapStart, gapEnd = 0.8*timebase.Day, 1.6*timebase.Day
-	}
 	sc := sim.NewScenario(sim.MachineRoom, sim.ServerInt(), 64, dur, opts.seed())
 	sc.Gaps = []sim.Gap{{From: gapStart, To: gapEnd}}
 
@@ -79,7 +75,7 @@ func runFig11a(r *Report, opts Options) error {
 // lasting a few minutes. RTT filtering cannot see it (server timestamp
 // errors cancel in RTT), so the offset sanity check is the containment.
 func runFig11b(r *Report, opts Options) error {
-	dur := opts.scale(2 * timebase.Day)
+	dur := 2 * timebase.Day
 	faultAt := dur / 2
 	sc := sim.NewScenario(sim.MachineRoom, sim.ServerInt(), 16, dur, opts.seed())
 	sc.Servers[0].Server.Faults = []netem.FaultWindow{
@@ -119,7 +115,7 @@ func runFig11b(r *Report, opts Options) error {
 // change in path asymmetry, not an algorithm failure).
 func runFig11c(r *Report, opts Options) error {
 	cfg := defaultCfg(16)
-	dur := opts.scale(4 * timebase.Day)
+	dur := 4 * timebase.Day
 	tempAt := dur / 8
 	permAt := dur / 2
 	tempDur := cfg.ShiftWindow / 3 // below Ts: should never be detected
@@ -184,7 +180,7 @@ func runFig11c(r *Report, opts Options) error {
 // occurring equally in both directions (Δ unchanged) using ServerExt.
 // Detection and reaction are immediate; estimation quality is unchanged.
 func runFig11d(r *Report, opts Options) error {
-	dur := opts.scale(2 * timebase.Day)
+	dur := 2 * timebase.Day
 	shiftAt := dur / 2
 	delta := -0.18 * timebase.Millisecond
 	sc := sim.NewScenario(sim.MachineRoom, sim.ServerExt(), 64, dur, opts.seed())
@@ -239,20 +235,14 @@ func runFig11d(r *Report, opts Options) error {
 // stream again to fill the fixed bins.
 func runFig12(r *Report, opts Options) error {
 	dur := 13 * timebase.Week
-	if opts.Quick {
-		dur = timebase.Week
-	}
-
 	r.figure("trace span", dur, Seconds)
 	var iqrs [2]float64 // per polling period, in order
 	for i, poll := range []float64{64, 256} {
 		sc := sim.NewScenario(sim.MachineRoom, sim.ServerInt(), poll, dur, opts.seed())
 		// The paper's 3-month record includes two collection gaps.
-		if !opts.Quick {
-			sc.Gaps = []sim.Gap{
-				{From: 20 * timebase.Day, To: 20*timebase.Day + 1.5*timebase.Hour},
-				{From: 45 * timebase.Day, To: 48.8 * timebase.Day},
-			}
+		sc.Gaps = []sim.Gap{
+			{From: 20 * timebase.Day, To: 20*timebase.Day + 1.5*timebase.Hour},
+			{From: 45 * timebase.Day, To: 48.8 * timebase.Day},
 		}
 		// Pass 1: the error fold, whose 0.5/99.5 levels are the
 		// histogram's range.
@@ -302,7 +292,7 @@ func runFig12(r *Report, opts Options) error {
 // stream in one pass of the engine harness, SW-NTP riding in its
 // callback — each estimator's state depends only on its own inputs.
 func runBaseline(r *Report, opts Options) error {
-	dur := opts.scale(timebase.Week)
+	dur := timebase.Week
 	faultAt := dur * 0.75
 	sc := sim.NewScenario(sim.MachineRoom, sim.ServerInt(), 64, dur, opts.seed())
 	// The fault must span enough polls to pass the SW-NTP clock filter's

@@ -41,11 +41,11 @@ func TestSeedRobustness(t *testing.T) {
 			t.Parallel()
 			sc := sim.NewScenario(sim.MachineRoom, sim.ServerInt(), 16, timebase.Day, seed)
 			settled, pHat, st := settledRun(t, sc, timebase.Hour)
-			med := stats.Median(settled)
-			if med < -100e-6 || med > 10e-6 {
+			s := stats.NewSorted(settled)
+			if med := s.Median(); med < -100e-6 || med > 10e-6 {
 				t.Errorf("seed %d: median offset error %v outside the band", seed, med)
 			}
-			if iqr := stats.IQR(settled); iqr > 80e-6 {
+			if iqr := s.IQR(); iqr > 80e-6 {
 				t.Errorf("seed %d: IQR %v", seed, iqr)
 			}
 			if e := math.Abs(pHat/st.Osc().MeanPeriod() - 1); e > timebase.FromPPM(0.1) {
@@ -70,7 +70,7 @@ func TestEnvironmentRobustness(t *testing.T) {
 				t.Parallel()
 				sc := sim.NewScenario(env, spec, 64, timebase.Day, 55)
 				settled, _, _ := settledRun(t, sc, 2*timebase.Hour)
-				med := stats.Median(settled)
+				med := stats.NewSorted(settled).Median()
 				bound := spec.Asymmetry()/2 + 60e-6
 				if math.Abs(med) > bound {
 					t.Errorf("median %v exceeds asymmetry+noise bound %v", med, bound)

@@ -23,7 +23,7 @@ import (
 // path-asymmetry error no single path can observe about itself,
 // paper §2.3).
 func runSelect(r *Report, opts Options) error {
-	dur := opts.scale(2 * timebase.Day)
+	dur := 2 * timebase.Day
 	const lie = 1.5 * timebase.Millisecond
 
 	// The adversarial scenario and its all-good control: identical

@@ -10,14 +10,13 @@ import (
 	"repro/internal/timebase"
 )
 
-// sensitivityScenario is the 3-week MR-Int dataset behind Figure 9
-// (scaled in Quick mode). The sweeps below regenerate the identical
-// stream once per engine configuration instead of materializing the
-// trace once: generation is a small fraction of the engine pass, and
-// peak memory stays flat in the trace length.
+// sensitivityScenario is the 3-week MR-Int dataset behind Figure 9.
+// The sweeps below regenerate the identical stream once per engine
+// configuration instead of materializing the trace once: generation is
+// a small fraction of the engine pass, and peak memory stays flat in
+// the trace length.
 func sensitivityScenario(opts Options, poll float64, seedOff uint64) sim.MultiScenario {
-	dur := opts.scale(3 * timebase.Week)
-	return sim.NewScenario(sim.MachineRoom, sim.ServerInt(), poll, dur, opts.seed()+seedOff)
+	return sim.NewScenario(sim.MachineRoom, sim.ServerInt(), poll, 3*timebase.Week, opts.seed()+seedOff)
 }
 
 // sweepErrs streams the scenario through one engine configuration and
@@ -127,7 +126,7 @@ func runFig9c(r *Report, opts Options) error {
 // laboratory to the machine room reduces variability; the local server
 // improves it further; the remote server's median shifts by ≈ −Δ/2.
 func runFig10(r *Report, opts Options) error {
-	dur := opts.scale(timebase.Week)
+	dur := timebase.Week
 
 	cases := []struct {
 		name string

@@ -53,7 +53,7 @@ func runTable1(r *Report, opts Options) error {
 // stratum-1 servers, measured from week-long traces exactly as the paper
 // measured them (minimum RTT over at least a week; asymmetry Δ).
 func runTable2(r *Report, opts Options) error {
-	dur := opts.scale(timebase.Week)
+	dur := timebase.Week
 
 	specs := []sim.ServerSpec{sim.ServerLoc(), sim.ServerInt(), sim.ServerExt()}
 	wantRTT := []float64{0.38e-3, 0.89e-3, 14.2e-3}

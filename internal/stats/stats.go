@@ -27,12 +27,9 @@ import (
 	"sort"
 )
 
-// Sorted is a sorted copy of a sample: the single-sort entry point
-// behind every order statistic in this package. Callers that evaluate
-// several percentiles of one slice should build a Sorted once and
-// query it — each query is O(1) against the one O(n log n) sort —
-// instead of paying a fresh copy+sort per call through the
-// slice-taking convenience wrappers.
+// Sorted is a sorted copy of a sample: the one entry point to every
+// exact order statistic in this package. Build it once per sample and
+// query it — each query is O(1) against the one O(n log n) sort.
 type Sorted []float64
 
 // NewSorted returns a sorted copy of xs. It panics on empty input;
@@ -61,13 +58,13 @@ func (s Sorted) Percentile(p float64) float64 {
 	if len(s) == 1 {
 		return s[0]
 	}
-	pos := p / 100 * float64(len(s)-1)
+	pos := float64(p / 100 * float64(len(s)-1))
 	lo := int(pos)
 	if lo >= len(s)-1 {
 		return s[len(s)-1]
 	}
 	frac := pos - float64(lo)
-	return s[lo]*(1-frac) + s[lo+1]*frac
+	return float64(s[lo]*(1-frac)) + float64(s[lo+1]*frac)
 }
 
 // Median returns the 50th percentile.
@@ -84,20 +81,6 @@ func (s Sorted) Quantiles(ps ...float64) []float64 {
 	}
 	return out
 }
-
-// Percentile returns the p-th percentile (p in [0,100]) of xs using
-// linear interpolation between order statistics. It panics on empty
-// input or out-of-range p; callers own input validation. Evaluating
-// several percentiles of the same slice? Build one NewSorted instead.
-func Percentile(xs []float64, p float64) float64 {
-	return NewSorted(xs).Percentile(p)
-}
-
-// Median returns the 50th percentile.
-func Median(xs []float64) float64 { return Percentile(xs, 50) }
-
-// IQR returns the inter-quartile range (75th − 25th percentile).
-func IQR(xs []float64) float64 { return NewSorted(xs).IQR() }
 
 // MinMax returns the extrema of xs.
 func MinMax(xs []float64) (min, max float64) {
@@ -160,7 +143,7 @@ func (h *Histogram) Add(x float64) {
 // BinCenter returns the midpoint of bin i.
 func (h *Histogram) BinCenter(i int) float64 {
 	w := (h.Hi - h.Lo) / float64(len(h.Counts))
-	return h.Lo + (float64(i)+0.5)*w
+	return h.Lo + float64((float64(i)+0.5)*w)
 }
 
 // Fraction returns the fraction of all added values that landed in bin i.

@@ -12,35 +12,39 @@ import (
 
 func TestPercentileBasics(t *testing.T) {
 	xs := []float64{3, 1, 2, 5, 4}
-	if got := Percentile(xs, 0); got != 1 {
+	s := NewSorted(xs)
+	if got := s.Percentile(0); got != 1 {
 		t.Errorf("P0 = %v", got)
 	}
-	if got := Percentile(xs, 100); got != 5 {
+	if got := s.Percentile(100); got != 5 {
 		t.Errorf("P100 = %v", got)
 	}
-	if got := Percentile(xs, 50); got != 3 {
+	if got := s.Percentile(50); got != 3 {
 		t.Errorf("P50 = %v", got)
 	}
-	if got := Percentile(xs, 25); got != 2 {
+	if got := s.Percentile(25); got != 2 {
 		t.Errorf("P25 = %v", got)
 	}
 	// Interpolation: P10 of [1..5] is 1.4.
-	if got := Percentile(xs, 10); math.Abs(got-1.4) > 1e-12 {
+	if got := s.Percentile(10); math.Abs(got-1.4) > 1e-12 {
 		t.Errorf("P10 = %v, want 1.4", got)
 	}
-	// Input must not be mutated.
+	// NewSorted copies: the input must not be mutated.
 	if xs[0] != 3 {
-		t.Error("Percentile mutated its input")
+		t.Error("NewSorted mutated its input")
+	}
+	if single := NewSorted([]float64{7}); single.Percentile(3) != 7 || single.Median() != 7 {
+		t.Error("single-element Sorted")
 	}
 }
 
 func TestPercentilePanics(t *testing.T) {
 	for _, f := range []func(){
-		func() { Percentile(nil, 50) },
-		func() { Percentile([]float64{1}, -1) },
-		func() { Percentile([]float64{1}, 101) },
-		func() { Percentile([]float64{1}, math.NaN()) },
-		func() { Percentile([]float64{1, 2}, math.NaN()) },
+		func() { NewSorted(nil) },
+		func() { NewSorted([]float64{1}).Percentile(-1) },
+		func() { NewSorted([]float64{1}).Percentile(101) },
+		func() { NewSorted([]float64{1}).Percentile(math.NaN()) },
+		func() { NewSorted([]float64{1, 2}).Percentile(math.NaN()) },
 		func() { MinMax(nil) },
 	} {
 		func() {
@@ -82,11 +86,12 @@ func TestMedianIQRGaussian(t *testing.T) {
 	for i := range xs {
 		xs[i] = src.Normal(10, 2)
 	}
-	if med := Median(xs); math.Abs(med-10) > 0.05 {
+	s := NewSorted(xs)
+	if med := s.Median(); math.Abs(med-10) > 0.05 {
 		t.Errorf("median = %v", med)
 	}
 	// IQR of a Gaussian is 1.349σ.
-	if iqr := IQR(xs); math.Abs(iqr-1.349*2) > 0.05 {
+	if iqr := s.IQR(); math.Abs(iqr-1.349*2) > 0.05 {
 		t.Errorf("IQR = %v, want ~%v", iqr, 1.349*2)
 	}
 }
@@ -149,61 +154,13 @@ func TestQuantilesSingleSortConsistent(t *testing.T) {
 	for i := range xs {
 		xs[i] = src.Float64()
 	}
-	q := NewSorted(xs).Quantiles(1, 50, 99)
-	if q[0] != Percentile(xs, 1) || q[1] != Percentile(xs, 50) || q[2] != Percentile(xs, 99) {
-		t.Error("Sorted.Quantiles disagrees with Percentile")
-	}
-}
-
-func TestSortedMatchesSliceAPI(t *testing.T) {
-	src := rng.New(21)
-	xs := make([]float64, 3000)
-	for i := range xs {
-		xs[i] = src.Float64() - 0.5
-	}
 	s := NewSorted(xs)
-	if got, want := s.Median(), Median(xs); got != want {
-		t.Errorf("Sorted.Median = %v, Median = %v", got, want)
-	}
-	if got, want := s.IQR(), IQR(xs); got != want {
-		t.Errorf("Sorted.IQR = %v, IQR = %v", got, want)
-	}
-	for _, p := range []float64{0, 1, 25, 50, 75, 99, 100} {
-		if got, want := s.Percentile(p), Percentile(xs, p); got != want {
-			t.Errorf("Sorted.Percentile(%v) = %v, Percentile = %v", p, got, want)
-		}
-	}
 	levels := []float64{99, 75, 50, 25, 1}
 	for i, q := range s.Quantiles(levels...) {
 		if want := s.Percentile(levels[i]); q != want {
-			t.Errorf("Sorted.Quantiles level %v = %v, Percentile = %v", levels[i], q, want)
+			t.Errorf("Quantiles level %v = %v, Percentile = %v", levels[i], q, want)
 		}
 	}
-	// NewSorted copies: the caller's slice is untouched, and the sorted
-	// view is stable across queries.
-	if sort.Float64sAreSorted(xs) {
-		t.Error("input slice was sorted in place")
-	}
-	single := NewSorted([]float64{7})
-	if single.Percentile(3) != 7 || single.Median() != 7 {
-		t.Error("single-element Sorted")
-	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("expected panic for out-of-range percentile")
-			}
-		}()
-		s.Percentile(101)
-	}()
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("expected panic for empty NewSorted")
-			}
-		}()
-		NewSorted(nil)
-	}()
 }
 
 func BenchmarkQuantiles(b *testing.B) {

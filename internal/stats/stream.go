@@ -15,9 +15,9 @@ import (
 )
 
 // exactPrefix is the number of values an ErrFold keeps exactly: 32 768
-// float64s, 256 KiB. A series no longer than this — every quick-mode
-// series and every windowed accumulator — is summarized by
-// Sorted.Percentile of its own values.
+// float64s, 256 KiB. A series no longer than this — a two-day trace at
+// 16 s polling (10 800 exchanges) and every windowed accumulator — is
+// summarized by Sorted.Percentile of its own values.
 const exactPrefix = 32768
 
 const (

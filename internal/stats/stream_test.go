@@ -85,9 +85,9 @@ func summaryBits(s ErrSummary) [8]uint64 {
 var levels = []float64{0, 0.005, 0.01, 0.25, 0.5, 0.75, 0.9, 0.99, 0.995, 1}
 
 // TestStreamingQuantilesExactBelowPrefix pins the fold's exact regime:
-// any series no longer than the exact prefix — every quick-mode
-// experiment series — is summarized exactly, adversarial shapes
-// included, and so is one of exactly the prefix's length.
+// any series no longer than the exact prefix — a two-day experiment
+// trace at 16 s polling among them — is summarized exactly, adversarial
+// shapes included, and so is one of exactly the prefix's length.
 func TestStreamingQuantilesExactBelowPrefix(t *testing.T) {
 	for _, n := range []int{20000, exactPrefix} {
 		for name, xs := range inputShapes(n) {

@@ -21,7 +21,8 @@ import (
 type warmupScore struct{ median, p99 float64 }
 
 func scoreWindow(errs []float64) warmupScore {
-	return warmupScore{stats.Median(errs), stats.Percentile(errs, 99)}
+	s := stats.NewSorted(errs)
+	return warmupScore{s.Median(), s.Percentile(99)}
 }
 
 // warmupRun is what TestPollerWarmupAccuracy measures on one trace for
