@@ -35,6 +35,43 @@ func TestUnknownID(t *testing.T) {
 	}
 }
 
+// TestAllExperimentsQuick requires of every experiment at least one
+// check, every check to pass and its render to name it. It is quick
+// because it reads the reports TestAccuracyGolden's sweep left in
+// swept, and runs an experiment only when that sweep has not (-run
+// picked this test alone).
+func TestAllExperimentsQuick(t *testing.T) {
+	if testing.Short() {
+		t.Skip("the full-size sweep takes seconds")
+	}
+	for _, id := range IDs() {
+		t.Run(id, func(t *testing.T) {
+			t.Parallel()
+			var rep *Report
+			if r, ok := swept.Load(id); ok {
+				rep = r.(*Report)
+			} else {
+				var err error
+				if rep, err = Run(id, Options{}); err != nil {
+					t.Fatalf("run: %v", err)
+				}
+			}
+			if len(rep.Checks) == 0 {
+				t.Fatal("experiment has no checks")
+			}
+			checkRecorded(t, rep)
+			for _, c := range rep.Checks {
+				if !c.Pass() {
+					t.Errorf("check %q: want %s, got %s", c.Name, c.Want(), c.Got())
+				}
+			}
+			if !strings.Contains(rep.Render(), rep.ID) {
+				t.Error("render missing ID")
+			}
+		})
+	}
+}
+
 // checkRecorded requires a report to record something — at least one
 // figure or check — and every figure to be a finite number: a NaN or
 // ±Inf figure is a broken measurement, not a result.
