@@ -32,9 +32,9 @@ func NaiveRatePair(j, i Input) (fwd, back, avg float64, err error) {
 // It implicitly assumes a symmetric path (Δ = 0) and carries the raw
 // network noise (q← − q→)/2 that Figure 6 exhibits.
 func NaiveTheta(in Input, p, c float64) float64 {
-	ca := float64(in.Ta)*p + c
-	cf := float64(in.Tf)*p + c
-	return (ca+cf)/2 - (in.Tb+in.Te)/2
+	ca := float64(float64(in.Ta)*p) + c
+	cf := float64(float64(in.Tf)*p) + c
+	return float64((ca+cf)/2) - float64((in.Tb+in.Te)/2)
 }
 
 // RTT computes the measured round-trip time of an exchange under period

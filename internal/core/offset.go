@@ -142,7 +142,7 @@ func (s *Sync) updateOffset(now uint64, pointErr, theta float64, res *Result) {
 		prevAge := timebase.CounterSpan(s.thetaTf, now, s.p)
 		prevPred := s.theta
 		if useGl {
-			prevPred -= gl * prevAge
+			prevPred -= float64(gl * prevAge)
 		}
 		gapped := false
 		if h := s.hist.Len(); h >= 2 {
@@ -153,17 +153,17 @@ func (s *Sync) updateOffset(now uint64, pointErr, theta float64, res *Result) {
 			// new naive estimate (weighted by its point error) with the
 			// aged previous estimate, to let fresh data in quickly.
 			wNew := math.Exp(-(pointErr / e) * (pointErr / e))
-			agedErr := s.thetaErr + s.cfg.AgingRate*prevAge
+			agedErr := s.thetaErr + float64(s.cfg.AgingRate*prevAge)
 			wOld := math.Exp(-(agedErr / e) * (agedErr / e))
 			if wNew+wOld > 0 {
-				cand = (wNew*theta + wOld*prevPred) / (wNew + wOld)
+				cand = (float64(wNew*theta) + float64(wOld*prevPred)) / (wNew + wOld)
 			} else {
 				cand = prevPred
 			}
 			s.thetaErr = math.Min(pointErr, agedErr)
 		} else {
 			cand = prevPred
-			s.thetaErr += s.cfg.AgingRate * prevAge
+			s.thetaErr += float64(s.cfg.AgingRate * prevAge)
 		}
 	default:
 		cand = sumWTheta / sumW
@@ -189,7 +189,7 @@ func (s *Sync) updateOffset(now uint64, pointErr, theta float64, res *Result) {
 	if s.havePair && s.pQual > rateUnc {
 		rateUnc = s.pQual
 	}
-	limit := OffsetSanity + rateUnc*timebase.CounterSpan(s.thetaTf, now, s.p)
+	limit := OffsetSanity + float64(rateUnc*timebase.CounterSpan(s.thetaTf, now, s.p))
 	if s.haveTh && s.count > s.nWarm && math.Abs(cand-s.theta) > limit {
 		res.OffsetSanityTriggered = true
 		cand = s.theta // duplicate the most recent trusted value
@@ -296,7 +296,7 @@ func offsetScanLoop(win []scanRec, from int, par *scanParams, acc *scanLanes) {
 		rr := (arg - float64(kf*ln2Hi256)) - float64(kf*ln2Lo256)
 		r2 := rr * rr
 		q := (1 - rr) + float64(r2*(0.5-float64(rr*(1.0/6))))
-		w := expNegTab[k&255] * expScaleTab[(k>>8)&1023] * q
+		w := float64(expNegTab[k&255] * expScaleTab[(k>>8)&1023] * q)
 		acc.sumW[lane] += w
 		acc.sumWTheta[lane] += float64(w * (r.theta - float64(gl*age)))
 	}

@@ -216,7 +216,7 @@ func NewSync(cfg Config) (*Sync, error) {
 }
 
 // clockRead evaluates the uncorrected clock at counter value T.
-func (s *Sync) clockRead(T uint64) float64 { return float64(T)*s.p + s.c }
+func (s *Sync) clockRead(T uint64) float64 { return float64(float64(T)*s.p) + s.c }
 
 // finite reports whether x is neither NaN nor ±Inf.
 func finite(x float64) bool { return x-x == 0 }
@@ -265,7 +265,7 @@ func (s *Sync) Process(in Input) (Result, error) {
 		// Align the clock origin with the server: C(Ta,1) = Tb,1. The
 		// first offset estimate is then the naive one, which equation
 		// (19) makes ≈ −r/2 + noise relative to this alignment.
-		s.c = in.Tb - float64(in.Ta)*s.p
+		s.c = in.Tb - float64(float64(in.Ta)*s.p)
 	}
 
 	// Global rate synchronization (warmup scheme, then the paired
@@ -354,7 +354,7 @@ func (s *Sync) pushRecord(rec *record, pointErr float64) (theta float64) {
 // naiveTheta computes equation (19) for a record with the current clock:
 // θ̂_i = (C(Ta)+C(Tf))/2 − (Tb+Te)/2.
 func (s *Sync) naiveTheta(rec record) float64 {
-	return (s.clockRead(rec.ta)+s.clockRead(rec.tf))/2 - (rec.tb+rec.te)/2
+	return float64((s.clockRead(rec.ta)+s.clockRead(rec.tf))/2) - float64((rec.tb+rec.te)/2)
 }
 
 // setRate installs a new global rate estimate, preserving offset
@@ -364,7 +364,7 @@ func (s *Sync) setRate(pNew float64, at uint64) {
 	if pNew == s.p {
 		return
 	}
-	s.c += float64(at) * (s.p - pNew)
+	s.c += float64(float64(at) * (s.p - pNew))
 	s.p = pNew
 }
 

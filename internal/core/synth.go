@@ -33,7 +33,7 @@ func SynthTrace(n int) []Input {
 		}
 		ta := counter
 		tf := ta + uint64(rtt/p)
-		tb := serverT + rtt/2
+		tb := serverT + float64(rtt/2)
 		te := tb + 20*timebase.Microsecond
 		ins = append(ins, Input{Ta: ta, Tf: tf, Tb: tb, Te: te})
 		counter = tf

@@ -206,14 +206,43 @@ func BenchmarkEnsembleRead(b *testing.B) {
 			_ = sink
 		})
 	}
+	// The relay's own read (budget ≤ 60 ns): its upstreams' clocks carry
+	// NTP-era seconds, ≈ 3.9e9 s since 1900, where memoGuard's bound —
+	// relative to the operands' magnitudes — makes a guard band of every
+	// counter value at which two voters are within ≈ 14 µs. The
+	// fixture's voters are a few µs apart, so the first read declines the
+	// memo and every read is the sorted read.
+	e := calibratedAt(b, 5, 2, ntpEra)
+	r, T := e.Readout(), uint64(1<<40)
+	if r.AbsoluteTime(T); r.memo.state.Load() != memoSorted {
+		b.Fatalf("harness: memo state %#x at the NTP era, want memoSorted", r.memo.state.Load())
+	}
+	b.Run("AbsoluteTime/ntp-era/servers=5/convicted=2", func(b *testing.B) {
+		var sink float64
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			sink += r.AbsoluteTime(T + uint64(i))
+		}
+		_ = sink
+	})
 }
+
+// ntpEra is a server time of today on NTP's timescale: ≈ 124 years of
+// seconds since 1900.
+const ntpEra = 3.9e9
 
 // calibrated returns an ensemble of n identical engines in steady
 // state: 200 staggered poll rounds of clean exchanges with a few
 // microseconds of queueing jitter, every server past warmup and seated;
 // the last `liars` servers answer 5 ms off, a colluding minority the
-// selection has convicted.
+// selection has convicted. Server time starts near zero.
 func calibrated(b *testing.B, n, liars int) *Ensemble {
+	return calibratedAt(b, n, liars, 0)
+}
+
+// calibratedAt is calibrated with every server's time shifted by epoch
+// seconds.
+func calibratedAt(b *testing.B, n, liars int, epoch float64) *Ensemble {
 	b.Helper()
 	cfgs := make([]core.Config, n)
 	for i := range cfgs {
@@ -225,9 +254,9 @@ func calibrated(b *testing.B, n, liars int) *Ensemble {
 	}
 	for i := 0; i < 200; i++ {
 		for k := 0; k < n; k++ {
-			off := 0.0
+			off := epoch
 			if k >= n-liars {
-				off = 5e-3
+				off += 5e-3
 			}
 			in := synthInput(float64(i)*16+float64(k)*16/float64(n)+1, off)
 			in.Tf += uint64((i*7+k*3)%5) * 1000 // 0–8 µs late

@@ -71,29 +71,34 @@
 // the piece it lands in, between the nearest guard bands around
 // crossings of two voter lines (memo.go). Every later read inside that
 // piece loads the published pointer, the header (the memo is part of
-// it) and one voter's engine readout, and evaluates that clock — the
-// bits the sorted read (every voter evaluated, stably sorted, the
-// median walked) returns, which every other read still takes. No read
+// it) and one voter's engine readout, and evaluates that clock inline,
+// with no further call — the bits the sorted read (every voter
+// evaluated, stably sorted, the median walked) returns, which every
+// other read still takes. No read
 // walks the rows, tests a weight or steps over a convicted server (the
 // rows serve Agreement, the diagnostics and the no-voter fallback).
 // Synced is decided once per publication.
 //
 // The measured budget (PERF.md, "A read evaluates the voters and
-// nothing else", "One affine evaluation per combined read" and "One
-// piece per readout"): at five servers the combine costs ≈ 370 ns
-// against the engine step's ≈ 460, publication the largest stage of it
-// — 768 B of fresh memory per combine at five servers (a 184 B header
-// holding the 24 B memo, five 88 B rows, five 24 B voter entries, and
-// slab rounding) of the ≈ 1 kB an exchange allocates in all — and
-// BenchmarkEnsembleStages splits it into observe / select / ladder /
-// publish lines; fresh memory, not code, is most of what a publication
-// costs. A combined read at five servers with two convicted (three
-// voters) is ≈ 3 ns in BenchmarkEnsembleRead once the memo is filled,
-// at 3, 8 and 12 servers too. The first read after a publication, which
-// fills the memo, is ≈ 65 ns there, and grows with the pairs of voters:
-// ≈ 330 ns at 8 servers, ≈ 730 ns at 12. At 16 the benchmark's first
-// read lands in a band, the memo declines, and every read is the sorted
-// read, ≈ 130 ns.
+// nothing else", "One affine evaluation per combined read", "One piece
+// per readout" and "One call per combined read"): at five servers the
+// combine costs ≈ 370 ns against the engine step's ≈ 460, publication
+// the largest stage of it — 768 B of fresh memory per combine at five
+// servers (a 192 B header holding the 32 B memo, five 88 B rows, five
+// 24 B voter entries, and slab rounding) of the ≈ 1 kB an exchange
+// allocates in all — and BenchmarkEnsembleStages splits it into observe
+// / select / ladder / publish lines; fresh memory, not code, is most of
+// what a publication costs. A combined read at five servers with two
+// convicted (three voters) is one call, ≈ 3.5–4 ns in
+// BenchmarkEnsembleRead once the memo is filled, at 3, 8 and 12 servers
+// too. The first read after a publication, which fills the memo, is
+// ≈ 65 ns there, and grows with the pairs of voters: ≈ 330 ns at 8
+// servers, ≈ 730 ns at 12. At 16 the benchmark's first read lands in a
+// band, the memo declines, and every read is the sorted read, ≈ 130 ns.
+// So is every read of clocks on NTP's timescale (≈ 3.9e9 s), where the
+// guard bands cover every counter value at which two voters are within
+// ≈ 14 µs: the relay's own read, ≈ 30–45 ns at five servers
+// (AbsoluteTime/ntp-era, budget ≤ 60 ns).
 //
 //repro:deterministic
 package ensemble

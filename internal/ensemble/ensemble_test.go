@@ -634,7 +634,8 @@ func TestReadmitAfterValidation(t *testing.T) {
 
 // TestReadPathZeroAlloc pins the read-path contract: combined reads
 // run on stack scratch and allocate nothing — the first read of a
-// readout too, which fills the read memo held in the readout itself.
+// readout too, which fills the read memo held in the readout itself,
+// and a held read, which its one-voter piece serves.
 func TestReadPathZeroAlloc(t *testing.T) {
 	e := mustEnsemble(t, 5)
 	last := run(t, e, 60, func(k, _ int) float64 {
@@ -649,24 +650,26 @@ func TestReadPathZeroAlloc(t *testing.T) {
 		e.publish()
 		fresh[i] = e.Readout()
 	}
+	e.publish()
 	r := e.Readout()
+	r.AbsoluteTime(T)
+	if v, ready := viewMemo(r); !ready || v.one == nil || T < v.lo || T > v.hi {
+		t.Fatalf("harness: memo %+v (ready %v) after the first read at %d, want a one-voter piece holding it", v, ready, T)
+	}
 	var sinkF float64
 	var sinkI int
 	for name, fn := range map[string]func(){
 		"AbsoluteTime (first read, fills the memo)": func() {
 			sinkF, fresh = fresh[0].AbsoluteTime(T), fresh[1:]
 		},
-		"AbsoluteTime":   func() { sinkF = r.AbsoluteTime(T) },
-		"RateHat":        func() { sinkF = r.RateHat() },
-		"DifferenceSpan": func() { sinkF = r.DifferenceSpan(T, T+1000) },
-		"Agreement":      func() { sinkI = r.Agreement(T) },
+		"AbsoluteTime (held, one voter)": func() { sinkF = r.AbsoluteTime(T) },
+		"RateHat":                        func() { sinkF = r.RateHat() },
+		"DifferenceSpan":                 func() { sinkF = r.DifferenceSpan(T, T+1000) },
+		"Agreement":                      func() { sinkI = r.Agreement(T) },
 	} {
 		if allocs := testing.AllocsPerRun(100, fn); allocs != 0 {
 			t.Errorf("%s: %v allocs/op, want 0", name, allocs)
 		}
-	}
-	if s := r.memo.state.Load(); s&memoMask != memoReady {
-		t.Errorf("memo state %#x after the reads, want a filled memo", s)
 	}
 	_, _ = sinkF, sinkI
 }

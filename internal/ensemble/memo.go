@@ -12,7 +12,11 @@ package ensemble
 // either side — and the pick there; every later read inside that piece
 // evaluates one voter. A readout's readers read near one counter value,
 // so one piece is all a memo needs, and its storage does not grow with
-// the voter count.
+// the voter count: a state word, the piece's two ends and a pointer to
+// its one voter, 32 B of the Readout header. The pointer is what makes
+// a held read one call: AbsoluteTime tests the state and the range and
+// evaluates that voter inline, touching neither the voter list nor the
+// pick bits (readout.go).
 //
 // Why the bits cannot move. A guard band is the range of T where the
 // rounding in the read's own operations could order two voters
@@ -62,10 +66,13 @@ const memoGuard = 16 * 0x1p-53
 // publication: by its first reader, once, after winning the CAS on
 // state. Once state reads memoReady, [lo, hi] is the recorded piece:
 // the inclusive range of counter values between the nearest guard bands
-// on either side of the first read.
+// on either side of the first read; one is the voter the piece
+// evaluates, or nil at a half-weight tie, whose two voters only the
+// state word's pick names.
 type readMemo struct {
 	state  atomic.Uint32
 	lo, hi uint64
+	one    *voter
 }
 
 // memoLine is one voter's clock as the fill sees it: the exact affine
@@ -97,8 +104,12 @@ func (m *readMemo) fill(vs []voter, T uint64) uint32 {
 	}
 	s := uint32(memoSorted)
 	if lo, hi, pick, ok := pieceAt(vs, T); ok {
+		var one *voter
+		if pick&0xff == pick>>8 {
+			one = &vs[pick&0xff]
+		}
 		//repro:readpath-ok fill: only the claim's winner writes the piece, and no reader reads it before the release
-		m.lo, m.hi = lo, hi
+		m.lo, m.hi, m.one = lo, hi, one
 		s = memoReady | pick<<memoShift
 	}
 	//repro:readpath-ok release: publishes the recorded piece to every later reader; no reader reads it before this store

@@ -67,35 +67,56 @@ func memoArrangement(src *rng.Source, n int) (r *Readout, T0 uint64) {
 	return r, T0
 }
 
-// memoProbe counts what a property run exercised.
+// memoProbe counts what a property run exercised: every read, the
+// reads inside a recorded piece, those of them at a half-weight tie and
+// those the one-voter path serves, and the memos that declined.
 type memoProbe struct {
-	reads, pieceReads, tieReads, sortedMemos int
+	reads, pieceReads, tieReads, oneReads, sortedMemos int
 }
 
 // checkMemoAt compares one read with the sorted read, bit for bit.
 func checkMemoAt(t testing.TB, r *Readout, T uint64, p *memoProbe) {
 	t.Helper()
 	got, want := r.AbsoluteTime(T), r.sortedTime(T)
-	lo, hi, ready := memoPiece(r)
+	v, ready := viewMemo(r)
 	if math.Float64bits(got) != math.Float64bits(want) {
 		t.Fatalf("%d voters, T=%d: memo read %v (%#x), sorted read %v (%#x); memo state %d, piece [%d, %d]",
-			len(r.voters), T, got, math.Float64bits(got), want, math.Float64bits(want), r.memo.state.Load()&memoMask, lo, hi)
+			len(r.voters), T, got, math.Float64bits(got), want, math.Float64bits(want), r.memo.state.Load()&memoMask, v.lo, v.hi)
 	}
 	p.reads++
-	if ready && lo <= T && T <= hi {
+	if !ready {
+		return
+	}
+	pick := r.memo.state.Load() >> memoShift
+	tie := pick&0xff != pick>>8
+	if want := &r.voters[pick&0xff]; tie && v.one != nil || !tie && v.one != want {
+		t.Fatalf("%d voters: pick %#x, one-voter pointer %p; want nil at a tie, else %p", len(r.voters), pick, v.one, want)
+	}
+	if v.lo <= T && T <= v.hi {
 		p.pieceReads++
-		if pick := r.memo.state.Load() >> memoShift; pick&0xff != pick>>8 {
+		if tie {
 			p.tieReads++
+		} else {
+			p.oneReads++
 		}
 	}
 }
 
-// memoPiece returns the recorded piece of a filled memo.
-func memoPiece(r *Readout) (lo, hi uint64, ready bool) {
+// memoView is what a ready memo holds: its piece and its one-voter
+// pointer.
+type memoView struct {
+	lo, hi uint64
+	one    *voter
+}
+
+// viewMemo reads a ready memo's piece and pointer after the acquiring
+// load of its state, as AbsoluteTime does; ready is false (and the view
+// zero) when the memo is not ready.
+func viewMemo(r *Readout) (v memoView, ready bool) {
 	if r.memo.state.Load()&memoMask != memoReady {
-		return 0, 0, false
+		return memoView{}, false
 	}
-	return r.memo.lo, r.memo.hi, true
+	return memoView{r.memo.lo, r.memo.hi, r.memo.one}, true
 }
 
 // checkMemoArrangement fills r's memo with a first read at first, then
@@ -115,8 +136,8 @@ func checkMemoArrangement(t testing.TB, src *rng.Source, r *Readout, first, T0 u
 	for _, T := range []uint64{0, 1, 1 << 53, math.MaxUint64} {
 		checkMemoAt(t, r, T, p)
 	}
-	if lo, hi, ready := memoPiece(r); ready {
-		for _, end := range []uint64{lo, hi} {
+	if v, ready := viewMemo(r); ready {
+		for _, end := range []uint64{v.lo, v.hi} {
 			for d := uint64(0); d <= 128; d++ {
 				checkMemoAt(t, r, end-64+d, p)
 			}
@@ -142,9 +163,9 @@ func TestReadMemoMatchesSorted(t *testing.T) {
 			checkMemoArrangement(t, src, r, first, T0, &p)
 		}
 	}
-	t.Logf("%d reads, %d by one piece (%d at a half-weight tie), %d memos declined", p.reads, p.pieceReads, p.tieReads, p.sortedMemos)
-	if p.pieceReads < p.reads/4 || p.tieReads == 0 {
-		t.Errorf("coverage: %d of %d reads by a piece, %d at a tie — harness lost its teeth", p.pieceReads, p.reads, p.tieReads)
+	t.Logf("%d reads, %d by one piece (%d by one voter, %d at a half-weight tie), %d memos declined", p.reads, p.pieceReads, p.oneReads, p.tieReads, p.sortedMemos)
+	if p.pieceReads < p.reads/4 || p.oneReads == 0 || p.tieReads == 0 {
+		t.Errorf("coverage: %d of %d reads by a piece, %d by one voter, %d at a tie — harness lost its teeth", p.pieceReads, p.reads, p.oneReads, p.tieReads)
 	}
 }
 
@@ -166,6 +187,8 @@ func FuzzReadMemo(f *testing.F) {
 // and those readouts read sorted — more voters than readScratch, a
 // clock whose terms could overflow somewhere on the counter axis, a
 // NaN, and a first read inside a guard band (two lines crossing there).
+// A declined memo, and one whose piece is a half-weight tie, leave the
+// one-voter pointer nil: AbsoluteTime's one-call path never serves them.
 func TestReadMemoDeclines(t *testing.T) {
 	src := rng.New(7)
 	huge, _ := memoArrangement(src, 3)
@@ -191,9 +214,21 @@ func TestReadMemoDeclines(t *testing.T) {
 				t.Errorf("%s: read %v, sorted %v", name, got, want)
 			}
 		}
-		if s := c.r.memo.state.Load(); s != memoSorted {
-			t.Errorf("%s: memo state %d, want memoSorted (%d)", name, s, memoSorted)
+		if s := c.r.memo.state.Load(); s != memoSorted || c.r.memo.one != nil {
+			t.Errorf("%s: memo state %d, one-voter pointer %p; want memoSorted (%d) and nil", name, s, c.r.memo.one, memoSorted)
 		}
+	}
+	// Two equal weights on parallel lines a millisecond apart: no band
+	// anywhere, and the median is their mean everywhere.
+	tied := &Readout{voters: []voter{{clock: &core.Readout{P: 1e-9}, raw: 1}, {clock: &core.Readout{P: 1e-9, K: 1e-3}, raw: 1}}}
+	for _, T := range []uint64{1 << 40, 0, 1<<40 + 1, math.MaxUint64} {
+		got, want := tied.AbsoluteTime(T), tied.sortedTime(T)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("tie: read %v, sorted %v", got, want)
+		}
+	}
+	if s := tied.memo.state.Load(); s != memoReady|(0|1<<8)<<memoShift || tied.memo.one != nil {
+		t.Errorf("tie: memo state %#x, one-voter pointer %p; want a ready two-voter pick and nil", s, tied.memo.one)
 	}
 }
 
@@ -204,7 +239,9 @@ func TestReadMemoDeclines(t *testing.T) {
 // filled or declined — never empty or mid-fill — and what it holds is
 // what a fill of an identical readout made alone records at one of the
 // racing first reads: which read fills first decides the piece, never
-// an answer's bits.
+// an answer's bits. A racing reader sees no piece or a whole one: every
+// ready memo it observes after a read is the final one, lo, hi and the
+// one-voter pointer from the same fill.
 func TestReadMemoConcurrentFirstReads(t *testing.T) {
 	const readers = 4
 	src := rng.New(99)
@@ -218,6 +255,7 @@ func TestReadMemoConcurrentFirstReads(t *testing.T) {
 		start := make(chan struct{})
 		var wg sync.WaitGroup
 		errs := make(chan string, readers*len(Ts))
+		seen := make([][]memoView, readers)
 		for g := 0; g < readers; g++ {
 			wg.Add(1)
 			go func(g int) {
@@ -227,6 +265,9 @@ func TestReadMemoConcurrentFirstReads(t *testing.T) {
 					k := (i + g) % len(Ts)
 					if got := r.AbsoluteTime(Ts[k]); math.Float64bits(got) != math.Float64bits(want[k]) {
 						errs <- "concurrent first read differs from the sorted read"
+					}
+					if v, ready := viewMemo(r); ready {
+						seen[g] = append(seen[g], v)
 					}
 				}
 			}(g)
@@ -241,16 +282,23 @@ func TestReadMemoConcurrentFirstReads(t *testing.T) {
 		if s&memoMask != memoReady && s != memoSorted {
 			t.Fatalf("trial %d: memo left in state %d", trial, s)
 		}
-		lo, hi, _ := memoPiece(r)
+		final, _ := viewMemo(r)
+		for g := range seen {
+			for _, v := range seen[g] {
+				if v != final {
+					t.Fatalf("trial %d: reader %d saw %+v mid-race, the memo ended %+v", trial, g, v, final)
+				}
+			}
+		}
 		matched := false
 		for _, T := range Ts {
 			alone := &Readout{voters: r.voters}
 			alone.AbsoluteTime(T)
-			alo, ahi, _ := memoPiece(alone)
-			matched = matched || alone.memo.state.Load() == s && alo == lo && ahi == hi
+			v, _ := viewMemo(alone)
+			matched = matched || alone.memo.state.Load() == s && v == final
 		}
 		if !matched {
-			t.Fatalf("trial %d: state %#x, piece [%d, %d] after the race; no lone fill at %v records it", trial, s, lo, hi, Ts)
+			t.Fatalf("trial %d: state %#x, memo %+v after the race; no lone fill at %v records it", trial, s, final, Ts)
 		}
 	}
 }

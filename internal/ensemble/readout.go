@@ -187,9 +187,28 @@ const readScratch = 16
 // from then on a read inside that piece evaluates one voter, or two at
 // an exact half-weight tie, and every other read is sortedTime itself.
 //
+// A read inside a one-voter piece makes no call: one atomic load, the
+// range test, and the voter's clock, which the compiler inlines. It
+// spells voter.at's expression because at itself is just over the
+// inlining budget. Everything else is readRest, out of line.
+//
 //repro:readpath
 //repro:hotpath
 func (r *Readout) AbsoluteTime(T uint64) float64 {
+	m := &r.memo
+	if m.state.Load()&memoMask == memoReady && m.one != nil && m.lo <= T && T <= m.hi {
+		return m.one.clock.AbsoluteTime(T) - m.one.corr
+	}
+	return r.readRest(T)
+}
+
+// readRest is AbsoluteTime's out-of-line rest: the memo's fill on a
+// readout's first read, a read at a half-weight tie, and the sorted read
+// outside the piece or without one.
+//
+//repro:readpath
+//repro:hotpath
+func (r *Readout) readRest(T uint64) float64 {
 	s := r.memo.state.Load()
 	if s == memoEmpty {
 		s = r.memo.fill(r.voters, T)
@@ -437,12 +456,13 @@ func (e *Ensemble) Readout() *Readout { return e.pub.Load() }
 // (~pubSlabSize combines) while it holds an old snapshot.
 //
 // All three slabs are carved in cacheline.Slot order (odd slots, then
-// even ones), for core's reason: a header, an N×88-byte server row and
-// an N×24-byte voter list are no line multiples, so the slot next in
+// even ones), for core's reason: an N×88-byte server row and an
+// N×24-byte voter list are no line multiples, so the slot next in
 // memory shares a line with the live one, and filling it front to back
-// would pull that line from under every reader once per combine. Two
-// slots apart, the combine being written and the one being read have a
-// whole slot between them. The writer never writes a header's read memo
+// would pull that line from under every reader once per combine (the
+// 192 B header is three whole lines, and goes with its row and list).
+// Two slots apart, the combine being written and the one being read
+// have a whole slot between them. The writer never writes a header's read memo
 // (the slab's make zeroes it); a reader writes it once, at its fill.
 const pubSlabSize = 256
 
