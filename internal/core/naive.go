@@ -36,11 +36,3 @@ func NaiveTheta(in Input, p, c float64) float64 {
 	cf := float64(float64(in.Tf)*p) + c
 	return float64((ca+cf)/2) - float64((in.Tb+in.Te)/2)
 }
-
-// RTT computes the measured round-trip time of an exchange under period
-// estimate p. Because both stamps come from the same counter, no offset
-// knowledge is needed — the foundation of the RTT-based filtering
-// approach (Section 5.1).
-func RTT(in Input, p float64) float64 {
-	return float64(in.Tf-in.Ta) * p
-}

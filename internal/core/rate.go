@@ -195,14 +195,14 @@ func (s *Sync) rebuildLocalMinima() {
 	backSeq := s.hist.Back().seq
 	frontSeq := backSeq - s.scan.Len() + 1
 
-	lo := maxInt(frontSeq, backSeq-s.nLocalNear+1)
+	lo := max(frontSeq, backSeq-s.nLocalNear+1)
 	for seq := lo; seq <= backSeq; seq++ {
 		s.nearMin.Push(seq, s.scan.At(seq-frontSeq).pointErr)
 	}
 
 	winStart := backSeq - s.nLocalWin + 1
 	hi := winStart + s.nLocalFar - 1
-	for seq := maxInt(frontSeq, winStart); seq <= hi && seq <= backSeq; seq++ {
+	for seq := max(frontSeq, winStart); seq <= hi && seq <= backSeq; seq++ {
 		s.farMin.Push(seq, s.scan.At(seq-frontSeq).pointErr)
 	}
 	if hi+1 > s.farNext {

@@ -15,7 +15,6 @@ package core
 
 import (
 	"sync/atomic"
-	"unsafe"
 
 	"repro/internal/cacheline"
 	"repro/internal/timebase"
@@ -121,12 +120,12 @@ func (r *Readout) DifferenceSpan(T1, T2 uint64) float64 {
 func (r *Readout) Age(T uint64) float64 { return timebase.CounterSpan(r.LastTf, T, r.P) }
 
 // publish makes the current engine state visible to lock-free readers:
-// it fills a fresh slot in place and stores the pointer. Called after
-// every mutation (Process, ObserveIdentity re-base).
+// it fills a fresh, zeroed slot in place and stores the pointer. Called
+// after every mutation (Process, ObserveIdentity re-base).
 //
 //repro:builder
 func (s *Sync) publish() {
-	r := s.pub.nextSlot()
+	r := &s.pub.slab.Carve(1)[0]
 	r.P = s.p
 	r.K = s.c
 	r.Theta = s.theta
@@ -156,33 +155,16 @@ func (s *Sync) publish() {
 //repro:readpath
 func (s *Sync) Readout() *Readout { return s.pub.Load() }
 
-// pubSlabSize is how many publication slots one slab allocation hands
-// out. Each published readout must live in its own never-reused slot
-// (readers may hold the pointer indefinitely), so publication cannot be
-// allocation-free — but carving slots out of a block cuts the write
-// path from one heap allocation per packet to one per pubSlabSize
-// packets. The trade: a reader pinning one old readout keeps its whole
-// slab (≈ pubSlabSize·sizeof(Readout) ≈ 22 KiB) reachable.
-//
-// Slots are not carved front to back. A Readout is 88 bytes, not a
-// line multiple, so the next slot in memory starts on the line the live
-// readout ends on: filling it would take that line away from every
-// reader in the middle of a read, once per publication, for nothing.
-// nextSlot carves in cacheline.Slot order instead (odd indices, then even
-// ones): consecutive publications lie two slots apart, a whole slot of
-// untouched memory between them, and no slot is rounded up or skipped
-// to buy it.
-const pubSlabSize = 256
-
-// A slot narrower than a line could not keep two-apart slots off each
-// other's lines.
-const _ = uint(unsafe.Sizeof(Readout{}) - cacheline.Size)
-
 // pubState is the atomic publication slot plus the writer-owned slab
 // the slots are carved from, split into its own type solely so sync.go
-// stays focused on the algorithms. nextSlot and the store into p are
+// stays focused on the algorithms. The carve and the store into p are
 // the writer's (under the engine's external serialization); Load is
 // wait-free from any goroutine.
+//
+// A Readout is 88 bytes, not a line multiple, so carving the slab front
+// to back would fill the next slot on the line the live readout ends on,
+// taking it from every reader once per publication; cacheline.Slab
+// carves consecutive publications two slots apart instead.
 //
 // p is the one word a publication hands from the writer's core to the
 // readers': it has a line to itself, so that the slab bookkeeping below
@@ -194,25 +176,10 @@ type pubState struct {
 	p atomic.Pointer[Readout]
 	_ cacheline.Pad
 
-	slab []Readout // the current slab
-	seq  uint64    // publications so far; seq mod pubSlabSize of them from slab
+	slab cacheline.Slab[Readout]
 }
 
 // Load returns the latest published snapshot.
 //
 //repro:readpath
 func (ps *pubState) Load() *Readout { return ps.p.Load() }
-
-// nextSlot returns a zeroed, never-reused slot carved from the slab; the
-// caller fills it in place and stores it in p.
-//
-//repro:builder
-func (ps *pubState) nextSlot() *Readout {
-	carved := int(ps.seq % pubSlabSize)
-	if carved == 0 {
-		//repro:alloc-ok amortized slab refill: one allocation per pubSlabSize publishes, the documented publication cost (PERF.md)
-		ps.slab = make([]Readout, pubSlabSize)
-	}
-	ps.seq++
-	return &ps.slab[cacheline.Slot(carved, pubSlabSize)]
-}

@@ -245,7 +245,7 @@ func TestPublicationsKeepOffTheLiveLine(t *testing.T) {
 		}
 		prev = r
 	}
-	for i, in := range SynthTrace(3*pubSlabSize + 40) {
+	for i, in := range SynthTrace(3*cacheline.SlabRuns + 40) {
 		if _, err := s.Process(in); err != nil {
 			t.Fatal(err)
 		}
@@ -254,7 +254,7 @@ func TestPublicationsKeepOffTheLiveLine(t *testing.T) {
 		s.ObserveIdentity(Identity{RefID: uint32(1 + i/200), Stratum: 1})
 		check("identity", i, false)
 	}
-	if len(seen) < 3*pubSlabSize {
+	if len(seen) < 3*cacheline.SlabRuns {
 		t.Fatalf("only %d publications", len(seen))
 	}
 }

@@ -199,8 +199,8 @@ func NewSync(cfg Config) (*Sync, error) {
 	}
 	if cfg.UseLocalRate {
 		s.nLocalWin = cfg.packets(cfg.LocalRateWindow)
-		s.nLocalNear = maxInt(1, s.nLocalWin/localRateW)
-		s.nLocalFar = maxInt(1, 2*s.nLocalWin/localRateW)
+		s.nLocalNear = max(1, s.nLocalWin/localRateW)
+		s.nLocalFar = max(1, 2*s.nLocalWin/localRateW)
 		s.nearMin.KeepOldestTies = true
 		s.farMin.KeepOldestTies = true
 	}
@@ -215,18 +215,8 @@ func NewSync(cfg Config) (*Sync, error) {
 	return s, nil
 }
 
-// clockRead evaluates the uncorrected clock at counter value T.
-func (s *Sync) clockRead(T uint64) float64 { return float64(float64(T)*s.p) + s.c }
-
 // finite reports whether x is neither NaN nor ±Inf.
 func finite(x float64) bool { return x-x == 0 }
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
 
 // Process ingests one completed exchange and returns the updated state.
 // Exchanges must be fed in arrival order. An exchange the engine
@@ -351,10 +341,10 @@ func (s *Sync) pushRecord(rec *record, pointErr float64) (theta float64) {
 	return theta
 }
 
-// naiveTheta computes equation (19) for a record with the current clock:
-// θ̂_i = (C(Ta)+C(Tf))/2 − (Tb+Te)/2.
+// naiveTheta computes equation (19) for a record with the current clock
+// (NaiveTheta).
 func (s *Sync) naiveTheta(rec record) float64 {
-	return float64((s.clockRead(rec.ta)+s.clockRead(rec.tf))/2) - float64((rec.tb+rec.te)/2)
+	return NaiveTheta(Input{Ta: rec.ta, Tf: rec.tf, Tb: rec.tb, Te: rec.te}, s.p, s.c)
 }
 
 // setRate installs a new global rate estimate, preserving offset

@@ -528,9 +528,6 @@ func TestNaiveTheta(t *testing.T) {
 	if math.Abs(got-0.5) > 1e-12 {
 		t.Errorf("NaiveTheta = %v, want 0.5", got)
 	}
-	if got := RTT(in, p); math.Abs(got-2e-3) > 1e-15 {
-		t.Errorf("RTT = %v", got)
-	}
 }
 
 func TestRunUnderHighLoss(t *testing.T) {

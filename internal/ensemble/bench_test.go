@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/cacheline"
 	"repro/internal/core"
 )
 
@@ -91,7 +92,7 @@ func BenchmarkEnsemble(b *testing.B) {
 // the incumbent set never mutually intersects and the sorted endpoint
 // sweep — the fallback the steady state skips — runs each time. Every
 // stage must report 0 allocs/op except publish, which amortizes its
-// slabs (3 allocations per pubSlabSize publications).
+// slabs (3 allocations per cacheline.SlabRuns publications).
 func BenchmarkEnsembleStages(b *testing.B) {
 	for _, servers := range []int{3, 5, 8} {
 		e := calibrated(b, servers, 0)
@@ -173,7 +174,7 @@ func BenchmarkEnsembleRead(b *testing.B) {
 		b.Run("AbsoluteTime/fresh/"+name, func(b *testing.B) {
 			// Publications of the same state, made off the clock a slab at
 			// a time; each is read once.
-			fresh := make([]*Readout, 16*pubSlabSize)
+			fresh := make([]*Readout, 16*cacheline.SlabRuns)
 			var sink float64
 			b.ReportAllocs()
 			for i := 0; i < b.N; {

@@ -9,14 +9,17 @@ package ensemble
 // and the median is one voter (or, at an exact half-weight tie, the
 // mean of two). The first read of a published Readout records the piece
 // it lands in — the counter range between the nearest guard bands on
-// either side — and the pick there; every later read inside that piece
-// evaluates one voter. A readout's readers read near one counter value,
-// so one piece is all a memo needs, and its storage does not grow with
-// the voter count: a state word, the piece's two ends and a pointer to
-// its one voter, 32 B of the Readout header. The pointer is what makes
-// a held read one call: AbsoluteTime tests the state and the range and
-// evaluates that voter inline, touching neither the voter list nor the
-// pick bits (readout.go).
+// either side — and the voter it picks there; every later read inside
+// that piece evaluates that one voter. A readout's readers read near
+// one counter value, so one piece is all a memo needs, and its storage
+// does not grow with the voter count: a state word, the piece's two
+// ends and a pointer to its voter, 32 B of the Readout header. The
+// pointer is what makes a held read one call: AbsoluteTime tests the
+// state and the range and evaluates that voter inline, touching
+// nothing else (readout.go). A first read at an exact half-weight tie
+// records no piece, and its readout reads sorted: a tie needs the
+// weights below the median to sum to exactly half the total, which
+// continuous weights almost never do.
 //
 // Why the bits cannot move. A guard band is the range of T where the
 // rounding in the read's own operations could order two voters
@@ -28,25 +31,21 @@ package ensemble
 // read's own) to one position, and returns that voter's evaluation —
 // the very expression the memo evaluates. Outside the piece, before the
 // fill, when another reader is filling, or when the first read fell in a
-// band or the arrangement does not fit, the read is the sorted read: it
-// stays the one definition, the fallback and the test oracle
-// (FuzzReadMemo, TestReadMemoMatchesSorted).
+// band or on a tie or the arrangement does not fit, the read is the
+// sorted read: it stays the one definition, the fallback and the test
+// oracle (FuzzReadMemo, TestReadMemoMatchesSorted).
 
 import (
 	"math"
 	"sync/atomic"
 )
 
-// Memo states: the low bits of readMemo.state. Above memoShift, a ready
-// memo's state word holds its pick (see pickAt), so a reader learns
-// both from one atomic load.
+// Memo states, the values of readMemo.state.
 const (
 	memoEmpty   = 0 // not filled: the next reader claims the fill
 	memoFilling = 1 // a reader is filling: everyone else reads sorted
 	memoReady   = 2 // a piece recorded: a read inside it is one evaluation
 	memoSorted  = 3 // the memo declined (see pieceAt): every read is sorted
-	memoMask    = 3
-	memoShift   = 2
 )
 
 // memoGuard is the guard bands' error bound per unit of operand
@@ -66,9 +65,8 @@ const memoGuard = 16 * 0x1p-53
 // publication: by its first reader, once, after winning the CAS on
 // state. Once state reads memoReady, [lo, hi] is the recorded piece:
 // the inclusive range of counter values between the nearest guard bands
-// on either side of the first read; one is the voter the piece
-// evaluates, or nil at a half-weight tie, whose two voters only the
-// state word's pick names.
+// on either side of the first read, and one (never nil) the voter the
+// piece evaluates.
 type readMemo struct {
 	state  atomic.Uint32
 	lo, hi uint64
@@ -91,10 +89,9 @@ type band struct{ lo, hi uint64 }
 func (v *voter) at(T uint64) float64 { return v.clock.AbsoluteTime(T) - v.corr }
 
 // fill claims and fills the memo for the voter list vs at the first
-// read's counter value T and returns the state it leaves: memoReady with
-// the pick, memoSorted when pieceAt declines, or — when another reader
-// won the claim — whatever that reader has published so far. It never
-// waits.
+// read's counter value T and returns the state it leaves: memoReady,
+// memoSorted when pieceAt declines, or — when another reader won the
+// claim — whatever that reader has published so far. It never waits.
 //
 //repro:readpath
 func (m *readMemo) fill(vs []voter, T uint64) uint32 {
@@ -103,14 +100,10 @@ func (m *readMemo) fill(vs []voter, T uint64) uint32 {
 		return m.state.Load()
 	}
 	s := uint32(memoSorted)
-	if lo, hi, pick, ok := pieceAt(vs, T); ok {
-		var one *voter
-		if pick&0xff == pick>>8 {
-			one = &vs[pick&0xff]
-		}
+	if lo, hi, one := pieceAt(vs, T); one != nil {
 		//repro:readpath-ok fill: only the claim's winner writes the piece, and no reader reads it before the release
 		m.lo, m.hi, m.one = lo, hi, one
-		s = memoReady | pick<<memoShift
+		s = memoReady
 	}
 	//repro:readpath-ok release: publishes the recorded piece to every later reader; no reader reads it before this store
 	m.state.Store(s)
@@ -120,21 +113,22 @@ func (m *readMemo) fill(vs []voter, T uint64) uint32 {
 // pieceAt returns the piece of vs's arrangement holding T — the
 // inclusive range [lo, hi] between the nearest guard-band ends on
 // either side of T, over the bands of every pair of voters — and its
-// pick, decided at T as the sorted read decides it (pickAt). It reports
-// false for no voters, more than readScratch of them, a clock whose
-// magnitudes could overflow, or a T inside a band; the state word then
-// says so.
+// voter, picked at T as the sorted read picks it (pickAt). It declines,
+// returning a nil voter, for no voters, more than readScratch of them, a
+// clock whose magnitudes could overflow, a T inside a band, or a
+// half-weight tie at T.
 //
 //repro:readpath
-func pieceAt(vs []voter, T uint64) (lo, hi uint64, pick uint32, ok bool) {
+func pieceAt(vs []voter, T uint64) (lo, hi uint64, one *voter) {
 	n := len(vs)
 	if n == 0 || n > readScratch {
-		return 0, 0, 0, false
+		return 0, 0, nil
 	}
 	var lines [readScratch]memoLine
 	for i := range vs {
+		var ok bool
 		if lines[i], ok = lineOf(&vs[i]); !ok {
-			return 0, 0, 0, false
+			return 0, 0, nil
 		}
 	}
 	lo, hi = 0, math.MaxUint64
@@ -148,7 +142,7 @@ func pieceAt(vs []voter, T uint64) (lo, hi uint64, pick uint32, ok bool) {
 			case b.lo > T:
 				hi = min(hi, b.lo-1)
 			default: // T is in the band
-				return 0, 0, 0, false
+				return 0, 0, nil
 			}
 		}
 	}
@@ -156,7 +150,7 @@ func pieceAt(vs []voter, T uint64) (lo, hi uint64, pick uint32, ok bool) {
 	for i := range vs {
 		total += vs[i].raw
 	}
-	return lo, hi, pickAt(vs, &lines, T, total), true
+	return lo, hi, pickAt(vs, &lines, T, total)
 }
 
 // lineOf returns voter v's line and its magnitude bound, mirroring
@@ -240,18 +234,17 @@ func solveLE(q, r, lo, hi float64) (float64, float64) {
 }
 
 // pickAt is the sorted read's decision at a counter value T outside
-// every guard band, as a pick: the voters stably sorted by value as
-// medianOfItems sorts them, and the weights walked in that order by
-// medianPos against the total summed in voter order, as the read sums
-// it. The low byte of the pick is the voter at the weighted-median
-// position, the byte above it the next one in sorted order when the
-// median falls on an exact half-weight tie (the same voter otherwise).
-// The values are the lines' own, s·T + b — outside every band they
-// order the voters as the read's evaluations do (memoGuard), at a
-// fraction of the cost.
+// every guard band: the voters stably sorted by value as medianOfItems
+// sorts them, and the weights walked in that order by medianPos against
+// the total summed in voter order, as the read sums it. It returns the
+// voter at the weighted-median position, or nil when the median falls on
+// an exact half-weight tie (the mean of two voters, which the memo does
+// not record). The values are the lines' own, s·T + b — outside every
+// band they order the voters as the read's evaluations do (memoGuard),
+// at a fraction of the cost.
 //
 //repro:readpath
-func pickAt(vs []voter, lines *[readScratch]memoLine, T uint64, total float64) uint32 {
+func pickAt(vs []voter, lines *[readScratch]memoLine, T uint64, total float64) *voter {
 	var items [readScratch]wv
 	var ord [readScratch]uint8
 	x := float64(T)
@@ -262,10 +255,8 @@ func pickAt(vs []voter, lines *[readScratch]memoLine, T uint64, total float64) u
 		}
 		items[j], ord[j] = it, uint8(i)
 	}
-	pos, tie := medianPos(items[:len(vs)], total)
-	a, b := ord[pos], ord[pos]
-	if tie {
-		b = ord[pos+1]
+	if pos, tie := medianPos(items[:len(vs)], total); !tie {
+		return &vs[ord[pos]]
 	}
-	return uint32(a) | uint32(b)<<8
+	return nil
 }

@@ -2,6 +2,7 @@ package ensemble
 
 import (
 	"math"
+	"sort"
 	"sync"
 	"testing"
 
@@ -68,38 +69,55 @@ func memoArrangement(src *rng.Source, n int) (r *Readout, T0 uint64) {
 }
 
 // memoProbe counts what a property run exercised: every read, the
-// reads inside a recorded piece, those of them at a half-weight tie and
-// those the one-voter path serves, and the memos that declined.
+// reads inside a recorded piece (one voter's evaluation), the memos that
+// declined, and those of them whose first read was a half-weight tie.
 type memoProbe struct {
-	reads, pieceReads, tieReads, oneReads, sortedMemos int
+	reads, pieceReads, declines, tieDeclines int
 }
 
-// checkMemoAt compares one read with the sorted read, bit for bit.
+// checkMemoAt compares one read with the sorted read, bit for bit, and
+// requires a ready memo to hold one of the readout's own voters.
 func checkMemoAt(t testing.TB, r *Readout, T uint64, p *memoProbe) {
 	t.Helper()
 	got, want := r.AbsoluteTime(T), r.sortedTime(T)
 	v, ready := viewMemo(r)
 	if math.Float64bits(got) != math.Float64bits(want) {
 		t.Fatalf("%d voters, T=%d: memo read %v (%#x), sorted read %v (%#x); memo state %d, piece [%d, %d]",
-			len(r.voters), T, got, math.Float64bits(got), want, math.Float64bits(want), r.memo.state.Load()&memoMask, v.lo, v.hi)
+			len(r.voters), T, got, math.Float64bits(got), want, math.Float64bits(want), r.memo.state.Load(), v.lo, v.hi)
 	}
 	p.reads++
 	if !ready {
 		return
 	}
-	pick := r.memo.state.Load() >> memoShift
-	tie := pick&0xff != pick>>8
-	if want := &r.voters[pick&0xff]; tie && v.one != nil || !tie && v.one != want {
-		t.Fatalf("%d voters: pick %#x, one-voter pointer %p; want nil at a tie, else %p", len(r.voters), pick, v.one, want)
+	if !ownsVoter(r, v.one) {
+		t.Fatalf("%d voters: a ready memo holds voter pointer %p, not one of the readout's", len(r.voters), v.one)
 	}
 	if v.lo <= T && T <= v.hi {
 		p.pieceReads++
-		if tie {
-			p.tieReads++
-		} else {
-			p.oneReads++
+	}
+}
+
+// ownsVoter reports whether one points into r's voter list.
+func ownsVoter(r *Readout, one *voter) bool {
+	for i := range r.voters {
+		if &r.voters[i] == one {
+			return true
 		}
 	}
+	return false
+}
+
+// sortedTie reports whether the sorted read at T lands on an exact
+// half-weight tie.
+func sortedTie(r *Readout, T uint64) bool {
+	items, total := make([]wv, len(r.voters)), 0.0
+	for i := range r.voters {
+		items[i] = wv{r.voters[i].at(T), r.voters[i].raw}
+		total += r.voters[i].raw
+	}
+	sort.SliceStable(items, func(i, j int) bool { return items[i].v < items[j].v })
+	_, tie := medianPos(items, total)
+	return tie
 }
 
 // memoView is what a ready memo holds: its piece and its one-voter
@@ -113,7 +131,7 @@ type memoView struct {
 // load of its state, as AbsoluteTime does; ready is false (and the view
 // zero) when the memo is not ready.
 func viewMemo(r *Readout) (v memoView, ready bool) {
-	if r.memo.state.Load()&memoMask != memoReady {
+	if r.memo.state.Load() != memoReady {
 		return memoView{}, false
 	}
 	return memoView{r.memo.lo, r.memo.hi, r.memo.one}, true
@@ -121,12 +139,20 @@ func viewMemo(r *Readout) (v memoView, ready bool) {
 
 // checkMemoArrangement fills r's memo with a first read at first, then
 // reads r at random counter values over the whole range and around T0,
-// and ±64 counts around both ends of the recorded piece.
+// and ±64 counts around both ends of the recorded piece. A first read at
+// a half-weight tie must leave the memo declined.
 func checkMemoArrangement(t testing.TB, src *rng.Source, r *Readout, first, T0 uint64, p *memoProbe) {
 	t.Helper()
 	checkMemoAt(t, r, first, p) // the first read fills the memo
-	if r.memo.state.Load()&memoMask == memoSorted {
-		p.sortedMemos++
+	tie := sortedTie(r, first)
+	switch s := r.memo.state.Load(); {
+	case s == memoSorted:
+		p.declines++
+		if tie {
+			p.tieDeclines++
+		}
+	case tie:
+		t.Fatalf("%d voters: first read at a half-weight tie left memo state %d, want memoSorted", len(r.voters), s)
 	}
 	for i := 0; i < 16; i++ {
 		checkMemoAt(t, r, src.Uint64(), p)
@@ -152,7 +178,7 @@ func checkMemoArrangement(t testing.TB, src *rng.Source, r *Readout, first, T0 u
 // equals the sorted read bit for bit: at the first read, which lands at
 // the crossings, near them or anywhere on the axis; inside the recorded
 // piece (one evaluation), ±64 counts around both its ends, and at random
-// counter values.
+// counter values. A first read at a tie declines.
 func TestReadMemoMatchesSorted(t *testing.T) {
 	src := rng.New(53)
 	var p memoProbe
@@ -163,9 +189,9 @@ func TestReadMemoMatchesSorted(t *testing.T) {
 			checkMemoArrangement(t, src, r, first, T0, &p)
 		}
 	}
-	t.Logf("%d reads, %d by one piece (%d by one voter, %d at a half-weight tie), %d memos declined", p.reads, p.pieceReads, p.oneReads, p.tieReads, p.sortedMemos)
-	if p.pieceReads < p.reads/4 || p.oneReads == 0 || p.tieReads == 0 {
-		t.Errorf("coverage: %d of %d reads by a piece, %d by one voter, %d at a tie — harness lost its teeth", p.pieceReads, p.reads, p.oneReads, p.tieReads)
+	t.Logf("%d reads, %d by one piece; %d memos declined, %d of them at a half-weight tie", p.reads, p.pieceReads, p.declines, p.tieDeclines)
+	if p.pieceReads < p.reads/4 || p.tieDeclines == 0 {
+		t.Errorf("coverage: %d of %d reads by a piece, %d declines at a tie — harness lost its teeth", p.pieceReads, p.reads, p.tieDeclines)
 	}
 }
 
@@ -186,9 +212,10 @@ func FuzzReadMemo(f *testing.F) {
 // TestReadMemoDeclines: what the memo cannot hold it records as such,
 // and those readouts read sorted — more voters than readScratch, a
 // clock whose terms could overflow somewhere on the counter axis, a
-// NaN, and a first read inside a guard band (two lines crossing there).
-// A declined memo, and one whose piece is a half-weight tie, leave the
-// one-voter pointer nil: AbsoluteTime's one-call path never serves them.
+// NaN, a first read inside a guard band (two lines crossing there), and
+// a first read at a half-weight tie (two equal weights on parallel
+// lines a millisecond apart: no band anywhere, and the median is their
+// mean everywhere). A declined memo leaves the voter pointer nil.
 func TestReadMemoDeclines(t *testing.T) {
 	src := rng.New(7)
 	huge, _ := memoArrangement(src, 3)
@@ -204,10 +231,11 @@ func TestReadMemoDeclines(t *testing.T) {
 	b := &core.Readout{P: 1e-9 * (1 + 1e-6)}
 	b.K = a.P*X - b.P*X
 	crossing := &Readout{voters: []voter{{clock: a, raw: 1}, {clock: b, raw: 1}, {clock: a, raw: 1}}}
+	tied := &Readout{voters: []voter{{clock: &core.Readout{P: 1e-9}, raw: 1}, {clock: &core.Readout{P: 1e-9, K: 1e-3}, raw: 1}}}
 	for name, c := range map[string]struct {
 		r     *Readout
 		first uint64
-	}{"overflow": {huge, 0}, "NaN": {nan, 0}, "past readScratch": {many, 0}, "first read in a band": {crossing, X}} {
+	}{"overflow": {huge, 0}, "NaN": {nan, 0}, "past readScratch": {many, 0}, "first read in a band": {crossing, X}, "tie": {tied, X}} {
 		for _, T := range []uint64{c.first, 0, 1 << 40, math.MaxUint64} {
 			got, want := c.r.AbsoluteTime(T), c.r.sortedTime(T)
 			if math.Float64bits(got) != math.Float64bits(want) {
@@ -215,20 +243,8 @@ func TestReadMemoDeclines(t *testing.T) {
 			}
 		}
 		if s := c.r.memo.state.Load(); s != memoSorted || c.r.memo.one != nil {
-			t.Errorf("%s: memo state %d, one-voter pointer %p; want memoSorted (%d) and nil", name, s, c.r.memo.one, memoSorted)
+			t.Errorf("%s: memo state %d, voter pointer %p; want memoSorted (%d) and nil", name, s, c.r.memo.one, memoSorted)
 		}
-	}
-	// Two equal weights on parallel lines a millisecond apart: no band
-	// anywhere, and the median is their mean everywhere.
-	tied := &Readout{voters: []voter{{clock: &core.Readout{P: 1e-9}, raw: 1}, {clock: &core.Readout{P: 1e-9, K: 1e-3}, raw: 1}}}
-	for _, T := range []uint64{1 << 40, 0, 1<<40 + 1, math.MaxUint64} {
-		got, want := tied.AbsoluteTime(T), tied.sortedTime(T)
-		if math.Float64bits(got) != math.Float64bits(want) {
-			t.Errorf("tie: read %v, sorted %v", got, want)
-		}
-	}
-	if s := tied.memo.state.Load(); s != memoReady|(0|1<<8)<<memoShift || tied.memo.one != nil {
-		t.Errorf("tie: memo state %#x, one-voter pointer %p; want a ready two-voter pick and nil", s, tied.memo.one)
 	}
 }
 
@@ -241,7 +257,7 @@ func TestReadMemoDeclines(t *testing.T) {
 // racing first reads: which read fills first decides the piece, never
 // an answer's bits. A racing reader sees no piece or a whole one: every
 // ready memo it observes after a read is the final one, lo, hi and the
-// one-voter pointer from the same fill.
+// voter pointer from the same fill.
 func TestReadMemoConcurrentFirstReads(t *testing.T) {
 	const readers = 4
 	src := rng.New(99)
@@ -279,7 +295,7 @@ func TestReadMemoConcurrentFirstReads(t *testing.T) {
 			t.Fatalf("trial %d: %s", trial, e)
 		}
 		s := r.memo.state.Load()
-		if s&memoMask != memoReady && s != memoSorted {
+		if s != memoReady && s != memoSorted {
 			t.Fatalf("trial %d: memo left in state %d", trial, s)
 		}
 		final, _ := viewMemo(r)

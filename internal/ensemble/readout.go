@@ -12,7 +12,6 @@ package ensemble
 
 import (
 	"sync/atomic"
-	"unsafe"
 
 	"repro/internal/cacheline"
 	"repro/internal/core"
@@ -184,27 +183,27 @@ const readScratch = 16
 //
 // The answer is sortedTime's, bit for bit. The first call on a readout
 // records the median's piece around its T in the read memo (memo.go);
-// from then on a read inside that piece evaluates one voter, or two at
-// an exact half-weight tie, and every other read is sortedTime itself.
+// from then on a read inside that piece evaluates one voter, and every
+// other read is sortedTime itself.
 //
-// A read inside a one-voter piece makes no call: one atomic load, the
-// range test, and the voter's clock, which the compiler inlines. It
-// spells voter.at's expression because at itself is just over the
-// inlining budget. Everything else is readRest, out of line.
+// A read inside the piece makes no call: one atomic load, the range
+// test, and the voter's clock, which the compiler inlines. It spells
+// voter.at's expression because at itself is just over the inlining
+// budget. Everything else is readRest, out of line.
 //
 //repro:readpath
 //repro:hotpath
 func (r *Readout) AbsoluteTime(T uint64) float64 {
 	m := &r.memo
-	if m.state.Load()&memoMask == memoReady && m.one != nil && m.lo <= T && T <= m.hi {
+	if m.state.Load() == memoReady && m.lo <= T && T <= m.hi {
 		return m.one.clock.AbsoluteTime(T) - m.one.corr
 	}
 	return r.readRest(T)
 }
 
 // readRest is AbsoluteTime's out-of-line rest: the memo's fill on a
-// readout's first read, a read at a half-weight tie, and the sorted read
-// outside the piece or without one.
+// readout's first read, and the sorted read outside the piece or without
+// one.
 //
 //repro:readpath
 //repro:hotpath
@@ -213,13 +212,8 @@ func (r *Readout) readRest(T uint64) float64 {
 	if s == memoEmpty {
 		s = r.memo.fill(r.voters, T)
 	}
-	if s&memoMask == memoReady && r.memo.lo <= T && T <= r.memo.hi {
-		p := s >> memoShift
-		a, b := &r.voters[p&0xff], &r.voters[p>>8]
-		if a == b {
-			return a.at(T)
-		}
-		return (a.at(T) + b.at(T)) / 2
+	if s == memoReady && r.memo.lo <= T && T <= r.memo.hi {
+		return r.memo.one.at(T)
 	}
 	return r.sortedTime(T)
 }
@@ -352,7 +346,9 @@ func (r *Readout) Synced() bool { return r.synced }
 //
 //repro:builder
 func (e *Ensemble) publish() {
-	ro := e.pub.nextSlot(len(e.members))
+	ro := &e.pub.headers.Carve(1)[0]
+	ro.Servers = e.pub.rows.Carve(len(e.members))
+	ro.voters = e.pub.voters.Carve(len(e.members))[:0]
 	ro.LastTf = e.lastTf
 	ro.BaseState = e.base
 	ro.Health = e.health
@@ -416,7 +412,7 @@ func (e *Ensemble) publish() {
 			sr.Weight = w / total
 			//repro:alloc-ok append within the capacity New gave the writer's scratch: one item per server
 			items = append(items, wv{sr.Clock.P, w})
-			//repro:alloc-ok append within the capacity nextSlot carved: one voter per server
+			//repro:alloc-ok append within the capacity the voter slab carved: one voter per server
 			voters = append(voters, voter{sr.Clock, sr.AsymCorrection, w})
 			if sr.Ready && sr.Weight > 0 && sr.Clock.HaveTheta {
 				ro.synced = true
@@ -438,7 +434,7 @@ func (e *Ensemble) publish() {
 	} else {
 		e.frozenRate = ro.Rate
 	}
-	e.pub.store(ro)
+	e.pub.p.Store(ro)
 }
 
 // Readout returns the most recently published combined snapshot. It is
@@ -448,58 +444,34 @@ func (e *Ensemble) publish() {
 //repro:readpath
 func (e *Ensemble) Readout() *Readout { return e.pub.Load() }
 
-// pubSlabSize is how many publication slots one slab allocation hands
-// out; see the identically named constant in internal/core. Carving
-// slots from writer-owned blocks removes the three per-combine heap
-// allocations (the Readout, its Servers slice and its voter list) in
-// exchange for a reader pinning at most one slab's worth of history
-// (~pubSlabSize combines) while it holds an old snapshot.
-//
-// All three slabs are carved in cacheline.Slot order (odd slots, then
-// even ones), for core's reason: an N×88-byte server row and an
-// N×24-byte voter list are no line multiples, so the slot next in
-// memory shares a line with the live one, and filling it front to back
-// would pull that line from under every reader once per combine (the
-// 192 B header is three whole lines, and goes with its row and list).
-// Two slots apart, the combine being written and the one being read
-// have a whole slot between them. The writer never writes a header's read memo
-// (the slab's make zeroes it); a reader writes it once, at its fill.
-const pubSlabSize = 256
-
-// Slots narrower than a line could not keep two-apart slots off each
-// other's lines. A header and a server row are wide enough by type; a
-// voter list of one or two servers is not, so its slots are spaced
-// minVoterSlot entries apart at the least.
-const (
-	_ = uint(unsafe.Sizeof(Readout{}) - cacheline.Size)
-	_ = uint(unsafe.Sizeof(ServerReadout{}) - cacheline.Size)
-
-	minVoterSlot = (cacheline.Size + unsafe.Sizeof(voter{}) - 1) / unsafe.Sizeof(voter{})
-)
-
 // ensemblePub is the atomic publication slot plus the writer-owned
-// slabs publication slots are carved from. nextSlot is called only by
-// the combine path (under the ensemble's writer mutex); Load is
-// wait-free from any goroutine.
+// slabs publication slots are carved from. publish carves from them
+// under the ensemble's writer mutex; Load is wait-free from any
+// goroutine.
+//
+// Each combine carves one header, one row of a ServerReadout per server
+// and one voter list with room for every server, from three slabs
+// refilled together. An N×88-byte row and an N×24-byte voter list are
+// no line multiples (the 192 B header is three whole lines, and goes
+// with them): cacheline.Slab carves each two slots apart, so filling a
+// combine never takes a line from a reader of the live one, and spaces
+// a voter list of one or two servers as if it had three. The writer
+// never writes a header's read memo (the slab's make zeroes it); a
+// reader writes it once, at its fill.
 //
 // p is the one word a combine hands from the writer's core to the
-// readers', and has a line to itself: the slab bookkeeping below and
-// the ladder state ensemblePub is embedded after are rewritten on every
-// exchange and must not invalidate the line readers poll.
+// readers', and has a line to itself: the slabs below and the ladder
+// state ensemblePub is embedded after are rewritten on every exchange
+// and must not invalidate the line readers poll.
 type ensemblePub struct {
 	_ cacheline.Pad
 	//repro:polled
 	p atomic.Pointer[Readout]
 	_ cacheline.Pad
 
-	// The current slabs, refilled together: slot k of roSlab goes with
-	// row k of srvSlab and voter slot k of voterSlab. seq counts the
-	// combines published so far, seq mod pubSlabSize of them from the
-	// current slabs.
-	roSlab    []Readout
-	srvSlab   []ServerReadout
-	voterSlab []voter
-	seq       uint64
+	headers cacheline.Slab[Readout]
+	rows    cacheline.Slab[ServerReadout]
+	voters  cacheline.Slab[voter]
 }
 
 // Load returns the latest published snapshot.
@@ -511,35 +483,4 @@ func (ep *ensemblePub) Load() *Readout { return ep.p.Load() }
 // the one at construction included. Writer-side: call it under the same
 // serialization as Process. It is what "one publication per exchange"
 // is counted with, where addresses cannot tell.
-func (e *Ensemble) Publications() uint64 { return e.pub.seq }
-
-// nextSlot returns a zeroed, never-reused Readout with a Servers slice
-// of length nSrv (the same on every call) and an empty voter list with
-// room for nSrv entries, carved from the slabs. The caller fills it and
-// then publishes it with store; the read memo is left for the first
-// reader.
-//
-//repro:builder
-func (ep *ensemblePub) nextSlot(nSrv int) *Readout {
-	stride := max(nSrv, int(minVoterSlot))
-	carved := int(ep.seq % pubSlabSize)
-	if carved == 0 {
-		//repro:alloc-ok amortized slab refill: one allocation per pubSlabSize combines (PERF.md)
-		ep.roSlab = make([]Readout, pubSlabSize)
-		//repro:alloc-ok amortized slab refill: one allocation per pubSlabSize combines (PERF.md)
-		ep.srvSlab = make([]ServerReadout, pubSlabSize*nSrv)
-		//repro:alloc-ok amortized slab refill: one allocation per pubSlabSize combines (PERF.md)
-		ep.voterSlab = make([]voter, pubSlabSize*stride)
-	}
-	k := cacheline.Slot(carved, pubSlabSize)
-	ep.seq++
-	ro := &ep.roSlab[k]
-	// Full-capacity reslices so appends by a confused caller could never
-	// bleed into another combine's row or list.
-	ro.Servers = ep.srvSlab[k*nSrv : (k+1)*nSrv : (k+1)*nSrv]
-	ro.voters = ep.voterSlab[k*stride : k*stride : k*stride+nSrv]
-	return ro
-}
-
-// store publishes a slot obtained from nextSlot.
-func (ep *ensemblePub) store(ro *Readout) { ep.p.Store(ro) }
+func (e *Ensemble) Publications() uint64 { return e.pub.headers.Carved() }

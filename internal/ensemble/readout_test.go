@@ -460,7 +460,7 @@ func TestPublicationsKeepOffTheLiveLines(t *testing.T) {
 			}
 		}
 		prev := e.Readout()
-		for i := 0; i < 3*pubSlabSize+40; i++ {
+		for i := 0; i < 3*cacheline.SlabRuns+40; i++ {
 			k := i % servers
 			// A changed identity every so often: the engine then publishes
 			// twice inside one exchange, the ensemble still once.

@@ -276,7 +276,8 @@ func (c *Client) readReply(b []byte) (int, rxStampInfo, error) {
 // write→kernel-transmit dwell drained from the error queue (correlated
 // to this request by the Transmit cookie). Either stamp missing — or
 // outside the shared trust clamp — leaves the userspace stamp in place
-// and is counted, so coverage is observable per client. Corrections
+// and is counted, so coverage is observable per client; clamp hits are
+// also reported in raw.Clamped. Corrections
 // that would put Tf at or before Ta are both dropped (orderedStamps)
 // and counted as missing.
 func (c *Client) applyKernelStamps(raw *RawExchange, cookie Time64, taWall time.Time, rx rxStampInfo) {
@@ -289,7 +290,7 @@ func (c *Client) applyKernelStamps(raw *RawExchange, cookie Time64, taWall time.
 	if !rx.kernel.IsZero() && !rx.wall.IsZero() {
 		age, usable, clamped := trustStamp(rx.wall.Sub(rx.kernel))
 		if clamped {
-			c.sc.clamped.Inc()
+			raw.Clamped++
 		}
 		if units := uint64(age.Seconds() / ks.period); usable && units <= raw.Tf {
 			raw.Tf -= units
@@ -302,7 +303,7 @@ func (c *Client) applyKernelStamps(raw *RawExchange, cookie Time64, taWall time.
 	if err := ks.rc.Control(ks.drain); err == nil && ks.got {
 		dwell, usable, clamped := trustStamp(time.Unix(ks.gotSec, ks.gotNsec).Sub(taWall))
 		if clamped {
-			c.sc.clamped.Inc()
+			raw.Clamped++
 		}
 		if usable {
 			raw.Ta += uint64(dwell.Seconds() / ks.period)
@@ -310,6 +311,9 @@ func (c *Client) applyKernelStamps(raw *RawExchange, cookie Time64, taWall time.
 		}
 	}
 
+	if raw.Clamped > 0 {
+		c.sc.clamped.Add(raw.Clamped)
+	}
 	var kept bool
 	if raw.Ta, raw.Tf, kept = orderedStamps(userTa, userTf, raw.Ta, raw.Tf); !kept {
 		raw.KernelTa, raw.KernelTf, raw.TaDelta, raw.TfDelta = false, false, 0, 0

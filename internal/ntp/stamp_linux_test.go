@@ -359,8 +359,8 @@ func TestClientStampsDistrustedAcrossClockStep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if raw.KernelTa || raw.KernelTf {
-		t.Errorf("kernel stamps trusted across a 2 s step: KernelTa=%v KernelTf=%v", raw.KernelTa, raw.KernelTf)
+	if raw.KernelTa || raw.KernelTf || raw.Clamped != 2 {
+		t.Errorf("kernel stamps trusted across a 2 s step: KernelTa=%v KernelTf=%v Clamped=%d, want false, false, 2", raw.KernelTa, raw.KernelTf, raw.Clamped)
 	}
 	if len(reads) != 2 || raw.Ta != reads[0] || raw.Tf != reads[1] {
 		t.Errorf("Ta, Tf = %d, %d, want the userspace readings %v", raw.Ta, raw.Tf, reads)

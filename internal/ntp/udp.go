@@ -76,6 +76,11 @@ type RawExchange struct {
 	// noise the paper's filtering machinery otherwise has to absorb.
 	KernelTa, KernelTf bool
 	TaDelta, TfDelta   float64
+	// Clamped counts this exchange's kernel stamps (0 to 2) that the
+	// shared trust clamp rejected or clipped. The client's own
+	// StampStats start over with each fresh socket; a caller keeping
+	// counts across redials sums this.
+	Clamped uint64
 }
 
 // rxStampInfo carries the kernel RX stamp (if any) of one received
@@ -124,10 +129,12 @@ func NewClient(conn net.Conn, counter Counter, timeout time.Duration) *Client {
 //     packet being stamped (unlike the RX backdate, which is measured
 //     per packet), so it gets a far tighter cap.
 //
-// Every clamp hit is counted (Stats.StampClamped on the serving path,
-// ClientStampStats.Clamped on the client path) and surfaced as the
-// ntp_stamp_clamped_total metric — a clamping host has a stepping or
-// badly skewed clock, which is worth an alert, not a silent counter.
+// Every clamp hit is counted and surfaced as a metric — a clamping host
+// has a stepping or badly skewed clock, which is worth an alert, not a
+// silent counter. The serving path counts Stats.StampClamped, exposed as
+// ntp_stamp_clamped_total; the client path reports each exchange's hits
+// in RawExchange.Clamped (and ClientStampStats.Clamped), which the live
+// client sums per upstream into tscclock_upstream_stamp_clamped_total.
 const (
 	stampMaxAge  = time.Second
 	stampSlack   = time.Millisecond

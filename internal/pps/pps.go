@@ -115,14 +115,14 @@ func (s *Sync) Clock() (p, c float64) { return s.p, s.c }
 
 // AbsoluteTime reads the offset-corrected clock at a counter value.
 func (s *Sync) AbsoluteTime(counter uint64) float64 {
-	return float64(counter)*s.p + s.c - s.theta
+	return float64(float64(counter)*s.p) + s.c - s.theta
 }
 
 // residual computes the capture-latency proxy of a pulse under the
 // current clock: C(stamp) − trueSecond. Latency is non-negative, so the
 // minimum residual over a window is the offset estimate.
 func (s *Sync) residual(pl pulse) float64 {
-	return float64(pl.counter)*s.p + s.c - pl.second
+	return float64(float64(pl.counter)*s.p) + s.c - pl.second
 }
 
 // ProcessPulse ingests one captured pulse: the raw counter stamp and the
@@ -139,7 +139,7 @@ func (s *Sync) ProcessPulse(counter uint64, second float64) (Result, error) {
 		s.have = true
 		s.first = pl
 		s.pairJ = pl
-		s.c = second - float64(counter)*s.p // align C at the first pulse
+		s.c = second - float64(float64(counter)*s.p) // align C at the first pulse
 		s.history = append(s.history, pl)
 		s.theta = 0
 		return Result{PHat: s.p, Theta: 0, Warmup: true}, nil
@@ -167,7 +167,7 @@ func (s *Sync) ProcessPulse(counter uint64, second float64) (Result, error) {
 		pNew := (pl.second - s.pairJ.second) / float64(pl.counter-s.pairJ.counter)
 		if pNew > 0 && !math.IsInf(pNew, 0) {
 			// Clock continuity on rate update, as in the NTP engine.
-			s.c += float64(pl.counter) * (s.p - pNew)
+			s.c += float64(float64(pl.counter) * (s.p - pNew))
 			s.p = pNew
 		}
 	}

@@ -141,13 +141,12 @@ const (
 //repro:hotpath
 func PrefixKey(ip net.IP) (key uint64, ok bool) {
 	if v4 := ip.To4(); v4 != nil {
-		return 1<<63 | uint64(v4[0])<<16 | uint64(v4[1])<<8 | uint64(v4[2]), true
+		return PrefixKey4([4]byte(v4)), true
 	}
 	if len(ip) != net.IPv6len {
 		return 0, false
 	}
-	return uint64(ip[0])<<40 | uint64(ip[1])<<32 | uint64(ip[2])<<24 |
-		uint64(ip[3])<<16 | uint64(ip[4])<<8 | uint64(ip[5]), true
+	return PrefixKey16((*[16]byte)(ip)), true
 }
 
 // PrefixKey4 is PrefixKey for a raw IPv4 address already in hand as 4

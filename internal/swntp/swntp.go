@@ -143,7 +143,7 @@ func (c *Clock) Read(counter uint64) float64 {
 		return 0
 	}
 	dt := timebase.CounterSpan(c.counterBase, counter, c.cfg.PNominal)
-	raw := c.base + dt*(1+c.freq)
+	raw := c.base + float64(dt*(1+c.freq))
 	if c.residual == 0 {
 		return raw
 	}
@@ -160,7 +160,7 @@ func (c *Clock) Read(counter uint64) float64 {
 func (c *Clock) rebase(counter uint64) {
 	now := c.Read(counter)
 	dt := timebase.CounterSpan(c.counterBase, counter, c.cfg.PNominal)
-	consumed := now - (c.base + dt*(1+c.freq))
+	consumed := now - (c.base + float64(dt*(1+c.freq)))
 	c.residual -= consumed
 	if math.Abs(c.residual) < 1e-12 {
 		c.residual = 0
@@ -181,7 +181,7 @@ func (c *Clock) ProcessExchange(ta, tf uint64, tb, te float64) Update {
 		// First exchange: set the clock outright from the server.
 		c.initialized = true
 		c.counterBase = tf
-		c.base = te + timebase.CounterSpan(ta, tf, c.cfg.PNominal)/2
+		c.base = te + float64(timebase.CounterSpan(ta, tf, c.cfg.PNominal)/2)
 		c.lastCounter = tf
 		return Update{Stepped: true, Applied: true}
 	}
@@ -239,7 +239,7 @@ func (c *Clock) ProcessExchange(ta, tf uint64, tb, te float64) Update {
 		dt = c.cfg.PollPeriod
 	}
 	tc := c.cfg.PLLTimeConstant
-	c.residual += sel.offset / 2
+	c.residual += float64(sel.offset / 2)
 	c.freq = clamp(c.freq+sel.offset*dt/(tc*tc), c.cfg.MaxFreqAdj)
 	c.lastCounter = tf
 	up.Freq = c.freq

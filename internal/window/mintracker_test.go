@@ -92,7 +92,7 @@ func TestMinTrackerKeepOldestTiesAgainstNaive(t *testing.T) {
 			m.Push(i, vals[i])
 			m.EvictBefore(i - w + 1)
 			naiveVal, naiveSeq := math.Inf(1), -1
-			for j := maxInt(0, i-w+1); j <= i; j++ {
+			for j := max(0, i-w+1); j <= i; j++ {
 				if vals[j] < naiveVal {
 					naiveVal, naiveSeq = vals[j], j
 				}
@@ -141,7 +141,7 @@ func TestMinTrackerAgainstNaive(t *testing.T) {
 			m.Push(i, vals[i])
 			m.EvictBefore(i - w + 1)
 			naive := math.Inf(1)
-			for j := maxInt(0, i-w+1); j <= i; j++ {
+			for j := max(0, i-w+1); j <= i; j++ {
 				if vals[j] < naive {
 					naive = vals[j]
 				}
@@ -183,7 +183,7 @@ func TestMinTrackerSuffixMin(t *testing.T) {
 			// Probe a handful of suffixes, including out-of-range ones.
 			for _, s := range []int{lo, lo + (i-lo)/2, i, i + 1, i - 3} {
 				naive := math.Inf(1)
-				start := maxInt(s, lo)
+				start := max(s, lo)
 				for j := start; j <= i; j++ {
 					naive = math.Min(naive, vals[j])
 				}
@@ -245,13 +245,6 @@ func TestMinTrackerJumpingWindow(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
 	}
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 func BenchmarkMinTrackerPush(b *testing.B) {

@@ -67,6 +67,7 @@ type upstream struct {
 	kernelTa     metrics.Counter
 	kernelTf     metrics.Counter
 	stampMiss    metrics.Counter
+	stampClamped metrics.Counter
 	taDelta      metrics.EWMA // kernel-vs-userspace Ta delta (s)
 	tfDelta      metrics.EWMA // kernel-vs-userspace Tf delta (s)
 }
@@ -74,6 +75,9 @@ type upstream struct {
 // noteStamps folds one successful exchange's kernel-stamp outcome into
 // the slot's aggregate view.
 func (up *upstream) noteStamps(raw ntp.RawExchange) {
+	if raw.Clamped > 0 {
+		up.stampClamped.Add(raw.Clamped)
+	}
 	if raw.KernelTa {
 		up.kernelTa.Inc()
 		up.taDelta.Observe(raw.TaDelta, ntp.StampDeltaAlpha)
@@ -304,14 +308,17 @@ type UpstreamState struct {
 	// KernelTa and KernelTf count exchanges whose client send/receive
 	// stamps came from kernel SO_TIMESTAMPING (aggregated across
 	// redials); StampMisses counts per-stamp fallbacks to userspace
-	// readings. TaDelta and TfDelta are EWMAs of the measured
-	// kernel-vs-userspace stamp deltas in seconds — the client-side
-	// stamping noise shed by kernel timestamps, per server.
-	KernelTa    uint64
-	KernelTf    uint64
-	StampMisses uint64
-	TaDelta     float64
-	TfDelta     float64
+	// readings, and StampClamped the kernel stamps the shared trust
+	// clamp rejected or clipped (rising: the host clock is stepping).
+	// TaDelta and TfDelta are EWMAs of the measured kernel-vs-userspace
+	// stamp deltas in seconds — the client-side stamping noise shed by
+	// kernel timestamps, per server.
+	KernelTa     uint64
+	KernelTf     uint64
+	StampMisses  uint64
+	StampClamped uint64
+	TaDelta      float64
+	TfDelta      float64
 }
 
 // UpstreamStates returns the connection view of every server slot, in
@@ -329,6 +336,7 @@ func (m *MultiLive) UpstreamStates() []UpstreamState {
 			KernelTa:            up.kernelTa.Value(),
 			KernelTf:            up.kernelTf.Value(),
 			StampMisses:         up.stampMiss.Value(),
+			StampClamped:        up.stampClamped.Value(),
 			TaDelta:             up.taDelta.Value(),
 			TfDelta:             up.tfDelta.Value(),
 		}

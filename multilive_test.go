@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -328,5 +329,32 @@ func TestMultiLiveStepOutOfRange(t *testing.T) {
 	}
 	if _, err := m.Step(2); err == nil {
 		t.Error("server index past the end accepted")
+	}
+}
+
+// TestUpstreamCountsStampClamps: the clamp hits an exchange reports are
+// summed into its slot — the slot's count survives the client's
+// redials — and exposed per server as UpstreamState.StampClamped and
+// tscclock_upstream_stamp_clamped_total.
+func TestUpstreamCountsStampClamps(t *testing.T) {
+	m, err := dialMultiLive(MultiLiveOptions{
+		Servers: []string{"a:123", "b:123"},
+	}, dialTracked([]*trackedConn{{}, {}}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	m.ups[0].noteStamps(ntp.RawExchange{KernelTa: true, TaDelta: 1e-5, Clamped: 1})
+	m.ups[0].noteStamps(ntp.RawExchange{Clamped: 2})
+	m.ups[1].noteStamps(ntp.RawExchange{KernelTa: true, KernelTf: true})
+	ups := m.UpstreamStates()
+	if ups[0].StampClamped != 3 || ups[0].StampMisses != 3 || ups[1].StampClamped != 0 {
+		t.Errorf("StampClamped %d, %d and StampMisses %d; want 3, 0 and 3", ups[0].StampClamped, ups[1].StampClamped, ups[0].StampMisses)
+	}
+	body := scrape(t, NewRelayMetrics(RelayMetricsConfig{Multi: m}))
+	for _, want := range []string{`tscclock_upstream_stamp_clamped_total{server="0"} 3`, `tscclock_upstream_stamp_clamped_total{server="1"} 0`} {
+		if !strings.Contains(body, want+"\n") {
+			t.Errorf("scrape lacks %q:\n%s", want, body)
+		}
 	}
 }

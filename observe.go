@@ -80,6 +80,7 @@ func NewRelayMetrics(cfg RelayMetricsConfig) *metrics.Registry {
 		kernelTa := reg.CounterVec("tscclock_upstream_kernel_ta_total", "Exchanges whose client send stamp (Ta) came from the kernel error-queue TX stamp.", serverLabel...)
 		kernelTf := reg.CounterVec("tscclock_upstream_kernel_tf_total", "Exchanges whose client receive stamp (Tf) came from the kernel RX cmsg stamp.", serverLabel...)
 		stampMisses := reg.CounterVec("tscclock_upstream_stamp_misses_total", "Per-stamp fallbacks to userspace readings on successful exchanges.", serverLabel...)
+		stampClamped := reg.CounterVec("tscclock_upstream_stamp_clamped_total", "Client kernel stamps (Ta and Tf) rejected or clipped by the shared trust clamp — a rising value means the host clock is stepping.", serverLabel...)
 		taDelta := reg.GaugeVec("tscclock_upstream_ta_delta_seconds", "EWMA of the kernel-vs-userspace send-stamp delta: the client-side TX stamping noise shed by kernel timestamps.", serverLabel...)
 		tfDelta := reg.GaugeVec("tscclock_upstream_tf_delta_seconds", "EWMA of the kernel-vs-userspace receive-stamp delta: the client-side RX stamping noise shed by kernel timestamps.", serverLabel...)
 
@@ -108,6 +109,7 @@ func NewRelayMetrics(cfg RelayMetricsConfig) *metrics.Registry {
 			kernelTa.Register(&up.kernelTa, lv)
 			kernelTf.Register(&up.kernelTf, lv)
 			stampMisses.Register(&up.stampMiss, lv)
+			stampClamped.Register(&up.stampClamped, lv)
 		}
 		reg.OnScrape(func() {
 			r := ml.ens.Readout()

@@ -64,6 +64,7 @@ var relayFamilies = []struct{ name, typ, help string }{
 	{"tscclock_upstream_kernel_ta_total", "counter", "Exchanges whose client send stamp (Ta) came from the kernel error-queue TX stamp."},
 	{"tscclock_upstream_kernel_tf_total", "counter", "Exchanges whose client receive stamp (Tf) came from the kernel RX cmsg stamp."},
 	{"tscclock_upstream_stamp_misses_total", "counter", "Per-stamp fallbacks to userspace readings on successful exchanges."},
+	{"tscclock_upstream_stamp_clamped_total", "counter", "Client kernel stamps (Ta and Tf) rejected or clipped by the shared trust clamp — a rising value means the host clock is stepping."},
 	{"tscclock_upstream_ta_delta_seconds", "gauge", "EWMA of the kernel-vs-userspace send-stamp delta: the client-side TX stamping noise shed by kernel timestamps."},
 	{"tscclock_upstream_tf_delta_seconds", "gauge", "EWMA of the kernel-vs-userspace receive-stamp delta: the client-side RX stamping noise shed by kernel timestamps."},
 }
