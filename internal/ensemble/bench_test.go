@@ -213,12 +213,28 @@ func BenchmarkEnsembleRead(b *testing.B) {
 	// counter value at which two voters are within ≈ 14 µs. The
 	// fixture's voters are a few µs apart, so the first read declines the
 	// memo and every read is the sorted read.
-	e := calibratedAt(b, 5, 2, ntpEra)
+	e := calibratedAt(b, 5, 2, ntpEra, false)
 	r, T := e.Readout(), uint64(1<<40)
 	if r.AbsoluteTime(T); r.memo.state.Load() != memoSorted {
 		b.Fatalf("harness: memo state %#x at the NTP era, want memoSorted", r.memo.state.Load())
 	}
 	b.Run("AbsoluteTime/ntp-era/servers=5/convicted=2", func(b *testing.B) {
+		var sink float64
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			sink += r.AbsoluteTime(T + uint64(i))
+		}
+		_ = sink
+	})
+	// A held read of a voter that extrapolates its offset at a local
+	// rate: the memo records its piece but no header copy, so the read
+	// takes one call more, readRest's evaluation through the pointer.
+	e = calibratedAt(b, 5, 2, 0, true)
+	r, T = e.Readout(), e.Readout().LastTf+1000
+	if r.AbsoluteTime(T); r.memo.state.Load() != memoReady || r.memo.n.Load() != 0 {
+		b.Fatalf("harness: memo state %#x, width %d with local rates, want memoReady and 0", r.memo.state.Load(), r.memo.n.Load())
+	}
+	b.Run("AbsoluteTime/local-rate/servers=5/convicted=2", func(b *testing.B) {
 		var sink float64
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -238,22 +254,29 @@ const ntpEra = 3.9e9
 // the last `liars` servers answer 5 ms off, a colluding minority the
 // selection has convicted. Server time starts near zero.
 func calibrated(b *testing.B, n, liars int) *Ensemble {
-	return calibratedAt(b, n, liars, 0)
+	return calibratedAt(b, n, liars, 0, false)
 }
 
 // calibratedAt is calibrated with every server's time shifted by epoch
-// seconds.
-func calibratedAt(b *testing.B, n, liars int, epoch float64) *Ensemble {
+// seconds and, with localRate, every engine extrapolating its offset at
+// its quasi-local rate: then 400 rounds, so that the local-rate window
+// (5 τ* = 5000 s) is full and every engine publishes a valid p̂_l.
+func calibratedAt(b *testing.B, n, liars int, epoch float64, localRate bool) *Ensemble {
 	b.Helper()
 	cfgs := make([]core.Config, n)
 	for i := range cfgs {
 		cfgs[i] = core.DefaultConfig(synthP, 16)
+		cfgs[i].UseLocalRate = localRate
 	}
 	e, err := New(Config{Engines: cfgs})
 	if err != nil {
 		b.Fatal(err)
 	}
-	for i := 0; i < 200; i++ {
+	rounds := 200
+	if localRate {
+		rounds = 400
+	}
+	for i := 0; i < rounds; i++ {
 		for k := 0; k < n; k++ {
 			off := epoch
 			if k >= n-liars {
@@ -266,8 +289,14 @@ func calibratedAt(b *testing.B, n, liars int, epoch float64) *Ensemble {
 			}
 		}
 	}
-	if r := e.Readout(); r.ReadyCount != n || r.Falsetickers != liars || r.BaseState != StateSynced {
+	r := e.Readout()
+	if r.ReadyCount != n || r.Falsetickers != liars || r.BaseState != StateSynced {
 		b.Fatalf("harness: %d/%d ready, %d falsetickers (want %d), state %v", r.ReadyCount, n, r.Falsetickers, liars, r.BaseState)
+	}
+	for k := range r.Servers {
+		if c := r.Servers[k].Clock; c.PLocalValid != localRate {
+			b.Fatalf("harness: server %d's local rate valid %v, want %v", k, c.PLocalValid, localRate)
+		}
 	}
 	return e
 }

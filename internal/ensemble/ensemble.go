@@ -69,9 +69,10 @@
 // voters' clocks are affine in the counter, so their weighted median is
 // piecewise affine, and the first read of a readout records in the memo
 // the piece it lands in, between the nearest guard bands around
-// crossings of two voter lines (memo.go). Every later read inside that
-// piece loads the published pointer, the header (the memo is part of
-// it) and one voter's engine readout, and evaluates that clock inline,
+// crossings of two voter lines (memo.go), and, when the voter it picks
+// there holds its offset, a copy of that voter's clock. Every later read
+// inside that piece loads the published pointer and the header (the
+// memo is part of it), nothing else, and evaluates the copy inline,
 // with no further call — the bits the sorted read (every voter
 // evaluated, stably sorted, the median walked) returns, which every
 // other read still takes. No read
@@ -83,9 +84,10 @@
 // nothing else", "One affine evaluation per combined read", "One piece
 // per readout" and "One call per combined read"): at five servers the
 // combine costs ≈ 370 ns against the engine step's ≈ 460, publication
-// the largest stage of it — 768 B of fresh memory per combine at five
-// servers (a 192 B header holding the 32 B memo, five 88 B rows, five
-// 24 B voter entries, and slab rounding) of the ≈ 1 kB an exchange
+// the largest stage of it — 832 B of fresh memory per combine at five
+// servers (a 232 B header holding the 72 B memo, five 88 B rows, five
+// 24 B voter entries, and slab rounding: 256 headers take a 64 KiB
+// slab) of the ≈ 1 kB an exchange
 // allocates in all — and BenchmarkEnsembleStages splits it into observe
 // / select / ladder / publish lines; fresh memory, not code, is most of
 // what a publication costs. A combined read at five servers with two

@@ -13,13 +13,17 @@ package ensemble
 // that piece evaluates that one voter. A readout's readers read near
 // one counter value, so one piece is all a memo needs, and its storage
 // does not grow with the voter count: a state word, the piece's two
-// ends and a pointer to its voter, 32 B of the Readout header. The
-// pointer is what makes a held read one call: AbsoluteTime tests the
-// state and the range and evaluates that voter inline, touching
-// nothing else (readout.go). A first read at an exact half-weight tie
-// records no piece, and its readout reads sorted: a tie needs the
-// weights below the median to sum to exactly half the total, which
-// continuous weights almost never do.
+// ends, a pointer to its voter and, when that voter holds its offset,
+// a copy of its four coefficients and the piece's width — 72 B of the
+// Readout header. The copy is what makes a held read touch the header
+// alone: AbsoluteTime loads the width, tests the range and evaluates
+// p̂·T + K̂ − θ̂ − correction from the header's own words (readout.go).
+// A voter whose offset is extrapolated at a local rate has no constant
+// θ̂ to copy; its memo leaves the width at zero, and a read inside the
+// piece evaluates that voter through the pointer. A first read at an
+// exact half-weight tie records no piece, and its readout reads sorted:
+// a tie needs the weights below the median to sum to exactly half the
+// total, which continuous weights almost never do.
 //
 // Why the bits cannot move. A guard band is the range of T where the
 // rounding in the read's own operations could order two voters
@@ -66,11 +70,18 @@ const memoGuard = 16 * 0x1p-53
 // state. Once state reads memoReady, [lo, hi] is the recorded piece:
 // the inclusive range of counter values between the nearest guard bands
 // on either side of the first read, and one (never nil) the voter the
-// piece evaluates.
+// piece evaluates. Once n reads non-zero, the piece holds the n counter
+// values from lo on (n saturates at the top of the counter range), and
+// p, k, theta and corr are one's clock: its p̂, K̂, held θ̂ (0 before the
+// first offset) and asymmetry correction. n is the held read's one
+// atomic load, stored last; the words a held read loads are adjacent.
 type readMemo struct {
-	state  atomic.Uint32
-	lo, hi uint64
-	one    *voter
+	state             atomic.Uint32
+	n                 atomic.Uint64
+	lo                uint64
+	p, k, theta, corr float64
+	hi                uint64
+	one               *voter
 }
 
 // memoLine is one voter's clock as the fill sees it: the exact affine
@@ -92,6 +103,8 @@ func (v *voter) at(T uint64) float64 { return v.clock.AbsoluteTime(T) - v.corr }
 // read's counter value T and returns the state it leaves: memoReady,
 // memoSorted when pieceAt declines, or — when another reader won the
 // claim — whatever that reader has published so far. It never waits.
+// When the picked voter holds its offset, the fill copies its clock
+// into the memo and publishes the piece's width last.
 //
 //repro:readpath
 func (m *readMemo) fill(vs []voter, T uint64) uint32 {
@@ -99,15 +112,31 @@ func (m *readMemo) fill(vs []voter, T uint64) uint32 {
 	if !m.state.CompareAndSwap(memoEmpty, memoFilling) {
 		return m.state.Load()
 	}
-	s := uint32(memoSorted)
-	if lo, hi, one := pieceAt(vs, T); one != nil {
-		//repro:readpath-ok fill: only the claim's winner writes the piece, and no reader reads it before the release
-		m.lo, m.hi, m.one = lo, hi, one
-		s = memoReady
+	lo, hi, one := pieceAt(vs, T)
+	if one == nil {
+		//repro:readpath-ok release: publishes the decline to every later reader
+		m.state.Store(memoSorted)
+		return memoSorted
+	}
+	c := one.clock
+	held := !(c.HaveTheta && c.UseLocalRate && c.PLocalValid && c.P > 0)
+	//repro:readpath-ok fill: only the claim's winner writes the piece, and no reader reads it before the releases below
+	m.lo, m.hi, m.one = lo, hi, one
+	if held {
+		//repro:readpath-ok fill: the copy of a held voter's clock, read only after n's release
+		m.p, m.k, m.theta, m.corr = c.P, c.K, c.ThetaAt(T), one.corr
 	}
 	//repro:readpath-ok release: publishes the recorded piece to every later reader; no reader reads it before this store
-	m.state.Store(s)
-	return s
+	m.state.Store(memoReady)
+	if held {
+		n := hi - lo + 1
+		if n == 0 { // the whole counter range: one value short of it
+			n = math.MaxUint64
+		}
+		//repro:readpath-ok release: publishes the copy to the held read, after every other write of the fill
+		m.n.Store(n)
+	}
+	return memoReady
 }
 
 // pieceAt returns the piece of vs's arrangement holding T — the

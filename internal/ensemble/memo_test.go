@@ -69,21 +69,25 @@ func memoArrangement(src *rng.Source, n int) (r *Readout, T0 uint64) {
 }
 
 // memoProbe counts what a property run exercised: every read, the
-// reads inside a recorded piece (one voter's evaluation), the memos that
-// declined, and those of them whose first read was a half-weight tie.
+// reads inside a recorded piece — from the header's copy of a held
+// voter's clock, or through the pointer to a local-rate one — the memos
+// that declined, and those of them whose first read was a half-weight
+// tie.
 type memoProbe struct {
-	reads, pieceReads, declines, tieDeclines int
+	reads, headerReads, oneReads, declines, tieDeclines int
 }
 
 // checkMemoAt compares one read with the sorted read, bit for bit, and
-// requires a ready memo to hold one of the readout's own voters.
+// requires a ready memo to hold one of the readout's own voters, and its
+// header copy to be that voter's clock over the piece's width exactly
+// when the voter holds its offset.
 func checkMemoAt(t testing.TB, r *Readout, T uint64, p *memoProbe) {
 	t.Helper()
 	got, want := r.AbsoluteTime(T), r.sortedTime(T)
 	v, ready := viewMemo(r)
 	if math.Float64bits(got) != math.Float64bits(want) {
-		t.Fatalf("%d voters, T=%d: memo read %v (%#x), sorted read %v (%#x); memo state %d, piece [%d, %d]",
-			len(r.voters), T, got, math.Float64bits(got), want, math.Float64bits(want), r.memo.state.Load(), v.lo, v.hi)
+		t.Fatalf("%d voters, T=%d: memo read %v (%#x), sorted read %v (%#x); memo state %d, piece [%d, %d], held %+v",
+			len(r.voters), T, got, math.Float64bits(got), want, math.Float64bits(want), r.memo.state.Load(), v.lo, v.hi, v.held)
 	}
 	p.reads++
 	if !ready {
@@ -92,9 +96,33 @@ func checkMemoAt(t testing.TB, r *Readout, T uint64, p *memoProbe) {
 	if !ownsVoter(r, v.one) {
 		t.Fatalf("%d voters: a ready memo holds voter pointer %p, not one of the readout's", len(r.voters), v.one)
 	}
-	if v.lo <= T && T <= v.hi {
-		p.pieceReads++
+	if want := heldCopy(v.one, v.lo, v.hi); v.held != want {
+		t.Fatalf("%d voters: the header holds %+v for piece [%d, %d], want %+v", len(r.voters), v.held, v.lo, v.hi, want)
 	}
+	switch {
+	case v.held.n != 0 && T-v.held.lo < v.held.n:
+		p.headerReads++
+	case v.lo <= T && T <= v.hi:
+		p.oneReads++
+	}
+}
+
+// heldCopy is what a fill of piece [lo, hi] with voter one leaves in the
+// header: one's clock and the piece's width when one holds its offset
+// (its θ̂ is not extrapolated at a local rate), and nothing otherwise.
+func heldCopy(one *voter, lo, hi uint64) memoHeld {
+	c := one.clock
+	if c.HaveTheta && c.UseLocalRate && c.PLocalValid && c.P > 0 {
+		return memoHeld{}
+	}
+	h := memoHeld{n: hi - lo + 1, lo: lo, p: c.P, k: c.K, corr: one.corr}
+	if h.n == 0 {
+		h.n = math.MaxUint64
+	}
+	if c.HaveTheta {
+		h.theta = c.Theta
+	}
+	return h
 }
 
 // ownsVoter reports whether one points into r's voter list.
@@ -120,21 +148,37 @@ func sortedTie(r *Readout, T uint64) bool {
 	return tie
 }
 
-// memoView is what a ready memo holds: its piece and its one-voter
-// pointer.
+// memoView is what a ready memo holds: its piece, its one-voter
+// pointer, and the header copy the held read evaluates.
 type memoView struct {
 	lo, hi uint64
 	one    *voter
+	held   memoHeld
 }
 
-// viewMemo reads a ready memo's piece and pointer after the acquiring
-// load of its state, as AbsoluteTime does; ready is false (and the view
-// zero) when the memo is not ready.
+// memoHeld is the held read's words: the width, and lo and the clock it
+// reads from the header. Zero while n is.
+type memoHeld struct {
+	n, lo             uint64
+	p, k, theta, corr float64
+}
+
+// viewMemo reads the header copy after the acquiring load of the
+// memo's width, as AbsoluteTime does, and then a ready memo's piece and
+// pointer after the acquiring load of its state, as readRest does; ready
+// is false (and the piece and pointer zero) when the memo is not ready.
+// The width is stored after the state, so a view with a copy and no
+// ready state is a fill publishing out of order.
 func viewMemo(r *Readout) (v memoView, ready bool) {
-	if r.memo.state.Load() != memoReady {
-		return memoView{}, false
+	m := &r.memo
+	if n := m.n.Load(); n != 0 {
+		v.held = memoHeld{n, m.lo, m.p, m.k, m.theta, m.corr}
 	}
-	return memoView{r.memo.lo, r.memo.hi, r.memo.one}, true
+	if m.state.Load() != memoReady {
+		return v, false
+	}
+	v.lo, v.hi, v.one = m.lo, m.hi, m.one
+	return v, true
 }
 
 // checkMemoArrangement fills r's memo with a first read at first, then
@@ -189,9 +233,11 @@ func TestReadMemoMatchesSorted(t *testing.T) {
 			checkMemoArrangement(t, src, r, first, T0, &p)
 		}
 	}
-	t.Logf("%d reads, %d by one piece; %d memos declined, %d of them at a half-weight tie", p.reads, p.pieceReads, p.declines, p.tieDeclines)
-	if p.pieceReads < p.reads/4 || p.tieDeclines == 0 {
-		t.Errorf("coverage: %d of %d reads by a piece, %d declines at a tie — harness lost its teeth", p.pieceReads, p.reads, p.tieDeclines)
+	t.Logf("%d reads, %d by the header's copy, %d through the voter pointer; %d memos declined, %d of them at a half-weight tie",
+		p.reads, p.headerReads, p.oneReads, p.declines, p.tieDeclines)
+	if p.headerReads+p.oneReads < p.reads/4 || p.headerReads == 0 || p.oneReads == 0 || p.tieDeclines == 0 {
+		t.Errorf("coverage: %d of %d reads by the header, %d through the pointer, %d declines at a tie — harness lost its teeth",
+			p.headerReads, p.reads, p.oneReads, p.tieDeclines)
 	}
 }
 
@@ -215,7 +261,10 @@ func FuzzReadMemo(f *testing.F) {
 // NaN, a first read inside a guard band (two lines crossing there), and
 // a first read at a half-weight tie (two equal weights on parallel
 // lines a millisecond apart: no band anywhere, and the median is their
-// mean everywhere). A declined memo leaves the voter pointer nil.
+// mean everywhere). A declined memo leaves the voter pointer nil. And
+// what the header cannot hold it leaves to the pointer: a piece whose
+// voter extrapolates its offset at a local rate is recorded with no
+// header copy (width 0), and every read still equals the sorted read.
 func TestReadMemoDeclines(t *testing.T) {
 	src := rng.New(7)
 	huge, _ := memoArrangement(src, 3)
@@ -246,6 +295,24 @@ func TestReadMemoDeclines(t *testing.T) {
 			t.Errorf("%s: memo state %d, voter pointer %p; want memoSorted (%d) and nil", name, s, c.r.memo.one, memoSorted)
 		}
 	}
+	// One held voter and two extrapolating ones, a millisecond apart: the
+	// median is the middle, local-rate voter everywhere near X.
+	local := func(K float64) *core.Readout {
+		return &core.Readout{P: 1e-9, K: K, HaveTheta: true, Theta: 1e-4, ThetaTf: X,
+			UseLocalRate: true, PLocalValid: true, PLocal: 1e-9 * (1 + 1e-8)}
+	}
+	lr := &Readout{voters: []voter{{clock: &core.Readout{P: 1e-9}, raw: 1}, {clock: local(1e-3), raw: 1}, {clock: local(2e-3), raw: 1}}}
+	for _, T := range []uint64{X, X + 1, X - 1<<20, 0, math.MaxUint64} {
+		got, want := lr.AbsoluteTime(T), lr.sortedTime(T)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("local rate, T=%d: read %v, sorted %v", T, got, want)
+		}
+	}
+	v, ready := viewMemo(lr)
+	if !ready || v.one != &lr.voters[1] || v.held != (memoHeld{}) || !(v.lo <= X && X <= v.hi) {
+		t.Errorf("local rate: memo ready %v, voter %p (want %p), piece [%d, %d], header copy %+v; want the middle voter's piece and no copy",
+			ready, v.one, &lr.voters[1], v.lo, v.hi, v.held)
+	}
 }
 
 // TestReadMemoConcurrentFirstReads races several readers on the first
@@ -257,7 +324,9 @@ func TestReadMemoDeclines(t *testing.T) {
 // racing first reads: which read fills first decides the piece, never
 // an answer's bits. A racing reader sees no piece or a whole one: every
 // ready memo it observes after a read is the final one, lo, hi and the
-// voter pointer from the same fill.
+// voter pointer from the same fill; and it sees no header copy or the
+// final one, width, lo and the four copied coefficients together, never
+// before the memo is ready.
 func TestReadMemoConcurrentFirstReads(t *testing.T) {
 	const readers = 4
 	src := rng.New(99)
@@ -282,7 +351,7 @@ func TestReadMemoConcurrentFirstReads(t *testing.T) {
 					if got := r.AbsoluteTime(Ts[k]); math.Float64bits(got) != math.Float64bits(want[k]) {
 						errs <- "concurrent first read differs from the sorted read"
 					}
-					if v, ready := viewMemo(r); ready {
+					if v, ready := viewMemo(r); ready || v.held != (memoHeld{}) {
 						seen[g] = append(seen[g], v)
 					}
 				}
@@ -301,7 +370,8 @@ func TestReadMemoConcurrentFirstReads(t *testing.T) {
 		final, _ := viewMemo(r)
 		for g := range seen {
 			for _, v := range seen[g] {
-				if v != final {
+				piece := v.lo == final.lo && v.hi == final.hi && v.one == final.one
+				if !piece || v.held != (memoHeld{}) && v.held != final.held {
 					t.Fatalf("trial %d: reader %d saw %+v mid-race, the memo ended %+v", trial, g, v, final)
 				}
 			}

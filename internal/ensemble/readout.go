@@ -139,8 +139,9 @@ type Readout struct {
 	voters []voter
 
 	// memo is the piece of the voters' weighted median around the first
-	// read (memo.go): empty at publication, filled once by the first
-	// AbsoluteTime, the one thing written after the store.
+	// read and a copy of its voter's clock (memo.go, 72 B): empty at
+	// publication, filled once by the first AbsoluteTime, the one thing
+	// written after the store.
 	memo readMemo
 }
 
@@ -186,24 +187,27 @@ const readScratch = 16
 // from then on a read inside that piece evaluates one voter, and every
 // other read is sortedTime itself.
 //
-// A read inside the piece makes no call: one atomic load, the range
-// test, and the voter's clock, which the compiler inlines. It spells
-// voter.at's expression because at itself is just over the inlining
-// budget. Everything else is readRest, out of line.
+// A read inside the piece of a voter that holds its offset makes no
+// call and loads nothing but this header: the width n (one atomic
+// load), the range test, and the memo's copy of that voter's clock,
+// evaluated as voter.at evaluates it — p̂·T + K̂, then − θ̂, then − the
+// correction — so the bits are the same. Everything else is readRest,
+// out of line.
 //
 //repro:readpath
 //repro:hotpath
 func (r *Readout) AbsoluteTime(T uint64) float64 {
 	m := &r.memo
-	if m.state.Load() == memoReady && m.lo <= T && T <= m.hi {
-		return m.one.clock.AbsoluteTime(T) - m.one.corr
+	if n := m.n.Load(); n != 0 && T-m.lo < n {
+		return float64(float64(T)*m.p) + m.k - m.theta - m.corr
 	}
 	return r.readRest(T)
 }
 
 // readRest is AbsoluteTime's out-of-line rest: the memo's fill on a
-// readout's first read, and the sorted read outside the piece or without
-// one.
+// readout's first read, a read inside the piece of a local-rate voter
+// (through the memo's pointer), and the sorted read outside the piece or
+// without one.
 //
 //repro:readpath
 //repro:hotpath
@@ -451,9 +455,9 @@ func (e *Ensemble) Readout() *Readout { return e.pub.Load() }
 //
 // Each combine carves one header, one row of a ServerReadout per server
 // and one voter list with room for every server, from three slabs
-// refilled together. An N×88-byte row and an N×24-byte voter list are
-// no line multiples (the 192 B header is three whole lines, and goes
-// with them): cacheline.Slab carves each two slots apart, so filling a
+// refilled together. A 232 B header (a 64 KiB slab of 256), an N×88-byte
+// row and an N×24-byte voter list are no line multiples:
+// cacheline.Slab carves each two slots apart, so filling a
 // combine never takes a line from a reader of the live one, and spaces
 // a voter list of one or two servers as if it had three. The writer
 // never writes a header's read memo (the slab's make zeroes it); a

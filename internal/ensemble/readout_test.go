@@ -484,3 +484,43 @@ func TestPublicationsKeepOffTheLiveLines(t *testing.T) {
 		}
 	}
 }
+
+// TestHeldReadKeepsToTwoLines: the words a held read loads — the memo's
+// width, lo and its copy of the voter's clock — lie together within one
+// line's span of the header, so they touch at most two lines wherever
+// the header sits, and do so in every slot of more than a slab of real
+// publications. A field added among them later fails it.
+func TestHeldReadKeepsToTwoLines(t *testing.T) {
+	var m readMemo
+	words := []struct {
+		off, size uintptr
+	}{
+		{unsafe.Offsetof(m.n), unsafe.Sizeof(m.n)},
+		{unsafe.Offsetof(m.lo), unsafe.Sizeof(m.lo)},
+		{unsafe.Offsetof(m.p), unsafe.Sizeof(m.p)},
+		{unsafe.Offsetof(m.k), unsafe.Sizeof(m.k)},
+		{unsafe.Offsetof(m.theta), unsafe.Sizeof(m.theta)},
+		{unsafe.Offsetof(m.corr), unsafe.Sizeof(m.corr)},
+	}
+	first, end := words[0].off, words[0].off+words[0].size
+	for _, w := range words {
+		first, end = min(first, w.off), max(end, w.off+w.size)
+	}
+	if end-first > cacheline.Size {
+		t.Errorf("the held read's words span %d bytes of the memo, more than a line (%d)", end-first, cacheline.Size)
+	}
+	e := newTestEnsemble(t, 3)
+	for i := 0; i < cacheline.SlabRuns+40; i++ {
+		feedFrom(t, e, i%3, float64(i)*16/3+1, 0, core.Identity{})
+		r := e.Readout()
+		base := uintptr(unsafe.Pointer(&r.memo))
+		lines := map[uintptr]bool{}
+		for _, w := range words {
+			lines[(base+w.off)/cacheline.Size] = true
+			lines[(base+w.off+w.size-1)/cacheline.Size] = true
+		}
+		if len(lines) > 2 {
+			t.Fatalf("exchange %d: the held read's words of the header at %#x touch %d lines", i, uintptr(unsafe.Pointer(r)), len(lines))
+		}
+	}
+}

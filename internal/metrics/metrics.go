@@ -110,7 +110,7 @@ func (e *EWMA) Observe(v, alpha float64) {
 		next := v
 		if old != 0 {
 			cur := math.Float64frombits(old &^ 1)
-			next = cur + alpha*(v-cur)
+			next = cur + float64(alpha*(v-cur))
 		}
 		if e.bits.CompareAndSwap(old, math.Float64bits(next)|1) {
 			return

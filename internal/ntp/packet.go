@@ -104,7 +104,7 @@ func Time64FromSeconds(sec float64) Time64 {
 // used on the live-UDP path only, where monotonic raw counters carry the
 // precision-critical information.
 func (t Time64) Seconds() float64 {
-	return float64(t>>32) + float64(t&0xffffffff)/fracScale
+	return float64(t>>32) + float64(float64(t&0xffffffff)/fracScale)
 }
 
 // Time64FromTime converts a wall-clock time.Time to wire representation.

@@ -219,7 +219,7 @@ func (l *Limiter) Allow(key uint64) bool {
 		sh.mu.Unlock()
 		return true
 	}
-	b.tokens += float64(now-b.last) * l.ratePerNs
+	b.tokens += float64(float64(now-b.last) * l.ratePerNs)
 	if b.tokens > l.cfg.Burst {
 		b.tokens = l.cfg.Burst
 	}

@@ -463,7 +463,7 @@ func (m *MultiLive) ServerSample(refID uint32) ntp.SampleClock {
 		if state == ensemble.StateHoldover && h.DriftBound > rate {
 			rate = h.DriftBound
 		}
-		s.RootDisp = ntp.Short32FromSeconds(h.ErrScale + rate*r.Age(T))
+		s.RootDisp = ntp.Short32FromSeconds(h.ErrScale + float64(rate*r.Age(T)))
 		return s
 	}
 }
